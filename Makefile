@@ -46,7 +46,7 @@ coldstart:
 # and the fencing tests (including fence-across-crash-recovery).
 sessions:
 	$(GO) test -race -count=1 ./internal/session/
-	$(GO) test -race -count=1 -run 'TestSession|TestAdmission|TestLease|TestUpgradeHonors|TestCloseDrains|TestLongLine' ./internal/lockserver/
+	$(GO) test -race -count=1 -run 'TestSession|TestAdmission|TestLease|TestLockHonors|TestUpgradeHonors|TestCloseDrains|TestLongLine' ./internal/lockserver/
 	$(GO) test -race -count=1 -run 'TestLease' ./internal/cluster/
 	$(GO) test -race -count=1 -run 'TestFence' .
 
@@ -69,20 +69,25 @@ fuzz:
 # overhead benches (histogram/counter/trace-record, including the
 # nil-handle disabled paths, which must report 0 allocs/op).
 bench:
-	$(GO) test -run '^$$' -bench . -benchmem . ./internal/hlock ./internal/metrics ./internal/trace ./internal/proto
+	$(GO) test -run '^$$' -bench . -benchmem . ./internal/hlock ./internal/metrics ./internal/trace ./internal/proto ./internal/session
 
 # Record a benchmark snapshot — the paper's Figure 5/6/7 CSVs plus the
-# microbenchmark output — into BENCH_pr10.json so PRs can be compared.
+# microbenchmark output — into BENCH_pr$(PR).json so PRs can be
+# compared: `make bench-record PR=14`. PR defaults to the newest
+# snapshot in the tree.
+PR ?= 10
 bench-record:
-	$(GO) run ./cmd/benchrecord -o BENCH_pr10.json
+	$(GO) run ./cmd/benchrecord -o BENCH_pr$(PR).json
 
-# Compare the current snapshot against the previous PR's baseline and
+# Compare snapshot PR against snapshot PREV (default: the PR before it;
+# `make bench-compare PR=14 PREV=10` skips PRs that recorded none) and
 # fail on any >10% regression in the gated families: engine
 # microbenchmarks, the live-cluster member hot paths (with the latency
 # SLO histograms active via telemetry tests), and the seeded simulator
-# figure benchmarks, against the PR-8 baseline.
+# figure benchmarks.
+PREV ?= $(shell expr $(PR) - 1)
 bench-compare:
-	$(GO) run ./cmd/benchcompare -old BENCH_pr9.json -new BENCH_pr10.json -threshold 0.10
+	$(GO) run ./cmd/benchcompare -old BENCH_pr$(PREV).json -new BENCH_pr$(PR).json -threshold 0.10
 
 # The online protocol auditor's invariant tests, under the race
 # detector (they replay violating and healthy trace streams).

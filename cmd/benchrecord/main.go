@@ -97,7 +97,7 @@ func main() {
 		// whole-system benches without touching the deterministic ones.
 		args := []string{"test", "-run", "^$", "-bench", ".", "-benchmem",
 			"-count", strconv.Itoa(*count),
-			".", "./internal/hlock", "./internal/metrics", "./internal/trace", "./internal/proto"}
+			".", "./internal/hlock", "./internal/metrics", "./internal/trace", "./internal/proto", "./internal/session"}
 		fmt.Fprintf(os.Stderr, "benchrecord: go %s\n", strings.Join(args, " "))
 		b, err := exec.Command("go", args...).CombinedOutput()
 		if err != nil {

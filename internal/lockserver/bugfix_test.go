@@ -56,6 +56,76 @@ func TestUpgradeHonorsServerTimeout(t *testing.T) {
 	reader.mustOK("UNLOCK acct")
 }
 
+// TestLockHonorsServerTimeout: a contended LOCK leads its admission
+// queue under the connection's own Server.Timeout (one timer, armed by
+// the connection) and answers ERR when it expires; the failure is the
+// head's alone — a second client parked behind it takes the baton and
+// gets the lock once the holder releases.
+func TestLockHonorsServerTimeout(t *testing.T) {
+	cl, err := hierlock.NewCluster(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	const timeout = time.Second
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := metrics.NewRegistry()
+	srv := lockserver.New(cl.Member(0))
+	srv.Timeout = timeout
+	srv.Registry = reg
+	go func() { _ = srv.Serve(ln) }()
+	t.Cleanup(func() { _ = srv.Close() })
+	enqueued := func(n uint64) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for reg.Counter(metrics.MetricAdmissionEnqueued, "", nil).Value() < n {
+			if time.Now().After(deadline) {
+				t.Fatalf("only %d enqueued, want %d", reg.Counter(metrics.MetricAdmissionEnqueued, "", nil).Value(), n)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	// A writer on the other member keeps both local clients waiting.
+	holder := dial(t, startServer(t, cl.Member(1)))
+	holder.mustOK("LOCK acct W")
+
+	type reply struct {
+		resp    string
+		elapsed time.Duration
+	}
+	lock := func(out chan<- reply) {
+		c := dial(t, ln.Addr().String())
+		start := time.Now()
+		resp := c.cmd("LOCK acct W")
+		out <- reply{resp, time.Since(start)}
+	}
+	head, follower := make(chan reply, 1), make(chan reply, 1)
+	go lock(head)
+	enqueued(1)
+	// The follower arrives half a timeout later, so its deadline
+	// outlives the head's by that much.
+	time.Sleep(timeout / 2)
+	go lock(follower)
+	enqueued(2)
+
+	r := <-head
+	if !strings.HasPrefix(r.resp, "ERR") {
+		t.Fatalf("contended lock: %q, want timeout error", r.resp)
+	}
+	if r.elapsed > 2*timeout {
+		t.Fatalf("contended lock answered after %v, want within 2×Timeout = %v", r.elapsed, 2*timeout)
+	}
+	holder.mustOK("UNLOCK acct")
+	if r := <-follower; !strings.HasPrefix(r.resp, "OK") {
+		t.Fatalf("follower behind a timed-out head: %q, want the lock", r.resp)
+	}
+}
+
 // TestCloseDrainsIdleConns is the regression test for Server.Close only
 // closing the listener: connections blocked reading an idle client used
 // to linger, so Serve (which waits for them) never returned.

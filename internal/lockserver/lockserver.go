@@ -55,14 +55,15 @@
 // # Wait-queue admission
 //
 // Exclusive-mode (U, W) requests for one resource collapse into a
-// single member-level waiter: one "leader" connection performs the
-// protocol acquisition and the hold is then handed from client to
-// client locally in FIFO order, each hand-off minting a fresh fencing
-// token — 10k blocked clients on a hot lock cost O(1) protocol traffic
-// per grant. Beyond Server.MaxWaiters queued clients per (resource,
-// mode), LOCK answers "ERR busy". Shared modes (IR, R, IW) bypass the
-// queue; the member's shared-join fast path already grants them with
-// zero protocol traffic.
+// single member-level waiter: the connection at the head of the queue
+// performs the protocol acquisition itself, bounded by its own
+// Server.Timeout, and the hold is then handed from client to client
+// locally in FIFO order, each hand-off minting a fresh fencing token —
+// 10k blocked clients on a hot lock cost O(1) protocol traffic per
+// grant. Beyond Server.MaxWaiters queued clients per (resource, mode),
+// LOCK answers "ERR busy". Shared modes (IR, R, IW) bypass the queue;
+// the member's shared-join fast path already grants them with zero
+// protocol traffic.
 package lockserver
 
 import (
@@ -552,13 +553,6 @@ func (se *connState) lock(res, modeStr string) string {
 	defer cancel()
 	srv := se.srv
 	acquire := func(ctx context.Context) (*hierlock.Lock, error) {
-		// The leader acquires under its own context; bound it by the
-		// same server timeout as a direct acquisition.
-		if srv.Timeout > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, srv.Timeout)
-			defer cancel()
-		}
 		return srv.member.Lock(ctx, res, mode)
 	}
 	l, fence, err := se.mgr.Acquire(ctx, res, mode, acquire)

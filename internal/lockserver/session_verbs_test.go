@@ -178,7 +178,13 @@ func TestLeaseExpiryFencing(t *testing.T) {
 	if got := reg.Counter(metrics.MetricSessionsExpired, "", nil).Value(); got != 1 {
 		t.Fatalf("sessions expired = %d, want 1", got)
 	}
-	if got := reg.Counter(metrics.MetricSessionLocksReaped, "", nil).Value(); got != 1 {
+	// The sweeper counts the reaped locks after releasing them, and the
+	// release is what woke c2: give the counter a moment to follow.
+	reaped := reg.Counter(metrics.MetricSessionLocksReaped, "", nil)
+	for deadline := time.Now().Add(ttl); reaped.Value() == 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	if got := reaped.Value(); got != 1 {
 		t.Fatalf("locks reaped = %d, want 1", got)
 	}
 	c2.mustOK("UNLOCK acct/42")

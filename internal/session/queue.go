@@ -6,9 +6,10 @@ import (
 	"hierlock"
 )
 
-// Acquirer performs one member-level acquisition on behalf of an
-// admission queue's leader (lockserver binds it to Member.Lock plus the
-// server timeout).
+// Acquirer performs one member-level acquisition on behalf of the
+// client leading an admission queue (lockserver binds it to
+// Member.Lock). It runs on that client's goroutine, under that client's
+// context.
 type Acquirer func(ctx context.Context) (*hierlock.Lock, error)
 
 // qkey identifies one admission queue: all waiters in it want the same
@@ -20,30 +21,35 @@ type qkey struct {
 
 // queue collapses many local clients waiting for the same exclusive
 // (resource, mode) into one member-level waiter. State is guarded by
-// Manager.mu.
+// Manager.mu. A queue stays in the table exactly while it is leading or
+// held, and clients park only on such a queue, so somebody always owes
+// every parked client a hand-off or the baton.
 type queue struct {
-	waiters []*qwaiter
-	// leading marks a leader goroutine running a member-level
-	// acquisition for this queue; leadCancel aborts it when every
-	// waiter gives up.
-	leading    bool
-	leadCancel context.CancelFunc
+	// waiters are the parked clients, FIFO. The leading client is not
+	// among them; depth counts it.
+	waiters []chan qresult
+	// leading marks a client running its Acquirer for this queue.
+	leading bool
 	// held marks the member-level hold as checked out to some client;
 	// its release routes back through Manager.Release for hand-off.
 	held bool
-	// acquire is the most recent acquirer binding, kept so a leader can
-	// be restarted after a real release leaves waiters behind.
-	acquire Acquirer
 }
 
+// qresult wakes a parked client: with the handed-off hold and its fresh
+// fence, or empty — the baton, "your turn to lead".
 type qresult struct {
 	l     *hierlock.Lock
 	fence hierlock.FenceToken
-	err   error
 }
 
-type qwaiter struct {
-	ch chan qresult // buffered: a grant never blocks on a gone waiter
+// depth is the population MaxWaiters caps and the waiting gauge
+// reports: every client that has entered the queue and holds nothing
+// yet.
+func (q *queue) depth() int {
+	if q.leading {
+		return len(q.waiters) + 1
+	}
+	return len(q.waiters)
 }
 
 // exclusiveMode reports whether acquisitions of this mode go through
@@ -55,11 +61,12 @@ func exclusiveMode(mode hierlock.Mode) bool {
 }
 
 // Acquire obtains (resource, mode) for one client. Shared modes call
-// the acquirer directly. Exclusive modes join the admission queue: if
-// the member-level hold is already checked out, the client just queues
-// (zero protocol traffic); otherwise one leader runs the acquirer and
-// the grant is fanned out FIFO, each hand-off re-stamped with a fresh
-// fencing token.
+// the acquirer directly. Exclusive modes go through the admission
+// queue: a client that finds it idle leads — it runs the acquirer
+// inline, under its own ctx, and checks the hold out. A client that
+// finds it leading or held parks (zero protocol traffic) until a
+// release hands it the hold, re-stamped with a fresh fencing token, or
+// passes it the baton to lead in its turn.
 func (m *Manager) Acquire(ctx context.Context, res string, mode hierlock.Mode, acquire Acquirer) (*hierlock.Lock, hierlock.FenceToken, error) {
 	if !exclusiveMode(mode) {
 		l, err := acquire(ctx)
@@ -79,58 +86,58 @@ func (m *Manager) Acquire(ctx context.Context, res string, mode hierlock.Mode, a
 		q = &queue{}
 		m.queues[k] = q
 	}
-	if m.cfg.MaxWaiters > 0 && len(q.waiters) >= m.cfg.MaxWaiters {
+	if m.cfg.MaxWaiters > 0 && q.depth() >= m.cfg.MaxWaiters {
 		m.mu.Unlock()
 		m.busy.Inc()
 		return nil, hierlock.FenceToken{}, ErrBusy
 	}
-	w := &qwaiter{ch: make(chan qresult, 1)}
-	q.waiters = append(q.waiters, w)
-	q.acquire = acquire
 	m.enqueued.Inc()
 	if !q.held && !q.leading {
-		m.startLeaderLocked(k, q, acquire)
-	}
-	m.mu.Unlock()
-
-	select {
-	case r := <-w.ch:
-		return r.l, r.fence, r.err
-	case <-ctx.Done():
-		m.mu.Lock()
-		select {
-		case r := <-w.ch:
-			// The grant raced in: we own the hold for an instant — pass
-			// it to the next waiter or release it for real.
-			if r.err == nil {
-				m.redeliverLocked(k, q, r.l, acquire)
-			}
-			m.mu.Unlock()
-			return nil, hierlock.FenceToken{}, ctx.Err()
-		default:
-		}
-		for i, other := range q.waiters {
-			if other == w {
-				q.waiters = append(q.waiters[:i], q.waiters[i+1:]...)
-				break
-			}
-		}
-		// Last waiter gone: the in-flight leader acquisition has no
-		// taker; abort it (its grant, if it still lands, is released by
-		// the member's abandoned-request path).
-		if len(q.waiters) == 0 && q.leading && q.leadCancel != nil {
-			q.leadCancel()
-		}
-		m.deleteIfIdleLocked(k, q)
+		q.leading = true
 		m.mu.Unlock()
-		return nil, hierlock.FenceToken{}, ctx.Err()
+	} else {
+		w := make(chan qresult, 1) // buffered: senders hold m.mu
+		q.waiters = append(q.waiters, w)
+		m.mu.Unlock()
+		var r qresult
+		select {
+		case r = <-w:
+		case <-ctx.Done():
+			m.mu.Lock()
+			gaveUp := q.remove(w)
+			m.mu.Unlock()
+			if gaveUp {
+				return nil, hierlock.FenceToken{}, ctx.Err()
+			}
+			// Already popped: the hand-off or baton was sent under m.mu
+			// and wins the race, so nothing is left without a taker.
+			r = <-w
+		}
+		if r.l != nil {
+			return r.l, r.fence, nil
+		}
 	}
+
+	l, err := acquire(ctx)
+	m.mu.Lock()
+	q.leading = false
+	if err != nil {
+		// Only this client fails — the acquisition ran under its
+		// deadline. The others have their own: the next one leads.
+		m.passBatonLocked(k, q)
+		m.mu.Unlock()
+		return nil, hierlock.FenceToken{}, err
+	}
+	q.held = true
+	m.mu.Unlock()
+	m.leaderAcq.Inc()
+	return l, l.Fence(), nil
 }
 
 // Release disposes of a queue-admitted hold: hand it to the next
 // waiter when one exists and the handle still matches the queue (same
-// mode, hold intact), otherwise release it for real and, when waiters
-// remain, restart a leader. Callers pass the mode the lock was
+// mode, hold intact), otherwise pass the baton to the next waiter, if
+// any, and release it for real. Callers pass the mode the lock was
 // *acquired* with (an upgrade changes the handle's mode and voids
 // hand-off).
 func (m *Manager) Release(res string, mode hierlock.Mode, l *hierlock.Lock) error {
@@ -146,126 +153,46 @@ func (m *Manager) Release(res string, mode hierlock.Mode, l *hierlock.Lock) erro
 		m.mu.Unlock()
 		return l.Unlock()
 	}
-	q.held = false
 	if len(q.waiters) > 0 && l.Mode() == mode {
 		if f, err := l.Refence(); err == nil {
 			w := q.waiters[0]
 			q.waiters = q.waiters[1:]
-			q.held = true
 			m.handoffs.Inc()
-			w.ch <- qresult{l: l, fence: f}
+			w <- qresult{l: l, fence: f}
 			m.mu.Unlock()
 			return nil
 		}
 		// Hold lost or upgrade in flight: fall through to a real
-		// release and a fresh leader acquisition.
-	}
-	restart := len(q.waiters) > 0 && !q.leading
-	m.deleteIfIdleLocked(k, q)
-	m.mu.Unlock()
-	err := l.Unlock()
-	if restart {
-		// The unlock freed the member slot; a new leader re-acquires
-		// for the remaining waiters. The acquirer closure is rebuilt by
-		// the next Acquire in the common case; here we need one now, so
-		// the queue keeps none — restartLeader uses the stored path.
-		m.restartLeader(k)
-	}
-	return err
-}
-
-// startLeaderLocked launches the leader goroutine for q. Caller holds
-// m.mu.
-func (m *Manager) startLeaderLocked(k qkey, q *queue, acquire Acquirer) {
-	lctx, cancel := context.WithCancel(context.Background())
-	q.leading = true
-	q.leadCancel = cancel
-	go func() {
-		defer cancel()
-		l, err := acquire(lctx)
-		if err == nil {
-			m.leaderAcq.Inc()
-		}
-		m.mu.Lock()
-		q.leading = false
-		q.leadCancel = nil
-		if err != nil {
-			// Fail only the head waiter — the client whose turn this
-			// acquisition was. The others have independent deadlines:
-			// one acquisition failing (the head's timeout expiring on a
-			// contended lock, a transient recovery error) must not
-			// amplify into a failure for every parked client. A fresh
-			// leader re-acquires for the remainder; terminal errors
-			// (member closed) drain the queue one waiter per attempt.
-			var head *qwaiter
-			if len(q.waiters) > 0 {
-				head = q.waiters[0]
-				q.waiters = q.waiters[1:]
-			}
-			if len(q.waiters) > 0 {
-				m.startLeaderLocked(k, q, acquire)
-			}
-			m.deleteIfIdleLocked(k, q)
-			m.mu.Unlock()
-			if head != nil {
-				head.ch <- qresult{err: err}
-			}
-			return
-		}
-		m.redeliverLocked(k, q, l, acquire)
-		m.mu.Unlock()
-	}()
-}
-
-// redeliverLocked routes a freshly-owned hold: to the head waiter if
-// any, else a real release (no takers). Caller holds m.mu; the real
-// release runs in a goroutine to keep the protocol work off the
-// manager lock.
-func (m *Manager) redeliverLocked(k qkey, q *queue, l *hierlock.Lock, acquire Acquirer) {
-	for len(q.waiters) > 0 {
-		f, err := l.Refence()
-		if err != nil {
-			// Hold demolished (recovery) before fan-out: fail the head
-			// waiter with the loss and retry acquisition for the rest.
-			w := q.waiters[0]
-			q.waiters = q.waiters[1:]
-			w.ch <- qresult{err: err}
-			if len(q.waiters) > 0 && !q.leading {
-				m.startLeaderLocked(k, q, acquire)
-			}
-			m.deleteIfIdleLocked(k, q)
-			return
-		}
-		w := q.waiters[0]
-		q.waiters = q.waiters[1:]
-		q.held = true
-		// Not a hand-off: this delivery rode a fresh member-level
-		// acquisition (the hand-off counter measures grants that avoided
-		// protocol traffic entirely).
-		w.ch <- qresult{l: l, fence: f}
-		return
+		// release and a fresh acquisition by the next waiter.
 	}
 	q.held = false
-	m.deleteIfIdleLocked(k, q)
-	go func() { _ = l.Unlock() }()
-}
-
-// restartLeader re-launches a leader for waiters left behind after a
-// real release. The acquirer is reconstructed from the stored binding.
-func (m *Manager) restartLeader(k qkey) {
-	m.mu.Lock()
-	q := m.queues[k]
-	if q != nil && len(q.waiters) > 0 && !q.leading && !q.held && q.acquire != nil {
-		m.startLeaderLocked(k, q, q.acquire)
-	}
+	m.passBatonLocked(k, q)
 	m.mu.Unlock()
+	return l.Unlock()
 }
 
-// deleteIfIdleLocked drops a fully idle queue from the table. Caller
-// holds m.mu. The pointer check guards the race where q was already
-// dropped and a fresh queue took its key.
-func (m *Manager) deleteIfIdleLocked(k qkey, q *queue) {
-	if len(q.waiters) == 0 && !q.leading && !q.held && m.queues[k] == q {
+// passBatonLocked disposes of a queue nobody leads or holds any more:
+// the head waiter becomes the leader, or with nobody parked the queue
+// leaves the table. Caller holds m.mu.
+func (m *Manager) passBatonLocked(k qkey, q *queue) {
+	if len(q.waiters) == 0 {
 		delete(m.queues, k)
+		return
 	}
+	w := q.waiters[0]
+	q.waiters = q.waiters[1:]
+	q.leading = true
+	w <- qresult{}
+}
+
+// remove takes a parked client that gave up out of the queue. It
+// reports false when w was already popped for a hand-off or the baton.
+func (q *queue) remove(w chan qresult) bool {
+	for i, other := range q.waiters {
+		if other == w {
+			q.waiters = append(q.waiters[:i], q.waiters[i+1:]...)
+			return true
+		}
+	}
+	return false
 }

@@ -3,6 +3,9 @@ package session_test
 import (
 	"context"
 	"errors"
+	"runtime"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -15,7 +18,7 @@ import (
 
 // newMemberManager wires a Manager to a real single-member cluster and
 // returns an Acquirer bound to Member.Lock on the given resource/mode.
-func newMemberManager(t *testing.T, cfg session.Config) (*session.Manager, *hierlock.Member, *metrics.Registry) {
+func newMemberManager(t testing.TB, cfg session.Config) (*session.Manager, *hierlock.Member, *metrics.Registry) {
 	t.Helper()
 	cl, err := hierlock.NewCluster(1)
 	if err != nil {
@@ -24,6 +27,54 @@ func newMemberManager(t *testing.T, cfg session.Config) (*session.Manager, *hier
 	t.Cleanup(func() { _ = cl.Close() })
 	mgr, reg := newManager(t, cfg)
 	return mgr, cl.Member(0), reg
+}
+
+// waitEnqueued blocks until n clients have entered admission queues.
+func waitEnqueued(t testing.TB, reg *metrics.Registry, n uint64) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for counter(reg, metrics.MetricAdmissionEnqueued) < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d clients enqueued", counter(reg, metrics.MetricAdmissionEnqueued), n)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
+// gauge reads a scrape-time gauge off the registry's exposition.
+func gauge(t *testing.T, reg *metrics.Registry, name string) float64 {
+	t.Helper()
+	var sb strings.Builder
+	if err := reg.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(sb.String(), "\n") {
+		if rest, ok := strings.CutPrefix(line, name+" "); ok {
+			v, err := strconv.ParseFloat(rest, 64)
+			if err != nil {
+				t.Fatalf("gauge %s: %v", name, err)
+			}
+			return v
+		}
+	}
+	t.Fatalf("gauge %s not exported", name)
+	return 0
+}
+
+// waitGoroutines fails the test unless the process settles back to at
+// most want goroutines within a grace period (abandoned member-level
+// requests release asynchronously).
+func waitGoroutines(t *testing.T, want int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > want {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines, want at most %d:\n%s",
+				runtime.NumGoroutine(), want, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 }
 
 func acquirer(m *hierlock.Member, res string, mode hierlock.Mode) session.Acquirer {
@@ -107,52 +158,80 @@ func TestAdmissionFanout(t *testing.T) {
 
 // TestAdmissionBusyCap: beyond MaxWaiters queued clients, acquisitions
 // are refused with ErrBusy instead of growing the queue without bound.
+// The cap and the waiting gauge count every client that has entered the
+// queue and holds nothing yet — the parked ones and the one leading —
+// so the N+1-th bounces whether the hold is checked out or the head is
+// still mid-acquisition.
 func TestAdmissionBusyCap(t *testing.T) {
-	mgr, m, reg := newMemberManager(t, session.Config{
-		DefaultTTL: time.Minute,
-		MaxWaiters: 2,
-	})
-	acq := acquirer(m, "hot", hierlock.W)
-
-	// First client holds the lock.
-	l, _, err := mgr.Acquire(context.Background(), "hot", hierlock.W, acq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Two more fill the queue.
-	results := make(chan error, 2)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	for i := 0; i < 2; i++ {
-		go func() {
-			ql, _, err := mgr.Acquire(ctx, "hot", hierlock.W, acq)
-			if err == nil {
-				err = mgr.Release("hot", hierlock.W, ql)
+	for _, tc := range []struct {
+		name    string
+		midLead bool
+	}{
+		{"hold checked out", false},
+		{"head mid-lead", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const maxWaiters = 2
+			mgr, m, reg := newMemberManager(t, session.Config{
+				DefaultTTL: time.Minute,
+				MaxWaiters: maxWaiters,
+			})
+			// Mid-lead, the first member-level acquisition waits at the gate.
+			var calls atomic.Int32
+			gate := make(chan struct{})
+			acq := func(ctx context.Context) (*hierlock.Lock, error) {
+				if tc.midLead && calls.Add(1) == 1 {
+					<-gate
+				}
+				return m.Lock(ctx, "hot", hierlock.W)
 			}
-			results <- err
-		}()
-	}
-	// Wait until both are enqueued, then the third must bounce.
-	deadline := time.Now().Add(5 * time.Second)
-	for counter(reg, metrics.MetricAdmissionEnqueued) < 3 {
-		if time.Now().After(deadline) {
-			t.Fatal("waiters never enqueued")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if _, _, err := mgr.Acquire(context.Background(), "hot", hierlock.W, acq); !errors.Is(err, session.ErrBusy) {
-		t.Fatalf("over-cap acquire: %v, want ErrBusy", err)
-	}
-	if got := counter(reg, metrics.MetricAdmissionBusy); got != 1 {
-		t.Fatalf("busy counter = %d", got)
-	}
-	if err := mgr.Release("hot", hierlock.W, l); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		if err := <-results; err != nil {
-			t.Fatalf("queued client %d: %v", i, err)
-		}
+
+			// Checked out: a first client holds the lock and no longer counts.
+			var l *hierlock.Lock
+			entered := uint64(maxWaiters)
+			if !tc.midLead {
+				var err error
+				if l, _, err = mgr.Acquire(context.Background(), "hot", hierlock.W, acq); err != nil {
+					t.Fatal(err)
+				}
+				entered++
+			}
+			// maxWaiters more fill the queue.
+			results := make(chan error, maxWaiters)
+			for i := 0; i < maxWaiters; i++ {
+				go func() {
+					ql, _, err := mgr.Acquire(context.Background(), "hot", hierlock.W, acq)
+					if err == nil {
+						err = mgr.Release("hot", hierlock.W, ql)
+					}
+					results <- err
+				}()
+			}
+			// Wait until all are in, then the next one must bounce.
+			waitEnqueued(t, reg, entered)
+			if got := gauge(t, reg, metrics.MetricAdmissionWaiting); got != maxWaiters {
+				t.Fatalf("waiting gauge = %v, want %d", got, maxWaiters)
+			}
+			if _, _, err := mgr.Acquire(context.Background(), "hot", hierlock.W, acq); !errors.Is(err, session.ErrBusy) {
+				t.Fatalf("over-cap acquire: %v, want ErrBusy", err)
+			}
+			if got := counter(reg, metrics.MetricAdmissionBusy); got != 1 {
+				t.Fatalf("busy counter = %d", got)
+			}
+			if tc.midLead {
+				close(gate)
+			} else if err := mgr.Release("hot", hierlock.W, l); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < maxWaiters; i++ {
+				if err := <-results; err != nil {
+					t.Fatalf("queued client %d: %v", i, err)
+				}
+			}
+			if got := gauge(t, reg, metrics.MetricAdmissionWaiting); got != 0 {
+				t.Fatalf("waiting gauge after drain = %v, want 0", got)
+			}
+		})
 	}
 }
 
@@ -299,6 +378,7 @@ func TestAdmissionHeadTimeoutDoesNotFailQueue(t *testing.T) {
 func TestAdmissionCancelGrantRaceStress(t *testing.T) {
 	mgr, m, reg := newMemberManager(t, session.Config{DefaultTTL: time.Minute})
 	acq := acquirer(m, "hot", hierlock.W)
+	goroutines := runtime.NumGoroutine()
 
 	const clients = 8
 	var granted, canceled atomic.Int64
@@ -351,6 +431,8 @@ func TestAdmissionCancelGrantRaceStress(t *testing.T) {
 	if err := m.Err(); err != nil {
 		t.Fatalf("member error after storm: %v", err)
 	}
+	// No admission left a helper behind.
+	waitGoroutines(t, goroutines)
 }
 
 // TestSharedModeBypassesQueue: shared modes ride the member's

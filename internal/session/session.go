@@ -17,11 +17,16 @@
 //     was reaped.
 //
 //   - Wait-queue admission. Exclusive-mode (U, W) requests for the same
-//     resource collapse into one member-level waiter: a single "leader"
-//     performs the protocol acquisition, and the resulting hold is
-//     handed from client to client locally (Refence mints each new
-//     owner's token). 10k blocked clients on one hot lock therefore
-//     cost O(1) protocol traffic per grant instead of O(n). Shared
+//     resource collapse into one member-level waiter. The head of the
+//     queue leads on its own goroutine: a client that finds the queue
+//     idle performs the protocol acquisition inline, under its own
+//     deadline, with no helper goroutine or channel in the way. Clients
+//     that arrive meanwhile park, and the hold is handed from client to
+//     client locally (Refence mints each new owner's token). 10k
+//     blocked clients on one hot lock therefore cost O(1) protocol
+//     traffic per grant instead of O(n). Only when the hold is really
+//     released, or a lead attempt fails, with clients still parked does
+//     the baton ("your turn to lead") pass to the next of them. Shared
 //     modes (IR, R, IW) bypass the queue — the member's shared-join
 //     fast path already grants them with zero protocol traffic.
 package session
@@ -147,7 +152,7 @@ func NewManager(cfg Config) *Manager {
 		m.handoffs = reg.Counter(metrics.MetricAdmissionHandoffs,
 			"Grants satisfied by handing the member hold to the next local waiter.", nil)
 		m.leaderAcq = reg.Counter(metrics.MetricAdmissionLeaderAcquires,
-			"Member-level acquisitions performed by admission-queue leaders.", nil)
+			"Member-level acquisitions performed by the head of an admission queue.", nil)
 		m.busy = reg.Counter(metrics.MetricAdmissionBusy,
 			"Acquisitions rejected at the admission-queue depth cap.", nil)
 		reg.Collect(metrics.MetricSessionsOpen,
@@ -164,7 +169,7 @@ func NewManager(cfg Config) *Manager {
 				m.mu.Lock()
 				n := 0
 				for _, q := range m.queues {
-					n += len(q.waiters)
+					n += q.depth()
 				}
 				m.mu.Unlock()
 				emit(nil, float64(n))

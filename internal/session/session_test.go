@@ -11,7 +11,7 @@ import (
 	"hierlock/internal/session"
 )
 
-func newManager(t *testing.T, cfg session.Config) (*session.Manager, *metrics.Registry) {
+func newManager(t testing.TB, cfg session.Config) (*session.Manager, *metrics.Registry) {
 	t.Helper()
 	reg := metrics.NewRegistry()
 	cfg.Registry = reg

@@ -79,7 +79,12 @@ func testWriteCoalescing(t *testing.T, reliable bool) {
 		}
 	}
 	mu.Unlock()
+	// The writer bumps FramesSent after its write returns, so the
+	// receiver can see the whole burst first: wait for the counter.
 	io := ta.IOStats()
+	for deadline := time.Now().Add(10 * time.Second); io.FramesSent < burst && time.Now().Before(deadline); io = ta.IOStats() {
+		time.Sleep(time.Millisecond)
+	}
 	if io.FramesSent < burst {
 		t.Fatalf("FramesSent = %d, want >= %d", io.FramesSent, burst)
 	}
