@@ -28,7 +28,7 @@ func NewCluster(n int) (*Cluster, error) {
 	}
 	c := &Cluster{net: transport.NewChanNetwork()}
 	for i := 0; i < n; i++ {
-		m, err := newMember(proto.NodeID(i), 0, c.net.Node(proto.NodeID(i)), nil, nil)
+		m, err := newMember(proto.NodeID(i), 0, c.net.Node(proto.NodeID(i)), nil, nil, nil)
 		if err != nil {
 			_ = c.Close()
 			return nil, err
@@ -157,6 +157,13 @@ type TCPMemberConfig struct {
 	// SnapshotEvery compacts the journal after this many WAL records
 	// (default 4096; negative disables snapshots).
 	SnapshotEvery int
+
+	// Telemetry, when non-nil, is attached before the transport starts,
+	// so the sinks observe the member from its first frame. SetTelemetry
+	// after NewTCPMember returns misses whatever was sent meanwhile — a
+	// journal-restored member's cold-start round, for one — which leaves
+	// a cluster-wide auditor with deliveries it never saw sent.
+	Telemetry *Telemetry
 }
 
 // FsyncPolicy selects a journal durability level; see the journal
@@ -274,7 +281,7 @@ func NewTCPMember(cfg TCPMemberConfig) (*Member, error) {
 			rec.advertise = tr.Addr()
 		}
 	}
-	m, err := newMember(proto.NodeID(cfg.ID), proto.NodeID(cfg.Root), tr, rec, jn)
+	m, err := newMember(proto.NodeID(cfg.ID), proto.NodeID(cfg.Root), tr, rec, jn, cfg.Telemetry)
 	if err != nil {
 		_ = tr.Close()
 		if jn != nil {

@@ -109,43 +109,6 @@ func main() {
 	if *join != "" && *heartbeat <= 0 {
 		fatal("-join requires -heartbeat (membership rides the recovery machinery)")
 	}
-	m, err := hierlock.NewTCPMember(hierlock.TCPMemberConfig{
-		ID:                *id,
-		Root:              *root,
-		ListenAddr:        *listen,
-		AdvertiseAddr:     *advertise,
-		Peers:             peerMap,
-		Reliable:          *reliable,
-		QueueLimit:        *queueLimit,
-		RedialBackoff:     *redial,
-		RedialBackoffMax:  *redialMax,
-		HeartbeatInterval: *heartbeat,
-		SuspectAfter:      *suspectAfter,
-		ConfirmAfter:      *confirmAfter,
-		RecoveryTimeout:   *recoveryTimeout,
-		RecoveryQuorum:    *recoveryQuorum,
-		DataDir:           *dataDir,
-		FsyncPolicy:       fsync,
-		SnapshotEvery:     *snapshotEvery,
-		OnPeerState: func(peer int, state string) {
-			logger.Info("peer state changed", "peer", peer, "state", state)
-		},
-	})
-	if err != nil {
-		fatal("member start failed", "err", err)
-	}
-	defer m.Close()
-
-	if *join != "" {
-		ctx, cancel := context.WithTimeout(context.Background(), *joinWait)
-		err := m.Join(ctx, *join)
-		cancel()
-		if err != nil {
-			fatal("join failed", "seed", *join, "err", err)
-		}
-		logger.Info("joined cluster", "seed", *join, "members", len(m.Members()))
-	}
-
 	reg := metrics.NewRegistry()
 	var rec *trace.Recorder
 	var auditor *audit.Auditor
@@ -182,13 +145,53 @@ func main() {
 			rec.AddTap(bb.Tap)
 		}
 	}
-	m.SetTelemetry(hierlock.Telemetry{
-		Registry:       reg,
-		Trace:          rec,
-		NetLatencyBase: *netLatency,
-		Logger:         logger,
-		Blackbox:       bb,
+	// Telemetry is attached before the transport starts: a restarted
+	// member runs its cold-start round — and a joining one its handshake —
+	// before NewTCPMember and Join return, and those are exactly the
+	// frames the trace, the auditor and the log should not miss.
+	m, err := hierlock.NewTCPMember(hierlock.TCPMemberConfig{
+		ID:                *id,
+		Root:              *root,
+		ListenAddr:        *listen,
+		AdvertiseAddr:     *advertise,
+		Peers:             peerMap,
+		Reliable:          *reliable,
+		QueueLimit:        *queueLimit,
+		RedialBackoff:     *redial,
+		RedialBackoffMax:  *redialMax,
+		HeartbeatInterval: *heartbeat,
+		SuspectAfter:      *suspectAfter,
+		ConfirmAfter:      *confirmAfter,
+		RecoveryTimeout:   *recoveryTimeout,
+		RecoveryQuorum:    *recoveryQuorum,
+		DataDir:           *dataDir,
+		FsyncPolicy:       fsync,
+		SnapshotEvery:     *snapshotEvery,
+		OnPeerState: func(peer int, state string) {
+			logger.Info("peer state changed", "peer", peer, "state", state)
+		},
+		Telemetry: &hierlock.Telemetry{
+			Registry:       reg,
+			Trace:          rec,
+			NetLatencyBase: *netLatency,
+			Logger:         logger,
+			Blackbox:       bb,
+		},
 	})
+	if err != nil {
+		fatal("member start failed", "err", err)
+	}
+	defer m.Close()
+
+	if *join != "" {
+		ctx, cancel := context.WithTimeout(context.Background(), *joinWait)
+		err := m.Join(ctx, *join)
+		cancel()
+		if err != nil {
+			fatal("join failed", "seed", *join, "err", err)
+		}
+		logger.Info("joined cluster", "seed", *join, "members", len(m.Members()))
+	}
 
 	// Continuous profiling: captures land next to the blackbox dumps and
 	// share their rate-limit cadence, so a health incident leaves both

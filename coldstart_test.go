@@ -2,6 +2,9 @@ package hierlock_test
 
 import (
 	"context"
+	"fmt"
+	"math/rand"
+	"net"
 	"testing"
 	"time"
 
@@ -13,8 +16,11 @@ import (
 
 // bootDurableMember starts one member of a durable recovery cluster:
 // journal under dataDir, failure detector and crash recovery on
-// aggressive test timings, default (batched) fsync policy.
-func bootDurableMember(t *testing.T, id int, addrs map[int]string, dataDir string) *hierlock.Member {
+// aggressive test timings, default (batched) fsync policy. tel, when
+// non-nil, is attached before the transport starts: a restarted member
+// begins its cold-start round inside NewTCPMember, and a cluster-wide
+// auditor must see those sends to match them with their deliveries.
+func bootDurableMember(t *testing.T, id int, addrs map[int]string, dataDir string, tel *hierlock.Telemetry) *hierlock.Member {
 	t.Helper()
 	peers := make(map[int]string, len(addrs)-1)
 	for j, a := range addrs {
@@ -33,6 +39,7 @@ func bootDurableMember(t *testing.T, id int, addrs map[int]string, dataDir strin
 		ConfirmAfter:      500 * time.Millisecond,
 		ProbeTimeout:      150 * time.Millisecond,
 		RecoveryTimeout:   30 * time.Second,
+		Telemetry:         tel,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -40,21 +47,25 @@ func bootDurableMember(t *testing.T, id int, addrs map[int]string, dataDir strin
 	return m
 }
 
-// reserveAddrs allocates n stable loopback addresses by booting and
-// closing throwaway members, so a restarted cluster can come back on
-// the same ports its journals' peers expect.
+// reserveAddrs picks n free loopback addresses a restarted cluster can
+// come back on. The ports lie below the kernel's ephemeral range: a
+// port handed out by a ":0" listener returns to that pool once the
+// listener closes, where any outbound connection of the process can
+// draw it as its source port and keep it for as long as it lives.
 func reserveAddrs(t *testing.T, n int) map[int]string {
 	t.Helper()
 	addrs := make(map[int]string, n)
-	for i := 0; i < n; i++ {
-		m, err := hierlock.NewTCPMember(hierlock.TCPMemberConfig{
-			ID: i, ListenAddr: "127.0.0.1:0",
-		})
-		if err != nil {
-			t.Fatal(err)
+	for port := 20000 + rand.Intn(8000); len(addrs) < n; port++ {
+		if port >= 32000 {
+			t.Fatal("no free loopback port below the ephemeral range")
 		}
-		addrs[i] = m.TCPAddr()
-		_ = m.Close()
+		addr := fmt.Sprintf("127.0.0.1:%d", port)
+		ln, err := net.Listen("tcp", addr)
+		if err != nil {
+			continue
+		}
+		_ = ln.Close()
+		addrs[len(addrs)] = addr
 	}
 	return addrs
 }
@@ -79,7 +90,7 @@ func TestTCPColdStartFromJournals(t *testing.T) {
 	// releases and token arrivals.
 	members := make([]*hierlock.Member, n)
 	for i := 0; i < n; i++ {
-		members[i] = bootDurableMember(t, i, addrs, dataDir)
+		members[i] = bootDurableMember(t, i, addrs, dataDir, nil)
 	}
 	for round := 0; round < 2; round++ {
 		for _, m := range members {
@@ -136,10 +147,10 @@ func TestTCPColdStartFromJournals(t *testing.T) {
 	// both ends of each token transfer).
 	auditor := audit.New(audit.Config{Registry: metrics.NewRegistry(), Root: 0})
 	for i := 0; i < n; i++ {
-		members[i] = bootDurableMember(t, i, addrs, dataDir)
 		rec := trace.New(1 << 14)
 		rec.SetTap(auditor.Record)
-		members[i].SetTelemetry(hierlock.Telemetry{Registry: metrics.NewRegistry(), Trace: rec})
+		members[i] = bootDurableMember(t, i, addrs, dataDir,
+			&hierlock.Telemetry{Registry: metrics.NewRegistry(), Trace: rec})
 	}
 	t.Cleanup(func() {
 		for _, m := range members {
@@ -207,7 +218,7 @@ func TestTCPRestartSingleMemberRejoins(t *testing.T) {
 
 	members := make([]*hierlock.Member, n)
 	for i := 0; i < n; i++ {
-		members[i] = bootDurableMember(t, i, addrs, dataDir)
+		members[i] = bootDurableMember(t, i, addrs, dataDir, nil)
 	}
 	t.Cleanup(func() {
 		for _, m := range members {
@@ -235,7 +246,7 @@ func TestTCPRestartSingleMemberRejoins(t *testing.T) {
 	// full participant again: its journaled token claim for rejoin-res
 	// is stale (the survivors' epoch fences it), the cold-start
 	// reconciliation catches it up, and its acquisitions serve.
-	members[2] = bootDurableMember(t, 2, addrs, dataDir)
+	members[2] = bootDurableMember(t, 2, addrs, dataDir, nil)
 	l, err := members[2].Lock(ctx, "rejoin-res", hierlock.W)
 	if err != nil {
 		t.Fatalf("restarted member rejoin: %v", err)
@@ -246,6 +257,119 @@ func TestTCPRestartSingleMemberRejoins(t *testing.T) {
 	if e := members[2].EpochOf("rejoin-res"); e == 0 {
 		t.Fatal("restarted member still at epoch 0 — journal replay or catch-up failed")
 	}
+	for i, m := range members {
+		if err := m.Err(); err != nil {
+			t.Fatalf("member %d protocol error: %v", i, err)
+		}
+	}
+}
+
+// TestTCPColdStartResidentLockFences pins the one consumer hold records
+// have on replay: membership in the replayed set. A lock only ever held
+// at its static root never moves its token and never changes epoch, so
+// its first grant is the only reason it is in the journal at all — and
+// without it a full-cluster restart skips the lock's cold-start round,
+// the epoch stays 0, the Lamport clock restarts, and fences go
+// backwards. One record buys that; the other 49 grants write nothing.
+func TestTCPColdStartResidentLockFences(t *testing.T) {
+	const n = 3
+	dataDir := t.TempDir()
+	addrs := reserveAddrs(t, n)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+
+	members := make([]*hierlock.Member, n)
+	boot := func() {
+		for i := range members {
+			members[i] = bootDurableMember(t, i, addrs, dataDir, nil)
+		}
+	}
+	boot()
+	t.Cleanup(func() {
+		for _, m := range members {
+			_ = m.Close()
+		}
+	})
+	var pre hierlock.FenceToken
+	for i := 0; i < 50; i++ {
+		l, err := members[0].Lock(ctx, "resident", hierlock.W)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pre = l.Fence()
+		if err := l.Unlock(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if js, _ := members[0].JournalStats(); js.Records != 1 {
+		t.Fatalf("50 resident acquisitions journaled %d records, want the first grant's only", js.Records)
+	}
+	for _, m := range members {
+		if err := m.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	boot()
+	l, err := members[0].Lock(ctx, "resident", hierlock.W)
+	if err != nil {
+		t.Fatalf("lock after restart: %v", err)
+	}
+	post := l.Fence()
+	if err := l.Unlock(); err != nil {
+		t.Fatal(err)
+	}
+	if !pre.Less(post) {
+		t.Fatalf("fence went backwards across the restart: %v before, %v after", pre, post)
+	}
+	if e := members[0].EpochOf("resident"); e == 0 {
+		t.Fatal("resident lock still at epoch 0 after the restart: its cold-start round never ran")
+	}
+}
+
+// TestJournalRecordsFollowTokenNotHolds pins what the grant path writes:
+// nothing for a hold on a resident token after the lock's first grant,
+// one record at each end of a token transfer.
+func TestJournalRecordsFollowTokenNotHolds(t *testing.T) {
+	dataDir := t.TempDir()
+	addrs := reserveAddrs(t, 2)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	var members [2]*hierlock.Member
+	for i := range members {
+		members[i] = bootDurableMember(t, i, addrs, dataDir, nil)
+	}
+	t.Cleanup(func() {
+		for _, m := range members {
+			_ = m.Close()
+		}
+	})
+	var want [2]uint64
+	step := func(what string, holder, pairs int, wrote ...int) {
+		t.Helper()
+		for i := 0; i < pairs; i++ {
+			l, err := members[holder].Lock(ctx, "token-follows", hierlock.W)
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+			if err := l.Unlock(); err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+		}
+		for _, m := range wrote {
+			want[m]++
+		}
+		for i, m := range members {
+			if js, _ := m.JournalStats(); js.Records != want[i] {
+				t.Fatalf("%s: member %d has journaled %d records, want %d", what, i, js.Records, want[i])
+			}
+		}
+	}
+	step("first grant at the root", 0, 1, 0)
+	step("resident holds", 0, 1000)
+	step("token leaves the root", 1, 1, 0, 1)
+	step("resident holds away from the root", 1, 1000)
+	step("token returns", 0, 1, 1, 0)
 	for i, m := range members {
 		if err := m.Err(); err != nil {
 			t.Fatalf("member %d protocol error: %v", i, err)

@@ -1,10 +1,11 @@
 // Package journal is the per-member durable write-ahead log. Every
-// externally-visible lock-state transition — a grant, a release, an
-// epoch advance, a recovery reseed — is appended as a self-contained
-// record before the member acts on it, so a restarted member replays
-// the log and rejoins at the epoch it last participated in instead of
-// silently resetting to epoch 0 (which would void the fencing
-// guarantees the epochs exist for).
+// change to what replay restores — token ownership moving, an epoch
+// advance, a recovery reseed, and a lock's first grant (which puts the
+// lock in the log at all) — is appended as a self-contained record
+// before the member acts on it, so a restarted member replays the log
+// and rejoins at the epoch it last participated in instead of silently
+// resetting to epoch 0 (which would void the fencing guarantees the
+// epochs exist for).
 //
 // Records are length-prefixed and CRC-framed:
 //
@@ -41,16 +42,16 @@ import (
 // Kind classifies a journal record. The kind is informational — the
 // record body always carries the complete per-lock state, so replay
 // does not branch on it — but it keeps the log legible and lets tools
-// count grants vs. recoveries.
+// tell token movement from recoveries.
 type Kind uint8
 
-// Record kinds.
+// Record kinds. The byte values are part of the on-disk format.
 const (
-	RecGrant    Kind = iota + 1 // a local hold was granted or upgraded
-	RecRelease                  // a local hold was released
+	RecGrant    Kind = iota + 1 // the first local hold on a lock the journal had no record of
+	RecRelease                  // a local hold was released; not emitted any more, decoded from older logs
 	RecEpoch                    // the lock's epoch advanced (fence observed)
 	RecRecovery                 // a recovery reseed installed new state
-	RecToken                    // token ownership moved without a hold change
+	RecToken                    // token ownership moved
 )
 
 // String names the kind.
@@ -72,9 +73,10 @@ func (k Kind) String() string {
 }
 
 // Record is one journal entry: a complete snapshot of a single lock's
-// durable state at the time it was written. Held mode is recorded for
-// observability but deliberately NOT restored on replay — client holds
-// die with the process that granted them.
+// durable state at the time it was written. Mode is whatever was held
+// when the record was appended, for reading the log; it is NOT restored
+// on replay — client holds die with the process that granted them — and
+// a change of hold alone appends nothing.
 type Record struct {
 	Kind  Kind
 	Lock  proto.LockID

@@ -339,3 +339,49 @@ func TestCrashMidSnapshotRecovers(t *testing.T) {
 		}
 	}
 }
+
+// TestReplayParentCommitWAL replays a WAL written by the commit before
+// hold changes stopped being journaled (member 0 of a three-member
+// durable cluster: grants, releases, token transfers, an upgrade, a
+// crash, regeneration rounds). The format did not change, kinds 1 and 2
+// are still decodable, and the fold is the one that commit computed.
+func TestReplayParentCommitWAL(t *testing.T) {
+	wal, err := os.ReadFile(filepath.Join("testdata", "parent-pr15-member0.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const frame = frameHeader + payloadSize
+	kinds := make(map[Kind]int)
+	for off := 0; off+frame <= len(wal); off += frame {
+		kinds[decodeRecord(wal[off+frameHeader:off+frame]).Kind]++
+	}
+	for _, k := range []Kind{RecGrant, RecRelease, RecEpoch, RecRecovery, RecToken} {
+		if kinds[k] == 0 {
+			t.Fatalf("fixture has no %v record (kinds: %v)", k, kinds)
+		}
+	}
+
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, walName), wal, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want := map[proto.LockID]Record{
+		0xf440a887b7600785: {Kind: RecToken, Lock: 0xf440a887b7600785, Epoch: 2, Root: 0, TS: 0x97},
+		0xf440a587b760026c: {Kind: RecRecovery, Lock: 0xf440a587b760026c, Epoch: 2, Token: true, Root: 0, TS: 0x90},
+		0x55064bfc919621:   {Kind: RecRecovery, Lock: 0x55064bfc919621, Epoch: 2, Token: true, Root: 0, TS: 0x8c},
+	}
+	j := mustOpen(t, dir, Options{})
+	defer j.Close()
+	got := j.State()
+	if len(got) != len(want) {
+		t.Fatalf("replayed %d locks, want %d: %+v", len(got), len(want), got)
+	}
+	for l, w := range want {
+		if got[l] != w {
+			t.Errorf("lock %#x = %+v, want %+v", uint64(l), got[l], w)
+		}
+	}
+	if st := j.Stats(); st.WALRecords != len(wal)/frame {
+		t.Errorf("reopened WAL counts %d records, want %d", st.WALRecords, len(wal)/frame)
+	}
+}

@@ -70,13 +70,19 @@ type lockState struct {
 	// touched the lock so far).
 	res    string
 	engine *hlock.Engine
-	// waiter is the outstanding client request, if any.
+	// waiter is the outstanding client request, if any: nil or &w. The
+	// admission slot admits one client operation per lock, so the waiter
+	// and its one-slot channel are the entry's own storage, re-armed per
+	// request instead of allocated per call.
 	waiter *waiter
+	w      waiter
 	// hold reference-counts the member's current hold so several local
 	// clients can share a self-compatible mode (IR, R, IW) without extra
 	// protocol traffic: the member holds the mode once; the last sharer
-	// releases it.
+	// releases it. Like the waiter, nil or the entry's own storage (&h):
+	// the admission slot is held from grant to last release.
 	hold *hold
+	h    hold
 	// slot is the per-lock client-admission semaphore (one client
 	// operation per lock per member at a time).
 	slot chan struct{}
@@ -87,8 +93,10 @@ type lockState struct {
 	evicted bool
 	// logged is the last engine state appended to the journal for this
 	// lock (diffed on every dispatch; meaningless when the member has no
-	// journal).
-	logged journaled
+	// journal). recorded is set once the journal holds any record for the
+	// lock, replayed or appended through this entry.
+	logged   journaled
+	recorded bool
 	// reseeded flags the next journal record as a recovery reseed.
 	reseeded bool
 	// seedRoot is the lock's last authoritative root (initial topology,
@@ -98,12 +106,12 @@ type lockState struct {
 }
 
 // journaled is the durable-state fingerprint of one lock's engine: the
-// fields whose change warrants a journal record. Probable-owner parent
-// churn is deliberately excluded — it changes on nearly every message
-// and is reconstructible from the recovery protocol.
+// fields replay restores, whose change warrants a journal record.
+// Probable-owner parent churn is excluded — it changes on nearly every
+// message and is reconstructible from the recovery protocol — and so is
+// the held mode: client holds die with the process.
 type journaled struct {
 	epoch uint32
-	held  modes.Mode
 	token bool
 }
 
@@ -207,12 +215,18 @@ type Member struct {
 	// the fsync observer), one of the stall watchdog's inputs.
 	fsyncStalls atomic.Uint64
 
-	tel telemetry
+	// tel is the wired instrumentation bundle, never nil (an all-nil
+	// bundle until SetTelemetry). It is published atomically because the
+	// transport — and a journal-restored member's cold-start traffic — is
+	// already delivering by the time a host can call SetTelemetry.
+	tel atomic.Pointer[telemetry]
 }
 
 // Telemetry bundles the optional live observability sinks of a member.
-// Attach with SetTelemetry before serving traffic; with no telemetry
-// attached the instrumented paths cost nothing (nil-handle no-ops).
+// Attach with TCPMemberConfig.Telemetry to observe a member from its
+// first frame, or with SetTelemetry before client operations; with no
+// telemetry attached the instrumented paths cost nothing (nil-handle
+// no-ops).
 type Telemetry struct {
 	// Registry receives Prometheus-style metrics (message counters,
 	// latency histograms, per-lock and transport gauges). See
@@ -331,40 +345,37 @@ func (t *telemetry) countSent(k proto.Kind) {
 
 // SetTelemetry attaches observability sinks to the member and registers
 // its scrape-time collectors (per-lock engine gauges; transport queue,
-// link and wire-volume metrics for TCP members). Call once, before the
-// member serves traffic.
+// link and wire-volume metrics for TCP members). Call once, before
+// client operations; inbound delivery may already be running.
 func (m *Member) SetTelemetry(t Telemetry) {
 	m.statMu.Lock()
 	defer m.statMu.Unlock()
-	m.tel.rec = t.Trace
-	m.tel.log = t.Logger
-	m.tel.bb = t.Blackbox
-	m.tel.epoch = time.Now()
-	m.tel.base = t.NetLatencyBase
-	if m.tel.base <= 0 {
-		m.tel.base = 150 * time.Millisecond
+	tel := &telemetry{rec: t.Trace, log: t.Logger, bb: t.Blackbox,
+		epoch: time.Now(), base: t.NetLatencyBase, reg: t.Registry}
+	if tel.base <= 0 {
+		tel.base = 150 * time.Millisecond
 	}
+	defer m.tel.Store(tel) // published whole: delivery may already be running
 	reg := t.Registry
-	m.tel.reg = reg
 	if reg == nil {
 		return
 	}
 	for _, k := range metrics.Kinds {
-		m.tel.sent[k] = reg.Counter(metrics.MetricMessagesTotal,
+		tel.sent[k] = reg.Counter(metrics.MetricMessagesTotal,
 			"Protocol messages sent, by kind.", metrics.Labels{"kind": k.String()})
 	}
-	m.tel.sentUnknown = reg.Counter(metrics.MetricMessagesTotal,
+	tel.sentUnknown = reg.Counter(metrics.MetricMessagesTotal,
 		"Protocol messages sent, by kind.", metrics.Labels{"kind": "unknown"})
-	m.tel.requests = reg.Counter(metrics.MetricRequestsTotal,
+	tel.requests = reg.Counter(metrics.MetricRequestsTotal,
 		"Client lock requests issued (including upgrades and local joins).", nil)
-	m.tel.acquires = reg.Counter(metrics.MetricAcquiresTotal,
+	tel.acquires = reg.Counter(metrics.MetricAcquiresTotal,
 		"Completed lock acquisitions (grants, upgrades, shared joins).", nil)
-	m.tel.sharedJoins = reg.Counter(metrics.MetricSharedJoinsTotal,
+	tel.sharedJoins = reg.Counter(metrics.MetricSharedJoinsTotal,
 		"Acquisitions satisfied by joining an existing local hold.", nil)
-	m.tel.latency = reg.Histogram(metrics.MetricRequestLatency,
+	tel.latency = reg.Histogram(metrics.MetricRequestLatency,
 		"Issue-to-grant lock request latency in seconds.",
 		metrics.DefLatencyBuckets, nil)
-	m.tel.factor = reg.Histogram(metrics.MetricRequestLatencyFactor,
+	tel.factor = reg.Histogram(metrics.MetricRequestLatencyFactor,
 		"Request latency as a multiple of the mean point-to-point network latency (Figure 6).",
 		metrics.LatencyFactorBuckets, nil)
 
@@ -372,46 +383,46 @@ func (m *Member) SetTelemetry(t Telemetry) {
 	// at zero so the first scrape is complete before any traffic.
 	for oi, op := range metrics.OpKinds {
 		for ci, oc := range metrics.Outcomes {
-			m.tel.opLatency[oi][ci] = reg.Histogram(metrics.MetricOpLatency,
+			tel.opLatency[oi][ci] = reg.Histogram(metrics.MetricOpLatency,
 				"End-to-end client operation latency in seconds, by operation and grant outcome.",
 				metrics.DefLatencyBuckets, metrics.Labels{"op": op, "outcome": oc})
 		}
 	}
-	m.tel.queueWait = reg.Histogram(metrics.MetricQueueWait,
+	tel.queueWait = reg.Histogram(metrics.MetricQueueWait,
 		"Per-lock admission queue wait in seconds, request issue to protocol entry.",
 		metrics.DefLatencyBuckets, nil)
-	m.tel.tokenHops = reg.Histogram(metrics.MetricTokenHops,
+	tel.tokenHops = reg.Histogram(metrics.MetricTokenHops,
 		"Token transfers observed per granted request (0 = pure local grant; Figure 5).",
 		metrics.TokenHopBuckets, nil)
-	m.tel.fences = reg.Counter(metrics.MetricFenceTokens,
+	tel.fences = reg.Counter(metrics.MetricFenceTokens,
 		"Fencing tokens issued (grants, upgrades, shared joins, hand-offs).", nil)
 
 	// Recovery-phase families, pre-registered at zero (both directions of
 	// the labeled counters included) so the first scrape is complete even
 	// on a node that never runs a round.
-	m.tel.recRounds = reg.Counter(metrics.MetricRecoveryRounds,
+	tel.recRounds = reg.Counter(metrics.MetricRecoveryRounds,
 		"Token-regeneration rounds completed by this node as regenerator.", nil)
-	m.tel.recRoundDur = reg.Histogram(metrics.MetricRecoveryRoundDuration,
+	tel.recRoundDur = reg.Histogram(metrics.MetricRecoveryRoundDuration,
 		"Token-regeneration round duration in seconds, first probe to commit.",
 		metrics.DefLatencyBuckets, nil)
-	m.tel.probesSent = reg.Counter(metrics.MetricRecoveryProbes,
+	tel.probesSent = reg.Counter(metrics.MetricRecoveryProbes,
 		"Recovery probe messages, by direction.", metrics.Labels{"direction": "sent"})
-	m.tel.probesRecv = reg.Counter(metrics.MetricRecoveryProbes,
+	tel.probesRecv = reg.Counter(metrics.MetricRecoveryProbes,
 		"Recovery probe messages, by direction.", metrics.Labels{"direction": "received"})
-	m.tel.claimsSent = reg.Counter(metrics.MetricRecoveryClaims,
+	tel.claimsSent = reg.Counter(metrics.MetricRecoveryClaims,
 		"Recovery claim messages, by direction.", metrics.Labels{"direction": "sent"})
-	m.tel.claimsRecv = reg.Counter(metrics.MetricRecoveryClaims,
+	tel.claimsRecv = reg.Counter(metrics.MetricRecoveryClaims,
 		"Recovery claim messages, by direction.", metrics.Labels{"direction": "received"})
-	m.tel.regenerated = reg.Counter(metrics.MetricRecoveryRegenerated,
+	tel.regenerated = reg.Counter(metrics.MetricRecoveryRegenerated,
 		"Locks reseeded into a recovered topology by completed rounds.", nil)
-	m.tel.recLost = reg.Counter(metrics.MetricRecoveryLostHolds,
+	tel.recLost = reg.Counter(metrics.MetricRecoveryLostHolds,
 		"Client holds demolished by recovery reseeds (surfaced as ErrLockLost).", nil)
 
-	m.tel.mJoins = reg.Counter(metrics.MetricMembershipJoins,
+	tel.mJoins = reg.Counter(metrics.MetricMembershipJoins,
 		"Peers admitted through the JOIN handshake.", nil)
-	m.tel.mLeaves = reg.Counter(metrics.MetricMembershipLeaves,
+	tel.mLeaves = reg.Counter(metrics.MetricMembershipLeaves,
 		"Graceful peer departures processed (LEAVE hand-offs).", nil)
-	m.tel.mHandoff = reg.Counter(metrics.MetricMembershipHandoffLocks,
+	tel.mHandoff = reg.Counter(metrics.MetricMembershipHandoffLocks,
 		"Token locks handed off by departing peers.", nil)
 	if m.mgr != nil {
 		reg.Collect(metrics.MetricMembershipSize,
@@ -427,9 +438,9 @@ func (m *Member) SetTelemetry(t Telemetry) {
 	m.registerLockCollectors(reg)
 	if m.jn != nil {
 		registerJournalCollectors(reg, m.jn)
-		m.registerFsyncObserver(reg)
+		m.registerFsyncObserver(reg, tel.bb)
 	}
-	if bb := m.tel.bb; bb != nil {
+	if bb := tel.bb; bb != nil {
 		registerBlackboxCollectors(reg, bb)
 	}
 	if tt, ok := m.tr.(*transport.TCPTransport); ok {
@@ -446,11 +457,10 @@ const fsyncStallThreshold = 50 * time.Millisecond
 // registerFsyncObserver wires the journal's per-fsync latency into a
 // histogram (the cumulative fsync-seconds counter only yields a mean)
 // and flags stalls to the flight recorder.
-func (m *Member) registerFsyncObserver(reg *metrics.Registry) {
+func (m *Member) registerFsyncObserver(reg *metrics.Registry, bb *introspect.Recorder) {
 	hist := reg.Histogram(metrics.MetricJournalFsyncLatency,
 		"Journal fsync latency in seconds, per fsync.",
 		metrics.DefLatencyBuckets, nil)
-	bb := m.tel.bb
 	m.jn.SetFsyncObserver(func(d time.Duration) {
 		hist.ObserveDuration(d)
 		if d >= fsyncStallThreshold {
@@ -650,9 +660,19 @@ type hold struct {
 	lost bool
 }
 
-// waiter tracks the outstanding request on one lock.
+// waiter tracks the outstanding request on one lock. It lives in the
+// lockState and is re-armed per request (see arm).
 type waiter struct {
-	ch chan hlock.Event
+	// ch wakes a parked client. Dispatch sends on it only while parked is
+	// set, and a client leaving its wait always un-parks under the shard
+	// mutex (draining a grant that raced in), so ch is empty whenever the
+	// next request arms the waiter.
+	ch chan struct{}
+	// parked marks a client blocked on ch without the shard mutex. A
+	// grant produced by the client's own dispatch finds it unset and is
+	// returned by value instead: the client sees ls.waiter cleared before
+	// it ever leaves the mutex.
+	parked bool
 	// since is the wall-clock enqueue stamp, taken once at registration
 	// (not re-derived later), from which the introspection inventory
 	// computes wait durations.
@@ -673,16 +693,65 @@ type waiter struct {
 	releaseOnUpgrade bool
 	// hops counts token transfers delivered to this node while the wait
 	// was outstanding, and recovered marks a wait that rode through a
-	// recovery reseed. Both are written under the shard mutex; the client
-	// goroutine reads them only after receiving on ch (the channel send,
+	// recovery reseed. Both are written under the shard mutex; a parked
+	// client reads them only after receiving on ch (the channel send,
 	// also under the shard mutex, orders the writes before the read), so
 	// they classify the grant outcome race-free.
 	hops      int
 	recovered bool
 	// fence is the fencing token minted for the grant, written under the
-	// shard mutex just before the send on ch (same ordering argument as
+	// shard mutex just before the wake-up (same ordering argument as
 	// hops/recovered).
 	fence FenceToken
+}
+
+// arm registers the entry's waiter for a new request. The caller holds
+// the shard mutex and the lock's admission slot.
+func (ls *lockState) arm(since time.Time, tr proto.TraceID, mode modes.Mode, upgrade bool) *waiter {
+	ls.w = waiter{ch: ls.w.ch, since: since, trace: tr, mode: mode, upgrade: upgrade}
+	ls.waiter = &ls.w
+	return ls.waiter
+}
+
+// await parks the calling client on its armed waiter until the grant
+// arrives (nil), RecoveryTimeout expires (a bare ErrLockLost, for the
+// caller to account and wrap), ctx is done or the member closes. The caller holds sh.mu and has seen the waiter
+// still registered; await releases the mutex. A wait that ends without
+// the grant is disowned under the mutex, after a last check for a grant
+// that raced in: a lock request is marked abandoned (its grant, when it
+// comes, is released at once), an upgrade completes in the background.
+func (m *Member) await(ctx context.Context, sh *lockShard, w *waiter) error {
+	w.parked = true
+	sh.mu.Unlock()
+	// With RecoveryTimeout configured, bound the wait: a request whose
+	// grant path died with a crashed node and was never regenerated (see
+	// docs/OPERATIONS.md) must not block its client forever.
+	var recoverC <-chan time.Time
+	if m.recoveryTimeout > 0 {
+		rt := time.NewTimer(m.recoveryTimeout)
+		defer rt.Stop()
+		recoverC = rt.C
+	}
+	var cause error
+	select {
+	case <-w.ch:
+		return nil
+	case <-recoverC:
+		cause = ErrLockLost
+	case <-ctx.Done():
+		cause = ctx.Err()
+	case <-m.done:
+		cause = ErrClosed
+	}
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	select {
+	case <-w.ch:
+		return nil // granted in the race window: success
+	default:
+		w.parked, w.abandoned = false, !w.upgrade
+		return cause
+	}
 }
 
 // memberRecovery configures a member's crash-recovery runtime: the full
@@ -709,8 +778,9 @@ type memberRecovery struct {
 // is the member's opened journal: engines seed from its replayed
 // state, every externally-visible transition appends to it, and — when
 // recovery is also configured — the replayed locks are reconciled with
-// the cluster through a cold-start round.
-func newMember(id, root proto.NodeID, tr transport.Transport, rec *memberRecovery, jn *journal.Journal) (*Member, error) {
+// the cluster through a cold-start round. tel, when non-nil, is
+// attached before the first frame moves.
+func newMember(id, root proto.NodeID, tr transport.Transport, rec *memberRecovery, jn *journal.Journal, tel *Telemetry) (*Member, error) {
 	m := &Member{
 		id:        id,
 		root:      root,
@@ -719,6 +789,7 @@ func newMember(id, root proto.NodeID, tr transport.Transport, rec *memberRecover
 		jn:        jn,
 		recEpochs: make(map[proto.LockID]uint32),
 	}
+	m.tel.Store(&telemetry{})
 	if jn != nil {
 		m.replayed = jn.State()
 	}
@@ -743,6 +814,9 @@ func newMember(id, root proto.NodeID, tr transport.Transport, rec *memberRecover
 			OnRoundStart:     m.recoveryRoundStart,
 			OnRoundDone:      m.recoveryRoundDone,
 		})
+	}
+	if tel != nil {
+		m.SetTelemetry(*tel)
 	}
 	if err := tr.Start(m.handle); err != nil {
 		return nil, err
@@ -793,21 +867,22 @@ func (m *Member) locksReferencing(dead proto.NodeID) []proto.LockID {
 // the recovery window peers are expected to be unreachable, and the
 // protocol re-probes until every survivor has claimed.
 func (m *Member) sendRecovery(msg proto.Message) {
+	tel := m.tel.Load()
 	if msg.Kind == proto.KindRecovered {
 		m.journalRecovered(msg.Lock, msg.Epoch, msg.Req.Origin)
 	}
 	m.statMu.Lock()
 	m.sent.Count(msg.Kind)
 	m.statMu.Unlock()
-	m.tel.countSent(msg.Kind)
+	tel.countSent(msg.Kind)
 	switch msg.Kind {
 	case proto.KindProbe:
-		m.tel.probesSent.Inc()
+		tel.probesSent.Inc()
 	case proto.KindClaim:
-		m.tel.claimsSent.Inc()
+		tel.claimsSent.Inc()
 	}
-	if rec := m.tel.rec; rec != nil {
-		rec.Record(trace.Entry{At: m.tel.now(), Op: trace.OpSend,
+	if rec := tel.rec; rec != nil {
+		rec.Record(trace.Entry{At: tel.now(), Op: trace.OpSend,
 			Node: m.id, Lock: msg.Lock, Kind: msg.Kind, From: msg.From,
 			To: msg.To, Epoch: msg.Epoch, Trace: msgTrace(&msg)})
 	}
@@ -879,6 +954,7 @@ func (m *Member) recoveryPrepare(lock proto.LockID, epoch uint32) {
 // request; a hold the round did not account for is marked lost so
 // Unlock surfaces ErrLockLost.
 func (m *Member) recoveryReseed(lock proto.LockID, root proto.NodeID, epoch uint32, accounted modes.Mode, copyset []proto.Request) {
+	tel := m.tel.Load()
 	// The round is over for this lock however it ended: drop any stamp a
 	// round yielded to a higher-ID regenerator left behind, so the stall
 	// watchdog never judges a superseded round as wedged. Like every
@@ -892,7 +968,7 @@ func (m *Member) recoveryReseed(lock proto.LockID, root proto.NodeID, epoch uint
 		w.recovered = true // the eventual grant is recovery-delayed
 	}
 	out, lost := ls.engine.Reseed(root, epoch, accounted, copyset)
-	m.tel.regenerated.Inc()
+	tel.regenerated.Inc()
 	if lost {
 		if h := ls.hold; h != nil {
 			h.lost = true
@@ -900,18 +976,18 @@ func (m *Member) recoveryReseed(lock proto.LockID, root proto.NodeID, epoch uint
 		m.statMu.Lock()
 		m.lostHolds++
 		m.statMu.Unlock()
-		m.tel.recLost.Inc()
-		m.tel.bb.Record(introspect.Event{Type: introspect.EvLockLost,
+		tel.recLost.Inc()
+		tel.bb.Record(introspect.Event{Type: introspect.EvLockLost,
 			Node: m.id, Lock: lock, Epoch: epoch, Mode: accounted})
-		if _, err := m.tel.bb.TriggerDump(introspect.ReasonLockLost); err != nil && m.tel.log != nil {
-			m.tel.log.Warn("blackbox dump failed", "err", err)
+		if _, err := tel.bb.TriggerDump(introspect.ReasonLockLost); err != nil && tel.log != nil {
+			tel.log.Warn("blackbox dump failed", "err", err)
 		}
-		if lg := m.tel.log; lg != nil {
+		if lg := tel.log; lg != nil {
 			lg.Warn("hold lost in crash recovery",
 				"lock", uint64(lock), "epoch", epoch, "root", int(root))
 		}
 	}
-	if lg := m.tel.log; lg != nil {
+	if lg := tel.log; lg != nil {
 		lg.Info("lock recovered",
 			"lock", uint64(lock), "epoch", epoch, "root", int(root))
 	}
@@ -925,7 +1001,7 @@ func (m *Member) recoveryReseed(lock proto.LockID, root proto.NodeID, epoch uint
 // (every Manager entry point is serialized there).
 func (m *Member) recoveryRoundStart(lock proto.LockID, proposed uint32) {
 	m.roundStart[lock] = time.Now()
-	m.tel.bb.Record(introspect.Event{Type: introspect.EvRoundStart,
+	m.tel.Load().bb.Record(introspect.Event{Type: introspect.EvRoundStart,
 		Node: m.id, Lock: lock, Epoch: proposed})
 }
 
@@ -936,17 +1012,18 @@ func (m *Member) recoveryRoundStart(lock proto.LockID, proposed uint32) {
 // higher-ID regenerator leaves its roundStart stamp behind; the next
 // round on the lock overwrites it.
 func (m *Member) recoveryRoundDone(lock proto.LockID, final uint32) {
+	tel := m.tel.Load()
 	var dur time.Duration
 	if t0, ok := m.roundStart[lock]; ok {
 		dur = time.Since(t0)
 		delete(m.roundStart, lock)
 	}
-	m.tel.recRounds.Inc()
-	m.tel.recRoundDur.ObserveDuration(dur)
-	m.tel.bb.Record(introspect.Event{Type: introspect.EvRoundDone,
+	tel.recRounds.Inc()
+	tel.recRoundDur.ObserveDuration(dur)
+	tel.bb.Record(introspect.Event{Type: introspect.EvRoundDone,
 		Node: m.id, Lock: lock, Epoch: final, Dur: dur})
-	if _, err := m.tel.bb.TriggerDump(introspect.ReasonRecoveryRound); err != nil && m.tel.log != nil {
-		m.tel.log.Warn("blackbox dump failed", "err", err)
+	if _, err := tel.bb.TriggerDump(introspect.ReasonRecoveryRound); err != nil && tel.log != nil {
+		tel.log.Warn("blackbox dump failed", "err", err)
 	}
 }
 
@@ -1042,7 +1119,7 @@ func (m *Member) peerConfirmed(peer proto.NodeID) {
 	if st, ok := m.detectorState(peer); ok && st != recovery.PeerConfirmed {
 		return // stale: the peer was heard from since this confirm fired
 	}
-	if lg := m.tel.log; lg != nil {
+	if lg := m.tel.Load().log; lg != nil {
 		lg.Warn("peer confirmed dead, starting recovery", "peer", int(peer))
 	}
 	m.mgr.ConfirmDead(peer)
@@ -1060,7 +1137,7 @@ func (m *Member) peerAlive(peer proto.NodeID) {
 	if st, ok := m.detectorState(peer); ok && st == recovery.PeerConfirmed {
 		return // stale: the peer has been re-confirmed dead since
 	}
-	if lg := m.tel.log; lg != nil {
+	if lg := m.tel.Load().log; lg != nil {
 		lg.Info("peer alive again", "peer", int(peer))
 	}
 	m.mgr.Alive(peer)
@@ -1230,7 +1307,7 @@ func (m *Member) Inventory() introspect.NodeInventory {
 
 // Blackbox returns the member's attached flight recorder (nil when none
 // was wired via SetTelemetry).
-func (m *Member) Blackbox() *introspect.Recorder { return m.tel.bb }
+func (m *Member) Blackbox() *introspect.Recorder { return m.tel.Load().bb }
 
 // Stats is a snapshot of a member's client-side observability counters.
 type Stats struct {
@@ -1388,13 +1465,16 @@ func (m *Member) state(lock proto.LockID, res string) (*lockShard, *lockState) {
 		if fenceReplay {
 			e.PrepareReseed(epoch)
 		}
+		_, recorded := m.replayed[lock]
 		ls = &lockState{
 			id:       lock,
 			res:      res,
 			engine:   e,
+			w:        waiter{ch: make(chan struct{}, 1)},
 			slot:     make(chan struct{}, 1),
 			seedRoot: seedRoot,
-			logged:   journaled{epoch: e.Epoch(), held: e.Held(), token: e.IsToken()},
+			logged:   journaled{epoch: e.Epoch(), token: e.IsToken()},
+			recorded: recorded,
 		}
 		sh.locks[lock] = ls
 	} else if res != "" && ls.res == "" {
@@ -1441,7 +1521,7 @@ func (m *Member) sweepLocked(sh *lockShard) int {
 		n++
 	}
 	if n > 0 {
-		m.tel.bb.Record(introspect.Event{Type: introspect.EvEvict, Node: m.id, N: n})
+		m.tel.Load().bb.Record(introspect.Event{Type: introspect.EvEvict, Node: m.id, N: n})
 	}
 	return n
 }
@@ -1483,6 +1563,7 @@ func (m *Member) Lock(ctx context.Context, resource string, mode Mode) (*Lock, e
 // within a level). Priority 0 is the default FIFO arbitration; sustained
 // high-priority traffic can starve lower priorities, by design.
 func (m *Member) LockWithPriority(ctx context.Context, resource string, mode Mode, priority uint8) (*Lock, error) {
+	tel := m.tel.Load()
 	if !mode.Valid() || mode == modes.None {
 		return nil, fmt.Errorf("hierlock: invalid mode %v", mode)
 	}
@@ -1493,10 +1574,10 @@ func (m *Member) LockWithPriority(ctx context.Context, resource string, mode Mod
 		return nil, ErrLeaving
 	}
 	lockID := lockIDFor(resource)
-	m.tel.requests.Inc()
+	tel.requests.Inc()
 	tr := m.newTrace()
-	if rec := m.tel.rec; rec != nil {
-		rec.Record(trace.Entry{At: m.tel.now(), Op: trace.OpAcquire,
+	if rec := tel.rec; rec != nil {
+		rec.Record(trace.Entry{At: tel.now(), Op: trace.OpAcquire,
 			Node: m.id, Lock: lockID, Mode: mode, Trace: tr})
 	}
 	start := time.Now()
@@ -1521,15 +1602,15 @@ func (m *Member) LockWithPriority(ctx context.Context, resource string, mode Mod
 			m.statMu.Lock()
 			m.sharedJoins++
 			m.statMu.Unlock()
-			m.tel.sharedJoins.Inc()
-			m.tel.acquires.Inc()
-			m.tel.opLatency[metrics.OpLock][metrics.OutcomeLocal].ObserveDuration(time.Since(start))
-			m.tel.tokenHops.Observe(0)
-			if rec := m.tel.rec; rec != nil {
-				rec.Record(trace.Entry{At: m.tel.now(), Op: trace.OpGranted,
+			tel.sharedJoins.Inc()
+			tel.acquires.Inc()
+			tel.opLatency[metrics.OpLock][metrics.OutcomeLocal].ObserveDuration(time.Since(start))
+			tel.tokenHops.Observe(0)
+			if rec := tel.rec; rec != nil {
+				rec.Record(trace.Entry{At: tel.now(), Op: trace.OpGranted,
 					Node: m.id, Lock: lockID, Mode: mode, Trace: tr})
 			}
-			if lg := m.tel.log; lg != nil {
+			if lg := tel.log; lg != nil && lg.Enabled(ctx, slog.LevelDebug) {
 				lg.Debug("lock granted", "trace", tr.String(), "resource", resource,
 					"mode", mode.String(), "shared_join", true)
 			}
@@ -1566,11 +1647,10 @@ func (m *Member) LockWithPriority(ctx context.Context, resource string, mode Mod
 	// Admission is complete: everything before this point was local
 	// head-of-line queueing, not protocol latency. The nil guard is
 	// outside the call so a telemetry-free member skips the clock read.
-	if m.tel.queueWait != nil {
-		m.tel.queueWait.ObserveDuration(time.Since(start))
+	if tel.queueWait != nil {
+		tel.queueWait.ObserveDuration(time.Since(start))
 	}
-	w := &waiter{ch: make(chan hlock.Event, 1), since: start, trace: tr, mode: mode}
-	ls.waiter = w
+	w := ls.arm(start, tr, mode, false)
 	out, err := ls.engine.AcquireTraced(mode, priority, tr)
 	if err != nil {
 		ls.waiter = nil
@@ -1580,92 +1660,54 @@ func (m *Member) LockWithPriority(ctx context.Context, resource string, mode Mod
 		return nil, err
 	}
 	m.dispatch(ls, out)
-	// A grant produced by our own dispatch (token already in hand) is in
-	// the buffered channel before anyone else can touch the waiter: that
-	// is the local fast path. Checked under the shard mutex, so a remote
+	// A grant produced by our own dispatch (token already in hand) has
+	// cleared the waiter before anyone else can touch it: that is the
+	// local fast path, and the grant is read back by value — no channel,
+	// no RecoveryTimeout timer. Checked under the shard mutex, so a remote
 	// grant racing in through handle cannot be misclassified.
-	localGrant := len(w.ch) > 0
-	sh.mu.Unlock()
+	localGrant := ls.waiter == nil
+	if localGrant {
+		sh.mu.Unlock()
+	} else if err := m.await(ctx, sh, w); err != nil {
+		if err == ErrLockLost {
+			err = m.lostWait(metrics.OpLock, lockID, mode, tr, start, resource)
+		}
+		return nil, err
+	}
+	// The waiter is ours until Unlock frees the admission slot.
+	d := time.Since(start)
+	m.statMu.Lock()
+	m.acqLatency.Observe(d)
+	m.statMu.Unlock()
+	tel.acquires.Inc()
+	tel.latency.ObserveDuration(d)
+	tel.factor.Observe(d.Seconds() / tel.base.Seconds())
+	tel.opLatency[metrics.OpLock][w.outcome(localGrant)].ObserveDuration(d)
+	tel.tokenHops.Observe(float64(w.hops))
+	return &Lock{m: m, id: lockID, resource: resource, mode: mode, fence: w.fence}, nil
+}
 
-	observe := func() {
-		d := time.Since(start)
-		m.statMu.Lock()
-		m.acqLatency.Observe(d)
-		m.statMu.Unlock()
-		m.tel.acquires.Inc()
-		m.tel.latency.ObserveDuration(d)
-		m.tel.factor.Observe(d.Seconds() / m.tel.base.Seconds())
-		outcome := metrics.OutcomeRemote
-		switch {
-		case w.recovered:
-			outcome = metrics.OutcomeRecovery
-		case localGrant:
-			outcome = metrics.OutcomeLocal
-		}
-		m.tel.opLatency[metrics.OpLock][outcome].ObserveDuration(d)
-		m.tel.tokenHops.Observe(float64(w.hops))
+// outcome classifies a granted wait for the per-operation SLO families.
+func (w *waiter) outcome(localGrant bool) int {
+	switch {
+	case w.recovered:
+		return metrics.OutcomeRecovery
+	case localGrant:
+		return metrics.OutcomeLocal
 	}
-	// With RecoveryTimeout configured, bound the wait: a request whose
-	// grant path died with a crashed node and was never regenerated (see
-	// docs/OPERATIONS.md) must not block its client forever.
-	var recoverC <-chan time.Time
-	if m.recoveryTimeout > 0 {
-		rt := time.NewTimer(m.recoveryTimeout)
-		defer rt.Stop()
-		recoverC = rt.C
-	}
-	select {
-	case <-w.ch:
-		observe()
-		return &Lock{m: m, id: lockID, resource: resource, mode: mode, fence: w.fence}, nil
-	case <-recoverC:
-		sh.mu.Lock()
-		select {
-		case <-w.ch:
-			sh.mu.Unlock()
-			observe()
-			return &Lock{m: m, id: lockID, resource: resource, mode: mode, fence: w.fence}, nil
-		default:
-			w.abandoned = true
-			sh.mu.Unlock()
-			m.tel.opLatency[metrics.OpLock][metrics.OutcomeLost].ObserveDuration(time.Since(start))
-			m.tel.bb.Record(introspect.Event{Type: introspect.EvLockLost,
-				Node: m.id, Lock: lockID, Mode: mode, Trace: tr})
-			_, _ = m.tel.bb.TriggerDump(introspect.ReasonLockLost)
-			return nil, fmt.Errorf("hierlock: no grant for %q within recovery timeout %v: %w",
-				resource, m.recoveryTimeout, ErrLockLost)
-		}
-	case <-ctx.Done():
-		sh.mu.Lock()
-		select {
-		case <-w.ch:
-			// Granted in the race window: treat as success.
-			sh.mu.Unlock()
-			observe()
-			return &Lock{m: m, id: lockID, resource: resource, mode: mode, fence: w.fence}, nil
-		default:
-			w.abandoned = true
-			sh.mu.Unlock()
-			return nil, ctx.Err()
-		}
-	case <-m.done:
-		sh.mu.Lock()
-		select {
-		case <-w.ch:
-			// Granted just before close: hand the lock over; a subsequent
-			// Unlock cleans up locally (remote sends are suppressed).
-			sh.mu.Unlock()
-			observe()
-			return &Lock{m: m, id: lockID, resource: resource, mode: mode, fence: w.fence}, nil
-		default:
-			// Disown the request: if the grant still arrives (it may be in
-			// the delivery pipeline), the lock is released immediately and
-			// the slot freed, exactly like a context-canceled wait.
-			w.abandoned = true
-			sh.mu.Unlock()
-			return nil, ErrClosed
-		}
-	}
+	return metrics.OutcomeRemote
+}
+
+// lostWait accounts for a wait that outlived RecoveryTimeout (SLO
+// outcome, flight-recorder entry and dump) and builds its error.
+func (m *Member) lostWait(op int, lock proto.LockID, mode modes.Mode, tr proto.TraceID, start time.Time, res string) error {
+	tel := m.tel.Load()
+	tel.opLatency[op][metrics.OutcomeLost].ObserveDuration(time.Since(start))
+	tel.bb.Record(introspect.Event{Type: introspect.EvLockLost,
+		Node: m.id, Lock: lock, Mode: mode, Trace: tr})
+	_, _ = tel.bb.TriggerDump(introspect.ReasonLockLost)
+	return fmt.Errorf("hierlock: no grant for %q within recovery timeout %v: %w",
+		res, m.recoveryTimeout, ErrLockLost)
 }
 
 // Lock is a held lock handle.
@@ -1785,8 +1827,8 @@ func (l *Lock) Unlock() error {
 	}
 	ls.hold = nil
 	tr := m.newTrace()
-	if rec := m.tel.rec; rec != nil {
-		rec.Record(trace.Entry{At: m.tel.now(), Op: trace.OpRelease,
+	if tel := m.tel.Load(); tel.rec != nil {
+		tel.rec.Record(trace.Entry{At: tel.now(), Op: trace.OpRelease,
 			Node: m.id, Lock: l.id, Trace: tr})
 	}
 	out, err := ls.engine.ReleaseTraced(tr)
@@ -1839,16 +1881,15 @@ func (l *Lock) Upgrade(ctx context.Context) error {
 	if h := ls.hold; h != nil {
 		h.upgrading = true // U is never shared, so refs == 1 here
 	}
-	m.tel.requests.Inc()
+	tel := m.tel.Load()
+	tel.requests.Inc()
 	tr := m.newTrace()
-	if rec := m.tel.rec; rec != nil {
-		rec.Record(trace.Entry{At: m.tel.now(), Op: trace.OpAcquire,
+	if rec := tel.rec; rec != nil {
+		rec.Record(trace.Entry{At: tel.now(), Op: trace.OpAcquire,
 			Node: m.id, Lock: l.id, Mode: modes.W, Trace: tr})
 	}
 	start := time.Now()
-	w := &waiter{ch: make(chan hlock.Event, 1), since: start,
-		trace: tr, mode: modes.W, upgrade: true}
-	ls.waiter = w
+	w := ls.arm(start, tr, modes.W, true)
 	out, err := ls.engine.UpgradeTraced(0, tr)
 	if err != nil {
 		ls.waiter = nil
@@ -1860,89 +1901,36 @@ func (l *Lock) Upgrade(ctx context.Context) error {
 		return err
 	}
 	m.dispatch(ls, out)
-	localGrant := len(w.ch) > 0 // see LockWithPriority
-	sh.mu.Unlock()
-
-	finish := func() {
-		l.mu.Lock()
-		l.mode = W
-		l.upgrading = false
-		l.fence = w.fence
-		l.mu.Unlock()
-		d := time.Since(start)
-		outcome := metrics.OutcomeRemote
-		switch {
-		case w.recovered:
-			outcome = metrics.OutcomeRecovery
-		case localGrant:
-			outcome = metrics.OutcomeLocal
+	localGrant := ls.waiter == nil // see LockWithPriority
+	if localGrant {
+		sh.mu.Unlock()
+	} else if err := m.await(ctx, sh, w); err != nil {
+		// The upgrade completes in the background if its grant ever
+		// arrives; the waiter stays registered, so a subsequent Unlock is
+		// handled via releaseOnUpgrade.
+		if err == ErrLockLost {
+			err = m.lostWait(metrics.OpUpgrade, l.id, modes.W, tr, start, l.resource)
 		}
-		m.tel.opLatency[metrics.OpUpgrade][outcome].ObserveDuration(d)
-		m.tel.tokenHops.Observe(float64(w.hops))
+		return err
 	}
-	var recoverC <-chan time.Time
-	if m.recoveryTimeout > 0 {
-		rt := time.NewTimer(m.recoveryTimeout)
-		defer rt.Stop()
-		recoverC = rt.C
-	}
-	select {
-	case <-w.ch:
-		finish()
-		return nil
-	case <-recoverC:
-		sh.mu.Lock()
-		select {
-		case <-w.ch:
-			sh.mu.Unlock()
-			finish()
-			return nil
-		default:
-			// The upgrade, like a canceled one, completes in the
-			// background if its grant ever arrives.
-			sh.mu.Unlock()
-			m.tel.opLatency[metrics.OpUpgrade][metrics.OutcomeLost].ObserveDuration(time.Since(start))
-			m.tel.bb.Record(introspect.Event{Type: introspect.EvLockLost,
-				Node: m.id, Lock: l.id, Mode: modes.W, Trace: tr})
-			_, _ = m.tel.bb.TriggerDump(introspect.ReasonLockLost)
-			return fmt.Errorf("hierlock: no upgrade grant within recovery timeout %v: %w",
-				m.recoveryTimeout, ErrLockLost)
-		}
-	case <-ctx.Done():
-		sh.mu.Lock()
-		select {
-		case <-w.ch:
-			sh.mu.Unlock()
-			finish()
-			return nil
-		default:
-			// The upgrade completes in the background; the waiter stays
-			// registered so the event updates nothing visible, but a
-			// subsequent Unlock is handled via releaseOnUpgrade.
-			sh.mu.Unlock()
-			return ctx.Err()
-		}
-	case <-m.done:
-		sh.mu.Lock()
-		select {
-		case <-w.ch:
-			sh.mu.Unlock()
-			finish()
-			return nil
-		default:
-			sh.mu.Unlock()
-			return ErrClosed
-		}
-	}
+	l.mu.Lock()
+	l.mode = W
+	l.upgrading = false
+	l.fence = w.fence
+	l.mu.Unlock()
+	tel.opLatency[metrics.OpUpgrade][w.outcome(localGrant)].ObserveDuration(time.Since(start))
+	tel.tokenHops.Observe(float64(w.hops))
+	return nil
 }
 
 // handle is the transport delivery callback (serialized per member).
 func (m *Member) handle(msg *proto.Message) {
+	tel := m.tel.Load()
 	if m.closed.Load() {
 		return
 	}
-	if rec := m.tel.rec; rec != nil {
-		rec.Record(trace.Entry{At: m.tel.now(), Op: trace.OpDeliver,
+	if rec := tel.rec; rec != nil {
+		rec.Record(trace.Entry{At: tel.now(), Op: trace.OpDeliver,
 			Node: m.id, Lock: msg.Lock, Mode: msg.Mode,
 			Kind: msg.Kind, From: msg.From, To: msg.To, Epoch: msg.Epoch,
 			Trace: msgTrace(msg)})
@@ -1951,9 +1939,9 @@ func (m *Member) handle(msg *proto.Message) {
 	case proto.KindProbe, proto.KindClaim, proto.KindRecovered:
 		switch msg.Kind {
 		case proto.KindProbe:
-			m.tel.probesRecv.Inc()
+			tel.probesRecv.Inc()
 		case proto.KindClaim:
-			m.tel.claimsRecv.Inc()
+			tel.claimsRecv.Inc()
 		}
 		if m.mgr != nil {
 			m.mgrMu.Lock()
@@ -1980,8 +1968,8 @@ func (m *Member) handle(msg *proto.Message) {
 		if w := ls.waiter; w != nil {
 			w.hops++
 		}
-		if m.tel.reg != nil {
-			m.tel.reg.Counter(metrics.MetricTokenTransfers,
+		if tel.reg != nil {
+			tel.reg.Counter(metrics.MetricTokenTransfers,
 				"Token transfers observed by this node.",
 				metrics.Labels{"lock": ls.label(), "direction": "in"}).Inc()
 		}
@@ -1989,7 +1977,7 @@ func (m *Member) handle(msg *proto.Message) {
 	out, err := ls.engine.Handle(msg)
 	if err != nil {
 		m.fail(err)
-		if lg := m.tel.log; lg != nil {
+		if lg := tel.log; lg != nil {
 			lg.Error("protocol error", "err", err, "kind", msg.Kind.String(),
 				"lock", uint64(msg.Lock), "from", int(msg.From),
 				"trace", msgTrace(msg).String())
@@ -2006,39 +1994,39 @@ func (m *Member) handle(msg *proto.Message) {
 	m.maybeEvict(sh)
 }
 
-// journalLock appends a journal record when the lock's durable state
-// (epoch, held mode, token ownership) changed since the last record.
-// Called at the top of dispatch — after the engine transitioned but
-// before any message or client notification leaves the member — so the
-// WAL is always at least as new as anything the outside world has
-// seen, modulo the configured fsync policy. Callers hold the shard
-// mutex owning ls.
+// journalLock appends a journal record when the state replay restores
+// (epoch, token ownership) changed since the last record, and on every
+// recovery reseed. Holds are not restored, so hold changes are not
+// journaled — with one exception: a lock only ever held at its static
+// root would otherwise never appear in the journal, a full-cluster
+// restart would skip its cold-start round, and its fences would restart
+// at epoch 0 below the ones already issued. The first grant on a lock
+// the journal has no record of therefore writes one. Called at the top
+// of dispatch — after the engine transitioned but before any message or
+// client notification leaves the member — so the WAL is always at least
+// as new as anything the outside world has seen, modulo the configured
+// fsync policy. Callers hold the shard mutex owning ls.
 func (m *Member) journalLock(ls *lockState) {
 	if m.jn == nil {
 		return
 	}
 	e := ls.engine
-	cur := journaled{epoch: e.Epoch(), held: e.Held(), token: e.IsToken()}
-	if cur == ls.logged && !ls.reseeded {
-		return
-	}
+	cur := journaled{epoch: e.Epoch(), token: e.IsToken()}
 	kind := journal.RecToken
 	switch {
 	case ls.reseeded:
 		kind = journal.RecRecovery
 	case cur.epoch != ls.logged.epoch:
 		kind = journal.RecEpoch
-	case cur.held != modes.None && ls.logged.held == modes.None:
+	case cur.token != ls.logged.token: // RecToken
+	case !ls.recorded && e.Held() != modes.None:
 		kind = journal.RecGrant
-	case cur.held == modes.None && ls.logged.held != modes.None:
-		kind = journal.RecRelease
-	case cur.held != ls.logged.held:
-		kind = journal.RecGrant // upgrade
+	default:
+		return
 	}
-	ls.reseeded = false
-	ls.logged = cur
+	ls.reseeded, ls.recorded, ls.logged = false, true, cur
 	err := m.jn.Append(journal.Record{
-		Kind: kind, Lock: ls.id, Epoch: cur.epoch, Mode: cur.held,
+		Kind: kind, Lock: ls.id, Epoch: cur.epoch, Mode: e.Held(),
 		Token: cur.token, Root: ls.seedRoot, TS: uint64(m.clock.Tick()),
 	})
 	if err != nil && !m.closed.Load() {
@@ -2052,7 +2040,7 @@ func (m *Member) journalLock(ls *lockState) {
 // mints across members along the token's causal path.
 func (m *Member) mintFence(ls *lockState) FenceToken {
 	f := FenceToken{Epoch: ls.engine.Epoch(), Seq: uint64(m.clock.Tick())}
-	m.tel.fences.Inc()
+	m.tel.Load().fences.Inc()
 	return f
 }
 
@@ -2060,21 +2048,22 @@ func (m *Member) mintFence(ls *lockState) FenceToken {
 // owning ls; dispatch may recurse (abandoned-grant auto-release) but
 // only ever touches ls's own lock.
 func (m *Member) dispatch(ls *lockState, out hlock.Out) {
+	tel := m.tel.Load()
 	m.journalLock(ls)
 	for i := range out.Msgs {
 		msg := &out.Msgs[i]
 		m.statMu.Lock()
 		m.sent.Count(msg.Kind)
 		m.statMu.Unlock()
-		m.tel.countSent(msg.Kind)
-		if rec := m.tel.rec; rec != nil {
-			rec.Record(trace.Entry{At: m.tel.now(), Op: trace.OpSend,
+		tel.countSent(msg.Kind)
+		if rec := tel.rec; rec != nil {
+			rec.Record(trace.Entry{At: tel.now(), Op: trace.OpSend,
 				Node: m.id, Lock: msg.Lock, Mode: msg.Mode,
 				Kind: msg.Kind, From: msg.From, To: msg.To, Epoch: msg.Epoch,
 				Trace: msgTrace(msg)})
 		}
-		if msg.Kind == proto.KindToken && m.tel.reg != nil {
-			m.tel.reg.Counter(metrics.MetricTokenTransfers,
+		if msg.Kind == proto.KindToken && tel.reg != nil {
+			tel.reg.Counter(metrics.MetricTokenTransfers,
 				"Token transfers observed by this node.",
 				metrics.Labels{"lock": ls.label(), "direction": "out"}).Inc()
 		}
@@ -2128,18 +2117,22 @@ func (m *Member) dispatch(ls *lockState, out hlock.Out) {
 						h.upgrading = false
 					}
 				} else {
-					ls.hold = &hold{mode: ev.Mode, refs: 1}
+					ls.h = hold{mode: ev.Mode, refs: 1}
+					ls.hold = &ls.h
 				}
-				if rec := m.tel.rec; rec != nil {
-					rec.Record(trace.Entry{At: m.tel.now(), Op: trace.OpGranted,
+				if rec := tel.rec; rec != nil {
+					rec.Record(trace.Entry{At: tel.now(), Op: trace.OpGranted,
 						Node: m.id, Lock: ls.id, Mode: ev.Mode, Trace: ev.Trace})
 				}
-				if lg := m.tel.log; lg != nil {
+				if lg := tel.log; lg != nil && lg.Enabled(context.Background(), slog.LevelDebug) {
 					lg.Debug("lock granted", "trace", ev.Trace.String(),
 						"lock", uint64(ls.id), "mode", ev.Mode.String())
 				}
 				w.fence = m.mintFence(ls)
-				w.ch <- ev
+				if w.parked {
+					w.parked = false
+					w.ch <- struct{}{}
+				}
 			}
 		}
 	}

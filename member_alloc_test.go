@@ -4,10 +4,13 @@ package hierlock_test
 
 // Allocation guards for the member's client hot path with telemetry —
 // including the per-operation latency SLO histograms — attached and
-// recording. The budgets are the BENCH_pr7 baselines (5 allocs/op for
-// the local contended path, 7 for the journaled path), pinned so
-// instrumentation added later must stay allocation-neutral: histogram
-// observation is handle-indexed atomics, never label formatting. The
+// recording. A resident-token Lock/Unlock pair allocates two objects,
+// the Lock handle and the engine's event slice — the waiter, its wake-up
+// channel and the hold are the lock entry's own storage, and a hold on a
+// resident token writes no journal record — with or without a journal.
+// The budgets are pinned so instrumentation added later must stay
+// allocation-neutral: histogram observation is handle-indexed atomics,
+// never label formatting. The
 // race detector's instrumentation defeats testing.AllocsPerRun, so
 // these compile out under -race; `make ci` runs them in the plain pass.
 
@@ -28,7 +31,7 @@ func TestMemberLockUnlockAllocsWithTelemetry(t *testing.T) {
 	m := c.Member(0)
 	m.SetTelemetry(hierlock.Telemetry{Registry: metrics.NewRegistry()})
 	ctx := context.Background()
-	const budget = 5 // BENCH_pr7: BenchmarkMemberMultiLockContended allocs/op
+	const budget = 2 // BenchmarkMemberMultiLockContended allocs/op
 	got := testing.AllocsPerRun(500, func() {
 		l, err := m.Lock(ctx, "alloc-guard", hierlock.W)
 		if err != nil {
@@ -55,7 +58,7 @@ func TestMemberJournaledLockUnlockAllocsWithTelemetry(t *testing.T) {
 	defer m.Close()
 	m.SetTelemetry(hierlock.Telemetry{Registry: metrics.NewRegistry()})
 	ctx := context.Background()
-	const budget = 7 // BENCH_pr7: BenchmarkMemberJournaledGrant allocs/op
+	const budget = 2 // BenchmarkMemberJournaledGrant allocs/op
 	got := testing.AllocsPerRun(500, func() {
 		l, err := m.Lock(ctx, "journal-alloc-guard", hierlock.W)
 		if err != nil {

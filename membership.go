@@ -299,8 +299,9 @@ func (m *Member) handleJoin(msg *proto.Message) {
 	}
 	m.mgrMu.Unlock()
 	if !known {
-		m.tel.mJoins.Inc()
-		if lg := m.tel.log; lg != nil {
+		tel := m.tel.Load()
+		tel.mJoins.Inc()
+		if lg := tel.log; lg != nil {
 			lg.Info("peer joined", "peer", int(msg.From), "addr", msg.Addr)
 		}
 	}
@@ -318,7 +319,7 @@ func (m *Member) handleJoinAck(msg *proto.Message) {
 	}
 	peers, perr := parsePeerList(msg.Addr)
 	if perr != nil {
-		if lg := m.tel.log; lg != nil {
+		if lg := m.tel.Load().log; lg != nil {
 			lg.Warn("bad join ack peer list", "from", int(msg.From), "err", perr)
 		}
 		return
@@ -401,9 +402,10 @@ func (m *Member) handleLeave(msg *proto.Message) {
 	}
 	m.mgrMu.Unlock()
 	if wasMember {
-		m.tel.mLeaves.Inc()
-		m.tel.mHandoff.Add(uint64(len(msg.Vec)))
-		if lg := m.tel.log; lg != nil {
+		tel := m.tel.Load()
+		tel.mLeaves.Inc()
+		tel.mHandoff.Add(uint64(len(msg.Vec)))
+		if lg := tel.log; lg != nil {
 			lg.Info("peer left gracefully", "peer", int(msg.From),
 				"handoff_locks", len(msg.Vec))
 		}
@@ -530,9 +532,10 @@ func (m *Member) countMembershipSend(msg *proto.Message) {
 	m.statMu.Lock()
 	m.sent.Count(msg.Kind)
 	m.statMu.Unlock()
-	m.tel.countSent(msg.Kind)
-	if rec := m.tel.rec; rec != nil {
-		rec.Record(trace.Entry{At: m.tel.now(), Op: trace.OpSend,
+	tel := m.tel.Load()
+	tel.countSent(msg.Kind)
+	if rec := tel.rec; rec != nil {
+		rec.Record(trace.Entry{At: tel.now(), Op: trace.OpSend,
 			Node: m.id, Kind: msg.Kind, From: msg.From, To: msg.To,
 			Epoch: msg.Epoch, Trace: msgTrace(msg)})
 	}
