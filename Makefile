@@ -26,15 +26,19 @@ race:
 	$(GO) test -race -count=1 ./...
 
 # Just the fault-injection, crash-recovery and transport-failure
-# coverage (includes the disk-loss restart chaos scenarios).
+# coverage (includes the disk-loss restart chaos scenarios). The
+# transport line runs three times: when a delayed ack is written and
+# which reader ends up delivering depend on the schedule, and one pass
+# hides what the next one shows.
 chaos:
 	$(GO) test -race -count=1 -run 'Chaos' ./internal/cluster/
-	$(GO) test -race -count=1 -run 'TestTCP' ./internal/transport/
+	$(GO) test -race -count=3 -run 'TestTCP' ./internal/transport/
 	$(GO) test -race -count=1 ./internal/recovery/
 	$(GO) test -race -count=1 -run 'TestTCPCrashRecovery|TestTCPRecoveryQuietWithoutCrash' .
 
 # Durability coverage: the journal package (torn-tail, corrupt-frame,
-# snapshot-rotation, parent-commit WAL replay tests) and the
+# snapshot-rotation, parent-commit WAL replay tests; an append during a
+# parked batched fsync, Snapshot and Close racing one) and the
 # full-cluster cold-start / restart rejoin acceptance tests over real
 # TCP members, including fences across a restart for a lock that never
 # left its root and the records-follow-the-token count. `make race`

@@ -19,8 +19,8 @@
 //
 // Fsync policy is the durability/throughput knob: FsyncAlways syncs
 // inline on every append, FsyncBatched (the default) amortizes syncs
-// on a background cadence matching the transport's write coalescing,
-// FsyncNever leaves flushing to the OS.
+// on a background cadence, outside the append lock, FsyncNever leaves
+// flushing to the OS.
 package journal
 
 import (
@@ -163,8 +163,8 @@ func ParsePolicy(s string) (Policy, error) {
 
 // Default tuning.
 const (
-	// DefaultBatchInterval matches the TCP transport's write-coalescing
-	// cadence so one fsync covers the same window as one network flush.
+	// DefaultBatchInterval is the batched policy's fsync cadence: a crash
+	// loses at most this window of appends plus one fsync's duration.
 	DefaultBatchInterval = 2 * time.Millisecond
 	// DefaultSnapshotEvery bounds replay: once this many WAL records
 	// accumulate the state map is compacted into a snapshot and the WAL
@@ -207,6 +207,13 @@ type Journal struct {
 	dirty      bool // unsynced appends (batched policy)
 	closed     bool
 
+	// syncMu serialises every WAL fsync against Truncate and Close. The
+	// flusher takes it alone; everyone else takes it after mu.
+	syncMu sync.Mutex
+	// parkSync, when set (tests only), runs under syncMu just before the
+	// flusher's fsync. Guarded by mu.
+	parkSync func()
+
 	records   atomic.Uint64
 	fsyncs    atomic.Uint64
 	fsyncNano atomic.Int64
@@ -214,7 +221,8 @@ type Journal struct {
 
 	// observeFsync, when set, receives every fsync's individual latency
 	// (the cumulative fsyncNano only exposes a mean; a latency histogram
-	// needs each sample). Called with j.mu held — keep it cheap.
+	// needs each sample). Called with j.syncMu held, and j.mu too unless
+	// the flusher is the caller — keep it cheap.
 	observeFsync atomic.Pointer[func(time.Duration)]
 
 	done chan struct{}
@@ -275,7 +283,9 @@ func Open(dir string, opts Options) (*Journal, error) {
 
 // flusher is the batched-policy background goroutine: it syncs dirty
 // appends on the batch cadence so the grant path never blocks on the
-// disk, amortizing one fsync over every append in the window.
+// disk, amortizing one fsync over every append in the window. The fsync
+// runs outside j.mu: an append that arrives meanwhile writes, marks the
+// journal dirty again and is covered by the next tick.
 func (j *Journal) flusher() {
 	defer j.wg.Done()
 	t := time.NewTicker(j.batch)
@@ -286,11 +296,18 @@ func (j *Journal) flusher() {
 			return
 		case <-t.C:
 			j.mu.Lock()
-			if j.dirty && !j.closed {
-				j.dirty = false
-				j.syncLocked()
-			}
+			dirty, park := j.dirty && !j.closed, j.parkSync
+			j.dirty = false
 			j.mu.Unlock()
+			if !dirty {
+				continue
+			}
+			j.syncMu.Lock()
+			if park != nil {
+				park()
+			}
+			_ = j.fsync() // after Close this fails; Close synced already
+			j.syncMu.Unlock()
 		}
 	}
 }
@@ -306,11 +323,11 @@ func (j *Journal) SetFsyncObserver(fn func(time.Duration)) {
 	j.observeFsync.Store(&fn)
 }
 
-// syncLocked fsyncs the WAL, timing it. Callers hold j.mu.
-func (j *Journal) syncLocked() {
+// fsync syncs the WAL, timing it. Callers hold j.syncMu.
+func (j *Journal) fsync() error {
 	start := time.Now()
 	if err := j.wal.Sync(); err != nil {
-		return // surfaced via the next append's write error, if any
+		return err
 	}
 	j.fsyncs.Add(1)
 	d := time.Since(start)
@@ -318,6 +335,14 @@ func (j *Journal) syncLocked() {
 	if fn := j.observeFsync.Load(); fn != nil {
 		(*fn)(d)
 	}
+	return nil
+}
+
+// syncLocked fsyncs the WAL inline. Callers hold j.mu.
+func (j *Journal) syncLocked() error {
+	j.syncMu.Lock()
+	defer j.syncMu.Unlock()
+	return j.fsync()
 }
 
 // Append writes one record to the WAL and folds it into the state map.
@@ -344,7 +369,7 @@ func (j *Journal) Append(r Record) error {
 	j.records.Add(1)
 	switch j.policy {
 	case FsyncAlways:
-		j.syncLocked()
+		_ = j.syncLocked() // surfaced via the next append's write error, if any
 	case FsyncBatched:
 		j.dirty = true
 	}
@@ -363,15 +388,8 @@ func (j *Journal) Sync() error {
 		return errors.New("journal: closed")
 	}
 	j.dirty = false
-	start := time.Now()
-	if err := j.wal.Sync(); err != nil {
+	if err := j.syncLocked(); err != nil {
 		return fmt.Errorf("journal: sync: %w", err)
-	}
-	j.fsyncs.Add(1)
-	d := time.Since(start)
-	j.fsyncNano.Add(int64(d))
-	if fn := j.observeFsync.Load(); fn != nil {
-		(*fn)(d)
 	}
 	return nil
 }
@@ -420,8 +438,11 @@ func (j *Journal) snapshotLocked() error {
 		return fmt.Errorf("journal: snapshot: %w", err)
 	}
 	// Sync the WAL before truncating so no record exists only in the
-	// kernel page cache of a file about to be emptied.
-	j.syncLocked()
+	// kernel page cache of a file about to be emptied; syncMu keeps a
+	// flusher fsync from straddling the truncation.
+	j.syncMu.Lock()
+	defer j.syncMu.Unlock()
+	_ = j.fsync()
 	if err := j.wal.Truncate(0); err != nil {
 		return fmt.Errorf("journal: snapshot truncate: %w", err)
 	}
@@ -443,8 +464,10 @@ func (j *Journal) Close() error {
 	}
 	j.closed = true
 	close(j.done)
+	j.syncMu.Lock()
 	err := j.wal.Sync()
 	cerr := j.wal.Close()
+	j.syncMu.Unlock()
 	j.mu.Unlock()
 	j.wg.Wait()
 	if err != nil {

@@ -3,6 +3,7 @@ package journal
 import (
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -383,5 +384,138 @@ func TestReplayParentCommitWAL(t *testing.T) {
 	}
 	if st := j.Stats(); st.WALRecords != len(wal)/frame {
 		t.Errorf("reopened WAL counts %d records, want %d", st.WALRecords, len(wal)/frame)
+	}
+}
+
+// parkBatchSync makes the flusher's next fsync (and only that one) stop
+// under syncMu: parked is closed when it gets there, and it goes on when
+// the returned release func is called.
+func parkBatchSync(j *Journal) (parked chan struct{}, release func()) {
+	parked = make(chan struct{})
+	gate := make(chan struct{})
+	var once sync.Once
+	j.mu.Lock()
+	j.parkSync = func() {
+		once.Do(func() {
+			close(parked)
+			<-gate
+		})
+	}
+	j.mu.Unlock()
+	return parked, func() { close(gate) }
+}
+
+func waitParked(t *testing.T, parked chan struct{}) {
+	t.Helper()
+	select {
+	case <-parked:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the flusher never reached its fsync")
+	}
+}
+
+// TestAppendDuringParkedBatchSync: the batched fsync runs outside the
+// append lock. While the flusher sits in its fsync an Append returns, its
+// record is in State, and it marks the journal dirty again: the next tick
+// syncs once more with no further append, and the record replays.
+func TestAppendDuringParkedBatchSync(t *testing.T) {
+	dir := t.TempDir()
+	j := mustOpen(t, dir, Options{Fsync: FsyncBatched, BatchInterval: time.Millisecond})
+	parked, release := parkBatchSync(j)
+	if err := j.Append(Record{Kind: RecToken, Lock: 1, Epoch: 1}); err != nil {
+		t.Fatal(err)
+	}
+	waitParked(t, parked)
+
+	appended := make(chan error, 1)
+	go func() { appended <- j.Append(Record{Kind: RecToken, Lock: 2, Epoch: 7, Token: true}) }()
+	select {
+	case err := <-appended:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Append waited for the flusher's fsync")
+	}
+	if r, ok := j.State()[2]; !ok || r.Epoch != 7 {
+		t.Fatalf("State()[2] = %+v, %v while the fsync was parked", r, ok)
+	}
+	if n := j.Stats().Fsyncs; n != 0 {
+		t.Fatalf("%d fsyncs completed while the only one was parked", n)
+	}
+
+	release()
+	deadline := time.Now().Add(5 * time.Second)
+	for j.Stats().Fsyncs < 2 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d fsyncs: the append made during the parked one was never covered by a tick", j.Stats().Fsyncs)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	state, err := Replay(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(state) != 2 || state[2].Epoch != 7 || !state[2].Token {
+		t.Fatalf("replayed %+v", state)
+	}
+}
+
+// TestSnapshotAndCloseWaitForParkedBatchSync: Snapshot and Close racing
+// the flusher's fsync take their turn behind it — neither returns, and
+// the WAL is not truncated, while it is parked — and neither deadlocks
+// once it goes on. Every record survives either way.
+func TestSnapshotAndCloseWaitForParkedBatchSync(t *testing.T) {
+	const records = 5
+	for round := 0; round < 50; round++ {
+		dir := t.TempDir()
+		j := mustOpen(t, dir, Options{Fsync: FsyncBatched, BatchInterval: time.Millisecond})
+		parked, release := parkBatchSync(j)
+		for i := 1; i <= records; i++ {
+			if err := j.Append(Record{Kind: RecToken, Lock: proto.LockID(i), Epoch: uint32(round)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		waitParked(t, parked)
+		done := make(chan error, 1)
+		go func() {
+			if round%2 == 0 {
+				if err := j.Snapshot(); err != nil {
+					done <- err
+					return
+				}
+			}
+			done <- j.Close()
+		}()
+		select {
+		case err := <-done:
+			t.Fatalf("round %d: finished under a parked fsync (err %v)", round, err)
+		case <-time.After(2 * time.Millisecond):
+		}
+		if info, err := os.Stat(filepath.Join(dir, walName)); err != nil || info.Size() == 0 {
+			t.Fatalf("round %d: WAL truncated under a parked fsync (size %v, err %v)", round, info, err)
+		}
+		release()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("round %d: %v", round, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("round %d: Snapshot/Close deadlocked against the flusher", round)
+		}
+		state, err := Replay(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(state) != records {
+			t.Fatalf("round %d: replayed %d of %d records", round, len(state), records)
+		}
+		if info, err := os.Stat(filepath.Join(dir, walName)); err != nil || (round%2 == 0) != (info.Size() == 0) {
+			t.Fatalf("round %d: WAL size %d after the race (err %v)", round, info.Size(), err)
+		}
 	}
 }

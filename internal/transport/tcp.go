@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"context"
 	"fmt"
 	"math/rand"
@@ -104,13 +105,14 @@ type TCPConfig struct {
 // TCPTransport connects nodes over TCP with one outbound connection per
 // peer. TCP's in-order bytestream plus one writer goroutine per peer
 // yields the per-link FIFO guarantee; one reader goroutine per inbound
-// connection feeds a per-node mailbox, serializing delivery. In Reliable
-// mode a sequence/ack sublayer upgrades the per-link guarantee to
-// exactly-once across connection resets.
+// connection delivers through a per-node combiner mailbox, serializing
+// the Handler. In Reliable mode a sequence/ack sublayer upgrades the
+// per-link guarantee to exactly-once across connection resets.
 type TCPTransport struct {
-	cfg TCPConfig
-	ln  net.Listener
-	box *mailbox
+	cfg     TCPConfig
+	ln      net.Listener
+	box     *mailbox
+	handler Handler // set by Start, before any reader exists
 
 	// detector classifies peers by inbound silence (nil unless
 	// HeartbeatInterval is set); hbPeers is the sorted heartbeat fan-out.
@@ -329,15 +331,15 @@ func (t *TCPTransport) Start(h Handler) error {
 		return fmt.Errorf("transport: node %d already started", t.cfg.Self)
 	}
 	t.started = true
-	// Every message in the mailbox was decoded by a readLoop from the
-	// pooled codec, delivery is serialized, and the Handler contract
-	// forbids retaining the pointer — so the struct is recycled the
-	// moment the handler returns, making the steady-state inbound path
+	// Every delivered message was decoded by a readLoop from the pooled
+	// codec, delivery is serialized, and the Handler contract forbids
+	// retaining the pointer — so the struct is recycled the moment the
+	// handler returns, making the steady-state inbound path
 	// allocation-free.
-	go t.box.drain(func(m *proto.Message) {
+	t.handler = func(m *proto.Message) {
 		h(m)
 		proto.PutMessage(m)
-	})
+	}
 	t.wg.Add(1)
 	go t.acceptLoop()
 	if t.detector != nil {
@@ -382,16 +384,27 @@ func (t *TCPTransport) acceptLoop() {
 	}
 }
 
+// deliver runs the Handler on msg here, on the reading goroutine, unless
+// a delivery is already in progress; then msg queues behind it.
+func (t *TCPTransport) deliver(msg *proto.Message) error {
+	run, err := t.box.admit(msg)
+	if run {
+		t.box.run(msg, t.handler)
+	}
+	return err
+}
+
 func (t *TCPTransport) readLoop(conn net.Conn) {
 	defer t.wg.Done()
 	defer t.untrackConn(conn)
 	defer conn.Close()
+	br := bufio.NewReader(conn) // one read(2) per burst, not two per frame
 	if t.cfg.Reliable {
-		t.readLoopReliable(conn)
+		t.readLoopReliable(conn, br)
 		return
 	}
 	for {
-		msg, err := proto.ReadFrame(conn)
+		msg, err := proto.ReadFrame(br)
 		if err != nil {
 			return
 		}
@@ -401,19 +414,69 @@ func (t *TCPTransport) readLoop(conn net.Conn) {
 			proto.PutMessage(msg) // liveness only; never delivered
 			continue
 		}
-		if err := t.box.put(msg); err != nil {
+		if err := t.deliver(msg); err != nil {
 			proto.PutMessage(msg)
 			return
 		}
 	}
 }
 
+// Delayed-ack bounds: a receiver acknowledges once ackEvery frames are
+// outstanding on a connection or ackDelay after the first of them,
+// whichever comes first.
+const (
+	ackEvery = 64
+	ackDelay = time.Millisecond
+)
+
+// acker coalesces one inbound connection's link acks into cumulative
+// ones. The reading goroutine notes sequences; a timer flushes the tail.
+type acker struct {
+	conn  net.Conn
+	mu    sync.Mutex
+	seq   uint64 // highest sequence to acknowledge
+	acked uint64 // highest sequence written
+	armed bool   // a flush is scheduled
+}
+
+// note records that seq needs acknowledging and writes the ack if now is
+// set or ackEvery frames are outstanding; otherwise the timer will.
+func (a *acker) note(seq uint64, now bool) error {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if seq > a.seq {
+		a.seq = seq
+	}
+	if now || a.seq-a.acked >= ackEvery {
+		a.acked = a.seq
+		return proto.WriteLinkAck(a.conn, a.seq)
+	}
+	if !a.armed {
+		a.armed = true
+		time.AfterFunc(ackDelay, a.flush)
+	}
+	return nil
+}
+
+// flush is the timer's callback. A write error needs no handling here:
+// the reader sees the dead connection itself.
+func (a *acker) flush() {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	a.armed = false
+	if a.seq > a.acked {
+		a.acked = a.seq
+		_ = proto.WriteLinkAck(a.conn, a.seq)
+	}
+}
+
 // readLoopReliable consumes sequenced data frames, suppresses frames the
 // transport has already delivered (retransmissions after a reconnect)
-// and acknowledges cumulatively on the same connection.
-func (t *TCPTransport) readLoopReliable(conn net.Conn) {
+// and acknowledges cumulatively, with a delay, on the same connection.
+func (t *TCPTransport) readLoopReliable(conn net.Conn, br *bufio.Reader) {
+	acks := &acker{conn: conn}
 	for {
-		typ, seq, msg, err := proto.ReadLinkFrame(conn)
+		typ, seq, msg, err := proto.ReadLinkFrame(br)
 		if err != nil {
 			return
 		}
@@ -426,48 +489,51 @@ func (t *TCPTransport) readLoopReliable(conn net.Conn) {
 			// Unsequenced out-of-band frame (TCPTransport.SendTo): deliver
 			// without deduplication or acknowledgment, leaving the sender's
 			// link sequence space untouched. Writers never emit seq 0.
-			if err := t.box.put(msg); err != nil {
+			if err := t.deliver(msg); err != nil {
 				proto.PutMessage(msg)
 				return
 			}
 			continue
 		}
-		from := msg.From
+		// Claim the sequence and take the frame's place in the delivery
+		// order in one step: a reader still working through a dead
+		// connection's buffer races the retransmission on its successor.
+		// A heartbeat is liveness only: it consumes its sequence number
+		// and is acknowledged, but never delivered. An admitted message
+		// belongs to whoever delivers it, so its fields are read first.
+		from, hb, run := msg.From, msg.Kind == proto.KindHeartbeat, false
 		t.recvMu.Lock()
 		last := t.recvSeq[from]
 		if seq <= last {
 			t.dupsSuppressed++
-			t.recvMu.Unlock()
-			proto.PutMessage(msg)
-			// Re-ack so the sender can prune its buffer.
-			if err := proto.WriteLinkAck(conn, last); err != nil {
-				return
+		} else {
+			if !hb {
+				run, err = t.box.admit(msg)
 			}
-			continue
+			if err == nil {
+				t.recvSeq[from] = seq
+			}
 		}
 		t.recvMu.Unlock()
-		if msg.Kind == proto.KindHeartbeat {
-			// Liveness only: consume the sequence number and acknowledge,
-			// but never deliver.
-			t.recvMu.Lock()
-			t.recvSeq[from] = seq
-			t.recvMu.Unlock()
-			proto.PutMessage(msg)
-			if err := proto.WriteLinkAck(conn, seq); err != nil {
-				return
-			}
-			continue
-		}
-		if err := t.box.put(msg); err != nil {
+		switch {
+		case err != nil:
 			// Queue full or closing: drop the frame *unacknowledged* so
 			// the sender retransmits it later.
 			proto.PutMessage(msg)
 			return
+		case seq <= last:
+			proto.PutMessage(msg)
+			// Re-ack at once so a reconnected sender prunes its buffer.
+			err = acks.note(last, true)
+		default:
+			if run {
+				t.box.run(msg, t.handler)
+			} else if hb {
+				proto.PutMessage(msg)
+			}
+			err = acks.note(seq, false)
 		}
-		t.recvMu.Lock()
-		t.recvSeq[from] = seq
-		t.recvMu.Unlock()
-		if err := proto.WriteLinkAck(conn, seq); err != nil {
+		if err != nil {
 			return
 		}
 	}
@@ -566,7 +632,6 @@ func (t *TCPTransport) Close() error {
 		return nil
 	}
 	t.closed = true
-	started := t.started
 	conns := make([]net.Conn, 0, len(t.conns))
 	for c := range t.conns {
 		conns = append(conns, c)
@@ -578,14 +643,7 @@ func (t *TCPTransport) Close() error {
 	for _, c := range conns {
 		_ = c.Close()
 	}
-	if started {
-		t.box.close()
-	} else {
-		t.box.mu.Lock()
-		t.box.closed = true
-		t.box.mu.Unlock()
-		close(t.box.done)
-	}
+	t.box.close()
 	t.wg.Wait()
 	return nil
 }
@@ -916,8 +974,9 @@ func (w *peerWriter) retransmitUnacked() bool {
 // links still recover promptly.
 func (w *peerWriter) ackLoop(conn net.Conn) {
 	defer w.t.wg.Done()
+	br := bufio.NewReader(conn)
 	for {
-		typ, seq, _, err := proto.ReadLinkFrame(conn)
+		typ, seq, _, err := proto.ReadLinkFrame(br)
 		if err != nil {
 			_ = conn.Close()
 			select {

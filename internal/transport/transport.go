@@ -48,23 +48,29 @@ var (
 	ErrQueueFull = errors.New("transport: queue full")
 )
 
-// mailbox is a FIFO queue drained by one goroutine, giving
-// per-destination serial delivery without deadlocking senders. A limit of
-// 0 leaves it unbounded; otherwise put fails with ErrQueueFull at the
-// high-water mark instead of growing without bound.
+// mailbox serializes delivery to one node in arrival order, without
+// deadlocking senders. A limit of 0 leaves its queue unbounded; otherwise
+// a message that would exceed it is refused with ErrQueueFull.
+//
+// The in-process network drains it from one goroutine (put + drain):
+// chanTransport.Send runs under the sender's shard mutex, and delivering
+// inline there would self-deadlock on the reply. The TCP transport uses
+// it as a combiner (admit + run): the reader that finds nobody delivering
+// runs the Handler itself and then whatever queued behind it, so the
+// queue holds only what arrived while a delivery was in progress.
 type mailbox struct {
 	mu        sync.Mutex
 	cond      *sync.Cond
 	queue     []*proto.Message
+	busy      bool // the drain goroutine is alive, or a combiner is delivering
 	closed    bool
-	done      chan struct{}
 	limit     int
 	highWater int
 	fullDrops uint64
 }
 
 func newMailbox(limit int) *mailbox {
-	m := &mailbox{done: make(chan struct{}), limit: limit}
+	m := &mailbox{limit: limit}
 	m.cond = sync.NewCond(&m.mu)
 	return m
 }
@@ -72,6 +78,11 @@ func newMailbox(limit int) *mailbox {
 func (m *mailbox) put(msg *proto.Message) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	m.cond.Signal()
+	return m.putLocked(msg)
+}
+
+func (m *mailbox) putLocked(msg *proto.Message) error {
 	if m.closed {
 		return ErrClosed
 	}
@@ -83,8 +94,37 @@ func (m *mailbox) put(msg *proto.Message) error {
 	if len(m.queue) > m.highWater {
 		m.highWater = len(m.queue)
 	}
-	m.cond.Signal()
 	return nil
+}
+
+// admit is the combiner's put. With nobody delivering, the caller becomes
+// the deliverer (run == true: it must call run(msg, h)) and nothing is
+// queued; otherwise msg queues behind the delivery in progress.
+func (m *mailbox) admit(msg *proto.Message) (run bool, err error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.busy || m.closed {
+		return false, m.putLocked(msg)
+	}
+	m.busy = true
+	return true, nil
+}
+
+// run delivers msg, then everything admitted meanwhile, on the caller's
+// goroutine.
+func (m *mailbox) run(msg *proto.Message, h Handler) {
+	for {
+		h(msg)
+		m.mu.Lock()
+		if len(m.queue) == 0 || m.closed {
+			m.busy = false
+			m.cond.Broadcast() // close waits for the delivery in flight
+			m.mu.Unlock()
+			return
+		}
+		msg, m.queue = m.queue[0], m.queue[1:]
+		m.mu.Unlock()
+	}
 }
 
 // stats snapshots the queue's occupancy counters.
@@ -101,33 +141,36 @@ func (m *mailbox) stats() metrics.Queue {
 
 // drain delivers queued messages to h until closed.
 func (m *mailbox) drain(h Handler) {
-	defer close(m.done)
+	m.mu.Lock()
+	m.busy = true
 	for {
-		m.mu.Lock()
 		for len(m.queue) == 0 && !m.closed {
 			m.cond.Wait()
 		}
 		if m.closed {
-			m.mu.Unlock()
-			return
+			break
 		}
 		msg := m.queue[0]
 		m.queue = m.queue[1:]
 		m.mu.Unlock()
 		h(msg)
+		m.mu.Lock()
 	}
-}
-
-func (m *mailbox) close() {
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		return
-	}
-	m.closed = true
+	m.busy = false
 	m.cond.Broadcast()
 	m.mu.Unlock()
-	<-m.done
+}
+
+// close refuses further messages and returns once no delivery is in
+// flight: the drain goroutine has exited, or the combiner has returned.
+func (m *mailbox) close() {
+	m.mu.Lock()
+	m.closed = true
+	m.cond.Broadcast()
+	for m.busy {
+		m.cond.Wait()
+	}
+	m.mu.Unlock()
 }
 
 // ChanNetwork is an in-process hub connecting n nodes with goroutine
@@ -226,16 +269,7 @@ func (t *chanTransport) Close() error {
 		return nil
 	}
 	t.closed = true
-	started := t.started
 	t.mu.Unlock()
-	if started {
-		t.box.close()
-	} else {
-		// Never started: just mark the mailbox closed so puts fail.
-		t.box.mu.Lock()
-		t.box.closed = true
-		t.box.mu.Unlock()
-		close(t.box.done)
-	}
+	t.box.close()
 	return nil
 }

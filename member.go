@@ -103,6 +103,42 @@ type lockState struct {
 	// journal replay, or the most recent recovery round), recorded in
 	// journal records so a restarted member knows where to re-home.
 	seedRoot proto.NodeID
+	// xfer caches the lock's token-transfer counters so a token frame
+	// does no registry lookup under the shard mutex.
+	xfer transferCounters
+}
+
+// transferCounters holds one lock's hierlock_token_transfers_total
+// series by direction, each resolved on first use. They belong to one
+// telemetry bundle and one label: a SetTelemetry swap, or the resource
+// name arriving after the numeric ID was used, resolves them afresh.
+type transferCounters struct {
+	tel   *telemetry
+	named bool
+	dir   [2]*metrics.Counter // indexed by transferIn/transferOut
+}
+
+const (
+	transferIn = iota
+	transferOut
+)
+
+// countTransfer counts one token transfer of ls in direction d. Callers
+// hold the shard mutex owning ls.
+func (ls *lockState) countTransfer(tel *telemetry, d int) {
+	if tel.reg == nil {
+		return
+	}
+	x := &ls.xfer
+	if named := ls.res != ""; x.tel != tel || x.named != named {
+		*x = transferCounters{tel: tel, named: named}
+	}
+	if x.dir[d] == nil {
+		x.dir[d] = tel.reg.Counter(metrics.MetricTokenTransfers,
+			"Token transfers observed by this node.",
+			metrics.Labels{"lock": ls.label(), "direction": [...]string{"in", "out"}[d]})
+	}
+	x.dir[d].Inc()
 }
 
 // journaled is the durable-state fingerprint of one lock's engine: the
@@ -1968,11 +2004,7 @@ func (m *Member) handle(msg *proto.Message) {
 		if w := ls.waiter; w != nil {
 			w.hops++
 		}
-		if tel.reg != nil {
-			tel.reg.Counter(metrics.MetricTokenTransfers,
-				"Token transfers observed by this node.",
-				metrics.Labels{"lock": ls.label(), "direction": "in"}).Inc()
-		}
+		ls.countTransfer(tel, transferIn)
 	}
 	out, err := ls.engine.Handle(msg)
 	if err != nil {
@@ -2062,10 +2094,8 @@ func (m *Member) dispatch(ls *lockState, out hlock.Out) {
 				Kind: msg.Kind, From: msg.From, To: msg.To, Epoch: msg.Epoch,
 				Trace: msgTrace(msg)})
 		}
-		if msg.Kind == proto.KindToken && tel.reg != nil {
-			tel.reg.Counter(metrics.MetricTokenTransfers,
-				"Token transfers observed by this node.",
-				metrics.Labels{"lock": ls.label(), "direction": "out"}).Inc()
+		if msg.Kind == proto.KindToken {
+			ls.countTransfer(tel, transferOut)
 		}
 		if err := m.tr.Send(msg); err != nil && !m.closed.Load() {
 			if errors.Is(err, transport.ErrUnknown) && m.mgr != nil {
