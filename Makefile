@@ -29,12 +29,16 @@ race:
 # coverage (includes the disk-loss restart chaos scenarios). The
 # transport line runs three times: when a delayed ack is written and
 # which reader ends up delivering depend on the schedule, and one pass
-# hides what the next one shows.
+# hides what the next one shows. So do the last two: which stripe admits
+# its staged trace entries when, and which goroutine finds an auditor or
+# flight-recorder stripe taken, is schedule too.
 chaos:
 	$(GO) test -race -count=1 -run 'Chaos' ./internal/cluster/
 	$(GO) test -race -count=3 -run 'TestTCP' ./internal/transport/
 	$(GO) test -race -count=1 ./internal/recovery/
 	$(GO) test -race -count=1 -run 'TestTCPCrashRecovery|TestTCPRecoveryQuietWithoutCrash' .
+	$(GO) test -race -count=3 -run 'TestStagedRing|TestSharedRing|TestResidentPath' .
+	$(GO) test -race -count=3 ./internal/audit/ ./internal/trace/ ./internal/introspect/ ./internal/metrics/
 
 # Durability coverage: the journal package (torn-tail, corrupt-frame,
 # snapshot-rotation, parent-commit WAL replay tests; an append during a
@@ -77,9 +81,14 @@ fuzz:
 
 # Microbenchmarks: protocol engine hot paths plus the observability
 # overhead benches (histogram/counter/trace-record, including the
-# nil-handle disabled paths, which must report 0 allocs/op).
+# nil-handle disabled paths, which must report 0 allocs/op). The second
+# line is a smoke run of the member's resident pair, bare and under
+# lockd's default telemetry, on one core and on two: what a member makes
+# its callers share shows only in the -cpu 2 column (for figures worth
+# quoting raise -benchtime).
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem . ./internal/hlock ./internal/metrics ./internal/trace ./internal/proto ./internal/session
+	$(GO) test -run '^$$' -bench 'BenchmarkMemberDefaultTelemetry|BenchmarkMemberMultiLockContended' -cpu 1,2 -benchtime 100x -benchmem .
 
 # Record a benchmark snapshot — the paper's Figure 5/6/7 CSVs plus the
 # microbenchmark output — into BENCH_pr$(PR).json so PRs can be

@@ -82,8 +82,8 @@ type Config struct {
 	MaxLinkBacklog int
 	// OnViolation, when non-nil, observes every flagged violation
 	// (including ones past MaxViolations). Called with the auditor's
-	// internal mutex held, on the recording goroutine — it must not block
-	// or call back into the Auditor. Hosts use it to trigger a flight-
+	// internal mutexes held, on the recording goroutine — it must not
+	// block or call back into the Auditor. Hosts use it to trigger a flight-
 	// recorder dump the moment an invariant breaks.
 	OnViolation func(Violation)
 }
@@ -106,9 +106,17 @@ type tokenState struct {
 	known    bool         // false until the first token observation
 }
 
+// holder is one node's granted mode on a lock.
+type holder struct {
+	node proto.NodeID
+	mode modes.Mode
+}
+
 type lockState struct {
-	// holders: node → granted mode (mutual exclusion check).
-	holders map[proto.NodeID]modes.Mode
+	// holders lists each node's granted mode (mutual exclusion check). A
+	// slice, not a map: a lock has a handful of holders at most and the
+	// grant/release pair of a resident token walks it twice per operation.
+	holders []holder
 	// parents: node → set of plausible release targets — nodes that
 	// granted it a copy or the token, plus origins of requests it
 	// forwarded (path reversal makes the origin the new parent) and the
@@ -126,20 +134,52 @@ type linkState struct {
 	lossy bool // backlog overflowed; strict matching abandoned
 }
 
+// stripeCount is the number of stripes the per-lock ledgers are spread
+// over, by lock ID: entries for locks in different stripes are checked
+// in parallel.
+const stripeCount = metrics.Stripes
+
+// stripe holds the ledgers of the locks that hash to it. It is padded to
+// its own cache lines so neighbouring stripes' mutexes do not share one.
+type stripe struct {
+	mu    sync.Mutex
+	locks map[proto.LockID]*lockState
+	// lastID/last memoise the ledger most recently looked up: a client
+	// cycling a lock touches the same one twice per operation.
+	lastID proto.LockID
+	last   *lockState
+	_      [64]byte
+}
+
 // Auditor consumes trace entries and checks protocol invariants. Safe
 // for concurrent use; a nil Auditor ignores everything.
+//
+// State is split by what an entry touches. Grants, releases and the
+// token/copyset ledger of a message belong to one lock and live in that
+// lock's stripe; the link FIFO check spans locks and has its own mutex,
+// taken only for message entries; the violation list has a third, taken
+// only when an invariant breaks. Every entry is still checked
+// synchronously, on the recording goroutine, before Record returns.
 type Auditor struct {
 	cfg Config
 
-	mu         sync.Mutex
-	locks      map[proto.LockID]*lockState
-	links      map[linkKey]*linkState
-	entries    uint64
+	stripes [stripeCount]stripe
+
+	linkMu sync.Mutex
+	links  map[linkKey]*linkState
+
+	// violMu guards the violation counts and the retained list. Lock
+	// order: a stripe mutex or linkMu first, violMu last.
+	violMu     sync.Mutex
 	counts     map[string]uint64
 	violations []Violation
 
-	metricEntries *metrics.Counter
-	metricViol    map[string]*metrics.Counter
+	// entries counts the entries consumed, one cell per stripe: it is the
+	// registry's hierlock_audit_entries_total when there is a registry (the
+	// report and the scrape then read one set of cells the hot path writes
+	// once), a private counter otherwise.
+	entries    *metrics.Counter
+	metricViol map[string]*metrics.Counter
 }
 
 // New creates an auditor. Counters for every invariant are registered
@@ -154,13 +194,16 @@ func New(cfg Config) *Auditor {
 	}
 	a := &Auditor{
 		cfg:        cfg,
-		locks:      make(map[proto.LockID]*lockState),
 		links:      make(map[linkKey]*linkState),
 		counts:     make(map[string]uint64),
 		metricViol: make(map[string]*metrics.Counter),
 	}
+	for i := range a.stripes {
+		a.stripes[i].locks = make(map[proto.LockID]*lockState)
+	}
+	a.entries = new(metrics.Counter)
 	if cfg.Registry != nil {
-		a.metricEntries = cfg.Registry.Counter(metrics.MetricAuditEntries,
+		a.entries = cfg.Registry.Counter(metrics.MetricAuditEntries,
 			"Trace entries consumed by the protocol auditor.", nil)
 		for _, inv := range Invariants {
 			a.metricViol[inv] = cfg.Registry.Counter(metrics.MetricAuditViolations,
@@ -177,35 +220,54 @@ func (a *Auditor) Record(e trace.Entry) {
 	if a == nil {
 		return
 	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.entries++
-	a.metricEntries.Inc()
+	n := uint(e.Lock) % stripeCount
+	st := &a.stripes[n]
+	a.entries.IncAt(n)
 	switch e.Op {
 	case trace.OpGranted:
-		a.onGranted(e)
+		st.mu.Lock()
+		a.onGranted(st.lock(a, e.Lock), e)
+		st.mu.Unlock()
 	case trace.OpRelease:
-		a.onReleaseOp(e)
+		st.mu.Lock()
+		st.lock(a, e.Lock).release(e.Node)
+		st.mu.Unlock()
 	case trace.OpSend:
-		a.onSend(e)
+		st.mu.Lock()
+		a.onSend(st.lock(a, e.Lock), e)
+		st.mu.Unlock()
+		a.linkMu.Lock()
+		a.fifoSend(e)
+		a.linkMu.Unlock()
 	case trace.OpDeliver:
-		a.onDeliver(e)
+		st.mu.Lock()
+		a.onDeliver(st.lock(a, e.Lock), e)
+		st.mu.Unlock()
+		a.linkMu.Lock()
+		a.fifoDeliver(e)
+		a.linkMu.Unlock()
 	}
+	// Every other op (acquires, the fault ops) is counted and not
+	// examined: it returned without taking a lock.
 }
 
-func (a *Auditor) lock(id proto.LockID) *lockState {
-	ls := a.locks[id]
+// lock returns (creating) the ledger of one lock. Callers hold st.mu.
+func (st *stripe) lock(a *Auditor, id proto.LockID) *lockState {
+	if st.last != nil && st.lastID == id {
+		return st.last
+	}
+	ls := st.locks[id]
 	if ls == nil {
 		ls = &lockState{
-			holders: make(map[proto.NodeID]modes.Mode),
 			parents: make(map[proto.NodeID]map[proto.NodeID]bool),
 			tokens:  make(map[uint32]*tokenState),
 		}
 		if a.cfg.Root != proto.NoNode {
 			ls.tokens[0] = &tokenState{holder: a.cfg.Root, known: true}
 		}
-		a.locks[id] = ls
+		st.locks[id] = ls
 	}
+	st.lastID, st.last = id, ls
 	return ls
 }
 
@@ -219,14 +281,17 @@ func (ls *lockState) token(epoch uint32) *tokenState {
 	return t
 }
 
+// flag records one violation. Callers hold a stripe mutex or linkMu.
 func (a *Auditor) flag(inv string, e trace.Entry, format string, args ...any) {
-	a.counts[inv]++
-	if c := a.metricViol[inv]; c != nil {
-		c.Inc()
-	}
 	v := Violation{
 		Invariant: inv, Lock: e.Lock, At: e.At,
 		Detail: fmt.Sprintf(format, args...),
+	}
+	a.violMu.Lock()
+	defer a.violMu.Unlock()
+	a.counts[inv]++
+	if c := a.metricViol[inv]; c != nil {
+		c.Inc()
 	}
 	if len(a.violations) < a.cfg.MaxViolations {
 		a.violations = append(a.violations, v)
@@ -238,27 +303,38 @@ func (a *Auditor) flag(inv string, e trace.Entry, format string, args ...any) {
 
 // onGranted checks Tab. 1(a) compatibility against all current holders,
 // then installs the grant.
-func (a *Auditor) onGranted(e trace.Entry) {
-	ls := a.lock(e.Lock)
-	for node, held := range ls.holders {
-		if node == e.Node {
-			continue // upgrade or re-grant on the same node
+func (a *Auditor) onGranted(ls *lockState, e trace.Entry) {
+	self := -1
+	for i, h := range ls.holders {
+		if h.node == e.Node {
+			self = i // upgrade or re-grant on the same node
+			continue
 		}
-		if !modes.Compatible(held, e.Mode) {
+		if !modes.Compatible(h.mode, e.Mode) {
 			a.flag(InvMutualExclusion, e,
-				"node %d granted %v while node %d holds %v", e.Node, e.Mode, node, held)
+				"node %d granted %v while node %d holds %v", e.Node, e.Mode, h.node, h.mode)
 		}
 	}
-	ls.holders[e.Node] = e.Mode
+	if self >= 0 {
+		ls.holders[self].mode = e.Mode
+		return
+	}
+	ls.holders = append(ls.holders, holder{e.Node, e.Mode})
 }
 
-func (a *Auditor) onReleaseOp(e trace.Entry) {
-	ls := a.lock(e.Lock)
-	delete(ls.holders, e.Node)
+// release drops node's grant, if it has one.
+func (ls *lockState) release(node proto.NodeID) {
+	for i, h := range ls.holders {
+		if h.node == node {
+			last := len(ls.holders) - 1
+			ls.holders[i] = ls.holders[last]
+			ls.holders = ls.holders[:last]
+			return
+		}
+	}
 }
 
-func (a *Auditor) onSend(e trace.Entry) {
-	ls := a.lock(e.Lock)
+func (a *Auditor) onSend(ls *lockState, e trace.Entry) {
 	switch e.Kind {
 	case proto.KindToken:
 		t := ls.token(e.Epoch)
@@ -305,11 +381,9 @@ func (a *Auditor) onSend(e trace.Entry) {
 			}
 		}
 	}
-	a.fifoSend(e)
 }
 
-func (a *Auditor) onDeliver(e trace.Entry) {
-	ls := a.lock(e.Lock)
+func (a *Auditor) onDeliver(ls *lockState, e trace.Entry) {
 	switch e.Kind {
 	case proto.KindToken:
 		t := ls.token(e.Epoch)
@@ -335,7 +409,6 @@ func (a *Auditor) onDeliver(e trace.Entry) {
 	case proto.KindRecovered:
 		a.onRecovered(ls, e, e.To)
 	}
-	a.fifoDeliver(e)
 }
 
 // onRecovered digests a regeneration-round outcome observed at node
@@ -372,7 +445,8 @@ func (a *Auditor) parentEdge(ls *lockState, node, granter proto.NodeID) {
 // fifoSend/fifoDeliver implement the online FIFO check: the i-th
 // delivery on an ordered link must carry the i-th send's signature.
 // Delivers with no retained send (live single-node streams) are skipped;
-// links whose send backlog overflows go lossy instead of lying.
+// links whose send backlog overflows go lossy instead of lying. Callers
+// hold linkMu.
 func (a *Auditor) fifoSend(e trace.Entry) {
 	l := a.link(e)
 	if l.lossy {
@@ -428,9 +502,9 @@ func (a *Auditor) Snapshot() Report {
 		}
 		return rep
 	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	rep.Entries = a.entries
+	rep.Entries = a.entries.Value()
+	a.violMu.Lock()
+	defer a.violMu.Unlock()
 	for _, inv := range Invariants {
 		rep.ByCheck[inv] = a.counts[inv]
 		rep.Total += a.counts[inv]
@@ -444,8 +518,8 @@ func (a *Auditor) Violations() uint64 {
 	if a == nil {
 		return 0
 	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
+	a.violMu.Lock()
+	defer a.violMu.Unlock()
 	var n uint64
 	for _, c := range a.counts {
 		n += c

@@ -2,6 +2,8 @@ package audit
 
 import (
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -294,5 +296,56 @@ func TestNilAuditor(t *testing.T) {
 	rep := a.Snapshot()
 	if len(rep.ByCheck) != len(Invariants) {
 		t.Fatalf("nil snapshot: %+v", rep)
+	}
+}
+
+// TestConcurrentStripes drives the auditor the way a member's shards do:
+// four goroutines, each granting and releasing its own locks, 10 000
+// entries apiece including acquires the auditor only counts. One
+// incompatible grant is injected mid-stream. The striped ledgers must
+// flag it exactly once, call OnViolation once, and count every entry.
+func TestConcurrentStripes(t *testing.T) {
+	const workers, perWorker = 4, 10000
+	var calls atomic.Int32
+	reg := metrics.NewRegistry()
+	a := New(Config{Registry: reg, Root: 0, OnViolation: func(v Violation) {
+		if v.Invariant != InvMutualExclusion || v.Lock != 7 {
+			t.Errorf("unexpected violation %+v", v)
+		}
+		calls.Add(1)
+	}})
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWorker/4; i++ {
+				lock := proto.LockID(1000*(w+1) + i%37) // private to the worker, every stripe
+				a.Record(trace.Entry{Op: trace.OpAcquire, Node: 0, Lock: lock, Mode: modes.W})
+				a.Record(granted(lock, modes.W, 0))
+				a.Record(release(lock, modes.W, 0))
+				a.Record(trace.Entry{Op: trace.OpDrop, Lock: lock})
+				if w == 2 && i == perWorker/8 {
+					// Node 1 is granted W on lock 7 while node 0 holds it.
+					feed(a, granted(7, modes.W, 0), granted(7, modes.W, 1),
+						release(7, modes.W, 1), release(7, modes.W, 0))
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+
+	rep := a.Snapshot()
+	if want := uint64(workers*perWorker + 4); rep.Entries != want {
+		t.Fatalf("Entries = %d, want %d", rep.Entries, want)
+	}
+	if rep.Total != 1 || rep.ByCheck[InvMutualExclusion] != 1 || len(rep.Violations) != 1 {
+		t.Fatalf("report = %+v, want exactly one mutual_exclusion violation", rep)
+	}
+	if n := calls.Load(); n != 1 {
+		t.Fatalf("OnViolation called %d times, want 1", n)
+	}
+	if got := reg.Counter(metrics.MetricAuditEntries, "", nil).Value(); got != rep.Entries {
+		t.Fatalf("%s = %d, report says %d", metrics.MetricAuditEntries, got, rep.Entries)
 	}
 }

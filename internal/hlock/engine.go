@@ -503,7 +503,7 @@ func (e *Engine) AcquireTraced(m modes.Mode, priority uint8, trace proto.TraceID
 		// FIFO toward queued requests.
 		if modes.Compatible(mo, m) && !e.frozen.Has(m) {
 			e.held = m
-			e.cause = e.traceFor(trace, e.clock.Tick())
+			e.cause = e.traceOrTick(trace)
 			out.event(Event{Kind: EventAcquired, Mode: m, Local: true, Trace: e.cause})
 			return out, nil
 		}
@@ -522,7 +522,7 @@ func (e *Engine) AcquireTraced(m modes.Mode, priority uint8, trace proto.TraceID
 		modes.Compatible(mo, m) && modes.AtLeast(mo, m) {
 		if !e.frozen.Has(m) {
 			e.held = m
-			e.cause = e.traceFor(trace, e.clock.Tick())
+			e.cause = e.traceOrTick(trace)
 			out.event(Event{Kind: EventAcquired, Mode: m, Local: true, Trace: e.cause})
 			return out, nil
 		}
@@ -563,6 +563,19 @@ func (e *Engine) traceFor(trace proto.TraceID, ts proto.Timestamp) proto.TraceID
 	return proto.TraceID{Node: e.self, Seq: uint64(ts)}
 }
 
+// traceOrTick is traceFor for a step that needs no timestamp of its own
+// (an immediate local grant, a release): the clock ticks only to mint
+// the trace ID nobody passed in. A caller that minted one has already
+// ticked for it, so the step costs the shared clock nothing; with a zero
+// trace (the simulator, the model checker) the tick is the one traceFor
+// always took.
+func (e *Engine) traceOrTick(trace proto.TraceID) proto.TraceID {
+	if !trace.IsZero() {
+		return trace
+	}
+	return proto.TraceID{Node: e.self, Seq: uint64(e.clock.Tick())}
+}
+
 // Release ends the critical section (Rule 5). At the token node it
 // reconsiders the queue; elsewhere it notifies the parent only if the
 // subtree's owned mode weakened.
@@ -583,7 +596,7 @@ func (e *Engine) ReleaseTraced(trace proto.TraceID) (Out, error) {
 		// the W upgrade outstanding would corrupt the queue.
 		return out, fmt.Errorf("%w: release while upgrade pending", ErrPending)
 	}
-	e.cause = e.traceFor(trace, e.clock.Tick())
+	e.cause = e.traceOrTick(trace)
 	if e.fenced {
 		// Recovery round in flight: drop the hold locally and send
 		// nothing. Reseed reports the weakened owned mode to the new root
@@ -637,7 +650,7 @@ func (e *Engine) UpgradeTraced(priority uint8, trace proto.TraceID) (Out, error)
 	}
 	if modes.Compatible(e.ownedChildren(), modes.W) {
 		e.held = modes.W
-		e.cause = e.traceFor(trace, e.clock.Tick())
+		e.cause = e.traceOrTick(trace)
 		out.event(Event{Kind: EventUpgraded, Mode: modes.W, Local: true, Trace: e.cause})
 		return out, nil
 	}

@@ -1,13 +1,16 @@
 package introspect
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"hierlock/internal/modes"
@@ -107,10 +110,23 @@ var Reasons = []string{ReasonAuditViolation, ReasonRecoveryRound, ReasonLockLost
 // recovery round, a lost lock), preserving the lead-up that the trace
 // ring has usually rotated past by the time anyone looks.
 //
+// Grants — the one event every client operation produces — do not go to
+// the ring directly: Tap stages them in one of grantStripes small
+// buffers picked by lock ID, each under its own mutex, and a buffer is
+// admitted to the ring when it fills, before a direct Record for a lock
+// of that stripe (so a lock's events stay in order), and by every reader
+// (Snapshot, Stats, TriggerDump), which therefore see every event
+// recorded so far.
+//
 // All methods are nil-safe: a member without a recorder attached pays
 // only a nil check, keeping the hot path's zero-alloc guarantee when
 // introspection is idle.
 type Recorder struct {
+	// epoch is the instant trace.Entry.At counts from, nil until SetEpoch.
+	epoch atomic.Pointer[time.Time]
+
+	staged [grantStripes]grantStripe
+
 	mu    sync.Mutex
 	ring  []Event
 	next  int
@@ -125,6 +141,22 @@ type Recorder struct {
 	dumpErr     error
 
 	node proto.NodeID
+}
+
+// grantStripes × grantStage grants can be staged between reads.
+const (
+	grantStripes = 16
+	grantStage   = 32
+)
+
+// grantStripe is one staging buffer, padded so neighbouring stripes'
+// mutexes sit on different cache lines. Lock order: a stripe mutex
+// before Recorder.mu.
+type grantStripe struct {
+	mu  sync.Mutex
+	n   int
+	buf []Event // nil until the stripe's first grant, then grantStage long
+	_   [64]byte
 }
 
 // NewRecorder creates a flight recorder retaining the last size events
@@ -143,6 +175,35 @@ func NewRecorder(node proto.NodeID, size int) *Recorder {
 		r.dumps[reason] = 0
 	}
 	return r
+}
+
+// SetEpoch tells the recorder the instant trace entries' At offsets
+// count from. Tap then stamps the events it derives from the entry's own
+// At, without reading the clock, and a direct Record measures from the
+// same instant, so every Wall is on one (monotonic) time line. Without
+// it every event is stamped time.Now() when it is recorded. Nil-safe.
+func (r *Recorder) SetEpoch(epoch time.Time) {
+	if r == nil {
+		return
+	}
+	r.epoch.Store(&epoch)
+}
+
+// wallAt returns the Wall stamp of an event that happened at offset at
+// from the epoch (now, when no epoch is set).
+func (r *Recorder) wallAt(at time.Duration) int64 {
+	if epoch := r.epoch.Load(); epoch != nil {
+		return epoch.UnixNano() + int64(at)
+	}
+	return time.Now().UnixNano()
+}
+
+// wallNow returns the Wall stamp of an event happening now.
+func (r *Recorder) wallNow() int64 {
+	if epoch := r.epoch.Load(); epoch != nil {
+		return r.wallAt(time.Since(*epoch))
+	}
+	return time.Now().UnixNano()
 }
 
 // EnableAutoDump arranges for TriggerDump to write dump files under
@@ -165,13 +226,72 @@ func (r *Recorder) EnableAutoDump(dir string, minInterval time.Duration) error {
 	return nil
 }
 
-// Record appends one event to the ring. Nil-safe; never allocates.
+// Record appends one event to the ring, after any grants staged for the
+// event's lock stripe. An event without a Wall stamp gets the current
+// time. Nil-safe; never allocates.
 func (r *Recorder) Record(e Event) {
 	if r == nil {
 		return
 	}
-	e.Wall = time.Now().UnixNano()
+	if e.Wall == 0 {
+		e.Wall = r.wallNow()
+	}
+	st := &r.staged[uint(e.Lock)%grantStripes]
+	st.mu.Lock()
 	r.mu.Lock()
+	r.admit(st.buf[:st.n])
+	st.n = 0
+	r.admitOne(e)
+	r.mu.Unlock()
+	st.mu.Unlock()
+}
+
+// stageGrant buffers one tap-derived grant in its lock's stripe,
+// admitting the buffer when it fills.
+func (r *Recorder) stageGrant(e Event) {
+	st := &r.staged[uint(e.Lock)%grantStripes]
+	st.mu.Lock()
+	if st.buf == nil {
+		st.buf = make([]Event, grantStage)
+	}
+	st.buf[st.n] = e
+	st.n++
+	if st.n == len(st.buf) {
+		r.flush(st)
+	}
+	st.mu.Unlock()
+}
+
+// flush admits one stripe's staged grants. Callers hold st.mu.
+func (r *Recorder) flush(st *grantStripe) {
+	if st.n == 0 {
+		return
+	}
+	r.mu.Lock()
+	r.admit(st.buf[:st.n])
+	r.mu.Unlock()
+	st.n = 0
+}
+
+// drain admits every staged grant, so the ring and the event count are
+// exact for the reader that follows.
+func (r *Recorder) drain() {
+	for i := range r.staged {
+		st := &r.staged[i]
+		st.mu.Lock()
+		r.flush(st)
+		st.mu.Unlock()
+	}
+}
+
+// admit appends events to the ring. Callers hold r.mu.
+func (r *Recorder) admit(es []Event) {
+	for i := range es {
+		r.admitOne(es[i])
+	}
+}
+
+func (r *Recorder) admitOne(e Event) {
 	r.seq++
 	e.Seq = r.seq
 	r.total++
@@ -181,27 +301,27 @@ func (r *Recorder) Record(e Event) {
 		r.next = 0
 		r.wrap = true
 	}
-	r.mu.Unlock()
 }
 
 // Tap adapts the recorder to the trace.Recorder tap signature,
 // deriving flight-recorder events from the protocol trace stream:
 // grants, token hops and recovery-message transitions. Everything else
-// is filtered out before touching the ring.
+// is filtered out before touching the ring. Events are stamped from the
+// entry's own At when SetEpoch said what it counts from.
 func (r *Recorder) Tap(e trace.Entry) {
 	if r == nil {
 		return
 	}
 	switch e.Op {
 	case trace.OpGranted:
-		r.Record(Event{Type: EvGrant, Node: e.Node, Lock: e.Lock, Mode: e.Mode, Trace: e.Trace})
+		r.stageGrant(Event{Wall: r.wallAt(e.At), Type: EvGrant, Node: e.Node, Lock: e.Lock, Mode: e.Mode, Trace: e.Trace})
 	case trace.OpSend, trace.OpDeliver:
 		switch e.Kind {
 		case proto.KindToken:
-			r.Record(Event{Type: EvTokenHop, Node: e.Node, Lock: e.Lock,
+			r.Record(Event{Wall: r.wallAt(e.At), Type: EvTokenHop, Node: e.Node, Lock: e.Lock,
 				Kind: e.Kind, From: e.From, To: e.To, Epoch: e.Epoch})
 		case proto.KindProbe, proto.KindClaim, proto.KindRecovered:
-			r.Record(Event{Type: EvRecovery, Node: e.Node, Lock: e.Lock,
+			r.Record(Event{Wall: r.wallAt(e.At), Type: EvRecovery, Node: e.Node, Lock: e.Lock,
 				Kind: e.Kind, From: e.From, To: e.To, Epoch: e.Epoch})
 		}
 	}
@@ -248,12 +368,13 @@ func renderEvent(e Event) DumpEvent {
 	return d
 }
 
-// Snapshot returns the retained events in recording order, newest last.
+// Snapshot returns the retained events in time order, newest last.
 // n > 0 limits to the n most recent. Nil-safe.
 func (r *Recorder) Snapshot(n int) []DumpEvent {
 	if r == nil {
 		return nil
 	}
+	r.drain()
 	r.mu.Lock()
 	var events []Event
 	if r.wrap {
@@ -263,6 +384,9 @@ func (r *Recorder) Snapshot(n int) []DumpEvent {
 		events = append(events, r.ring[:r.next]...)
 	}
 	r.mu.Unlock()
+	// Staged grants reach the ring a batch at a time; Wall says when each
+	// event happened (stable: same-instant events keep admission order).
+	slices.SortStableFunc(events, func(a, b Event) int { return cmp.Compare(a.Wall, b.Wall) })
 	if n > 0 && len(events) > n {
 		events = events[len(events)-n:]
 	}
@@ -294,6 +418,7 @@ func (r *Recorder) Stats() Stats {
 	if r == nil {
 		return st
 	}
+	r.drain()
 	r.mu.Lock()
 	st.Events = r.total
 	for reason, n := range r.dumps {

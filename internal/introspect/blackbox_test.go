@@ -224,3 +224,57 @@ func TestAuditViolationTriggersDump(t *testing.T) {
 		t.Fatalf("dump counter = %v", st.Dumps)
 	}
 }
+
+// TestStagedGrantsStayBehindDirectRecords: tap-derived grants wait in
+// their lock's stripe; a direct Record for the same lock admits them
+// first, every reader drains the rest, and the count is exact.
+func TestStagedGrantsStayBehindDirectRecords(t *testing.T) {
+	const grants = 5
+	r := introspect.NewRecorder(1, 64)
+	epoch := time.Now()
+	r.SetEpoch(epoch)
+	at := time.Since(epoch)
+	for i := 0; i < grants; i++ {
+		r.Tap(trace.Entry{At: at + time.Duration(i), Op: trace.OpGranted, Node: 1, Lock: 9, Mode: modes.W})
+	}
+	// Grants of a lock in another stripe stay staged across the Record.
+	r.Tap(trace.Entry{At: at, Op: trace.OpGranted, Node: 1, Lock: 10, Mode: modes.R})
+	r.Record(introspect.Event{Type: introspect.EvTokenHop, Node: 1, Lock: 9, Kind: proto.KindToken, From: 1, To: 2})
+
+	if got := r.Stats().Events; got != grants+2 {
+		t.Fatalf("Stats().Events = %d, want %d", got, grants+2)
+	}
+	snap := r.Snapshot(0)
+	if len(snap) != grants+2 {
+		t.Fatalf("snapshot has %d events, want %d", len(snap), grants+2)
+	}
+	if last := snap[len(snap)-1]; last.Type != "token_hop" || last.Seq != grants+1 {
+		t.Fatalf("last event is %+v, want the token hop admitted right behind lock 9's %d grants", last, grants)
+	}
+	var prev time.Time
+	for i, ev := range snap {
+		when, err := time.Parse(time.RFC3339Nano, ev.At)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if when.Before(prev) {
+			t.Fatalf("snapshot out of time order at %d: %s after %s", i, ev.At, snap[i-1].At)
+		}
+		prev = when
+	}
+	// A stamp derived from the entry's At, not from a second clock read.
+	if want := epoch.Add(at).UTC().Format(time.RFC3339Nano); snap[0].At != want {
+		t.Fatalf("first grant stamped %s, want epoch+At = %s", snap[0].At, want)
+	}
+
+	// A full stripe admits itself.
+	for i := 0; i < 100; i++ {
+		r.Tap(trace.Entry{At: at, Op: trace.OpGranted, Node: 1, Lock: 9, Mode: modes.W})
+	}
+	if got := r.Stats().Events; got != grants+2+100 {
+		t.Fatalf("Stats().Events = %d after 100 more grants, want %d", got, grants+2+100)
+	}
+	if got := len(r.Snapshot(0)); got != 64 {
+		t.Fatalf("ring retains %d events, want its capacity 64", got)
+	}
+}

@@ -289,8 +289,30 @@ var LatencyFactorBuckets = []float64{
 // key, so any map order yields the same series identity.
 type Labels map[string]string
 
-// Counter is a monotonically increasing atomic counter.
-type Counter struct{ n atomic.Uint64 }
+// Stripes is the number of cells a striped handle spreads its writes
+// over. Writers pick the cell by lock ID (IncAt, ObserveAt), so callers
+// working on different locks rarely write the same cache line; readers
+// sum the cells. Stripes are by lock, not by core: Go gives no cheap
+// stable per-P index, and the caller already has the lock ID in hand.
+const Stripes = 16
+
+// cacheLine is the padding unit that keeps neighbouring cells apart.
+const cacheLine = 64
+
+// counterCell is one stripe of a Counter, alone on its cache line.
+type counterCell struct {
+	n atomic.Uint64
+	_ [cacheLine - 8]byte
+}
+
+// Counter is a monotonically increasing atomic counter. Inc/Add write
+// the handle's own word; IncAt writes one of Stripes padded cells,
+// allocated the first time the handle is written striped (a per-lock
+// labelled counter that only ever sees Inc stays two words).
+type Counter struct {
+	n     atomic.Uint64
+	cells atomic.Pointer[[Stripes]counterCell]
+}
 
 // Inc adds one.
 func (c *Counter) Inc() { c.Add(1) }
@@ -303,12 +325,34 @@ func (c *Counter) Add(n uint64) {
 	c.n.Add(n)
 }
 
-// Value returns the current count (0 for nil).
+// IncAt adds one to the cell picked by stripe (any value; reduced
+// modulo Stripes). No-op on a nil counter.
+func (c *Counter) IncAt(stripe uint) {
+	if c == nil {
+		return
+	}
+	cells := c.cells.Load()
+	if cells == nil {
+		cells = new([Stripes]counterCell)
+		if !c.cells.CompareAndSwap(nil, cells) {
+			cells = c.cells.Load()
+		}
+	}
+	cells[stripe%Stripes].n.Add(1)
+}
+
+// Value returns the current count, summed over the cells (0 for nil).
 func (c *Counter) Value() uint64 {
 	if c == nil {
 		return 0
 	}
-	return c.n.Load()
+	v := c.n.Load()
+	if cells := c.cells.Load(); cells != nil {
+		for i := range cells {
+			v += cells[i].n.Load()
+		}
+	}
+	return v
 }
 
 // Gauge is an atomic float64 gauge.
@@ -346,12 +390,20 @@ func (g *Gauge) Value() float64 {
 
 // Histogram is a fixed-bucket atomic histogram (Prometheus semantics:
 // cumulative buckets on exposition, each bound is an inclusive upper
-// edge, plus an implicit +Inf bucket).
+// edge, plus an implicit +Inf bucket). The sample count is not stored:
+// it is the sum of the buckets, so an observation writes one bucket and
+// the sum. Observe writes the handle's own cell; ObserveAt writes one
+// of Stripes cells, allocated the first time the handle is written
+// striped; every reader sums them.
 type Histogram struct {
-	upper  []float64
-	counts []atomic.Uint64 // len(upper)+1; last is the overflow (+Inf)
-	count  atomic.Uint64
-	sum    atomic.Uint64 // float64 bits, CAS-accumulated
+	upper []float64
+	// base is one cell: len(upper)+1 bucket counts (the last is the +Inf
+	// overflow) followed by the sample sum as float64 bits.
+	base []atomic.Uint64
+	// cells holds Stripes further cells back to back, stride words apart:
+	// a cell padded to a whole number of cache lines.
+	cells  atomic.Pointer[[]atomic.Uint64]
+	stride int
 }
 
 // NewHistogram creates a standalone histogram with the given inclusive
@@ -360,9 +412,38 @@ func NewHistogram(buckets []float64) *Histogram {
 	if len(buckets) == 0 {
 		buckets = DefLatencyBuckets
 	}
+	const perLine = cacheLine / 8
+	words := len(buckets) + 2
 	return &Histogram{
 		upper:  append([]float64(nil), buckets...),
-		counts: make([]atomic.Uint64, len(buckets)+1),
+		base:   make([]atomic.Uint64, words),
+		stride: (words + perLine - 1) / perLine * perLine,
+	}
+}
+
+// observe records v in one cell.
+func (h *Histogram) observe(cell []atomic.Uint64, v float64) {
+	// Binary search for the first bound >= v.
+	lo, hi := 0, len(h.upper)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if h.upper[mid] < v {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	cell[lo].Add(1)
+	if v == 0 {
+		return // a zero sample (a free admission slot, no token hops) adds nothing to the sum
+	}
+	sum := &cell[len(h.upper)+1]
+	for {
+		old := sum.Load()
+		next := math.Float64bits(math.Float64frombits(old) + v)
+		if sum.CompareAndSwap(old, next) {
+			return
+		}
 	}
 }
 
@@ -371,27 +452,68 @@ func (h *Histogram) Observe(v float64) {
 	if h == nil {
 		return
 	}
-	i := sort.SearchFloat64s(h.upper, v) // first bound >= v
-	h.counts[i].Add(1)
-	h.count.Add(1)
-	for {
-		old := h.sum.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
-		if h.sum.CompareAndSwap(old, next) {
-			return
+	h.observe(h.base, v)
+}
+
+// ObserveAt records one sample in the cell picked by stripe (any value;
+// reduced modulo Stripes). No-op on a nil histogram.
+func (h *Histogram) ObserveAt(stripe uint, v float64) {
+	if h == nil {
+		return
+	}
+	cells := h.cells.Load()
+	if cells == nil {
+		fresh := make([]atomic.Uint64, Stripes*h.stride)
+		if h.cells.CompareAndSwap(nil, &fresh) {
+			cells = &fresh
+		} else {
+			cells = h.cells.Load()
 		}
 	}
+	at := int(stripe%Stripes) * h.stride
+	h.observe((*cells)[at:at+len(h.base)], v)
 }
 
 // ObserveDuration records a duration in seconds.
 func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
+
+// ObserveDurationAt is ObserveAt for a duration in seconds.
+func (h *Histogram) ObserveDurationAt(stripe uint, d time.Duration) {
+	h.ObserveAt(stripe, d.Seconds())
+}
+
+// snapshot sums the cells: per-bucket counts (len(upper)+1) and the
+// sample sum.
+func (h *Histogram) snapshot() ([]uint64, float64) {
+	nb := len(h.upper) + 1
+	counts := make([]uint64, nb)
+	var sum float64
+	add := func(cell []atomic.Uint64) {
+		for i := range counts {
+			counts[i] += cell[i].Load()
+		}
+		sum += math.Float64frombits(cell[nb].Load())
+	}
+	add(h.base)
+	if cells := h.cells.Load(); cells != nil {
+		for at := 0; at < len(*cells); at += h.stride {
+			add((*cells)[at:])
+		}
+	}
+	return counts, sum
+}
 
 // Count returns the number of samples (0 for nil).
 func (h *Histogram) Count() uint64 {
 	if h == nil {
 		return 0
 	}
-	return h.count.Load()
+	counts, _ := h.snapshot()
+	var total uint64
+	for _, n := range counts {
+		total += n
+	}
+	return total
 }
 
 // Sum returns the sum of samples (0 for nil).
@@ -399,7 +521,8 @@ func (h *Histogram) Sum() float64 {
 	if h == nil {
 		return 0
 	}
-	return math.Float64frombits(h.sum.Load())
+	_, sum := h.snapshot()
+	return sum
 }
 
 // Quantile returns an upper bound for the q-quantile from the bucket
@@ -409,7 +532,11 @@ func (h *Histogram) Quantile(q float64) float64 {
 	if h == nil {
 		return 0
 	}
-	total := h.count.Load()
+	counts, _ := h.snapshot()
+	var total uint64
+	for _, n := range counts {
+		total += n
+	}
 	if total == 0 {
 		return 0
 	}
@@ -424,13 +551,10 @@ func (h *Histogram) Quantile(q float64) float64 {
 		rank = 1
 	}
 	var cum uint64
-	for i := range h.counts {
-		cum += h.counts[i].Load()
-		if cum >= rank {
-			if i < len(h.upper) {
-				return h.upper[i]
-			}
-			return h.upper[len(h.upper)-1]
+	for i, n := range counts {
+		cum += n
+		if cum >= rank && i < len(h.upper) {
+			return h.upper[i]
 		}
 	}
 	return h.upper[len(h.upper)-1]
@@ -695,15 +819,16 @@ func writeSample(b *strings.Builder, name, labels, extra string, v float64) {
 }
 
 func writeHistogram(b *strings.Builder, name, labels string, h *Histogram) {
+	counts, sum := h.snapshot()
 	var cum uint64
 	for i, bound := range h.upper {
-		cum += h.counts[i].Load()
+		cum += counts[i]
 		writeSample(b, name+"_bucket", labels,
 			`le="`+formatValue(bound)+`"`, float64(cum))
 	}
-	cum += h.counts[len(h.upper)].Load()
+	cum += counts[len(h.upper)]
 	writeSample(b, name+"_bucket", labels, `le="+Inf"`, float64(cum))
-	writeSample(b, name+"_sum", labels, "", h.Sum())
+	writeSample(b, name+"_sum", labels, "", sum)
 	writeSample(b, name+"_count", labels, "", float64(cum))
 }
 

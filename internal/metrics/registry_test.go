@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // validateExposition checks Prometheus text-format invariants: every
@@ -287,4 +289,95 @@ func TestRegistryConcurrency(t *testing.T) {
 	if c := r.Histogram("hl_conc_seconds", "h", nil, nil).Count(); c != 800 {
 		t.Fatalf("lost histogram observations: %d", c)
 	}
+}
+
+// TestStripedHandles: IncAt/ObserveAt from eight goroutines, mixed with
+// the unstriped Inc/Observe, read back as the serial totals through every
+// reader; the exposition's _count is its +Inf bucket; and a handle never
+// written striped stays the size it was (a member registers a labelled
+// counter pair per lock — they must not each drag 1 KB of cells along).
+func TestStripedHandles(t *testing.T) {
+	const workers, per = 8, 5000
+	r := NewRegistry()
+	c := r.Counter("striped_total", "c", nil)
+	h := r.Histogram("striped_seconds", "h", []float64{1, 2, 5}, nil)
+	plain := r.Counter("plain_total", "p", nil)
+	plainHist := r.Histogram("plain_seconds", "p", []float64{1, 2, 5}, nil)
+
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				stripe := uint(w*per + i) // walks every cell, past Stripes
+				c.IncAt(stripe)
+				h.ObserveAt(stripe, float64(i%4)) // 0, 1, 2, 3: one sample in four adds nothing to the sum
+				if i%10 == 0 {
+					c.Inc()
+					h.Observe(7)
+					plain.Inc()
+					plainHist.Observe(7)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+
+	const n = workers * per
+	if got := c.Value(); got != n+n/10 {
+		t.Fatalf("counter = %d, want %d", got, n+n/10)
+	}
+	if got := h.Count(); got != n+n/10 {
+		t.Fatalf("histogram count = %d, want %d", got, n+n/10)
+	}
+	if got, want := h.Sum(), float64(n/4*(0+1+2+3)+7*n/10); got != want {
+		t.Fatalf("histogram sum = %v, want %v", got, want)
+	}
+	// Half the striped samples are ≤ 1, three quarters ≤ 2, the 7s overflow.
+	if q := h.Quantile(0.4); q != 1 {
+		t.Fatalf("P40 = %v, want 1", q)
+	}
+	if q := h.Quantile(0.6); q != 2 {
+		t.Fatalf("P60 = %v, want 2", q)
+	}
+
+	var sb strings.Builder
+	if err := r.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	text := sb.String()
+	validateExposition(t, text)
+	for _, want := range []string{
+		"striped_total 44000\n",
+		`striped_seconds_bucket{le="1"} 20000` + "\n",
+		`striped_seconds_bucket{le="2"} 30000` + "\n",
+		`striped_seconds_bucket{le="5"} 40000` + "\n",
+		`striped_seconds_bucket{le="+Inf"} 44000` + "\n",
+		"striped_seconds_count 44000\n",
+		"striped_seconds_sum 88000\n",
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("exposition missing %q:\n%s", want, text)
+		}
+	}
+
+	if plain.cells.Load() != nil || plainHist.cells.Load() != nil {
+		t.Fatal("a handle never written striped allocated cells")
+	}
+	if size := unsafe.Sizeof(Counter{}); size > 16 {
+		t.Fatalf("Counter is %d bytes, want at most two words", size)
+	}
+	if c.cells.Load() == nil || h.cells.Load() == nil {
+		t.Fatal("striped writes went to the base cell")
+	}
+	if words := len(*h.cells.Load()); words != Stripes*8 {
+		t.Fatalf("a 3-bound histogram's cells take %d words, want one cache line per stripe (%d)", words, Stripes*8)
+	}
+
+	var nilC *Counter
+	var nilH *Histogram
+	nilC.IncAt(3)
+	nilH.ObserveAt(3, 1)
+	nilH.ObserveDurationAt(3, time.Second)
 }

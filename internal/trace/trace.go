@@ -6,7 +6,9 @@
 package trace
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -113,6 +115,12 @@ func (e Entry) String() string {
 
 // Recorder is a bounded ring buffer of entries. The zero value is not
 // usable; construct with New. Safe for concurrent use.
+//
+// Record is write-through: taps, then the ring. A producer on a hot path
+// can split the two — Observe shows an entry to the taps at once, Admit
+// appends a batch the producer staged to the ring later — provided it
+// registers an OnRead hook that admits whatever it still holds, so every
+// reader of the ring sees every entry offered so far.
 type Recorder struct {
 	// disabled pauses recording when set (SetEnabled(false)). Checked
 	// before the mutex so a paused recorder costs one atomic load.
@@ -125,6 +133,15 @@ type Recorder struct {
 	// churning. The callback runs on the recording goroutine and must not
 	// block or call back into the Recorder.
 	tap atomic.Pointer[func(Entry)]
+
+	// onRead holds the producers' flush hooks (copy-on-write; see OnRead).
+	onRead atomic.Pointer[[]func()]
+
+	// The words above are read on every entry and written almost never;
+	// the ring state below is written on every admission. Keep them on
+	// different cache lines so a staging producer's Observe/Enabled does
+	// not miss each time another core admits a batch.
+	_ [64]byte
 
 	mu      sync.Mutex
 	entries []Entry
@@ -175,6 +192,11 @@ func (r *Recorder) SetEnabled(on bool) {
 	if r == nil {
 		return
 	}
+	if !on {
+		// What producers staged while recording was on belongs in the
+		// ring; they stage nothing once Enabled reports false.
+		r.flushProducers()
+	}
 	r.disabled.Store(!on)
 }
 
@@ -199,13 +221,45 @@ func (r *Recorder) Record(e Entry) {
 	if r == nil {
 		return
 	}
-	if fn := r.tap.Load(); fn != nil {
-		(*fn)(e)
-	}
+	r.Observe(e)
 	if r.disabled.Load() {
 		return
 	}
 	r.mu.Lock()
+	r.admit(e)
+	r.mu.Unlock()
+}
+
+// Observe shows e to the installed taps without touching the ring: the
+// first half of Record, for a producer that stages its ring entries and
+// hands them to Admit in batches. No-op on a nil recorder.
+func (r *Recorder) Observe(e Entry) {
+	if r == nil {
+		return
+	}
+	if fn := r.tap.Load(); fn != nil {
+		(*fn)(e)
+	}
+}
+
+// Admit appends staged entries to the ring in slice order, under one
+// mutex round: the second half of Record. The taps are not called (the
+// producer showed them each entry through Observe when it happened), and
+// the pause state is not consulted (the producer checks Enabled when it
+// stages, which is when Record would have). No-op on a nil recorder.
+func (r *Recorder) Admit(es []Entry) {
+	if r == nil || len(es) == 0 {
+		return
+	}
+	r.mu.Lock()
+	for i := range es {
+		r.admit(es[i])
+	}
+	r.mu.Unlock()
+}
+
+// admit appends one entry to the ring. Callers hold r.mu.
+func (r *Recorder) admit(e Entry) {
 	r.seq++
 	e.Seq = r.seq
 	if r.full {
@@ -217,7 +271,44 @@ func (r *Recorder) Record(e Entry) {
 		r.next = 0
 		r.full = true
 	}
-	r.mu.Unlock()
+}
+
+// OnRead registers a staging producer's flush hook: fn must Admit every
+// entry the producer has observed but not yet admitted. It runs at the
+// start of every read of the ring (Len, Dropped, Entries and everything
+// built on them) and before a pause takes effect, without the recorder's
+// mutex held, so the ring is exact whenever anyone looks. With a producer
+// registered, Entries orders the ring by At: batches from different
+// producers reach the ring out of time order, each entry's At says when
+// it happened. No-op on a nil recorder or nil fn.
+func (r *Recorder) OnRead(fn func()) {
+	if r == nil || fn == nil {
+		return
+	}
+	for {
+		old := r.onRead.Load()
+		var hooks []func()
+		if old != nil {
+			hooks = append(hooks, *old...)
+		}
+		hooks = append(hooks, fn)
+		if r.onRead.CompareAndSwap(old, &hooks) {
+			return
+		}
+	}
+}
+
+// flushProducers runs the registered OnRead hooks, reporting whether
+// there were any.
+func (r *Recorder) flushProducers() bool {
+	hooks := r.onRead.Load()
+	if hooks == nil {
+		return false
+	}
+	for _, fn := range *hooks {
+		fn()
+	}
+	return true
 }
 
 // Len returns the number of retained entries.
@@ -225,6 +316,7 @@ func (r *Recorder) Len() int {
 	if r == nil {
 		return 0
 	}
+	r.flushProducers()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.full {
@@ -238,24 +330,34 @@ func (r *Recorder) Dropped() uint64 {
 	if r == nil {
 		return 0
 	}
+	r.flushProducers()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.dropped
 }
 
-// Entries returns the retained entries in order.
+// Entries returns the retained entries in order: admission order, which
+// for a write-through recorder is recording order; At order (stable, so
+// simultaneous entries keep their admission order) once a staging
+// producer is registered.
 func (r *Recorder) Entries() []Entry {
 	if r == nil {
 		return nil
 	}
+	staged := r.flushProducers()
 	r.mu.Lock()
-	defer r.mu.Unlock()
+	var out []Entry
 	if !r.full {
-		return append([]Entry(nil), r.entries[:r.next]...)
+		out = append(out, r.entries[:r.next]...)
+	} else {
+		out = make([]Entry, 0, len(r.entries))
+		out = append(out, r.entries[r.next:]...)
+		out = append(out, r.entries[:r.next]...)
 	}
-	out := make([]Entry, 0, len(r.entries))
-	out = append(out, r.entries[r.next:]...)
-	out = append(out, r.entries[:r.next]...)
+	r.mu.Unlock()
+	if staged {
+		slices.SortStableFunc(out, func(a, b Entry) int { return cmp.Compare(a.At, b.At) })
+	}
 	return out
 }
 

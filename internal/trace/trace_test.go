@@ -171,3 +171,82 @@ func TestCheckFIFO(t *testing.T) {
 		t.Fatal("orphan delivery not detected")
 	}
 }
+
+// TestStagedAdmission covers the split Record: a producer that shows
+// entries to the taps with Observe and hands them to the ring later with
+// Admit, flushed by its OnRead hook whenever the ring is read.
+func TestStagedAdmission(t *testing.T) {
+	r := trace.New(8)
+	var tapped []trace.Entry
+	r.SetTap(func(e trace.Entry) { tapped = append(tapped, e) })
+
+	var staged []trace.Entry
+	flushes := 0
+	r.OnRead(func() {
+		flushes++
+		r.Admit(staged)
+		staged = staged[:0]
+	})
+	stage := func(e trace.Entry) {
+		r.Observe(e)
+		if r.Enabled() {
+			staged = append(staged, e)
+		}
+	}
+
+	// A later event written through first, two earlier ones staged.
+	r.Record(trace.Entry{At: 30, Op: trace.OpSend})
+	stage(trace.Entry{At: 10, Op: trace.OpAcquire})
+	stage(trace.Entry{At: 20, Op: trace.OpGranted})
+	if len(tapped) != 3 {
+		t.Fatalf("taps saw %d entries, want all 3 at once", len(tapped))
+	}
+	if n := r.Len(); n != 3 || flushes != 1 {
+		t.Fatalf("Len() = %d after %d flushes, want 3 after 1 (a read admits what is staged)", n, flushes)
+	}
+	es := r.Entries()
+	for i, want := range []trace.Op{trace.OpAcquire, trace.OpGranted, trace.OpSend} {
+		if es[i].Op != want {
+			t.Fatalf("entry %d is %v, want %v: with a producer registered the ring reads in At order\n%v", i, es[i].Op, want, es)
+		}
+	}
+	if es[2].Seq != 1 || es[0].Seq != 2 || es[1].Seq != 3 {
+		t.Fatalf("Seq is admission order: got %d %d %d", es[0].Seq, es[1].Seq, es[2].Seq)
+	}
+
+	// A pause takes what was staged while recording was on, nothing after.
+	stage(trace.Entry{At: 40, Op: trace.OpRelease})
+	r.SetEnabled(false)
+	stage(trace.Entry{At: 50, Op: trace.OpAcquire})
+	if len(tapped) != 5 {
+		t.Fatalf("taps saw %d entries, want 5: a pause does not blind them", len(tapped))
+	}
+	if n := r.Len(); n != 4 {
+		t.Fatalf("Len() = %d, want 4: the entry staged before the pause and not the one after", n)
+	}
+	r.SetEnabled(true)
+
+	// Admission evicts like Record: a full ring keeps the newest.
+	for i := 0; i < 10; i++ {
+		stage(trace.Entry{At: time.Duration(100 + i), Op: trace.OpSend, Node: proto.NodeID(i)})
+	}
+	es = r.Entries()
+	if len(es) != 8 || es[0].Node != 2 || es[7].Node != 9 {
+		t.Fatalf("after 14 admissions into 8 slots: %v", es)
+	}
+	if d := r.Dropped(); d != 6 {
+		t.Fatalf("Dropped() = %d, want 6", d)
+	}
+}
+
+// TestEntriesUnsortedWithoutProducer: a write-through recorder (the
+// simulator's, whose At is virtual and whose goldens are byte-exact)
+// keeps returning recording order whatever the At values say.
+func TestEntriesUnsortedWithoutProducer(t *testing.T) {
+	r := trace.New(4)
+	r.Record(trace.Entry{At: 2, Node: 1})
+	r.Record(trace.Entry{At: 1, Node: 2})
+	if es := r.Entries(); es[0].Node != 1 || es[1].Node != 2 {
+		t.Fatalf("recording order not kept: %v", es)
+	}
+}

@@ -51,12 +51,88 @@ const lockShardCount = 64
 
 // lockShard is one stripe of the member's per-lock table. Each lock's
 // engine, waiter, hold and admission slot live together under the
-// stripe's mutex, so operations on locks in different stripes proceed
-// fully in parallel; only the Lamport clock and the stats block are
-// shared member-wide (and are independently synchronized).
+// stripe's mutex, and so do the stripe's share of what a client
+// operation accounts: the acquire-latency summary, the shared-join count
+// and the trace entries waiting for the ring. An uncontended operation
+// on a resident token therefore takes no other mutex, with or without
+// telemetry attached; what it still shares member-wide is the Lamport
+// clock (atomic) and, per metric, one of metrics.Stripes cells picked by
+// lock ID. Messages are another matter: each one sent still counts
+// under statMu.
 type lockShard struct {
 	mu    sync.Mutex
 	locks map[proto.LockID]*lockState
+
+	// acq summarizes issue-to-grant latency of this stripe's grants and
+	// sharedJoins counts its joins of an existing hold; Stats and
+	// HealthSample merge the stripes.
+	acq         metrics.Latency
+	sharedJoins uint64
+
+	// staged holds client-operation trace entries (acquire, granted,
+	// release) the taps have seen and the ring has not: see note. They
+	// were staged for stagedFor, the recorder of the bundle in force then.
+	staged    []trace.Entry
+	stagedFor *trace.Recorder
+
+	// The next stripe's mutex must not share a cache line with the words
+	// every operation on this one writes.
+	_ [64]byte
+}
+
+// stageEntries is how many trace entries a stripe holds back before it
+// admits them to the ring in one mutex round.
+const stageEntries = 32
+
+// note records a client-operation trace entry: the recorder's taps (the
+// auditor, the flight recorder) see it at once, the ring gets it with the
+// stripe's next batch — when the buffer fills, before the next message
+// event on this stripe, on Close, and whenever the ring is read (the
+// member's OnRead hook). Callers hold sh.mu and have checked rec != nil.
+func (sh *lockShard) note(rec *trace.Recorder, e trace.Entry) {
+	rec.Observe(e)
+	if !rec.Enabled() {
+		return
+	}
+	if sh.stagedFor != rec {
+		sh.admit() // a SetTelemetry swap: the old ring gets what is its
+		sh.stagedFor = rec
+	}
+	if sh.staged == nil {
+		sh.staged = make([]trace.Entry, 0, stageEntries)
+	}
+	sh.staged = append(sh.staged, e)
+	if len(sh.staged) == cap(sh.staged) {
+		sh.admit()
+	}
+}
+
+// record writes a message event through to the ring, behind everything
+// staged on the stripe: in a ring several members share, what a node did
+// with a lock before it sent the token precedes the send, and so the
+// peer's delivery. Callers hold sh.mu.
+func (sh *lockShard) record(rec *trace.Recorder, e trace.Entry) {
+	sh.admit()
+	rec.Record(e)
+}
+
+// admit hands the staged entries to the ring. Callers hold sh.mu.
+func (sh *lockShard) admit() {
+	if len(sh.staged) > 0 {
+		sh.stagedFor.Admit(sh.staged)
+		sh.staged = sh.staged[:0]
+	}
+}
+
+// admitStaged admits every stripe's staged entries: the member's hook
+// on its recorder's reads, and part of Close.
+func (m *Member) admitStaged() {
+	for i := range m.shards {
+		sh := &m.shards[i]
+		sh.mu.Lock()
+		sh.admit()
+		sh.mu.Unlock()
+	}
 }
 
 // lockState is everything the member tracks for one lock. All fields
@@ -173,8 +249,14 @@ type Member struct {
 
 	// clock is the member-wide Lamport clock, shared by all engines.
 	// proto.Clock is internally atomic, so engines in different shards
-	// advance it without a common mutex.
+	// advance it without a common mutex. It is the one word every client
+	// operation on every core writes (three ticks per resident
+	// Lock/Unlock), so it gets a cache line to itself: the identity fields
+	// above and the first shard's mutex below are read or written by the
+	// same operations and must not miss each time it ticks.
+	_      [64]byte
 	clock  proto.Clock
+	_      [64]byte
 	shards [lockShardCount]lockShard
 
 	closed atomic.Bool
@@ -239,13 +321,12 @@ type Member struct {
 	recEpochs map[proto.LockID]uint32
 
 	// statMu guards the member-wide counters below (never held together
-	// with a shard mutex for long: stat updates are point writes).
-	statMu      sync.Mutex
-	sent        metrics.Messages
-	acqLatency  metrics.Latency
-	sharedJoins uint64
-	lostHolds   uint64
-	firstEr     error
+	// with a shard mutex for long: stat updates are point writes). Grants
+	// are not among them: they are counted per stripe (lockShard.acq).
+	statMu    sync.Mutex
+	sent      metrics.Messages
+	lostHolds uint64
+	firstEr   error
 
 	// fsyncStalls counts journal fsyncs over the stall threshold (fed by
 	// the fsync observer), one of the stall watchdog's inputs.
@@ -292,11 +373,10 @@ type Telemetry struct {
 // telemetry is the member's wired instrumentation state: cached series
 // handles so hot paths never do registry lookups.
 type telemetry struct {
-	reg   *metrics.Registry
-	rec   *trace.Recorder
-	log   *slog.Logger
-	epoch time.Time
-	base  time.Duration
+	reg  *metrics.Registry
+	rec  *trace.Recorder
+	log  *slog.Logger
+	base time.Duration
 
 	sent        [6]*metrics.Counter // indexed by proto.Kind
 	sentUnknown *metrics.Counter
@@ -340,8 +420,16 @@ type telemetry struct {
 	bb *introspect.Recorder
 }
 
-// now returns the wall-relative trace timestamp.
-func (t *telemetry) now() time.Duration { return time.Since(t.epoch) }
+// clockEpoch is the instant every member of the process counts trace
+// timestamps and latency stamps from. One epoch, not one per telemetry
+// bundle, so members sharing a recorder write one time line; and a
+// time.Time that carries a monotonic reading, so sinceEpoch never reads
+// the wall clock.
+var clockEpoch = time.Now()
+
+// sinceEpoch returns the time since clockEpoch: the trace timestamp, and
+// the stamp client operations measure their latencies between.
+func sinceEpoch() time.Duration { return time.Since(clockEpoch) }
 
 // newTrace mints a cluster-unique causal trace ID for a client operation
 // starting at this member: the member's identity plus a fresh Lamport
@@ -387,10 +475,15 @@ func (m *Member) SetTelemetry(t Telemetry) {
 	m.statMu.Lock()
 	defer m.statMu.Unlock()
 	tel := &telemetry{rec: t.Trace, log: t.Logger, bb: t.Blackbox,
-		epoch: time.Now(), base: t.NetLatencyBase, reg: t.Registry}
+		base: t.NetLatencyBase, reg: t.Registry}
 	if tel.base <= 0 {
 		tel.base = 150 * time.Millisecond
 	}
+	// The member stages client-operation entries per stripe; the ring's
+	// readers pull them in. The flight recorder stamps what it derives
+	// from those entries off their own At.
+	tel.rec.OnRead(m.admitStaged)
+	tel.bb.SetEpoch(clockEpoch)
 	defer m.tel.Store(tel) // published whole: delivery may already be running
 	reg := t.Registry
 	if reg == nil {
@@ -709,10 +802,14 @@ type waiter struct {
 	// returned by value instead: the client sees ls.waiter cleared before
 	// it ever leaves the mutex.
 	parked bool
-	// since is the wall-clock enqueue stamp, taken once at registration
-	// (not re-derived later), from which the introspection inventory
-	// computes wait durations.
+	// since is the enqueue time, derived from the operation's entry stamp
+	// (clockEpoch plus the stamp, no second clock read), from which the
+	// introspection inventory and the watchdog compute wait durations.
 	since time.Time
+	// granted is the grant's stamp (see sinceEpoch), written by dispatch just
+	// before the wake-up: a grant read back by value measures its latency
+	// to it, and the OpGranted trace entry carries it.
+	granted time.Duration
 	// trace, mode and upgrade describe the request for the inventory:
 	// its causal trace ID, the requested mode (W for upgrades), and
 	// whether it is a U→W conversion.
@@ -743,8 +840,8 @@ type waiter struct {
 
 // arm registers the entry's waiter for a new request. The caller holds
 // the shard mutex and the lock's admission slot.
-func (ls *lockState) arm(since time.Time, tr proto.TraceID, mode modes.Mode, upgrade bool) *waiter {
-	ls.w = waiter{ch: ls.w.ch, since: since, trace: tr, mode: mode, upgrade: upgrade}
+func (ls *lockState) arm(start time.Duration, tr proto.TraceID, mode modes.Mode, upgrade bool) *waiter {
+	ls.w = waiter{ch: ls.w.ch, since: clockEpoch.Add(start), trace: tr, mode: mode, upgrade: upgrade}
 	ls.waiter = &ls.w
 	return ls.waiter
 }
@@ -918,7 +1015,7 @@ func (m *Member) sendRecovery(msg proto.Message) {
 		tel.claimsSent.Inc()
 	}
 	if rec := tel.rec; rec != nil {
-		rec.Record(trace.Entry{At: tel.now(), Op: trace.OpSend,
+		rec.Record(trace.Entry{At: sinceEpoch(), Op: trace.OpSend,
 			Node: m.id, Lock: msg.Lock, Kind: msg.Kind, From: msg.From,
 			To: msg.To, Epoch: msg.Epoch, Trace: msgTrace(&msg)})
 	}
@@ -1027,7 +1124,7 @@ func (m *Member) recoveryReseed(lock proto.LockID, root proto.NodeID, epoch uint
 		lg.Info("lock recovered",
 			"lock", uint64(lock), "epoch", epoch, "root", int(root))
 	}
-	m.dispatch(ls, out)
+	m.dispatch(sh, ls, out)
 	m.maybeEvict(sh)
 }
 
@@ -1238,6 +1335,7 @@ func (m *Member) HealthSample() watchdog.Sample {
 		sh := &m.shards[i]
 		sh.mu.Lock()
 		s.TrackedLocks += len(sh.locks)
+		s.Grants += sh.acq.Count + sh.sharedJoins
 		for _, ls := range sh.locks {
 			if w := ls.waiter; w != nil && !w.abandoned {
 				s.Waiters++
@@ -1248,9 +1346,6 @@ func (m *Member) HealthSample() watchdog.Sample {
 		}
 		sh.mu.Unlock()
 	}
-	m.statMu.Lock()
-	s.Grants = m.acqLatency.Count + m.sharedJoins
-	m.statMu.Unlock()
 	m.mgrMu.Lock()
 	for _, t0 := range m.roundStart {
 		s.RoundsInFlight++
@@ -1365,13 +1460,22 @@ type Stats struct {
 
 // Stats returns a snapshot of the member's counters.
 func (m *Member) Stats() Stats {
+	var acq metrics.Latency
+	var joins uint64
+	for i := range m.shards {
+		sh := &m.shards[i]
+		sh.mu.Lock()
+		acq.Merge(&sh.acq)
+		joins += sh.sharedJoins
+		sh.mu.Unlock()
+	}
 	m.statMu.Lock()
 	defer m.statMu.Unlock()
 	return Stats{
-		Acquires:     m.acqLatency.Count + m.sharedJoins,
-		SharedJoins:  m.sharedJoins,
-		MeanAcquire:  m.acqLatency.Mean(),
-		P99Acquire:   m.acqLatency.Quantile(0.99),
+		Acquires:     acq.Count + joins,
+		SharedJoins:  joins,
+		MeanAcquire:  acq.Mean(),
+		P99Acquire:   acq.Quantile(0.99),
 		MessagesSent: m.sent.Total(),
 		LostHolds:    m.lostHolds,
 	}
@@ -1399,6 +1503,7 @@ func (m *Member) Close() error {
 			err = jerr
 		}
 	}
+	m.admitStaged()
 	return err
 }
 
@@ -1610,21 +1715,21 @@ func (m *Member) LockWithPriority(ctx context.Context, resource string, mode Mod
 		return nil, ErrLeaving
 	}
 	lockID := lockIDFor(resource)
-	tel.requests.Inc()
+	stripe := uint(lockID) // the metric cell this operation writes
+	tel.requests.IncAt(stripe)
 	tr := m.newTrace()
-	if rec := tel.rec; rec != nil {
-		rec.Record(trace.Entry{At: tel.now(), Op: trace.OpAcquire,
+	// The first of the operation's clock reads; the grant's stamp is the
+	// second (Unlock takes the pair's third).
+	start := sinceEpoch()
+
+	sh, ls := m.state(lockID, resource)
+	rec := tel.rec
+	if rec != nil {
+		sh.note(rec, trace.Entry{At: start, Op: trace.OpAcquire,
 			Node: m.id, Lock: lockID, Mode: mode, Trace: tr})
 	}
-	start := time.Now()
-
-	var (
-		sh *lockShard
-		ls *lockState
-	)
+	waited := false
 	for {
-		sh, ls = m.state(lockID, resource)
-
 		// Local sharing: if the member already holds exactly this mode and
 		// the mode is compatible with itself (IR, R, IW), additional local
 		// clients join the existing hold with no protocol traffic.
@@ -1633,32 +1738,36 @@ func (m *Member) LockWithPriority(ctx context.Context, resource string, mode Mod
 		if h := ls.hold; h != nil && !h.upgrading &&
 			h.mode == mode && modes.Compatible(mode, mode) {
 			h.refs++
+			granted := sinceEpoch()
 			fence := m.mintFence(ls)
-			sh.mu.Unlock()
-			m.statMu.Lock()
-			m.sharedJoins++
-			m.statMu.Unlock()
-			tel.sharedJoins.Inc()
-			tel.acquires.Inc()
-			tel.opLatency[metrics.OpLock][metrics.OutcomeLocal].ObserveDuration(time.Since(start))
-			tel.tokenHops.Observe(0)
-			if rec := tel.rec; rec != nil {
-				rec.Record(trace.Entry{At: tel.now(), Op: trace.OpGranted,
+			sh.sharedJoins++
+			if rec != nil {
+				sh.note(rec, trace.Entry{At: granted, Op: trace.OpGranted,
 					Node: m.id, Lock: lockID, Mode: mode, Trace: tr})
 			}
+			sh.mu.Unlock()
+			tel.sharedJoins.Inc()
+			tel.acquires.IncAt(stripe)
+			tel.opLatency[metrics.OpLock][metrics.OutcomeLocal].ObserveDurationAt(stripe, granted-start)
+			tel.tokenHops.ObserveAt(stripe, 0)
 			if lg := tel.log; lg != nil && lg.Enabled(ctx, slog.LevelDebug) {
 				lg.Debug("lock granted", "trace", tr.String(), "resource", resource,
 					"mode", mode.String(), "shared_join", true)
 			}
 			return &Lock{m: m, id: lockID, resource: resource, mode: mode, fence: fence}, nil
 		}
+
+		// Admission: one client operation per lock per member at a time. A
+		// free slot is claimed here, under the shard mutex: the uncontended
+		// caller never leaves the mutex, never enters the three-way wait and
+		// so never touches the member-wide done channel.
+		if tryAdmit(ls.slot) {
+			break
+		}
+		// Taken: wait for it without the mutex. The entry may be evicted
+		// meanwhile; detect that and retry against the live entry.
 		slot := ls.slot
 		sh.mu.Unlock()
-
-		// Admission: one client operation per lock per member at a time.
-		// The slot is acquired without the shard mutex, so the entry may
-		// have been evicted meanwhile; detect that and retry against the
-		// live entry.
 		select {
 		case slot <- struct{}{}:
 		case <-ctx.Done():
@@ -1666,12 +1775,14 @@ func (m *Member) LockWithPriority(ctx context.Context, resource string, mode Mod
 		case <-m.done:
 			return nil, ErrClosed
 		}
+		waited = true
 		sh.mu.Lock()
 		if !ls.evicted {
 			break
 		}
 		sh.mu.Unlock()
 		<-slot
+		sh, ls = m.state(lockID, resource)
 	}
 
 	if m.closed.Load() {
@@ -1681,10 +1792,13 @@ func (m *Member) LockWithPriority(ctx context.Context, resource string, mode Mod
 		return nil, ErrClosed
 	}
 	// Admission is complete: everything before this point was local
-	// head-of-line queueing, not protocol latency. The nil guard is
-	// outside the call so a telemetry-free member skips the clock read.
-	if tel.queueWait != nil {
-		tel.queueWait.ObserveDuration(time.Since(start))
+	// head-of-line queueing, not protocol latency. A slot that was free
+	// waited zero, recorded without a clock read; the nil guard is outside
+	// the call so a telemetry-free member skips the read for a taken one.
+	if !waited {
+		tel.queueWait.ObserveAt(stripe, 0)
+	} else if tel.queueWait != nil {
+		tel.queueWait.ObserveDurationAt(stripe, sinceEpoch()-start)
 	}
 	w := ls.arm(start, tr, mode, false)
 	out, err := ls.engine.AcquireTraced(mode, priority, tr)
@@ -1695,32 +1809,50 @@ func (m *Member) LockWithPriority(ctx context.Context, resource string, mode Mod
 		sh.mu.Unlock()
 		return nil, err
 	}
-	m.dispatch(ls, out)
+	m.dispatch(sh, ls, out)
 	// A grant produced by our own dispatch (token already in hand) has
 	// cleared the waiter before anyone else can touch it: that is the
 	// local fast path, and the grant is read back by value — no channel,
-	// no RecoveryTimeout timer. Checked under the shard mutex, so a remote
-	// grant racing in through handle cannot be misclassified.
+	// no RecoveryTimeout timer, and its latency ends at the stamp dispatch
+	// took. Checked under the shard mutex, so a remote grant racing in
+	// through handle cannot be misclassified.
 	localGrant := ls.waiter == nil
+	var d time.Duration
 	if localGrant {
+		d = w.granted - start
+		sh.acq.Observe(d)
 		sh.mu.Unlock()
-	} else if err := m.await(ctx, sh, w); err != nil {
-		if err == ErrLockLost {
-			err = m.lostWait(metrics.OpLock, lockID, mode, tr, start, resource)
+	} else {
+		if err := m.await(ctx, sh, w); err != nil {
+			if err == ErrLockLost {
+				err = m.lostWait(metrics.OpLock, lockID, mode, tr, start, resource)
+			}
+			return nil, err
 		}
-		return nil, err
+		// A parked client's wait ends when it wakes, not when the grant
+		// was produced.
+		d = sinceEpoch() - start
+		sh.mu.Lock()
+		sh.acq.Observe(d)
+		sh.mu.Unlock()
 	}
 	// The waiter is ours until Unlock frees the admission slot.
-	d := time.Since(start)
-	m.statMu.Lock()
-	m.acqLatency.Observe(d)
-	m.statMu.Unlock()
-	tel.acquires.Inc()
-	tel.latency.ObserveDuration(d)
-	tel.factor.Observe(d.Seconds() / tel.base.Seconds())
-	tel.opLatency[metrics.OpLock][w.outcome(localGrant)].ObserveDuration(d)
-	tel.tokenHops.Observe(float64(w.hops))
+	tel.acquires.IncAt(stripe)
+	tel.latency.ObserveDurationAt(stripe, d)
+	tel.factor.ObserveAt(stripe, d.Seconds()/tel.base.Seconds())
+	tel.opLatency[metrics.OpLock][w.outcome(localGrant)].ObserveDurationAt(stripe, d)
+	tel.tokenHops.ObserveAt(stripe, float64(w.hops))
 	return &Lock{m: m, id: lockID, resource: resource, mode: mode, fence: w.fence}, nil
+}
+
+// tryAdmit claims a free admission slot without blocking.
+func tryAdmit(slot chan struct{}) bool {
+	select {
+	case slot <- struct{}{}:
+		return true
+	default:
+		return false
+	}
 }
 
 // outcome classifies a granted wait for the per-operation SLO families.
@@ -1736,9 +1868,9 @@ func (w *waiter) outcome(localGrant bool) int {
 
 // lostWait accounts for a wait that outlived RecoveryTimeout (SLO
 // outcome, flight-recorder entry and dump) and builds its error.
-func (m *Member) lostWait(op int, lock proto.LockID, mode modes.Mode, tr proto.TraceID, start time.Time, res string) error {
+func (m *Member) lostWait(op int, lock proto.LockID, mode modes.Mode, tr proto.TraceID, start time.Duration, res string) error {
 	tel := m.tel.Load()
-	tel.opLatency[op][metrics.OutcomeLost].ObserveDuration(time.Since(start))
+	tel.opLatency[op][metrics.OutcomeLost].ObserveDuration(sinceEpoch() - start)
 	tel.bb.Record(introspect.Event{Type: introspect.EvLockLost,
 		Node: m.id, Lock: lock, Mode: mode, Trace: tr})
 	_, _ = tel.bb.TriggerDump(introspect.ReasonLockLost)
@@ -1863,15 +1995,15 @@ func (l *Lock) Unlock() error {
 	}
 	ls.hold = nil
 	tr := m.newTrace()
-	if tel := m.tel.Load(); tel.rec != nil {
-		tel.rec.Record(trace.Entry{At: tel.now(), Op: trace.OpRelease,
+	if rec := m.tel.Load().rec; rec != nil {
+		sh.note(rec, trace.Entry{At: sinceEpoch(), Op: trace.OpRelease,
 			Node: m.id, Lock: l.id, Trace: tr})
 	}
 	out, err := ls.engine.ReleaseTraced(tr)
 	if err != nil {
 		return err
 	}
-	m.dispatch(ls, out)
+	m.dispatch(sh, ls, out)
 	m.freeSlot(ls)
 	m.maybeEvict(sh)
 	return nil
@@ -1918,13 +2050,13 @@ func (l *Lock) Upgrade(ctx context.Context) error {
 		h.upgrading = true // U is never shared, so refs == 1 here
 	}
 	tel := m.tel.Load()
-	tel.requests.Inc()
+	tel.requests.IncAt(uint(l.id))
 	tr := m.newTrace()
+	start := sinceEpoch()
 	if rec := tel.rec; rec != nil {
-		rec.Record(trace.Entry{At: tel.now(), Op: trace.OpAcquire,
+		sh.note(rec, trace.Entry{At: start, Op: trace.OpAcquire,
 			Node: m.id, Lock: l.id, Mode: modes.W, Trace: tr})
 	}
-	start := time.Now()
 	w := ls.arm(start, tr, modes.W, true)
 	out, err := ls.engine.UpgradeTraced(0, tr)
 	if err != nil {
@@ -1936,27 +2068,41 @@ func (l *Lock) Upgrade(ctx context.Context) error {
 		abort()
 		return err
 	}
-	m.dispatch(ls, out)
+	m.dispatch(sh, ls, out)
 	localGrant := ls.waiter == nil // see LockWithPriority
+	var d time.Duration
 	if localGrant {
+		d = w.granted - start
 		sh.mu.Unlock()
-	} else if err := m.await(ctx, sh, w); err != nil {
-		// The upgrade completes in the background if its grant ever
-		// arrives; the waiter stays registered, so a subsequent Unlock is
-		// handled via releaseOnUpgrade.
-		if err == ErrLockLost {
-			err = m.lostWait(metrics.OpUpgrade, l.id, modes.W, tr, start, l.resource)
+	} else {
+		if err := m.await(ctx, sh, w); err != nil {
+			// The upgrade completes in the background if its grant ever
+			// arrives; the waiter stays registered, so a subsequent Unlock
+			// is handled via releaseOnUpgrade.
+			if err == ErrLockLost {
+				err = m.lostWait(metrics.OpUpgrade, l.id, modes.W, tr, start, l.resource)
+			}
+			return err
 		}
-		return err
+		d = sinceEpoch() - start
 	}
 	l.mu.Lock()
 	l.mode = W
 	l.upgrading = false
 	l.fence = w.fence
 	l.mu.Unlock()
-	tel.opLatency[metrics.OpUpgrade][w.outcome(localGrant)].ObserveDuration(time.Since(start))
-	tel.tokenHops.Observe(float64(w.hops))
+	stripe := uint(l.id)
+	tel.opLatency[metrics.OpUpgrade][w.outcome(localGrant)].ObserveDurationAt(stripe, d)
+	tel.tokenHops.ObserveAt(stripe, float64(w.hops))
 	return nil
+}
+
+// delivery is the trace entry for a message handled now.
+func (m *Member) delivery(msg *proto.Message) trace.Entry {
+	return trace.Entry{At: sinceEpoch(), Op: trace.OpDeliver,
+		Node: m.id, Lock: msg.Lock, Mode: msg.Mode,
+		Kind: msg.Kind, From: msg.From, To: msg.To, Epoch: msg.Epoch,
+		Trace: msgTrace(msg)}
 }
 
 // handle is the transport delivery callback (serialized per member).
@@ -1965,11 +2111,16 @@ func (m *Member) handle(msg *proto.Message) {
 	if m.closed.Load() {
 		return
 	}
-	if rec := tel.rec; rec != nil {
-		rec.Record(trace.Entry{At: tel.now(), Op: trace.OpDeliver,
-			Node: m.id, Lock: msg.Lock, Mode: msg.Mode,
-			Kind: msg.Kind, From: msg.From, To: msg.To, Epoch: msg.Epoch,
-			Trace: msgTrace(msg)})
+	// A lock-protocol message is recorded below, under its shard mutex,
+	// behind what the stripe has staged; recovery and membership traffic
+	// has no stripe to order against and is written through here.
+	rec := tel.rec
+	switch msg.Kind {
+	case proto.KindProbe, proto.KindClaim, proto.KindRecovered,
+		proto.KindJoin, proto.KindJoinAck, proto.KindLeave, proto.KindLeaveAck:
+		if rec != nil {
+			rec.Record(m.delivery(msg))
+		}
 	}
 	switch msg.Kind {
 	case proto.KindProbe, proto.KindClaim, proto.KindRecovered:
@@ -2000,6 +2151,9 @@ func (m *Member) handle(msg *proto.Message) {
 	}
 	sh, ls := m.state(msg.Lock, "")
 	defer sh.mu.Unlock()
+	if rec != nil {
+		sh.record(rec, m.delivery(msg))
+	}
 	if msg.Kind == proto.KindToken {
 		if w := ls.waiter; w != nil {
 			w.hops++
@@ -2022,7 +2176,7 @@ func (m *Member) handle(msg *proto.Message) {
 		// safe under the shard mutex (it only reads the seed table).
 		m.mgr.Hint(msg.Lock, msg.From)
 	}
-	m.dispatch(ls, out)
+	m.dispatch(sh, ls, out)
 	m.maybeEvict(sh)
 }
 
@@ -2072,14 +2226,14 @@ func (m *Member) journalLock(ls *lockState) {
 // mints across members along the token's causal path.
 func (m *Member) mintFence(ls *lockState) FenceToken {
 	f := FenceToken{Epoch: ls.engine.Epoch(), Seq: uint64(m.clock.Tick())}
-	m.tel.Load().fences.Inc()
+	m.tel.Load().fences.IncAt(uint(ls.id))
 	return f
 }
 
-// dispatch routes an engine step's output. Callers hold the shard mutex
-// owning ls; dispatch may recurse (abandoned-grant auto-release) but
-// only ever touches ls's own lock.
-func (m *Member) dispatch(ls *lockState, out hlock.Out) {
+// dispatch routes an engine step's output. Callers hold the mutex of sh,
+// the shard owning ls; dispatch may recurse (abandoned-grant
+// auto-release) but only ever touches ls's own lock.
+func (m *Member) dispatch(sh *lockShard, ls *lockState, out hlock.Out) {
 	tel := m.tel.Load()
 	m.journalLock(ls)
 	for i := range out.Msgs {
@@ -2089,7 +2243,7 @@ func (m *Member) dispatch(ls *lockState, out hlock.Out) {
 		m.statMu.Unlock()
 		tel.countSent(msg.Kind)
 		if rec := tel.rec; rec != nil {
-			rec.Record(trace.Entry{At: tel.now(), Op: trace.OpSend,
+			sh.record(rec, trace.Entry{At: sinceEpoch(), Op: trace.OpSend,
 				Node: m.id, Lock: msg.Lock, Mode: msg.Mode,
 				Kind: msg.Kind, From: msg.From, To: msg.To, Epoch: msg.Epoch,
 				Trace: msgTrace(msg)})
@@ -2139,7 +2293,7 @@ func (m *Member) dispatch(ls *lockState, out hlock.Out) {
 					m.fail(err)
 				}
 				m.freeSlot(ls)
-				m.dispatch(ls, rout)
+				m.dispatch(sh, ls, rout)
 			default:
 				if ev.Kind == hlock.EventUpgraded {
 					if h := ls.hold; h != nil {
@@ -2150,8 +2304,11 @@ func (m *Member) dispatch(ls *lockState, out hlock.Out) {
 					ls.h = hold{mode: ev.Mode, refs: 1}
 					ls.hold = &ls.h
 				}
+				// The operation's second clock read: the grant's trace
+				// stamp, and the end of a local grant's latency.
+				w.granted = sinceEpoch()
 				if rec := tel.rec; rec != nil {
-					rec.Record(trace.Entry{At: tel.now(), Op: trace.OpGranted,
+					sh.note(rec, trace.Entry{At: w.granted, Op: trace.OpGranted,
 						Node: m.id, Lock: ls.id, Mode: ev.Mode, Trace: ev.Trace})
 				}
 				if lg := tel.log; lg != nil && lg.Enabled(context.Background(), slog.LevelDebug) {

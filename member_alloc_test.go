@@ -72,3 +72,35 @@ func TestMemberJournaledLockUnlockAllocsWithTelemetry(t *testing.T) {
 		t.Errorf("journaled Lock/Unlock with telemetry allocates %.1f objects/op, budget %d", got, budget)
 	}
 }
+
+// The same pair under everything cmd/lockd attaches by default — ring,
+// auditor and flight recorder included: staging a trace entry, striping
+// a metric and checking a grant allocate nothing per operation (the
+// staging buffers and metric cells are allocated once, during the
+// warm-up run AllocsPerRun makes).
+func TestMemberLockUnlockAllocsWithDefaultWiring(t *testing.T) {
+	c, err := hierlock.NewCluster(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	m := c.Member(0)
+	_, rec, aud, _ := attachDefaultTelemetry(m)
+	ctx := context.Background()
+	const budget = 2 // BenchmarkMemberDefaultTelemetry allocs/op
+	got := testing.AllocsPerRun(500, func() {
+		l, err := m.Lock(ctx, "alloc-guard", hierlock.W)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Unlock(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > budget {
+		t.Errorf("local Lock/Unlock under the default wiring allocates %.1f objects/op, budget %d", got, budget)
+	}
+	if n := rec.Len(); n != 3*501 || aud.Snapshot().Entries != 3*501 {
+		t.Errorf("ring holds %d entries and the auditor saw %d, want %d each", n, aud.Snapshot().Entries, 3*501)
+	}
+}

@@ -12,6 +12,10 @@ import (
 	"testing"
 
 	"hierlock"
+	"hierlock/internal/audit"
+	"hierlock/internal/introspect"
+	"hierlock/internal/metrics"
+	"hierlock/internal/trace"
 )
 
 // BenchmarkMemberMultiLockContended drives P parallel goroutines, each
@@ -19,7 +23,11 @@ import (
 // (member 0 of a single-node cluster, so every acquisition is a local
 // token-node grant with no protocol traffic). With per-lock sharded
 // member state these operations are independent; any member-global
-// serialization shows up directly as lost throughput.
+// serialization shows up directly as lost throughput — but only the
+// serialization of a member with no telemetry attached, which is not
+// what lockd runs: BenchmarkMemberDefaultTelemetry measures that. Run
+// with -cpu 1,2 to see scaling at all; before the telemetry path was
+// striped this read 555 ns/op on one core and 521 on two.
 func BenchmarkMemberMultiLockContended(b *testing.B) {
 	for _, par := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("goroutines-%d", par), func(b *testing.B) {
@@ -47,6 +55,52 @@ func BenchmarkMemberMultiLockContended(b *testing.B) {
 			})
 		})
 	}
+}
+
+// BenchmarkMemberDefaultTelemetry is the resident Lock/Fence/Unlock pair
+// under the telemetry cmd/lockd attaches by default: a registry, the
+// trace ring, and the auditor and the flight recorder tapped onto it.
+// Each goroutine cycles 64 private W keys, so there is no lock contention
+// and no protocol traffic: what -cpu 2 loses against -cpu 1 is what the
+// telemetry path makes callers share. `make bench` runs it at -cpu 1,2.
+func BenchmarkMemberDefaultTelemetry(b *testing.B) {
+	c, err := hierlock.NewCluster(1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	m := c.Member(0)
+	attachDefaultTelemetry(m)
+	ctx := context.Background()
+	var next atomic.Int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		g := next.Add(1)
+		var keys [64]string
+		for i := range keys {
+			keys[i] = fmt.Sprintf("g%d/key-%d", g, i)
+		}
+		for i := 0; pb.Next(); i++ {
+			l, err := m.Lock(ctx, keys[i%len(keys)], hierlock.W)
+			if err != nil {
+				b.Fatal(err)
+			}
+			fenceSink = l.Fence()
+			if err := l.Unlock(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+var fenceSink hierlock.FenceToken
+
+// attachDefaultTelemetry wires m the way cmd/lockd does with no flags
+// (see hierlock.AttachLockdWiring) and returns the pieces for tests that
+// read them back.
+func attachDefaultTelemetry(m *hierlock.Member) (*metrics.Registry, *trace.Recorder, *audit.Auditor, *introspect.Recorder) {
+	return hierlock.AttachLockdWiring(m, 4096)
 }
 
 // BenchmarkMemberMultiLockSpread is the same workload spread over a

@@ -535,7 +535,7 @@ func (m *Member) countMembershipSend(msg *proto.Message) {
 	tel := m.tel.Load()
 	tel.countSent(msg.Kind)
 	if rec := tel.rec; rec != nil {
-		rec.Record(trace.Entry{At: tel.now(), Op: trace.OpSend,
+		rec.Record(trace.Entry{At: sinceEpoch(), Op: trace.OpSend,
 			Node: m.id, Kind: msg.Kind, From: msg.From, To: msg.To,
 			Epoch: msg.Epoch, Trace: msgTrace(msg)})
 	}

@@ -125,15 +125,24 @@ func TestTelemetryTransportBytesCounted(t *testing.T) {
 	}
 	_ = l.Unlock()
 
-	var sb strings.Builder
-	if err := reg.WritePrometheus(&sb); err != nil {
-		t.Fatal(err)
+	// The writer goroutine counts a frame after write(2) returns, and the
+	// peer's reply can beat it back: poll the scrape instead of reading it
+	// the moment the grant returns.
+	zeroSent := []string{
+		metrics.MetricTransportBytes + `{direction="sent"} 0`,
+		metrics.MetricTransportFrames + `{direction="sent"} 0`,
 	}
-	text := sb.String()
-	if strings.Contains(text, metrics.MetricTransportBytes+`{direction="sent"} 0`) {
-		t.Fatalf("no bytes counted after TCP acquisition:\n%s", text)
-	}
-	if strings.Contains(text, metrics.MetricTransportFrames+`{direction="sent"} 0`) {
-		t.Fatalf("no frames counted after TCP acquisition:\n%s", text)
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
+		var sb strings.Builder
+		if err := reg.WritePrometheus(&sb); err != nil {
+			t.Fatal(err)
+		}
+		text := sb.String()
+		if !strings.Contains(text, zeroSent[0]) && !strings.Contains(text, zeroSent[1]) {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("bytes or frames sent still zero 2 s after a TCP acquisition:\n%s", text)
+		}
 	}
 }
