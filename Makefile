@@ -29,15 +29,17 @@ race:
 # coverage (includes the disk-loss restart chaos scenarios). The
 # transport line runs three times: when a delayed ack is written and
 # which reader ends up delivering depend on the schedule, and one pass
-# hides what the next one shows. So do the last two: which stripe admits
-# its staged trace entries when, and which goroutine finds an auditor or
-# flight-recorder stripe taken, is schedule too.
+# hides what the next one shows. So do the last three: which stripe admits
+# its staged trace entries or folds its staged metric words when, and
+# which goroutine finds an auditor or flight-recorder stripe taken, is
+# schedule too (internal/metrics carries the registry's fold hooks).
 chaos:
 	$(GO) test -race -count=1 -run 'Chaos' ./internal/cluster/
 	$(GO) test -race -count=3 -run 'TestTCP' ./internal/transport/
 	$(GO) test -race -count=1 ./internal/recovery/
 	$(GO) test -race -count=1 -run 'TestTCPCrashRecovery|TestTCPRecoveryQuietWithoutCrash' .
 	$(GO) test -race -count=3 -run 'TestStagedRing|TestSharedRing|TestResidentPath' .
+	$(GO) test -race -count=3 -run 'TestScrapeExactWhileCounting|TestSetTelemetrySwapSplitsCounts|TestMemberMetricsGolden' .
 	$(GO) test -race -count=3 ./internal/audit/ ./internal/trace/ ./internal/introspect/ ./internal/metrics/
 
 # Durability coverage: the journal package (torn-tail, corrupt-frame,

@@ -65,7 +65,7 @@ func main() {
 		logFormat = flag.String("log-format", "text", "log output format: text or json")
 		logLevel  = flag.String("log-level", "info", "minimum log level: debug, info, warn or error")
 
-		reliable   = flag.Bool("reliable", false, "enable the ack/retransmit link layer (all members must agree)")
+		reliable   = flag.Bool("reliable", true, "ack/retransmit link layer: a TCP reset neither loses nor duplicates a frame (all members must agree; -reliable=false is the plain framing)")
 		queueLimit = flag.Int("queue-limit", 0, "bound per-peer outbound and inbound queues (0 = unbounded)")
 		redial     = flag.Duration("redial", 0, "initial redial backoff for unreachable peers (default 100ms)")
 		redialMax  = flag.Duration("redial-max", 0, "redial backoff cap (default 5s)")

@@ -69,7 +69,12 @@ type Event struct {
 // Out carries everything an engine step produced: messages to transmit
 // and events for the local client.
 type Out struct {
-	Msgs   []proto.Message
+	Msgs []proto.Message
+	// Events holds the step's local events. A step that grants its own
+	// caller at once (Acquire or Upgrade served from local knowledge)
+	// returns its single event in the engine's own storage: it is valid
+	// until the next call on that engine, which is as long as every caller
+	// looks at it. Every other path appends to a slice of its own.
 	Events []Event
 	// Stale reports that the input message was dropped by epoch fencing:
 	// its epoch differs from the engine's, or the engine is fenced awaiting
@@ -80,6 +85,15 @@ type Out struct {
 
 func (o *Out) send(m proto.Message) { o.Msgs = append(o.Msgs, m) }
 func (o *Out) event(e Event)        { o.Events = append(o.Events, e) }
+
+// granted returns the Out of a step whose whole effect is one immediate
+// grant to its caller, the event held in the engine's scratch slot (see
+// Out.Events). The slice has no spare capacity, so appending to it
+// copies rather than writes into the engine.
+func (e *Engine) granted(ev Event) Out {
+	e.scratch[0] = ev
+	return Out{Events: e.scratch[:1:1]}
+}
 
 // Options toggles individual protocol optimizations, primarily for the
 // ablation experiments. The zero value is the full protocol.
@@ -185,6 +199,10 @@ type Engine struct {
 	// request's identity. It is bookkeeping only — the protocol never
 	// branches on it — and is therefore excluded from Fingerprint.
 	cause proto.TraceID
+
+	// scratch is the storage of an immediate grant's event (see granted);
+	// not protocol state, so neither cloned nor fingerprinted.
+	scratch [1]Event
 }
 
 // New creates the engine for one lock on one node. Exactly one node in
@@ -504,8 +522,7 @@ func (e *Engine) AcquireTraced(m modes.Mode, priority uint8, trace proto.TraceID
 		if modes.Compatible(mo, m) && !e.frozen.Has(m) {
 			e.held = m
 			e.cause = e.traceOrTick(trace)
-			out.event(Event{Kind: EventAcquired, Mode: m, Local: true, Trace: e.cause})
-			return out, nil
+			return e.granted(Event{Kind: EventAcquired, Mode: m, Local: true, Trace: e.cause}), nil
 		}
 		e.pending = m
 		ts := e.clock.Tick()
@@ -523,8 +540,7 @@ func (e *Engine) AcquireTraced(m modes.Mode, priority uint8, trace proto.TraceID
 		if !e.frozen.Has(m) {
 			e.held = m
 			e.cause = e.traceOrTick(trace)
-			out.event(Event{Kind: EventAcquired, Mode: m, Local: true, Trace: e.cause})
-			return out, nil
+			return e.granted(Event{Kind: EventAcquired, Mode: m, Local: true, Trace: e.cause}), nil
 		}
 		// Covered but frozen: wait locally for the thaw rather than
 		// sending a request. A request for a mode we already own could be
@@ -651,8 +667,7 @@ func (e *Engine) UpgradeTraced(priority uint8, trace proto.TraceID) (Out, error)
 	if modes.Compatible(e.ownedChildren(), modes.W) {
 		e.held = modes.W
 		e.cause = e.traceOrTick(trace)
-		out.event(Event{Kind: EventUpgraded, Mode: modes.W, Local: true, Trace: e.cause})
-		return out, nil
+		return e.granted(Event{Kind: EventUpgraded, Mode: modes.W, Local: true, Trace: e.cause}), nil
 	}
 	e.pending = modes.W
 	ts := e.clock.Tick()

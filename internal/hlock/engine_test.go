@@ -735,3 +735,114 @@ func TestEngineAccessors(t *testing.T) {
 		t.Fatalf("fresh engine state: %v", e)
 	}
 }
+
+// TestImmediateGrantEventStorage: an Acquire or Upgrade granted on the
+// spot returns its one event in the engine's own storage, valid until the
+// next call on that engine. Two engines (and an engine and its clone)
+// never share that storage, appending to such an Out copies instead of
+// writing into the engine, and every path that is not an immediate grant
+// — a token arriving, a copy grant arriving, an upgrade completing on a
+// reader's release — still returns a slice of its own, untouched by what
+// the engine grants later.
+func TestImmediateGrantEventStorage(t *testing.T) {
+	clock := &proto.Clock{}
+	trA, trB := proto.TraceID{Node: 0, Seq: 11}, proto.TraceID{Node: 0, Seq: 22}
+	a := hlock.New(0, 1, 0, true, clock, hlock.Options{})
+	b := hlock.New(0, 2, 0, true, clock, hlock.Options{})
+	outA, err := a.AcquireTraced(modes.U, 0, trA)
+	if err != nil || len(outA.Events) != 1 {
+		t.Fatalf("acquire on a: %+v, %v", outA, err)
+	}
+	outB, err := b.AcquireTraced(modes.R, 0, trB)
+	if err != nil || len(outB.Events) != 1 {
+		t.Fatalf("acquire on b: %+v, %v", outB, err)
+	}
+	wantA := hlock.Event{Kind: hlock.EventAcquired, Mode: modes.U, Local: true, Trace: trA}
+	if outA.Events[0] != wantA {
+		t.Fatalf("b's grant changed a's event: %+v", outA.Events[0])
+	}
+	if &outA.Events[0] == &outB.Events[0] {
+		t.Fatal("two engines returned the same event storage")
+	}
+
+	// A clone grants out of its own slot.
+	c := a.Clone(clock)
+	if _, err := c.Upgrade(); err != nil {
+		t.Fatal(err)
+	}
+	if outA.Events[0] != wantA {
+		t.Fatalf("the clone's upgrade changed the original's event: %+v", outA.Events[0])
+	}
+
+	// Appending copies: the grown slice is the caller's.
+	grown := append(outA.Events, hlock.Event{Kind: hlock.EventUpgraded})
+	grown[0].Mode = modes.IR
+	if outA.Events[0] != wantA {
+		t.Fatalf("append wrote into the engine's storage: %+v", outA.Events[0])
+	}
+
+	// The contract's other half: the next immediate grant on the same
+	// engine reuses the slot.
+	outUp, err := a.UpgradeTraced(0, trB)
+	if err != nil || len(outUp.Events) != 1 || outUp.Events[0].Kind != hlock.EventUpgraded {
+		t.Fatalf("upgrade on a: %+v, %v", outUp, err)
+	}
+	if &outUp.Events[0] != &outA.Events[0] {
+		t.Fatal("an engine's second immediate grant did not reuse its slot")
+	}
+
+	// Grants that arrive by message append to a slice of their own.
+	engines := map[proto.NodeID]*hlock.Engine{}
+	for i := proto.NodeID(0); i < 3; i++ {
+		engines[i] = hlock.New(i, testLock, 0, i == 0, &proto.Clock{}, hlock.Options{})
+	}
+	deliver := func(out hlock.Out) hlock.Out {
+		t.Helper()
+		for len(out.Msgs) > 0 && len(out.Events) == 0 {
+			out = step(t, engines, out)
+		}
+		return out
+	}
+	// Token transfer: node 1 asks for U, the token comes to it.
+	out, err := engines[1].Acquire(modes.U)
+	if err != nil {
+		t.Fatal(err)
+	}
+	byToken := deliver(out)
+	// Copy grant: node 2 asks the new token node for R.
+	if out, err = engines[2].Acquire(modes.R); err != nil {
+		t.Fatal(err)
+	}
+	byCopy := deliver(out)
+	// Upgrade queued behind the reader, completed by its release.
+	if out, err = engines[1].Upgrade(); err != nil || len(out.Events) != 0 {
+		t.Fatalf("upgrade beside a reader: %+v, %v", out, err)
+	}
+	step(t, engines, out) // the freeze reaches the reader
+	if out, err = engines[2].Release(); err != nil {
+		t.Fatal(err)
+	}
+	byRelease := deliver(out)
+	arrived := []hlock.Event{
+		{Kind: hlock.EventAcquired, Mode: modes.U},
+		{Kind: hlock.EventAcquired, Mode: modes.R},
+		{Kind: hlock.EventUpgraded, Mode: modes.W},
+	}
+	check := func(when string) {
+		t.Helper()
+		for i, o := range []hlock.Out{byToken, byCopy, byRelease} {
+			if len(o.Events) != 1 || o.Events[0].Kind != arrived[i].Kind || o.Events[0].Mode != arrived[i].Mode {
+				t.Fatalf("%s: arrived grant %d reads %+v, want %+v", when, i, o.Events, arrived[i])
+			}
+		}
+	}
+	check("on arrival")
+	// Now let the token engine grant on the spot, which writes its slot.
+	if _, err := engines[1].Release(); err != nil {
+		t.Fatal(err)
+	}
+	if o, err := engines[1].Acquire(modes.IW); err != nil || len(o.Events) != 1 {
+		t.Fatalf("immediate IW at the token node: %+v, %v", o, err)
+	}
+	check("after a later immediate grant on the same engine")
+}

@@ -206,6 +206,10 @@ type Journal struct {
 	walBytes   int64
 	dirty      bool // unsynced appends (batched policy)
 	closed     bool
+	// wake tells the sleeping flusher that an append dirtied a clean WAL.
+	// Sent and drained under mu, so a token is there exactly while an
+	// append waits for a tick to cover it.
+	wake chan struct{}
 
 	// syncMu serialises every WAL fsync against Truncate and Close. The
 	// flusher takes it alone; everyone else takes it after mu.
@@ -267,6 +271,7 @@ func Open(dir string, opts Options) (*Journal, error) {
 		walRecords: int(info.Size() / (frameHeader + payloadSize)),
 		walBytes:   info.Size(),
 		done:       make(chan struct{}),
+		wake:       make(chan struct{}, 1),
 	}
 	if j.batch <= 0 {
 		j.batch = DefaultBatchInterval
@@ -281,27 +286,55 @@ func Open(dir string, opts Options) (*Journal, error) {
 	return j, nil
 }
 
+// idleTicks is how many consecutive clean ticks send the flusher to
+// sleep. Not one: a journal whose appends come in bursts a few intervals
+// apart (a token that two clients fight over) would then sleep and be
+// woken hundreds of times a second, each wake-up a goroutine hand-off on
+// the append path — measured at 7 % of hot-key's throughput.
+const idleTicks = 64
+
 // flusher is the batched-policy background goroutine: it syncs dirty
 // appends on the batch cadence so the grant path never blocks on the
-// disk, amortizing one fsync over every append in the window. The fsync
-// runs outside j.mu: an append that arrives meanwhile writes, marks the
+// disk, amortizing one fsync over every append in the window. It sleeps
+// until an append dirties a clean WAL, gives the batch one interval to
+// fill, and syncs; while appends keep coming it ticks on, one interval
+// from each fsync's start to the next, and idleTicks clean ticks in a row
+// put it back to sleep — an idle journal wakes nobody. The fsync runs
+// outside j.mu: an append that arrives meanwhile writes, marks the
 // journal dirty again and is covered by the next tick.
 func (j *Journal) flusher() {
 	defer j.wg.Done()
-	t := time.NewTicker(j.batch)
-	defer t.Stop()
+	t := time.NewTimer(time.Hour)
+	t.Stop() // armed by each wake-up
 	for {
 		select {
 		case <-j.done:
 			return
-		case <-t.C:
+		case <-j.wake:
+		}
+		t.Reset(j.batch)
+		for clean := 0; clean < idleTicks; {
+			select {
+			case <-j.done:
+				return
+			case <-t.C:
+			}
 			j.mu.Lock()
 			dirty, park := j.dirty && !j.closed, j.parkSync
 			j.dirty = false
+			select {
+			case <-j.wake: // this tick covers the append that sent it
+			default:
+			}
 			j.mu.Unlock()
 			if !dirty {
+				if clean++; clean < idleTicks {
+					t.Reset(j.batch)
+				}
 				continue
 			}
+			clean = 0
+			t.Reset(j.batch) // what is appended from here on is due one interval from now
 			j.syncMu.Lock()
 			if park != nil {
 				park()
@@ -371,7 +404,13 @@ func (j *Journal) Append(r Record) error {
 	case FsyncAlways:
 		_ = j.syncLocked() // surfaced via the next append's write error, if any
 	case FsyncBatched:
-		j.dirty = true
+		if !j.dirty {
+			j.dirty = true
+			select {
+			case j.wake <- struct{}{}:
+			default: // the flusher has not picked up the last one yet
+			}
+		}
 	}
 	if j.snapEv > 0 && j.walRecords >= j.snapEv {
 		return j.snapshotLocked()

@@ -519,3 +519,60 @@ func TestSnapshotAndCloseWaitForParkedBatchSync(t *testing.T) {
 		}
 	}
 }
+
+// TestFlusherSleepsUntilDirtied: the batched flusher has no ticker. An
+// idle journal syncs nothing; an append to a clean WAL wakes it, the
+// batch gets its interval to fill, and the sync lands within two; a clean
+// WAL is not synced again, and the next append is covered as the first
+// was. A third journal, with a short interval, is left alone past
+// idleTicks so the flusher really goes back to sleep, and must still
+// wake for the append after that.
+func TestFlusherSleepsUntilDirtied(t *testing.T) {
+	const interval = 100 * time.Millisecond
+	j := mustOpen(t, t.TempDir(), Options{Fsync: FsyncBatched, BatchInterval: interval})
+	defer j.Close()
+	time.Sleep(50 * time.Millisecond)
+	if n := j.Stats().Fsyncs; n != 0 {
+		t.Fatalf("%d fsyncs on an idle journal", n)
+	}
+	for want := uint64(1); want <= 2; want++ {
+		start := time.Now()
+		if err := j.Append(Record{Kind: RecToken, Lock: 1, Epoch: uint32(want)}); err != nil {
+			t.Fatal(err)
+		}
+		for j.Stats().Fsyncs < want {
+			if time.Since(start) > 2*interval {
+				t.Fatalf("append %d not synced within two intervals", want)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		// The first append found the flusher asleep: its batch gets a whole
+		// interval. The second falls between two ticks of a flusher still
+		// ticking, as under a ticker.
+		if d := time.Since(start); want == 1 && d < interval/2 {
+			t.Fatalf("the first append synced after %v: the batch got no interval to fill", d)
+		}
+		time.Sleep(interval + interval/2)
+		if n := j.Stats().Fsyncs; n != want {
+			t.Fatalf("%d fsyncs after append %d and an idle interval, want %d", n, want, want)
+		}
+	}
+
+	const short = time.Millisecond
+	k := mustOpen(t, t.TempDir(), Options{Fsync: FsyncBatched, BatchInterval: short})
+	defer k.Close()
+	for want := uint64(1); want <= 2; want++ {
+		if err := k.Append(Record{Kind: RecToken, Lock: 1, Epoch: uint32(want)}); err != nil {
+			t.Fatal(err)
+		}
+		for deadline := time.Now().Add(5 * time.Second); k.Stats().Fsyncs < want; time.Sleep(short) {
+			if time.Now().After(deadline) {
+				t.Fatalf("append %d never synced: the sleeping flusher missed its wake-up", want)
+			}
+		}
+		time.Sleep(3 * idleTicks * short) // long enough to fall asleep
+		if n := k.Stats().Fsyncs; n != want {
+			t.Fatalf("%d fsyncs with %d appends", n, want)
+		}
+	}
+}

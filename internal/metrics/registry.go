@@ -308,10 +308,13 @@ type counterCell struct {
 // Counter is a monotonically increasing atomic counter. Inc/Add write
 // the handle's own word; IncAt writes one of Stripes padded cells,
 // allocated the first time the handle is written striped (a per-lock
-// labelled counter that only ever sees Inc stays two words).
+// labelled counter that only ever sees Inc stays three words).
 type Counter struct {
 	n     atomic.Uint64
 	cells atomic.Pointer[[Stripes]counterCell]
+	// reg is the registry that minted the handle (nil for a standalone
+	// counter): a read pulls in what the registry's producers have staged.
+	reg *Registry
 }
 
 // Inc adds one.
@@ -341,11 +344,19 @@ func (c *Counter) IncAt(stripe uint) {
 	cells[stripe%Stripes].n.Add(1)
 }
 
-// Value returns the current count, summed over the cells (0 for nil).
+// Value returns the current count, summed over the cells (0 for nil),
+// after the registry's staging producers have folded in their share (see
+// Registry.OnRead): the caller must hold nothing a fold hook takes.
 func (c *Counter) Value() uint64 {
 	if c == nil {
 		return 0
 	}
+	c.reg.Pull()
+	return c.value()
+}
+
+// value sums the cells.
+func (c *Counter) value() uint64 {
 	v := c.n.Load()
 	if cells := c.cells.Load(); cells != nil {
 		for i := range cells {
@@ -404,6 +415,9 @@ type Histogram struct {
 	// a cell padded to a whole number of cache lines.
 	cells  atomic.Pointer[[]atomic.Uint64]
 	stride int
+	// reg is the minting registry (nil for a standalone histogram); see
+	// Counter.reg.
+	reg *Registry
 }
 
 // NewHistogram creates a standalone histogram with the given inclusive
@@ -437,11 +451,15 @@ func (h *Histogram) observe(cell []atomic.Uint64, v float64) {
 	if v == 0 {
 		return // a zero sample (a free admission slot, no token hops) adds nothing to the sum
 	}
-	sum := &cell[len(h.upper)+1]
+	addFloat(&cell[len(h.upper)+1], v)
+}
+
+// addFloat adds v to the float64 whose bits w holds.
+func addFloat(w *atomic.Uint64, v float64) {
 	for {
-		old := sum.Load()
+		old := w.Load()
 		next := math.Float64bits(math.Float64frombits(old) + v)
-		if sum.CompareAndSwap(old, next) {
+		if w.CompareAndSwap(old, next) {
 			return
 		}
 	}
@@ -472,6 +490,20 @@ func (h *Histogram) ObserveAt(stripe uint, v float64) {
 	}
 	at := int(stripe%Stripes) * h.stride
 	h.observe((*cells)[at:at+len(h.base)], v)
+}
+
+// AddLowest records n samples that all lie in the lowest bucket (each at
+// or below the first bound; the caller's word for it) and add up to sum:
+// how a producer that counted such samples in words of its own folds
+// them in, with one write for the lot. No-op on a nil histogram.
+func (h *Histogram) AddLowest(n uint64, sum float64) {
+	if h == nil || n == 0 {
+		return
+	}
+	h.base[0].Add(n)
+	if sum != 0 {
+		addFloat(&h.base[len(h.upper)+1], sum)
+	}
 }
 
 // ObserveDuration records a duration in seconds.
@@ -508,6 +540,7 @@ func (h *Histogram) Count() uint64 {
 	if h == nil {
 		return 0
 	}
+	h.reg.Pull()
 	counts, _ := h.snapshot()
 	var total uint64
 	for _, n := range counts {
@@ -521,6 +554,7 @@ func (h *Histogram) Sum() float64 {
 	if h == nil {
 		return 0
 	}
+	h.reg.Pull()
 	_, sum := h.snapshot()
 	return sum
 }
@@ -532,6 +566,7 @@ func (h *Histogram) Quantile(q float64) float64 {
 	if h == nil {
 		return 0
 	}
+	h.reg.Pull()
 	counts, _ := h.snapshot()
 	var total uint64
 	for _, n := range counts {
@@ -569,9 +604,24 @@ type Collector func(emit func(labels Labels, value float64))
 // usable; construct with NewRegistry. A nil *Registry is a valid
 // "disabled" registry: every lookup returns a nil handle whose methods
 // are no-ops.
+//
+// A producer on a hot path may count in words of its own and fold them
+// into its handles only when somebody looks: it registers the fold with
+// OnRead, and every read — WritePrometheus, and Value, Count, Sum and
+// Quantile on a handle the registry minted — runs it first, so a reader
+// never sees a handle behind the operations that finished before the
+// read began.
 type Registry struct {
 	mu       sync.Mutex
 	families map[string]*family
+
+	// read is held exclusively by a reader while the fold hooks run and,
+	// in WritePrometheus, until the last family is rendered; a writer whose
+	// samples in several families must be seen together holds it shared
+	// (BeginWrite). One exposition therefore never shows half of a fold or
+	// half of such a group. Lock order: read before anything a hook takes.
+	read   sync.RWMutex
+	onRead atomic.Pointer[[]func()]
 }
 
 type family struct {
@@ -595,6 +645,66 @@ func NewRegistry() *Registry {
 	return &Registry{families: make(map[string]*family)}
 }
 
+// OnRead registers a staging producer's fold hook: fn adds to the
+// registry's handles (Add, AddLowest) whatever the producer has counted
+// and not yet folded. It runs at the start of every read, one reader at
+// a time. No-op on a nil registry or nil fn.
+func (r *Registry) OnRead(fn func()) {
+	if r == nil || fn == nil {
+		return
+	}
+	for {
+		old := r.onRead.Load()
+		var hooks []func()
+		if old != nil {
+			hooks = append(hooks, *old...)
+		}
+		hooks = append(hooks, fn)
+		if r.onRead.CompareAndSwap(old, &hooks) {
+			return
+		}
+	}
+}
+
+// Pull runs the fold hooks as a read would, for a producer about to stop
+// staging into this registry. A registry nobody stages into pays one
+// atomic load. Nil-safe.
+func (r *Registry) Pull() {
+	if r == nil || r.onRead.Load() == nil {
+		return
+	}
+	r.read.Lock()
+	r.fold()
+	r.read.Unlock()
+}
+
+// fold runs the hooks. Callers hold r.read exclusively.
+func (r *Registry) fold() {
+	if hooks := r.onRead.Load(); hooks != nil {
+		for _, fn := range *hooks {
+			fn()
+		}
+	}
+}
+
+// BeginWrite opens a group of writes to handles of different families
+// that an exposition must show all of or none of (one grant's counter
+// and its histograms); EndWrite closes it. Writers do not wait for each
+// other, only for an exposition in progress, and must not hold anything a
+// fold hook takes. Nil-safe.
+func (r *Registry) BeginWrite() {
+	if r != nil {
+		r.read.RLock()
+	}
+}
+
+// EndWrite closes the group BeginWrite opened.
+func (r *Registry) EndWrite() {
+	if r != nil {
+		r.read.RUnlock()
+	}
+}
+
 func (r *Registry) family(name, help, typ string, buckets []float64) *family {
 	f, ok := r.families[name]
 	if !ok {
@@ -616,7 +726,7 @@ func (r *Registry) Counter(name, help string, labels Labels) *Counter {
 	f := r.family(name, help, "counter", nil)
 	s := f.seriesFor(labels)
 	if s.ctr == nil {
-		s.ctr = &Counter{}
+		s.ctr = &Counter{reg: r}
 	}
 	return s.ctr
 }
@@ -653,6 +763,7 @@ func (r *Registry) Histogram(name, help string, buckets []float64, labels Labels
 	s := f.seriesFor(labels)
 	if s.hist == nil {
 		s.hist = NewHistogram(f.buckets)
+		s.hist.reg = r
 	}
 	return s.hist
 }
@@ -724,12 +835,15 @@ func escapeHelp(v string) string {
 // WritePrometheus renders every family in Prometheus text exposition
 // format (version 0.0.4): families sorted by name, each with one HELP
 // and one TYPE line followed by its series sorted by label string, with
-// histogram buckets exposed cumulatively. Collectors run at call time.
-// Nil-safe (writes nothing).
+// histogram buckets exposed cumulatively. The staging producers fold
+// first and collectors run at call time, all of it as one read (see
+// Registry.read). Nil-safe (writes nothing).
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	if r == nil {
 		return nil
 	}
+	r.read.Lock()
+	r.fold()
 	r.mu.Lock()
 	names := make([]string, 0, len(r.families))
 	for n := range r.families {
@@ -767,7 +881,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			seen[s.labels] = true
 			switch {
 			case s.ctr != nil:
-				writeSample(&b, f.name, s.labels, "", float64(s.ctr.Value()))
+				writeSample(&b, f.name, s.labels, "", float64(s.ctr.value()))
 			case s.gauge != nil:
 				writeSample(&b, f.name, s.labels, "", s.gauge.Value())
 			case s.hist != nil:
@@ -796,6 +910,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			}
 		}
 	}
+	r.read.Unlock() // before the write: w may be a slow client
 	_, err := io.WriteString(w, b.String())
 	return err
 }

@@ -365,8 +365,8 @@ func TestStripedHandles(t *testing.T) {
 	if plain.cells.Load() != nil || plainHist.cells.Load() != nil {
 		t.Fatal("a handle never written striped allocated cells")
 	}
-	if size := unsafe.Sizeof(Counter{}); size > 16 {
-		t.Fatalf("Counter is %d bytes, want at most two words", size)
+	if size := unsafe.Sizeof(Counter{}); size > 24 {
+		t.Fatalf("Counter is %d bytes, want at most three words (count, cells, registry)", size)
 	}
 	if c.cells.Load() == nil || h.cells.Load() == nil {
 		t.Fatal("striped writes went to the base cell")
@@ -380,4 +380,105 @@ func TestStripedHandles(t *testing.T) {
 	nilC.IncAt(3)
 	nilH.ObserveAt(3, 1)
 	nilH.ObserveDurationAt(3, time.Second)
+}
+
+// TestOnReadFoldsBeforeEveryRead: a producer counts in words of its own
+// and folds them in an OnRead hook. Every way of reading the registry —
+// the exposition and Value, Count, Sum, Quantile on its handles — runs
+// the hook first, a registry without producers and a standalone handle
+// run none, and AddLowest puts n samples in the first bucket with one
+// addition to the sum.
+func TestOnReadFoldsBeforeEveryRead(t *testing.T) {
+	r := NewRegistry()
+	c := r.Counter("folded_total", "c", nil)
+	h := r.Histogram("folded_seconds", "h", []float64{1, 2, 5}, nil)
+	var mu sync.Mutex
+	var staged uint64 // samples of 0.25 each
+	folds := 0
+	r.OnRead(func() {
+		mu.Lock()
+		defer mu.Unlock()
+		folds++
+		c.Add(staged)
+		h.AddLowest(staged, 0.25*float64(staged))
+		staged = 0
+	})
+	stage := func(n uint64) {
+		mu.Lock()
+		staged += n
+		mu.Unlock()
+	}
+
+	stage(3)
+	if got := c.Value(); got != 3 {
+		t.Fatalf("Value() = %d with 3 staged", got)
+	}
+	stage(1)
+	if got := h.Count(); got != 4 {
+		t.Fatalf("Count() = %d with 4 offered", got)
+	}
+	stage(4)
+	if got := h.Sum(); got != 2 {
+		t.Fatalf("Sum() = %v with 8 x 0.25 offered", got)
+	}
+	h.Observe(3) // one sample the ordinary way, in the le=5 bucket
+	stage(1)
+	if q := h.Quantile(0.9); q != 1 {
+		t.Fatalf("P90 = %v, want the first bound: 9 of 10 samples were folded into it", q)
+	}
+	stage(2)
+	var sb strings.Builder
+	if err := r.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	validateExposition(t, sb.String())
+	for _, want := range []string{
+		"folded_total 11\n",
+		`folded_seconds_bucket{le="1"} 11` + "\n",
+		`folded_seconds_bucket{le="5"} 12` + "\n",
+		"folded_seconds_count 12\n",
+		"folded_seconds_sum 5.75\n",
+	} {
+		if !strings.Contains(sb.String(), want) {
+			t.Errorf("exposition missing %q:\n%s", want, sb.String())
+		}
+	}
+	if folds != 5 {
+		t.Errorf("the hook ran %d times for five reads", folds)
+	}
+	r.Pull()
+	if folds != 6 {
+		t.Errorf("Pull did not run the hook")
+	}
+
+	// A write group waits for nothing but an exposition, and nests with
+	// other groups.
+	r.BeginWrite()
+	r.BeginWrite()
+	c.Inc()
+	r.EndWrite()
+	r.EndWrite()
+	if got := c.Value(); got != 12 {
+		t.Fatalf("Value() = %d after a grouped Inc", got)
+	}
+
+	// Nothing to run, nothing to lock: nil registry, nil and standalone
+	// handles, a registry with no producer.
+	var nilR *Registry
+	nilR.OnRead(func() { t.Error("hook of a nil registry ran") })
+	nilR.Pull()
+	nilR.BeginWrite()
+	nilR.EndWrite()
+	var nilH *Histogram
+	nilH.AddLowest(3, 1)
+	lone := NewHistogram([]float64{1})
+	lone.AddLowest(2, 0.5)
+	if lone.Count() != 2 || lone.Sum() != 0.5 {
+		t.Fatalf("standalone histogram: count %d sum %v", lone.Count(), lone.Sum())
+	}
+	plain := NewRegistry()
+	plain.OnRead(nil)
+	if plain.Counter("x_total", "x", nil).Value() != 0 {
+		t.Fatal("empty registry")
+	}
 }

@@ -19,35 +19,26 @@ import (
 // by the request queue. The format is versioned by a leading magic byte so
 // incompatible peers fail fast instead of mis-parsing.
 //
-// Version history:
+// Version history (what each version added to the one before):
 //
 //	1 — original layout (no trace context).
-//	2 — appends a causal trace ID (uint32 origin node + uint64 origin
-//	    sequence) to the fixed header and to every encoded Request.
-//	3 — appends the per-lock recovery epoch (uint32) to the fixed header
-//	    and admits the recovery/liveness message kinds (probe, claim,
-//	    recovered, heartbeat).
-//	4 — appends a length-prefixed endpoint address (uint16 length + raw
-//	    bytes) after the epoch and admits the membership kinds (join,
-//	    join_ack, leave, leave_ack).
+//	2 — a causal trace ID (uint32 origin node + uint64 origin sequence)
+//	    in the fixed header and in every encoded Request.
+//	3 — the per-lock recovery epoch (uint32) in the fixed header, and the
+//	    recovery/liveness message kinds (probe, claim, recovered,
+//	    heartbeat).
+//	4 — a length-prefixed endpoint address (uint16 length + raw bytes)
+//	    after the epoch, and the membership kinds (join, join_ack, leave,
+//	    leave_ack).
 //
-// The encoder always emits the current version. The decoder additionally
-// accepts version-3, version-2 and version-1 frames, yielding an empty
-// address (and, for v2 and below, a zero epoch; for v1, zero trace IDs),
-// so a membership-aware node can interoperate with older peers during a
-// rolling upgrade; any other version is rejected with ErrBadVersion.
-// Older versions cannot carry the kinds introduced after them: a v1/v2
-// frame with a kind beyond freeze, or a v3 frame with a kind beyond
-// heartbeat, is malformed.
+// Version 4 is the only one any release ever emitted, and the only one
+// spoken: encoder and decoder know one layout, and a frame with any other
+// version byte is rejected with ErrBadVersion before a field is read. The
+// next layout change bumps the byte; whether the decoder then keeps the
+// old layout for a rolling upgrade is that change's decision.
 
 const (
 	wireVersion byte = 4
-
-	// Prior versions the decoder still accepts (missing fields decode as
-	// zero).
-	wireVersionV3 byte = 3
-	wireVersionV2 byte = 2
-	wireVersionV1 byte = 1
 
 	// MaxAddrLen bounds the endpoint address accepted from the wire; any
 	// real host:port is far below this.
@@ -117,12 +108,12 @@ const (
 	traceLen = 4 + 8 // origin node, origin sequence
 	epochLen = 4     // recovery epoch
 
-	headerLenV1 = 2 + 8 + 4 + 4 + 8 + 8 + 3 // version..frozen
-	headerLenV2 = headerLenV1 + traceLen    // version..frozen, trace
-	headerLen   = headerLenV2 + epochLen    // version..frozen, trace, epoch
+	traceOff  = 2 + 8 + 4 + 4 + 8 + 8 + 3 // version..frozen
+	epochOff  = traceOff + traceLen       // version..frozen, trace
+	headerLen = epochOff + epochLen       // version..frozen, trace, epoch
 
-	requestLenV1 = 4 + 1 + 1 + 8           // origin, mode, priority, ts
-	requestLen   = requestLenV1 + traceLen // origin..ts, trace
+	reqTraceOff = 4 + 1 + 1 + 8          // origin, mode, priority, ts
+	requestLen  = reqTraceOff + traceLen // origin..ts, trace
 )
 
 // Message pooling. The decoded Message used to be the last allocation
@@ -151,10 +142,8 @@ func PutMessage(m *Message) {
 }
 
 // DecodeMessage parses one message from buf (the full payload of a frame).
-// The current wire version and the three prior ones are accepted;
-// version-3 frames decode with an empty address, version-2 frames
-// additionally with a zero epoch, version-1 frames additionally with
-// zero trace IDs. The returned Message comes from the message pool;
+// Only the current wire version is accepted; anything else fails with
+// ErrBadVersion. The returned Message comes from the message pool;
 // callers that can bound its lifetime may return it with PutMessage for
 // an allocation-free steady state.
 func DecodeMessage(buf []byte) (*Message, error) {
@@ -166,32 +155,19 @@ func DecodeMessage(buf []byte) (*Message, error) {
 	return m, nil
 }
 
-// decodeMessage parses one payload into m, which must be zeroed (fields
-// absent from older wire versions are left untouched).
+// decodeMessage parses one payload into m, which must be zeroed.
 func decodeMessage(m *Message, buf []byte) error {
 	if len(buf) < 1 {
 		return fmt.Errorf("%w: empty payload", ErrBadFrame)
 	}
-	hdrLen, reqLen := headerLen, requestLen
-	maxKind := KindLeaveAck
-	hasAddr := true
-	switch buf[0] {
-	case wireVersion:
-	case wireVersionV3:
-		maxKind, hasAddr = KindHeartbeat, false
-	case wireVersionV2:
-		hdrLen, maxKind, hasAddr = headerLenV2, KindFreeze, false
-	case wireVersionV1:
-		hdrLen, reqLen, maxKind, hasAddr = headerLenV1, requestLenV1, KindFreeze, false
-	default:
-		return fmt.Errorf("%w: got %d, want %d (or %d, %d, %d)",
-			ErrBadVersion, buf[0], wireVersion, wireVersionV3, wireVersionV2, wireVersionV1)
+	if buf[0] != wireVersion {
+		return fmt.Errorf("%w: got %d, want %d", ErrBadVersion, buf[0], wireVersion)
 	}
-	if len(buf) < hdrLen+reqLen+4 {
+	if len(buf) < headerLen+2+requestLen+4 {
 		return fmt.Errorf("%w: short payload (%d bytes)", ErrBadFrame, len(buf))
 	}
 	m.Kind = Kind(buf[1])
-	if m.Kind == KindInvalid || m.Kind > maxKind {
+	if m.Kind == KindInvalid || m.Kind > KindLeaveAck {
 		return fmt.Errorf("%w: unknown kind %d", ErrBadFrame, buf[1])
 	}
 	m.Lock = LockID(binary.BigEndian.Uint64(buf[2:]))
@@ -205,32 +181,21 @@ func decodeMessage(m *Message, buf []byte) error {
 	if !m.Mode.Valid() || !m.Owned.Valid() {
 		return fmt.Errorf("%w: invalid mode byte", ErrBadFrame)
 	}
-	if hdrLen >= headerLenV2 {
-		m.Trace = decodeTrace(buf[headerLenV1:])
+	m.Trace = decodeTrace(buf[traceOff:])
+	m.Epoch = binary.BigEndian.Uint32(buf[epochOff:])
+	alen := int(binary.BigEndian.Uint16(buf[headerLen:]))
+	rest := buf[headerLen+2:]
+	if alen > MaxAddrLen {
+		return fmt.Errorf("%w: address of %d bytes", ErrTooLarge, alen)
 	}
-	if hdrLen == headerLen {
-		m.Epoch = binary.BigEndian.Uint32(buf[headerLenV2:])
+	if len(rest) < alen {
+		return fmt.Errorf("%w: truncated address", ErrBadFrame)
+	}
+	if alen > 0 {
+		m.Addr = string(rest[:alen])
 	}
 	var err error
-	rest := buf[hdrLen:]
-	if hasAddr {
-		if len(rest) < 2 {
-			return fmt.Errorf("%w: missing address length", ErrBadFrame)
-		}
-		alen := int(binary.BigEndian.Uint16(rest))
-		rest = rest[2:]
-		if alen > MaxAddrLen {
-			return fmt.Errorf("%w: address of %d bytes", ErrTooLarge, alen)
-		}
-		if len(rest) < alen {
-			return fmt.Errorf("%w: truncated address", ErrBadFrame)
-		}
-		if alen > 0 {
-			m.Addr = string(rest[:alen])
-		}
-		rest = rest[alen:]
-	}
-	m.Req, rest, err = decodeRequest(rest, reqLen)
+	m.Req, rest, err = decodeRequest(rest[alen:])
 	if err != nil {
 		return err
 	}
@@ -246,7 +211,7 @@ func decodeMessage(m *Message, buf []byte) error {
 		m.Queue = make([]Request, 0, n)
 		for i := uint32(0); i < n; i++ {
 			var r Request
-			r, rest, err = decodeRequest(rest, reqLen)
+			r, rest, err = decodeRequest(rest)
 			if err != nil {
 				return err
 			}
@@ -284,8 +249,8 @@ func decodeTrace(buf []byte) TraceID {
 	}
 }
 
-func decodeRequest(buf []byte, reqLen int) (Request, []byte, error) {
-	if len(buf) < reqLen {
+func decodeRequest(buf []byte) (Request, []byte, error) {
+	if len(buf) < requestLen {
 		return Request{}, nil, fmt.Errorf("%w: short request", ErrBadFrame)
 	}
 	r := Request{
@@ -293,14 +258,12 @@ func decodeRequest(buf []byte, reqLen int) (Request, []byte, error) {
 		Mode:     modes.Mode(buf[4]),
 		Priority: buf[5],
 		TS:       Timestamp(binary.BigEndian.Uint64(buf[6:])),
+		Trace:    decodeTrace(buf[reqTraceOff:]),
 	}
 	if !r.Mode.Valid() {
 		return Request{}, nil, fmt.Errorf("%w: invalid request mode", ErrBadFrame)
 	}
-	if reqLen == requestLen {
-		r.Trace = decodeTrace(buf[requestLenV1:])
-	}
-	return r, buf[reqLen:], nil
+	return r, buf[requestLen:], nil
 }
 
 // Buffer pooling. Every frame encode and every frame read needs a

@@ -7,17 +7,20 @@ import (
 )
 
 // FuzzDecodeMessage feeds arbitrary bytes to the wire decoder: it must
-// never panic, and everything it accepts must survive a decode/encode
-// cycle. Current-version frames must re-encode to the identical byte
-// string (the codec is canonical); accepted previous-version frames
-// re-encode as the current version, so for those only semantic identity
-// (decode(encode(m)) == m, traces zero) is required.
+// never panic, it accepts the current version only, and everything it
+// accepts must re-encode to the identical byte string (the codec is
+// canonical) and decode again to the same message.
 func FuzzDecodeMessage(f *testing.F) {
 	for _, m := range sampleMessages() {
-		f.Add(AppendMessage(nil, m))
-		f.Add(appendMessageV3(nil, m))
-		f.Add(appendMessageV2(nil, m))
-		f.Add(appendMessageV1(nil, m))
+		frame := AppendMessage(nil, m)
+		f.Add(frame)
+		// The same body under each retired version byte: refused whatever
+		// follows.
+		for _, v := range []byte{1, 2, 3} {
+			old := bytes.Clone(frame)
+			old[0] = v
+			f.Add(old)
+		}
 	}
 	f.Add([]byte{})
 	f.Add([]byte{1})
@@ -30,7 +33,7 @@ func FuzzDecodeMessage(f *testing.F) {
 	// clobbered — all byte values are legal trace IDs and epochs, so these
 	// must decode, just to surprising values.
 	base := AppendMessage(nil, sampleMessages()[0])
-	for _, off := range []int{headerLenV1, headerLenV1 + 4, headerLenV2, headerLenV2 + 3, headerLen + requestLenV1} {
+	for _, off := range []int{traceOff, traceOff + 4, epochOff, epochOff + 3, headerLen + reqTraceOff} {
 		for _, b := range []byte{0x00, 0x7f, 0x80, 0xff} {
 			c := bytes.Clone(base)
 			c[off] = b
@@ -47,11 +50,13 @@ func FuzzDecodeMessage(f *testing.F) {
 		if err != nil {
 			return
 		}
+		if data[0] != wireVersion {
+			t.Fatalf("accepted a version-%d frame: %x", data[0], data)
+		}
 		re := AppendMessage(nil, m)
-		if data[0] == wireVersion && !bytes.Equal(re, data) {
+		if !bytes.Equal(re, data) {
 			t.Fatalf("decode/encode not canonical:\n in: %x\nout: %x", data, re)
 		}
-		// The re-decode must agree regardless of input version.
 		m2, err := DecodeMessage(re)
 		if err != nil || !reflect.DeepEqual(m, m2) {
 			t.Fatalf("re-decode mismatch: %v / %+v vs %+v", err, m, m2)

@@ -2,6 +2,9 @@ package proto
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/hex"
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -153,6 +156,96 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	for name, buf := range cases {
 		if _, err := DecodeMessage(buf); err == nil {
 			t.Errorf("%s: decode accepted malformed input", name)
+		}
+	}
+}
+
+// TestDecodeRejectsMixedVersions checks that the version byte, not the
+// frame length, selects the layout: a current-version body under any
+// other version byte fails fast with ErrBadVersion, and an older,
+// shorter body (the v3 layout had no address field) under the current
+// version byte is parsed as the current version and fails as malformed.
+func TestDecodeRejectsMixedVersions(t *testing.T) {
+	valid := AppendMessage(nil, goldenMessage())
+	for _, v := range []byte{0, 1, 2, 3, 5, 6, 99, 0xff} {
+		frame := append([]byte{v}, valid[1:]...)
+		if _, err := DecodeMessage(frame); !errors.Is(err, ErrBadVersion) {
+			t.Errorf("version %d: err = %v, want ErrBadVersion", v, err)
+		}
+	}
+	for name, frame := range map[string]string{"v3": goldenFrameV3, "v2": goldenFrameV2, "v1": goldenFrameV1} {
+		short, err := hex.DecodeString(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		short[0] = wireVersion
+		if _, err := DecodeMessage(short); !errors.Is(err, ErrBadFrame) && !errors.Is(err, ErrTooLarge) {
+			t.Errorf("v4 header on a %s-length body: err = %v, want a malformed-frame error", name, err)
+		}
+	}
+}
+
+// TestRecoveryKindsVersionGated checks that the recovery/liveness kinds
+// round-trip. With one wire version left, the only gate on a kind is the
+// known range: the first kind past it is rejected.
+func TestRecoveryKindsVersionGated(t *testing.T) {
+	for _, k := range []Kind{KindProbe, KindClaim, KindRecovered, KindHeartbeat} {
+		m := &Message{Kind: k, Lock: 4, From: 1, To: 2, TS: 9, Epoch: 3,
+			Req: Request{Origin: 1}}
+		got, err := DecodeMessage(AppendMessage(nil, m))
+		if err != nil {
+			t.Fatalf("kind %v: decode: %v", k, err)
+		}
+		if !reflect.DeepEqual(got, m) {
+			t.Errorf("kind %v: round trip mismatch: %+v vs %+v", k, got, m)
+		}
+	}
+	m := &Message{Kind: KindLeaveAck + 1, Lock: 4, From: 1, To: 2}
+	if _, err := DecodeMessage(AppendMessage(nil, m)); !errors.Is(err, ErrBadFrame) {
+		t.Errorf("kind %d: err = %v, want ErrBadFrame", KindLeaveAck+1, err)
+	}
+}
+
+// TestMembershipKindsVersionGated checks that the membership kinds
+// round-trip, address intact, and that an oversized address is rejected
+// by its length field, not allocated.
+func TestMembershipKindsVersionGated(t *testing.T) {
+	for _, k := range []Kind{KindJoin, KindJoinAck, KindLeave, KindLeaveAck} {
+		m := &Message{Kind: k, Lock: 4, From: 7, To: 2, TS: 9, Epoch: 3,
+			Addr: "10.1.2.3:8500", Req: Request{Origin: 7},
+			Vec: []uint64{11, 42}}
+		got, err := DecodeMessage(AppendMessage(nil, m))
+		if err != nil {
+			t.Fatalf("kind %v: decode: %v", k, err)
+		}
+		if !reflect.DeepEqual(got, m) {
+			t.Errorf("kind %v: round trip mismatch: %+v vs %+v", k, got, m)
+		}
+	}
+	raw := AppendMessage(nil, &Message{Kind: KindJoin, From: 1, To: 2})
+	binary.BigEndian.PutUint16(raw[headerLen:], MaxAddrLen+1)
+	if _, err := DecodeMessage(raw); !errors.Is(err, ErrTooLarge) {
+		t.Errorf("oversized address: err = %v, want ErrTooLarge", err)
+	}
+}
+
+func TestTraceIDStringParse(t *testing.T) {
+	cases := []TraceID{{}, {Node: 0, Seq: 1}, {Node: 3, Seq: 17}, {Node: -1, Seq: ^uint64(0)}}
+	for _, id := range cases {
+		got, err := ParseTraceID(id.String())
+		if err != nil || got != id {
+			t.Errorf("ParseTraceID(%q) = %v, %v; want %v", id.String(), got, err, id)
+		}
+	}
+	if (TraceID{}).String() != "-" {
+		t.Error("zero TraceID must render as -")
+	}
+	if (TraceID{Node: 3, Seq: 17}).String() != "n3.17" {
+		t.Errorf("String = %q", TraceID{Node: 3, Seq: 17}.String())
+	}
+	for _, bad := range []string{"x3.17", "n3", "n.17", "nA.17", "n3.B"} {
+		if _, err := ParseTraceID(bad); err == nil {
+			t.Errorf("ParseTraceID(%q) accepted", bad)
 		}
 	}
 }

@@ -686,7 +686,7 @@ type peerWriter struct {
 	// connection discovered by the ack reader; stop retires the writer
 	// when its peer leaves the cluster (see TCPTransport.RemovePeer).
 	notify chan struct{}
-	kick   chan net.Conn
+	kick   chan deadConn
 	stop   chan struct{}
 
 	// The fields below are owned by the run goroutine exclusively.
@@ -710,13 +710,20 @@ type peerWriter struct {
 	failures    int
 }
 
+// deadConn is the ack reader's report of a connection that died, and
+// whether the peer acknowledged anything on it first.
+type deadConn struct {
+	conn  net.Conn
+	acked bool
+}
+
 func newPeerWriter(t *TCPTransport, peer proto.NodeID, addr string) *peerWriter {
 	w := &peerWriter{
 		t:      t,
 		peer:   peer,
 		addr:   addr,
 		notify: make(chan struct{}, 1),
-		kick:   make(chan net.Conn, 1),
+		kick:   make(chan deadConn, 1),
 		stop:   make(chan struct{}),
 	}
 	t.wg.Add(1)
@@ -777,6 +784,16 @@ func (w *peerWriter) run() {
 			armed = false
 		}
 	}
+	// wait arms the retry timer for the current backoff and doubles it.
+	wait := func() {
+		disarm()
+		retry.Reset(jitter(backoff))
+		armed = true
+		backoff *= 2
+		if max := w.t.cfg.RedialBackoffMax; backoff > max {
+			backoff = max
+		}
+	}
 	for {
 		select {
 		case <-done:
@@ -784,26 +801,36 @@ func (w *peerWriter) run() {
 		case <-w.stop:
 			return
 		case <-w.notify:
-		case c := <-w.kick:
+		case k := <-w.kick:
 			// The ack reader saw this connection die; ignore stale kicks
 			// for connections already replaced.
-			if c == w.conn {
+			if k.conn == w.conn {
 				w.dropConn()
+				switch {
+				case k.acked:
+					// It worked until it died: redial at once.
+					backoff = w.t.cfg.RedialBackoff
+				case w.hasWork():
+					// The peer took the connection and closed it without
+					// acknowledging a frame (its inbox is full): dialing
+					// again now would retransmit into the same refusal, in
+					// a loop for as long as its handler is stuck. Wait as
+					// after a failed dial.
+					wait()
+					continue
+				}
 			}
 		case <-retry.C:
 			armed = false
 		}
 		if w.flush() {
-			disarm()
-			retry.Reset(jitter(backoff))
-			armed = true
-			backoff *= 2
-			if max := w.t.cfg.RedialBackoffMax; backoff > max {
-				backoff = max
-			}
+			wait()
 		} else {
 			disarm()
-			if w.conn != nil {
+			// A plain link has no acknowledgment to wait for: connected is
+			// recovered. A reliable one is recovered once the peer has
+			// acknowledged something (see the kick above).
+			if w.conn != nil && !w.t.cfg.Reliable {
 				backoff = w.t.cfg.RedialBackoff
 			}
 		}
@@ -975,12 +1002,13 @@ func (w *peerWriter) retransmitUnacked() bool {
 func (w *peerWriter) ackLoop(conn net.Conn) {
 	defer w.t.wg.Done()
 	br := bufio.NewReader(conn)
+	acked := false
 	for {
 		typ, seq, _, err := proto.ReadLinkFrame(br)
 		if err != nil {
 			_ = conn.Close()
 			select {
-			case w.kick <- conn:
+			case w.kick <- deadConn{conn, acked}:
 			default:
 			}
 			return
@@ -989,6 +1017,7 @@ func (w *peerWriter) ackLoop(conn net.Conn) {
 		if typ != proto.LinkAck {
 			continue
 		}
+		acked = true
 		w.mu.Lock()
 		i := 0
 		for i < len(w.unacked) && w.unacked[i].seq <= seq {

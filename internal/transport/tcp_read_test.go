@@ -257,9 +257,14 @@ func TestTCPSerialDeliveryManySenders(t *testing.T) {
 // Handler, another link's frames queue behind it up to QueueLimit; the
 // frame that does not fit is dropped unacknowledged — InboxStats counts
 // it — and reaches the Handler by retransmission once there is room.
+// While there is none the sender backs off: a connection that is closed
+// on it before it acknowledged anything counts as a failed dial, so 200 ms
+// of a stuck Handler cost a handful of redials, not one per round trip.
 func TestTCPInboxOverflowBounded(t *testing.T) {
 	const limit = 4
 	gate := make(chan struct{})
+	openGate := sync.OnceFunc(func() { close(gate) })
+	defer openGate() // a failure below must not leave Close waiting for the Handler
 	entered := make(chan struct{}, 1)
 	var mu sync.Mutex
 	var fromB []proto.Timestamp
@@ -302,12 +307,20 @@ func TestTCPInboxOverflowBounded(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
+	time.Sleep(200 * time.Millisecond)
 	select {
 	case <-all:
 		t.Fatal("frames delivered past a held Handler")
 	default:
 	}
-	close(gate)
+	// The first connection and the one that got the duplicates re-acked
+	// redial at once; from then on every connection dies unacknowledged
+	// and the waits are at least 3/4 of 5, 10, 20, 40, 80, 160 ms: six fit
+	// in 200 ms with room to spare.
+	if ls := tb.LinkStats(); ls.Redials > 10 {
+		t.Fatalf("%d redials in 200 ms against a full inbox: the sender is not backing off", ls.Redials)
+	}
+	openGate()
 	select {
 	case <-all:
 	case <-time.After(10 * time.Second):

@@ -52,22 +52,28 @@ const lockShardCount = 64
 // lockShard is one stripe of the member's per-lock table. Each lock's
 // engine, waiter, hold and admission slot live together under the
 // stripe's mutex, and so do the stripe's share of what a client
-// operation accounts: the acquire-latency summary, the shared-join count
-// and the trace entries waiting for the ring. An uncontended operation
-// on a resident token therefore takes no other mutex, with or without
-// telemetry attached; what it still shares member-wide is the Lamport
-// clock (atomic) and, per metric, one of metrics.Stripes cells picked by
-// lock ID. Messages are another matter: each one sent still counts
-// under statMu.
+// operation accounts: the acquire-latency summary, the shared-join
+// count, the metric samples waiting for the registry and the trace
+// entries waiting for the ring. An uncontended operation on a resident
+// token therefore takes no other mutex and writes no word another stripe
+// writes, with or without telemetry attached, save the Lamport clock
+// (atomic). Messages are another matter: each one sent still counts
+// under statMu, and a grant that waited, travelled or took long writes
+// one of metrics.Stripes cells per metric, picked by lock ID.
 type lockShard struct {
 	mu    sync.Mutex
 	locks map[proto.LockID]*lockState
 
 	// acq summarizes issue-to-grant latency of this stripe's grants and
 	// sharedJoins counts its joins of an existing hold; Stats and
-	// HealthSample merge the stripes.
+	// HealthSample merge the stripes (these are the stripe's own words, so
+	// those two readers have nothing to fold).
 	acq         metrics.Latency
 	sharedJoins uint64
+
+	// cnt is what the stripe has counted for the registry and not yet
+	// folded into its handles: see staged.
+	cnt staged
 
 	// staged holds client-operation trace entries (acquire, granted,
 	// release) the taps have seen and the ring has not: see note. They
@@ -78,6 +84,70 @@ type lockShard struct {
 	// The next stripe's mutex must not share a cache line with the words
 	// every operation on this one writes.
 	_ [64]byte
+}
+
+// staged is a stripe's share of the member's metrics in plain words under
+// the stripe's mutex: the counters every client operation bumps, and per
+// class of sample a count and a nanosecond sum. A class is a set of
+// samples that land in one known place of every histogram they feed, so
+// n of them fold as one addition per family. The registry's readers pull
+// the words into the handles (foldStaged, the member's OnRead hook), and
+// SetTelemetry does before it swaps the bundle, so an exposition shows
+// what it showed when each sample wrote the handles itself.
+type staged struct {
+	requests uint64 // hierlock_requests_total
+	fences   uint64 // hierlock_fence_tokens_issued_total
+	// zeroWaits counts admissions that found the slot free:
+	// hierlock_queue_wait_seconds samples of 0.
+	zeroWaits uint64
+	// grants and grantNS are the grants the member's own dispatch produced
+	// (no hops, outcome local) in less than the bundle's fastMax: one
+	// hierlock_acquires_total each, a lowest-bucket sample of the request
+	// latency, the latency factor and op_latency{lock,local}, and a 0 in
+	// hierlock_token_hops.
+	grants  uint64
+	grantNS time.Duration
+	// joins and joinNS are the shared joins in less than fastMax: as a
+	// grant, with hierlock_shared_joins_total and without the two
+	// request-latency families.
+	joins  uint64
+	joinNS time.Duration
+}
+
+// fold adds the stripe's staged words to tel's handles and clears them.
+// Callers hold sh.mu and, when tel has a registry, are its reader (an
+// OnRead hook or Pull), so no exposition shows half of it.
+func (sh *lockShard) fold(tel *telemetry) {
+	c := sh.cnt
+	if c == (staged{}) {
+		return
+	}
+	sh.cnt = staged{}
+	local := tel.opLatency[metrics.OpLock][metrics.OutcomeLocal]
+	tel.requests.Add(c.requests)
+	tel.fences.Add(c.fences)
+	tel.queueWait.AddLowest(c.zeroWaits, 0)
+	tel.acquires.Add(c.grants + c.joins)
+	tel.sharedJoins.Add(c.joins)
+	tel.latency.AddLowest(c.grants, c.grantNS.Seconds())
+	tel.factor.AddLowest(c.grants, c.grantNS.Seconds()/tel.base.Seconds())
+	local.AddLowest(c.grants+c.joins, (c.grantNS + c.joinNS).Seconds())
+	tel.tokenHops.AddLowest(c.grants+c.joins, 0)
+}
+
+// foldStaged folds every stripe's staged words into tel, if tel is still
+// the bundle in force: the member's hook on its registry's reads. A
+// bundle that was swapped out got its share when SetTelemetry pulled.
+func (m *Member) foldStaged(tel *telemetry) {
+	if m.tel.Load() != tel {
+		return
+	}
+	for i := range m.shards {
+		sh := &m.shards[i]
+		sh.mu.Lock()
+		sh.fold(tel)
+		sh.mu.Unlock()
+	}
 }
 
 // stageEntries is how many trace entries a stripe holds back before it
@@ -377,6 +447,11 @@ type telemetry struct {
 	rec  *trace.Recorder
 	log  *slog.Logger
 	base time.Duration
+	// fastMax bounds the latencies a stripe counts as a class instead of
+	// observing one by one (see staged): anything below it lies in the
+	// lowest bucket of DefLatencyBuckets and, as a multiple of base, of
+	// LatencyFactorBuckets.
+	fastMax time.Duration
 
 	sent        [6]*metrics.Counter // indexed by proto.Kind
 	sentUnknown *metrics.Counter
@@ -420,6 +495,69 @@ type telemetry struct {
 	bb *introspect.Recorder
 }
 
+// newTelemetry builds the bundle for t with no handle resolved yet.
+func newTelemetry(t Telemetry) *telemetry {
+	tel := &telemetry{rec: t.Trace, log: t.Logger, bb: t.Blackbox,
+		base: t.NetLatencyBase, reg: t.Registry}
+	if tel.base <= 0 {
+		tel.base = 150 * time.Millisecond
+	}
+	tel.fastMax = min(time.Duration(metrics.DefLatencyBuckets[0]*float64(time.Second)),
+		time.Duration(metrics.LatencyFactorBuckets[0]*float64(tel.base)))
+	return tel
+}
+
+// grant is one granted client operation as the metrics see it.
+type grant struct {
+	op, outcome int           // metrics.Op*, metrics.Outcome*
+	join        bool          // joined an existing local hold: no request of its own
+	d           time.Duration // issue to grant
+	hops        int           // token transfers delivered while it waited
+}
+
+// observe accounts one granted Lock on sh and releases sh.mu, which the
+// caller holds. A sample of a class the stripe counts (see staged) is a
+// plain addition under the mutex; any other — a wait, a hop, a slow
+// grant — is recorded once the mutex is released.
+func (tel *telemetry) observe(sh *lockShard, stripe uint, g grant) {
+	if g.outcome == metrics.OutcomeLocal && g.hops == 0 && g.d < tel.fastMax {
+		if g.join {
+			sh.cnt.joins++
+			sh.cnt.joinNS += g.d
+		} else {
+			sh.cnt.grants++
+			sh.cnt.grantNS += g.d
+		}
+		sh.mu.Unlock()
+		return
+	}
+	sh.mu.Unlock()
+	tel.record(stripe, g)
+}
+
+// record writes one granted operation to the striped handles, as one
+// group (BeginWrite): an exposition shows a grant in
+// hierlock_acquires_total and in its histograms or in neither. Callers
+// hold no stripe's mutex.
+func (tel *telemetry) record(stripe uint, g grant) {
+	if tel.reg == nil {
+		return
+	}
+	tel.reg.BeginWrite()
+	switch {
+	case g.join:
+		tel.sharedJoins.Inc()
+		tel.acquires.IncAt(stripe)
+	case g.op == metrics.OpLock:
+		tel.acquires.IncAt(stripe)
+		tel.latency.ObserveDurationAt(stripe, g.d)
+		tel.factor.ObserveAt(stripe, g.d.Seconds()/tel.base.Seconds())
+	}
+	tel.opLatency[g.op][g.outcome].ObserveDurationAt(stripe, g.d)
+	tel.tokenHops.ObserveAt(stripe, float64(g.hops))
+	tel.reg.EndWrite()
+}
+
 // clockEpoch is the instant every member of the process counts trace
 // timestamps and latency stamps from. One epoch, not one per telemetry
 // bundle, so members sharing a recorder write one time line; and a
@@ -440,8 +578,8 @@ func (m *Member) newTrace() proto.TraceID {
 }
 
 // msgTrace extracts a message's causal trace ID: requests carry it in
-// the embedded Request (authoritative even on v1 peers that zero the
-// header copy), everything else in the header.
+// the embedded Request (authoritative even when a forwarding hop lost
+// the header copy), everything else in the header.
 func msgTrace(msg *proto.Message) proto.TraceID {
 	if msg.Kind == proto.KindRequest && !msg.Req.Trace.IsZero() {
 		return msg.Req.Trace
@@ -472,22 +610,34 @@ func (t *telemetry) countSent(k proto.Kind) {
 // link and wire-volume metrics for TCP members). Call once, before
 // client operations; inbound delivery may already be running.
 func (m *Member) SetTelemetry(t Telemetry) {
+	tel := m.wire(t)
+	// What the stripes counted so far belongs to the bundle in force so
+	// far (to nobody, before the first SetTelemetry): fold it there, as a
+	// read of its registry would, before the new one takes over. Not under
+	// statMu: a dispatch counts its messages there with a stripe's mutex
+	// held.
+	old := m.tel.Load()
+	old.reg.Pull()
+	m.foldStaged(old)
+	m.tel.Store(tel) // published whole: delivery may already be running
+}
+
+// wire builds the bundle for t: handles resolved, hooks and collectors
+// registered.
+func (m *Member) wire(t Telemetry) *telemetry {
 	m.statMu.Lock()
 	defer m.statMu.Unlock()
-	tel := &telemetry{rec: t.Trace, log: t.Logger, bb: t.Blackbox,
-		base: t.NetLatencyBase, reg: t.Registry}
-	if tel.base <= 0 {
-		tel.base = 150 * time.Millisecond
-	}
-	// The member stages client-operation entries per stripe; the ring's
-	// readers pull them in. The flight recorder stamps what it derives
-	// from those entries off their own At.
+	tel := newTelemetry(t)
+	// The member stages client-operation entries and metric samples per
+	// stripe; the ring's and the registry's readers pull them in. The
+	// flight recorder stamps what it derives from those entries off their
+	// own At.
 	tel.rec.OnRead(m.admitStaged)
+	tel.reg.OnRead(func() { m.foldStaged(tel) })
 	tel.bb.SetEpoch(clockEpoch)
-	defer m.tel.Store(tel) // published whole: delivery may already be running
 	reg := t.Registry
 	if reg == nil {
-		return
+		return tel
 	}
 	for _, k := range metrics.Kinds {
 		tel.sent[k] = reg.Counter(metrics.MetricMessagesTotal,
@@ -575,6 +725,7 @@ func (m *Member) SetTelemetry(t Telemetry) {
 	if tt, ok := m.tr.(*transport.TCPTransport); ok {
 		registerTransportCollectors(reg, tt)
 	}
+	return tel
 }
 
 // fsyncStallThreshold is the journal fsync latency above which the
@@ -922,7 +1073,7 @@ func newMember(id, root proto.NodeID, tr transport.Transport, rec *memberRecover
 		jn:        jn,
 		recEpochs: make(map[proto.LockID]uint32),
 	}
-	m.tel.Store(&telemetry{})
+	m.tel.Store(newTelemetry(Telemetry{}))
 	if jn != nil {
 		m.replayed = jn.State()
 	}
@@ -1715,14 +1866,14 @@ func (m *Member) LockWithPriority(ctx context.Context, resource string, mode Mod
 		return nil, ErrLeaving
 	}
 	lockID := lockIDFor(resource)
-	stripe := uint(lockID) // the metric cell this operation writes
-	tel.requests.IncAt(stripe)
+	stripe := uint(lockID) // the metric cell for a sample the shard does not count itself
 	tr := m.newTrace()
 	// The first of the operation's clock reads; the grant's stamp is the
 	// second (Unlock takes the pair's third).
 	start := sinceEpoch()
 
 	sh, ls := m.state(lockID, resource)
+	sh.cnt.requests++
 	rec := tel.rec
 	if rec != nil {
 		sh.note(rec, trace.Entry{At: start, Op: trace.OpAcquire,
@@ -1739,22 +1890,19 @@ func (m *Member) LockWithPriority(ctx context.Context, resource string, mode Mod
 			h.mode == mode && modes.Compatible(mode, mode) {
 			h.refs++
 			granted := sinceEpoch()
-			fence := m.mintFence(ls)
+			fence := m.mintFence(sh, ls)
 			sh.sharedJoins++
 			if rec != nil {
 				sh.note(rec, trace.Entry{At: granted, Op: trace.OpGranted,
 					Node: m.id, Lock: lockID, Mode: mode, Trace: tr})
 			}
-			sh.mu.Unlock()
-			tel.sharedJoins.Inc()
-			tel.acquires.IncAt(stripe)
-			tel.opLatency[metrics.OpLock][metrics.OutcomeLocal].ObserveDurationAt(stripe, granted-start)
-			tel.tokenHops.ObserveAt(stripe, 0)
+			tel.observe(sh, stripe, grant{op: metrics.OpLock,
+				outcome: metrics.OutcomeLocal, join: true, d: granted - start})
 			if lg := tel.log; lg != nil && lg.Enabled(ctx, slog.LevelDebug) {
 				lg.Debug("lock granted", "trace", tr.String(), "resource", resource,
 					"mode", mode.String(), "shared_join", true)
 			}
-			return &Lock{m: m, id: lockID, resource: resource, mode: mode, fence: fence}, nil
+			return &Lock{m: m, sh: sh, ls: ls, resource: resource, mode: mode, fence: fence}, nil
 		}
 
 		// Admission: one client operation per lock per member at a time. A
@@ -1796,7 +1944,7 @@ func (m *Member) LockWithPriority(ctx context.Context, resource string, mode Mod
 	// waited zero, recorded without a clock read; the nil guard is outside
 	// the call so a telemetry-free member skips the read for a taken one.
 	if !waited {
-		tel.queueWait.ObserveAt(stripe, 0)
+		sh.cnt.zeroWaits++
 	} else if tel.queueWait != nil {
 		tel.queueWait.ObserveDurationAt(stripe, sinceEpoch()-start)
 	}
@@ -1820,8 +1968,6 @@ func (m *Member) LockWithPriority(ctx context.Context, resource string, mode Mod
 	var d time.Duration
 	if localGrant {
 		d = w.granted - start
-		sh.acq.Observe(d)
-		sh.mu.Unlock()
 	} else {
 		if err := m.await(ctx, sh, w); err != nil {
 			if err == ErrLockLost {
@@ -1833,16 +1979,12 @@ func (m *Member) LockWithPriority(ctx context.Context, resource string, mode Mod
 		// was produced.
 		d = sinceEpoch() - start
 		sh.mu.Lock()
-		sh.acq.Observe(d)
-		sh.mu.Unlock()
 	}
 	// The waiter is ours until Unlock frees the admission slot.
-	tel.acquires.IncAt(stripe)
-	tel.latency.ObserveDurationAt(stripe, d)
-	tel.factor.ObserveAt(stripe, d.Seconds()/tel.base.Seconds())
-	tel.opLatency[metrics.OpLock][w.outcome(localGrant)].ObserveDurationAt(stripe, d)
-	tel.tokenHops.ObserveAt(stripe, float64(w.hops))
-	return &Lock{m: m, id: lockID, resource: resource, mode: mode, fence: w.fence}, nil
+	sh.acq.Observe(d)
+	tel.observe(sh, stripe, grant{op: metrics.OpLock,
+		outcome: w.outcome(localGrant), d: d, hops: w.hops})
+	return &Lock{m: m, sh: sh, ls: ls, resource: resource, mode: mode, fence: w.fence}, nil
 }
 
 // tryAdmit claims a free admission slot without blocking.
@@ -1880,8 +2022,13 @@ func (m *Member) lostWait(op int, lock proto.LockID, mode modes.Mode, tr proto.T
 
 // Lock is a held lock handle.
 type Lock struct {
-	m        *Member
-	id       proto.LockID
+	m *Member
+	// sh and ls are the lock's stripe and entry: an entry with a hold or
+	// its admission slot taken is never evicted, so they stay the live
+	// ones from grant to release and no operation on the handle looks the
+	// entry up again.
+	sh       *lockShard
+	ls       *lockState
 	resource string
 
 	mu       sync.Mutex
@@ -1933,8 +2080,8 @@ func (l *Lock) Refence() (FenceToken, error) {
 	}
 	l.mu.Unlock()
 
-	m := l.m
-	sh, ls := m.state(l.id, l.resource)
+	m, sh, ls := l.m, l.sh, l.ls
+	sh.mu.Lock()
 	h := ls.hold
 	if h == nil || h.lost {
 		sh.mu.Unlock()
@@ -1944,7 +2091,7 @@ func (l *Lock) Refence() (FenceToken, error) {
 		sh.mu.Unlock()
 		return FenceToken{}, fmt.Errorf("hierlock: refence with upgrade in flight")
 	}
-	f := m.mintFence(ls)
+	f := m.mintFence(sh, ls)
 	sh.mu.Unlock()
 
 	l.mu.Lock()
@@ -1969,8 +2116,8 @@ func (l *Lock) Unlock() error {
 	upgrading := l.upgrading
 	l.mu.Unlock()
 
-	m := l.m
-	sh, ls := m.state(l.id, l.resource)
+	m, sh, ls := l.m, l.sh, l.ls
+	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if upgrading {
 		if w := ls.waiter; w != nil {
@@ -1997,7 +2144,7 @@ func (l *Lock) Unlock() error {
 	tr := m.newTrace()
 	if rec := m.tel.Load().rec; rec != nil {
 		sh.note(rec, trace.Entry{At: sinceEpoch(), Op: trace.OpRelease,
-			Node: m.id, Lock: l.id, Trace: tr})
+			Node: m.id, Lock: ls.id, Trace: tr})
 	}
 	out, err := ls.engine.ReleaseTraced(tr)
 	if err != nil {
@@ -2045,17 +2192,18 @@ func (l *Lock) Upgrade(ctx context.Context) error {
 		abort()
 		return ErrLeaving
 	}
-	sh, ls := m.state(l.id, l.resource)
+	sh, ls := l.sh, l.ls
+	sh.mu.Lock()
 	if h := ls.hold; h != nil {
 		h.upgrading = true // U is never shared, so refs == 1 here
 	}
 	tel := m.tel.Load()
-	tel.requests.IncAt(uint(l.id))
+	sh.cnt.requests++
 	tr := m.newTrace()
 	start := sinceEpoch()
 	if rec := tel.rec; rec != nil {
 		sh.note(rec, trace.Entry{At: start, Op: trace.OpAcquire,
-			Node: m.id, Lock: l.id, Mode: modes.W, Trace: tr})
+			Node: m.id, Lock: ls.id, Mode: modes.W, Trace: tr})
 	}
 	w := ls.arm(start, tr, modes.W, true)
 	out, err := ls.engine.UpgradeTraced(0, tr)
@@ -2080,20 +2228,19 @@ func (l *Lock) Upgrade(ctx context.Context) error {
 			// arrives; the waiter stays registered, so a subsequent Unlock
 			// is handled via releaseOnUpgrade.
 			if err == ErrLockLost {
-				err = m.lostWait(metrics.OpUpgrade, l.id, modes.W, tr, start, l.resource)
+				err = m.lostWait(metrics.OpUpgrade, ls.id, modes.W, tr, start, l.resource)
 			}
 			return err
 		}
 		d = sinceEpoch() - start
 	}
+	tel.record(uint(ls.id), grant{op: metrics.OpUpgrade,
+		outcome: w.outcome(localGrant), d: d, hops: w.hops})
 	l.mu.Lock()
 	l.mode = W
 	l.upgrading = false
 	l.fence = w.fence
 	l.mu.Unlock()
-	stripe := uint(l.id)
-	tel.opLatency[metrics.OpUpgrade][w.outcome(localGrant)].ObserveDurationAt(stripe, d)
-	tel.tokenHops.ObserveAt(stripe, float64(w.hops))
 	return nil
 }
 
@@ -2223,11 +2370,11 @@ func (m *Member) journalLock(ls *lockState) {
 // mintFence issues a fresh fencing token for the lock: its current
 // recovery epoch plus a Lamport tick. Callers hold the shard mutex
 // owning ls, which orders mints on one lock; the clock tick orders
-// mints across members along the token's causal path.
-func (m *Member) mintFence(ls *lockState) FenceToken {
-	f := FenceToken{Epoch: ls.engine.Epoch(), Seq: uint64(m.clock.Tick())}
-	m.tel.Load().fences.IncAt(uint(ls.id))
-	return f
+// mints across members along the token's causal path. sh is that shard:
+// the mint is one of the words it counts for the registry.
+func (m *Member) mintFence(sh *lockShard, ls *lockState) FenceToken {
+	sh.cnt.fences++
+	return FenceToken{Epoch: ls.engine.Epoch(), Seq: uint64(m.clock.Tick())}
 }
 
 // dispatch routes an engine step's output. Callers hold the mutex of sh,
@@ -2315,7 +2462,7 @@ func (m *Member) dispatch(sh *lockShard, ls *lockState, out hlock.Out) {
 					lg.Debug("lock granted", "trace", ev.Trace.String(),
 						"lock", uint64(ls.id), "mode", ev.Mode.String())
 				}
-				w.fence = m.mintFence(ls)
+				w.fence = m.mintFence(sh, ls)
 				if w.parked {
 					w.parked = false
 					w.ch <- struct{}{}
