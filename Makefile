@@ -32,13 +32,15 @@ race:
 # hides what the next one shows. So do the last three: which stripe admits
 # its staged trace entries or folds its staged metric words when, and
 # which goroutine finds an auditor or flight-recorder stripe taken, is
-# schedule too (internal/metrics carries the registry's fold hooks).
+# schedule too (internal/metrics carries the registry's fold hooks) — and
+# so is whether a client queued for a lock's admission slot is popped
+# before or after it gives up (TestSlotBlocked*).
 chaos:
 	$(GO) test -race -count=1 -run 'Chaos' ./internal/cluster/
 	$(GO) test -race -count=3 -run 'TestTCP' ./internal/transport/
 	$(GO) test -race -count=1 ./internal/recovery/
 	$(GO) test -race -count=1 -run 'TestTCPCrashRecovery|TestTCPRecoveryQuietWithoutCrash' .
-	$(GO) test -race -count=3 -run 'TestStagedRing|TestSharedRing|TestResidentPath' .
+	$(GO) test -race -count=3 -run 'TestStagedRing|TestSharedRing|TestResidentPath|TestAcquireFolded|TestSlotBlocked' .
 	$(GO) test -race -count=3 -run 'TestScrapeExactWhileCounting|TestSetTelemetrySwapSplitsCounts|TestMemberMetricsGolden' .
 	$(GO) test -race -count=3 ./internal/audit/ ./internal/trace/ ./internal/introspect/ ./internal/metrics/
 
@@ -58,11 +60,13 @@ coldstart:
 
 # Session/lease/admission stress under the race detector: the session
 # tier's lifecycle and wait-queue tests, the lockserver bugfix
-# regressions and lease acceptance tests, the simulator lease chaos,
-# and the fencing tests (including fence-across-crash-recovery).
+# regressions, lease acceptance tests and line-protocol pipelining, the
+# simulator lease chaos, and the fencing tests (including
+# fence-across-crash-recovery). TestAdmission* includes the sweep that
+# pins "a popped waiter takes its grant, even just past its deadline".
 sessions:
 	$(GO) test -race -count=1 ./internal/session/
-	$(GO) test -race -count=1 -run 'TestSession|TestAdmission|TestLease|TestLockHonors|TestUpgradeHonors|TestCloseDrains|TestLongLine' ./internal/lockserver/
+	$(GO) test -race -count=1 -run 'TestSession|TestAdmission|TestLease|TestLockHonors|TestUpgradeHonors|TestCloseDrains|TestLongLine|TestPipelined' ./internal/lockserver/
 	$(GO) test -race -count=1 -run 'TestLease' ./internal/cluster/
 	$(GO) test -race -count=1 -run 'TestFence' .
 
@@ -76,10 +80,11 @@ membership:
 	$(GO) test -race -count=1 -run 'TestJoin|TestLeave|TestRootLeave|TestMembershipChaos' ./internal/cluster/
 	$(GO) test -race -count=1 ./internal/proto/
 
-# Short seeded fuzz passes over the journal replayer and the protocol
-# engine (longer runs: go test -fuzz FuzzReplay ./internal/journal).
+# Short seeded fuzz passes over the journal replayer and the wire
+# decoder (longer runs: go test -fuzz FuzzReplay ./internal/journal).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzReplay -fuzztime 10s ./internal/journal/
+	$(GO) test -run '^$$' -fuzz FuzzDecodeMessage -fuzztime 10s ./internal/proto/
 
 # Microbenchmarks: protocol engine hot paths plus the observability
 # overhead benches (histogram/counter/trace-record, including the

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -250,6 +251,8 @@ func TestDebugTraceEndpoint(t *testing.T) {
 	defer cl.Close()
 	m := cl.Member(0)
 	rc := trace.New(64)
+	var tapped []trace.Op // the test's goroutine is the only recording one
+	rc.SetTap(func(e trace.Entry) { tapped = append(tapped, e.Op) })
 	m.SetTelemetry(hierlock.Telemetry{Trace: rc})
 
 	l, err := m.Lock(context.Background(), "traced", hierlock.W)
@@ -257,6 +260,11 @@ func TestDebugTraceEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = l.Unlock()
+	// A grant made at once is one record to the taps; the endpoint below
+	// shows the acquire in front of it all the same.
+	if !slices.Equal(tapped, []trace.Op{trace.OpGranted, trace.OpRelease}) {
+		t.Fatalf("taps saw %v, want granted, release", tapped)
+	}
 
 	srv := lockserver.New(m)
 	srv.Trace = rc
@@ -271,8 +279,17 @@ func TestDebugTraceEndpoint(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &dump); err != nil {
 		t.Fatalf("trace json: %v\n%s", err, rec.Body.String())
 	}
-	if !dump.Enabled || len(dump.Entries) < 3 {
-		t.Fatalf("dump: enabled=%v entries=%d", dump.Enabled, len(dump.Entries))
+	if !dump.Enabled || dump.Dropped != 0 || len(dump.Entries) != 3 {
+		t.Fatalf("dump: enabled=%v dropped=%d entries=%d", dump.Enabled, dump.Dropped, len(dump.Entries))
+	}
+	for i, op := range []trace.Op{trace.OpAcquire, trace.OpGranted, trace.OpRelease} {
+		e := dump.Entries[i]
+		if e.Op != op || e.Seq != uint64(i+1) || (i > 0 && e.At < dump.Entries[i-1].At) {
+			t.Fatalf("dump entry %d: %v, want %v with Seq %d", i, e, op, i+1)
+		}
+	}
+	if a, g := dump.Entries[0], dump.Entries[1]; a.Trace != g.Trace || a.Lock != g.Lock || a.Mode != g.Mode || a.Node != g.Node {
+		t.Fatalf("derived acquire and its grant differ:\n%v\n%v", a, g)
 	}
 	spans := trace.Assemble(dump.Entries)
 	if len(spans) != 1 || !spans[0].Complete {

@@ -24,7 +24,14 @@
 //	MEMBER REMOVE                 gracefully leave the cluster (hand off tokens)
 //	QUIT
 //
-// Replies are single lines starting with "OK" or "ERR".
+// Replies are single lines starting with "OK" or "ERR". The commands of
+// one connection execute, and are answered, in the order they were sent,
+// one at a time. A client need not wait for a reply before it sends the
+// next command: lines that arrive together are answered together — the
+// server writes once it has no complete line left to read — so "UNLOCK a"
+// and "LOCK b W" sent in one write release a and then acquire b in one
+// round trip, their two replies arriving in one read. A reply is never
+// held back while the server waits for input.
 //
 // # Sessions and leases
 //
@@ -68,6 +75,7 @@ package lockserver
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -245,25 +253,36 @@ func (s *Server) ServeConn(conn io.ReadWriteCloser) {
 	w := bufio.NewWriter(conn)
 	for {
 		line, err := readLine(br)
-		if err == errLineTooLong {
-			fmt.Fprintln(w, "ERR line too long")
-			if w.Flush() != nil {
+		var resp string
+		var quit bool
+		switch err {
+		case nil:
+			resp, quit = se.handle(line)
+		case errLineTooLong:
+			resp = "ERR line too long"
+		default:
+			return
+		}
+		// A failed write is remembered by w and reported by Flush.
+		_, _ = w.WriteString(resp)
+		_ = w.WriteByte('\n')
+		// Pipelined lines share one write: the replies go out once the next
+		// read would have to wait for the client. Until then they are behind
+		// a complete line, which readLine returns without touching conn, so
+		// no way out of the loop leaves a reply unwritten.
+		if quit || !lineBuffered(br) {
+			if w.Flush() != nil || quit {
 				return
 			}
-			continue
-		}
-		if err != nil {
-			return
-		}
-		resp, quit := se.handle(line)
-		fmt.Fprintln(w, resp)
-		if err := w.Flush(); err != nil {
-			return
-		}
-		if quit {
-			return
 		}
 	}
+}
+
+// lineBuffered reports whether br holds a complete line already read
+// from the connection.
+func lineBuffered(br *bufio.Reader) bool {
+	buf, _ := br.Peek(br.Buffered())
+	return bytes.IndexByte(buf, '\n') >= 0
 }
 
 // readLine reads one newline-terminated line of at most maxLine bytes.

@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -344,4 +345,78 @@ func TestDebugHandler(t *testing.T) {
 	if rec.Code != 404 {
 		t.Fatalf("unknown path: %d", rec.Code)
 	}
+}
+
+// countingConn counts the writes ServeConn makes to its client.
+type countingConn struct {
+	net.Conn
+	writes atomic.Int32
+}
+
+func (c *countingConn) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(p)
+}
+
+// TestPipelinedLinesShareOneWrite: commands sent in one write are
+// executed in order and answered in order, in one write — release and
+// next acquire in one round trip — while a lone line is answered at once;
+// no reply waits for a line the client has only begun; a QUIT at the end
+// of a burst still gets the burst's replies out.
+func TestPipelinedLinesShareOneWrite(t *testing.T) {
+	cl, err := hierlock.NewCluster(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	srv := lockserver.New(cl.Member(0))
+	t.Cleanup(func() { _ = srv.Close() })
+	client, server := net.Pipe()
+	cc := &countingConn{Conn: server}
+	done := make(chan struct{})
+	go func() { defer close(done); srv.ServeConn(cc) }()
+	_ = client.SetDeadline(time.Now().Add(10 * time.Second))
+	rd := bufio.NewReader(client)
+	// send writes the lines in one Write and returns as many reply lines.
+	send := func(lines ...string) []string {
+		t.Helper()
+		if _, err := client.Write([]byte(strings.Join(lines, "\n") + "\n")); err != nil {
+			t.Fatal(err)
+		}
+		replies := make([]string, len(lines))
+		for i := range replies {
+			line, err := rd.ReadString('\n')
+			if err != nil {
+				t.Fatalf("reply %d of %v: %v", i+1, lines, err)
+			}
+			replies[i] = strings.TrimSuffix(line, "\n")
+		}
+		return replies
+	}
+
+	if got := send("LOCK a W"); !strings.HasPrefix(got[0], "OK a W fence=") || cc.writes.Load() != 1 {
+		t.Fatalf("lone line: %q in %d writes", got, cc.writes.Load())
+	}
+	got := send("UNLOCK a", "LOCK b W", "HELD")
+	if got[0] != "OK" || !strings.HasPrefix(got[1], "OK b W fence=") || !strings.HasPrefix(got[2], "OK b=W@") {
+		t.Fatalf("pipelined replies out of order or wrong: %q", got)
+	}
+	if n := cc.writes.Load(); n != 2 {
+		t.Fatalf("three pipelined lines were answered in %d writes, want 1", n-1)
+	}
+	// A reply does not wait for the rest of a line the client has begun.
+	if _, err := client.Write([]byte("HELD\nHEL")); err != nil {
+		t.Fatal(err)
+	}
+	if line, err := rd.ReadString('\n'); err != nil || !strings.HasPrefix(line, "OK b=W@") {
+		t.Fatalf("reply behind a partial line: %q, %v", line, err)
+	}
+	if got := send("D"); !strings.HasPrefix(got[0], "OK b=W@") {
+		t.Fatalf("completed line: %q", got)
+	}
+	cc.writes.Store(2)
+	if got := send("bogus", "QUIT"); !strings.HasPrefix(got[0], "ERR unknown command") || got[1] != "OK bye" || cc.writes.Load() != 3 {
+		t.Fatalf("burst ending in QUIT: %q, %d writes in all", got, cc.writes.Load())
+	}
+	<-done
 }

@@ -1,7 +1,9 @@
 package lockserver_test
 
 import (
+	"fmt"
 	"net"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -242,5 +244,85 @@ func TestAdmissionBusyProtocol(t *testing.T) {
 	holder.mustOK("UNLOCK hot")
 	if resp := <-blocked; !strings.HasPrefix(resp, "OK") {
 		t.Fatalf("queued waiter: %q", resp)
+	}
+}
+
+// TestAdmissionPoppedWaiterTakesGrantPastDeadline pins a deliberate choice
+// of the session tier's wait queue (PROTOCOL.md, "Wait-queue admission"):
+// a release pops the head of the queue and hands it the hold under the
+// manager's mutex, so a parked client whose Server.Timeout expires at that
+// instant still takes the grant — it answers OK a moment past its
+// deadline rather than ERR — because nobody else would. The holder's
+// UNLOCK sweeps across the waiter's deadline, ±1 ms in 5 µs steps; in
+// every round the reply is "OK … fence=" exactly when the hand-off was
+// counted, HELD agrees with the reply, and the holder's next LOCK finds
+// no hold left without an owner.
+func TestAdmissionPoppedWaiterTakesGrantPastDeadline(t *testing.T) {
+	const (
+		timeout = 2 * time.Millisecond
+		rounds  = 400
+		step    = 5 * time.Microsecond
+	)
+	cl, err := hierlock.NewCluster(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := metrics.NewRegistry()
+	srv := lockserver.New(cl.Member(0))
+	srv.Timeout = timeout
+	srv.Registry = reg
+	go func() { _ = srv.Serve(ln) }()
+	t.Cleanup(func() { _ = srv.Close() })
+	enqueued := reg.Counter(metrics.MetricAdmissionEnqueued, "", nil)
+	handoffs := reg.Counter(metrics.MetricAdmissionHandoffs, "", nil)
+
+	holder, waiter := dial(t, ln.Addr().String()), dial(t, ln.Addr().String())
+	granted, expired := 0, 0
+	var last hierlock.FenceToken
+	for round := 0; round < rounds; round++ {
+		holder.mustOK("LOCK hot W") // a hold nobody owned would time this out
+		parked, handed := enqueued.Value()+1, handoffs.Value()
+		if _, err := fmt.Fprintln(waiter.conn, "LOCK hot W"); err != nil {
+			t.Fatal(err)
+		}
+		for enqueued.Value() < parked {
+			runtime.Gosched()
+		}
+		until := time.Now().Add(timeout + time.Duration(round-rounds/2)*step)
+		for time.Now().Before(until) {
+		}
+		holder.mustOK("UNLOCK hot")
+		if !waiter.rd.Scan() {
+			t.Fatalf("round %d: waiter connection closed: %v", round, waiter.rd.Err())
+		}
+		reply, held := waiter.rd.Text(), waiter.mustOK("HELD")
+		switch handoffs.Value() - handed {
+		case 1: // popped: the grant is the waiter's, deadline or not
+			if !strings.HasPrefix(reply, "OK hot W fence=") || !strings.Contains(held, "hot=W@") {
+				t.Fatalf("round %d: the hold was handed to the waiter, which answered %q and holds %q", round, reply, held)
+			}
+			if f := fenceOf(t, reply); !last.Less(f) {
+				t.Fatalf("round %d: fence %v after %v", round, f, last)
+			} else {
+				last = f
+			}
+			waiter.mustOK("UNLOCK hot")
+			granted++
+		case 0: // gave up while still queued
+			if !strings.HasPrefix(reply, "ERR") || held != "OK " {
+				t.Fatalf("round %d: no hand-off, yet the waiter answered %q and holds %q", round, reply, held)
+			}
+			expired++
+		default:
+			t.Fatalf("round %d: %d hand-offs for one waiter", round, handoffs.Value()-handed)
+		}
+	}
+	if granted == 0 || expired == 0 {
+		t.Fatalf("%d grants and %d expiries: the sweep never crossed the deadline", granted, expired)
 	}
 }

@@ -3,6 +3,13 @@
 // ring buffer for debugging, post-hoc invariant checking and test
 // assertions. The simulator and cluster runtime emit into a Recorder when
 // one is attached; recording costs nothing when disabled (nil Recorder).
+//
+// A Recorder has two kinds of consumer. Taps see each entry as it is
+// offered. Readers of the ring — Entries and what is built on it: spans,
+// causal paths, dumps — see every request as OpAcquire, OpGranted,
+// OpRelease, although a producer may record a request granted the moment
+// it was issued as one entry, the grant carrying the acquire's stamp
+// (Entry.Issued).
 package trace
 
 import (
@@ -91,6 +98,13 @@ type Entry struct {
 	// per-node buffers of a cluster are one operation's causal path; see
 	// AssembleCausal.
 	Trace proto.TraceID
+	// Issued, on an OpGranted entry offered to a recorder, is the stamp at
+	// which the request was issued when its producer recorded no OpAcquire
+	// for it (zero otherwise): a request granted the moment it was issued is
+	// one record, not two. The taps see that one entry; the ring admits the
+	// OpAcquire it stands for in front of it (see Recorder.admit), so no
+	// entry read back from a recorder carries the field.
+	Issued time.Duration
 }
 
 // String renders the entry compactly.
@@ -120,21 +134,24 @@ func (e Entry) String() string {
 // can split the two — Observe shows an entry to the taps at once, Admit
 // appends a batch the producer staged to the ring later — provided it
 // registers an OnRead hook that admits whatever it still holds, so every
-// reader of the ring sees every entry offered so far.
+// reader of the ring sees every entry offered so far. Capacity, Len,
+// Dropped and Seq count entries as the ring holds them: a grant that
+// carries its acquire (Entry.Issued) is one entry to the taps and two here.
 type Recorder struct {
 	// disabled pauses recording when set (SetEnabled(false)). Checked
 	// before the mutex so a paused recorder costs one atomic load.
 	disabled atomic.Bool
 
-	// tap, when set, observes every entry offered to the recorder —
-	// before ring admission, regardless of capacity eviction and of the
-	// pause state — so an online checker (internal/audit) sees the
-	// complete event stream even while the debug ring is paused or
-	// churning. The callback runs on the recording goroutine and must not
-	// block or call back into the Recorder.
-	tap atomic.Pointer[func(Entry)]
+	// taps observe every entry offered to the recorder, in the order they
+	// were installed — before ring admission, regardless of capacity
+	// eviction and of the pause state — so an online checker
+	// (internal/audit) sees the complete event stream even while the debug
+	// ring is paused or churning. A tap runs on the recording goroutine and
+	// must not block or call back into the Recorder.
+	taps atomic.Pointer[[]func(Entry)]
 
-	// onRead holds the producers' flush hooks (copy-on-write; see OnRead).
+	// onRead holds the producers' flush hooks (see OnRead). Both lists are
+	// copy-on-write: see push.
 	onRead atomic.Pointer[[]func()]
 
 	// The words above are read on every entry and written almost never;
@@ -151,38 +168,44 @@ type Recorder struct {
 	dropped uint64
 }
 
-// SetTap installs fn as the recorder's observer (nil removes it). See the
-// tap field for the delivery contract. No-op on a nil recorder.
+// push appends v to the copy-on-write list behind p: readers load the
+// pointer and range over a slice nobody writes.
+func push[T any](p *atomic.Pointer[[]T], v T) {
+	for {
+		old := p.Load()
+		var list []T
+		if old != nil {
+			list = append(list, *old...)
+		}
+		list = append(list, v)
+		if p.CompareAndSwap(old, &list) {
+			return
+		}
+	}
+}
+
+// SetTap installs fn as the recorder's only observer (nil removes every
+// tap). See the taps field for the delivery contract. No-op on a nil
+// recorder.
 func (r *Recorder) SetTap(fn func(Entry)) {
 	if r == nil {
 		return
 	}
 	if fn == nil {
-		r.tap.Store(nil)
+		r.taps.Store(nil)
 		return
 	}
-	r.tap.Store(&fn)
+	r.taps.Store(&[]func(Entry){fn})
 }
 
-// AddTap chains fn behind any tap already installed, so several
+// AddTap installs fn behind the taps already installed, so several
 // consumers (the protocol auditor, the flight recorder) can observe
-// the same stream. Each added tap shares the installed tap's delivery
-// contract: called on the recording goroutine, must not block or call
-// back into the Recorder. No-op on a nil recorder or nil fn.
+// the same stream. No-op on a nil recorder or nil fn.
 func (r *Recorder) AddTap(fn func(Entry)) {
 	if r == nil || fn == nil {
 		return
 	}
-	prev := r.tap.Load()
-	if prev == nil {
-		r.SetTap(fn)
-		return
-	}
-	first := *prev
-	r.SetTap(func(e Entry) {
-		first(e)
-		fn(e)
-	})
+	push(&r.taps, fn)
 }
 
 // SetEnabled starts or pauses recording at runtime. Entries recorded
@@ -237,8 +260,10 @@ func (r *Recorder) Observe(e Entry) {
 	if r == nil {
 		return
 	}
-	if fn := r.tap.Load(); fn != nil {
-		(*fn)(e)
+	if taps := r.taps.Load(); taps != nil {
+		for _, fn := range *taps {
+			fn(e)
+		}
 	}
 }
 
@@ -258,8 +283,16 @@ func (r *Recorder) Admit(es []Entry) {
 	r.mu.Unlock()
 }
 
-// admit appends one entry to the ring. Callers hold r.mu.
+// admit appends one entry to the ring — two for a grant that carries its
+// acquire (Entry.Issued): the OpAcquire its producer did not record, at
+// the stamp it would have had, then the grant. Callers hold r.mu.
 func (r *Recorder) admit(e Entry) {
+	if e.Issued != 0 {
+		acq := e
+		acq.At, acq.Op, acq.Issued = e.Issued, OpAcquire, 0
+		r.admit(acq)
+		e.Issued = 0
+	}
 	r.seq++
 	e.Seq = r.seq
 	if r.full {
@@ -285,17 +318,7 @@ func (r *Recorder) OnRead(fn func()) {
 	if r == nil || fn == nil {
 		return
 	}
-	for {
-		old := r.onRead.Load()
-		var hooks []func()
-		if old != nil {
-			hooks = append(hooks, *old...)
-		}
-		hooks = append(hooks, fn)
-		if r.onRead.CompareAndSwap(old, &hooks) {
-			return
-		}
-	}
+	push(&r.onRead, fn)
 }
 
 // flushProducers runs the registered OnRead hooks, reporting whether

@@ -250,3 +250,68 @@ func TestEntriesUnsortedWithoutProducer(t *testing.T) {
 		t.Fatalf("recording order not kept: %v", es)
 	}
 }
+
+// TestTapsRunInInstallOrder: SetTap replaces every tap, AddTap installs
+// one behind those already there, and each entry visits them in that
+// order.
+func TestTapsRunInInstallOrder(t *testing.T) {
+	r := trace.New(4)
+	var calls []string
+	tap := func(name string) func(trace.Entry) {
+		return func(trace.Entry) { calls = append(calls, name) }
+	}
+	r.AddTap(tap("dropped by SetTap"))
+	r.SetTap(tap("a"))
+	r.AddTap(tap("b"))
+	r.AddTap(nil)
+	r.AddTap(tap("c"))
+	r.Record(trace.Entry{Op: trace.OpSend})
+	r.Observe(trace.Entry{Op: trace.OpSend})
+	if got := strings.Join(calls, ""); got != "abcabc" {
+		t.Fatalf("taps ran as %q, want abcabc", got)
+	}
+	r.SetTap(nil)
+	r.Record(trace.Entry{Op: trace.OpSend})
+	if len(calls) != 6 {
+		t.Fatalf("a tap ran after SetTap(nil): %v", calls)
+	}
+}
+
+// TestGrantCarryingItsAcquire: an OpGranted entry with Issued set is one
+// entry to the taps and two to the ring — the OpAcquire it stands for at
+// the Issued stamp, then the grant — whether recorded or admitted, and
+// capacity, Len, Dropped and Seq count both.
+func TestGrantCarryingItsAcquire(t *testing.T) {
+	r := trace.New(4)
+	tapped := 0
+	r.SetTap(func(trace.Entry) { tapped++ })
+	grant := trace.Entry{At: 20, Issued: 10, Op: trace.OpGranted, Node: 3, Lock: 7,
+		Mode: modes.W, Trace: proto.TraceID{Node: 3, Seq: 9}}
+	r.Record(grant)
+	r.Record(trace.Entry{At: 30, Op: trace.OpRelease, Node: 3, Lock: 7})
+	if tapped != 2 || r.Len() != 3 || r.Dropped() != 0 {
+		t.Fatalf("taps saw %d entries, ring holds %d and dropped %d; want 2, 3, 0", tapped, r.Len(), r.Dropped())
+	}
+	acquire := grant
+	acquire.At, acquire.Op, acquire.Issued, acquire.Seq = 10, trace.OpAcquire, 0, 1
+	grant.Issued, grant.Seq = 0, 2
+	if es := r.Entries(); es[0] != acquire || es[1] != grant || es[2].Seq != 3 {
+		t.Fatalf("ring reads\n%v\nwant the acquire, then the grant without Issued, then the release", es)
+	}
+	if spans := trace.Assemble(r.Entries()); len(spans) != 1 || !spans[0].Complete || spans[0].Duration() != 10 {
+		t.Fatalf("spans: %+v", spans)
+	}
+
+	// Admitted in a batch into a ring with one slot to spare: both halves
+	// count against the capacity, so the oldest entry goes.
+	r.Admit([]trace.Entry{{At: 50, Issued: 40, Op: trace.OpGranted, Lock: 8}})
+	es := r.Entries()
+	if len(es) != 4 || r.Len() != 4 || r.Dropped() != 1 {
+		t.Fatalf("full ring: %d entries, Len %d, Dropped %d; want 4, 4, 1", len(es), r.Len(), r.Dropped())
+	}
+	for i, want := range []trace.Op{trace.OpGranted, trace.OpRelease, trace.OpAcquire, trace.OpGranted} {
+		if es[i].Op != want || es[i].Seq != uint64(i+2) || es[i].Issued != 0 {
+			t.Fatalf("entry %d: %v, want %v with Seq %d", i, es[i], want, i+2)
+		}
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -42,6 +43,25 @@ var (
 	// grant. The client must assume it no longer holds the resource.
 	ErrLockLost = errors.New("hierlock: lock lost in crash recovery")
 )
+
+// Lock order. A goroutine holding one of the member's mutexes takes only
+// mutexes further down this list:
+//
+//	Member.mgrMu   every recovery.Manager entry point and its callbacks
+//	lockShard.mu   one stripe at a time, never two
+//	leaves         Member.statMu, recMu, ackMu, timerMu and Lock.mu: no
+//	               mutex of the member is taken while one is held
+//
+// Under a stripe's mutex the member calls out to the trace ring and its
+// taps (auditor, flight recorder), striped metric cells, the journal
+// (Append) and the transport (Send); each has mutexes of its own and none
+// calls back. The other direction goes through the OnRead hooks: a reader
+// of the registry or of the ring runs them — they take each stripe's mutex
+// in turn — before it takes the ring's mutex and while it holds the
+// registry's read lock exclusively, so a metric group
+// (Registry.BeginWrite, the shared side of that lock) is opened with no
+// stripe's mutex held. A Lock/Unlock pair on a resident token takes its
+// lock's stripe mutex twice and no other mutex of the member.
 
 // lockShardCount is the number of stripes the member's per-lock state is
 // spread over. Lock IDs are hashes of resource names, so a simple modulo
@@ -205,10 +225,8 @@ func (m *Member) admitStaged() {
 	}
 }
 
-// lockState is everything the member tracks for one lock. All fields
-// except slot are guarded by the owning shard's mutex; slot is a
-// buffered channel clients block on without the mutex (see the eviction
-// note on evicted).
+// lockState is everything the member tracks for one lock, all of it
+// guarded by the owning shard's mutex.
 type lockState struct {
 	id proto.LockID
 	// res is the resource name clients used for this lock, for
@@ -229,14 +247,15 @@ type lockState struct {
 	// the admission slot is held from grant to last release.
 	hold *hold
 	h    hold
-	// slot is the per-lock client-admission semaphore (one client
-	// operation per lock per member at a time).
-	slot chan struct{}
-	// evicted marks an entry removed from the shard table. A client that
-	// blocked on slot without the shard mutex may win admission on a
-	// stale entry; it re-checks evicted under the mutex and retries
-	// against the live entry.
-	evicted bool
+	// admitted is the per-lock client-admission slot (one client operation
+	// per lock per member at a time): set while an operation or the hold it
+	// was granted owns the slot. Only an arrival that finds it set queues, on
+	// a one-slot channel of its own in admitQ, and waits outside the mutex;
+	// freeSlot passes the slot to the head of the queue in arrival order.
+	// The word stays set for as long as anyone is queued, so an entry with a
+	// client waiting is never evicted.
+	admitted bool
+	admitQ   []chan struct{}
 	// logged is the last engine state appended to the journal for this
 	// lock (diffed on every dispatch; meaningless when the member has no
 	// journal). recorded is set once the journal holds any record for the
@@ -959,8 +978,11 @@ type waiter struct {
 	since time.Time
 	// granted is the grant's stamp (see sinceEpoch), written by dispatch just
 	// before the wake-up: a grant read back by value measures its latency
-	// to it, and the OpGranted trace entry carries it.
+	// to it, and the OpGranted trace entry carries it. issued, when set, is
+	// the entry stamp of a request that recorded no OpAcquire entry: the
+	// OpGranted entry carries that too (trace.Entry.Issued).
 	granted time.Duration
+	issued  time.Duration
 	// trace, mode and upgrade describe the request for the inventory:
 	// its causal trace ID, the requested mode (W for upgrades), and
 	// whether it is a U→W conversion.
@@ -1763,7 +1785,6 @@ func (m *Member) state(lock proto.LockID, res string) (*lockShard, *lockState) {
 			res:      res,
 			engine:   e,
 			w:        waiter{ch: make(chan struct{}, 1)},
-			slot:     make(chan struct{}, 1),
 			seedRoot: seedRoot,
 			logged:   journaled{epoch: e.Epoch(), token: e.IsToken()},
 			recorded: recorded,
@@ -1804,11 +1825,10 @@ func (m *Member) maybeEvict(sh *lockShard) {
 func (m *Member) sweepLocked(sh *lockShard) int {
 	n := 0
 	for id, ls := range sh.locks {
-		if ls.waiter != nil || ls.hold != nil || len(ls.slot) != 0 ||
+		if ls.waiter != nil || ls.hold != nil || ls.admitted ||
 			!ls.engine.AtInitialState() {
 			continue
 		}
-		ls.evicted = true
 		delete(sh.locks, id)
 		n++
 	}
@@ -1834,12 +1854,16 @@ func (m *Member) EvictIdle() int {
 	return n
 }
 
-// freeSlot releases the per-lock client-admission slot.
-func (m *Member) freeSlot(ls *lockState) {
-	select {
-	case <-ls.slot:
-	default:
+// freeSlot gives up the per-lock client-admission slot: to the client
+// that has queued for it longest, or to nobody. The caller holds the
+// shard mutex and owns the slot.
+func (ls *lockState) freeSlot() {
+	if len(ls.admitQ) == 0 {
+		ls.admitted = false
+		return
 	}
+	ls.admitQ[0] <- struct{}{} // ownership passes: admitted stays set
+	ls.admitQ = slices.Delete(ls.admitQ, 0, 1)
 }
 
 // Lock acquires the named resource in the given mode, blocking until
@@ -1874,67 +1898,80 @@ func (m *Member) LockWithPriority(ctx context.Context, resource string, mode Mod
 
 	sh, ls := m.state(lockID, resource)
 	sh.cnt.requests++
+	// The request's OpAcquire entry. A request granted at once (slot free,
+	// token in hand, nothing to send) records none: its OpGranted entry
+	// carries the stamp instead and the ring derives this entry from it.
+	// Any other request records it before it joins, waits or sends.
 	rec := tel.rec
-	if rec != nil {
-		sh.note(rec, trace.Entry{At: start, Op: trace.OpAcquire,
-			Node: m.id, Lock: lockID, Mode: mode, Trace: tr})
-	}
-	waited := false
-	for {
-		// Local sharing: if the member already holds exactly this mode and
-		// the mode is compatible with itself (IR, R, IW), additional local
-		// clients join the existing hold with no protocol traffic.
-		// Exclusive classes (U, W) and mode mismatches go through the full
-		// path.
-		if h := ls.hold; h != nil && !h.upgrading &&
-			h.mode == mode && modes.Compatible(mode, mode) {
-			h.refs++
-			granted := sinceEpoch()
-			fence := m.mintFence(sh, ls)
-			sh.sharedJoins++
-			if rec != nil {
-				sh.note(rec, trace.Entry{At: granted, Op: trace.OpGranted,
-					Node: m.id, Lock: lockID, Mode: mode, Trace: tr})
-			}
-			tel.observe(sh, stripe, grant{op: metrics.OpLock,
-				outcome: metrics.OutcomeLocal, join: true, d: granted - start})
-			if lg := tel.log; lg != nil && lg.Enabled(ctx, slog.LevelDebug) {
-				lg.Debug("lock granted", "trace", tr.String(), "resource", resource,
-					"mode", mode.String(), "shared_join", true)
-			}
-			return &Lock{m: m, sh: sh, ls: ls, resource: resource, mode: mode, fence: fence}, nil
-		}
+	acquire := trace.Entry{At: start, Op: trace.OpAcquire,
+		Node: m.id, Lock: lockID, Mode: mode, Trace: tr}
 
-		// Admission: one client operation per lock per member at a time. A
-		// free slot is claimed here, under the shard mutex: the uncontended
-		// caller never leaves the mutex, never enters the three-way wait and
-		// so never touches the member-wide done channel.
-		if tryAdmit(ls.slot) {
-			break
+	// Local sharing: if the member already holds exactly this mode and
+	// the mode is compatible with itself (IR, R, IW), additional local
+	// clients join the existing hold with no protocol traffic.
+	// Exclusive classes (U, W) and mode mismatches go through the full
+	// path.
+	if h := ls.hold; h != nil && !h.upgrading &&
+		h.mode == mode && modes.Compatible(mode, mode) {
+		h.refs++
+		granted := sinceEpoch()
+		fence := m.mintFence(sh, ls)
+		sh.sharedJoins++
+		if rec != nil {
+			sh.note(rec, acquire)
+			sh.note(rec, trace.Entry{At: granted, Op: trace.OpGranted,
+				Node: m.id, Lock: lockID, Mode: mode, Trace: tr})
 		}
-		// Taken: wait for it without the mutex. The entry may be evicted
-		// meanwhile; detect that and retry against the live entry.
-		slot := ls.slot
+		tel.observe(sh, stripe, grant{op: metrics.OpLock,
+			outcome: metrics.OutcomeLocal, join: true, d: granted - start})
+		if lg := tel.log; lg != nil && lg.Enabled(ctx, slog.LevelDebug) {
+			lg.Debug("lock granted", "trace", tr.String(), "resource", resource,
+				"mode", mode.String(), "shared_join", true)
+		}
+		return &Lock{m: m, sh: sh, ls: ls, resource: resource, mode: mode, fence: fence}, nil
+	}
+
+	// Admission: one client operation per lock per member at a time. A
+	// free slot is a word set under the shard mutex: the uncontended caller
+	// never leaves the mutex, never enters the three-way wait and so never
+	// touches the member-wide done channel.
+	waited := ls.admitted
+	if !waited {
+		ls.admitted = true
+	} else {
+		// Taken: queue for it and wait without the mutex. Whoever frees the
+		// slot pops the head of the queue and passes it the slot.
+		if rec != nil {
+			sh.note(rec, acquire)
+		}
+		turn := make(chan struct{}, 1)
+		ls.admitQ = append(ls.admitQ, turn)
 		sh.mu.Unlock()
+		var cause error
 		select {
-		case slot <- struct{}{}:
+		case <-turn:
 		case <-ctx.Done():
-			return nil, ctx.Err()
+			cause = ctx.Err()
 		case <-m.done:
-			return nil, ErrClosed
+			cause = ErrClosed
 		}
-		waited = true
 		sh.mu.Lock()
-		if !ls.evicted {
-			break
+		if cause != nil {
+			// Giving up: leave the queue, or, popped in the race window,
+			// pass on the slot that came with it.
+			if i := slices.Index(ls.admitQ, turn); i >= 0 {
+				ls.admitQ = slices.Delete(ls.admitQ, i, i+1)
+			} else {
+				ls.freeSlot()
+				m.maybeEvict(sh)
+			}
+			sh.mu.Unlock()
+			return nil, cause
 		}
-		sh.mu.Unlock()
-		<-slot
-		sh, ls = m.state(lockID, resource)
 	}
 
 	if m.closed.Load() {
-		m.freeSlot(ls)
+		ls.freeSlot()
 		m.maybeEvict(sh)
 		sh.mu.Unlock()
 		return nil, ErrClosed
@@ -1950,9 +1987,14 @@ func (m *Member) LockWithPriority(ctx context.Context, resource string, mode Mod
 	}
 	w := ls.arm(start, tr, mode, false)
 	out, err := ls.engine.AcquireTraced(mode, priority, tr)
+	if !waited && err == nil && len(out.Msgs) == 0 && len(out.Events) == 1 {
+		w.issued = start // granted at once: the grant's entry carries the acquire
+	} else if !waited && rec != nil {
+		sh.note(rec, acquire)
+	}
 	if err != nil {
 		ls.waiter = nil
-		m.freeSlot(ls)
+		ls.freeSlot()
 		m.maybeEvict(sh)
 		sh.mu.Unlock()
 		return nil, err
@@ -1985,16 +2027,6 @@ func (m *Member) LockWithPriority(ctx context.Context, resource string, mode Mod
 	tel.observe(sh, stripe, grant{op: metrics.OpLock,
 		outcome: w.outcome(localGrant), d: d, hops: w.hops})
 	return &Lock{m: m, sh: sh, ls: ls, resource: resource, mode: mode, fence: w.fence}, nil
-}
-
-// tryAdmit claims a free admission slot without blocking.
-func tryAdmit(slot chan struct{}) bool {
-	select {
-	case slot <- struct{}{}:
-		return true
-	default:
-		return false
-	}
 }
 
 // outcome classifies a granted wait for the per-operation SLO families.
@@ -2031,14 +2063,26 @@ type Lock struct {
 	ls       *lockState
 	resource string
 
-	mu       sync.Mutex
-	mode     Mode
-	released bool
-	// upgrading marks an Upgrade in flight.
+	// released and upgrading (an Upgrade in flight) are guarded by sh.mu,
+	// which every method that looks at them takes anyway.
+	released  bool
 	upgrading bool
-	// fence is the fencing token of the most recent grant event on this
-	// handle (acquire, upgrade, or session-tier Refence).
+
+	// mu guards mode and fence for Mode and Fence, which take no shard
+	// mutex; their writers hold sh.mu as well, so a method that holds sh.mu
+	// reads them without mu. fence is the fencing token of the most recent
+	// grant event on this handle (acquire, upgrade, or session-tier
+	// Refence).
+	mu    sync.Mutex
+	mode  Mode
 	fence FenceToken
+}
+
+// regrant records a new grant event on the handle. Callers hold l.sh.mu.
+func (l *Lock) regrant(mode Mode, fence FenceToken) {
+	l.mu.Lock()
+	l.mode, l.fence = mode, fence
+	l.mu.Unlock()
 }
 
 // Resource returns the locked resource name.
@@ -2069,34 +2113,24 @@ func (l *Lock) Fence() FenceToken {
 // with an upgrade in flight (the caller falls back to a real Unlock,
 // which the releaseOnUpgrade machinery handles).
 func (l *Lock) Refence() (FenceToken, error) {
-	l.mu.Lock()
+	m, sh, ls := l.m, l.sh, l.ls
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	if l.released {
-		l.mu.Unlock()
 		return FenceToken{}, ErrReleased
 	}
 	if l.upgrading {
-		l.mu.Unlock()
 		return FenceToken{}, fmt.Errorf("hierlock: refence with upgrade in flight")
 	}
-	l.mu.Unlock()
-
-	m, sh, ls := l.m, l.sh, l.ls
-	sh.mu.Lock()
 	h := ls.hold
 	if h == nil || h.lost {
-		sh.mu.Unlock()
 		return FenceToken{}, ErrLockLost
 	}
 	if h.upgrading {
-		sh.mu.Unlock()
 		return FenceToken{}, fmt.Errorf("hierlock: refence with upgrade in flight")
 	}
 	f := m.mintFence(sh, ls)
-	sh.mu.Unlock()
-
-	l.mu.Lock()
-	l.fence = f
-	l.mu.Unlock()
+	l.regrant(l.mode, f)
 	return f, nil
 }
 
@@ -2107,19 +2141,14 @@ func (l *Lock) Refence() (FenceToken, error) {
 // member too — local state is cleaned up and undeliverable protocol
 // messages are dropped silently.
 func (l *Lock) Unlock() error {
-	l.mu.Lock()
-	if l.released {
-		l.mu.Unlock()
-		return ErrReleased
-	}
-	l.released = true
-	upgrading := l.upgrading
-	l.mu.Unlock()
-
 	m, sh, ls := l.m, l.sh, l.ls
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if upgrading {
+	if l.released {
+		return ErrReleased
+	}
+	l.released = true
+	if l.upgrading {
 		if w := ls.waiter; w != nil {
 			w.releaseOnUpgrade = true
 			return nil
@@ -2131,7 +2160,7 @@ func (l *Lock) Unlock() error {
 		h.refs--
 		if h.refs <= 0 {
 			ls.hold = nil
-			m.freeSlot(ls)
+			ls.freeSlot()
 			m.maybeEvict(sh)
 		}
 		return ErrLockLost
@@ -2151,7 +2180,7 @@ func (l *Lock) Unlock() error {
 		return err
 	}
 	m.dispatch(sh, ls, out)
-	m.freeSlot(ls)
+	ls.freeSlot()
 	m.maybeEvict(sh)
 	return nil
 }
@@ -2162,38 +2191,26 @@ func (l *Lock) Unlock() error {
 // handle then holds W, or the lock is auto-released if Unlock was called
 // meanwhile.
 func (l *Lock) Upgrade(ctx context.Context) error {
-	l.mu.Lock()
-	if l.released {
-		l.mu.Unlock()
-		return ErrReleased
+	m, sh, ls := l.m, l.sh, l.ls
+	sh.mu.Lock()
+	var err error
+	switch {
+	case l.released:
+		err = ErrReleased
+	case l.mode != U:
+		err = fmt.Errorf("%w (holding %v)", ErrNotUpgradable, l.mode)
+	case l.upgrading:
+		err = fmt.Errorf("hierlock: upgrade already in flight")
+	case m.closed.Load():
+		err = ErrClosed
+	case m.leaving.Load():
+		err = ErrLeaving
 	}
-	if l.mode != U {
-		l.mu.Unlock()
-		return fmt.Errorf("%w (holding %v)", ErrNotUpgradable, l.mode)
-	}
-	if l.upgrading {
-		l.mu.Unlock()
-		return fmt.Errorf("hierlock: upgrade already in flight")
+	if err != nil {
+		sh.mu.Unlock()
+		return err
 	}
 	l.upgrading = true
-	l.mu.Unlock()
-
-	m := l.m
-	abort := func() {
-		l.mu.Lock()
-		l.upgrading = false
-		l.mu.Unlock()
-	}
-	if m.closed.Load() {
-		abort()
-		return ErrClosed
-	}
-	if m.leaving.Load() {
-		abort()
-		return ErrLeaving
-	}
-	sh, ls := l.sh, l.ls
-	sh.mu.Lock()
 	if h := ls.hold; h != nil {
 		h.upgrading = true // U is never shared, so refs == 1 here
 	}
@@ -2212,8 +2229,8 @@ func (l *Lock) Upgrade(ctx context.Context) error {
 		if h := ls.hold; h != nil {
 			h.upgrading = false
 		}
+		l.upgrading = false
 		sh.mu.Unlock()
-		abort()
 		return err
 	}
 	m.dispatch(sh, ls, out)
@@ -2221,7 +2238,6 @@ func (l *Lock) Upgrade(ctx context.Context) error {
 	var d time.Duration
 	if localGrant {
 		d = w.granted - start
-		sh.mu.Unlock()
 	} else {
 		if err := m.await(ctx, sh, w); err != nil {
 			// The upgrade completes in the background if its grant ever
@@ -2233,14 +2249,13 @@ func (l *Lock) Upgrade(ctx context.Context) error {
 			return err
 		}
 		d = sinceEpoch() - start
+		sh.mu.Lock()
 	}
-	tel.record(uint(ls.id), grant{op: metrics.OpUpgrade,
-		outcome: w.outcome(localGrant), d: d, hops: w.hops})
-	l.mu.Lock()
-	l.mode = W
+	g := grant{op: metrics.OpUpgrade, outcome: w.outcome(localGrant), d: d, hops: w.hops}
 	l.upgrading = false
-	l.fence = w.fence
-	l.mu.Unlock()
+	l.regrant(W, w.fence)
+	sh.mu.Unlock()
+	tel.record(uint(ls.id), g)
 	return nil
 }
 
@@ -2439,7 +2454,7 @@ func (m *Member) dispatch(sh *lockShard, ls *lockState, out hlock.Out) {
 				if err != nil {
 					m.fail(err)
 				}
-				m.freeSlot(ls)
+				ls.freeSlot()
 				m.dispatch(sh, ls, rout)
 			default:
 				if ev.Kind == hlock.EventUpgraded {
@@ -2456,7 +2471,8 @@ func (m *Member) dispatch(sh *lockShard, ls *lockState, out hlock.Out) {
 				w.granted = sinceEpoch()
 				if rec := tel.rec; rec != nil {
 					sh.note(rec, trace.Entry{At: w.granted, Op: trace.OpGranted,
-						Node: m.id, Lock: ls.id, Mode: ev.Mode, Trace: ev.Trace})
+						Node: m.id, Lock: ls.id, Mode: ev.Mode, Trace: ev.Trace,
+						Issued: w.issued})
 				}
 				if lg := tel.log; lg != nil && lg.Enabled(context.Background(), slog.LevelDebug) {
 					lg.Debug("lock granted", "trace", ev.Trace.String(),

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -96,9 +97,11 @@ func stagedEntries(m *Member) int {
 }
 
 // TestStagedRingExactAtReadAndOrdered: the member holds client-operation
-// entries back per stripe, and nobody reading the ring can tell. After
-// resident pairs over 128 locks from four goroutines every entry is
-// there, in time order, each lock's acquire → granted → release cycles
+// entries back per stripe and records a grant made at once as one entry,
+// and nobody reading the ring can tell. After resident pairs over 128
+// locks from four goroutines the taps have seen two entries per pair
+// (granted, release) and the stripes staged as many, while the ring shows
+// three, in time order, each lock's acquire → granted → release cycles
 // intact; a pause keeps out what came after it and nothing before; Close
 // admits what no reader pulled.
 func TestStagedRingExactAtReadAndOrdered(t *testing.T) {
@@ -124,8 +127,11 @@ func TestStagedRingExactAtReadAndOrdered(t *testing.T) {
 		t.Fatalf("%d entries still staged after a read", staged)
 	}
 	checkResidentRing(t, w.rec.Entries(), 3*total)
-	if rep := w.aud.Snapshot(); rep.Entries != 3*total || rep.Total != 0 {
-		t.Fatalf("auditor saw %d entries and %d violations, want %d and 0", rep.Entries, rep.Total, 3*total)
+	if rep := w.aud.Snapshot(); rep.Entries != 2*total || rep.Total != 0 {
+		t.Fatalf("auditor saw %d entries and %d violations, want %d (two per pair) and 0", rep.Entries, rep.Total, 2*total)
+	}
+	if got, want := w.reg.Counter(metrics.MetricAuditEntries, "Trace entries consumed by the protocol auditor.", nil).Value(), uint64(2*total); got != want {
+		t.Fatalf("%s = %d, want %d", metrics.MetricAuditEntries, got, want)
 	}
 	if got := w.bb.Stats().Events; got != total {
 		t.Fatalf("flight recorder has %d events, want one grant per pair (%d)", got, total)
@@ -139,15 +145,15 @@ func TestStagedRingExactAtReadAndOrdered(t *testing.T) {
 	if got := w.rec.Len(); got != 3*total {
 		t.Fatalf("ring grew to %d entries while paused, want %d", got, 3*total)
 	}
-	if got, want := w.aud.Snapshot().Entries, uint64(3*(total+goroutines*50)); got != want {
+	if got, want := w.aud.Snapshot().Entries, uint64(2*(total+goroutines*50)); got != want {
 		t.Fatalf("auditor saw %d entries across the pause, want %d", got, want)
 	}
 
 	// What is staged when the member closes reaches the ring with no
 	// reader's help.
 	residentPairs(t, m, goroutines, keysPer, 5)
-	if staged := stagedEntries(m); staged != 3*goroutines*5 {
-		t.Fatalf("%d entries staged before Close, want %d", staged, 3*goroutines*5)
+	if staged := stagedEntries(m); staged != 2*goroutines*5 {
+		t.Fatalf("%d entries staged before Close, want %d (two per pair)", staged, 2*goroutines*5)
 	}
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
@@ -162,7 +168,9 @@ func TestStagedRingExactAtReadAndOrdered(t *testing.T) {
 
 // checkResidentRing checks a ring that holds nothing but resident
 // Lock/Unlock pairs: want entries, At never decreasing, and per lock the
-// cycle acquire, granted (same trace), release.
+// cycle acquire, granted, release with Seq increasing, the acquire and
+// its grant alike in node, lock, mode and trace, and no entry carrying
+// the stamp the ring derived the acquire from.
 func checkResidentRing(t *testing.T, es []trace.Entry, want int) {
 	t.Helper()
 	if len(es) != want {
@@ -170,7 +178,8 @@ func checkResidentRing(t *testing.T, es []trace.Entry, want int) {
 	}
 	type cycle struct {
 		next trace.Op
-		tr   proto.TraceID
+		acq  trace.Entry
+		seq  uint64
 	}
 	locks := make(map[proto.LockID]*cycle)
 	for i, e := range es {
@@ -185,12 +194,16 @@ func checkResidentRing(t *testing.T, es []trace.Entry, want int) {
 		if e.Op != c.next {
 			t.Fatalf("entry %d: lock %d has %v where %v is due\n%v", i, e.Lock, e.Op, c.next, e)
 		}
+		if e.Seq <= c.seq || e.Issued != 0 {
+			t.Fatalf("entry %d: Seq %d after %d on its lock, Issued %v\n%v", i, e.Seq, c.seq, e.Issued, e)
+		}
+		c.seq = e.Seq
 		switch e.Op {
 		case trace.OpAcquire:
-			c.next, c.tr = trace.OpGranted, e.Trace
+			c.next, c.acq = trace.OpGranted, e
 		case trace.OpGranted:
-			if e.Trace != c.tr {
-				t.Fatalf("entry %d: granted under trace %v, acquired under %v", i, e.Trace, c.tr)
+			if a := c.acq; e.Trace != a.Trace || e.Node != a.Node || e.Mode != a.Mode {
+				t.Fatalf("entry %d: grant and its acquire differ\n%v\n%v", i, a, e)
 			}
 			c.next = trace.OpRelease
 		case trace.OpRelease:
@@ -199,8 +212,9 @@ func checkResidentRing(t *testing.T, es []trace.Entry, want int) {
 	}
 }
 
-// TestStagedRingKeepsCapacity: staging does not let a small ring grow,
-// and what it evicts is counted.
+// TestStagedRingKeepsCapacity: neither staging nor the acquire entries
+// the ring derives let a small ring grow, and what it evicts is counted:
+// capacity, Dropped and Seq are all in entries as read, three per pair.
 func TestStagedRingKeepsCapacity(t *testing.T) {
 	c, err := NewCluster(1)
 	if err != nil {
@@ -212,8 +226,11 @@ func TestStagedRingKeepsCapacity(t *testing.T) {
 	w.attach(m)
 	residentPairs(t, m, 4, 32, 200)
 	es := w.rec.Entries()
-	if len(es) != 4 {
-		t.Fatalf("a capacity-4 ring returned %d entries", len(es))
+	if len(es) != 4 || w.rec.Len() != 4 {
+		t.Fatalf("a capacity-4 ring returned %d entries, Len() = %d", len(es), w.rec.Len())
+	}
+	if got := w.aud.Snapshot().Entries; got != 2*4*200 {
+		t.Fatalf("auditor saw %d entries, want two per pair (%d)", got, 2*4*200)
 	}
 	if got, want := w.rec.Dropped(), uint64(3*4*200-4); got != want {
 		t.Fatalf("Dropped() = %d, want %d", got, want)
@@ -361,5 +378,144 @@ func TestResidentPathSharesNoMemberMutex(t *testing.T) {
 	<-done
 	if got := m.Stats().Acquires; got != 1000 {
 		t.Fatalf("Stats().Acquires = %d, want 1000", got)
+	}
+}
+
+// TestAcquireFoldedOnlyWhenGrantedAtOnce runs one of each kind of request
+// on a member whose recorder has a tap: a local grant, a shared join, a
+// request that waits for the admission slot, one whose token is remote,
+// an upgrade. Only the grants made the moment they were issued reach the
+// tap as one entry (OpGranted carrying Issued); a request that joins,
+// waits, sends or upgrades shows the tap its OpAcquire when it is issued.
+// The ring shows every request's OpAcquire before its OpGranted, alike in
+// node, lock and trace, and no Issued.
+func TestAcquireFoldedOnlyWhenGrantedAtOnce(t *testing.T) {
+	bg := context.Background()
+	c, err := NewCluster(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	m0, m1 := c.Member(0), c.Member(1)
+	rec := trace.New(1024)
+	var tapMu sync.Mutex
+	var tapped []trace.Entry
+	rec.SetTap(func(e trace.Entry) {
+		tapMu.Lock()
+		tapped = append(tapped, e)
+		tapMu.Unlock()
+	})
+	m0.SetTelemetry(Telemetry{Trace: rec})
+
+	lock := func(m *Member, res string, mode Mode) *Lock {
+		t.Helper()
+		l, err := m.Lock(bg, res, mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return l
+	}
+	unlock := func(l *Lock) {
+		t.Helper()
+		if err := l.Unlock(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// want: per requested (resource, mode) in script order, whether the tap
+	// is to see a separate OpAcquire.
+	type request struct {
+		lock     proto.LockID
+		mode     Mode
+		separate bool
+	}
+	var want []request
+	expect := func(res string, mode Mode, separate bool) {
+		want = append(want, request{lockIDFor(res), mode, separate})
+	}
+
+	expect("script/local", W, false)
+	unlock(lock(m0, "script/local", W))
+
+	expect("script/shared", R, false)
+	expect("script/shared", R, true) // the join
+	first, second := lock(m0, "script/shared", R), lock(m0, "script/shared", R)
+	unlock(first)
+	unlock(second)
+
+	expect(waiterRes, W, false)
+	expect(waiterRes, W, true) // waits for the slot
+	holder := lock(m0, waiterRes, W)
+	queued := lockAsync(m0, bg)
+	waitQueued(t, m0, 1)
+	unlock(holder)
+	settle(t, "queued client", queued, nil, false)
+
+	unlock(lock(m1, "script/remote", W)) // the token leaves m0
+	expect("script/remote", W, true)     // sends a request
+	unlock(lock(m0, "script/remote", W))
+
+	expect("script/upgrade", U, false)
+	expect("script/upgrade", W, true) // the upgrade
+	up := lock(m0, "script/upgrade", U)
+	if err := up.Upgrade(bg); err != nil {
+		t.Fatal(err)
+	}
+	unlock(up)
+	if err := c.Err(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The tap: client-operation entries of m0 in the order they happened.
+	tapMu.Lock()
+	defer tapMu.Unlock()
+	var got []request
+	open := make(map[proto.TraceID]bool) // requests whose OpAcquire the tap saw
+	folded := 0
+	for _, e := range tapped {
+		switch e.Op {
+		case trace.OpAcquire:
+			open[e.Trace] = true
+			got = append(got, request{e.Lock, e.Mode, true})
+		case trace.OpGranted:
+			if (e.Issued != 0) == open[e.Trace] {
+				t.Fatalf("tap saw a grant with Issued=%v after acquire=%v\n%v", e.Issued, open[e.Trace], e)
+			}
+			if e.Issued != 0 {
+				folded++
+				got = append(got, request{e.Lock, e.Mode, false})
+				if e.Issued > e.At {
+					t.Fatalf("grant issued at %v, after it was granted at %v", e.Issued, e.At)
+				}
+			}
+		}
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("the tap saw requests (lock, mode, separate acquire)\n%v, want\n%v", got, want)
+	}
+
+	// The ring: what the tap saw plus one acquire per folded grant.
+	es := rec.Entries()
+	if len(es) != len(tapped)+folded || rec.Len() != len(es) {
+		t.Fatalf("ring shows %d entries (Len %d), want the tap's %d plus %d derived acquires", len(es), rec.Len(), len(tapped), folded)
+	}
+	acquired := make(map[proto.TraceID]trace.Entry)
+	grants := 0
+	for i, e := range es {
+		if e.Issued != 0 || (i > 0 && e.At < es[i-1].At) {
+			t.Fatalf("ring entry %d: Issued=%v, At %v after %v", i, e.Issued, e.At, es[i-1].At)
+		}
+		switch e.Op {
+		case trace.OpAcquire:
+			acquired[e.Trace] = e
+		case trace.OpGranted:
+			grants++
+			a, ok := acquired[e.Trace]
+			if !ok || a.Node != e.Node || a.Lock != e.Lock || a.Seq >= e.Seq {
+				t.Fatalf("ring entry %d: grant without its acquire before it (%v)\n%v", i, a, e)
+			}
+		}
+	}
+	if grants != len(want) {
+		t.Fatalf("ring shows %d grants, want %d", grants, len(want))
 	}
 }

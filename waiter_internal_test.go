@@ -2,6 +2,8 @@ package hierlock
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"testing"
 	"time"
 )
@@ -15,7 +17,7 @@ const waiterRes = "hot"
 func waiterEntry(m *Member) (registered, parked, admitted bool, wakeups int) {
 	sh, ls := m.state(lockIDFor(waiterRes), waiterRes)
 	defer sh.mu.Unlock()
-	return ls.waiter != nil, ls.w.parked, len(ls.slot) != 0, len(ls.w.ch)
+	return ls.waiter != nil, ls.w.parked, ls.admitted, len(ls.w.ch)
 }
 
 // waitEntry polls until cond holds for m's waiterRes entry.
@@ -205,5 +207,284 @@ func TestReusedWaiterStates(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// admission reads the admission word and queue length of m's waiterRes
+// entry under its shard mutex.
+func admission(m *Member) (admitted bool, queued int) {
+	sh, ls := m.state(lockIDFor(waiterRes), waiterRes)
+	defer sh.mu.Unlock()
+	return ls.admitted, len(ls.admitQ)
+}
+
+// waitQueued polls until n clients are queued for waiterRes's slot.
+func waitQueued(t *testing.T, m *Member, n int) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(50 * time.Microsecond) {
+		_, queued := admission(m)
+		if queued == n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %d queued clients (have %d)", n, queued)
+		}
+	}
+}
+
+type lockResult struct {
+	l   *Lock
+	err error
+}
+
+// lockAsync issues a W Lock on waiterRes from a goroutine of its own.
+func lockAsync(m *Member, ctx context.Context) chan lockResult {
+	done := make(chan lockResult, 1)
+	go func() {
+		l, err := m.Lock(ctx, waiterRes, W)
+		done <- lockResult{l, err}
+	}()
+	return done
+}
+
+// settle waits for a queued client's outcome: want (nil for a grant,
+// which is released at once), or for a raced victim either.
+func settle(t *testing.T, who string, done chan lockResult, want error, orGrant bool) {
+	t.Helper()
+	select {
+	case r := <-done:
+		switch {
+		case r.err == nil && (want == nil || orGrant):
+			if err := r.l.Unlock(); err != nil {
+				t.Fatalf("%s unlock: %v", who, err)
+			}
+		case r.err == nil || !errors.Is(r.err, want):
+			t.Fatalf("%s returned %v, want %v", who, r.err, want)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatalf("%s never returned: the slot was not passed on", who)
+	}
+}
+
+// TestSlotBlockedWaiterStates enumerates the third waiter layer, after
+// the session tier's queue (TestAdmissionWaiterStates) and the protocol
+// wait (TestReusedWaiterStates): a client queued for a lock's admission
+// slot behind a local W holder. The victim gives up — cancel, deadline,
+// Close — either while the holder still holds (it dequeues itself) or as
+// the holder releases, the release a little later each round so that the
+// pop sweeps across the event (a victim popped before it gives up owns
+// the slot and must pass it on). A survivor queued behind the victim is
+// granted either way, afterwards the queue is empty and the word clear,
+// and the next Lock on the entry is granted.
+func TestSlotBlockedWaiterStates(t *testing.T) {
+	bg := context.Background()
+	events := []struct {
+		name   string
+		want   error
+		closes bool
+		arm    func(t *testing.T, m *Member) (context.Context, func())
+	}{
+		{"cancel", context.Canceled, false, func(*testing.T, *Member) (context.Context, func()) {
+			return context.WithCancel(bg)
+		}},
+		{"deadline", context.DeadlineExceeded, false, func(t *testing.T, _ *Member) (context.Context, func()) {
+			ctx, cancel := context.WithTimeout(bg, 10*time.Millisecond)
+			t.Cleanup(cancel)
+			return ctx, func() { <-ctx.Done() }
+		}},
+		{"close", ErrClosed, true, func(_ *testing.T, m *Member) (context.Context, func()) {
+			return bg, func() { _ = m.Close() }
+		}},
+	}
+	for _, ev := range events {
+		for _, raced := range []bool{false, true} {
+			name := ev.name + "/still queued"
+			if raced {
+				name = ev.name + "/popped in the race window"
+			}
+			t.Run(name, func(t *testing.T) {
+				for round := 0; round < 25; round++ {
+					c, err := NewCluster(1)
+					if err != nil {
+						t.Fatal(err)
+					}
+					m := c.Member(0)
+					holder, err := m.Lock(bg, waiterRes, W)
+					if err != nil {
+						t.Fatal(err)
+					}
+					victimCtx, trigger := ev.arm(t, m)
+					victim := lockAsync(m, victimCtx)
+					waitQueued(t, m, 1)
+					survivor := lockAsync(m, bg)
+					waitQueued(t, m, 2)
+					trigger()
+					if raced {
+						for until := time.Now().Add(time.Duration(round) * 2 * time.Microsecond); time.Now().Before(until); {
+						}
+					} else {
+						settle(t, "victim", victim, ev.want, false)
+						if !ev.closes {
+							waitQueued(t, m, 1)
+						}
+					}
+					if err := holder.Unlock(); err != nil {
+						t.Fatalf("round %d: holder unlock: %v", round, err)
+					}
+					if raced {
+						settle(t, "victim", victim, ev.want, true)
+					}
+					if ev.closes {
+						settle(t, "survivor", survivor, ErrClosed, false)
+					} else {
+						settle(t, "survivor", survivor, nil, false)
+					}
+					if admitted, queued := admission(m); admitted || queued != 0 {
+						t.Fatalf("round %d: everyone returned and released, yet admitted=%v queued=%d", round, admitted, queued)
+					}
+					if !ev.closes {
+						settle(t, "next client", lockAsync(m, bg), nil, false)
+					}
+					if err := c.Err(); err != nil {
+						t.Fatalf("round %d: protocol error: %v", round, err)
+					}
+					_ = c.Close()
+				}
+			})
+		}
+	}
+}
+
+// TestSlotBlockedFIFO: eight clients queued for one lock's slot are
+// admitted in the order they arrived.
+func TestSlotBlockedFIFO(t *testing.T) {
+	const n = 8
+	bg := context.Background()
+	c, err := NewCluster(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	m := c.Member(0)
+	holder, err := m.Lock(bg, waiterRes, W)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var order []int // appended to by whoever holds the W lock
+	done := make(chan error, n)
+	for i := 0; i < n; i++ {
+		go func() {
+			l, err := m.Lock(bg, waiterRes, W)
+			if err == nil {
+				order = append(order, i)
+				err = l.Unlock()
+			}
+			done <- err
+		}()
+		waitQueued(t, m, i+1)
+	}
+	if err := holder.Unlock(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, who := range order {
+		if who != i {
+			t.Fatalf("admitted in order %v, want arrival order", order)
+		}
+	}
+	if admitted, queued := admission(m); admitted || queued != 0 || len(order) != n {
+		t.Fatalf("admitted=%v queued=%d after %d of %d grants", admitted, queued, len(order), n)
+	}
+}
+
+// TestSlotBlockedEntryNotEvicted: queued clients are visible under the
+// shard mutex, so no sweep takes their entry — not EvictIdle called in a
+// loop, not the sweep every release on a stripe past shardEvictThreshold
+// runs — although between a release and the popped client's next step
+// the entry has no hold, no waiter and an engine at its initial state.
+// Every queued client is granted on the entry it queued on.
+func TestSlotBlockedEntryNotEvicted(t *testing.T) {
+	const n = 8
+	bg := context.Background()
+	c, err := NewCluster(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	m := c.Member(0)
+	holder, err := m.Lock(bg, waiterRes, W)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Fill waiterRes's stripe past the threshold with held, so resident,
+	// entries: from here on every maybeEvict on the stripe sweeps it.
+	stripe := uint64(lockIDFor(waiterRes)) % lockShardCount
+	for i, held := 0, 0; held < shardEvictThreshold; i++ {
+		res := fmt.Sprintf("filler-%d", i)
+		if uint64(lockIDFor(res))%lockShardCount != stripe {
+			continue
+		}
+		l, err := m.Lock(bg, res, W)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l.Unlock()
+		held++
+	}
+	sh, entry := m.state(lockIDFor(waiterRes), waiterRes)
+	sh.mu.Unlock()
+
+	done := make(chan error, n)
+	for i := 0; i < n; i++ {
+		go func() {
+			l, err := m.Lock(bg, waiterRes, W)
+			if err == nil {
+				sh, live := m.state(lockIDFor(waiterRes), waiterRes)
+				sh.mu.Unlock()
+				if l.ls != entry || live != entry {
+					err = fmt.Errorf("client %d holds an entry that is not the one it queued on, or not the table's", i)
+				}
+				if uerr := l.Unlock(); err == nil {
+					err = uerr
+				}
+			}
+			done <- err
+		}()
+		waitQueued(t, m, i+1)
+	}
+	stop := make(chan struct{})
+	swept := make(chan struct{})
+	go func() {
+		defer close(swept)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				m.EvictIdle()
+			}
+		}
+	}()
+	if err := holder.Unlock(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Error(err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("a queued client was never granted")
+		}
+	}
+	close(stop)
+	<-swept
+	if err := c.Err(); err != nil {
+		t.Fatal(err)
 	}
 }
