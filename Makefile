@@ -30,17 +30,21 @@ race:
 # transport line runs three times: when a delayed ack is written and
 # which reader ends up delivering depend on the schedule, and one pass
 # hides what the next one shows. So do the last three: which stripe admits
-# its staged trace entries or folds its staged metric words when, and
-# which goroutine finds an auditor or flight-recorder stripe taken, is
-# schedule too (internal/metrics carries the registry's fold hooks) — and
-# so is whether a client queued for a lock's admission slot is popped
-# before or after it gives up (TestSlotBlocked*).
+# its staged trace entries (to the taps and the ring alike) or folds its
+# staged metric words when, whether anything comes between a grant and
+# its release on a stripe (TestReleaseFolds*, TestSharedAuditor*), which
+# reader's pull hands the auditor an offending entry
+# (TestViolationInStagedEntry*, TestEveryConsumerPulls*) and what a
+# reader of a handle's mode and fence sees beside Refence and Upgrade
+# (TestHandleGrantEvents*) is schedule too (internal/metrics carries the
+# registry's fold hooks) — and so is whether a client queued for a lock's
+# admission slot is popped before or after it gives up (TestSlotBlocked*).
 chaos:
 	$(GO) test -race -count=1 -run 'Chaos' ./internal/cluster/
 	$(GO) test -race -count=3 -run 'TestTCP' ./internal/transport/
 	$(GO) test -race -count=1 ./internal/recovery/
 	$(GO) test -race -count=1 -run 'TestTCPCrashRecovery|TestTCPRecoveryQuietWithoutCrash' .
-	$(GO) test -race -count=3 -run 'TestStagedRing|TestSharedRing|TestResidentPath|TestAcquireFolded|TestSlotBlocked' .
+	$(GO) test -race -count=3 -run 'TestStagedRing|TestSharedRing|TestResidentPath|TestAcquireFolded|TestSlotBlocked|TestReleaseFolds|TestClientScriptRingGolden|TestSharedAuditor|TestViolationInStagedEntry|TestEveryConsumerPulls|TestHandleGrantEvents' .
 	$(GO) test -race -count=3 -run 'TestScrapeExactWhileCounting|TestSetTelemetrySwapSplitsCounts|TestMemberMetricsGolden' .
 	$(GO) test -race -count=3 ./internal/audit/ ./internal/trace/ ./internal/introspect/ ./internal/metrics/
 
@@ -92,7 +96,9 @@ fuzz:
 # line is a smoke run of the member's resident pair, bare and under
 # lockd's default telemetry, on one core and on two: what a member makes
 # its callers share shows only in the -cpu 2 column (for figures worth
-# quoting raise -benchtime).
+# quoting raise -benchtime). Under the default telemetry a pair stages one
+# trace entry — its grant, carrying the acquire's and the release's stamps
+# — which the ring, the auditor and the flight recorder get 16 at a time.
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem . ./internal/hlock ./internal/metrics ./internal/trace ./internal/proto ./internal/session
 	$(GO) test -run '^$$' -bench 'BenchmarkMemberDefaultTelemetry|BenchmarkMemberMultiLockContended' -cpu 1,2 -benchtime 100x -benchmem .
@@ -116,7 +122,8 @@ bench-compare:
 	$(GO) run ./cmd/benchcompare -old BENCH_pr$(PREV).json -new BENCH_pr$(PR).json -threshold 0.10
 
 # The online protocol auditor's invariant tests, under the race
-# detector (they replay violating and healthy trace streams).
+# detector (they replay violating and healthy trace streams, the interval
+# rule for finished operations handed in out of time order among them).
 audit:
 	$(GO) test -race -count=1 ./internal/audit/
 

@@ -25,6 +25,13 @@
 // definite violation, never on gaps. Merged cluster-wide streams (the
 // simulator, or /debug/trace peer merges) get the full-strength checks.
 //
+// A live member hands in its client operations a batch at a time (see
+// trace.Recorder.Admit), so streams merged from several members arrive in
+// per-lock causal order, not in time order: what a node did with a lock
+// arrives before any message it then sent about it, and two grants no
+// message separates arrive either way round. The mutual exclusion check
+// therefore compares holds as intervals of the entries' own stamps.
+//
 // Violations increment hierlock_audit_violations_total{invariant=...} in
 // the attached metrics registry and are retained (bounded) for the
 // /debug/audit endpoint.
@@ -32,6 +39,7 @@ package audit
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -82,9 +90,13 @@ type Config struct {
 	MaxLinkBacklog int
 	// OnViolation, when non-nil, observes every flagged violation
 	// (including ones past MaxViolations). Called with the auditor's
-	// internal mutexes held, on the recording goroutine — it must not
-	// block or call back into the Auditor. Hosts use it to trigger a flight-
-	// recorder dump the moment an invariant breaks.
+	// internal mutexes held, inside the trace recorder's tap — so also with
+	// the mutex of the producer admitting the batch, and with Registry's
+	// read lock when a scrape pulled the batch in. It must not block, call
+	// back into the Auditor, or read Registry, the trace ring or anything
+	// else that pulls from producers. Hosts use it to trigger a flight-
+	// recorder dump (introspect.Recorder.TriggerDump pulls nothing) the
+	// moment an invariant breaks.
 	OnViolation func(Violation)
 }
 
@@ -106,16 +118,23 @@ type tokenState struct {
 	known    bool         // false until the first token observation
 }
 
-// holder is one node's granted mode on a lock.
+// holder is one node's hold on a lock: mode, held over [from, to), to
+// being stillHeld until the release is seen. A released hold stays as the
+// node's last finished one, so that a conflicting grant another member's
+// batch hands in afterwards is still caught.
 type holder struct {
-	node proto.NodeID
-	mode modes.Mode
+	node     proto.NodeID
+	mode     modes.Mode
+	from, to time.Duration
 }
 
+// stillHeld is the end of a hold nobody has released: later than any stamp.
+const stillHeld = time.Duration(math.MaxInt64)
+
 type lockState struct {
-	// holders lists each node's granted mode (mutual exclusion check). A
-	// slice, not a map: a lock has a handful of holders at most and the
-	// grant/release pair of a resident token walks it twice per operation.
+	// holders lists each node's current or last hold (mutual exclusion
+	// check). A slice, not a map: a lock has a handful of holders at most
+	// and every client operation walks it.
 	holders []holder
 	// parents: node → set of plausible release targets — nodes that
 	// granted it a copy or the token, plus origins of requests it
@@ -158,8 +177,10 @@ type stripe struct {
 // token/copyset ledger of a message belong to one lock and live in that
 // lock's stripe; the link FIFO check spans locks and has its own mutex,
 // taken only for message entries; the violation list has a third, taken
-// only when an invariant breaks. Every entry is still checked
-// synchronously, on the recording goroutine, before Record returns.
+// only when an invariant breaks. Every entry is checked before Record
+// returns; Snapshot and Violations first pull in what Config.Registry's
+// producers have staged, so they answer for every operation that finished
+// before they were asked.
 type Auditor struct {
 	cfg Config
 
@@ -230,7 +251,7 @@ func (a *Auditor) Record(e trace.Entry) {
 		st.mu.Unlock()
 	case trace.OpRelease:
 		st.mu.Lock()
-		st.lock(a, e.Lock).release(e.Node)
+		st.lock(a, e.Lock).release(e.Node, e.At)
 		st.mu.Unlock()
 	case trace.OpSend:
 		st.mu.Lock()
@@ -301,34 +322,41 @@ func (a *Auditor) flag(inv string, e trace.Entry, format string, args ...any) {
 	}
 }
 
-// onGranted checks Tab. 1(a) compatibility against all current holders,
-// then installs the grant.
+// onGranted checks Tab. 1(a) compatibility of a grant — open, or a
+// finished operation held until e.Released — against every other node's
+// hold that overlaps it in time, then installs it. Two open holds always
+// overlap.
 func (a *Auditor) onGranted(ls *lockState, e trace.Entry) {
+	g := holder{node: e.Node, mode: e.Mode, from: e.At, to: e.Released}
+	if e.Released == 0 {
+		g.to = stillHeld
+	}
 	self := -1
 	for i, h := range ls.holders {
-		if h.node == e.Node {
-			self = i // upgrade or re-grant on the same node
-			continue
-		}
-		if !modes.Compatible(h.mode, e.Mode) {
+		switch {
+		case h.node == e.Node:
+			self = i // upgrade, re-grant or the node's last hold
+		case modes.Compatible(h.mode, g.mode):
+		case g.from < h.to && h.from < g.to:
 			a.flag(InvMutualExclusion, e,
 				"node %d granted %v while node %d holds %v", e.Node, e.Mode, h.node, h.mode)
 		}
 	}
-	if self >= 0 {
-		ls.holders[self].mode = e.Mode
+	if self < 0 {
+		ls.holders = append(ls.holders, g)
 		return
 	}
-	ls.holders = append(ls.holders, holder{e.Node, e.Mode})
+	if h := ls.holders[self]; h.to == stillHeld && h.mode == g.mode {
+		g.from = h.from // a join: the hold is as old as its first sharer
+	}
+	ls.holders[self] = g
 }
 
-// release drops node's grant, if it has one.
-func (ls *lockState) release(node proto.NodeID) {
-	for i, h := range ls.holders {
-		if h.node == node {
-			last := len(ls.holders) - 1
-			ls.holders[i] = ls.holders[last]
-			ls.holders = ls.holders[:last]
+// release closes node's open hold, if it has one, at stamp at.
+func (ls *lockState) release(node proto.NodeID, at time.Duration) {
+	for i := range ls.holders {
+		if h := &ls.holders[i]; h.node == node && h.to == stillHeld {
+			h.to = at
 			return
 		}
 	}
@@ -502,6 +530,8 @@ func (a *Auditor) Snapshot() Report {
 		}
 		return rep
 	}
+	// Value pulls in what the registry's producers hold back, and with it
+	// any violation among those entries, before the list is read.
 	rep.Entries = a.entries.Value()
 	a.violMu.Lock()
 	defer a.violMu.Unlock()
@@ -518,6 +548,7 @@ func (a *Auditor) Violations() uint64 {
 	if a == nil {
 		return 0
 	}
+	a.cfg.Registry.Pull()
 	a.violMu.Lock()
 	defer a.violMu.Unlock()
 	var n uint64

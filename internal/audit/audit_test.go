@@ -1,6 +1,7 @@
 package audit
 
 import (
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -347,5 +348,51 @@ func TestConcurrentStripes(t *testing.T) {
 	}
 	if got := reg.Counter(metrics.MetricAuditEntries, "", nil).Value(); got != rep.Entries {
 		t.Fatalf("%s = %d, report says %d", metrics.MetricAuditEntries, got, rep.Entries)
+	}
+}
+
+// TestFinishedOperationsAreIntervals: a grant that carries its release
+// (trace.Entry.Released) is a hold over [At, Released), and holds are
+// compared by their stamps, not by the order they are handed in: members
+// that stage their client operations hand in batches, so two grants no
+// message separates arrive either way round. Node A's W over [10, 20] and
+// node B's W granted at 15 are one violation in either order and none at
+// 25; the same with the release handed in as an entry of its own; a
+// finished hold beside a compatible open one is clean.
+func TestFinishedOperationsAreIntervals(t *testing.T) {
+	at := func(e trace.Entry, at, released time.Duration) trace.Entry {
+		e.At, e.Released = at, released
+		return e
+	}
+	finishedA := at(granted(1, modes.W, 0), 10, 20)
+	splitA := []trace.Entry{at(granted(1, modes.W, 0), 10, 0), at(release(1, modes.W, 0), 20, 0)}
+	cases := []struct {
+		name   string
+		stream []trace.Entry
+		want   uint64
+	}{
+		{"B inside, handed in after", []trace.Entry{finishedA, at(granted(1, modes.W, 1), 15, 0)}, 1},
+		{"B inside, handed in before", []trace.Entry{at(granted(1, modes.W, 1), 15, 0), finishedA}, 1},
+		{"B later, handed in after", []trace.Entry{finishedA, at(granted(1, modes.W, 1), 25, 0)}, 0},
+		{"B later, handed in before", []trace.Entry{at(granted(1, modes.W, 1), 25, 0), finishedA}, 0},
+		{"B at the release stamp", []trace.Entry{finishedA, at(granted(1, modes.W, 1), 20, 0)}, 0},
+		{"A released separately, B inside, after", append(slices.Clone(splitA), at(granted(1, modes.W, 1), 15, 0)), 1},
+		{"A released separately, B later, after", append(slices.Clone(splitA), at(granted(1, modes.W, 1), 25, 0)), 0},
+		{"both finished, overlapping", []trace.Entry{finishedA, at(granted(1, modes.W, 1), 12, 14)}, 1},
+		{"both finished, overlapping, other order", []trace.Entry{at(granted(1, modes.W, 1), 12, 14), finishedA}, 1},
+		{"both finished, apart", []trace.Entry{at(granted(1, modes.W, 1), 21, 30), finishedA}, 0},
+		{"finished R beside an open R", []trace.Entry{at(granted(1, modes.R, 1), 5, 0), at(granted(1, modes.R, 0), 10, 20)}, 0},
+		{"finished R inside an open W", []trace.Entry{at(granted(1, modes.W, 1), 5, 0), at(granted(1, modes.R, 0), 10, 20)}, 1},
+		{"a node's own holds never conflict", []trace.Entry{finishedA, at(granted(1, modes.W, 0), 15, 0)}, 0},
+		{"a finished hold closes the node's open one", []trace.Entry{at(granted(1, modes.U, 0), 5, 0), at(granted(1, modes.W, 0), 10, 20), at(granted(1, modes.W, 1), 25, 0)}, 0},
+	}
+	for _, c := range cases {
+		a := New(Config{Root: 0})
+		feed(a, c.stream...)
+		rep := a.Snapshot()
+		if rep.ByCheck[InvMutualExclusion] != c.want || rep.Total != c.want || rep.Entries != uint64(len(c.stream)) {
+			t.Errorf("%s: %d violations over %d entries, want %d over %d: %+v",
+				c.name, rep.Total, rep.Entries, c.want, len(c.stream), rep.Violations)
+		}
 	}
 }

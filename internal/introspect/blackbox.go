@@ -110,13 +110,12 @@ var Reasons = []string{ReasonAuditViolation, ReasonRecoveryRound, ReasonLockLost
 // recovery round, a lost lock), preserving the lead-up that the trace
 // ring has usually rotated past by the time anyone looks.
 //
-// Grants — the one event every client operation produces — do not go to
-// the ring directly: Tap stages them in one of grantStripes small
-// buffers picked by lock ID, each under its own mutex, and a buffer is
-// admitted to the ring when it fills, before a direct Record for a lock
-// of that stripe (so a lock's events stay in order), and by every reader
-// (Snapshot, Stats, TriggerDump), which therefore see every event
-// recorded so far.
+// The recorder stages nothing itself. Whoever feeds Tap from a staging
+// producer (a member's stripes hold client operations back and admit them
+// to the trace recorder in batches) registers the producer's flush with
+// OnRead: Snapshot and Stats run it first and so see every grant made so
+// far. TriggerDump runs no hook — it fires inside taps, under the very
+// mutexes a flush takes — and dumps what the ring holds.
 //
 // All methods are nil-safe: a member without a recorder attached pays
 // only a nil check, keeping the hot path's zero-alloc guarantee when
@@ -125,14 +124,13 @@ type Recorder struct {
 	// epoch is the instant trace.Entry.At counts from, nil until SetEpoch.
 	epoch atomic.Pointer[time.Time]
 
-	staged [grantStripes]grantStripe
-
-	mu    sync.Mutex
-	ring  []Event
-	next  int
-	wrap  bool
-	seq   uint64
-	total uint64
+	mu     sync.Mutex
+	onRead []func() // append-only: see OnRead
+	ring   []Event
+	next   int
+	wrap   bool
+	seq    uint64
+	total  uint64
 
 	dir         string
 	minInterval time.Duration
@@ -141,22 +139,6 @@ type Recorder struct {
 	dumpErr     error
 
 	node proto.NodeID
-}
-
-// grantStripes × grantStage grants can be staged between reads.
-const (
-	grantStripes = 16
-	grantStage   = 32
-)
-
-// grantStripe is one staging buffer, padded so neighbouring stripes'
-// mutexes sit on different cache lines. Lock order: a stripe mutex
-// before Recorder.mu.
-type grantStripe struct {
-	mu  sync.Mutex
-	n   int
-	buf []Event // nil until the stripe's first grant, then grantStage long
-	_   [64]byte
 }
 
 // NewRecorder creates a flight recorder retaining the last size events
@@ -226,102 +208,76 @@ func (r *Recorder) EnableAutoDump(dir string, minInterval time.Duration) error {
 	return nil
 }
 
-// Record appends one event to the ring, after any grants staged for the
-// event's lock stripe. An event without a Wall stamp gets the current
-// time. Nil-safe; never allocates.
-func (r *Recorder) Record(e Event) {
-	if r == nil {
+// OnRead registers a staging producer's flush hook: fn hands the trace
+// recorder this one taps whatever the producer still holds. Snapshot and
+// Stats run the hooks first, with no mutex of the recorder held. No-op on
+// a nil recorder or nil fn.
+func (r *Recorder) OnRead(fn func()) {
+	if r == nil || fn == nil {
 		return
 	}
+	r.mu.Lock()
+	r.onRead = append(r.onRead, fn)
+	r.mu.Unlock()
+}
+
+// pull runs the OnRead hooks.
+func (r *Recorder) pull() {
+	r.mu.Lock()
+	hooks := r.onRead
+	r.mu.Unlock()
+	for _, fn := range hooks {
+		fn()
+	}
+}
+
+// Record appends one event to the ring. An event without a Wall stamp
+// gets the current time. Nil-safe; never allocates.
+func (r *Recorder) Record(e Event) {
+	if r != nil {
+		r.record(&e)
+	}
+}
+
+// record is Record of an event the caller is done with (Tap's are built
+// and stored with one copy each).
+func (r *Recorder) record(e *Event) {
 	if e.Wall == 0 {
 		e.Wall = r.wallNow()
 	}
-	st := &r.staged[uint(e.Lock)%grantStripes]
-	st.mu.Lock()
 	r.mu.Lock()
-	r.admit(st.buf[:st.n])
-	st.n = 0
-	r.admitOne(e)
-	r.mu.Unlock()
-	st.mu.Unlock()
-}
-
-// stageGrant buffers one tap-derived grant in its lock's stripe,
-// admitting the buffer when it fills.
-func (r *Recorder) stageGrant(e Event) {
-	st := &r.staged[uint(e.Lock)%grantStripes]
-	st.mu.Lock()
-	if st.buf == nil {
-		st.buf = make([]Event, grantStage)
-	}
-	st.buf[st.n] = e
-	st.n++
-	if st.n == len(st.buf) {
-		r.flush(st)
-	}
-	st.mu.Unlock()
-}
-
-// flush admits one stripe's staged grants. Callers hold st.mu.
-func (r *Recorder) flush(st *grantStripe) {
-	if st.n == 0 {
-		return
-	}
-	r.mu.Lock()
-	r.admit(st.buf[:st.n])
-	r.mu.Unlock()
-	st.n = 0
-}
-
-// drain admits every staged grant, so the ring and the event count are
-// exact for the reader that follows.
-func (r *Recorder) drain() {
-	for i := range r.staged {
-		st := &r.staged[i]
-		st.mu.Lock()
-		r.flush(st)
-		st.mu.Unlock()
-	}
-}
-
-// admit appends events to the ring. Callers hold r.mu.
-func (r *Recorder) admit(es []Event) {
-	for i := range es {
-		r.admitOne(es[i])
-	}
-}
-
-func (r *Recorder) admitOne(e Event) {
 	r.seq++
 	e.Seq = r.seq
 	r.total++
-	r.ring[r.next] = e
+	r.ring[r.next] = *e
 	r.next++
 	if r.next == len(r.ring) {
 		r.next = 0
 		r.wrap = true
 	}
+	r.mu.Unlock()
 }
 
 // Tap adapts the recorder to the trace.Recorder tap signature,
 // deriving flight-recorder events from the protocol trace stream:
 // grants, token hops and recovery-message transitions. Everything else
 // is filtered out before touching the ring. Events are stamped from the
-// entry's own At when SetEpoch said what it counts from.
+// entry's own At when SetEpoch said what it counts from: a staging
+// producer's entries arrive a batch at a time, after the fact.
 func (r *Recorder) Tap(e trace.Entry) {
 	if r == nil {
 		return
 	}
 	switch e.Op {
 	case trace.OpGranted:
-		r.stageGrant(Event{Wall: r.wallAt(e.At), Type: EvGrant, Node: e.Node, Lock: e.Lock, Mode: e.Mode, Trace: e.Trace})
+		r.record(&Event{Wall: r.wallAt(e.At), Type: EvGrant, Node: e.Node, Lock: e.Lock, Mode: e.Mode, Trace: e.Trace})
 	case trace.OpSend, trace.OpDeliver:
 		switch e.Kind {
 		case proto.KindToken:
-			r.Record(Event{Wall: r.wallAt(e.At), Type: EvTokenHop, Node: e.Node, Lock: e.Lock,
+			r.record(&Event{Wall: r.wallAt(e.At), Type: EvTokenHop, Node: e.Node, Lock: e.Lock,
 				Kind: e.Kind, From: e.From, To: e.To, Epoch: e.Epoch})
 		case proto.KindProbe, proto.KindClaim, proto.KindRecovered:
-			r.Record(Event{Wall: r.wallAt(e.At), Type: EvRecovery, Node: e.Node, Lock: e.Lock,
+			r.record(&Event{Wall: r.wallAt(e.At), Type: EvRecovery, Node: e.Node, Lock: e.Lock,
 				Kind: e.Kind, From: e.From, To: e.To, Epoch: e.Epoch})
 		}
 	}
@@ -374,7 +330,12 @@ func (r *Recorder) Snapshot(n int) []DumpEvent {
 	if r == nil {
 		return nil
 	}
-	r.drain()
+	r.pull()
+	return r.snapshot(n)
+}
+
+// snapshot is Snapshot of what the ring holds now.
+func (r *Recorder) snapshot(n int) []DumpEvent {
 	r.mu.Lock()
 	var events []Event
 	if r.wrap {
@@ -384,7 +345,7 @@ func (r *Recorder) Snapshot(n int) []DumpEvent {
 		events = append(events, r.ring[:r.next]...)
 	}
 	r.mu.Unlock()
-	// Staged grants reach the ring a batch at a time; Wall says when each
+	// Tapped grants reach the ring a batch at a time; Wall says when each
 	// event happened (stable: same-instant events keep admission order).
 	slices.SortStableFunc(events, func(a, b Event) int { return cmp.Compare(a.Wall, b.Wall) })
 	if n > 0 && len(events) > n {
@@ -418,7 +379,7 @@ func (r *Recorder) Stats() Stats {
 	if r == nil {
 		return st
 	}
-	r.drain()
+	r.pull()
 	r.mu.Lock()
 	st.Events = r.total
 	for reason, n := range r.dumps {
@@ -442,7 +403,10 @@ type Dump struct {
 // path, or "" when suppressed (no directory configured, or within the
 // per-reason interval). Nil-safe. The write happens inline — dumps
 // fire on exceptional paths (violations, recovery, lost locks), never
-// on the grant hot path.
+// on the grant hot path. No OnRead hook runs: the auditor calls this from
+// inside a tap, with the producer's mutex held and perhaps a registry
+// fold in progress, so a dump may lack the grants still staged (a reader
+// that wants them in it reads Stats or Snapshot first).
 func (r *Recorder) TriggerDump(reason string) (string, error) {
 	if r == nil {
 		return "", nil
@@ -461,7 +425,7 @@ func (r *Recorder) TriggerDump(reason string) (string, error) {
 		Node:     int(r.node),
 		Reason:   reason,
 		DumpedAt: now.UTC().Format(time.RFC3339Nano),
-		Events:   r.Snapshot(0),
+		Events:   r.snapshot(0),
 	}
 	name := fmt.Sprintf("%d-%s.json", now.UnixNano(), reason)
 	path := filepath.Join(dir, name)

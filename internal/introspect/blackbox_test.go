@@ -2,6 +2,7 @@ package introspect_test
 
 import (
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -225,31 +226,52 @@ func TestAuditViolationTriggersDump(t *testing.T) {
 	}
 }
 
-// TestStagedGrantsStayBehindDirectRecords: tap-derived grants wait in
-// their lock's stripe; a direct Record for the same lock admits them
-// first, every reader drains the rest, and the count is exact.
-func TestStagedGrantsStayBehindDirectRecords(t *testing.T) {
+// TestTapWritesThroughAndReadersPull: the recorder stages nothing — a
+// tap-derived grant is in the ring when Tap returns, in call order with
+// direct Records, stamped from the entry's own At — and Snapshot and Stats
+// first run the OnRead hooks of whoever stages in front of the tap, while
+// TriggerDump (which fires inside taps) runs none.
+func TestTapWritesThroughAndReadersPull(t *testing.T) {
 	const grants = 5
 	r := introspect.NewRecorder(1, 64)
+	if err := r.EnableAutoDump(t.TempDir(), time.Nanosecond); err != nil {
+		t.Fatal(err)
+	}
 	epoch := time.Now()
 	r.SetEpoch(epoch)
 	at := time.Since(epoch)
-	for i := 0; i < grants; i++ {
+	// A producer holding one grant back, handed in by its hook.
+	held := []trace.Entry{{At: at, Op: trace.OpGranted, Node: 1, Lock: 10, Mode: modes.R}}
+	pulls := 0
+	r.OnRead(func() {
+		pulls++
+		for _, e := range held {
+			r.Tap(e)
+		}
+		held = nil
+	})
+	r.OnRead(nil)
+	for i := 1; i <= grants; i++ {
 		r.Tap(trace.Entry{At: at + time.Duration(i), Op: trace.OpGranted, Node: 1, Lock: 9, Mode: modes.W})
 	}
-	// Grants of a lock in another stripe stay staged across the Record.
-	r.Tap(trace.Entry{At: at, Op: trace.OpGranted, Node: 1, Lock: 10, Mode: modes.R})
 	r.Record(introspect.Event{Type: introspect.EvTokenHop, Node: 1, Lock: 9, Kind: proto.KindToken, From: 1, To: 2})
 
-	if got := r.Stats().Events; got != grants+2 {
-		t.Fatalf("Stats().Events = %d, want %d", got, grants+2)
+	path, err := r.TriggerDump(introspect.ReasonManual)
+	if err != nil || path == "" {
+		t.Fatalf("TriggerDump = %q, %v", path, err)
+	}
+	if d, err := introspect.ReadDump(filepath.Dir(path), filepath.Base(path)); err != nil || len(d.Events) != grants+1 || pulls != 0 {
+		t.Fatalf("dump has %d events after %d pulls (%v), want the %d in the ring and no pull", len(d.Events), pulls, err, grants+1)
+	}
+	if got := r.Stats().Events; got != grants+2 || pulls != 1 {
+		t.Fatalf("Stats().Events = %d after %d pulls, want %d after 1", got, pulls, grants+2)
 	}
 	snap := r.Snapshot(0)
-	if len(snap) != grants+2 {
-		t.Fatalf("snapshot has %d events, want %d", len(snap), grants+2)
+	if len(snap) != grants+2 || pulls != 2 {
+		t.Fatalf("snapshot has %d events after %d pulls, want %d after 2", len(snap), pulls, grants+2)
 	}
 	if last := snap[len(snap)-1]; last.Type != "token_hop" || last.Seq != grants+1 {
-		t.Fatalf("last event is %+v, want the token hop admitted right behind lock 9's %d grants", last, grants)
+		t.Fatalf("last event is %+v, want the token hop recorded right behind lock 9's %d grants", last, grants)
 	}
 	var prev time.Time
 	for i, ev := range snap {
@@ -262,12 +284,12 @@ func TestStagedGrantsStayBehindDirectRecords(t *testing.T) {
 		}
 		prev = when
 	}
-	// A stamp derived from the entry's At, not from a second clock read.
-	if want := epoch.Add(at).UTC().Format(time.RFC3339Nano); snap[0].At != want {
-		t.Fatalf("first grant stamped %s, want epoch+At = %s", snap[0].At, want)
+	// The grant pulled in last happened first, and is stamped from the
+	// entry's At, not from a second clock read.
+	if want := epoch.Add(at).UTC().Format(time.RFC3339Nano); snap[0].At != want || snap[0].Lock != 10 {
+		t.Fatalf("first event is lock %d stamped %s, want lock 10 at epoch+At = %s", snap[0].Lock, snap[0].At, want)
 	}
 
-	// A full stripe admits itself.
 	for i := 0; i < 100; i++ {
 		r.Tap(trace.Entry{At: at, Op: trace.OpGranted, Node: 1, Lock: 9, Mode: modes.W})
 	}

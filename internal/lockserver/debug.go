@@ -315,6 +315,9 @@ func (s *Server) DebugHandler() http.Handler {
 			return
 		}
 		if r.URL.Query().Get("trigger") != "" {
+			// A dump is what the ring holds (it can fire inside a tap); a
+			// read pulls in the grants the member still has staged.
+			_ = s.Blackbox.Stats()
 			if _, err := s.Blackbox.TriggerDump(introspect.ReasonManual); err != nil {
 				http.Error(w, err.Error(), http.StatusInternalServerError)
 				return

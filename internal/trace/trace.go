@@ -4,12 +4,16 @@
 // assertions. The simulator and cluster runtime emit into a Recorder when
 // one is attached; recording costs nothing when disabled (nil Recorder).
 //
-// A Recorder has two kinds of consumer. Taps see each entry as it is
-// offered. Readers of the ring — Entries and what is built on it: spans,
-// causal paths, dumps — see every request as OpAcquire, OpGranted,
-// OpRelease, although a producer may record a request granted the moment
-// it was issued as one entry, the grant carrying the acquire's stamp
-// (Entry.Issued).
+// A Recorder has two kinds of consumer. Taps see each entry once: a
+// message event as it is recorded, a client operation a producer staged
+// when its batch is admitted, which is no later than the next message
+// event the producer records for that lock's stripe and no later than the
+// next read of the ring. Readers of the ring — Entries and what is built
+// on it: spans, causal paths, dumps — see every request as OpAcquire,
+// OpGranted, OpRelease, although a producer may hand in a request granted
+// the moment it was issued, and released before anything else happened on
+// its stripe, as one entry: the grant, carrying the acquire's stamp
+// (Entry.Issued) and the release's (Entry.Released).
 package trace
 
 import (
@@ -101,10 +105,16 @@ type Entry struct {
 	// Issued, on an OpGranted entry offered to a recorder, is the stamp at
 	// which the request was issued when its producer recorded no OpAcquire
 	// for it (zero otherwise): a request granted the moment it was issued is
-	// one record, not two. The taps see that one entry; the ring admits the
-	// OpAcquire it stands for in front of it (see Recorder.admit), so no
-	// entry read back from a recorder carries the field.
-	Issued time.Duration
+	// one record, not two. Released and ReleaseSeq are the stamp and the
+	// trace sequence (of a trace ID minted at Node) of the release that
+	// ended the grant, when its producer recorded no OpRelease for it (zero
+	// otherwise): the entry is then a finished operation, held over
+	// [At, Released]. The taps see that one entry; the ring admits the
+	// OpAcquire and OpRelease it stands for around it (see Recorder.admit),
+	// so no entry read back from a recorder carries any of the three.
+	Issued     time.Duration
+	Released   time.Duration
+	ReleaseSeq uint64
 }
 
 // String renders the entry compactly.
@@ -131,23 +141,26 @@ func (e Entry) String() string {
 // usable; construct with New. Safe for concurrent use.
 //
 // Record is write-through: taps, then the ring. A producer on a hot path
-// can split the two — Observe shows an entry to the taps at once, Admit
-// appends a batch the producer staged to the ring later — provided it
-// registers an OnRead hook that admits whatever it still holds, so every
-// reader of the ring sees every entry offered so far. Capacity, Len,
-// Dropped and Seq count entries as the ring holds them: a grant that
-// carries its acquire (Entry.Issued) is one entry to the taps and two here.
+// can stage entries and hand them to Admit in batches, provided it
+// registers an OnRead hook that admits whatever it still holds — so every
+// reader of the ring sees every entry offered so far — and admits what it
+// holds for a lock before it records a message event for that lock, so
+// what a node did with a lock reaches the taps before anything that lets
+// another node act on it. Capacity, Len, Dropped and Seq count entries as
+// the ring holds them: a grant that carries its acquire and its release
+// (Entry.Issued, Entry.Released) is one entry to the taps and three here.
 type Recorder struct {
 	// disabled pauses recording when set (SetEnabled(false)). Checked
 	// before the mutex so a paused recorder costs one atomic load.
 	disabled atomic.Bool
 
-	// taps observe every entry offered to the recorder, in the order they
+	// taps observe every entry recorded or admitted, in the order they
 	// were installed — before ring admission, regardless of capacity
 	// eviction and of the pause state — so an online checker
 	// (internal/audit) sees the complete event stream even while the debug
-	// ring is paused or churning. A tap runs on the recording goroutine and
-	// must not block or call back into the Recorder.
+	// ring is paused or churning. A tap runs on the recording or admitting
+	// goroutine, possibly inside a reader's OnRead hook, and must not block
+	// or call back into the Recorder.
 	taps atomic.Pointer[[]func(Entry)]
 
 	// onRead holds the producers' flush hooks (see OnRead). Both lists are
@@ -156,8 +169,8 @@ type Recorder struct {
 
 	// The words above are read on every entry and written almost never;
 	// the ring state below is written on every admission. Keep them on
-	// different cache lines so a staging producer's Observe/Enabled does
-	// not miss each time another core admits a batch.
+	// different cache lines so one core's tap calls do not miss each time
+	// another admits a batch.
 	_ [64]byte
 
 	mu      sync.Mutex
@@ -215,11 +228,10 @@ func (r *Recorder) SetEnabled(on bool) {
 	if r == nil {
 		return
 	}
-	if !on {
-		// What producers staged while recording was on belongs in the
-		// ring; they stage nothing once Enabled reports false.
-		r.flushProducers()
-	}
+	// What producers staged so far was offered in the state that is ending:
+	// it belongs in the ring before a pause, and only to the taps before a
+	// resumption.
+	r.flushProducers()
 	r.disabled.Store(!on)
 }
 
@@ -241,76 +253,75 @@ func New(capacity int) *Recorder {
 // need no guards). An installed tap observes the entry first — with its
 // Seq still unassigned — even when the ring is paused.
 func (r *Recorder) Record(e Entry) {
-	if r == nil {
-		return
-	}
-	r.Observe(e)
-	if r.disabled.Load() {
-		return
-	}
-	r.mu.Lock()
-	r.admit(e)
-	r.mu.Unlock()
+	r.Admit([]Entry{e})
 }
 
-// Observe shows e to the installed taps without touching the ring: the
-// first half of Record, for a producer that stages its ring entries and
-// hands them to Admit in batches. No-op on a nil recorder.
-func (r *Recorder) Observe(e Entry) {
-	if r == nil {
-		return
-	}
-	if taps := r.taps.Load(); taps != nil {
-		for _, fn := range *taps {
-			fn(e)
-		}
-	}
-}
-
-// Admit appends staged entries to the ring in slice order, under one
-// mutex round: the second half of Record. The taps are not called (the
-// producer showed them each entry through Observe when it happened), and
-// the pause state is not consulted (the producer checks Enabled when it
-// stages, which is when Record would have). No-op on a nil recorder.
+// Admit is Record for a batch a producer staged: every tap sees each
+// entry, in slice order, then the ring — unless paused — appends them under
+// one mutex round. The producer's own mutex, held across the call, is what
+// keeps two batches of one stripe in order. No-op on a nil recorder.
 func (r *Recorder) Admit(es []Entry) {
 	if r == nil || len(es) == 0 {
 		return
 	}
+	if taps := r.taps.Load(); taps != nil {
+		for i := range es {
+			for _, fn := range *taps {
+				fn(es[i])
+			}
+		}
+	}
+	if r.disabled.Load() {
+		return
+	}
 	r.mu.Lock()
 	for i := range es {
-		r.admit(es[i])
+		r.admit(&es[i])
 	}
 	r.mu.Unlock()
 }
 
-// admit appends one entry to the ring — two for a grant that carries its
-// acquire (Entry.Issued): the OpAcquire its producer did not record, at
-// the stamp it would have had, then the grant. Callers hold r.mu.
-func (r *Recorder) admit(e Entry) {
+// admit appends one entry to the ring as its readers are to see it: in
+// front of a grant that carries its acquire (Entry.Issued) the OpAcquire
+// its producer did not record, behind one that carries its release
+// (Entry.Released) the OpRelease, each at the stamp and with the trace it
+// would have had. Each is one copy into its slot, patched there. Callers
+// hold r.mu.
+func (r *Recorder) admit(e *Entry) {
 	if e.Issued != 0 {
-		acq := e
-		acq.At, acq.Op, acq.Issued = e.Issued, OpAcquire, 0
-		r.admit(acq)
-		e.Issued = 0
+		s := r.put(e)
+		s.At, s.Op = e.Issued, OpAcquire
 	}
-	r.seq++
-	e.Seq = r.seq
+	r.put(e)
+	if e.Released != 0 {
+		s := r.put(e)
+		s.At, s.Op, s.Mode, s.Trace = e.Released, OpRelease, modes.None, proto.TraceID{Node: e.Node, Seq: e.ReleaseSeq}
+	}
+}
+
+// put copies e, without the stamps it carries, into the ring's next slot
+// under the next Seq. Callers hold r.mu.
+func (r *Recorder) put(e *Entry) *Entry {
 	if r.full {
 		r.dropped++
 	}
-	r.entries[r.next] = e
+	s := &r.entries[r.next]
 	r.next++
 	if r.next == len(r.entries) {
 		r.next = 0
 		r.full = true
 	}
+	r.seq++
+	*s = *e
+	s.Seq, s.Issued, s.Released, s.ReleaseSeq = r.seq, 0, 0, 0
+	return s
 }
 
 // OnRead registers a staging producer's flush hook: fn must Admit every
-// entry the producer has observed but not yet admitted. It runs at the
-// start of every read of the ring (Len, Dropped, Entries and everything
-// built on them) and before a pause takes effect, without the recorder's
-// mutex held, so the ring is exact whenever anyone looks. With a producer
+// entry the producer still holds. It runs at the start of every read of
+// the ring (Len, Dropped, Entries and everything built on them) and before
+// a pause or a resumption takes effect, without the recorder's mutex held,
+// so the ring is exact whenever anyone looks. With a producer
 // registered, Entries orders the ring by At: batches from different
 // producers reach the ring out of time order, each entry's At says when
 // it happened. No-op on a nil recorder or nil fn.

@@ -1,6 +1,7 @@
 package trace_test
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -172,9 +173,10 @@ func TestCheckFIFO(t *testing.T) {
 	}
 }
 
-// TestStagedAdmission covers the split Record: a producer that shows
-// entries to the taps with Observe and hands them to the ring later with
-// Admit, flushed by its OnRead hook whenever the ring is read.
+// TestStagedAdmission covers a staging producer: entries it holds back
+// reach the taps and the ring together, when it admits them — which its
+// OnRead hook does whenever the ring is read, and before a pause or a
+// resumption takes effect.
 func TestStagedAdmission(t *testing.T) {
 	r := trace.New(8)
 	var tapped []trace.Entry
@@ -187,22 +189,20 @@ func TestStagedAdmission(t *testing.T) {
 		r.Admit(staged)
 		staged = staged[:0]
 	})
-	stage := func(e trace.Entry) {
-		r.Observe(e)
-		if r.Enabled() {
-			staged = append(staged, e)
-		}
-	}
+	stage := func(e trace.Entry) { staged = append(staged, e) }
 
 	// A later event written through first, two earlier ones staged.
 	r.Record(trace.Entry{At: 30, Op: trace.OpSend})
 	stage(trace.Entry{At: 10, Op: trace.OpAcquire})
 	stage(trace.Entry{At: 20, Op: trace.OpGranted})
-	if len(tapped) != 3 {
-		t.Fatalf("taps saw %d entries, want all 3 at once", len(tapped))
+	if len(tapped) != 1 {
+		t.Fatalf("taps saw %d entries, want 1: staged entries reach them at admission", len(tapped))
 	}
-	if n := r.Len(); n != 3 || flushes != 1 {
-		t.Fatalf("Len() = %d after %d flushes, want 3 after 1 (a read admits what is staged)", n, flushes)
+	if n := r.Len(); n != 3 || flushes != 1 || len(tapped) != 3 {
+		t.Fatalf("Len() = %d after %d flushes, taps saw %d; want 3, 1, 3 (a read admits what is staged)", n, flushes, len(tapped))
+	}
+	if tapped[1].Op != trace.OpAcquire || tapped[2].Op != trace.OpGranted {
+		t.Fatalf("taps saw the batch out of staging order: %v", tapped)
 	}
 	es := r.Entries()
 	for i, want := range []trace.Op{trace.OpAcquire, trace.OpGranted, trace.OpSend} {
@@ -214,17 +214,23 @@ func TestStagedAdmission(t *testing.T) {
 		t.Fatalf("Seq is admission order: got %d %d %d", es[0].Seq, es[1].Seq, es[2].Seq)
 	}
 
-	// A pause takes what was staged while recording was on, nothing after.
+	// A pause takes what was staged while recording was on and nothing
+	// after; a resumption leaves out what was staged while it was off. The
+	// taps see all of it.
 	stage(trace.Entry{At: 40, Op: trace.OpRelease})
 	r.SetEnabled(false)
+	if len(tapped) != 4 {
+		t.Fatalf("taps saw %d entries, want 4: the pause admits what was staged", len(tapped))
+	}
 	stage(trace.Entry{At: 50, Op: trace.OpAcquire})
-	if len(tapped) != 5 {
-		t.Fatalf("taps saw %d entries, want 5: a pause does not blind them", len(tapped))
-	}
-	if n := r.Len(); n != 4 {
-		t.Fatalf("Len() = %d, want 4: the entry staged before the pause and not the one after", n)
-	}
 	r.SetEnabled(true)
+	stage(trace.Entry{At: 60, Op: trace.OpGranted})
+	if n := r.Len(); n != 5 {
+		t.Fatalf("Len() = %d, want 5: the entries staged before the pause and after it, not the one during", n)
+	}
+	if len(tapped) != 6 {
+		t.Fatalf("taps saw %d entries, want 6: a pause does not blind them", len(tapped))
+	}
 
 	// Admission evicts like Record: a full ring keeps the newest.
 	for i := 0; i < 10; i++ {
@@ -232,10 +238,10 @@ func TestStagedAdmission(t *testing.T) {
 	}
 	es = r.Entries()
 	if len(es) != 8 || es[0].Node != 2 || es[7].Node != 9 {
-		t.Fatalf("after 14 admissions into 8 slots: %v", es)
+		t.Fatalf("after 15 admissions into 8 slots: %v", es)
 	}
-	if d := r.Dropped(); d != 6 {
-		t.Fatalf("Dropped() = %d, want 6", d)
+	if d := r.Dropped(); d != 7 {
+		t.Fatalf("Dropped() = %d, want 7", d)
 	}
 }
 
@@ -266,12 +272,13 @@ func TestTapsRunInInstallOrder(t *testing.T) {
 	r.AddTap(nil)
 	r.AddTap(tap("c"))
 	r.Record(trace.Entry{Op: trace.OpSend})
-	r.Observe(trace.Entry{Op: trace.OpSend})
+	r.Admit([]trace.Entry{{Op: trace.OpSend}})
 	if got := strings.Join(calls, ""); got != "abcabc" {
 		t.Fatalf("taps ran as %q, want abcabc", got)
 	}
 	r.SetTap(nil)
 	r.Record(trace.Entry{Op: trace.OpSend})
+	r.Admit([]trace.Entry{{Op: trace.OpSend}})
 	if len(calls) != 6 {
 		t.Fatalf("a tap ran after SetTap(nil): %v", calls)
 	}
@@ -313,5 +320,41 @@ func TestGrantCarryingItsAcquire(t *testing.T) {
 		if es[i].Op != want || es[i].Seq != uint64(i+2) || es[i].Issued != 0 {
 			t.Fatalf("entry %d: %v, want %v with Seq %d", i, es[i], want, i+2)
 		}
+	}
+}
+
+// TestGrantCarryingItsRelease: an OpGranted entry with Issued and Released
+// set is a whole operation in one entry to the taps and three to the ring
+// — acquire, grant, release, contiguous, each at its own stamp, the
+// release under the trace ID its sequence names — and no entry read back
+// carries any of the three words.
+func TestGrantCarryingItsRelease(t *testing.T) {
+	r := trace.New(4)
+	var tapped []trace.Entry
+	r.SetTap(func(e trace.Entry) { tapped = append(tapped, e) })
+	op := trace.Entry{At: 20, Issued: 10, Released: 30, ReleaseSeq: 11, Op: trace.OpGranted,
+		Node: 3, Lock: 7, Mode: modes.W, Trace: proto.TraceID{Node: 3, Seq: 9}}
+	r.Admit([]trace.Entry{op, {At: 40, Released: 50, ReleaseSeq: 13, Op: trace.OpGranted, Node: 3, Lock: 7, Mode: modes.R}})
+	if len(tapped) != 2 || tapped[0] != op {
+		t.Fatalf("taps saw %v, want the two entries as admitted", tapped)
+	}
+	if r.Len() != 4 || r.Dropped() != 1 {
+		t.Fatalf("ring holds %d and dropped %d, want 4 and 1: five entries into four slots", r.Len(), r.Dropped())
+	}
+	want := []trace.Entry{
+		{Seq: 2, At: 20, Op: trace.OpGranted, Node: 3, Lock: 7, Mode: modes.W, Trace: op.Trace},
+		{Seq: 3, At: 30, Op: trace.OpRelease, Node: 3, Lock: 7, Trace: proto.TraceID{Node: 3, Seq: 11}},
+		{Seq: 4, At: 40, Op: trace.OpGranted, Node: 3, Lock: 7, Mode: modes.R},
+		{Seq: 5, At: 50, Op: trace.OpRelease, Node: 3, Lock: 7, Trace: proto.TraceID{Node: 3, Seq: 13}},
+	}
+	if es := r.Entries(); !slices.Equal(es, want) {
+		t.Fatalf("ring reads\n%v\nwant\n%v", es, want)
+	}
+
+	// Paused, the taps still see the operation and the ring takes none of it.
+	r.SetEnabled(false)
+	r.Record(op)
+	if len(tapped) != 3 || r.Dropped() != 1 {
+		t.Fatalf("paused: taps saw %d entries, Dropped() = %d; want 3 and 1", len(tapped), r.Dropped())
 	}
 }

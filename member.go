@@ -49,19 +49,22 @@ var (
 //
 //	Member.mgrMu   every recovery.Manager entry point and its callbacks
 //	lockShard.mu   one stripe at a time, never two
-//	leaves         Member.statMu, recMu, ackMu, timerMu and Lock.mu: no
-//	               mutex of the member is taken while one is held
+//	leaves         Member.statMu, recMu, ackMu and timerMu: no mutex of
+//	               the member is taken while one is held
 //
 // Under a stripe's mutex the member calls out to the trace ring and its
 // taps (auditor, flight recorder), striped metric cells, the journal
 // (Append) and the transport (Send); each has mutexes of its own and none
-// calls back. The other direction goes through the OnRead hooks: a reader
-// of the registry or of the ring runs them — they take each stripe's mutex
-// in turn — before it takes the ring's mutex and while it holds the
-// registry's read lock exclusively, so a metric group
-// (Registry.BeginWrite, the shared side of that lock) is opened with no
-// stripe's mutex held. A Lock/Unlock pair on a resident token takes its
-// lock's stripe mutex twice and no other mutex of the member.
+// calls back — which is why a tap, and whatever it calls (the auditor's
+// OnViolation, a flight-recorder dump), may read nothing that pulls from
+// the stripes. The other direction goes through the OnRead hooks: a reader
+// of the registry, of the ring or of the flight recorder runs them — they
+// take each stripe's mutex in turn — before it takes the mutex of what it
+// reads and, for the registry, while it holds the read lock exclusively,
+// so a metric group (Registry.BeginWrite, the shared side of that lock) is
+// opened with no stripe's mutex held. A Lock/Unlock pair on a resident
+// token takes its lock's stripe mutex twice and no other mutex at all,
+// save once in stageEntries pairs.
 
 // lockShardCount is the number of stripes the member's per-lock state is
 // spread over. Lock IDs are hashes of resource names, so a simple modulo
@@ -96,8 +99,10 @@ type lockShard struct {
 	cnt staged
 
 	// staged holds client-operation trace entries (acquire, granted,
-	// release) the taps have seen and the ring has not: see note. They
-	// were staged for stagedFor, the recorder of the bundle in force then.
+	// release) no consumer has seen yet, neither the taps nor the ring: see
+	// note. It is the one staging layer between a client operation and all
+	// of them. The entries were staged for stagedFor, the recorder of the
+	// bundle in force then.
 	staged    []trace.Entry
 	stagedFor *trace.Recorder
 
@@ -111,7 +116,7 @@ type lockShard struct {
 // class of sample a count and a nanosecond sum. A class is a set of
 // samples that land in one known place of every histogram they feed, so
 // n of them fold as one addition per family. The registry's readers pull
-// the words into the handles (foldStaged, the member's OnRead hook), and
+// the words into the handles (pull, the member's OnRead hook), and
 // SetTelemetry does before it swaps the bundle, so an exposition shows
 // what it showed when each sample wrote the handles itself.
 type staged struct {
@@ -155,73 +160,81 @@ func (sh *lockShard) fold(tel *telemetry) {
 	tel.tokenHops.AddLowest(c.grants+c.joins, 0)
 }
 
-// foldStaged folds every stripe's staged words into tel, if tel is still
-// the bundle in force: the member's hook on its registry's reads. A
-// bundle that was swapped out got its share when SetTelemetry pulled.
-func (m *Member) foldStaged(tel *telemetry) {
-	if m.tel.Load() != tel {
-		return
-	}
+// pull hands what every stripe holds back to its consumers: the staged
+// trace entries to their recorder and its taps (the member's hook on reads
+// of the ring and of the flight recorder, and part of Close) and, given
+// the bundle of a registry whose reader is calling, the staged words to
+// its handles — if tel is still the bundle in force: one that was swapped
+// out got its share when SetTelemetry pulled.
+func (m *Member) pull(tel *telemetry) {
+	fold := tel != nil && m.tel.Load() == tel
 	for i := range m.shards {
 		sh := &m.shards[i]
 		sh.mu.Lock()
-		sh.fold(tel)
+		if fold {
+			sh.fold(tel)
+		}
+		sh.admit()
 		sh.mu.Unlock()
 	}
 }
 
 // stageEntries is how many trace entries a stripe holds back before it
-// admits them to the ring in one mutex round.
-const stageEntries = 32
+// admits them in one round of the ring's and each tap's mutex. A
+// Lock/Unlock pair on a resident token is one entry.
+const stageEntries = 16
 
-// note records a client-operation trace entry: the recorder's taps (the
-// auditor, the flight recorder) see it at once, the ring gets it with the
-// stripe's next batch — when the buffer fills, before the next message
-// event on this stripe, on Close, and whenever the ring is read (the
-// member's OnRead hook). Callers hold sh.mu and have checked rec != nil.
-func (sh *lockShard) note(rec *trace.Recorder, e trace.Entry) {
-	rec.Observe(e)
-	if !rec.Enabled() {
-		return
-	}
+// note stages a client-operation trace entry. The taps (the auditor, the
+// flight recorder) and the ring get it with the stripe's next batch: when
+// the buffer is full, before the next message event on this stripe — so
+// whatever lets another node act on a lock finds what this one did with it
+// already handed in — on Close, and whenever the ring, the registry or the
+// flight recorder is read (pull). Callers hold sh.mu and have checked
+// rec != nil.
+func (sh *lockShard) note(rec *trace.Recorder, e *trace.Entry) {
 	if sh.stagedFor != rec {
-		sh.admit() // a SetTelemetry swap: the old ring gets what is its
+		sh.admit() // a SetTelemetry swap: the old recorder gets what is its
 		sh.stagedFor = rec
 	}
 	if sh.staged == nil {
 		sh.staged = make([]trace.Entry, 0, stageEntries)
+	} else if len(sh.staged) == cap(sh.staged) {
+		sh.admit() // not until the next entry: a grant staged last can still take its release
 	}
-	sh.staged = append(sh.staged, e)
-	if len(sh.staged) == cap(sh.staged) {
-		sh.admit()
-	}
+	sh.staged = append(sh.staged, *e)
 }
 
-// record writes a message event through to the ring, behind everything
-// staged on the stripe: in a ring several members share, what a node did
-// with a lock before it sent the token precedes the send, and so the
-// peer's delivery. Callers hold sh.mu.
+// noteRelease records the release, at stamp at and under trace tr, of this
+// member's hold on lock: in the hold's OpGranted entry
+// (trace.Entry.Released), which then stands for the whole operation, when
+// that is the last thing the stripe staged, for the same recorder; as an
+// OpRelease entry when anything was staged or admitted in between. Callers
+// hold sh.mu and have checked rec != nil.
+func (sh *lockShard) noteRelease(rec *trace.Recorder, at time.Duration, lock proto.LockID, tr proto.TraceID) {
+	if n := len(sh.staged); n > 0 && sh.stagedFor == rec {
+		if g := &sh.staged[n-1]; g.Op == trace.OpGranted && g.Lock == lock && g.Released == 0 {
+			g.Released, g.ReleaseSeq = at, tr.Seq
+			return
+		}
+	}
+	sh.note(rec, &trace.Entry{At: at, Op: trace.OpRelease, Node: tr.Node, Lock: lock, Trace: tr})
+}
+
+// record writes a message event through to the taps and the ring, behind
+// everything staged on the stripe: what a node did with a lock before it
+// sent the token precedes the send, and so the peer's delivery and
+// whatever the peer does next, in a ring or an auditor several members
+// share. Callers hold sh.mu.
 func (sh *lockShard) record(rec *trace.Recorder, e trace.Entry) {
 	sh.admit()
 	rec.Record(e)
 }
 
-// admit hands the staged entries to the ring. Callers hold sh.mu.
+// admit hands the staged entries to their recorder. Callers hold sh.mu.
 func (sh *lockShard) admit() {
 	if len(sh.staged) > 0 {
 		sh.stagedFor.Admit(sh.staged)
 		sh.staged = sh.staged[:0]
-	}
-}
-
-// admitStaged admits every stripe's staged entries: the member's hook
-// on its recorder's reads, and part of Close.
-func (m *Member) admitStaged() {
-	for i := range m.shards {
-		sh := &m.shards[i]
-		sh.mu.Lock()
-		sh.admit()
-		sh.mu.Unlock()
 	}
 }
 
@@ -637,7 +650,7 @@ func (m *Member) SetTelemetry(t Telemetry) {
 	// held.
 	old := m.tel.Load()
 	old.reg.Pull()
-	m.foldStaged(old)
+	m.pull(old)
 	m.tel.Store(tel) // published whole: delivery may already be running
 }
 
@@ -648,11 +661,14 @@ func (m *Member) wire(t Telemetry) *telemetry {
 	defer m.statMu.Unlock()
 	tel := newTelemetry(t)
 	// The member stages client-operation entries and metric samples per
-	// stripe; the ring's and the registry's readers pull them in. The
-	// flight recorder stamps what it derives from those entries off their
-	// own At.
-	tel.rec.OnRead(m.admitStaged)
-	tel.reg.OnRead(func() { m.foldStaged(tel) })
+	// stripe; readers of the ring, of the registry (the auditor's counters
+	// and its report among them) and of the flight recorder pull them in.
+	// The flight recorder stamps what it derives from those entries off
+	// their own At.
+	admit := func() { m.pull(nil) }
+	tel.rec.OnRead(admit)
+	tel.bb.OnRead(admit)
+	tel.reg.OnRead(func() { m.pull(tel) })
 	tel.bb.SetEpoch(clockEpoch)
 	reg := t.Registry
 	if reg == nil {
@@ -972,10 +988,9 @@ type waiter struct {
 	// returned by value instead: the client sees ls.waiter cleared before
 	// it ever leaves the mutex.
 	parked bool
-	// since is the enqueue time, derived from the operation's entry stamp
-	// (clockEpoch plus the stamp, no second clock read), from which the
+	// since is the operation's entry stamp (see sinceEpoch), from which the
 	// introspection inventory and the watchdog compute wait durations.
-	since time.Time
+	since time.Duration
 	// granted is the grant's stamp (see sinceEpoch), written by dispatch just
 	// before the wake-up: a grant read back by value measures its latency
 	// to it, and the OpGranted trace entry carries it. issued, when set, is
@@ -1014,7 +1029,7 @@ type waiter struct {
 // arm registers the entry's waiter for a new request. The caller holds
 // the shard mutex and the lock's admission slot.
 func (ls *lockState) arm(start time.Duration, tr proto.TraceID, mode modes.Mode, upgrade bool) *waiter {
-	ls.w = waiter{ch: ls.w.ch, since: clockEpoch.Add(start), trace: tr, mode: mode, upgrade: upgrade}
+	ls.w = waiter{ch: ls.w.ch, since: start, trace: tr, mode: mode, upgrade: upgrade}
 	ls.waiter = &ls.w
 	return ls.waiter
 }
@@ -1283,6 +1298,7 @@ func (m *Member) recoveryReseed(lock proto.LockID, root proto.NodeID, epoch uint
 		m.lostHolds++
 		m.statMu.Unlock()
 		tel.recLost.Inc()
+		sh.admit() // a dump pulls nothing: hand in this lock's history, the lost grant included
 		tel.bb.Record(introspect.Event{Type: introspect.EvLockLost,
 			Node: m.id, Lock: lock, Epoch: epoch, Mode: accounted})
 		if _, err := tel.bb.TriggerDump(introspect.ReasonLockLost); err != nil && tel.log != nil {
@@ -1326,6 +1342,7 @@ func (m *Member) recoveryRoundDone(lock proto.LockID, final uint32) {
 	}
 	tel.recRounds.Inc()
 	tel.recRoundDur.ObserveDuration(dur)
+	m.pull(nil) // a dump pulls nothing, and no stripe's mutex is held here
 	tel.bb.Record(introspect.Event{Type: introspect.EvRoundDone,
 		Node: m.id, Lock: lock, Epoch: final, Dur: dur})
 	if _, err := tel.bb.TriggerDump(introspect.ReasonRecoveryRound); err != nil && tel.log != nil {
@@ -1503,6 +1520,7 @@ func (m *Member) MessagesSent() map[string]uint64 {
 // each stripe mutex briefly, like a metrics scrape.
 func (m *Member) HealthSample() watchdog.Sample {
 	now := time.Now()
+	stamp := now.Sub(clockEpoch) // sinceEpoch, off the same clock read
 	s := watchdog.Sample{Now: now, FsyncStalls: m.fsyncStalls.Load()}
 	for i := range m.shards {
 		sh := &m.shards[i]
@@ -1512,7 +1530,7 @@ func (m *Member) HealthSample() watchdog.Sample {
 		for _, ls := range sh.locks {
 			if w := ls.waiter; w != nil && !w.abandoned {
 				s.Waiters++
-				if age := now.Sub(w.since); age > s.OldestWaiterAge {
+				if age := stamp - w.since; age > s.OldestWaiterAge {
 					s.OldestWaiterAge = age
 				}
 			}
@@ -1595,8 +1613,8 @@ func (m *Member) Inventory() introspect.NodeInventory {
 				if !w.trace.IsZero() {
 					wi.Trace = w.trace.String()
 				}
-				if !w.since.IsZero() {
-					wi.WaitNS = time.Since(w.since).Nanoseconds()
+				if w.since != 0 {
+					wi.WaitNS = (sinceEpoch() - w.since).Nanoseconds()
 				}
 				li.Waiter = wi
 			}
@@ -1676,7 +1694,7 @@ func (m *Member) Close() error {
 			err = jerr
 		}
 	}
-	m.admitStaged()
+	m.pull(nil)
 	return err
 }
 
@@ -1918,8 +1936,8 @@ func (m *Member) LockWithPriority(ctx context.Context, resource string, mode Mod
 		fence := m.mintFence(sh, ls)
 		sh.sharedJoins++
 		if rec != nil {
-			sh.note(rec, acquire)
-			sh.note(rec, trace.Entry{At: granted, Op: trace.OpGranted,
+			sh.note(rec, &acquire)
+			sh.note(rec, &trace.Entry{At: granted, Op: trace.OpGranted,
 				Node: m.id, Lock: lockID, Mode: mode, Trace: tr})
 		}
 		tel.observe(sh, stripe, grant{op: metrics.OpLock,
@@ -1928,7 +1946,7 @@ func (m *Member) LockWithPriority(ctx context.Context, resource string, mode Mod
 			lg.Debug("lock granted", "trace", tr.String(), "resource", resource,
 				"mode", mode.String(), "shared_join", true)
 		}
-		return &Lock{m: m, sh: sh, ls: ls, resource: resource, mode: mode, fence: fence}, nil
+		return &Lock{m: m, sh: sh, ls: ls, resource: resource, first: grantEvent{mode, fence}}, nil
 	}
 
 	// Admission: one client operation per lock per member at a time. A
@@ -1942,7 +1960,7 @@ func (m *Member) LockWithPriority(ctx context.Context, resource string, mode Mod
 		// Taken: queue for it and wait without the mutex. Whoever frees the
 		// slot pops the head of the queue and passes it the slot.
 		if rec != nil {
-			sh.note(rec, acquire)
+			sh.note(rec, &acquire)
 		}
 		turn := make(chan struct{}, 1)
 		ls.admitQ = append(ls.admitQ, turn)
@@ -1990,7 +2008,7 @@ func (m *Member) LockWithPriority(ctx context.Context, resource string, mode Mod
 	if !waited && err == nil && len(out.Msgs) == 0 && len(out.Events) == 1 {
 		w.issued = start // granted at once: the grant's entry carries the acquire
 	} else if !waited && rec != nil {
-		sh.note(rec, acquire)
+		sh.note(rec, &acquire)
 	}
 	if err != nil {
 		ls.waiter = nil
@@ -2026,7 +2044,7 @@ func (m *Member) LockWithPriority(ctx context.Context, resource string, mode Mod
 	sh.acq.Observe(d)
 	tel.observe(sh, stripe, grant{op: metrics.OpLock,
 		outcome: w.outcome(localGrant), d: d, hops: w.hops})
-	return &Lock{m: m, sh: sh, ls: ls, resource: resource, mode: mode, fence: w.fence}, nil
+	return &Lock{m: m, sh: sh, ls: ls, resource: resource, first: grantEvent{mode, w.fence}}, nil
 }
 
 // outcome classifies a granted wait for the per-operation SLO families.
@@ -2045,6 +2063,7 @@ func (w *waiter) outcome(localGrant bool) int {
 func (m *Member) lostWait(op int, lock proto.LockID, mode modes.Mode, tr proto.TraceID, start time.Duration, res string) error {
 	tel := m.tel.Load()
 	tel.opLatency[op][metrics.OutcomeLost].ObserveDuration(sinceEpoch() - start)
+	m.pull(nil) // as in recoveryRoundDone
 	tel.bb.Record(introspect.Event{Type: introspect.EvLockLost,
 		Node: m.id, Lock: lock, Mode: mode, Trace: tr})
 	_, _ = tel.bb.TriggerDump(introspect.ReasonLockLost)
@@ -2068,41 +2087,45 @@ type Lock struct {
 	released  bool
 	upgrading bool
 
-	// mu guards mode and fence for Mode and Fence, which take no shard
-	// mutex; their writers hold sh.mu as well, so a method that holds sh.mu
-	// reads them without mu. fence is the fencing token of the most recent
-	// grant event on this handle (acquire, upgrade, or session-tier
-	// Refence).
-	mu    sync.Mutex
+	// first is the grant event the handle was built with, never written
+	// again; latest is the most recent one since (a successful upgrade or a
+	// session-tier Refence), nil until there is one. Each is immutable once
+	// published, so Mode and Fence take no mutex, and a mode and a fence
+	// read through one granted call belong to one grant event.
+	first  grantEvent
+	latest atomic.Pointer[grantEvent]
+}
+
+// grantEvent is a handle's held mode and the fencing token minted with it.
+type grantEvent struct {
 	mode  Mode
 	fence FenceToken
 }
 
-// regrant records a new grant event on the handle. Callers hold l.sh.mu.
+// granted returns the handle's most recent grant event.
+func (l *Lock) granted() grantEvent {
+	if g := l.latest.Load(); g != nil {
+		return *g
+	}
+	return l.first
+}
+
+// regrant records a new grant event on the handle. Callers hold l.sh.mu,
+// which orders the events.
 func (l *Lock) regrant(mode Mode, fence FenceToken) {
-	l.mu.Lock()
-	l.mode, l.fence = mode, fence
-	l.mu.Unlock()
+	l.latest.Store(&grantEvent{mode, fence})
 }
 
 // Resource returns the locked resource name.
 func (l *Lock) Resource() string { return l.resource }
 
 // Mode returns the currently held mode (W after a successful upgrade).
-func (l *Lock) Mode() Mode {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.mode
-}
+func (l *Lock) Mode() Mode { return l.granted().mode }
 
 // Fence returns the fencing token minted with the handle's most recent
 // grant event (acquire, successful upgrade, or Refence). See FenceToken
 // for the ordering contract.
-func (l *Lock) Fence() FenceToken {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.fence
-}
+func (l *Lock) Fence() FenceToken { return l.granted().fence }
 
 // Refence mints a fresh fencing token for the current hold without a
 // release/re-acquire round trip. The session tier uses it to hand a
@@ -2130,7 +2153,7 @@ func (l *Lock) Refence() (FenceToken, error) {
 		return FenceToken{}, fmt.Errorf("hierlock: refence with upgrade in flight")
 	}
 	f := m.mintFence(sh, ls)
-	l.regrant(l.mode, f)
+	l.regrant(l.granted().mode, f)
 	return f, nil
 }
 
@@ -2172,8 +2195,7 @@ func (l *Lock) Unlock() error {
 	ls.hold = nil
 	tr := m.newTrace()
 	if rec := m.tel.Load().rec; rec != nil {
-		sh.note(rec, trace.Entry{At: sinceEpoch(), Op: trace.OpRelease,
-			Node: m.id, Lock: ls.id, Trace: tr})
+		sh.noteRelease(rec, sinceEpoch(), ls.id, tr)
 	}
 	out, err := ls.engine.ReleaseTraced(tr)
 	if err != nil {
@@ -2197,8 +2219,8 @@ func (l *Lock) Upgrade(ctx context.Context) error {
 	switch {
 	case l.released:
 		err = ErrReleased
-	case l.mode != U:
-		err = fmt.Errorf("%w (holding %v)", ErrNotUpgradable, l.mode)
+	case l.granted().mode != U:
+		err = fmt.Errorf("%w (holding %v)", ErrNotUpgradable, l.granted().mode)
 	case l.upgrading:
 		err = fmt.Errorf("hierlock: upgrade already in flight")
 	case m.closed.Load():
@@ -2219,7 +2241,7 @@ func (l *Lock) Upgrade(ctx context.Context) error {
 	tr := m.newTrace()
 	start := sinceEpoch()
 	if rec := tel.rec; rec != nil {
-		sh.note(rec, trace.Entry{At: start, Op: trace.OpAcquire,
+		sh.note(rec, &trace.Entry{At: start, Op: trace.OpAcquire,
 			Node: m.id, Lock: ls.id, Mode: modes.W, Trace: tr})
 	}
 	w := ls.arm(start, tr, modes.W, true)
@@ -2470,7 +2492,7 @@ func (m *Member) dispatch(sh *lockShard, ls *lockState, out hlock.Out) {
 				// stamp, and the end of a local grant's latency.
 				w.granted = sinceEpoch()
 				if rec := tel.rec; rec != nil {
-					sh.note(rec, trace.Entry{At: w.granted, Op: trace.OpGranted,
+					sh.note(rec, &trace.Entry{At: w.granted, Op: trace.OpGranted,
 						Node: m.id, Lock: ls.id, Mode: ev.Mode, Trace: ev.Trace,
 						Issued: w.issued})
 				}

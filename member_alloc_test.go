@@ -103,7 +103,8 @@ func TestMemberJournaledLockUnlockAllocsWithTelemetry(t *testing.T) {
 // staging buffers and metric cells are allocated once, during the
 // warm-up run AllocsPerRun makes), and neither does admission, which
 // allocates only for an arrival that finds the lock's slot taken. The
-// taps see two entries per pair, a reader of the ring three.
+// taps see one entry per pair — exactly, once anybody reads — and a reader
+// of the ring three.
 func TestMemberLockUnlockAllocsWithDefaultWiring(t *testing.T) {
 	c, err := hierlock.NewCluster(1)
 	if err != nil {
@@ -111,7 +112,7 @@ func TestMemberLockUnlockAllocsWithDefaultWiring(t *testing.T) {
 	}
 	defer c.Close()
 	m := c.Member(0)
-	_, rec, aud, _ := attachDefaultTelemetry(m)
+	reg, rec, aud, bb := attachDefaultTelemetry(m)
 	ctx := context.Background()
 	const budget = 1 // BenchmarkMemberDefaultTelemetry allocs/op
 	got := testing.AllocsPerRun(500, func() {
@@ -126,7 +127,15 @@ func TestMemberLockUnlockAllocsWithDefaultWiring(t *testing.T) {
 	if got > budget {
 		t.Errorf("local Lock/Unlock under the default wiring allocates %.1f objects/op, budget %d", got, budget)
 	}
-	if n := rec.Len(); n != 3*501 || aud.Snapshot().Entries != 2*501 {
-		t.Errorf("ring holds %d entries and the auditor saw %d, want %d and %d", n, aud.Snapshot().Entries, 3*501, 2*501)
+	// The auditor and the flight recorder are asked first: each pulls the
+	// staged operations in itself, no ring read before it.
+	if n := aud.Snapshot().Entries; n != 501 {
+		t.Errorf("the auditor saw %d entries, want one per pair (%d)", n, 501)
+	}
+	if n := bb.Stats().Events; n != 501 {
+		t.Errorf("the flight recorder holds %d events, want one grant per pair (%d)", n, 501)
+	}
+	if n, c := rec.Len(), reg.Counter(metrics.MetricAuditEntries, "", nil).Value(); n != 3*501 || c != 501 {
+		t.Errorf("ring holds %d entries and %s = %d, want %d and %d", n, metrics.MetricAuditEntries, c, 3*501, 501)
 	}
 }

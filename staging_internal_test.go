@@ -1,11 +1,14 @@
 package hierlock
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"io"
 	"log/slog"
+	"os"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -96,14 +99,47 @@ func stagedEntries(m *Member) int {
 	return n
 }
 
+// tapCount is a tap that counts the entries it is shown and the entries
+// they stand for in the ring: one, plus the acquire a grant carries, plus
+// the release it carries.
+type tapCount struct {
+	mu             sync.Mutex
+	entries, stand int
+}
+
+func (c *tapCount) tap(e trace.Entry) {
+	c.mu.Lock()
+	c.entries++
+	c.stand++
+	if e.Issued != 0 {
+		c.stand++
+	}
+	if e.Released != 0 {
+		c.stand++
+	}
+	c.mu.Unlock()
+}
+
+func (c *tapCount) read() (entries, stand int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.entries, c.stand
+}
+
 // TestStagedRingExactAtReadAndOrdered: the member holds client-operation
-// entries back per stripe and records a grant made at once as one entry,
-// and nobody reading the ring can tell. After resident pairs over 128
-// locks from four goroutines the taps have seen two entries per pair
-// (granted, release) and the stripes staged as many, while the ring shows
-// three, in time order, each lock's acquire → granted → release cycles
-// intact; a pause keeps out what came after it and nothing before; Close
-// admits what no reader pulled.
+// entries back per stripe, from the taps as from the ring, and records a
+// grant made at once and released before anything else was staged on its
+// stripe as one entry — and nobody reading the ring, the auditor or the
+// flight recorder can tell. After resident pairs over 128 locks from four
+// goroutines nothing has reached a tap that a full buffer did not push
+// there; the first question to the auditor pulls the rest in, and the taps
+// have then seen between one and two entries per pair (two where another
+// goroutine staged on the stripe between a grant and its release) that
+// stand for exactly three, which is what the ring shows, in time order,
+// each lock's acquire → granted → release cycles intact. One goroutine
+// alone stages exactly one entry per pair. A pause keeps out of the ring
+// what came after it and nothing before, and blinds no tap; Close admits
+// what no reader pulled.
 func TestStagedRingExactAtReadAndOrdered(t *testing.T) {
 	const goroutines, keysPer, pairs = 4, 32, 500
 	c, err := NewCluster(1)
@@ -113,47 +149,69 @@ func TestStagedRingExactAtReadAndOrdered(t *testing.T) {
 	defer c.Close()
 	m := c.Member(0)
 	w := newLockdWiring(1 << 16)
+	var seen tapCount
+	w.rec.AddTap(seen.tap)
 	w.attach(m)
+	audited := w.reg.Counter(metrics.MetricAuditEntries, "Trace entries consumed by the protocol auditor.", nil)
 
 	residentPairs(t, m, goroutines, keysPer, pairs)
 	const total = goroutines * pairs
-	if staged := stagedEntries(m); staged == 0 {
+	staged := stagedEntries(m)
+	if staged == 0 {
 		t.Fatal("nothing staged after the run: the test is not exercising staging")
+	}
+	if tapped, _ := seen.read(); tapped+staged < total || tapped+staged > 2*total {
+		t.Fatalf("taps saw %d entries and %d are staged, want between %d and %d in all", tapped, staged, total, 2*total)
+	}
+	// The auditor is asked first: its answer covers every pair, staged or not.
+	rep := w.aud.Snapshot()
+	tapped, stand := seen.read()
+	if int(rep.Entries) != tapped || rep.Total != 0 || stand != 3*total {
+		t.Fatalf("auditor saw %d entries and %d violations; taps saw %d standing for %d; want the same count, 0, and %d (three per pair)",
+			rep.Entries, rep.Total, tapped, stand, 3*total)
+	}
+	if staged := stagedEntries(m); staged != 0 {
+		t.Fatalf("%d entries still staged after the auditor was read", staged)
 	}
 	if got := w.rec.Len(); got != 3*total {
 		t.Fatalf("ring has %d entries, want %d (three per pair)", got, 3*total)
 	}
-	if staged := stagedEntries(m); staged != 0 {
-		t.Fatalf("%d entries still staged after a read", staged)
-	}
 	checkResidentRing(t, w.rec.Entries(), 3*total)
-	if rep := w.aud.Snapshot(); rep.Entries != 2*total || rep.Total != 0 {
-		t.Fatalf("auditor saw %d entries and %d violations, want %d (two per pair) and 0", rep.Entries, rep.Total, 2*total)
-	}
-	if got, want := w.reg.Counter(metrics.MetricAuditEntries, "Trace entries consumed by the protocol auditor.", nil).Value(), uint64(2*total); got != want {
-		t.Fatalf("%s = %d, want %d", metrics.MetricAuditEntries, got, want)
+	if got := audited.Value(); got != uint64(tapped) {
+		t.Fatalf("%s = %d, want the %d entries the taps saw", metrics.MetricAuditEntries, got, tapped)
 	}
 	if got := w.bb.Stats().Events; got != total {
 		t.Fatalf("flight recorder has %d events, want one grant per pair (%d)", got, total)
 	}
 
+	// One goroutine: nothing comes between a grant and its release, so a
+	// pair is one entry to the taps and the auditor's counter, three to the
+	// ring.
+	residentPairs(t, m, 1, keysPer, pairs)
+	if got := audited.Value(); got != uint64(tapped+pairs) {
+		t.Fatalf("%s rose by %d over %d sequential pairs, want one each", metrics.MetricAuditEntries, got-uint64(tapped), pairs)
+	}
+	if got := w.rec.Len(); got != 3*(total+pairs) {
+		t.Fatalf("ring has %d entries, want %d", got, 3*(total+pairs))
+	}
+
 	// Paused: the taps keep seeing entries, the ring takes none — not
 	// later either, when the stripes next admit.
 	w.rec.SetEnabled(false)
-	residentPairs(t, m, goroutines, keysPer, 50)
+	residentPairs(t, m, 1, keysPer, 50)
 	w.rec.SetEnabled(true)
-	if got := w.rec.Len(); got != 3*total {
-		t.Fatalf("ring grew to %d entries while paused, want %d", got, 3*total)
+	if got := w.rec.Len(); got != 3*(total+pairs) {
+		t.Fatalf("ring grew to %d entries while paused, want %d", got, 3*(total+pairs))
 	}
-	if got, want := w.aud.Snapshot().Entries, uint64(2*(total+goroutines*50)); got != want {
+	if got, want := w.aud.Snapshot().Entries, uint64(tapped+pairs+50); got != want {
 		t.Fatalf("auditor saw %d entries across the pause, want %d", got, want)
 	}
 
-	// What is staged when the member closes reaches the ring with no
-	// reader's help.
-	residentPairs(t, m, goroutines, keysPer, 5)
-	if staged := stagedEntries(m); staged != 2*goroutines*5 {
-		t.Fatalf("%d entries staged before Close, want %d (two per pair)", staged, 2*goroutines*5)
+	// What is staged when the member closes reaches the taps and the ring
+	// with no reader's help.
+	residentPairs(t, m, 1, keysPer, 5)
+	if staged := stagedEntries(m); staged != 5 {
+		t.Fatalf("%d entries staged before Close, want %d (one per pair)", staged, 5)
 	}
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
@@ -161,8 +219,11 @@ func TestStagedRingExactAtReadAndOrdered(t *testing.T) {
 	if staged := stagedEntries(m); staged != 0 {
 		t.Fatalf("%d entries still staged after Close", staged)
 	}
-	if got, want := w.rec.Len(), 3*(total+goroutines*5); got != want {
+	if got, want := w.rec.Len(), 3*(total+pairs+5); got != want {
 		t.Fatalf("ring has %d entries after Close, want %d", got, want)
+	}
+	if got, _ := seen.read(); got != tapped+pairs+50+5 {
+		t.Fatalf("taps saw %d entries in all, want %d", got, tapped+pairs+50+5)
 	}
 }
 
@@ -170,7 +231,7 @@ func TestStagedRingExactAtReadAndOrdered(t *testing.T) {
 // Lock/Unlock pairs: want entries, At never decreasing, and per lock the
 // cycle acquire, granted, release with Seq increasing, the acquire and
 // its grant alike in node, lock, mode and trace, and no entry carrying
-// the stamp the ring derived the acquire from.
+// the stamps the ring derived the acquire and the release from.
 func checkResidentRing(t *testing.T, es []trace.Entry, want int) {
 	t.Helper()
 	if len(es) != want {
@@ -194,8 +255,8 @@ func checkResidentRing(t *testing.T, es []trace.Entry, want int) {
 		if e.Op != c.next {
 			t.Fatalf("entry %d: lock %d has %v where %v is due\n%v", i, e.Lock, e.Op, c.next, e)
 		}
-		if e.Seq <= c.seq || e.Issued != 0 {
-			t.Fatalf("entry %d: Seq %d after %d on its lock, Issued %v\n%v", i, e.Seq, c.seq, e.Issued, e)
+		if e.Seq <= c.seq || e.Issued != 0 || e.Released != 0 || e.ReleaseSeq != 0 {
+			t.Fatalf("entry %d: Seq %d after %d on its lock, Issued %v, Released %v/%d\n%v", i, e.Seq, c.seq, e.Issued, e.Released, e.ReleaseSeq, e)
 		}
 		c.seq = e.Seq
 		switch e.Op {
@@ -212,9 +273,11 @@ func checkResidentRing(t *testing.T, es []trace.Entry, want int) {
 	}
 }
 
-// TestStagedRingKeepsCapacity: neither staging nor the acquire entries
-// the ring derives let a small ring grow, and what it evicts is counted:
-// capacity, Dropped and Seq are all in entries as read, three per pair.
+// TestStagedRingKeepsCapacity: neither staging nor the acquire and
+// release entries the ring derives let a small ring grow, and what it
+// evicts is counted: capacity, Dropped and Seq are all in entries as read,
+// three per pair, while the auditor counts entries as handed in, one per
+// pair.
 func TestStagedRingKeepsCapacity(t *testing.T) {
 	c, err := NewCluster(1)
 	if err != nil {
@@ -224,13 +287,13 @@ func TestStagedRingKeepsCapacity(t *testing.T) {
 	m := c.Member(0)
 	w := newLockdWiring(4)
 	w.attach(m)
-	residentPairs(t, m, 4, 32, 200)
+	residentPairs(t, m, 1, 32, 4*200)
 	es := w.rec.Entries()
 	if len(es) != 4 || w.rec.Len() != 4 {
 		t.Fatalf("a capacity-4 ring returned %d entries, Len() = %d", len(es), w.rec.Len())
 	}
-	if got := w.aud.Snapshot().Entries; got != 2*4*200 {
-		t.Fatalf("auditor saw %d entries, want two per pair (%d)", got, 2*4*200)
+	if got := w.aud.Snapshot().Entries; got != 4*200 {
+		t.Fatalf("auditor saw %d entries, want one per pair (%d)", got, 4*200)
 	}
 	if got, want := w.rec.Dropped(), uint64(3*4*200-4); got != want {
 		t.Fatalf("Dropped() = %d, want %d", got, want)
@@ -381,32 +444,22 @@ func TestResidentPathSharesNoMemberMutex(t *testing.T) {
 	}
 }
 
-// TestAcquireFoldedOnlyWhenGrantedAtOnce runs one of each kind of request
-// on a member whose recorder has a tap: a local grant, a shared join, a
-// request that waits for the admission slot, one whose token is remote,
-// an upgrade. Only the grants made the moment they were issued reach the
-// tap as one entry (OpGranted carrying Issued); a request that joins,
-// waits, sends or upgrades shows the tap its OpAcquire when it is issued.
-// The ring shows every request's OpAcquire before its OpGranted, alike in
-// node, lock and trace, and no Issued.
-func TestAcquireFoldedOnlyWhenGrantedAtOnce(t *testing.T) {
-	bg := context.Background()
-	c, err := NewCluster(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	m0, m1 := c.Member(0), c.Member(1)
-	rec := trace.New(1024)
-	var tapMu sync.Mutex
-	var tapped []trace.Entry
-	rec.SetTap(func(e trace.Entry) {
-		tapMu.Lock()
-		tapped = append(tapped, e)
-		tapMu.Unlock()
-	})
-	m0.SetTelemetry(Telemetry{Trace: rec})
+// scriptRequest is one request of clientScript as a tap of m0's recorder
+// is to see it: its lock and mode, and whether its OpAcquire comes as an
+// entry of its own.
+type scriptRequest struct {
+	lock     proto.LockID
+	mode     Mode
+	separate bool
+}
 
+// clientScript runs one of each kind of request on m0, the root of a
+// two-member channel cluster: a local grant, a shared join, a request that
+// waits for the admission slot, one whose token is remote (m1 takes it
+// first), an upgrade. It returns m0's requests in script order.
+func clientScript(t *testing.T, m0, m1 *Member) []scriptRequest {
+	t.Helper()
+	bg := context.Background()
 	lock := func(m *Member, res string, mode Mode) *Lock {
 		t.Helper()
 		l, err := m.Lock(bg, res, mode)
@@ -421,16 +474,9 @@ func TestAcquireFoldedOnlyWhenGrantedAtOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// want: per requested (resource, mode) in script order, whether the tap
-	// is to see a separate OpAcquire.
-	type request struct {
-		lock     proto.LockID
-		mode     Mode
-		separate bool
-	}
-	var want []request
+	var want []scriptRequest
 	expect := func(res string, mode Mode, separate bool) {
-		want = append(want, request{lockIDFor(res), mode, separate})
+		want = append(want, scriptRequest{lockIDFor(res), mode, separate})
 	}
 
 	expect("script/local", W, false)
@@ -461,30 +507,66 @@ func TestAcquireFoldedOnlyWhenGrantedAtOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	unlock(up)
+	return want
+}
+
+// TestAcquireFoldedOnlyWhenGrantedAtOnce runs clientScript on a member
+// whose recorder has a tap. Only the grants made the moment they were
+// issued reach the tap as one entry (OpGranted carrying Issued); a request
+// that joins, waits, sends or upgrades shows the tap an OpAcquire of its
+// own, stamped when it was issued. The tap sees each entry once, when its
+// stripe is admitted, so its order across stripes is admission order: by
+// stamp it is script order. The ring shows every request's OpAcquire
+// before its OpGranted, alike in node, lock and trace, one entry for each
+// the tap saw or was told of, and none of the carried stamps.
+func TestAcquireFoldedOnlyWhenGrantedAtOnce(t *testing.T) {
+	c, err := NewCluster(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	m0, m1 := c.Member(0), c.Member(1)
+	rec := trace.New(1024)
+	var tapMu sync.Mutex
+	var tapped []trace.Entry
+	rec.SetTap(func(e trace.Entry) {
+		tapMu.Lock()
+		tapped = append(tapped, e)
+		tapMu.Unlock()
+	})
+	m0.SetTelemetry(Telemetry{Trace: rec})
+	want := clientScript(t, m0, m1)
 	if err := c.Err(); err != nil {
 		t.Fatal(err)
 	}
+	es := rec.Entries() // the read hands the tap what is still staged
 
-	// The tap: client-operation entries of m0 in the order they happened.
 	tapMu.Lock()
 	defer tapMu.Unlock()
-	var got []request
+	slices.SortStableFunc(tapped, func(a, b trace.Entry) int { return cmp.Compare(a.At, b.At) })
+	var got []scriptRequest
 	open := make(map[proto.TraceID]bool) // requests whose OpAcquire the tap saw
-	folded := 0
+	carried := 0                         // ring entries the tap saw only as stamps of a grant
 	for _, e := range tapped {
 		switch e.Op {
 		case trace.OpAcquire:
 			open[e.Trace] = true
-			got = append(got, request{e.Lock, e.Mode, true})
+			got = append(got, scriptRequest{e.Lock, e.Mode, true})
 		case trace.OpGranted:
 			if (e.Issued != 0) == open[e.Trace] {
 				t.Fatalf("tap saw a grant with Issued=%v after acquire=%v\n%v", e.Issued, open[e.Trace], e)
 			}
 			if e.Issued != 0 {
-				folded++
-				got = append(got, request{e.Lock, e.Mode, false})
+				carried++
+				got = append(got, scriptRequest{e.Lock, e.Mode, false})
 				if e.Issued > e.At {
 					t.Fatalf("grant issued at %v, after it was granted at %v", e.Issued, e.At)
+				}
+			}
+			if e.Released != 0 {
+				carried++
+				if e.Released < e.At || e.ReleaseSeq == 0 {
+					t.Fatalf("grant at %v released at %v under trace sequence %d", e.At, e.Released, e.ReleaseSeq)
 				}
 			}
 		}
@@ -493,16 +575,15 @@ func TestAcquireFoldedOnlyWhenGrantedAtOnce(t *testing.T) {
 		t.Fatalf("the tap saw requests (lock, mode, separate acquire)\n%v, want\n%v", got, want)
 	}
 
-	// The ring: what the tap saw plus one acquire per folded grant.
-	es := rec.Entries()
-	if len(es) != len(tapped)+folded || rec.Len() != len(es) {
-		t.Fatalf("ring shows %d entries (Len %d), want the tap's %d plus %d derived acquires", len(es), rec.Len(), len(tapped), folded)
+	// The ring: what the tap saw plus what its grants carried.
+	if len(es) != len(tapped)+carried || rec.Len() != len(es) {
+		t.Fatalf("ring shows %d entries (Len %d), want the tap's %d plus %d carried", len(es), rec.Len(), len(tapped), carried)
 	}
 	acquired := make(map[proto.TraceID]trace.Entry)
-	grants := 0
+	grants, releases := 0, 0
 	for i, e := range es {
-		if e.Issued != 0 || (i > 0 && e.At < es[i-1].At) {
-			t.Fatalf("ring entry %d: Issued=%v, At %v after %v", i, e.Issued, e.At, es[i-1].At)
+		if e.Issued != 0 || e.Released != 0 || e.ReleaseSeq != 0 || (i > 0 && e.At < es[i-1].At) {
+			t.Fatalf("ring entry %d: Issued=%v Released=%v/%d, At %v after %v", i, e.Issued, e.Released, e.ReleaseSeq, e.At, es[i-1].At)
 		}
 		switch e.Op {
 		case trace.OpAcquire:
@@ -513,9 +594,426 @@ func TestAcquireFoldedOnlyWhenGrantedAtOnce(t *testing.T) {
 			if !ok || a.Node != e.Node || a.Lock != e.Lock || a.Seq >= e.Seq {
 				t.Fatalf("ring entry %d: grant without its acquire before it (%v)\n%v", i, a, e)
 			}
+		case trace.OpRelease:
+			releases++
 		}
 	}
-	if grants != len(want) {
-		t.Fatalf("ring shows %d grants, want %d", grants, len(want))
+	// Every hold is released once: the two readers share one, the upgrade
+	// converts one.
+	if grants != len(want) || releases != len(want)-2 {
+		t.Fatalf("ring shows %d grants and %d releases, want %d and %d", grants, releases, len(want), len(want)-2)
+	}
+}
+
+// renderRing prints entries as a reader is shown them, without At (the
+// one field that differs from run to run): Seq, the operation, and every
+// other field.
+func renderRing(es []trace.Entry) string {
+	var b strings.Builder
+	for _, e := range es {
+		fmt.Fprintf(&b, "#%d %v node=%d lock=%d mode=%v kind=%v %d→%d epoch=%d trace=%v\n",
+			e.Seq, e.Op, e.Node, e.Lock, e.Mode, e.Kind, e.From, e.To, e.Epoch, e.Trace)
+	}
+	return b.String()
+}
+
+// TestClientScriptRingGolden: what a reader of the ring sees of
+// clientScript is what it saw before a pair became one staged entry —
+// testdata/client_script_ring.golden was written by the parent of that
+// change — Seq included, with At never decreasing and no entry carrying
+// Issued, Released or ReleaseSeq.
+func TestClientScriptRingGolden(t *testing.T) {
+	c, err := NewCluster(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	rec := trace.New(1024)
+	c.Member(0).SetTelemetry(Telemetry{Trace: rec})
+	clientScript(t, c.Member(0), c.Member(1))
+	if err := c.Err(); err != nil {
+		t.Fatal(err)
+	}
+	es := rec.Entries()
+	for i, e := range es {
+		if e.Issued != 0 || e.Released != 0 || e.ReleaseSeq != 0 || (i > 0 && e.At < es[i-1].At) {
+			t.Fatalf("entry %d: Issued=%v Released=%v/%d, At %v after %v", i, e.Issued, e.Released, e.ReleaseSeq, e.At, es[i-1].At)
+		}
+	}
+	want, err := os.ReadFile("testdata/client_script_ring.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := renderRing(es); got != string(want) {
+		t.Fatalf("ring reads\n%s\nwant\n%s", got, want)
+	}
+}
+
+// sameStripe returns two resource names whose locks share a stripe.
+func sameStripe(prefix string) (a, b string) {
+	a = prefix + "/0"
+	for i := 1; ; i++ {
+		b = fmt.Sprintf("%s/%d", prefix, i)
+		if lockIDFor(b)%lockShardCount == lockIDFor(a)%lockShardCount {
+			return a, b
+		}
+	}
+}
+
+// TestReleaseFoldsOnlyIntoLastStagedGrant: Unlock writes the release into
+// the hold's grant entry only when that entry is the last thing the
+// lock's stripe staged and is still staged, for the recorder in force.
+// Each row takes a lock on m0 (root of a two-member cluster), does
+// something in between and releases it: with nothing in between the taps
+// see the pair as one entry, otherwise the grant and the release reach
+// them in two — and in every row the ring shows acquire, granted, release
+// of the lock's first request, in that order, each with its own stamp.
+func TestReleaseFoldsOnlyIntoLastStagedGrant(t *testing.T) {
+	bg := context.Background()
+	type env struct {
+		t      *testing.T
+		m0, m1 *Member
+		rec    *trace.Recorder
+		tap    func(trace.Entry)
+		res    string
+		mode   Mode
+		after  func() // run once the row has released, before anything is read
+	}
+	resA, resB := sameStripe("fold")
+	rows := []struct {
+		name    string
+		mode    Mode
+		between func(e *env)
+		folded  bool
+		entries int // tap entries about the lock once everything is admitted
+	}{
+		{"nothing in between", W, func(*env) {}, true, 1},
+		{"another lock of the stripe staged in between", W, func(e *env) {
+			l, err := e.m0.Lock(bg, resB, W)
+			if err != nil {
+				e.t.Fatal(err)
+			}
+			e.after = func() { _ = l.Unlock() }
+		}, false, 2},
+		{"a shared join in between", R, func(e *env) {
+			// The join's grant is staged last and takes the release; the
+			// first reader's grant stays open in its own entry.
+			l, err := e.m0.Lock(bg, e.res, R)
+			if err != nil {
+				e.t.Fatal(err)
+			}
+			if err := l.Unlock(); err != nil {
+				e.t.Fatal(err)
+			}
+		}, false, 3},
+		{"a ring read in between", W, func(e *env) { e.rec.Len() }, false, 2},
+		{"a message event in between", W, func(e *env) {
+			// m1 asks for the lock: the request's delivery at m0 admits
+			// the stripe. It is granted when the row releases.
+			done := make(chan error, 1)
+			go func() {
+				l, err := e.m1.Lock(bg, e.res, W)
+				if err == nil {
+					err = l.Unlock()
+				}
+				done <- err
+			}()
+			e.after = func() {
+				if err := <-done; err != nil {
+					e.t.Error(err)
+				}
+			}
+			for deadline := time.Now().Add(10 * time.Second); stagedEntries(e.m0) != 0; time.Sleep(50 * time.Microsecond) {
+				if time.Now().After(deadline) {
+					e.t.Fatal("m1's request never reached m0")
+				}
+			}
+		}, false, 2},
+		{"a SetTelemetry swap in between", W, func(e *env) {
+			// The swap as a client operation can meet it: SetTelemetry pulls
+			// the stripes and then publishes, and the row's grant was staged
+			// in between.
+			next := trace.New(64)
+			next.SetTap(e.tap)
+			e.m0.tel.Store(e.m0.wire(Telemetry{Trace: next}))
+		}, false, 2},
+		{"the ring paused and resumed in between", W, func(e *env) {
+			e.rec.SetEnabled(false)
+			e.rec.SetEnabled(true)
+		}, false, 2},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			c, err := NewCluster(2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			e := &env{t: t, m0: c.Member(0), m1: c.Member(1), rec: trace.New(64), res: resA, mode: row.mode, after: func() {}}
+			var mu sync.Mutex
+			var tapped []trace.Entry
+			e.tap = func(en trace.Entry) {
+				if en.Lock == lockIDFor(resA) && en.Kind == 0 {
+					mu.Lock()
+					tapped = append(tapped, en)
+					mu.Unlock()
+				}
+			}
+			e.rec.SetTap(e.tap)
+			e.m0.SetTelemetry(Telemetry{Trace: e.rec})
+
+			l, err := e.m0.Lock(bg, e.res, row.mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			row.between(e)
+			if err := l.Unlock(); err != nil {
+				t.Fatal(err)
+			}
+			e.after()
+			es := e.rec.Entries() // admits what m0 still holds for this recorder
+			if tel := e.m0.tel.Load(); tel.rec != e.rec {
+				es = append(es, tel.rec.Entries()...)
+			}
+
+			mu.Lock()
+			defer mu.Unlock()
+			if len(tapped) != row.entries {
+				t.Fatalf("taps saw %d entries about the lock, want %d\n%v", len(tapped), row.entries, tapped)
+			}
+			g := tapped[0]
+			if g.Op != trace.OpGranted || g.Issued == 0 || (g.Released != 0) != row.folded {
+				t.Fatalf("first entry %v (Issued %v, Released %v): want the immediate grant, release folded = %v", g, g.Issued, g.Released, row.folded)
+			}
+			last := tapped[len(tapped)-1]
+			if released := last.Op == trace.OpRelease || last.Released != 0; !released {
+				t.Fatalf("no entry tells the taps of the release: %v", tapped)
+			}
+			var ops []trace.Op
+			for i, en := range es {
+				if en.Lock != lockIDFor(resA) || en.Kind != 0 {
+					continue
+				}
+				if en.Issued != 0 || en.Released != 0 || en.ReleaseSeq != 0 || en.At == 0 || en.Trace.IsZero() {
+					t.Fatalf("ring entry %d: %v (Issued %v, Released %v/%d)", i, en, en.Issued, en.Released, en.ReleaseSeq)
+				}
+				ops = append(ops, en.Op)
+			}
+			want := []trace.Op{trace.OpAcquire, trace.OpGranted, trace.OpRelease}
+			if row.mode == R {
+				want = []trace.Op{trace.OpAcquire, trace.OpGranted, trace.OpAcquire, trace.OpGranted, trace.OpRelease}
+			}
+			if !slices.Equal(ops, want) {
+				t.Fatalf("the ring shows %v of the lock, want %v", ops, want)
+			}
+		})
+	}
+}
+
+// TestSharedAuditorFlagsGrantInsideFoldedPair: two members feed one
+// auditor, each through a recorder of its own. Member 0's resident pair
+// is one staged entry, a hold over an interval; a W grant forged at node 1
+// with a stamp inside that interval is flagged whichever of the two
+// reaches the auditor first, and one stamped after the release is not. The
+// auditor's own report pulls the staged pair in (through the registry it
+// shares with member 0): nothing else reads anything.
+func TestSharedAuditorFlagsGrantInsideFoldedPair(t *testing.T) {
+	for _, c := range []struct {
+		name                string
+		inside, forgedFirst bool
+	}{
+		{"inside, forged grant first", true, true},
+		{"inside, folded pair first", true, false},
+		{"after, forged grant first", false, true},
+		{"after, folded pair first", false, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cl, err := NewCluster(2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
+			reg := metrics.NewRegistry()
+			aud := audit.New(audit.Config{Registry: reg, Root: 0})
+			recs := [2]*trace.Recorder{trace.New(64), trace.New(64)}
+			for i, rec := range recs {
+				rec.SetTap(aud.Record)
+				tel := Telemetry{Trace: rec, Registry: metrics.NewRegistry()}
+				if i == 0 {
+					tel.Registry = reg
+				}
+				cl.Member(i).SetTelemetry(tel)
+			}
+
+			l, err := cl.Member(0).Lock(context.Background(), "shared/forged", W)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stamp := sinceEpoch()
+			if err := l.Unlock(); err != nil {
+				t.Fatal(err)
+			}
+			if !c.inside {
+				stamp = sinceEpoch()
+			}
+			if stagedEntries(cl.Member(0)) != 1 {
+				t.Fatal("the pair is not one staged entry: the test is not exercising the fold")
+			}
+			forged := trace.Entry{At: stamp, Op: trace.OpGranted, Node: 1, Lock: lockIDFor("shared/forged"), Mode: W}
+			if !c.forgedFirst {
+				if rep := aud.Snapshot(); rep.Entries != 1 || rep.Total != 0 {
+					t.Fatalf("the pair alone: %d entries, %d violations, want 1 and 0", rep.Entries, rep.Total)
+				}
+			}
+			recs[1].Record(forged)
+			want := uint64(0)
+			if c.inside {
+				want = 1
+			}
+			if got := aud.Violations(); got != want { // pulls, like Snapshot
+				t.Fatalf("Violations() = %d, want %d", got, want)
+			}
+			rep := aud.Snapshot()
+			if rep.Entries != 2 || rep.Total != want || rep.ByCheck[audit.InvMutualExclusion] != want {
+				t.Fatalf("%d entries, %d violations, want 2 and %d: %+v", rep.Entries, rep.Total, want, rep.Violations)
+			}
+		})
+	}
+}
+
+// TestViolationInStagedEntryDumpsWithoutDeadlock: the auditor's
+// OnViolation runs inside a tap, so when the offending entry was staged it
+// runs under the stripe's mutex, and under the registry's read lock when a
+// scrape pulled the entry in. With lockd's wiring — OnViolation triggers a
+// flight-recorder dump, auto-dump on — the violation is flagged, the dump
+// is written and nothing deadlocks, whichever way the entry is admitted.
+func TestViolationInStagedEntryDumpsWithoutDeadlock(t *testing.T) {
+	forged, filler := sameStripe("dump")
+	admitters := []struct {
+		name  string
+		admit func(t *testing.T, w *lockdWiring, m *Member)
+	}{
+		{"a registry scrape", func(t *testing.T, w *lockdWiring, _ *Member) {
+			if err := w.reg.WritePrometheus(io.Discard); err != nil {
+				t.Error(err)
+			}
+		}},
+		{"a ring read", func(_ *testing.T, w *lockdWiring, _ *Member) { w.rec.Len() }},
+		{"a flight-recorder read", func(_ *testing.T, w *lockdWiring, _ *Member) { w.bb.Snapshot(0) }},
+		{"a full buffer", func(t *testing.T, _ *lockdWiring, m *Member) {
+			// The offending pair is the stripe's first entry: stageEntries
+			// more, on another lock of the stripe, push it out.
+			for i := 0; i < stageEntries; i++ {
+				l, err := m.Lock(context.Background(), filler, W)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				_ = l.Unlock()
+			}
+		}},
+	}
+	for _, a := range admitters {
+		t.Run(a.name, func(t *testing.T) {
+			c, err := NewCluster(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			deadlocked := false
+			defer func() {
+				if !deadlocked { // Close pulls too
+					c.Close()
+				}
+			}()
+			m := c.Member(0)
+			w := newLockdWiring(1 << 10)
+			dir := t.TempDir()
+			if err := w.bb.EnableAutoDump(dir, time.Hour); err != nil {
+				t.Fatal(err)
+			}
+			w.attach(m)
+
+			l, err := m.Lock(context.Background(), forged, W)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Node 9 is granted W while m holds it; recorded write-through,
+			// so the auditor has it before m's pair is admitted.
+			w.rec.Record(trace.Entry{At: sinceEpoch(), Op: trace.OpGranted, Node: 9, Lock: lockIDFor(forged), Mode: W})
+			if err := l.Unlock(); err != nil {
+				t.Fatal(err)
+			}
+			if files, _ := introspect.ListDumps(dir); len(files) != 0 {
+				t.Fatalf("a dump before the pair was admitted: %v", files)
+			}
+
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				a.admit(t, w, m)
+			}()
+			select {
+			case <-done:
+			case <-time.After(30 * time.Second):
+				deadlocked = true
+				t.Fatal("admitting the offending entry deadlocked")
+			}
+			if rep := w.aud.Snapshot(); rep.ByCheck[audit.InvMutualExclusion] != 1 {
+				t.Fatalf("report: %+v, want one mutual_exclusion violation", rep)
+			}
+			files, err := introspect.ListDumps(dir)
+			if err != nil || len(files) != 1 {
+				t.Fatalf("dumps: %v, %v; want one", files, err)
+			}
+			d, err := introspect.ReadDump(dir, files[0].Name)
+			if err != nil || d.Reason != introspect.ReasonAuditViolation {
+				t.Fatalf("dump: reason %q, %v", d.Reason, err)
+			}
+			if st := w.bb.Stats(); st.Dumps[introspect.ReasonAuditViolation] != 1 || st.LastErr != nil {
+				t.Fatalf("flight recorder stats: %+v", st)
+			}
+		})
+	}
+}
+
+// TestEveryConsumerPullsForItself: after N resident pairs with nothing
+// read, the first question asked — of the auditor, of its counter in the
+// registry, of the flight recorder's counters or of its ring — is answered
+// for all N, and empties the stripes.
+func TestEveryConsumerPullsForItself(t *testing.T) {
+	const pairs = 100 // more than one buffer's worth on no stripe: 64 keys
+	audited := func(w *lockdWiring) *metrics.Counter {
+		return w.reg.Counter(metrics.MetricAuditEntries, "Trace entries consumed by the protocol auditor.", nil)
+	}
+	for _, q := range []struct {
+		name string
+		ask  func(w *lockdWiring) int
+	}{
+		{"Auditor.Snapshot", func(w *lockdWiring) int { return int(w.aud.Snapshot().Entries) }},
+		{metrics.MetricAuditEntries, func(w *lockdWiring) int { return int(audited(w).Value()) }},
+		{"Blackbox.Stats", func(w *lockdWiring) int { return int(w.bb.Stats().Events) }},
+		{"Blackbox.Snapshot", func(w *lockdWiring) int { return len(w.bb.Snapshot(0)) }},
+		{"Recorder.Len", func(w *lockdWiring) int { return w.rec.Len() / 3 }},
+	} {
+		t.Run(q.name, func(t *testing.T) {
+			c, err := NewCluster(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			m := c.Member(0)
+			w := newLockdWiring(1 << 10)
+			w.attach(m)
+			residentPairs(t, m, 1, 64, pairs)
+			if staged := stagedEntries(m); staged != pairs {
+				t.Fatalf("%d entries staged, want %d: something was admitted before anyone asked", staged, pairs)
+			}
+			if got := q.ask(w); got != pairs {
+				t.Fatalf("answered %d, want %d", got, pairs)
+			}
+			if staged := stagedEntries(m); staged != 0 {
+				t.Fatalf("%d entries still staged after the read", staged)
+			}
+		})
 	}
 }

@@ -488,3 +488,50 @@ func TestSlotBlockedEntryNotEvicted(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestParkedWaiterAgeIsTimeParked: a waiter's age is kept as the entry
+// stamp of its request (one word, no time.Time) and converted where it is
+// read. A client parked behind a remote W holder shows, in the watchdog's
+// sample and in the inventory, an age no less than the time it has been
+// parked and no more than the time since its Lock was issued.
+func TestParkedWaiterAgeIsTimeParked(t *testing.T) {
+	bg := context.Background()
+	c, err := NewCluster(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	m0, m1 := c.Member(0), c.Member(1)
+	holder, err := m1.Lock(bg, waiterRes, W)
+	if err != nil {
+		t.Fatal(err)
+	}
+	issued := time.Now()
+	done := lockAsync(m0, bg)
+	waitParked(t, m0)
+	parked := time.Now()
+	time.Sleep(20 * time.Millisecond)
+
+	atLeast := time.Since(parked)
+	hs := m0.HealthSample()
+	var waitNS int64
+	for _, li := range m0.Inventory().Locks {
+		if li.Resource == waiterRes && li.Waiter != nil {
+			waitNS = li.Waiter.WaitNS
+		}
+	}
+	atMost := time.Since(issued)
+	if hs.Waiters != 1 || hs.OldestWaiterAge < atLeast || hs.OldestWaiterAge > atMost {
+		t.Fatalf("HealthSample: %d waiters, oldest %v; want 1, between %v and %v", hs.Waiters, hs.OldestWaiterAge, atLeast, atMost)
+	}
+	if d := time.Duration(waitNS); d < atLeast || d > atMost {
+		t.Fatalf("Inventory: waiter has waited %v, want between %v and %v", d, atLeast, atMost)
+	}
+	if err := holder.Unlock(); err != nil {
+		t.Fatal(err)
+	}
+	settle(t, "parked client", done, nil, false)
+	if hs := m0.HealthSample(); hs.Waiters != 0 || hs.OldestWaiterAge != 0 {
+		t.Fatalf("after the grant: %d waiters, oldest %v", hs.Waiters, hs.OldestWaiterAge)
+	}
+}
