@@ -4,7 +4,7 @@
 // go_bench field, matches benchmarks by name, and fails (exit 1) if any
 // benchmark selected by -filter slowed down by more than -threshold.
 //
-//	benchcompare -old BENCH_pr3.json -new BENCH_pr4.json
+//	benchcompare -old BENCH_pr10.json -new .bench_build/BENCH_head.json
 //	benchcompare -filter '.' -threshold 0.25   # everything, looser bar
 //
 // The default filter covers three benchmark families: the
@@ -151,8 +151,8 @@ func load(path string) (*snapshot, error) {
 
 func main() {
 	var (
-		oldPath   = flag.String("old", "BENCH_pr7.json", "baseline snapshot")
-		newPath   = flag.String("new", "BENCH_pr8.json", "candidate snapshot")
+		oldPath   = flag.String("old", "BENCH_pr10.json", "baseline snapshot")
+		newPath   = flag.String("new", ".bench_build/BENCH_head.json", "candidate snapshot")
 		threshold = flag.Float64("threshold", 0.10, "max allowed ns/op regression (fraction)")
 		normalize = flag.Bool("normalize", true,
 			"divide out the median new/old ratio (cross-session machine drift) before gating")

@@ -1,10 +1,10 @@
 // Command benchrecord captures a benchmark snapshot of the current
 // tree: the paper's Figure 5/6/7 simulations as CSV plus the Go
 // microbenchmark output for the hot-path packages, bundled into one
-// JSON file so successive PRs can be compared (`make bench-record`
-// writes BENCH_pr4.json).
+// JSON file so a change can be compared with the committed baseline
+// (`make bench-record` writes .bench_build/BENCH_head.json).
 //
-//	benchrecord -o BENCH_pr4.json
+//	benchrecord -o .bench_build/BENCH_head.json
 //	benchrecord -nodes 2,8,16,32,64,120 -duration 300s   # full paper sweep
 package main
 
@@ -43,7 +43,7 @@ type record struct {
 
 func main() {
 	var (
-		out      = flag.String("o", "BENCH_pr5.json", "output file (- for stdout)")
+		out      = flag.String("o", ".bench_build/BENCH_head.json", "output file (- for stdout)")
 		nodes    = flag.String("nodes", "2,8,16,32", "comma-separated node counts for the figure sweeps")
 		duration = flag.Duration("duration", 60*time.Second, "virtual measurement window per cell")
 		warmup   = flag.Duration("warmup", 10*time.Second, "virtual warmup per cell")

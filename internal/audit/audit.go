@@ -156,7 +156,7 @@ type linkState struct {
 // stripeCount is the number of stripes the per-lock ledgers are spread
 // over, by lock ID: entries for locks in different stripes are checked
 // in parallel.
-const stripeCount = metrics.Stripes
+const stripeCount = 16
 
 // stripe holds the ledgers of the locks that hash to it. It is padded to
 // its own cache lines so neighbouring stripes' mutexes do not share one.
@@ -195,10 +195,10 @@ type Auditor struct {
 	counts     map[string]uint64
 	violations []Violation
 
-	// entries counts the entries consumed, one cell per stripe: it is the
-	// registry's hierlock_audit_entries_total when there is a registry (the
-	// report and the scrape then read one set of cells the hot path writes
-	// once), a private counter otherwise.
+	// entries counts the entries consumed: it is the registry's
+	// hierlock_audit_entries_total when there is a registry (the report
+	// and the scrape then read the one word Record writes), a private
+	// counter otherwise.
 	entries    *metrics.Counter
 	metricViol map[string]*metrics.Counter
 }
@@ -243,7 +243,7 @@ func (a *Auditor) Record(e trace.Entry) {
 	}
 	n := uint(e.Lock) % stripeCount
 	st := &a.stripes[n]
-	a.entries.IncAt(n)
+	a.entries.Inc()
 	switch e.Op {
 	case trace.OpGranted:
 		st.mu.Lock()

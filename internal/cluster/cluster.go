@@ -9,6 +9,15 @@
 // of modes held across all nodes of any lock must stay pairwise
 // compatible. Violations and engine-level protocol errors are recorded on
 // the cluster and fail the run.
+//
+// The package simulates the protocol, not the service around it: engines
+// on a seeded event heap, a fault plan, the oracle, and the shared
+// recovery.Manager driven under seeded faults (membership.go). Leases,
+// sessions and the Prometheus registry exist only in the live runtime and
+// are tested there. What the simulator does offer the shipping analysers
+// is its state in their input shapes: the trace ring (auditor, spans,
+// CheckFIFO), Inventory (introspect.BuildWaitFor, the deadlock report)
+// and HealthSample (watchdog.Runner). It imports none of the runtime.
 package cluster
 
 import (
@@ -86,16 +95,6 @@ type Config struct {
 	// modelled reliable link layer; see sim.FaultPlan. Fault events are
 	// counted in Network.FaultStats and recorded in the trace.
 	Faults *sim.FaultPlan
-	// Registry, when non-nil, receives live metric series under the same
-	// family names the lockd runtime exports (message counters, request
-	// latency histograms, per-lock gauges), so simulated and production
-	// deployments share dashboards and queries. Scrape only while the
-	// simulator is idle.
-	Registry *metrics.Registry
-	// LatencyBase scales the request-latency-factor histogram (latency as
-	// a multiple of the mean network delay, the paper's Figure 6 x-axis).
-	// Defaults to DefaultLatencyMean.
-	LatencyBase time.Duration
 	// Recovery, when non-nil, enables crash recovery (internal/recovery)
 	// on the token-based protocols that support it (Hierarchical, Naimi):
 	// confirmed node deaths trigger epoch-stamped token-regeneration
@@ -150,7 +149,6 @@ type Cluster struct {
 	oracle   map[proto.LockID]map[proto.NodeID]modes.Mode
 	errs     []error
 	trace    *trace.Recorder
-	tel      telemetry
 	recovery *RecoveryOptions
 	died     map[proto.NodeID]bool
 
@@ -206,11 +204,6 @@ func New(cfg Config) *Cluster {
 	}
 	c.Net = NewNetwork(s, cfg.Latency)
 	c.Net.trace = cfg.Trace
-	if cfg.Registry != nil {
-		c.tel.init(cfg.Registry, cfg.LatencyBase)
-		c.registerLockCollectors(cfg.Registry)
-	}
-	c.Net.tel = &c.tel
 	if cfg.Faults != nil {
 		c.Net.SetFaults(*cfg.Faults)
 	}
@@ -336,11 +329,7 @@ func (c *Cluster) nodeDied(dead proto.NodeID) {
 	for _, lock := range locks {
 		c.oracleRelease(lock, dead, proto.TraceID{})
 	}
-	n := c.Nodes[dead]
-	for lock, w := range n.waiters {
-		c.tel.observeOp(metrics.OpLock, metrics.OutcomeLost, c.Sim.Now()-w.start, 0)
-		delete(n.waiters, lock)
-	}
+	clear(c.Nodes[dead].waiters)
 }
 
 // lockLost records that a node's hold did not survive a regeneration
@@ -434,6 +423,9 @@ func (c *Cluster) Quiesced() bool {
 // token is legitimately in flight. Ricart–Agrawala is permission-based
 // and vacuously conserves.
 func (c *Cluster) CheckTokens() error {
+	if c.cfg.Protocol == Ricart {
+		return nil // permission-based: no token to conserve
+	}
 	for lock := range c.oracle {
 		// Pass 1: the highest epoch any live node has seen for this lock.
 		// Completed-round seeds count alongside engine state: a recovered
@@ -454,15 +446,11 @@ func (c *Cluster) CheckTokens() error {
 					up(s.Epoch)
 				}
 			}
-			switch {
-			case n.hier != nil:
-				if e := n.hier[lock]; e != nil {
-					up(e.Epoch())
-				}
-			case n.naimi != nil:
-				if e := n.naimi[lock]; e != nil {
-					up(e.Epoch())
-				}
+			if e := n.hier[lock]; e != nil {
+				up(e.Epoch())
+			}
+			if e := n.NaimiEngine(lock); e != nil {
+				up(e.Epoch())
 			}
 		}
 		// Pass 2: count token holders among live nodes at that epoch.
@@ -471,8 +459,7 @@ func (c *Cluster) CheckTokens() error {
 			if c.NodeDown(n.ID) {
 				continue
 			}
-			switch {
-			case n.hier != nil:
+			if n.hier != nil {
 				switch e := n.hier[lock]; {
 				case e != nil:
 					if e.Epoch() == maxEpoch && e.IsToken() {
@@ -481,20 +468,15 @@ func (c *Cluster) CheckTokens() error {
 				case c.absentHolds(n, lock, maxEpoch):
 					holders = append(holders, n.ID)
 				}
-			case n.naimi != nil:
-				if e := n.naimi[lock]; e != nil && e.Epoch() == maxEpoch && e.HasToken() {
-					holders = append(holders, n.ID)
-				}
-			case n.raymond != nil:
-				if e := n.raymond[lock]; e != nil && e.HasToken() {
-					holders = append(holders, n.ID)
-				}
-			case n.suzuki != nil:
-				if e := n.suzuki[lock]; e != nil && e.HasToken() {
-					holders = append(holders, n.ID)
-				}
-			default:
-				return nil // permission-based: no token to conserve
+				continue
+			}
+			// Only Naimi has epochs among the baselines; the others never
+			// run recovery, so maxEpoch is 0 for them.
+			if e := n.NaimiEngine(lock); e != nil && e.Epoch() != maxEpoch {
+				continue
+			}
+			if e, ok := n.excl[lock].(interface{ HasToken() bool }); ok && e.HasToken() {
+				holders = append(holders, n.ID)
 			}
 		}
 		switch len(holders) {
@@ -572,14 +554,14 @@ func (c *Cluster) HealthSample() watchdog.Sample {
 type Node struct {
 	ID proto.NodeID
 
-	c       *Cluster
-	clock   proto.Clock
-	hier    map[proto.LockID]*hlock.Engine
-	opts    hlock.Options
-	naimi   map[proto.LockID]*naimi.Engine
-	raymond map[proto.LockID]*raymond.Engine
-	suzuki  map[proto.LockID]*suzuki.Engine
-	ricart  map[proto.LockID]*ricart.Engine
+	c     *Cluster
+	clock proto.Clock
+	// Exactly one of hier and excl is non-nil: the hierarchical engines
+	// (created lazily, see hierEngine) or one exclusive-only baseline
+	// engine per configured lock.
+	hier map[proto.LockID]*hlock.Engine
+	opts hlock.Options
+	excl map[proto.LockID]exclEngine
 
 	// mgr runs the crash-recovery protocol for this node (nil unless
 	// Config.Recovery enabled it on a supporting protocol).
@@ -600,6 +582,41 @@ type Node struct {
 	// frame still in flight to it, modelling the process that shut down
 	// after the hand-off (see Cluster.Leave).
 	left bool
+}
+
+// waiting is one outstanding client request: the mode it asked for, the
+// virtual time it was issued (wait ages in HealthSample and Inventory)
+// and the completion callback.
+type waiting struct {
+	mode  modes.Mode
+	start time.Duration
+	done  func()
+}
+
+// exclEngine is what the node loop needs of an exclusive-only baseline
+// engine (Naimi, Raymond, Suzuki–Kasami, Ricart–Agrawala). What only
+// some of them have — a token, Naimi's recovery hooks — is reached by
+// type assertion where it is needed.
+type exclEngine interface {
+	Acquire() (proto.ExclOut, error)
+	Release() (proto.ExclOut, error)
+	Handle(*proto.Message) (proto.ExclOut, error)
+	Mode() modes.Mode
+}
+
+// newExcl builds the node's baseline engine for a lock at the initial
+// topology: node 0 holds every token and is everyone's initial parent.
+func (n *Node) newExcl(lock proto.LockID) exclEngine {
+	switch n.c.cfg.Protocol {
+	case Naimi:
+		return naimi.New(n.ID, lock, 0, n.ID == 0, &n.clock)
+	case Raymond:
+		return raymond.New(n.ID, lock, raymond.BinaryTreeHolder(n.ID), &n.clock)
+	case Suzuki:
+		return suzuki.New(n.ID, lock, n.nnodes, n.ID == 0, &n.clock)
+	default:
+		return ricart.New(n.ID, lock, n.nnodes, &n.clock)
+	}
 }
 
 // newTrace mints a cluster-unique causal trace ID for a client operation
@@ -628,34 +645,16 @@ func newNode(c *Cluster, id proto.NodeID, cfg Config) *Node {
 	n := &Node{ID: id, c: c, nnodes: cfg.Nodes,
 		waiters:    make(map[proto.LockID]waiting),
 		roundStart: make(map[proto.LockID]time.Duration)}
-	hasToken := id == 0
-	const initialParent proto.NodeID = 0
-	switch cfg.Protocol {
-	case Naimi:
-		n.naimi = make(map[proto.LockID]*naimi.Engine, len(cfg.Locks))
-		for _, l := range cfg.Locks {
-			n.naimi[l] = naimi.New(id, l, initialParent, hasToken, &n.clock)
-		}
-	case Raymond:
-		n.raymond = make(map[proto.LockID]*raymond.Engine, len(cfg.Locks))
-		for _, l := range cfg.Locks {
-			n.raymond[l] = raymond.New(id, l, raymond.BinaryTreeHolder(id), &n.clock)
-		}
-	case Suzuki:
-		n.suzuki = make(map[proto.LockID]*suzuki.Engine, len(cfg.Locks))
-		for _, l := range cfg.Locks {
-			n.suzuki[l] = suzuki.New(id, l, cfg.Nodes, hasToken, &n.clock)
-		}
-	case Ricart:
-		n.ricart = make(map[proto.LockID]*ricart.Engine, len(cfg.Locks))
-		for _, l := range cfg.Locks {
-			n.ricart[l] = ricart.New(id, l, cfg.Nodes, &n.clock)
-		}
-	default:
+	if cfg.Protocol == Hierarchical {
 		// Hierarchical engines are created lazily (and evicted when idle)
 		// to mirror the live member runtime; see hierEngine.
 		n.hier = make(map[proto.LockID]*hlock.Engine, len(cfg.Locks))
 		n.opts = cfg.Options
+	} else {
+		n.excl = make(map[proto.LockID]exclEngine, len(cfg.Locks))
+		for _, l := range cfg.Locks {
+			n.excl[l] = n.newExcl(l)
+		}
 	}
 	if c.recovery != nil {
 		n.cfgLocks = append([]proto.LockID(nil), cfg.Locks...)
@@ -731,8 +730,10 @@ func (n *Node) maxEpoch() uint32 {
 	for _, e := range n.hier {
 		up(e.Epoch())
 	}
-	for _, e := range n.naimi {
-		up(e.Epoch())
+	for _, e := range n.excl {
+		if ne, ok := e.(*naimi.Engine); ok {
+			up(ne.Epoch())
+		}
 	}
 	return max
 }
@@ -744,30 +745,13 @@ func (n *Node) maxEpoch() uint32 {
 // clock is deliberately kept monotonic — a real implementation fences
 // restarted clocks the same way — so message ordering stays safe.
 func (n *Node) wipe() {
-	for lock, w := range n.waiters {
-		n.c.tel.observeOp(metrics.OpLock, metrics.OutcomeLost, n.c.Sim.Now()-w.start, 0)
-		delete(n.waiters, lock)
-	}
+	clear(n.waiters)
 	clear(n.roundStart) // a crashed regenerator's rounds die with it
-	switch {
-	case n.hier != nil:
+	if n.hier != nil {
 		n.hier = make(map[proto.LockID]*hlock.Engine)
-	case n.naimi != nil:
-		for lock := range n.naimi {
-			n.naimi[lock] = naimi.New(n.ID, lock, 0, n.ID == 0, &n.clock)
-		}
-	case n.raymond != nil:
-		for lock := range n.raymond {
-			n.raymond[lock] = raymond.New(n.ID, lock, raymond.BinaryTreeHolder(n.ID), &n.clock)
-		}
-	case n.suzuki != nil:
-		for lock := range n.suzuki {
-			n.suzuki[lock] = suzuki.New(n.ID, lock, n.nnodes, n.ID == 0, &n.clock)
-		}
-	case n.ricart != nil:
-		for lock := range n.ricart {
-			n.ricart[lock] = ricart.New(n.ID, lock, n.nnodes, &n.clock)
-		}
+	}
+	for lock := range n.excl {
+		n.excl[lock] = n.newExcl(lock)
 	}
 	if n.mgr != nil {
 		n.mgr = n.newManager()
@@ -778,8 +762,8 @@ func (n *Node) wipe() {
 // regeneration round: the configured set plus anything it tracks live
 // engine state for (workload-generated IDs).
 func (n *Node) recoveryLocks() []proto.LockID {
-	seen := make(map[proto.LockID]bool, len(n.cfgLocks)+len(n.hier)+len(n.naimi))
-	locks := make([]proto.LockID, 0, len(n.cfgLocks)+len(n.hier)+len(n.naimi))
+	seen := make(map[proto.LockID]bool, len(n.cfgLocks)+len(n.hier)+len(n.excl))
+	locks := make([]proto.LockID, 0, len(n.cfgLocks)+len(n.hier)+len(n.excl))
 	add := func(l proto.LockID) {
 		if !seen[l] {
 			seen[l] = true
@@ -792,7 +776,7 @@ func (n *Node) recoveryLocks() []proto.LockID {
 	for l := range n.hier {
 		add(l)
 	}
-	for l := range n.naimi {
+	for l := range n.excl {
 		add(l)
 	}
 	return locks
@@ -805,7 +789,7 @@ func (n *Node) recoveryState(lock proto.LockID) recovery.State {
 		e := n.hierEngine(lock)
 		return recovery.State{Epoch: e.Epoch(), Held: e.Held(), Token: e.IsToken()}
 	}
-	if e := n.naimi[lock]; e != nil {
+	if e := n.NaimiEngine(lock); e != nil {
 		st := recovery.State{Epoch: e.Epoch(), Token: e.HasToken()}
 		if e.Held() {
 			st.Held = modes.W
@@ -822,7 +806,7 @@ func (n *Node) recoveryPrepare(lock proto.LockID, epoch uint32) {
 		n.hierEngine(lock).PrepareReseed(epoch)
 		return
 	}
-	if e := n.naimi[lock]; e != nil {
+	if e := n.NaimiEngine(lock); e != nil {
 		e.PrepareReseed(epoch)
 	}
 }
@@ -835,10 +819,6 @@ func (n *Node) recoveryReseed(lock proto.LockID, root proto.NodeID, epoch uint32
 	// watchdog never judges a superseded round as wedged (the member's
 	// recoveryReseed does the same).
 	delete(n.roundStart, lock)
-	if w, ok := n.waiters[lock]; ok {
-		w.recovered = true // the eventual grant is recovery-delayed
-		n.waiters[lock] = w
-	}
 	if n.hier != nil {
 		out, lost := n.hierEngine(lock).Reseed(root, epoch, accounted, copyset)
 		if lost {
@@ -847,7 +827,7 @@ func (n *Node) recoveryReseed(lock proto.LockID, root proto.NodeID, epoch uint32
 		n.dispatchHier(lock, out, nil)
 		return
 	}
-	e := n.naimi[lock]
+	e := n.NaimiEngine(lock)
 	if e == nil {
 		return
 	}
@@ -855,7 +835,7 @@ func (n *Node) recoveryReseed(lock proto.LockID, root proto.NodeID, epoch uint32
 	if lost {
 		n.c.lockLost(lock, n.ID)
 	}
-	n.dispatchExcl(lock, out.Msgs, out.Acquired, nil)
+	n.dispatchExcl(lock, out, nil)
 }
 
 // RecoveryManager exposes the node's crash-recovery manager (nil when
@@ -932,18 +912,7 @@ func (n *Node) EvictIdle() int {
 // TrackedLocks returns the number of locks the node currently holds
 // engine state for.
 func (n *Node) TrackedLocks() int {
-	switch {
-	case n.hier != nil:
-		return len(n.hier)
-	case n.naimi != nil:
-		return len(n.naimi)
-	case n.raymond != nil:
-		return len(n.raymond)
-	case n.suzuki != nil:
-		return len(n.suzuki)
-	default:
-		return len(n.ricart)
-	}
+	return len(n.hier) + len(n.excl)
 }
 
 // Acquire requests lock in mode m; done runs when the lock is held
@@ -957,45 +926,17 @@ func (n *Node) Acquire(lock proto.LockID, m modes.Mode, done func()) {
 // only; Naimi ignores it).
 func (n *Node) AcquirePri(lock proto.LockID, m modes.Mode, priority uint8, done func()) {
 	n.c.Requests++
-	n.c.tel.requests.Inc()
 	tr := n.newTrace()
 	n.c.trace.Record(trace.Entry{
 		At: n.c.Sim.Now(), Op: trace.OpAcquire, Node: n.ID, Lock: lock, Mode: m, Trace: tr,
 	})
-	if e, ok := n.naimi[lock]; ok {
+	if e, ok := n.excl[lock]; ok {
 		out, err := e.Acquire()
 		if err != nil {
 			n.c.fail(fmt.Errorf("node %d lock %d: %w", n.ID, lock, err))
 			return
 		}
-		n.dispatchExcl(lock, out.Msgs, out.Acquired, done)
-		return
-	}
-	if e, ok := n.raymond[lock]; ok {
-		out, err := e.Acquire()
-		if err != nil {
-			n.c.fail(fmt.Errorf("node %d lock %d: %w", n.ID, lock, err))
-			return
-		}
-		n.dispatchExcl(lock, out.Msgs, out.Acquired, done)
-		return
-	}
-	if e, ok := n.suzuki[lock]; ok {
-		out, err := e.Acquire()
-		if err != nil {
-			n.c.fail(fmt.Errorf("node %d lock %d: %w", n.ID, lock, err))
-			return
-		}
-		n.dispatchExcl(lock, out.Msgs, out.Acquired, done)
-		return
-	}
-	if e, ok := n.ricart[lock]; ok {
-		out, err := e.Acquire()
-		if err != nil {
-			n.c.fail(fmt.Errorf("node %d lock %d: %w", n.ID, lock, err))
-			return
-		}
-		n.dispatchExcl(lock, out.Msgs, out.Acquired, done)
+		n.dispatchExcl(lock, out, done)
 		return
 	}
 	if n.hier == nil {
@@ -1023,7 +964,6 @@ func (n *Node) UpgradePri(lock proto.LockID, priority uint8, done func()) {
 	}
 	e := n.hierEngine(lock)
 	n.c.Requests++
-	n.c.tel.requests.Inc()
 	tr := n.newTrace()
 	n.c.trace.Record(trace.Entry{
 		At: n.c.Sim.Now(), Op: trace.OpAcquire, Node: n.ID, Lock: lock, Mode: modes.W, Trace: tr,
@@ -1040,40 +980,13 @@ func (n *Node) UpgradePri(lock proto.LockID, priority uint8, done func()) {
 func (n *Node) Release(lock proto.LockID) {
 	tr := n.newTrace()
 	n.c.oracleRelease(lock, n.ID, tr)
-	if e, ok := n.naimi[lock]; ok {
+	if e, ok := n.excl[lock]; ok {
 		out, err := e.Release()
 		if err != nil {
 			n.c.fail(fmt.Errorf("node %d lock %d: %w", n.ID, lock, err))
 			return
 		}
-		n.dispatchExcl(lock, out.Msgs, out.Acquired, nil)
-		return
-	}
-	if e, ok := n.raymond[lock]; ok {
-		out, err := e.Release()
-		if err != nil {
-			n.c.fail(fmt.Errorf("node %d lock %d: %w", n.ID, lock, err))
-			return
-		}
-		n.dispatchExcl(lock, out.Msgs, out.Acquired, nil)
-		return
-	}
-	if e, ok := n.suzuki[lock]; ok {
-		out, err := e.Release()
-		if err != nil {
-			n.c.fail(fmt.Errorf("node %d lock %d: %w", n.ID, lock, err))
-			return
-		}
-		n.dispatchExcl(lock, out.Msgs, out.Acquired, nil)
-		return
-	}
-	if e, ok := n.ricart[lock]; ok {
-		out, err := e.Release()
-		if err != nil {
-			n.c.fail(fmt.Errorf("node %d lock %d: %w", n.ID, lock, err))
-			return
-		}
-		n.dispatchExcl(lock, out.Msgs, out.Acquired, nil)
+		n.dispatchExcl(lock, out, nil)
 		return
 	}
 	out, err := n.hierEngine(lock).ReleaseTraced(tr)
@@ -1087,16 +1000,7 @@ func (n *Node) Release(lock proto.LockID) {
 
 // Held returns the mode this node holds on the lock (None if not held).
 func (n *Node) Held(lock proto.LockID) modes.Mode {
-	if e, ok := n.naimi[lock]; ok {
-		return e.Mode()
-	}
-	if e, ok := n.raymond[lock]; ok {
-		return e.Mode()
-	}
-	if e, ok := n.suzuki[lock]; ok {
-		return e.Mode()
-	}
-	if e, ok := n.ricart[lock]; ok {
+	if e, ok := n.excl[lock]; ok {
 		return e.Mode()
 	}
 	if e, ok := n.hier[lock]; ok {
@@ -1115,9 +1019,13 @@ func (n *Node) HierEngine(lock proto.LockID) *hlock.Engine {
 	return n.hierEngine(lock)
 }
 
-// NaimiEngine exposes the baseline engine for a lock; nil for
-// hierarchical clusters.
-func (n *Node) NaimiEngine(lock proto.LockID) *naimi.Engine { return n.naimi[lock] }
+// NaimiEngine exposes the Naimi–Trehel engine for a lock; nil on any
+// other protocol's cluster. The recovery wiring reaches Naimi's epoch
+// and reseed hooks through it.
+func (n *Node) NaimiEngine(lock proto.LockID) *naimi.Engine {
+	e, _ := n.excl[lock].(*naimi.Engine)
+	return e
+}
 
 func (n *Node) handle(msg *proto.Message) {
 	if n.left {
@@ -1126,15 +1034,7 @@ func (n *Node) handle(msg *proto.Message) {
 	if n.mgr != nil && n.mgr.HandleMessage(msg) {
 		return
 	}
-	if msg.Kind == proto.KindToken {
-		// Mirror of the member's waiter hop count: a token delivered while
-		// a request is outstanding is one hop on that request's grant path.
-		if w, ok := n.waiters[msg.Lock]; ok {
-			w.hops++
-			n.waiters[msg.Lock] = w
-		}
-	}
-	if e, ok := n.naimi[msg.Lock]; ok {
+	if e, ok := n.excl[msg.Lock]; ok {
 		out, err := e.Handle(msg)
 		if err != nil {
 			n.c.fail(fmt.Errorf("node %d lock %d: %w", n.ID, msg.Lock, err))
@@ -1146,34 +1046,7 @@ func (n *Node) handle(msg *proto.Message) {
 			// with the completed-round outcome so it catches up.
 			n.mgr.Hint(msg.Lock, msg.From)
 		}
-		n.dispatchExcl(msg.Lock, out.Msgs, out.Acquired, nil)
-		return
-	}
-	if e, ok := n.raymond[msg.Lock]; ok {
-		out, err := e.Handle(msg)
-		if err != nil {
-			n.c.fail(fmt.Errorf("node %d lock %d: %w", n.ID, msg.Lock, err))
-			return
-		}
-		n.dispatchExcl(msg.Lock, out.Msgs, out.Acquired, nil)
-		return
-	}
-	if e, ok := n.suzuki[msg.Lock]; ok {
-		out, err := e.Handle(msg)
-		if err != nil {
-			n.c.fail(fmt.Errorf("node %d lock %d: %w", n.ID, msg.Lock, err))
-			return
-		}
-		n.dispatchExcl(msg.Lock, out.Msgs, out.Acquired, nil)
-		return
-	}
-	if e, ok := n.ricart[msg.Lock]; ok {
-		out, err := e.Handle(msg)
-		if err != nil {
-			n.c.fail(fmt.Errorf("node %d lock %d: %w", n.ID, msg.Lock, err))
-			return
-		}
-		n.dispatchExcl(msg.Lock, out.Msgs, out.Acquired, nil)
+		n.dispatchExcl(msg.Lock, out, nil)
 		return
 	}
 	if n.hier == nil {
@@ -1195,17 +1068,12 @@ func (n *Node) handle(msg *proto.Message) {
 // dispatchHier routes an engine step's output: messages to the network,
 // acquisition events to the oracle and the waiting callback.
 func (n *Node) dispatchHier(lock proto.LockID, out hlock.Out, done func()) {
-	// A grant surfacing in the same dispatch that registered the waiter
-	// never left the node: that is the local fast path (the member detects
-	// the same condition by checking the grant channel after dispatch).
-	sync := done != nil
 	if done != nil {
 		if _, dup := n.waiters[lock]; dup {
 			n.c.fail(fmt.Errorf("cluster: node %d issued overlapping requests on lock %d", n.ID, lock))
 			return
 		}
 		n.waiters[lock] = waiting{mode: n.hier[lock].Pending(), start: n.c.Sim.Now(), done: done}
-		n.c.tel.queueAdmit()
 	}
 	for i := range out.Msgs {
 		n.c.Net.Send(out.Msgs[i])
@@ -1221,41 +1089,25 @@ func (n *Node) dispatchHier(lock proto.LockID, out hlock.Out, done func()) {
 			}
 			delete(n.waiters, lock)
 			n.c.Grants++
-			n.c.tel.observeGrant(n.c.Sim.Now() - w.start)
-			op := metrics.OpLock
-			if ev.Kind == hlock.EventUpgraded {
-				op = metrics.OpUpgrade
-			}
-			outcome := metrics.OutcomeRemote
-			switch {
-			case w.recovered:
-				outcome = metrics.OutcomeRecovery
-			case sync:
-				outcome = metrics.OutcomeLocal
-			}
-			n.c.tel.observeOp(op, outcome, n.c.Sim.Now()-w.start, w.hops)
 			w.done()
 		}
 	}
 }
 
-// dispatchExcl routes output of the exclusive-only baseline engines
-// (Naimi, Raymond, Suzuki–Kasami), which share the {Msgs, Acquired}
-// shape.
-func (n *Node) dispatchExcl(lock proto.LockID, msgs []proto.Message, acquired bool, done func()) {
-	sync := done != nil
+// dispatchExcl routes an exclusive-only baseline engine's step output
+// the same way; every grant is W.
+func (n *Node) dispatchExcl(lock proto.LockID, out proto.ExclOut, done func()) {
 	if done != nil {
 		if _, dup := n.waiters[lock]; dup {
 			n.c.fail(fmt.Errorf("cluster: node %d issued overlapping requests on lock %d", n.ID, lock))
 			return
 		}
 		n.waiters[lock] = waiting{mode: modes.W, start: n.c.Sim.Now(), done: done}
-		n.c.tel.queueAdmit()
 	}
-	for i := range msgs {
-		n.c.Net.Send(msgs[i])
+	for i := range out.Msgs {
+		n.c.Net.Send(out.Msgs[i])
 	}
-	if acquired {
+	if out.Acquired {
 		n.c.oracleAcquire(lock, n.ID, modes.W, proto.TraceID{})
 		w, ok := n.waiters[lock]
 		if !ok {
@@ -1264,15 +1116,6 @@ func (n *Node) dispatchExcl(lock proto.LockID, msgs []proto.Message, acquired bo
 		}
 		delete(n.waiters, lock)
 		n.c.Grants++
-		n.c.tel.observeGrant(n.c.Sim.Now() - w.start)
-		outcome := metrics.OutcomeRemote
-		switch {
-		case w.recovered:
-			outcome = metrics.OutcomeRecovery
-		case sync:
-			outcome = metrics.OutcomeLocal
-		}
-		n.c.tel.observeOp(metrics.OpLock, outcome, n.c.Sim.Now()-w.start, w.hops)
 		w.done()
 	}
 }
@@ -1296,7 +1139,6 @@ type Network struct {
 	lastAt   map[[2]proto.NodeID]time.Duration
 	trace    *trace.Recorder
 	faults   *sim.Faults
-	tel      *telemetry
 }
 
 // NewNetwork creates a network over the simulator with the given latency
@@ -1334,9 +1176,6 @@ func (nw *Network) Faults() *sim.Faults { return nw.faults }
 // existed on the wire as far as ordering is concerned.
 func (nw *Network) Send(msg proto.Message) {
 	nw.Metrics.Count(msg.Kind)
-	if nw.tel != nil {
-		nw.tel.countSent(msg.Kind)
-	}
 	var at time.Duration
 	if nw.faults != nil {
 		out := nw.faults.Apply(int(msg.From), int(msg.To), nw.sim.Now(), nw.rand)
@@ -1370,9 +1209,6 @@ func (nw *Network) Send(msg proto.Message) {
 			Trace: msgTrace(&msg), Epoch: msg.Epoch,
 		})
 	}
-	if nw.tel != nil && msg.Kind == proto.KindToken {
-		nw.tel.tokenTransfer(msg.Lock, "out")
-	}
 	key := [2]proto.NodeID{msg.From, msg.To}
 	if last, ok := nw.lastAt[key]; ok && at <= last {
 		at = last + time.Nanosecond
@@ -1389,9 +1225,6 @@ func (nw *Network) Send(msg proto.Message) {
 			Lock: m.Lock, Mode: m.Mode, Kind: m.Kind, From: m.From, To: m.To,
 			Trace: msgTrace(&m), Epoch: m.Epoch,
 		})
-		if nw.tel != nil && m.Kind == proto.KindToken {
-			nw.tel.tokenTransfer(m.Lock, "in")
-		}
 		h(&m)
 	})
 }

@@ -1,10 +1,12 @@
 package cluster_test
 
 import (
+	"strings"
 	"testing"
 	"time"
 
 	"hierlock/internal/cluster"
+	"hierlock/internal/introspect"
 	"hierlock/internal/modes"
 	"hierlock/internal/proto"
 )
@@ -32,14 +34,31 @@ func TestDetectDeadlockOppositeOrder(t *testing.T) {
 	if c.Quiesced() {
 		t.Fatal("expected the cluster to be stuck, not quiesced")
 	}
-	dl := c.DetectDeadlocks()
-	if len(dl) != 1 {
-		t.Fatalf("deadlocks = %v, want exactly one cycle", dl)
+	wf := c.Inventory().WaitFor
+	if len(wf.Cycles) != 1 {
+		t.Fatalf("cycles = %v, want exactly one", wf.Cycles)
 	}
-	if len(dl[0].Nodes) != 2 {
-		t.Fatalf("cycle = %v, want the 2-node cycle", dl[0])
+	if cyc := wf.Cycles[0]; len(cyc) != 2 || cyc[0] != 1 || cyc[1] != 2 {
+		t.Fatalf("cycle = %v, want the 2-node cycle [1 2]", cyc)
 	}
-	if dl[0].String() == "" {
+	// Each node waits for the lock the other holds.
+	want := []introspect.WaitEdge{
+		{Waiter: 1, Holder: 2, Lock: 2, Wants: "W", Holds: "W"},
+		{Waiter: 2, Holder: 1, Lock: 1, Wants: "W", Holds: "W"},
+	}
+	if len(wf.Edges) != len(want) {
+		t.Fatalf("edges = %+v, want %+v", wf.Edges, want)
+	}
+	for i, e := range wf.Edges {
+		if e.WaitNS <= 0 {
+			t.Errorf("edge %+v has no wait duration", e)
+		}
+		e.WaitNS = 0
+		if e != want[i] {
+			t.Fatalf("edge %d = %+v, want %+v", i, e, want[i])
+		}
+	}
+	if !strings.Contains(introspect.FormatCluster(c.Inventory()), "DEADLOCK: 1 -> 2 -> 1") {
 		t.Fatal("cycle must render")
 	}
 }
@@ -57,14 +76,18 @@ func TestNoFalseDeadlocks(t *testing.T) {
 	c.Sim.Run(5 * time.Second)
 	c.Nodes[2].Acquire(1, modes.W, func() {}) // waits behind node 1
 	c.Sim.Run(5 * time.Second)
-	if dl := c.DetectDeadlocks(); len(dl) != 0 {
-		t.Fatalf("false deadlock reported: %v", dl)
+	wf := c.Inventory().WaitFor
+	if wf.Deadlocked() {
+		t.Fatalf("false deadlock reported: %v", wf.Cycles)
+	}
+	if len(wf.Edges) != 1 || wf.Edges[0].Waiter != 2 || wf.Edges[0].Holder != 1 {
+		t.Fatalf("edges = %+v, want the one contention edge 2->1", wf.Edges)
 	}
 	// Compatible waiting is not even an edge.
 	c.Nodes[0].Acquire(1, modes.IR, func() {})
 	c.Sim.Run(5 * time.Second)
-	if dl := c.DetectDeadlocks(); len(dl) != 0 {
-		t.Fatalf("false deadlock on compatible wait: %v", dl)
+	if wf = c.Inventory().WaitFor; wf.Deadlocked() {
+		t.Fatalf("false deadlock on compatible wait: %v", wf.Cycles)
 	}
 }
 
@@ -84,9 +107,12 @@ func TestDetectThreeWayDeadlock(t *testing.T) {
 	if err := c.Err(); err != nil {
 		t.Fatal(err)
 	}
-	dl := c.DetectDeadlocks()
-	if len(dl) != 1 || len(dl[0].Nodes) != 3 {
-		t.Fatalf("deadlocks = %v, want one 3-cycle", dl)
+	wf := c.Inventory().WaitFor
+	if len(wf.Cycles) != 1 || len(wf.Cycles[0]) != 3 {
+		t.Fatalf("cycles = %v, want one 3-cycle", wf.Cycles)
+	}
+	if len(wf.Edges) != 3 {
+		t.Fatalf("edges = %+v, want the cycle's three", wf.Edges)
 	}
 }
 
@@ -119,8 +145,8 @@ func TestOrderedAcquisitionAvoidsDeadlock(t *testing.T) {
 	if completed != 2 {
 		t.Fatalf("completed = %d, want 2", completed)
 	}
-	if dl := c.DetectDeadlocks(); len(dl) != 0 {
-		t.Fatalf("unexpected deadlock: %v", dl)
+	if wf := c.Inventory().WaitFor; wf.Deadlocked() || len(wf.Edges) != 0 {
+		t.Fatalf("unexpected wait-for graph after completion: %+v", wf)
 	}
 	if !c.Quiesced() {
 		t.Fatal("not quiesced")

@@ -1,10 +1,6 @@
 package cluster
 
-import (
-	"sort"
-
-	"hierlock/internal/introspect"
-)
+import "hierlock/internal/introspect"
 
 // Inventory snapshots one simulated node's per-lock protocol state in
 // the same shape the live runtime serves on /debug/locks, so tests and
@@ -15,33 +11,14 @@ func (n *Node) Inventory() introspect.NodeInventory {
 	inv := introspect.NodeInventory{Node: int(n.ID)}
 	now := n.c.Sim.Now()
 	for lock, e := range n.hier {
-		li := introspect.LockInfo{
-			Lock:       uint64(lock),
-			Epoch:      e.Epoch(),
-			Token:      e.IsToken(),
-			Held:       introspect.ModeString(e.Held()),
-			Pending:    introspect.ModeString(e.Pending()),
-			Frozen:     introspect.FrozenStrings(e.Frozen()),
-			Parent:     introspect.ParentInt(e.Parent()),
-			StaleDrops: e.StaleDrops(),
-		}
-		if ch := e.Children(); len(ch) > 0 {
-			cs := make([]introspect.CopysetEntry, 0, len(ch))
-			for node, md := range ch {
-				cs = append(cs, introspect.CopysetEntry{
-					Node: int(node), Mode: introspect.ModeString(md)})
-			}
-			sort.Slice(cs, func(i, j int) bool { return cs[i].Node < cs[j].Node })
-			li.Copyset = cs
-		}
+		var waiter *introspect.Waiter
 		if w, ok := n.waiters[lock]; ok {
-			li.Waiter = &introspect.Waiter{
+			waiter = &introspect.Waiter{
 				Mode:   introspect.ModeString(w.mode),
 				WaitNS: (now - w.start).Nanoseconds(),
 			}
 		}
-		li.Queue = introspect.QueueInfo(e.Queue(), n.ID, li.Waiter)
-		inv.Locks = append(inv.Locks, li)
+		inv.Locks = append(inv.Locks, introspect.EngineInfo(e, waiter))
 	}
 	inv.Sort()
 	return inv

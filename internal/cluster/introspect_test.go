@@ -63,10 +63,6 @@ func TestInventoryDetectsInjectedCycle(t *testing.T) {
 	if !strings.Contains(out, "DEADLOCK: 1 -> 2 -> 3 -> 1") {
 		t.Fatalf("report missing deadlock line:\n%s", out)
 	}
-	// The graph verdict agrees with the sim's native detector.
-	if dl := c.DetectDeadlocks(); len(dl) != 1 {
-		t.Fatalf("native detector disagrees: %v", dl)
-	}
 	// The protocol itself behaved: zero invariant violations.
 	requireCleanAudit(t, auditor, reg)
 }

@@ -85,3 +85,84 @@ func TestTracedRun(t *testing.T) {
 		}
 	}
 }
+
+// TestSimTelemetry drives a deterministic 3-node acquisition through the
+// simulator with a recorder attached and checks that the reconstructed
+// span has the canonical acquire→token→grant shape with the token
+// travelling 0 → 2 — the shape the live runtime's spans take
+// (TestLiveTelemetrySpan at the repo root).
+func TestSimTelemetry(t *testing.T) {
+	rec := trace.New(1 << 12)
+	c := cluster.New(cluster.Config{
+		Protocol: cluster.Hierarchical,
+		Nodes:    3,
+		Locks:    []proto.LockID{7},
+		Seed:     1,
+		Trace:    rec,
+	})
+	granted := false
+	c.Nodes[2].Acquire(7, modes.W, func() { granted = true })
+	c.Sim.Run(5 * time.Second)
+	if err := c.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if !granted {
+		t.Fatal("request never granted")
+	}
+
+	spans := trace.Assemble(rec.Entries())
+	if len(spans) != 1 {
+		t.Fatalf("spans = %d, want 1", len(spans))
+	}
+	sp := spans[0]
+	if !sp.Complete || sp.Node != 2 || sp.Lock != 7 || sp.Mode != modes.W {
+		t.Fatalf("span: %+v", sp)
+	}
+	if sp.Duration() <= 0 {
+		t.Fatalf("span duration = %v", sp.Duration())
+	}
+	if path := sp.TokenPath(); len(path) != 2 || path[0] != 0 || path[1] != 2 {
+		t.Fatalf("token path = %v, want [0 2]", path)
+	}
+}
+
+// TestSimTelemetryDeterministic reconstructs the same span shape from
+// two identically seeded runs: same step count, same token path, same
+// duration — the property that makes simulator traces a debugging
+// reference for live ones.
+func TestSimTelemetryDeterministic(t *testing.T) {
+	run := func() *trace.Span {
+		rec := trace.New(1 << 12)
+		c := cluster.New(cluster.Config{
+			Protocol: cluster.Hierarchical,
+			Nodes:    3,
+			Locks:    []proto.LockID{7},
+			Seed:     42,
+			Trace:    rec,
+		})
+		c.Nodes[2].Acquire(7, modes.W, func() {})
+		c.Sim.Run(5 * time.Second)
+		if err := c.Err(); err != nil {
+			t.Fatal(err)
+		}
+		spans := trace.Assemble(rec.Entries())
+		if len(spans) != 1 {
+			t.Fatalf("spans = %d", len(spans))
+		}
+		return spans[0]
+	}
+	a, b := run(), run()
+	if a.Duration() != b.Duration() || len(a.Steps) != len(b.Steps) {
+		t.Fatalf("runs diverged: %v/%d vs %v/%d",
+			a.Duration(), len(a.Steps), b.Duration(), len(b.Steps))
+	}
+	pa, pb := a.TokenPath(), b.TokenPath()
+	if len(pa) != len(pb) {
+		t.Fatalf("token paths diverged: %v vs %v", pa, pb)
+	}
+	for i := range pa {
+		if pa[i] != pb[i] {
+			t.Fatalf("token paths diverged: %v vs %v", pa, pb)
+		}
+	}
+}

@@ -17,6 +17,7 @@ package introspect
 import (
 	"sort"
 
+	"hierlock/internal/hlock"
 	"hierlock/internal/modes"
 	"hierlock/internal/proto"
 )
@@ -173,24 +174,37 @@ func modeString(m modes.Mode) string {
 }
 
 // ModeString is modeString for inventory builders outside this package
-// (the member runtime and the simulator).
+// (a waiter's mode in the member runtime and the simulator).
 func ModeString(m modes.Mode) string { return modeString(m) }
 
-// ParentInt renders a probable-owner next hop for inventory JSON: -1
-// for proto.NoNode (this node is the root).
-func ParentInt(n proto.NodeID) int { return int(n) }
-
-// FrozenStrings renders a frozen-mode set for inventory JSON.
-func FrozenStrings(s modes.Set) []string {
-	ms := s.Modes()
-	if len(ms) == 0 {
-		return nil
+// EngineInfo builds one lock's LockInfo from its engine: epoch, token,
+// held and pending modes, frozen set, probable-owner next hop (-1 for
+// proto.NoNode: this node is the root), stale drops, the copyset sorted
+// by node and the local queue. It is the one builder behind
+// Member.Inventory and the simulator's Node.Inventory, so both serve
+// the same shape by construction. waiter is the node's own outstanding
+// client request, if any; the caller adds what only it knows
+// (Resource).
+func EngineInfo(e *hlock.Engine, waiter *Waiter) LockInfo {
+	li := LockInfo{
+		Lock:       uint64(e.Lock()),
+		Epoch:      e.Epoch(),
+		Token:      e.IsToken(),
+		Held:       modeString(e.Held()),
+		Pending:    modeString(e.Pending()),
+		Parent:     int(e.Parent()),
+		StaleDrops: e.StaleDrops(),
+		Waiter:     waiter,
 	}
-	out := make([]string, len(ms))
-	for i, m := range ms {
-		out[i] = m.String()
+	for _, m := range e.Frozen().Modes() {
+		li.Frozen = append(li.Frozen, m.String())
 	}
-	return out
+	for node, m := range e.Children() {
+		li.Copyset = append(li.Copyset, CopysetEntry{Node: int(node), Mode: modeString(m)})
+	}
+	sort.Slice(li.Copyset, func(i, j int) bool { return li.Copyset[i].Node < li.Copyset[j].Node })
+	li.Queue = QueueInfo(e.Queue(), e.Self(), waiter)
+	return li
 }
 
 // QueueInfo converts an engine queue snapshot for inventory JSON. self

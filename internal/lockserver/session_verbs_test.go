@@ -5,12 +5,15 @@ import (
 	"net"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"hierlock"
+	"hierlock/internal/audit"
 	"hierlock/internal/lockserver"
 	"hierlock/internal/metrics"
+	"hierlock/internal/trace"
 )
 
 // startSessionServer runs a lockserver with the session tier tuned for
@@ -190,6 +193,141 @@ func TestLeaseExpiryFencing(t *testing.T) {
 		t.Fatalf("locks reaped = %d, want 1", got)
 	}
 	c2.mustOK("UNLOCK acct/42")
+}
+
+// TestLeaseChaosAcrossMembers is the lease acceptance scenario on the
+// code that ships, three members wide: 12 named clients over three
+// lockservers contend for one W lock under TTL leases, three of them
+// die mid-hold (socket closed on their first grant, no UNLOCK), and
+// only the lease sweeper can free the lock for everyone queued behind.
+// All nine survivors must finish their cycles, the fences appended while
+// holding must be strictly increasing along the exclusive chain, exactly
+// the three dead sessions must expire with exactly their holds reaped,
+// and one auditor watching every member's trace must see no violation.
+//
+// A parked LOCK does not renew its session's lease and the connection
+// answers in order, so a client keeps its lease the way a real one must:
+// Server.Timeout is half the TTL, and a LOCK that times out is followed
+// by SESSION RENEW and a retry.
+func TestLeaseChaosAcrossMembers(t *testing.T) {
+	const (
+		members = 3
+		clients = 12
+		cycles  = 3
+		nDoomed = 3 // clients 0..2, one per member
+		ttl     = 800 * time.Millisecond
+	)
+	cl, err := hierlock.NewCluster(members)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	rec := trace.New(1 << 10)
+	auditor := audit.New(audit.Config{Root: 0})
+	rec.SetTap(auditor.Record)
+	var addrs [members]string
+	var regs [members]*metrics.Registry
+	for i := range addrs {
+		cl.Member(i).SetTelemetry(hierlock.Telemetry{Trace: rec})
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		regs[i] = metrics.NewRegistry()
+		srv := lockserver.New(cl.Member(i))
+		srv.Timeout = ttl / 2
+		srv.LeaseTTL = ttl
+		srv.SweepInterval = ttl / 5
+		srv.Registry = regs[i]
+		go func() { _ = srv.Serve(ln) }()
+		t.Cleanup(func() { _ = srv.Close() })
+		addrs[i] = ln.Addr().String()
+	}
+
+	var (
+		mu       sync.Mutex
+		fences   []hierlock.FenceToken
+		finished int
+	)
+	giveUp := time.Now().Add(30 * time.Second)
+	var wg sync.WaitGroup
+	for i := 0; i < clients; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			c := dial(t, addrs[i%members])
+			c.mustOK(fmt.Sprintf("SESSION OPEN client%d", i))
+			for round := 0; round < cycles; round++ {
+				reply := c.cmd("LOCK hot W")
+				for !strings.HasPrefix(reply, "OK") {
+					if !strings.Contains(reply, "deadline exceeded") {
+						t.Errorf("client %d: LOCK: %q", i, reply)
+						return
+					}
+					if time.Now().After(giveUp) {
+						t.Errorf("client %d timed out in round %d: the lock was never freed", i, round)
+						return
+					}
+					c.mustOK("SESSION RENEW")
+					reply = c.cmd("LOCK hot W")
+				}
+				mu.Lock()
+				fences = append(fences, fenceOf(t, reply))
+				mu.Unlock()
+				if i < nDoomed {
+					_ = c.conn.Close() // the client process dies holding W
+					return
+				}
+				c.mustOK("UNLOCK hot")
+			}
+			c.mustOK("SESSION CLOSE")
+			mu.Lock()
+			finished++
+			mu.Unlock()
+		}(i)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	if finished != clients-nDoomed {
+		t.Fatalf("survivors finished = %d, want %d", finished, clients-nDoomed)
+	}
+	if want := (clients-nDoomed)*cycles + nDoomed; len(fences) != want {
+		t.Fatalf("grants = %d, want %d", len(fences), want)
+	}
+	// W is exclusive: the grants form one causal chain across the three
+	// members, so the fences minted along it must be strictly increasing.
+	for i := 1; i < len(fences); i++ {
+		if !fences[i-1].Less(fences[i]) {
+			t.Fatalf("fence %d not above its predecessor: %s then %s", i, fences[i-1], fences[i])
+		}
+	}
+
+	// The last grant of the run may be a doomed client's: give the
+	// sweeper its TTL plus a sweep to reap it.
+	sum := func(name string) (n uint64) {
+		for _, reg := range regs {
+			n += reg.Counter(name, "", nil).Value()
+		}
+		return n
+	}
+	for deadline := time.Now().Add(3 * ttl); sum(metrics.MetricSessionLocksReaped) < nDoomed && time.Now().Before(deadline); {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if got := sum(metrics.MetricSessionsExpired); got != nDoomed {
+		t.Fatalf("sessions expired = %d, want %d", got, nDoomed)
+	}
+	if got := sum(metrics.MetricSessionLocksReaped); got != nDoomed {
+		t.Fatalf("locks reaped = %d, want %d (one per doomed grant)", got, nDoomed)
+	}
+	if got := sum(metrics.MetricSessionsClosed); got != clients-nDoomed {
+		t.Fatalf("sessions closed = %d, want %d", got, clients-nDoomed)
+	}
+	rec.Len() // a read of the shared ring admits what every member still stages
+	if n := auditor.Violations(); n != 0 {
+		t.Fatalf("auditor flagged %d violations: %+v", n, auditor.Snapshot().Violations)
+	}
 }
 
 // TestSessionExpiredReply: commands on a connection whose named session

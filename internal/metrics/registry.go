@@ -289,29 +289,9 @@ var LatencyFactorBuckets = []float64{
 // key, so any map order yields the same series identity.
 type Labels map[string]string
 
-// Stripes is the number of cells a striped handle spreads its writes
-// over. Writers pick the cell by lock ID (IncAt, ObserveAt), so callers
-// working on different locks rarely write the same cache line; readers
-// sum the cells. Stripes are by lock, not by core: Go gives no cheap
-// stable per-P index, and the caller already has the lock ID in hand.
-const Stripes = 16
-
-// cacheLine is the padding unit that keeps neighbouring cells apart.
-const cacheLine = 64
-
-// counterCell is one stripe of a Counter, alone on its cache line.
-type counterCell struct {
-	n atomic.Uint64
-	_ [cacheLine - 8]byte
-}
-
-// Counter is a monotonically increasing atomic counter. Inc/Add write
-// the handle's own word; IncAt writes one of Stripes padded cells,
-// allocated the first time the handle is written striped (a per-lock
-// labelled counter that only ever sees Inc stays three words).
+// Counter is a monotonically increasing atomic counter.
 type Counter struct {
-	n     atomic.Uint64
-	cells atomic.Pointer[[Stripes]counterCell]
+	n atomic.Uint64
 	// reg is the registry that minted the handle (nil for a standalone
 	// counter): a read pulls in what the registry's producers have staged.
 	reg *Registry
@@ -328,42 +308,15 @@ func (c *Counter) Add(n uint64) {
 	c.n.Add(n)
 }
 
-// IncAt adds one to the cell picked by stripe (any value; reduced
-// modulo Stripes). No-op on a nil counter.
-func (c *Counter) IncAt(stripe uint) {
-	if c == nil {
-		return
-	}
-	cells := c.cells.Load()
-	if cells == nil {
-		cells = new([Stripes]counterCell)
-		if !c.cells.CompareAndSwap(nil, cells) {
-			cells = c.cells.Load()
-		}
-	}
-	cells[stripe%Stripes].n.Add(1)
-}
-
-// Value returns the current count, summed over the cells (0 for nil),
-// after the registry's staging producers have folded in their share (see
-// Registry.OnRead): the caller must hold nothing a fold hook takes.
+// Value returns the current count (0 for nil), after the registry's
+// staging producers have folded in their share (see Registry.OnRead):
+// the caller must hold nothing a fold hook takes.
 func (c *Counter) Value() uint64 {
 	if c == nil {
 		return 0
 	}
 	c.reg.Pull()
-	return c.value()
-}
-
-// value sums the cells.
-func (c *Counter) value() uint64 {
-	v := c.n.Load()
-	if cells := c.cells.Load(); cells != nil {
-		for i := range cells {
-			v += cells[i].n.Load()
-		}
-	}
-	return v
+	return c.n.Load()
 }
 
 // Gauge is an atomic float64 gauge.
@@ -403,18 +356,12 @@ func (g *Gauge) Value() float64 {
 // cumulative buckets on exposition, each bound is an inclusive upper
 // edge, plus an implicit +Inf bucket). The sample count is not stored:
 // it is the sum of the buckets, so an observation writes one bucket and
-// the sum. Observe writes the handle's own cell; ObserveAt writes one
-// of Stripes cells, allocated the first time the handle is written
-// striped; every reader sums them.
+// the sum.
 type Histogram struct {
 	upper []float64
-	// base is one cell: len(upper)+1 bucket counts (the last is the +Inf
+	// cell holds len(upper)+1 bucket counts (the last is the +Inf
 	// overflow) followed by the sample sum as float64 bits.
-	base []atomic.Uint64
-	// cells holds Stripes further cells back to back, stride words apart:
-	// a cell padded to a whole number of cache lines.
-	cells  atomic.Pointer[[]atomic.Uint64]
-	stride int
+	cell []atomic.Uint64
 	// reg is the minting registry (nil for a standalone histogram); see
 	// Counter.reg.
 	reg *Registry
@@ -426,17 +373,17 @@ func NewHistogram(buckets []float64) *Histogram {
 	if len(buckets) == 0 {
 		buckets = DefLatencyBuckets
 	}
-	const perLine = cacheLine / 8
-	words := len(buckets) + 2
 	return &Histogram{
-		upper:  append([]float64(nil), buckets...),
-		base:   make([]atomic.Uint64, words),
-		stride: (words + perLine - 1) / perLine * perLine,
+		upper: append([]float64(nil), buckets...),
+		cell:  make([]atomic.Uint64, len(buckets)+2),
 	}
 }
 
-// observe records v in one cell.
-func (h *Histogram) observe(cell []atomic.Uint64, v float64) {
+// Observe records one sample. No-op on a nil histogram.
+func (h *Histogram) Observe(v float64) {
+	if h == nil {
+		return
+	}
 	// Binary search for the first bound >= v.
 	lo, hi := 0, len(h.upper)
 	for lo < hi {
@@ -447,11 +394,11 @@ func (h *Histogram) observe(cell []atomic.Uint64, v float64) {
 			hi = mid
 		}
 	}
-	cell[lo].Add(1)
+	h.cell[lo].Add(1)
 	if v == 0 {
 		return // a zero sample (a free admission slot, no token hops) adds nothing to the sum
 	}
-	addFloat(&cell[len(h.upper)+1], v)
+	addFloat(&h.cell[len(h.upper)+1], v)
 }
 
 // addFloat adds v to the float64 whose bits w holds.
@@ -465,33 +412,6 @@ func addFloat(w *atomic.Uint64, v float64) {
 	}
 }
 
-// Observe records one sample. No-op on a nil histogram.
-func (h *Histogram) Observe(v float64) {
-	if h == nil {
-		return
-	}
-	h.observe(h.base, v)
-}
-
-// ObserveAt records one sample in the cell picked by stripe (any value;
-// reduced modulo Stripes). No-op on a nil histogram.
-func (h *Histogram) ObserveAt(stripe uint, v float64) {
-	if h == nil {
-		return
-	}
-	cells := h.cells.Load()
-	if cells == nil {
-		fresh := make([]atomic.Uint64, Stripes*h.stride)
-		if h.cells.CompareAndSwap(nil, &fresh) {
-			cells = &fresh
-		} else {
-			cells = h.cells.Load()
-		}
-	}
-	at := int(stripe%Stripes) * h.stride
-	h.observe((*cells)[at:at+len(h.base)], v)
-}
-
 // AddLowest records n samples that all lie in the lowest bucket (each at
 // or below the first bound; the caller's word for it) and add up to sum:
 // how a producer that counted such samples in words of its own folds
@@ -500,39 +420,23 @@ func (h *Histogram) AddLowest(n uint64, sum float64) {
 	if h == nil || n == 0 {
 		return
 	}
-	h.base[0].Add(n)
+	h.cell[0].Add(n)
 	if sum != 0 {
-		addFloat(&h.base[len(h.upper)+1], sum)
+		addFloat(&h.cell[len(h.upper)+1], sum)
 	}
 }
 
 // ObserveDuration records a duration in seconds.
 func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
 
-// ObserveDurationAt is ObserveAt for a duration in seconds.
-func (h *Histogram) ObserveDurationAt(stripe uint, d time.Duration) {
-	h.ObserveAt(stripe, d.Seconds())
-}
-
-// snapshot sums the cells: per-bucket counts (len(upper)+1) and the
-// sample sum.
+// snapshot reads the per-bucket counts (len(upper)+1) and the sample sum.
 func (h *Histogram) snapshot() ([]uint64, float64) {
 	nb := len(h.upper) + 1
 	counts := make([]uint64, nb)
-	var sum float64
-	add := func(cell []atomic.Uint64) {
-		for i := range counts {
-			counts[i] += cell[i].Load()
-		}
-		sum += math.Float64frombits(cell[nb].Load())
+	for i := range counts {
+		counts[i] = h.cell[i].Load()
 	}
-	add(h.base)
-	if cells := h.cells.Load(); cells != nil {
-		for at := 0; at < len(*cells); at += h.stride {
-			add((*cells)[at:])
-		}
-	}
-	return counts, sum
+	return counts, math.Float64frombits(h.cell[nb].Load())
 }
 
 // Count returns the number of samples (0 for nil).
@@ -881,7 +785,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			seen[s.labels] = true
 			switch {
 			case s.ctr != nil:
-				writeSample(&b, f.name, s.labels, "", float64(s.ctr.value()))
+				writeSample(&b, f.name, s.labels, "", float64(s.ctr.n.Load()))
 			case s.gauge != nil:
 				writeSample(&b, f.name, s.labels, "", s.gauge.Value())
 			case s.hist != nil:

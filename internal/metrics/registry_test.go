@@ -291,36 +291,31 @@ func TestRegistryConcurrency(t *testing.T) {
 	}
 }
 
-// TestStripedHandles: IncAt/ObserveAt from eight goroutines, mixed with
-// the unstriped Inc/Observe, read back as the serial totals through every
-// reader; the exposition's _count is its +Inf bucket; and a handle never
-// written striped stays the size it was (a member registers a labelled
-// counter pair per lock — they must not each drag 1 KB of cells along).
+// TestStripedHandles (the name is from when handles had striped cells):
+// Inc/Observe from eight goroutines read back as the serial totals
+// through every reader; the exposition's _count is its +Inf bucket; and a
+// Counter stays two words (a member registers a labelled counter pair
+// per lock).
 func TestStripedHandles(t *testing.T) {
 	const workers, per = 8, 5000
 	r := NewRegistry()
 	c := r.Counter("striped_total", "c", nil)
 	h := r.Histogram("striped_seconds", "h", []float64{1, 2, 5}, nil)
-	plain := r.Counter("plain_total", "p", nil)
-	plainHist := r.Histogram("plain_seconds", "p", []float64{1, 2, 5}, nil)
 
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				stripe := uint(w*per + i) // walks every cell, past Stripes
-				c.IncAt(stripe)
-				h.ObserveAt(stripe, float64(i%4)) // 0, 1, 2, 3: one sample in four adds nothing to the sum
+				c.Inc()
+				h.Observe(float64(i % 4)) // 0, 1, 2, 3: one sample in four adds nothing to the sum
 				if i%10 == 0 {
 					c.Inc()
 					h.Observe(7)
-					plain.Inc()
-					plainHist.Observe(7)
 				}
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 
@@ -334,7 +329,7 @@ func TestStripedHandles(t *testing.T) {
 	if got, want := h.Sum(), float64(n/4*(0+1+2+3)+7*n/10); got != want {
 		t.Fatalf("histogram sum = %v, want %v", got, want)
 	}
-	// Half the striped samples are ≤ 1, three quarters ≤ 2, the 7s overflow.
+	// Half the small samples are ≤ 1, three quarters ≤ 2, the 7s overflow.
 	if q := h.Quantile(0.4); q != 1 {
 		t.Fatalf("P40 = %v, want 1", q)
 	}
@@ -362,24 +357,9 @@ func TestStripedHandles(t *testing.T) {
 		}
 	}
 
-	if plain.cells.Load() != nil || plainHist.cells.Load() != nil {
-		t.Fatal("a handle never written striped allocated cells")
+	if size := unsafe.Sizeof(Counter{}); size > 16 {
+		t.Fatalf("Counter is %d bytes, want at most two words (count, registry)", size)
 	}
-	if size := unsafe.Sizeof(Counter{}); size > 24 {
-		t.Fatalf("Counter is %d bytes, want at most three words (count, cells, registry)", size)
-	}
-	if c.cells.Load() == nil || h.cells.Load() == nil {
-		t.Fatal("striped writes went to the base cell")
-	}
-	if words := len(*h.cells.Load()); words != Stripes*8 {
-		t.Fatalf("a 3-bound histogram's cells take %d words, want one cache line per stripe (%d)", words, Stripes*8)
-	}
-
-	var nilC *Counter
-	var nilH *Histogram
-	nilC.IncAt(3)
-	nilH.ObserveAt(3, 1)
-	nilH.ObserveDurationAt(3, time.Second)
 }
 
 // TestOnReadFoldsBeforeEveryRead: a producer counts in words of its own

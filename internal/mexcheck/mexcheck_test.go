@@ -1,5 +1,6 @@
-// Package mexcheck_test model-checks the three exclusive-only baseline
-// protocols (Naimi–Trehel, Raymond, Suzuki–Kasami) the same way
+// Package mexcheck_test model-checks the four exclusive-only baseline
+// protocols (Naimi–Trehel, Raymond, Suzuki–Kasami, Ricart–Agrawala) the
+// same way
 // internal/hlock's checker covers the hierarchical protocol: every
 // interleaving of client operations and per-link FIFO deliveries is
 // explored for small clusters, with mutual exclusion and token uniqueness
@@ -21,11 +22,14 @@ import (
 
 const testLock proto.LockID = 1
 
-// engine abstracts the three baselines behind one shape.
+// engine abstracts the four baselines behind one shape. They share the
+// step output (proto.ExclOut), so the adapters carry only what still
+// differs: Clone's concrete return type, and Ricart–Agrawala's missing
+// token.
 type engine interface {
-	Acquire() ([]proto.Message, bool, error)
-	Release() ([]proto.Message, bool, error)
-	Handle(*proto.Message) ([]proto.Message, bool, error)
+	Acquire() (proto.ExclOut, error)
+	Release() (proto.ExclOut, error)
+	Handle(*proto.Message) (proto.ExclOut, error)
 	Clone(*proto.Clock) engine
 	Fingerprint() string
 	Held() bool
@@ -34,71 +38,23 @@ type engine interface {
 
 type naimiEng struct{ *naimi.Engine }
 
-func (e naimiEng) Acquire() ([]proto.Message, bool, error) {
-	out, err := e.Engine.Acquire()
-	return out.Msgs, out.Acquired, err
-}
-func (e naimiEng) Release() ([]proto.Message, bool, error) {
-	out, err := e.Engine.Release()
-	return out.Msgs, out.Acquired, err
-}
-func (e naimiEng) Handle(m *proto.Message) ([]proto.Message, bool, error) {
-	out, err := e.Engine.Handle(m)
-	return out.Msgs, out.Acquired, err
-}
 func (e naimiEng) Clone(c *proto.Clock) engine { return naimiEng{e.Engine.Clone(c)} }
 
 type raymondEng struct{ *raymond.Engine }
 
-func (e raymondEng) Acquire() ([]proto.Message, bool, error) {
-	out, err := e.Engine.Acquire()
-	return out.Msgs, out.Acquired, err
-}
-func (e raymondEng) Release() ([]proto.Message, bool, error) {
-	out, err := e.Engine.Release()
-	return out.Msgs, out.Acquired, err
-}
-func (e raymondEng) Handle(m *proto.Message) ([]proto.Message, bool, error) {
-	out, err := e.Engine.Handle(m)
-	return out.Msgs, out.Acquired, err
-}
 func (e raymondEng) Clone(c *proto.Clock) engine { return raymondEng{e.Engine.Clone(c)} }
+
+type suzukiEng struct{ *suzuki.Engine }
+
+func (e suzukiEng) Clone(c *proto.Clock) engine { return suzukiEng{e.Engine.Clone(c)} }
 
 type ricartEng struct{ *ricart.Engine }
 
-func (e ricartEng) Acquire() ([]proto.Message, bool, error) {
-	out, err := e.Engine.Acquire()
-	return out.Msgs, out.Acquired, err
-}
-func (e ricartEng) Release() ([]proto.Message, bool, error) {
-	out, err := e.Engine.Release()
-	return out.Msgs, out.Acquired, err
-}
-func (e ricartEng) Handle(m *proto.Message) ([]proto.Message, bool, error) {
-	out, err := e.Engine.Handle(m)
-	return out.Msgs, out.Acquired, err
-}
 func (e ricartEng) Clone(c *proto.Clock) engine { return ricartEng{e.Engine.Clone(c)} }
 
 // HasToken: the permission-based algorithm has no token; the checker
 // skips token-uniqueness for it (see tokenless).
 func (e ricartEng) HasToken() bool { return false }
-
-type suzukiEng struct{ *suzuki.Engine }
-
-func (e suzukiEng) Acquire() ([]proto.Message, bool, error) {
-	out, err := e.Engine.Acquire()
-	return out.Msgs, out.Acquired, err
-}
-func (e suzukiEng) Release() ([]proto.Message, bool, error) {
-	out, err := e.Engine.Release()
-	return out.Msgs, out.Acquired, err
-}
-func (e suzukiEng) Handle(m *proto.Message) ([]proto.Message, bool, error) {
-	out, err := e.Engine.Handle(m)
-	return out.Msgs, out.Acquired, err
-}
-func (e suzukiEng) Clone(c *proto.Clock) engine { return suzukiEng{e.Engine.Clone(c)} }
 
 // factory builds the n engines of a protocol in their initial topology.
 type factory func(n int, clocks []*proto.Clock) []engine
@@ -174,7 +130,7 @@ func (s *state) clone() *state {
 }
 
 // key canonically encodes the state. Lamport clock values and message
-// timestamps are deliberately excluded: none of the three baselines
+// timestamps are deliberately excluded: none of the token baselines
 // branches on them, so including them would split behaviorally identical
 // states and explode the search space.
 func (s *state) key() string {
@@ -285,20 +241,20 @@ func (c *checker) explore(s *state) {
 		case phIdle:
 			step(func(ns *state) {
 				ns.phase[i] = phWaiting
-				msgs, acq, err := ns.engines[i].Acquire()
+				out, err := ns.engines[i].Acquire()
 				if err != nil {
 					c.fail(ns, "Acquire: %v", err)
 				}
-				c.absorb(ns, i, msgs, acq)
+				c.absorb(ns, i, out.Msgs, out.Acquired)
 			})
 		case phHolding:
 			step(func(ns *state) {
 				ns.phase[i] = phDone
-				msgs, acq, err := ns.engines[i].Release()
+				out, err := ns.engines[i].Release()
 				if err != nil {
 					c.fail(ns, "Release: %v", err)
 				}
-				c.absorb(ns, i, msgs, acq)
+				c.absorb(ns, i, out.Msgs, out.Acquired)
 			})
 		}
 	}
@@ -313,11 +269,11 @@ func (c *checker) explore(s *state) {
 			if len(ns.queues[k]) == 0 {
 				delete(ns.queues, k)
 			}
-			msgs, acq, err := ns.engines[msg.To].Handle(&msg)
+			out, err := ns.engines[msg.To].Handle(&msg)
 			if err != nil {
 				c.fail(ns, "Handle(%v %d→%d): %v", msg.Kind, msg.From, msg.To, err)
 			}
-			c.absorb(ns, int(msg.To), msgs, acq)
+			c.absorb(ns, int(msg.To), out.Msgs, out.Acquired)
 		})
 	}
 
@@ -385,7 +341,7 @@ func (c *checker) absorb(s *state, node int, msgs []proto.Message, acquired bool
 }
 
 // TestModelCheckBaselines explores every interleaving for clusters of 2,
-// 3 and 4 nodes, each node acquiring and releasing once, for all three
+// 3 and 4 nodes, each node acquiring and releasing once, for all four
 // baseline protocols.
 func TestModelCheckBaselines(t *testing.T) {
 	names := make([]string, 0, len(factories))

@@ -116,14 +116,8 @@ func (e *Engine) String() string {
 // Event is a local event: the single kind is acquisition.
 type Event struct{}
 
-// Out carries messages to transmit and acquisition events. Stale reports
-// that epoch fencing dropped the input (the host may answer with a
-// recovery hint).
-type Out struct {
-	Msgs     []proto.Message
-	Acquired bool
-	Stale    bool
-}
+// Out is the step output every exclusive-only baseline shares.
+type Out = proto.ExclOut
 
 // Acquire requests the critical section. If this node already holds the
 // idle token, entry is immediate and message-free.

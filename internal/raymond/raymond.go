@@ -81,11 +81,8 @@ func (e *Engine) String() string {
 		e.self, e.lock, e.holder, e.using, e.requesting, e.asked, e.queue)
 }
 
-// Out carries messages and the acquisition event.
-type Out struct {
-	Msgs     []proto.Message
-	Acquired bool
-}
+// Out is the step output every exclusive-only baseline shares.
+type Out = proto.ExclOut
 
 // Acquire requests the critical section.
 func (e *Engine) Acquire() (Out, error) {

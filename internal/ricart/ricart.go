@@ -77,11 +77,8 @@ func (e *Engine) String() string {
 		e.self, e.lock, e.using, e.requesting, e.reqTS, e.replies, len(e.deferred))
 }
 
-// Out carries messages and the acquisition event.
-type Out struct {
-	Msgs     []proto.Message
-	Acquired bool
-}
+// Out is the step output every exclusive-only baseline shares.
+type Out = proto.ExclOut
 
 // Acquire requests the critical section, broadcasting to every peer.
 // Single-node clusters enter immediately.

@@ -84,11 +84,8 @@ func (e *Engine) String() string {
 		e.self, e.lock, e.hasToken, e.using, e.requesting, e.rn)
 }
 
-// Out carries messages and the acquisition event.
-type Out struct {
-	Msgs     []proto.Message
-	Acquired bool
-}
+// Out is the step output every exclusive-only baseline shares.
+type Out = proto.ExclOut
 
 // Acquire requests the critical section. Unless the idle token is
 // already local, the request is broadcast to every other node — the Θ(n)

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"log/slog"
 	"slices"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -53,7 +52,7 @@ var (
 //	               the member is taken while one is held
 //
 // Under a stripe's mutex the member calls out to the trace ring and its
-// taps (auditor, flight recorder), striped metric cells, the journal
+// taps (auditor, flight recorder), metric handles, the journal
 // (Append) and the transport (Send); each has mutexes of its own and none
 // calls back — which is why a tap, and whatever it calls (the auditor's
 // OnViolation, a flight-recorder dump), may read nothing that pulls from
@@ -82,7 +81,8 @@ const lockShardCount = 64
 // writes, with or without telemetry attached, save the Lamport clock
 // (atomic). Messages are another matter: each one sent still counts
 // under statMu, and a grant that waited, travelled or took long writes
-// one of metrics.Stripes cells per metric, picked by lock ID.
+// the registry's handles directly (telemetry.record): each such grant
+// already cost a network round trip or a wait.
 type lockShard struct {
 	mu    sync.Mutex
 	locks map[proto.LockID]*lockState
@@ -551,7 +551,7 @@ type grant struct {
 // caller holds. A sample of a class the stripe counts (see staged) is a
 // plain addition under the mutex; any other — a wait, a hop, a slow
 // grant — is recorded once the mutex is released.
-func (tel *telemetry) observe(sh *lockShard, stripe uint, g grant) {
+func (tel *telemetry) observe(sh *lockShard, g grant) {
 	if g.outcome == metrics.OutcomeLocal && g.hops == 0 && g.d < tel.fastMax {
 		if g.join {
 			sh.cnt.joins++
@@ -564,14 +564,14 @@ func (tel *telemetry) observe(sh *lockShard, stripe uint, g grant) {
 		return
 	}
 	sh.mu.Unlock()
-	tel.record(stripe, g)
+	tel.record(g)
 }
 
-// record writes one granted operation to the striped handles, as one
+// record writes one granted operation to the registry's handles, as one
 // group (BeginWrite): an exposition shows a grant in
 // hierlock_acquires_total and in its histograms or in neither. Callers
 // hold no stripe's mutex.
-func (tel *telemetry) record(stripe uint, g grant) {
+func (tel *telemetry) record(g grant) {
 	if tel.reg == nil {
 		return
 	}
@@ -579,14 +579,14 @@ func (tel *telemetry) record(stripe uint, g grant) {
 	switch {
 	case g.join:
 		tel.sharedJoins.Inc()
-		tel.acquires.IncAt(stripe)
+		tel.acquires.Inc()
 	case g.op == metrics.OpLock:
-		tel.acquires.IncAt(stripe)
-		tel.latency.ObserveDurationAt(stripe, g.d)
-		tel.factor.ObserveAt(stripe, g.d.Seconds()/tel.base.Seconds())
+		tel.acquires.Inc()
+		tel.latency.ObserveDuration(g.d)
+		tel.factor.Observe(g.d.Seconds() / tel.base.Seconds())
 	}
-	tel.opLatency[g.op][g.outcome].ObserveDurationAt(stripe, g.d)
-	tel.tokenHops.ObserveAt(stripe, float64(g.hops))
+	tel.opLatency[g.op][g.outcome].ObserveDuration(g.d)
+	tel.tokenHops.Observe(float64(g.hops))
 	tel.reg.EndWrite()
 }
 
@@ -1584,29 +1584,9 @@ func (m *Member) Inventory() introspect.NodeInventory {
 		sh := &m.shards[i]
 		sh.mu.Lock()
 		for _, ls := range sh.locks {
-			e := ls.engine
-			li := introspect.LockInfo{
-				Lock:       uint64(ls.id),
-				Resource:   ls.res,
-				Epoch:      e.Epoch(),
-				Token:      e.IsToken(),
-				Held:       introspect.ModeString(e.Held()),
-				Pending:    introspect.ModeString(e.Pending()),
-				Frozen:     introspect.FrozenStrings(e.Frozen()),
-				Parent:     introspect.ParentInt(e.Parent()),
-				StaleDrops: e.StaleDrops(),
-			}
-			if ch := e.Children(); len(ch) > 0 {
-				cs := make([]introspect.CopysetEntry, 0, len(ch))
-				for n, md := range ch {
-					cs = append(cs, introspect.CopysetEntry{
-						Node: int(n), Mode: introspect.ModeString(md)})
-				}
-				sort.Slice(cs, func(i, j int) bool { return cs[i].Node < cs[j].Node })
-				li.Copyset = cs
-			}
+			var wi *introspect.Waiter
 			if w := ls.waiter; w != nil {
-				wi := &introspect.Waiter{
+				wi = &introspect.Waiter{
 					Mode:    introspect.ModeString(w.mode),
 					Upgrade: w.upgrade,
 				}
@@ -1616,9 +1596,9 @@ func (m *Member) Inventory() introspect.NodeInventory {
 				if w.since != 0 {
 					wi.WaitNS = (sinceEpoch() - w.since).Nanoseconds()
 				}
-				li.Waiter = wi
 			}
-			li.Queue = introspect.QueueInfo(e.Queue(), m.id, li.Waiter)
+			li := introspect.EngineInfo(ls.engine, wi)
+			li.Resource = ls.res
 			inv.Locks = append(inv.Locks, li)
 		}
 		sh.mu.Unlock()
@@ -1908,7 +1888,6 @@ func (m *Member) LockWithPriority(ctx context.Context, resource string, mode Mod
 		return nil, ErrLeaving
 	}
 	lockID := lockIDFor(resource)
-	stripe := uint(lockID) // the metric cell for a sample the shard does not count itself
 	tr := m.newTrace()
 	// The first of the operation's clock reads; the grant's stamp is the
 	// second (Unlock takes the pair's third).
@@ -1940,7 +1919,7 @@ func (m *Member) LockWithPriority(ctx context.Context, resource string, mode Mod
 			sh.note(rec, &trace.Entry{At: granted, Op: trace.OpGranted,
 				Node: m.id, Lock: lockID, Mode: mode, Trace: tr})
 		}
-		tel.observe(sh, stripe, grant{op: metrics.OpLock,
+		tel.observe(sh, grant{op: metrics.OpLock,
 			outcome: metrics.OutcomeLocal, join: true, d: granted - start})
 		if lg := tel.log; lg != nil && lg.Enabled(ctx, slog.LevelDebug) {
 			lg.Debug("lock granted", "trace", tr.String(), "resource", resource,
@@ -2001,7 +1980,7 @@ func (m *Member) LockWithPriority(ctx context.Context, resource string, mode Mod
 	if !waited {
 		sh.cnt.zeroWaits++
 	} else if tel.queueWait != nil {
-		tel.queueWait.ObserveDurationAt(stripe, sinceEpoch()-start)
+		tel.queueWait.ObserveDuration(sinceEpoch() - start)
 	}
 	w := ls.arm(start, tr, mode, false)
 	out, err := ls.engine.AcquireTraced(mode, priority, tr)
@@ -2042,7 +2021,7 @@ func (m *Member) LockWithPriority(ctx context.Context, resource string, mode Mod
 	}
 	// The waiter is ours until Unlock frees the admission slot.
 	sh.acq.Observe(d)
-	tel.observe(sh, stripe, grant{op: metrics.OpLock,
+	tel.observe(sh, grant{op: metrics.OpLock,
 		outcome: w.outcome(localGrant), d: d, hops: w.hops})
 	return &Lock{m: m, sh: sh, ls: ls, resource: resource, first: grantEvent{mode, w.fence}}, nil
 }
@@ -2277,7 +2256,7 @@ func (l *Lock) Upgrade(ctx context.Context) error {
 	l.upgrading = false
 	l.regrant(W, w.fence)
 	sh.mu.Unlock()
-	tel.record(uint(ls.id), g)
+	tel.record(g)
 	return nil
 }
 

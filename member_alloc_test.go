@@ -98,9 +98,9 @@ func TestMemberJournaledLockUnlockAllocsWithTelemetry(t *testing.T) {
 }
 
 // The same pair under everything cmd/lockd attaches by default — ring,
-// auditor and flight recorder included: staging a trace entry, striping
+// auditor and flight recorder included: staging a trace entry, counting
 // a metric and checking a grant allocate nothing per operation (the
-// staging buffers and metric cells are allocated once, during the
+// staging buffers are allocated once, during the
 // warm-up run AllocsPerRun makes), and neither does admission, which
 // allocates only for an arrival that finds the lock's slot taken. The
 // taps see one entry per pair — exactly, once anybody reads — and a reader

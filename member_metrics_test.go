@@ -109,7 +109,7 @@ func hammer(t *testing.T, m *hierlock.Member, workers, keys, rounds int) {
 // returned has them all. Run once with every grant in the class the
 // stripes count (staged, folded at the read) and once with none in it (a
 // latency base so small that no latency is "fast": every grant writes the
-// striped handles as one group).
+// handles directly, as one group; the subtest keeps its old name).
 func TestScrapeExactWhileCounting(t *testing.T) {
 	for _, tc := range []struct {
 		name string
