@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: build test vet lint race chaos coldstart sessions membership fuzz bench bench-record bench-compare audit ci clean
+.PHONY: build test vet lint race chaos coldstart sessions membership fuzz bench bench-record bench-compare audit loc ci clean
 
 build:
 	$(GO) build ./...
@@ -12,9 +12,12 @@ test:
 vet:
 	$(GO) vet ./...
 
-# Static checks: go vet plus a gofmt drift check (fails listing any
-# unformatted file).
+# Static checks: go vet — over bench/ too, a module of its own that no
+# root-module target compiles, so a root change that stops the frozen
+# harness building fails here and not in the benchmark run — plus a gofmt
+# drift check (fails listing any unformatted file).
 lint: vet
+	$(GO) vet -C bench ./...
 	@unformatted=$$($(GOFMT) -l .); \
 	if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; \
@@ -29,7 +32,10 @@ race:
 # coverage (includes the disk-loss restart chaos scenarios). The
 # transport line runs three times: when a delayed ack is written and
 # which reader ends up delivering depend on the schedule, and one pass
-# hides what the next one shows. So do the last three: which stripe admits
+# hides what the next one shows (TestTCPCutScheduleExactlyOnce, a few
+# hundred seeded cuts, is there to find two readers on one sequence
+# number; only the race detector's pace makes that likely). So do the
+# last three: which stripe admits
 # its staged trace entries (to the taps and the ring alike) or folds its
 # staged metric words when, whether anything comes between a grant and
 # its release on a stripe (TestReleaseFolds*, TestSharedAuditor*), which
@@ -58,9 +64,11 @@ chaos:
 # count. A restarted member talks to its peers from inside
 # NewTCPMember, so what races it (SetTelemetry did) shows up only in
 # some schedules: three runs each, under the race detector.
+# TestTCPRestartAfterTrafficRejoins is the restart of a member its peers
+# have already heard thousands of frames from.
 coldstart:
 	$(GO) test -race -count=3 ./internal/journal/
-	$(GO) test -race -count=3 -run 'TestTCPColdStart|TestTCPRestartSingleMemberRejoins|TestJournalRecordsFollowTokenNotHolds' .
+	$(GO) test -race -count=3 -run 'TestTCPColdStart|TestTCPRestartSingleMemberRejoins|TestTCPRestartAfterTrafficRejoins|TestJournalRecordsFollowTokenNotHolds' .
 
 # Session/lease/admission stress under the race detector: the session
 # tier's lifecycle and wait-queue tests, the lockserver bugfix
@@ -134,8 +142,14 @@ audit:
 # (chaos, coldstart, sessions), the fuzz passes, and the microbenchmark
 # regression gate against the committed baseline. `race` covers ./...
 # once, so `audit` and `membership` — -count=1 subsets of it — are
-# focused local targets and not part of ci.
-ci: build lint test race chaos coldstart sessions fuzz bench-record bench-compare
+# focused local targets and not part of ci. The tracked size is printed
+# last.
+ci: build lint test race chaos coldstart sessions fuzz bench-record bench-compare loc
+
+# The tracked size, by the rule CHANGES.md and ROADMAP.md quote: lines of
+# non-test .go files outside bench/.
+loc:
+	@git ls-files '*.go' | grep -v -e '^bench/' -e '_test\.go$$' | xargs cat | wc -l
 
 clean:
 	$(GO) clean ./...

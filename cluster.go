@@ -95,9 +95,10 @@ type TCPMemberConfig struct {
 	// delivery queue; 0 means unbounded. At the limit, sends fail rather
 	// than buffering without bound.
 	QueueLimit int
-	// Reliable enables the transport's ack/retransmit link layer so a TCP
-	// connection reset cannot silently lose or duplicate a protocol
-	// message. All members of one cluster must agree on this setting.
+	// Reliable is accepted and ignored.
+	//
+	// Deprecated: the link is always sequenced; removed when the
+	// benchmark harness stops setting it.
 	Reliable bool
 	// OnPeerState, when non-nil, is called from transport goroutines each
 	// time a peer's health changes ("up", "degraded", "down"). It must not
@@ -207,7 +208,6 @@ func NewTCPMember(cfg TCPMemberConfig) (*Member, error) {
 		RedialBackoffMax: cfg.RedialBackoffMax,
 		DownAfter:        cfg.DownAfter,
 		QueueLimit:       cfg.QueueLimit,
-		Reliable:         cfg.Reliable,
 	}
 	if cb := cfg.OnPeerState; cb != nil {
 		tcfg.OnPeerState = func(peer proto.NodeID, s transport.PeerState) {
@@ -338,8 +338,8 @@ func (m *Member) PeerHealth() map[int]PeerHealth {
 }
 
 // LinkCounters aggregates transport resilience counters for a TCP
-// member: reconnection attempts, reliable-mode retransmissions, and
-// duplicate frames suppressed at the receiver.
+// member: reconnection attempts, frames retransmitted after a
+// reconnect, and duplicate frames suppressed at the receiver.
 type LinkCounters struct {
 	Redials        uint64
 	Retransmits    uint64

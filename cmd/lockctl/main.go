@@ -64,11 +64,13 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
+	"net/url"
 	"os"
 	"sort"
 	"strings"
@@ -152,7 +154,7 @@ func main() {
 
 	args := flag.Args()
 	if len(args) == 0 {
-		fatalf("usage: lockctl [-addr A] lock <resource> <mode> [-hold D] | unlock <resource> | upgrade <resource> | held | stats | trace [-debug A]")
+		fatalf("usage: lockctl [-addr A] lock <resource> <mode> [-hold D] | unlock <resource> | upgrade <resource> | held | stats | member list|add <seed-addr>|remove | trace|locks|top|sessions|blackbox|profile|watch [-debug A]")
 	}
 	switch strings.ToLower(args[0]) {
 	case "lock":
@@ -224,8 +226,8 @@ func traceCmd(args []string) {
 		return
 	}
 
-	dump, err := lockserver.FetchDump(client, *debug, *n)
-	if err != nil {
+	var dump trace.Dump
+	if err := lockserver.GetJSON(client, *debug, tracePath(*n), &dump); err != nil {
 		fatalf("fetch trace: %v", err)
 	}
 	spans := trace.Assemble(dump.Entries)
@@ -248,22 +250,9 @@ func clusterTrace(client *http.Client, addrs []string, n int, remote bool, filte
 		if len(addrs) == 0 {
 			fatalf("--remote needs at least one -debug address")
 		}
-		url := addrs[0]
-		if !strings.Contains(url, "://") {
-			url = "http://" + url
-		}
-		url += fmt.Sprintf("/debug/trace?n=%d&peers=%s", n, strings.Join(addrs[1:], ","))
-		resp, err := client.Get(url)
-		if err != nil {
+		path := tracePath(n) + "&peers=" + strings.Join(addrs[1:], ",")
+		if err := lockserver.GetJSON(client, addrs[0], path, &cd); err != nil {
 			fatalf("fetch cluster trace: %v", err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-			fatalf("fetch cluster trace: %s: %s", resp.Status, strings.TrimSpace(string(body)))
-		}
-		if err := json.NewDecoder(resp.Body).Decode(&cd); err != nil {
-			fatalf("decode cluster trace: %v", err)
 		}
 	} else {
 		cd.Errors = make(map[string]string)
@@ -272,8 +261,8 @@ func clusterTrace(client *http.Client, addrs []string, n int, remote bool, filte
 			if addr == "" {
 				continue
 			}
-			d, err := lockserver.FetchDump(client, addr, n)
-			if err != nil {
+			var d trace.Dump
+			if err := lockserver.GetJSON(client, addr, tracePath(n), &d); err != nil {
 				cd.Errors[addr] = err.Error()
 				continue
 			}
@@ -307,6 +296,9 @@ func clusterTrace(client *http.Client, addrs []string, n int, remote bool, filte
 	fmt.Printf("%d node buffers merged, %d causal paths\n", len(cd.Nodes), shown)
 }
 
+// tracePath is /debug/trace for the most recent n entries (0 = all).
+func tracePath(n int) string { return fmt.Sprintf("/debug/trace?n=%d", n) }
+
 // locksCmd fetches /debug/locks from one or more debug listeners.
 // Single-node mode prints the node's inventory; --cluster (or several
 // addresses, or the top leaderboard) merges every node's inventory into
@@ -332,8 +324,8 @@ func sessionsCmd(args []string) {
 	var out []nodeSessions
 	errs := map[string]string{}
 	for _, addr := range addrs {
-		inv, err := lockserver.FetchInventory(client, addr)
-		if err != nil {
+		var inv introspect.NodeInventory
+		if err := lockserver.GetJSON(client, addr, "/debug/locks", &inv); err != nil {
 			errs[addr] = err.Error()
 			continue
 		}
@@ -373,8 +365,8 @@ func locksCmd(args []string, top bool) {
 	client := &http.Client{Timeout: *timeout}
 	addrs := splitAddrs(*debug)
 	if !*cluster && !top && len(addrs) == 1 {
-		inv, err := lockserver.FetchInventory(client, addrs[0])
-		if err != nil {
+		var inv introspect.NodeInventory
+		if err := lockserver.GetJSON(client, addrs[0], "/debug/locks", &inv); err != nil {
 			fatalf("fetch locks: %v", err)
 		}
 		if *asJSON {
@@ -387,29 +379,16 @@ func locksCmd(args []string, top bool) {
 
 	var c introspect.Cluster
 	if *remote {
-		url := addrs[0]
-		if !strings.Contains(url, "://") {
-			url = "http://" + url
-		}
-		url += "/debug/locks?peers=" + strings.Join(addrs[1:], ",")
-		resp, err := client.Get(url)
-		if err != nil {
+		path := "/debug/locks?peers=" + strings.Join(addrs[1:], ",")
+		if err := lockserver.GetJSON(client, addrs[0], path, &c); err != nil {
 			fatalf("fetch cluster locks: %v", err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-			fatalf("fetch cluster locks: %s: %s", resp.Status, strings.TrimSpace(string(body)))
-		}
-		if err := json.NewDecoder(resp.Body).Decode(&c); err != nil {
-			fatalf("decode cluster locks: %v", err)
 		}
 	} else {
 		var nodes []introspect.NodeInventory
 		errs := map[string]string{}
 		for _, addr := range addrs {
-			inv, err := lockserver.FetchInventory(client, addr)
-			if err != nil {
+			var inv introspect.NodeInventory
+			if err := lockserver.GetJSON(client, addr, "/debug/locks", &inv); err != nil {
 				errs[addr] = err.Error()
 				continue
 			}
@@ -455,33 +434,10 @@ func blackboxCmd(args []string) {
 	_ = fs.Parse(args)
 
 	client := &http.Client{Timeout: *timeout}
-	url := *debug
-	if !strings.Contains(url, "://") {
-		url = "http://" + url
-	}
-	url = strings.TrimSuffix(url, "/") + "/debug/blackbox"
-	switch {
-	case *dump != "":
-		url += "?dump=" + *dump
-	case *trigger:
-		url += fmt.Sprintf("?trigger=1&n=%d", *n)
-	default:
-		url += fmt.Sprintf("?n=%d", *n)
-	}
-	resp, err := client.Get(url)
-	if err != nil {
-		fatalf("fetch blackbox: %v", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		fatalf("fetch blackbox: %s: %s", resp.Status, strings.TrimSpace(string(body)))
-	}
-
 	if *dump != "" {
 		var d introspect.Dump
-		if err := json.NewDecoder(resp.Body).Decode(&d); err != nil {
-			fatalf("decode dump: %v", err)
+		if err := lockserver.GetJSON(client, *debug, "/debug/blackbox?dump="+url.QueryEscape(*dump), &d); err != nil {
+			fatalf("fetch blackbox: %v", err)
 		}
 		if *asJSON {
 			printJSON(d)
@@ -494,9 +450,13 @@ func blackboxCmd(args []string) {
 		return
 	}
 
+	path := fmt.Sprintf("/debug/blackbox?n=%d", *n)
+	if *trigger {
+		path += "&trigger=1"
+	}
 	var view lockserver.BlackboxView
-	if err := json.NewDecoder(resp.Body).Decode(&view); err != nil {
-		fatalf("decode blackbox: %v", err)
+	if err := lockserver.GetJSON(client, *debug, path, &view); err != nil {
+		fatalf("fetch blackbox: %v", err)
 	}
 	if *asJSON {
 		printJSON(view)
@@ -538,28 +498,17 @@ func profileCmd(args []string) {
 	_ = fs.Parse(args)
 
 	client := &http.Client{Timeout: *timeout}
-	url := *debug
-	if !strings.Contains(url, "://") {
-		url = "http://" + url
-	}
-	url = strings.TrimSuffix(url, "/") + "/debug/profile"
-	switch {
-	case *fetch != "":
-		url += "?file=" + *fetch
-	case *capture != "":
-		url += "?capture=" + *capture
-	}
-	resp, err := client.Get(url)
-	if err != nil {
-		fatalf("fetch profile: %v", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		fatalf("fetch profile: %s: %s", resp.Status, strings.TrimSpace(string(body)))
-	}
-
 	if *fetch != "" {
+		// The one answer that is a file, not JSON.
+		resp, err := client.Get(lockserver.DebugURL(*debug, "/debug/profile?file="+url.QueryEscape(*fetch)))
+		if err != nil {
+			fatalf("fetch profile: %v", err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
+			fatalf("fetch profile: %s: %s", resp.Status, strings.TrimSpace(string(body)))
+		}
 		dst := io.Writer(os.Stdout)
 		if *out != "" {
 			f, err := os.Create(*out)
@@ -579,9 +528,13 @@ func profileCmd(args []string) {
 		return
 	}
 
+	path := "/debug/profile"
+	if *capture != "" {
+		path += "?capture=" + url.QueryEscape(*capture)
+	}
 	var view lockserver.ProfileView
-	if err := json.NewDecoder(resp.Body).Decode(&view); err != nil {
-		fatalf("decode profile: %v", err)
+	if err := lockserver.GetJSON(client, *debug, path, &view); err != nil {
+		fatalf("fetch profile: %v", err)
 	}
 	if *asJSON {
 		printJSON(view)
@@ -655,25 +608,15 @@ func watchCmd(args []string) {
 // fetchHealth retrieves one node's watchdog verdict. A 503 carrying a
 // decodable verdict (the stalled state) is still a successful fetch.
 func fetchHealth(client *http.Client, addr string) (lockserver.HealthView, error) {
-	url := addr
-	if !strings.Contains(url, "://") {
-		url = "http://" + url
-	}
-	url = strings.TrimSuffix(url, "/") + "/debug/health"
 	var v lockserver.HealthView
-	resp, err := client.Get(url)
-	if err != nil {
-		return v, err
+	err := lockserver.GetJSON(client, addr, "/debug/health", &v)
+	switch {
+	case v.State != "":
+		err = nil
+	case err == nil:
+		err = errors.New("no verdict in the response")
 	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if err != nil {
-		return v, err
-	}
-	if err := json.Unmarshal(body, &v); err != nil || v.State == "" {
-		return v, fmt.Errorf("%s: %s", resp.Status, strings.TrimSpace(string(body)))
-	}
-	return v, nil
+	return v, err
 }
 
 // printHealthTable renders one poll's verdicts, one node per line with

@@ -65,7 +65,7 @@ func main() {
 		logFormat = flag.String("log-format", "text", "log output format: text or json")
 		logLevel  = flag.String("log-level", "info", "minimum log level: debug, info, warn or error")
 
-		reliable   = flag.Bool("reliable", true, "ack/retransmit link layer: a TCP reset neither loses nor duplicates a frame (all members must agree; -reliable=false is the plain framing)")
+		_          = flag.Bool("reliable", true, "ignored. Deprecated: the link is always sequenced; removed when the benchmark harness stops setting it")
 		queueLimit = flag.Int("queue-limit", 0, "bound per-peer outbound and inbound queues (0 = unbounded)")
 		redial     = flag.Duration("redial", 0, "initial redial backoff for unreachable peers (default 100ms)")
 		redialMax  = flag.Duration("redial-max", 0, "redial backoff cap (default 5s)")
@@ -155,7 +155,6 @@ func main() {
 		ListenAddr:        *listen,
 		AdvertiseAddr:     *advertise,
 		Peers:             peerMap,
-		Reliable:          *reliable,
 		QueueLimit:        *queueLimit,
 		RedialBackoff:     *redial,
 		RedialBackoffMax:  *redialMax,

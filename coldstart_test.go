@@ -209,7 +209,18 @@ func TestTCPColdStartFromJournals(t *testing.T) {
 // of the cluster kept running, answers recovery probes from replayed
 // state (rejoining at max(journaled epoch)+1 via the cold-start round)
 // instead of nominating at epoch 0, and serves traffic again.
-func TestTCPRestartSingleMemberRejoins(t *testing.T) {
+func TestTCPRestartSingleMemberRejoins(t *testing.T) { testRestartRejoins(t, 0) }
+
+// TestTCPRestartAfterTrafficRejoins is the same restart after the member
+// has talked: 1000 ping-pong rounds leave each survivor holding a link
+// sequence number in the thousands for member 2, and the rebooted member,
+// numbering afresh, must not be taken for its own retransmissions — its
+// first remote acquisition is granted within seconds.
+func TestTCPRestartAfterTrafficRejoins(t *testing.T) { testRestartRejoins(t, 1000) }
+
+// testRestartRejoins runs the single-member restart after rounds remote
+// acquisitions by the member that will die, alternating with member 0.
+func testRestartRejoins(t *testing.T, rounds int) {
 	const n = 3
 	dataDir := t.TempDir()
 	addrs := reserveAddrs(t, n)
@@ -225,6 +236,17 @@ func TestTCPRestartSingleMemberRejoins(t *testing.T) {
 			_ = m.Close()
 		}
 	})
+	for r := 0; r < rounds; r++ {
+		for _, i := range []int{2, 0} {
+			l, err := members[i].Lock(ctx, "rejoin-res", hierlock.W)
+			if err != nil {
+				t.Fatalf("round %d, member %d: %v", r, i, err)
+			}
+			if err := l.Unlock(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 	// Member 2 takes the token for the resource, then dies with it.
 	if _, err := members[2].Lock(ctx, "rejoin-res", hierlock.W); err != nil {
 		t.Fatal(err)
@@ -247,9 +269,12 @@ func TestTCPRestartSingleMemberRejoins(t *testing.T) {
 	// is stale (the survivors' epoch fences it), the cold-start
 	// reconciliation catches it up, and its acquisitions serve.
 	members[2] = bootDurableMember(t, 2, addrs, dataDir, nil)
-	l, err := members[2].Lock(ctx, "rejoin-res", hierlock.W)
+	rejoin, cancelRejoin := context.WithTimeout(ctx, 5*time.Second)
+	defer cancelRejoin()
+	l, err := members[2].Lock(rejoin, "rejoin-res", hierlock.W)
 	if err != nil {
-		t.Fatalf("restarted member rejoin: %v", err)
+		t.Fatalf("restarted member rejoin: %v (member 0 suppressed %d frames as duplicates)",
+			err, members[0].LinkCounters().DupsSuppressed)
 	}
 	if err := l.Unlock(); err != nil {
 		t.Fatal(err)

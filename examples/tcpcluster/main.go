@@ -34,9 +34,6 @@ func main() {
 			ID:         id,
 			ListenAddr: addrs[id],
 			Peers:      peers,
-			// Sequenced, acknowledged links: a connection reset between two
-			// members cannot lose the token. Every member must say the same.
-			Reliable: true,
 		})
 		if err != nil {
 			log.Fatal(err)

@@ -3,6 +3,7 @@ package lockserver
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/pprof"
 	"path/filepath"
@@ -371,8 +372,8 @@ func (s *Server) clusterDump(n int, peers []string) trace.ClusterDump {
 		if peer == "" {
 			continue
 		}
-		d, err := FetchDump(client, peer, n)
-		if err != nil {
+		var d trace.Dump
+		if err := GetJSON(client, peer, fmt.Sprintf("/debug/trace?n=%d", n), &d); err != nil {
 			if out.Errors == nil {
 				out.Errors = make(map[string]string)
 			}
@@ -430,8 +431,8 @@ func (s *Server) clusterInventory(peers []string) introspect.Cluster {
 		if peer == "" {
 			continue
 		}
-		inv, err := FetchInventory(client, peer)
-		if err != nil {
+		var inv introspect.NodeInventory
+		if err := GetJSON(client, peer, "/debug/locks", &inv); err != nil {
 			errs[peer] = err.Error()
 			continue
 		}
@@ -471,53 +472,35 @@ func (s *Server) inventory() introspect.NodeInventory {
 	return inv
 }
 
-// FetchInventory retrieves one node's /debug/locks inventory from its
-// debug listener (addr is host:port or a full http:// URL). Shared by
-// the peer-merge mode above and `lockctl locks --cluster`.
-func FetchInventory(client *http.Client, addr string) (introspect.NodeInventory, error) {
-	var inv introspect.NodeInventory
-	url := addr
-	if !strings.Contains(url, "://") {
-		url = "http://" + url
+// DebugURL is the URL of path on a debug listener given as host:port or
+// as a full http:// URL.
+func DebugURL(addr, path string) string {
+	if !strings.Contains(addr, "://") {
+		addr = "http://" + addr
 	}
-	url = strings.TrimSuffix(url, "/") + "/debug/locks"
-	resp, err := client.Get(url)
-	if err != nil {
-		return inv, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return inv, fmt.Errorf("%s: HTTP %d", url, resp.StatusCode)
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&inv); err != nil {
-		return inv, fmt.Errorf("%s: %w", url, err)
-	}
-	return inv, nil
+	return strings.TrimSuffix(addr, "/") + path
 }
 
-// FetchDump retrieves one node's trace buffer from its debug listener
-// (addr is host:port or a full http:// URL). Shared by the peer-merge
-// mode above and `lockctl trace --cluster`.
-func FetchDump(client *http.Client, addr string, n int) (trace.Dump, error) {
-	var d trace.Dump
-	url := addr
-	if !strings.Contains(url, "://") {
-		url = "http://" + url
-	}
-	url = strings.TrimSuffix(url, "/") + "/debug/trace"
-	if n > 0 {
-		url += fmt.Sprintf("?n=%d", n)
-	}
+// GetJSON fetches path from a node's debug listener and decodes the JSON
+// body into v. Any status but 200 is an error carrying the status and the
+// first 512 bytes of the body; the body is still decoded into v if it
+// parses, because /debug/health answers 503 with its verdict. Shared by
+// the peer-merge modes above and every lockctl subcommand that talks to
+// the debug listener.
+func GetJSON(client *http.Client, addr, path string, v any) error {
+	url := DebugURL(addr, path)
 	resp, err := client.Get(url)
 	if err != nil {
-		return d, err
+		return err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return d, fmt.Errorf("%s: HTTP %d", url, resp.StatusCode)
+		body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
+		_ = json.Unmarshal(body, v)
+		return fmt.Errorf("%s: %s: %s", url, resp.Status, strings.TrimSpace(string(body[:min(len(body), 512)])))
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&d); err != nil {
-		return d, fmt.Errorf("%s: %w", url, err)
+	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
+		return fmt.Errorf("%s: %w", url, err)
 	}
-	return d, nil
+	return nil
 }

@@ -153,8 +153,10 @@ func TestMetricsGolden(t *testing.T) {
 		metrics.Labels{"kind": "request"}).Add(4)
 	reg.Counter(metrics.MetricMessagesTotal, "Protocol messages sent, by kind.",
 		metrics.Labels{"kind": "token"}).Add(2)
-	reg.Gauge(metrics.MetricLockQueueDepth, "Locally queued requests per lock.",
-		metrics.Labels{"lock": "fares/row17"}).Set(3)
+	reg.Collect(metrics.MetricLockQueueDepth, "Locally queued requests per lock.",
+		"gauge", func(emit func(metrics.Labels, float64)) {
+			emit(metrics.Labels{"lock": "fares/row17"}, 3)
+		})
 	h := reg.Histogram(metrics.MetricRequestLatency,
 		"Issue-to-grant lock request latency in seconds.", []float64{0.1, 0.5, 1}, nil)
 	h.Observe(0.05)

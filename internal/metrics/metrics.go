@@ -121,10 +121,10 @@ type Link struct {
 	// Redials counts reconnection attempts to peers.
 	Redials uint64
 	// Retransmits counts frames re-sent from the unacked buffer after a
-	// connection was re-established (reliable mode).
+	// connection was re-established.
 	Retransmits uint64
 	// DupsSuppressed counts inbound frames discarded by the per-link
-	// sequence check (reliable mode).
+	// sequence check.
 	DupsSuppressed uint64
 }
 

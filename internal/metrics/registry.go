@@ -5,7 +5,7 @@
 // so a simulated run and a production scrape are compared series by
 // series with identical names and labels.
 //
-// Every handle type is nil-safe: methods on a nil *Counter, *Gauge or
+// Every handle type is nil-safe: methods on a nil *Counter or
 // *Histogram (as returned by a nil *Registry) are no-ops that perform no
 // allocation, so instrumented hot paths cost nothing when observability
 // is disabled.
@@ -82,10 +82,11 @@ const (
 	MetricTransportInboxHighWater = "hierlock_transport_inbox_high_water"
 	// MetricTransportRedials counts reconnection attempts to peers.
 	MetricTransportRedials = "hierlock_transport_redials_total"
-	// MetricTransportRetransmits counts reliable-mode retransmissions.
+	// MetricTransportRetransmits counts frames retransmitted after a
+	// reconnect.
 	MetricTransportRetransmits = "hierlock_transport_retransmits_total"
 	// MetricTransportDupsSuppressed counts duplicate inbound frames
-	// suppressed by the reliable-link sequence check.
+	// suppressed by the link sequence check.
 	MetricTransportDupsSuppressed = "hierlock_transport_dups_suppressed_total"
 	// MetricTransportPeerState gauges per-peer health (0 up, 1 degraded,
 	// 2 down). Labels: peer.
@@ -319,39 +320,6 @@ func (c *Counter) Value() uint64 {
 	return c.n.Load()
 }
 
-// Gauge is an atomic float64 gauge.
-type Gauge struct{ bits atomic.Uint64 }
-
-// Set stores v. No-op on a nil gauge.
-func (g *Gauge) Set(v float64) {
-	if g == nil {
-		return
-	}
-	g.bits.Store(math.Float64bits(v))
-}
-
-// Add adds delta to the gauge. No-op on a nil gauge.
-func (g *Gauge) Add(delta float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + delta)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// Value returns the current value (0 for nil).
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return math.Float64frombits(g.bits.Load())
-}
-
 // Histogram is a fixed-bucket atomic histogram (Prometheus semantics:
 // cumulative buckets on exposition, each bound is an inclusive upper
 // edge, plus an implicit +Inf bucket). The sample count is not stored:
@@ -540,7 +508,6 @@ type family struct {
 type series struct {
 	labels string // rendered `k="v",...` (no braces), "" for none
 	ctr    *Counter
-	gauge  *Gauge
 	hist   *Histogram
 }
 
@@ -633,22 +600,6 @@ func (r *Registry) Counter(name, help string, labels Labels) *Counter {
 		s.ctr = &Counter{reg: r}
 	}
 	return s.ctr
-}
-
-// Gauge returns (creating if needed) the gauge series for name with the
-// given labels. Nil-safe.
-func (r *Registry) Gauge(name, help string, labels Labels) *Gauge {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	f := r.family(name, help, "gauge", nil)
-	s := f.seriesFor(labels)
-	if s.gauge == nil {
-		s.gauge = &Gauge{}
-	}
-	return s.gauge
 }
 
 // Histogram returns (creating if needed) the histogram series for name
@@ -786,8 +737,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			switch {
 			case s.ctr != nil:
 				writeSample(&b, f.name, s.labels, "", float64(s.ctr.n.Load()))
-			case s.gauge != nil:
-				writeSample(&b, f.name, s.labels, "", s.gauge.Value())
 			case s.hist != nil:
 				writeHistogram(&b, f.name, s.labels, s.hist)
 			}

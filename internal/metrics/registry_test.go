@@ -89,18 +89,15 @@ func validateExposition(t *testing.T, text string) {
 func TestNilRegistryAndHandles(t *testing.T) {
 	var r *Registry
 	c := r.Counter("x_total", "h", nil)
-	g := r.Gauge("x", "h", nil)
 	h := r.Histogram("x_seconds", "h", nil, nil)
 	r.Collect("y", "h", "gauge", func(emit func(Labels, float64)) {})
 
 	// All handles are nil and all methods no-ops.
 	c.Inc()
 	c.Add(7)
-	g.Set(3)
-	g.Add(1)
 	h.Observe(0.5)
 	h.ObserveDuration(time.Second)
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 || h.Quantile(0.5) != 0 {
+	if c.Value() != 0 || h.Count() != 0 || h.Sum() != 0 || h.Quantile(0.5) != 0 {
 		t.Fatal("nil handles must read as zero")
 	}
 	var sb strings.Builder
@@ -111,11 +108,9 @@ func TestNilRegistryAndHandles(t *testing.T) {
 
 func TestDisabledHandlesAllocateNothing(t *testing.T) {
 	var c *Counter
-	var g *Gauge
 	var h *Histogram
 	if n := testing.AllocsPerRun(100, func() {
 		c.Inc()
-		g.Set(1)
 		h.Observe(0.25)
 	}); n != 0 {
 		t.Fatalf("nil metric handles allocated %.1f times per op", n)
@@ -135,11 +130,18 @@ func TestCounterAndGauge(t *testing.T) {
 		t.Fatal("lookup must return the existing series")
 	}
 
-	g := r.Gauge("hl_depth", "test gauge", nil)
-	g.Set(4)
-	g.Add(-1.5)
-	if g.Value() != 2.5 {
-		t.Fatalf("gauge = %v", g.Value())
+	// A gauge is a collector: every exposition reads the current value.
+	depth := 4.0
+	r.Collect("hl_depth", "test gauge", "gauge", func(emit func(Labels, float64)) { emit(nil, depth) })
+	for _, want := range []string{"hl_depth 4\n", "hl_depth 2.5\n"} {
+		var sb strings.Builder
+		if err := r.WritePrometheus(&sb); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(sb.String(), "# TYPE hl_depth gauge\n"+want) {
+			t.Fatalf("exposition missing gauge sample %q:\n%s", want, sb.String())
+		}
+		depth -= 1.5
 	}
 }
 
@@ -172,7 +174,9 @@ func TestWritePrometheusFormat(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("hierlock_messages_sent_total", "Messages by kind.", Labels{"kind": "request"}).Add(3)
 	r.Counter("hierlock_messages_sent_total", "Messages by kind.", Labels{"kind": "token"}).Add(1)
-	r.Gauge("hierlock_lock_queue_depth", "Queue depth.", Labels{"lock": "a/b"}).Set(2)
+	r.Collect("hierlock_lock_queue_depth", "Queue depth.", "gauge", func(emit func(Labels, float64)) {
+		emit(Labels{"lock": "a/b"}, 2)
+	})
 	h := r.Histogram("hierlock_request_latency_seconds", "Latency.", []float64{0.1, 1}, nil)
 	h.Observe(0.05)
 	h.Observe(0.5)
@@ -218,8 +222,8 @@ func TestWritePrometheusFormat(t *testing.T) {
 func TestCollectors(t *testing.T) {
 	r := NewRegistry()
 	// A static series that a collector later collides with.
-	r.Gauge("hl_queue", "Queue.", Labels{"peer": "1"}).Set(42)
-	r.Collect("hl_queue", "Queue.", "gauge", func(emit func(Labels, float64)) {
+	r.Counter("hl_queue", "Queue.", Labels{"peer": "1"}).Add(42)
+	r.Collect("hl_queue", "Queue.", "counter", func(emit func(Labels, float64)) {
 		emit(Labels{"peer": "1"}, 7) // collides with static → dropped
 		emit(Labels{"peer": "2"}, 9)
 		emit(Labels{"peer": "0"}, 5)

@@ -8,7 +8,6 @@ package proto
 
 import (
 	"bytes"
-	"io"
 	"testing"
 )
 
@@ -24,17 +23,6 @@ func allocMsg() *Message {
 	}
 }
 
-func TestWriteFrameAllocs(t *testing.T) {
-	m := allocMsg()
-	if got := testing.AllocsPerRun(200, func() {
-		if err := WriteFrame(io.Discard, m); err != nil {
-			t.Fatal(err)
-		}
-	}); got != 0 {
-		t.Errorf("WriteFrame allocates %.1f objects/op, want 0", got)
-	}
-}
-
 func TestAppendFrameAllocs(t *testing.T) {
 	m := allocMsg()
 	buf := make([]byte, 0, 1024)
@@ -45,36 +33,20 @@ func TestAppendFrameAllocs(t *testing.T) {
 	}
 }
 
-func TestWriteLinkDataAllocs(t *testing.T) {
+func TestAppendLinkDataAllocs(t *testing.T) {
 	m := allocMsg()
+	buf := make([]byte, 0, 1024)
 	if got := testing.AllocsPerRun(200, func() {
-		if err := WriteLinkData(io.Discard, 3, m); err != nil {
-			t.Fatal(err)
-		}
+		buf = AppendLinkData(buf[:0], 3, m)
 	}); got != 0 {
-		t.Errorf("WriteLinkData allocates %.1f objects/op, want 0", got)
-	}
-}
-
-func TestReadFrameAllocs(t *testing.T) {
-	// The loop recycles each decoded message, mirroring the transport's
-	// steady state (deliver, then PutMessage): the whole read path —
-	// frame buffer and Message both pooled — performs zero allocations.
-	frame := AppendFrame(nil, allocMsg())
-	r := bytes.NewReader(frame)
-	if got := testing.AllocsPerRun(200, func() {
-		r.Reset(frame)
-		m, err := ReadFrame(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		PutMessage(m)
-	}); got != 0 {
-		t.Errorf("ReadFrame allocates %.1f objects/op, want 0", got)
+		t.Errorf("AppendLinkData allocates %.1f objects/op, want 0", got)
 	}
 }
 
 func TestReadLinkFrameAllocs(t *testing.T) {
+	// The loop recycles each decoded message, mirroring the transport's
+	// steady state (deliver, then PutMessage): the whole read path —
+	// frame buffer and Message both pooled — performs zero allocations.
 	frame := AppendLinkData(nil, 12, allocMsg())
 	r := bytes.NewReader(frame)
 	if got := testing.AllocsPerRun(200, func() {

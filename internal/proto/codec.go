@@ -266,10 +266,10 @@ func decodeRequest(buf []byte) (Request, []byte, error) {
 	return r, buf[requestLen:], nil
 }
 
-// Buffer pooling. Every frame encode and every frame read needs a
-// scratch byte slice whose lifetime ends inside the call; recycling them
-// through a sync.Pool makes the steady-state wire hot path allocate
-// nothing beyond the decoded Message itself. Oversized buffers (a rare
+// Buffer pooling. Every frame read needs a scratch byte slice whose
+// lifetime ends inside the call; recycling them through a sync.Pool makes
+// the steady-state read path allocate nothing beyond the decoded Message
+// itself. Oversized buffers (a rare
 // giant token transfer) are dropped rather than pooled so one outlier
 // cannot pin memory forever.
 const maxPooledBuf = 64 << 10
@@ -292,25 +292,17 @@ func putBuf(bp *[]byte) {
 }
 
 // AppendFrame appends one length-prefixed wire frame for m to dst and
-// returns the extended slice. Several frames appended to one buffer form
-// a valid byte stream, which is how the TCP transport coalesces a burst
-// of messages to one peer into a single write.
+// returns the extended slice: the bare message framing, without a link
+// sequence number. The TCP transport does not speak it (it writes link
+// frames, link.go, and ReadLinkFrame refuses this one); its remaining
+// callers are the load harness's codec probes, which time AppendFrame +
+// DecodeMessage.
 func AppendFrame(dst []byte, m *Message) []byte {
 	start := len(dst)
 	dst = append(dst, 0, 0, 0, 0)
 	dst = AppendMessage(dst, m)
 	binary.BigEndian.PutUint32(dst[start:], uint32(len(dst)-start-4))
 	return dst
-}
-
-// WriteFrame writes one length-prefixed message frame to w. The encode
-// buffer is pooled; steady state performs zero allocations.
-func WriteFrame(w io.Writer, m *Message) error {
-	bp := getBuf()
-	*bp = AppendFrame((*bp)[:0], m)
-	_, err := w.Write(*bp)
-	putBuf(bp)
-	return err
 }
 
 // readPayload reads one length-prefixed payload into the pooled scratch
@@ -342,17 +334,4 @@ func readPayload(r io.Reader, bp *[]byte, min uint32) ([]byte, error) {
 		return nil, err
 	}
 	return buf, nil
-}
-
-// ReadFrame reads one length-prefixed message frame from r. The frame
-// scratch buffer is pooled; only the decoded Message (and its queue, if
-// any) is allocated.
-func ReadFrame(r io.Reader) (*Message, error) {
-	bp := getBuf()
-	defer putBuf(bp)
-	buf, err := readPayload(r, bp, 0)
-	if err != nil {
-		return nil, err
-	}
-	return DecodeMessage(buf)
 }

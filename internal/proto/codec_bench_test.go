@@ -2,7 +2,6 @@ package proto
 
 import (
 	"bytes"
-	"io"
 	"testing"
 )
 
@@ -22,36 +21,27 @@ func benchMsg(queue int) *Message {
 	return m
 }
 
-func BenchmarkWriteFrame(b *testing.B) {
+func BenchmarkAppendLinkData(b *testing.B) {
 	m := benchMsg(0)
+	var buf []byte
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if err := WriteFrame(io.Discard, m); err != nil {
-			b.Fatal(err)
-		}
+		buf = AppendLinkData(buf[:0], uint64(i), m)
 	}
 }
 
 // The decode benchmarks return each message to the pool, as the
 // transport does after delivery: a queue-less frame then decodes with no
 // allocation, a frame carrying a queue with one (the queue slice).
-func BenchmarkReadFrame(b *testing.B) {
-	frame := AppendFrame(nil, benchMsg(0))
-	r := bytes.NewReader(frame)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.Reset(frame)
-		m, err := ReadFrame(r)
-		if err != nil {
-			b.Fatal(err)
-		}
-		PutMessage(m)
-	}
+func BenchmarkReadLinkFrame(b *testing.B) {
+	benchReadLinkFrame(b, benchMsg(0))
 }
 
 func BenchmarkLinkRoundTrip(b *testing.B) {
-	m := benchMsg(4)
+	benchReadLinkFrame(b, benchMsg(4))
+}
+
+func benchReadLinkFrame(b *testing.B, m *Message) {
 	frame := AppendLinkData(nil, 1, m)
 	r := bytes.NewReader(frame)
 	b.ReportAllocs()

@@ -7,28 +7,27 @@ import (
 	"io"
 )
 
-// Link-layer framing for the TCP transport's optional reliable mode.
+// Link-layer framing: what the TCP transport puts on the wire.
 //
-// A plain frame (WriteFrame/ReadFrame) carries exactly one message and
-// relies on TCP alone, which loses in-flight frames on a connection
-// reset. Reliable mode wraps every message in a link frame that carries a
-// per-(sender, receiver) sequence number: the sender keeps frames in an
-// unacked buffer until the receiver acknowledges them, retransmits the
-// buffer on reconnection, and the receiver discards frames whose sequence
-// number it has already delivered. Together these turn a connection reset
-// into exactly-once, in-order delivery — a lost or duplicated Token frame
-// becomes impossible while both endpoints live.
+// TCP alone loses in-flight frames on a connection reset, so every
+// message travels in a link frame that carries a per-(sender, receiver)
+// sequence number: the sender keeps frames in an unacked buffer until the
+// receiver acknowledges them, retransmits the buffer on reconnection, and
+// the receiver discards frames whose sequence number it has already
+// delivered. Together these turn a connection reset into exactly-once,
+// in-order delivery — a lost or duplicated Token frame becomes impossible
+// while both endpoints live.
 //
-// Wire format (same uint32 length prefix as plain frames):
+// Wire format:
 //
 //	uint32  payload length (big endian)
 //	byte    magic: 0xD1 (data) or 0xA1 (cumulative ack)
 //	uint64  sequence number (big endian)
 //	...     message payload as AppendMessage (data frames only)
 //
-// The magic bytes are disjoint from the plain-frame version byte, so a
-// plain endpoint talking to a reliable endpoint (or vice versa) fails
-// fast with a version error instead of mis-parsing.
+// The magic bytes are disjoint from the message version byte, so a bare
+// message frame (AppendFrame) arriving on a link fails fast with a
+// version error instead of mis-parsing.
 
 // LinkType discriminates link frames.
 type LinkType uint8
@@ -48,8 +47,9 @@ const (
 )
 
 // AppendLinkData appends one sequenced data frame to dst and returns the
-// extended slice. Like AppendFrame, several link frames appended to one
-// buffer form a valid byte stream for write coalescing.
+// extended slice. Several link frames appended to one buffer form a valid
+// byte stream, which is how the TCP transport coalesces a burst of
+// messages to one peer into a single write.
 func AppendLinkData(dst []byte, seq uint64, m *Message) []byte {
 	start := len(dst)
 	dst = append(dst, 0, 0, 0, 0, linkMagicData)
@@ -57,16 +57,6 @@ func AppendLinkData(dst []byte, seq uint64, m *Message) []byte {
 	dst = AppendMessage(dst, m)
 	binary.BigEndian.PutUint32(dst[start:], uint32(len(dst)-start-4))
 	return dst
-}
-
-// WriteLinkData writes one sequenced data frame. The encode buffer is
-// pooled; steady state performs zero allocations.
-func WriteLinkData(w io.Writer, seq uint64, m *Message) error {
-	bp := getBuf()
-	*bp = AppendLinkData((*bp)[:0], seq, m)
-	_, err := w.Write(*bp)
-	putBuf(bp)
-	return err
 }
 
 // WriteLinkAck writes one cumulative ack frame.

@@ -9,6 +9,13 @@ import (
 	"hierlock/internal/modes"
 )
 
+// writeLinkData writes one sequenced data frame, as the transport's
+// writer does with a batch of them.
+func writeLinkData(w io.Writer, seq uint64, m *Message) error {
+	_, err := w.Write(AppendLinkData(nil, seq, m))
+	return err
+}
+
 func TestLinkDataRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	want := &Message{
@@ -16,7 +23,7 @@ func TestLinkDataRoundTrip(t *testing.T) {
 		Mode: modes.W, Owned: modes.IW, Frozen: modes.MakeSet(modes.R),
 		Queue: []Request{{Origin: 1, Mode: modes.R, TS: 2, Priority: 3}},
 	}
-	if err := WriteLinkData(&buf, 77, want); err != nil {
+	if err := writeLinkData(&buf, 77, want); err != nil {
 		t.Fatal(err)
 	}
 	typ, seq, got, err := ReadLinkFrame(&buf)
@@ -49,7 +56,7 @@ func TestLinkAckRoundTrip(t *testing.T) {
 func TestLinkStreamInterleaved(t *testing.T) {
 	var buf bytes.Buffer
 	for i := uint64(1); i <= 5; i++ {
-		if err := WriteLinkData(&buf, i, &Message{Kind: KindRequest, TS: Timestamp(i)}); err != nil {
+		if err := writeLinkData(&buf, i, &Message{Kind: KindRequest, TS: Timestamp(i)}); err != nil {
 			t.Fatal(err)
 		}
 		if err := WriteLinkAck(&buf, i); err != nil {
@@ -70,25 +77,20 @@ func TestLinkStreamInterleaved(t *testing.T) {
 
 func TestLinkRejectsPlainFrame(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, &Message{Kind: KindRequest}); err != nil {
-		t.Fatal(err)
-	}
+	buf.Write(AppendFrame(nil, &Message{Kind: KindRequest}))
 	if _, _, _, err := ReadLinkFrame(&buf); !errors.Is(err, ErrBadVersion) {
 		t.Fatalf("plain frame must fail with ErrBadVersion, got %v", err)
 	}
-	// And the reverse: a plain reader rejects a link frame.
-	buf.Reset()
-	if err := WriteLinkData(&buf, 1, &Message{Kind: KindRequest}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadFrame(&buf); !errors.Is(err, ErrBadVersion) {
-		t.Fatalf("link frame must fail a plain reader with ErrBadVersion, got %v", err)
+	// And the reverse: a link frame's payload is not a message.
+	frame := AppendLinkData(nil, 1, &Message{Kind: KindRequest})
+	if _, err := DecodeMessage(frame[4:]); !errors.Is(err, ErrBadVersion) {
+		t.Fatalf("link frame must fail the message decoder with ErrBadVersion, got %v", err)
 	}
 }
 
 func TestLinkRejectsTruncated(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteLinkData(&buf, 9, &Message{Kind: KindGrant}); err != nil {
+	if err := writeLinkData(&buf, 9, &Message{Kind: KindGrant}); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
@@ -147,7 +149,7 @@ func TestLinkCrashRetransmitDedup(t *testing.T) {
 		}
 	}
 	send := func(w io.Writer, seq uint64) {
-		if err := WriteLinkData(w, seq, &Message{Kind: KindRequest, TS: Timestamp(seq)}); err != nil {
+		if err := writeLinkData(w, seq, &Message{Kind: KindRequest, TS: Timestamp(seq)}); err != nil {
 			t.Error(err)
 		}
 	}

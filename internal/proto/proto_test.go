@@ -116,24 +116,24 @@ func TestCodecRoundTrip(t *testing.T) {
 }
 
 func TestFrameRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
+	var buf []byte
 	msgs := sampleMessages()
 	for _, m := range msgs {
-		if err := WriteFrame(&buf, m); err != nil {
-			t.Fatal(err)
-		}
+		buf = AppendFrame(buf, m)
 	}
 	for i, want := range msgs {
-		got, err := ReadFrame(&buf)
+		n := 4 + int(binary.BigEndian.Uint32(buf))
+		got, err := DecodeMessage(buf[4:n])
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
 		if !reflect.DeepEqual(want, got) {
 			t.Errorf("frame %d mismatch", i)
 		}
+		buf = buf[n:]
 	}
-	if buf.Len() != 0 {
-		t.Errorf("%d leftover bytes", buf.Len())
+	if len(buf) != 0 {
+		t.Errorf("%d leftover bytes", len(buf))
 	}
 }
 
@@ -253,8 +253,8 @@ func TestTraceIDStringParse(t *testing.T) {
 func TestReadFrameRejectsOversize(t *testing.T) {
 	var buf bytes.Buffer
 	buf.Write([]byte{0xff, 0xff, 0xff, 0xff})
-	if _, err := ReadFrame(&buf); err == nil {
-		t.Error("oversize frame accepted")
+	if _, _, _, err := ReadLinkFrame(&buf); !errors.Is(err, ErrTooLarge) {
+		t.Errorf("oversize frame: err = %v, want ErrTooLarge", err)
 	}
 }
 

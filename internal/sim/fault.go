@@ -121,9 +121,6 @@ func NewFaults(plan FaultPlan, rng *rand.Rand) *Faults {
 	return &Faults{plan: plan, rng: rng}
 }
 
-// Plan returns the compiled plan.
-func (f *Faults) Plan() FaultPlan { return f.plan }
-
 // DownAt reports whether node is inside a crash window at time at.
 func (f *Faults) DownAt(node int, at time.Duration) bool {
 	_, down := f.downUntil(node, at)

@@ -90,11 +90,11 @@ func (t *TCPTransport) Peers() map[proto.NodeID]string {
 // by address: a one-shot dial, write and close, outside the per-peer
 // writer machinery. It exists for the join handshake — a joiner knows
 // the seed member's address but not yet its node ID, which Send would
-// need. In reliable mode the frame travels as an unsequenced (seq 0)
-// out-of-band link frame: delivered without deduplication, so the
-// receiver's handling must be idempotent, and without consuming link
-// sequence space, so the regular writer established afterwards starts
-// from a clean sequence. Blocks up to DialTimeout.
+// need. The frame travels as an unsequenced (seq 0) out-of-band link
+// frame: delivered without deduplication, so the receiver's handling
+// must be idempotent, and without consuming link sequence space, so the
+// regular writer established afterwards starts from a clean sequence.
+// Blocks up to DialTimeout.
 func (t *TCPTransport) SendTo(addr string, msg *proto.Message) error {
 	t.mu.Lock()
 	if t.closed {
@@ -108,13 +108,7 @@ func (t *TCPTransport) SendTo(addr string, msg *proto.Message) error {
 	}
 	cc := countingConn{Conn: conn, t: t}
 	defer cc.Close()
-	var buf []byte
-	if t.cfg.Reliable {
-		buf = proto.AppendLinkData(nil, 0, msg)
-	} else {
-		buf = proto.AppendFrame(nil, msg)
-	}
-	if _, err := cc.Write(buf); err != nil {
+	if _, err := cc.Write(proto.AppendLinkData(nil, 0, msg)); err != nil {
 		return fmt.Errorf("transport: send to %s: %w", addr, err)
 	}
 	t.framesSent.Add(1)

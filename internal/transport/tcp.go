@@ -66,11 +66,10 @@ type TCPConfig struct {
 	// unacknowledged messages) and the inbound delivery mailbox. 0 means
 	// unbounded. Send fails with ErrQueueFull at the limit.
 	QueueLimit int
-	// Reliable enables the link-layer ack/retransmit sublayer: messages
-	// carry per-link sequence numbers, are buffered until acknowledged,
-	// retransmitted on reconnection and deduplicated at the receiver, so
-	// a connection reset cannot silently lose or duplicate a frame. All
-	// members of a cluster must agree on this setting.
+	// Reliable is accepted and ignored.
+	//
+	// Deprecated: the link is always sequenced; removed when the
+	// benchmark harness stops setting it.
 	Reliable bool
 	// OnPeerState, when non-nil, is invoked from transport goroutines
 	// whenever a peer's health state changes. It must not block and must
@@ -106,8 +105,11 @@ type TCPConfig struct {
 // peer. TCP's in-order bytestream plus one writer goroutine per peer
 // yields the per-link FIFO guarantee; one reader goroutine per inbound
 // connection delivers through a per-node combiner mailbox, serializing
-// the Handler. In Reliable mode a sequence/ack sublayer upgrades the
-// per-link guarantee to exactly-once across connection resets.
+// the Handler. Every message travels in a sequenced link frame
+// (proto.AppendLinkData): the sender buffers it until the receiver's
+// cumulative ack covers it and retransmits the buffer after a reconnect,
+// the receiver suppresses what it has already delivered, so a connection
+// reset neither loses nor duplicates a frame while both endpoints live.
 type TCPTransport struct {
 	cfg     TCPConfig
 	ln      net.Listener
@@ -131,9 +133,11 @@ type TCPTransport struct {
 	conns   map[net.Conn]struct{}
 	wg      sync.WaitGroup
 
-	// Reliable-mode receiver state: highest link sequence delivered per
-	// sending peer. It outlives individual connections, which is what
-	// makes cross-reconnect deduplication work.
+	// Receiver state: highest link sequence delivered per sending peer.
+	// It outlives individual connections, which is what makes
+	// cross-reconnect deduplication work. A restarted sender numbers
+	// from a later wall-clock reading (see newPeerWriter), so its frames
+	// are above whatever its previous incarnation left here.
 	recvMu         sync.Mutex
 	recvSeq        map[proto.NodeID]uint64
 	dupsSuppressed uint64
@@ -384,43 +388,6 @@ func (t *TCPTransport) acceptLoop() {
 	}
 }
 
-// deliver runs the Handler on msg here, on the reading goroutine, unless
-// a delivery is already in progress; then msg queues behind it.
-func (t *TCPTransport) deliver(msg *proto.Message) error {
-	run, err := t.box.admit(msg)
-	if run {
-		t.box.run(msg, t.handler)
-	}
-	return err
-}
-
-func (t *TCPTransport) readLoop(conn net.Conn) {
-	defer t.wg.Done()
-	defer t.untrackConn(conn)
-	defer conn.Close()
-	br := bufio.NewReader(conn) // one read(2) per burst, not two per frame
-	if t.cfg.Reliable {
-		t.readLoopReliable(conn, br)
-		return
-	}
-	for {
-		msg, err := proto.ReadFrame(br)
-		if err != nil {
-			return
-		}
-		t.framesRecv.Add(1)
-		t.observe(msg.From)
-		if msg.Kind == proto.KindHeartbeat {
-			proto.PutMessage(msg) // liveness only; never delivered
-			continue
-		}
-		if err := t.deliver(msg); err != nil {
-			proto.PutMessage(msg)
-			return
-		}
-	}
-}
-
 // Delayed-ack bounds: a receiver acknowledges once ackEvery frames are
 // outstanding on a connection or ackDelay after the first of them,
 // whichever comes first.
@@ -440,7 +407,10 @@ type acker struct {
 }
 
 // note records that seq needs acknowledging and writes the ack if now is
-// set or ackEvery frames are outstanding; otherwise the timer will.
+// set or ackEvery frames are outstanding; otherwise the timer will. A
+// connection's first frame counts as ackEvery outstanding (acked starts
+// at 0, sequences near the wall clock), so its sender hears at once that
+// the link works.
 func (a *acker) note(seq uint64, now bool) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -470,10 +440,15 @@ func (a *acker) flush() {
 	}
 }
 
-// readLoopReliable consumes sequenced data frames, suppresses frames the
-// transport has already delivered (retransmissions after a reconnect)
-// and acknowledges cumulatively, with a delay, on the same connection.
-func (t *TCPTransport) readLoopReliable(conn net.Conn, br *bufio.Reader) {
+// readLoop consumes one inbound connection's sequenced data frames,
+// suppresses frames the transport has already delivered (retransmissions
+// after a reconnect) and acknowledges cumulatively, with a delay, on the
+// same connection.
+func (t *TCPTransport) readLoop(conn net.Conn) {
+	defer t.wg.Done()
+	defer t.untrackConn(conn)
+	defer conn.Close()
+	br := bufio.NewReader(conn) // one read(2) per burst, not two per frame
 	acks := &acker{conn: conn}
 	for {
 		typ, seq, msg, err := proto.ReadLinkFrame(br)
@@ -489,9 +464,13 @@ func (t *TCPTransport) readLoopReliable(conn net.Conn, br *bufio.Reader) {
 			// Unsequenced out-of-band frame (TCPTransport.SendTo): deliver
 			// without deduplication or acknowledgment, leaving the sender's
 			// link sequence space untouched. Writers never emit seq 0.
-			if err := t.deliver(msg); err != nil {
+			run, err := t.box.admit(msg)
+			if err != nil {
 				proto.PutMessage(msg)
 				return
+			}
+			if run {
+				t.box.run(msg, t.handler)
 			}
 			continue
 		}
@@ -648,7 +627,7 @@ func (t *TCPTransport) Close() error {
 	return nil
 }
 
-// linkEntry is one sent-but-unacknowledged message (reliable mode).
+// linkEntry is one sent-but-unacknowledged message.
 type linkEntry struct {
 	seq uint64
 	msg *proto.Message
@@ -670,13 +649,10 @@ const (
 // exponential backoff and jitter. Each wakeup drains the queue in
 // batches (see maxBatchMessages) so a burst of messages to one peer
 // costs one syscall, not one per frame; TCP's bytestream plus the single
-// writer goroutine keeps the per-link FIFO guarantee intact. In plain
-// mode a batch that fails mid-write is retried on the new connection,
-// which can duplicate frames in rare crash-adjacent cases but never
-// reorders. In reliable mode messages stay in the unacked buffer until
-// the peer acknowledges their link sequence number and are retransmitted
-// after a reconnect, giving exactly-once per-link delivery while both
-// endpoints live.
+// writer goroutine keeps the per-link FIFO guarantee intact. Messages
+// stay in the unacked buffer until the peer acknowledges their link
+// sequence number and are retransmitted after a reconnect, giving
+// exactly-once per-link delivery while both endpoints live.
 type peerWriter struct {
 	t    *TCPTransport
 	peer proto.NodeID
@@ -691,11 +667,8 @@ type peerWriter struct {
 
 	// The fields below are owned by the run goroutine exclusively.
 	conn net.Conn
-	// pending holds a popped batch not yet written (plain-mode retry).
-	pending []*proto.Message
-	// batch/seqs/enc are reusable scratch for the coalesced write path.
-	batch []*proto.Message
-	seqs  []uint64
+	// batch/enc are reusable scratch for the coalesced write path.
+	batch []linkEntry
 	enc   []byte
 
 	mu          sync.Mutex
@@ -725,6 +698,13 @@ func newPeerWriter(t *TCPTransport, peer proto.NodeID, addr string) *peerWriter 
 		notify: make(chan struct{}, 1),
 		kick:   make(chan deadConn, 1),
 		stop:   make(chan struct{}),
+		// A receiver that outlives this process keeps the last sequence
+		// it took from us. Numbering from the wall clock puts a restarted
+		// sender's frames above it (a link carries far less than a frame
+		// a nanosecond); numbered from 1 they would all be suppressed as
+		// duplicates. Assumes the clock does not step back past the
+		// previous incarnation's start.
+		nextSeq: uint64(time.Now().UnixNano()),
 	}
 	t.wg.Add(1)
 	go w.run()
@@ -823,16 +803,12 @@ func (w *peerWriter) run() {
 		case <-retry.C:
 			armed = false
 		}
+		// Connected is not yet recovered: the backoff resets once the
+		// peer has acknowledged something (see the kick above).
 		if w.flush() {
 			wait()
 		} else {
 			disarm()
-			// A plain link has no acknowledgment to wait for: connected is
-			// recovered. A reliable one is recovered once the peer has
-			// acknowledged something (see the kick above).
-			if w.conn != nil && !w.t.cfg.Reliable {
-				backoff = w.t.cfg.RedialBackoff
-			}
 		}
 	}
 }
@@ -869,46 +845,36 @@ func (w *peerWriter) flush() (retry bool) {
 			}
 			w.conn = conn
 			w.noteUp()
-			if w.t.cfg.Reliable {
-				if !w.retransmitUnacked() {
-					continue // write failed; redial
-				}
-				w.t.wg.Add(1)
-				go w.ackLoop(conn)
+			if !w.retransmitUnacked() {
+				continue // write failed; redial
 			}
+			w.t.wg.Add(1)
+			go w.ackLoop(conn)
 		}
 		if !w.takeBatch() {
 			return false
 		}
-		w.writeBatch()
+		w.writeEntries(w.batch)
 	}
 }
 
-// writeBatch encodes the current batch back to back into the reusable
-// buffer and writes it with as few conn.Write calls as possible (one,
-// unless the batch exceeds maxBatchBytes). On a write failure the
-// unwritten tail is parked for retry (plain mode) or left to the unacked
-// buffer (reliable mode) and the connection is dropped.
-func (w *peerWriter) writeBatch() {
-	i := 0
-	for i < len(w.batch) {
+// writeEntries encodes entries back to back into the reusable buffer and
+// writes them with as few conn.Write calls as possible (one, unless they
+// exceed maxBatchBytes). On a write failure it drops the connection and
+// reports false; the unwritten tail is in the unacked buffer and goes
+// out with it on the next connection.
+func (w *peerWriter) writeEntries(entries []linkEntry) bool {
+	for i := 0; i < len(entries); {
 		w.enc = w.enc[:0]
 		j := i
-		for j < len(w.batch) && (j == i || len(w.enc) < maxBatchBytes) {
-			if w.t.cfg.Reliable {
-				w.enc = proto.AppendLinkData(w.enc, w.seqs[j], w.batch[j])
-			} else {
-				w.enc = proto.AppendFrame(w.enc, w.batch[j])
-			}
+		for j < len(entries) && (j == i || len(w.enc) < maxBatchBytes) {
+			w.enc = proto.AppendLinkData(w.enc, entries[j].seq, entries[j].msg)
 			j++
 		}
 		if _, err := w.conn.Write(w.enc); err != nil {
-			if !w.t.cfg.Reliable {
-				w.pending = append(w.pending[:0], w.batch[i:]...)
-			}
 			w.dropConn()
 			w.noteFailure()
-			break
+			return false
 		}
 		w.t.framesSent.Add(uint64(j - i))
 		i = j
@@ -916,6 +882,7 @@ func (w *peerWriter) writeBatch() {
 	if cap(w.enc) > maxBatchBytes {
 		w.enc = nil // one giant token transfer must not pin its buffer
 	}
+	return true
 }
 
 // dial attempts one connection, bounded by DialTimeout and interrupted
@@ -930,69 +897,41 @@ func (w *peerWriter) dial() (net.Conn, error) {
 	return d.DialContext(ctx, "tcp", w.addr)
 }
 
-// takeBatch refills w.batch with up to maxBatchMessages messages: any
-// parked plain-mode retries first, then the head of the queue. In
-// reliable mode each popped message is assigned its link sequence number
-// (recorded in w.seqs) and moved to the unacked buffer. Returns false
-// when there is nothing to write.
+// takeBatch moves up to maxBatchMessages messages from the head of the
+// queue to the unacked buffer, assigning each its link sequence number,
+// and leaves them in w.batch. Returns false when there is nothing to
+// write.
 func (w *peerWriter) takeBatch() bool {
-	w.batch = append(w.batch[:0], w.pending...)
-	w.pending = w.pending[:0]
-	w.seqs = w.seqs[:0]
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	n := maxBatchMessages - len(w.batch)
-	if n > len(w.queue) {
-		n = len(w.queue)
-	}
+	n := min(maxBatchMessages, len(w.queue))
+	first := len(w.unacked)
 	for _, msg := range w.queue[:n] {
-		if w.t.cfg.Reliable {
-			w.nextSeq++
-			w.seqs = append(w.seqs, w.nextSeq)
-			w.unacked = append(w.unacked, linkEntry{seq: w.nextSeq, msg: msg})
-		}
-		w.batch = append(w.batch, msg)
+		w.nextSeq++
+		w.unacked = append(w.unacked, linkEntry{seq: w.nextSeq, msg: msg})
 	}
 	w.queue = w.queue[n:]
-	return len(w.batch) > 0
+	w.batch = append(w.batch[:0], w.unacked[first:]...)
+	return n > 0
 }
 
 func (w *peerWriter) hasWork() bool {
-	if len(w.pending) > 0 {
-		return true
-	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return len(w.queue) > 0 || len(w.unacked) > 0
 }
 
-// retransmitUnacked replays the unacked buffer on a fresh connection,
-// coalescing it into as few writes as the byte cap allows.
+// retransmitUnacked replays the unacked buffer on a fresh connection.
 func (w *peerWriter) retransmitUnacked() bool {
 	w.mu.Lock()
 	pending := append([]linkEntry(nil), w.unacked...)
 	w.mu.Unlock()
-	i := 0
-	for i < len(pending) {
-		w.enc = w.enc[:0]
-		j := i
-		for j < len(pending) && (j == i || len(w.enc) < maxBatchBytes) {
-			w.enc = proto.AppendLinkData(w.enc, pending[j].seq, pending[j].msg)
-			j++
-		}
-		if _, err := w.conn.Write(w.enc); err != nil {
-			w.dropConn()
-			w.noteFailure()
-			return false
-		}
-		i = j
+	if !w.writeEntries(pending) {
+		return false
 	}
-	if len(pending) > 0 {
-		w.t.framesSent.Add(uint64(len(pending)))
-		w.mu.Lock()
-		w.retransmits += uint64(len(pending))
-		w.mu.Unlock()
-	}
+	w.mu.Lock()
+	w.retransmits += uint64(len(pending))
+	w.mu.Unlock()
 	return true
 }
 
@@ -1007,9 +946,14 @@ func (w *peerWriter) ackLoop(conn net.Conn) {
 		typ, seq, _, err := proto.ReadLinkFrame(br)
 		if err != nil {
 			_ = conn.Close()
+			// Wait for the writer to take the report: a stale one still
+			// in the channel must not displace it, or the writer keeps a
+			// dead connection with unacknowledged frames on it until the
+			// next Send.
 			select {
 			case w.kick <- deadConn{conn, acked}:
-			default:
+			case <-w.stop:
+			case <-w.t.ctx.Done():
 			}
 			return
 		}

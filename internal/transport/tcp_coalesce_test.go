@@ -2,8 +2,7 @@ package transport
 
 // Write-coalescing tests: a burst of frames queued for one peer must
 // reach the kernel in far fewer Write calls than frames (one syscall per
-// wakeup, not one per message), in both plain and reliable-link modes,
-// without losing or reordering anything.
+// wakeup, not one per message), without losing or reordering anything.
 
 import (
 	"runtime"
@@ -15,10 +14,7 @@ import (
 	"hierlock/internal/proto"
 )
 
-func TestTCPWriteCoalescing(t *testing.T)         { testWriteCoalescing(t, false) }
-func TestTCPWriteCoalescingReliable(t *testing.T) { testWriteCoalescing(t, true) }
-
-func testWriteCoalescing(t *testing.T, reliable bool) {
+func TestTCPWriteCoalescing(t *testing.T) {
 	// Reserve a port with nothing listening, so the sender's first dial
 	// fails and the whole burst accumulates in the peer queue.
 	addr := deadAddr(t)
@@ -26,7 +22,6 @@ func testWriteCoalescing(t *testing.T, reliable bool) {
 		Self: 0, ListenAddr: "127.0.0.1:0",
 		Peers:         map[proto.NodeID]string{1: addr},
 		RedialBackoff: 50 * time.Millisecond,
-		Reliable:      reliable,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -47,7 +42,7 @@ func testWriteCoalescing(t *testing.T, reliable bool) {
 	var mu sync.Mutex
 	var seen []proto.Timestamp
 	done := make(chan struct{})
-	tb, err := NewTCP(TCPConfig{Self: 1, ListenAddr: addr, Reliable: reliable})
+	tb, err := NewTCP(TCPConfig{Self: 1, ListenAddr: addr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +89,7 @@ func testWriteCoalescing(t *testing.T, reliable bool) {
 	if io.WriteCalls > burst/4 {
 		t.Fatalf("coalescing ineffective: %d write calls for %d frames", io.WriteCalls, io.FramesSent)
 	}
-	t.Logf("reliable=%v: %d frames in %d write calls", reliable, io.FramesSent, io.WriteCalls)
+	t.Logf("%d frames in %d write calls", io.FramesSent, io.WriteCalls)
 }
 
 // BenchmarkTCPSendThroughput measures the per-message cost of the

@@ -143,11 +143,11 @@ func TestTCPHealthTransitions(t *testing.T) {
 	}
 }
 
-// TestTCPReliableConnReset: in reliable mode a connection reset
-// mid-stream must not lose or duplicate any frame — the receiver sees
+// TestTCPReliableConnReset: a connection reset mid-stream must not lose
+// or duplicate any frame — the receiver sees
 // exactly 1..n in order (exactly-once per transport incarnation).
 func TestTCPReliableConnReset(t *testing.T) {
-	tb, err := NewTCP(TCPConfig{Self: 1, ListenAddr: "127.0.0.1:0", Reliable: true})
+	tb, err := NewTCP(TCPConfig{Self: 1, ListenAddr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,6 @@ func TestTCPReliableConnReset(t *testing.T) {
 		Self: 0, ListenAddr: "127.0.0.1:0",
 		Peers:         map[proto.NodeID]string{1: tb.Addr()},
 		RedialBackoff: 10 * time.Millisecond,
-		Reliable:      true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -226,12 +225,15 @@ func TestTCPReliableConnReset(t *testing.T) {
 	}
 }
 
-// TestTCPReliablePeerRestart: across a full peer process restart the
-// reliable link degrades to at-least-once (the receiver's dedup state is
-// in-memory), but must never lose a frame and each incarnation must see
-// an increasing sequence.
+// TestTCPReliablePeerRestart: the sender's writer reconnects to a
+// receiver restarted on the same port. Across that restart the link
+// degrades to at-least-once (the receiver's dedup state is in-memory: a
+// frame delivered but not yet covered by the delayed ack is replayed to
+// the new incarnation), but must never lose a frame and each incarnation
+// must see an increasing sequence. TestTCPSenderRestartDelivers is the
+// other direction.
 func TestTCPReliablePeerRestart(t *testing.T) {
-	tb, err := NewTCP(TCPConfig{Self: 1, ListenAddr: "127.0.0.1:0", Reliable: true})
+	tb, err := NewTCP(TCPConfig{Self: 1, ListenAddr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +258,6 @@ func TestTCPReliablePeerRestart(t *testing.T) {
 		Self: 0, ListenAddr: "127.0.0.1:0",
 		Peers:         map[proto.NodeID]string{1: addr},
 		RedialBackoff: 10 * time.Millisecond,
-		Reliable:      true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -298,7 +299,7 @@ func TestTCPReliablePeerRestart(t *testing.T) {
 	var tb2 *TCPTransport
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		tb2, err = NewTCP(TCPConfig{Self: 1, ListenAddr: addr, Reliable: true})
+		tb2, err = NewTCP(TCPConfig{Self: 1, ListenAddr: addr})
 		if err == nil {
 			break
 		}
@@ -354,13 +355,51 @@ func TestTCPReliablePeerRestart(t *testing.T) {
 	}
 }
 
+// TestTCPSenderRestartDelivers: a receiver that outlives a sender's
+// process keeps the last sequence it took from that peer, and the
+// restarted sender — a new transport under the old ID, numbering afresh —
+// must still be heard: all of its frames delivered, in order, none
+// mistaken for a retransmission.
+func TestTCPSenderRestartDelivers(t *testing.T) {
+	got := make(chan proto.Timestamp, 64)
+	tb := startTCP(t, TCPConfig{Self: 1}, func(m *proto.Message) { got <- m.TS })
+	sendRange := func(ta *TCPTransport, from, to int) {
+		t.Helper()
+		for i := from; i <= to; i++ {
+			sendTo(t, ta, 1, i)
+		}
+		for want := from; want <= to; want++ {
+			select {
+			case ts := <-got:
+				if ts != proto.Timestamp(want) {
+					t.Fatalf("delivered frame %d, want %d", ts, want)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("frames %d..%d: %d of %d delivered, %d suppressed as duplicates",
+					from, to, want-from, to-from+1, tb.LinkStats().DupsSuppressed)
+			}
+		}
+	}
+	cfg := TCPConfig{Self: 0, Peers: map[proto.NodeID]string{1: tb.Addr()}}
+	ta := startTCP(t, cfg, func(*proto.Message) {})
+	sendRange(ta, 1, 50)
+	if err := ta.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before := tb.LinkStats().DupsSuppressed
+	sendRange(startTCP(t, cfg, func(*proto.Message) {}), 51, 60)
+	if after := tb.LinkStats().DupsSuppressed; after != before {
+		t.Fatalf("DupsSuppressed %d -> %d: the new incarnation's frames were taken for duplicates", before, after)
+	}
+}
+
 // TestTCPReliableDupSuppression: a raw peer replaying a data frame (as a
 // retransmitting sender would after a reconnect) is deduplicated and
 // re-acked at once with the last delivered sequence; the distinct frames
 // are delivered once each and covered by a cumulative ack that may be
 // delayed, but not by 50 ms, and never goes backwards.
 func TestTCPReliableDupSuppression(t *testing.T) {
-	tb, err := NewTCP(TCPConfig{Self: 1, ListenAddr: "127.0.0.1:0", Reliable: true})
+	tb, err := NewTCP(TCPConfig{Self: 1, ListenAddr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,9 +415,9 @@ func TestTCPReliableDupSuppression(t *testing.T) {
 	defer conn.Close()
 	write := func(seq uint64, ts proto.Timestamp) {
 		t.Helper()
-		if err := proto.WriteLinkData(conn, seq, &proto.Message{
+		if _, err := conn.Write(proto.AppendLinkData(nil, seq, &proto.Message{
 			From: 5, To: 1, Kind: proto.KindRequest, TS: ts,
-		}); err != nil {
+		})); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -49,8 +49,8 @@ func sendTo(t *testing.T, tr *TCPTransport, to proto.NodeID, ts int) {
 func TestTCPDelayedAcksPingPong(t *testing.T) {
 	const n = 1000
 	delivered := make(chan struct{}, 1)
-	tb := startTCP(t, TCPConfig{Self: 1, Reliable: true}, func(*proto.Message) { delivered <- struct{}{} })
-	ta := startTCP(t, TCPConfig{Self: 0, Reliable: true, Peers: map[proto.NodeID]string{1: tb.Addr()}},
+	tb := startTCP(t, TCPConfig{Self: 1}, func(*proto.Message) { delivered <- struct{}{} })
+	ta := startTCP(t, TCPConfig{Self: 0, Peers: map[proto.NodeID]string{1: tb.Addr()}},
 		func(*proto.Message) {})
 	for i := 1; i <= n; i++ {
 		sendTo(t, ta, 1, i)
@@ -88,7 +88,7 @@ func TestTCPDelayedAcksPingPong(t *testing.T) {
 func TestTCPAckWindowBounded(t *testing.T) {
 	const n = 10000
 	var got atomic.Int64
-	tb := startTCP(t, TCPConfig{Self: 1, Reliable: true}, func(*proto.Message) { got.Add(1) })
+	tb := startTCP(t, TCPConfig{Self: 1}, func(*proto.Message) { got.Add(1) })
 	conn, err := net.Dial("tcp", tb.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -145,7 +145,7 @@ func TestTCPAckWindowBounded(t *testing.T) {
 // comes back on the next connection and must be suppressed there.
 func TestTCPReliableResetInsideAckWindow(t *testing.T) {
 	const n = 200
-	tb, err := NewTCP(TCPConfig{Self: 1, ListenAddr: "127.0.0.1:0", Reliable: true})
+	tb, err := NewTCP(TCPConfig{Self: 1, ListenAddr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestTCPReliableResetInsideAckWindow(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	ta := startTCP(t, TCPConfig{Self: 0, Reliable: true, RedialBackoff: 10 * time.Millisecond,
+	ta := startTCP(t, TCPConfig{Self: 0, RedialBackoff: 10 * time.Millisecond,
 		Peers: map[proto.NodeID]string{1: tb.Addr()}}, func(*proto.Message) {})
 	for i := 1; i <= n; i++ {
 		sendTo(t, ta, 1, i)
@@ -198,10 +198,9 @@ func TestTCPReliableResetInsideAckWindow(t *testing.T) {
 // sender's frames arrive in send order, and none is lost.
 func TestTCPSerialDeliveryManySenders(t *testing.T) {
 	for _, tc := range []struct {
-		name     string
-		senders  int
-		reliable bool
-	}{{"two-reliable", 2, true}, {"three-reliable", 3, true}, {"two-plain", 2, false}} {
+		name    string
+		senders int
+	}{{"two-reliable", 2}, {"three-reliable", 3}} {
 		t.Run(tc.name, func(t *testing.T) {
 			const perSender = 10000
 			var inside, overlaps atomic.Int32
@@ -209,7 +208,7 @@ func TestTCPSerialDeliveryManySenders(t *testing.T) {
 			var misordered atomic.Int32
 			var total atomic.Int64
 			done := make(chan struct{})
-			tb := startTCP(t, TCPConfig{Self: 100, Reliable: tc.reliable}, func(m *proto.Message) {
+			tb := startTCP(t, TCPConfig{Self: 100}, func(m *proto.Message) {
 				if inside.Add(1) != 1 {
 					overlaps.Add(1)
 				}
@@ -224,7 +223,7 @@ func TestTCPSerialDeliveryManySenders(t *testing.T) {
 			})
 			var wg sync.WaitGroup
 			for s := 0; s < tc.senders; s++ {
-				ts := startTCP(t, TCPConfig{Self: proto.NodeID(s), Reliable: tc.reliable,
+				ts := startTCP(t, TCPConfig{Self: proto.NodeID(s),
 					Peers: map[proto.NodeID]string{100: tb.Addr()}}, func(*proto.Message) {})
 				wg.Add(1)
 				go func() {
@@ -269,7 +268,7 @@ func TestTCPInboxOverflowBounded(t *testing.T) {
 	var mu sync.Mutex
 	var fromB []proto.Timestamp
 	all := make(chan struct{})
-	tc := startTCP(t, TCPConfig{Self: 2, Reliable: true, QueueLimit: limit}, func(m *proto.Message) {
+	tc := startTCP(t, TCPConfig{Self: 2, QueueLimit: limit}, func(m *proto.Message) {
 		if m.From == 0 {
 			entered <- struct{}{}
 			<-gate
@@ -283,8 +282,8 @@ func TestTCPInboxOverflowBounded(t *testing.T) {
 		mu.Unlock()
 	})
 	peers := map[proto.NodeID]string{2: tc.Addr()}
-	ta := startTCP(t, TCPConfig{Self: 0, Reliable: true, Peers: peers}, func(*proto.Message) {})
-	tb := startTCP(t, TCPConfig{Self: 1, Reliable: true, Peers: peers, RedialBackoff: 5 * time.Millisecond},
+	ta := startTCP(t, TCPConfig{Self: 0, Peers: peers}, func(*proto.Message) {})
+	tb := startTCP(t, TCPConfig{Self: 1, Peers: peers, RedialBackoff: 5 * time.Millisecond},
 		func(*proto.Message) {})
 
 	sendTo(t, ta, 2, 0)

@@ -198,79 +198,6 @@ func TestTCPLifecycleErrors(t *testing.T) {
 	}
 }
 
-func TestTCPReconnect(t *testing.T) {
-	// A sends to B, B restarts on the same port, A's writer reconnects.
-	tb, err := NewTCP(TCPConfig{Self: 1, ListenAddr: "127.0.0.1:0"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := tb.Addr()
-	got := make(chan proto.Timestamp, 16)
-	if err := tb.Start(func(m *proto.Message) { got <- m.TS }); err != nil {
-		t.Fatal(err)
-	}
-
-	ta, err := NewTCP(TCPConfig{
-		Self: 0, ListenAddr: "127.0.0.1:0",
-		Peers:         map[proto.NodeID]string{1: addr},
-		RedialBackoff: 20 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ta.Close()
-	if err := ta.Start(func(*proto.Message) {}); err != nil {
-		t.Fatal(err)
-	}
-	if err := ta.Send(&proto.Message{From: 0, To: 1, Kind: proto.KindRequest, TS: 1}); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case ts := <-got:
-		if ts != 1 {
-			t.Fatalf("ts = %d", ts)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("first message timeout")
-	}
-
-	// Restart B on the same port.
-	if err := tb.Close(); err != nil {
-		t.Fatal(err)
-	}
-	tb2, err := NewTCP(TCPConfig{Self: 1, ListenAddr: addr})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tb2.Close()
-	got2 := make(chan proto.Timestamp, 64)
-	if err := tb2.Start(func(m *proto.Message) { got2 <- m.TS }); err != nil {
-		t.Fatal(err)
-	}
-	// A write into a connection the peer has already abandoned can
-	// succeed locally (kernel-buffered) before the reset arrives, so a
-	// single in-flight message may be lost across a peer restart — the
-	// transport promises reconnection, not exactly-once (the protocol,
-	// like the paper's, assumes nodes do not crash). Keep sending until
-	// one arrives.
-	deadline := time.After(10 * time.Second)
-	for ts := proto.Timestamp(2); ; ts++ {
-		if err := ta.Send(&proto.Message{From: 0, To: 1, Kind: proto.KindRequest, TS: ts}); err != nil {
-			t.Fatal(err)
-		}
-		select {
-		case got := <-got2:
-			if got < 2 {
-				t.Fatalf("unexpected ts %d", got)
-			}
-			return
-		case <-time.After(100 * time.Millisecond):
-		case <-deadline:
-			t.Fatal("reconnect timeout")
-		}
-	}
-}
-
 func TestMailboxConcurrentPut(t *testing.T) {
 	box := newMailbox(0)
 	var mu sync.Mutex

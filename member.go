@@ -944,12 +944,12 @@ func registerTransportCollectors(reg *metrics.Registry, t *transport.TCPTranspor
 			emit(nil, float64(t.LinkStats().Redials))
 		})
 	reg.Collect(metrics.MetricTransportRetransmits,
-		"Reliable-mode frames retransmitted after reconnects.",
+		"Frames retransmitted after reconnects.",
 		"counter", func(emit func(metrics.Labels, float64)) {
 			emit(nil, float64(t.LinkStats().Retransmits))
 		})
 	reg.Collect(metrics.MetricTransportDupsSuppressed,
-		"Duplicate inbound frames suppressed by the reliable-link sequence check.",
+		"Duplicate inbound frames suppressed by the link sequence check.",
 		"counter", func(emit func(metrics.Labels, float64)) {
 			emit(nil, float64(t.LinkStats().DupsSuppressed))
 		})

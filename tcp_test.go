@@ -64,6 +64,41 @@ func newTCPCluster(t *testing.T, n int) []*hierlock.Member {
 	return members
 }
 
+// TestTCPReliableFieldIgnored: TCPMemberConfig.Reliable selects nothing.
+// A member built with it false and one with it true speak the same link
+// and pass a token each way.
+func TestTCPReliableFieldIgnored(t *testing.T) {
+	addrs := reserveAddrs(t, 2)
+	members := make([]*hierlock.Member, 2)
+	for i := range members {
+		m, err := hierlock.NewTCPMember(hierlock.TCPMemberConfig{
+			ID: i, ListenAddr: addrs[i], Peers: map[int]string{1 - i: addrs[1-i]},
+			Reliable: i == 1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = m.Close() })
+		members[i] = m
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	for _, i := range []int{1, 0} {
+		l, err := members[i].Lock(ctx, "res", hierlock.W)
+		if err != nil {
+			t.Fatalf("member %d: %v", i, err)
+		}
+		if err := l.Unlock(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, m := range members {
+		if err := m.Err(); err != nil {
+			t.Fatalf("member %d protocol error: %v", i, err)
+		}
+	}
+}
+
 func TestTCPClusterMutualExclusion(t *testing.T) {
 	members := newTCPCluster(t, 4)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
