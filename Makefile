@@ -44,13 +44,16 @@ race:
 # reader of a handle's mode and fence sees beside Refence and Upgrade
 # (TestHandleGrantEvents*) is schedule too (internal/metrics carries the
 # registry's fold hooks) — and so is whether a client queued for a lock's
-# admission slot is popped before or after it gives up (TestSlotBlocked*).
+# admission slot is popped before or after it gives up (TestSlotBlocked*),
+# what the flight recorder finds in a paused ring (TestFlightRecorderSees*)
+# and which member of a LockAll round is caught waiting on the other when
+# the wait-for graph is sampled (TestLockAllOrdering*).
 chaos:
 	$(GO) test -race -count=1 -run 'Chaos' ./internal/cluster/
 	$(GO) test -race -count=3 -run 'TestTCP' ./internal/transport/
 	$(GO) test -race -count=1 ./internal/recovery/
 	$(GO) test -race -count=1 -run 'TestTCPCrashRecovery|TestTCPRecoveryQuietWithoutCrash' .
-	$(GO) test -race -count=3 -run 'TestStagedRing|TestSharedRing|TestResidentPath|TestAcquireFolded|TestSlotBlocked|TestReleaseFolds|TestClientScriptRingGolden|TestSharedAuditor|TestViolationInStagedEntry|TestEveryConsumerPulls|TestHandleGrantEvents' .
+	$(GO) test -race -count=3 -run 'TestStagedRing|TestSharedRing|TestResidentPath|TestAcquireFolded|TestSlotBlocked|TestReleaseFolds|TestClientScriptRingGolden|TestSharedAuditor|TestViolationInStagedEntry|TestEveryConsumerPulls|TestHandleGrantEvents|TestFlightRecorderSees|TestLockAllOrdering' .
 	$(GO) test -race -count=3 -run 'TestScrapeExactWhileCounting|TestSetTelemetrySwapSplitsCounts|TestMemberMetricsGolden' .
 	$(GO) test -race -count=3 ./internal/audit/ ./internal/trace/ ./internal/introspect/ ./internal/metrics/
 
@@ -110,7 +113,8 @@ fuzz:
 # its callers share shows only in the -cpu 2 column (for figures worth
 # quoting raise -benchtime). Under the default telemetry a pair stages one
 # trace entry — its grant, carrying the acquire's and the release's stamps
-# — which the ring, the auditor and the flight recorder get 16 at a time.
+# — which the ring and then the auditor get 16 at a time; the flight
+# recorder reads its grants from the ring when it is read.
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem . ./internal/hlock ./internal/metrics ./internal/trace ./internal/proto ./internal/session
 	$(GO) test -run '^$$' -bench 'BenchmarkMemberDefaultTelemetry|BenchmarkMemberMultiLockContended' -cpu 1,2 -benchtime 100x -benchmem .

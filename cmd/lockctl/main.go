@@ -234,11 +234,11 @@ func traceCmd(args []string) {
 	for _, sp := range spans {
 		fmt.Print(sp.Format(*verbose))
 	}
-	state := "recording"
+	state := "live"
 	if !dump.Enabled {
-		state = "paused"
+		state = "frozen"
 	}
-	fmt.Printf("%d entries retained (%d evicted), %d spans, recorder %s\n",
+	fmt.Printf("%d entries retained (%d evicted), %d spans, view %s\n",
 		len(dump.Entries), dump.Dropped, len(spans), state)
 }
 

@@ -59,7 +59,7 @@ func main() {
 		traceBuf   = flag.Int("trace-buf", 4096, "protocol trace ring size in entries (0 disables tracing)")
 		netLatency = flag.Duration("net-latency", 150*time.Millisecond, "mean point-to-point network latency, the unit of the latency-factor histogram")
 		auditOn    = flag.Bool("audit", true, "run the online protocol invariant auditor (requires -trace-buf > 0)")
-		bbBuf      = flag.Int("blackbox-buf", 4096, "flight-recorder ring size in events (0 disables the black box)")
+		bbBuf      = flag.Int("blackbox-buf", 4096, "flight-recorder ring size in events of its own (round transitions, fsync stalls, evictions, lost holds; grants and token hops are read from the -trace-buf ring); 0 disables the black box")
 		bbInterval = flag.Duration("blackbox-interval", 5*time.Second, "minimum spacing between automatic flight-recorder dumps per trigger reason")
 
 		logFormat = flag.String("log-format", "text", "log output format: text or json")
@@ -136,13 +136,6 @@ func main() {
 						"detail", v.Detail, "blackbox_dump", path)
 				}})
 			rec.SetTap(auditor.Record)
-		}
-		if bb != nil {
-			// The flight recorder rides the same trace stream the auditor
-			// consumes (grants, token hops, recovery messages); the member
-			// feeds it the rest (fsync stalls, evictions, round
-			// transitions, lost holds) directly.
-			rec.AddTap(bb.Tap)
 		}
 	}
 	// Telemetry is attached before the transport starts: a restarted

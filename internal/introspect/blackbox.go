@@ -21,7 +21,8 @@ import (
 // EventType classifies a flight-recorder event.
 type EventType uint8
 
-// Flight-recorder event types.
+// Flight-recorder event types. The first three are read from the followed
+// trace ring (see Follow); the rest the recorder's owner records.
 const (
 	// EvGrant: a client request was granted at this node.
 	EvGrant EventType = iota + 1
@@ -41,8 +42,6 @@ const (
 	EvEvict
 	// EvLockLost: a recovery reseed demolished a client hold.
 	EvLockLost
-	// EvViolation: the protocol auditor flagged an invariant breach.
-	EvViolation
 )
 
 // String names the event type for dumps.
@@ -64,8 +63,6 @@ func (t EventType) String() string {
 		return "evict_sweep"
 	case EvLockLost:
 		return "lock_lost"
-	case EvViolation:
-		return "violation"
 	default:
 		return fmt.Sprintf("event(%d)", uint8(t))
 	}
@@ -75,6 +72,8 @@ func (t EventType) String() string {
 // recording never allocates: the ring holds events by value and
 // rendering to JSON happens only at dump time.
 type Event struct {
+	// Seq is the recorder's own count for an event it recorded, the trace
+	// entry's Seq for one read from the trace ring.
 	Seq   uint64
 	Wall  int64 // wall-clock nanoseconds (time.Now().UnixNano())
 	Type  EventType
@@ -104,33 +103,31 @@ const (
 // Reasons lists the dump triggers, for zero-pre-registration.
 var Reasons = []string{ReasonAuditViolation, ReasonRecoveryRound, ReasonLockLost, ReasonStall, ReasonManual}
 
-// Recorder is the black-box flight recorder: a bounded ring of
-// structured protocol events that is always recording and dumps its
-// contents to disk when something goes wrong (an audit violation, a
-// recovery round, a lost lock), preserving the lead-up that the trace
-// ring has usually rotated past by the time anyone looks.
+// Recorder is the black-box flight recorder: structured protocol events,
+// always recording, dumped to disk when something goes wrong (an audit
+// violation, a recovery round, a lost lock), preserving the lead-up that
+// the trace ring has usually rotated past by the time anyone looks.
 //
-// The recorder stages nothing itself. Whoever feeds Tap from a staging
-// producer (a member's stripes hold client operations back and admit them
-// to the trace recorder in batches) registers the producer's flush with
-// OnRead: Snapshot and Stats run it first and so see every grant made so
-// far. TriggerDump runs no hook — it fires inside taps, under the very
-// mutexes a flush takes — and dumps what the ring holds.
+// Grants, token hops and recovery messages are the trace ring's: the
+// recorder derives them from the ring it follows (Follow) when it is
+// read, and its own bounded ring holds only what that ring lacks — round
+// transitions, fsync stalls, eviction sweeps, lost holds — written through
+// by Record. Snapshot pulls the trace ring first (trace.Recorder.Pull), so
+// it sees every grant made so far; TriggerDump does not — it fires inside
+// taps, under the very mutexes a pull takes — and dumps what the ring
+// holds, which includes the batch the tap is being shown.
 //
 // All methods are nil-safe: a member without a recorder attached pays
 // only a nil check, keeping the hot path's zero-alloc guarantee when
 // introspection is idle.
 type Recorder struct {
-	// epoch is the instant trace.Entry.At counts from, nil until SetEpoch.
-	epoch atomic.Pointer[time.Time]
+	src atomic.Pointer[source] // nil until Follow
 
-	mu     sync.Mutex
-	onRead []func() // append-only: see OnRead
-	ring   []Event
-	next   int
-	wrap   bool
-	seq    uint64
-	total  uint64
+	mu   sync.Mutex
+	ring []Event
+	next int
+	wrap bool
+	seq  uint64 // events recorded since start
 
 	dir         string
 	minInterval time.Duration
@@ -140,6 +137,17 @@ type Recorder struct {
 
 	node proto.NodeID
 }
+
+// source is the trace ring a recorder follows and the instant its
+// entries' At counts from.
+type source struct {
+	rec   *trace.Recorder
+	epoch time.Time
+}
+
+// wall returns the Wall stamp of what happened at offset at from the
+// epoch: one monotonic time line for the ring's events and the recorder's.
+func (s *source) wall(at time.Duration) int64 { return s.epoch.UnixNano() + int64(at) }
 
 // NewRecorder creates a flight recorder retaining the last size events
 // (default 4096 when size <= 0) for one node.
@@ -159,33 +167,15 @@ func NewRecorder(node proto.NodeID, size int) *Recorder {
 	return r
 }
 
-// SetEpoch tells the recorder the instant trace entries' At offsets
-// count from. Tap then stamps the events it derives from the entry's own
-// At, without reading the clock, and a direct Record measures from the
-// same instant, so every Wall is on one (monotonic) time line. Without
-// it every event is stamped time.Now() when it is recorded. Nil-safe.
-func (r *Recorder) SetEpoch(epoch time.Time) {
-	if r == nil {
-		return
+// Follow makes rec the trace ring the recorder reads grants, token hops
+// and recovery messages from, and epoch the instant rec's entries' At
+// counts from; Record then stamps on the same time line. A later call
+// re-points the recorder (recorders are followed one at a time); a nil
+// rec leaves it the events it records itself. Nil-safe.
+func (r *Recorder) Follow(rec *trace.Recorder, epoch time.Time) {
+	if r != nil {
+		r.src.Store(&source{rec, epoch})
 	}
-	r.epoch.Store(&epoch)
-}
-
-// wallAt returns the Wall stamp of an event that happened at offset at
-// from the epoch (now, when no epoch is set).
-func (r *Recorder) wallAt(at time.Duration) int64 {
-	if epoch := r.epoch.Load(); epoch != nil {
-		return epoch.UnixNano() + int64(at)
-	}
-	return time.Now().UnixNano()
-}
-
-// wallNow returns the Wall stamp of an event happening now.
-func (r *Recorder) wallNow() int64 {
-	if epoch := r.epoch.Load(); epoch != nil {
-		return r.wallAt(time.Since(*epoch))
-	}
-	return time.Now().UnixNano()
 }
 
 // EnableAutoDump arranges for TriggerDump to write dump files under
@@ -208,93 +198,61 @@ func (r *Recorder) EnableAutoDump(dir string, minInterval time.Duration) error {
 	return nil
 }
 
-// OnRead registers a staging producer's flush hook: fn hands the trace
-// recorder this one taps whatever the producer still holds. Snapshot and
-// Stats run the hooks first, with no mutex of the recorder held. No-op on
-// a nil recorder or nil fn.
-func (r *Recorder) OnRead(fn func()) {
-	if r == nil || fn == nil {
-		return
-	}
-	r.mu.Lock()
-	r.onRead = append(r.onRead, fn)
-	r.mu.Unlock()
-}
-
-// pull runs the OnRead hooks.
-func (r *Recorder) pull() {
-	r.mu.Lock()
-	hooks := r.onRead
-	r.mu.Unlock()
-	for _, fn := range hooks {
-		fn()
-	}
-}
-
-// Record appends one event to the ring. An event without a Wall stamp
-// gets the current time. Nil-safe; never allocates.
+// Record appends one event to the recorder's own ring. An event without a
+// Wall stamp gets the current time. Nil-safe; never allocates.
 func (r *Recorder) Record(e Event) {
 	if r == nil {
 		return
 	}
 	if e.Wall == 0 {
-		e.Wall = r.wallNow()
+		e.Wall = time.Now().UnixNano()
+		if s := r.src.Load(); s != nil {
+			e.Wall = s.wall(time.Since(s.epoch))
+		}
 	}
 	r.mu.Lock()
-	s := r.put()
-	e.Seq = s.Seq
-	*s = e
-	r.mu.Unlock()
-}
-
-// put claims the ring's next slot for the next event: zeroed, with its
-// Seq set and the counters advanced. Callers hold r.mu.
-func (r *Recorder) put() *Event {
 	r.seq++
-	r.total++
-	s := &r.ring[r.next]
-	*s = Event{Seq: r.seq}
+	e.Seq = r.seq
+	r.ring[r.next] = e
 	r.next++
 	if r.next == len(r.ring) {
 		r.next = 0
 		r.wrap = true
 	}
-	return s
+	r.mu.Unlock()
 }
 
-// Tap adapts the recorder to the trace.Recorder tap signature,
-// deriving flight-recorder events from the protocol trace stream:
-// grants, token hops and recovery-message transitions. Everything else
-// is filtered out before touching the ring; what is kept is written field
-// by field into its ring slot. Events are stamped from the entry's own At
-// when SetEpoch said what it counts from: a staging producer's entries
-// arrive a batch at a time, after the fact.
-func (r *Recorder) Tap(e trace.Entry) {
-	if r == nil {
-		return
+// Tap does nothing: the recorder reads the trace ring it follows instead.
+//
+// Deprecated: use Follow. Tap is removed when the benchmark harness stops
+// calling it.
+func (r *Recorder) Tap(trace.Entry) {}
+
+// derive returns the events the recorder reads from trace entries es:
+// grants, token hops and recovery-message transitions. Nothing else in the
+// trace is kept.
+func (s *source) derive(es []trace.Entry) []Event {
+	var evs []Event
+	for _, e := range es {
+		ev := Event{Seq: e.Seq, Wall: s.wall(e.At), Node: e.Node, Lock: e.Lock}
+		switch {
+		case e.Op == trace.OpGranted:
+			ev.Type, ev.Mode, ev.Trace = EvGrant, e.Mode, e.Trace
+		case e.Op != trace.OpSend && e.Op != trace.OpDeliver:
+			continue
+		case e.Kind == proto.KindToken:
+			ev.Type = EvTokenHop
+		case e.Kind == proto.KindProbe, e.Kind == proto.KindClaim, e.Kind == proto.KindRecovered:
+			ev.Type = EvRecovery
+		default:
+			continue
+		}
+		if ev.Type != EvGrant {
+			ev.Kind, ev.From, ev.To, ev.Epoch = e.Kind, e.From, e.To, e.Epoch
+		}
+		evs = append(evs, ev)
 	}
-	typ := EvGrant
-	switch {
-	case e.Op == trace.OpGranted: // an EvGrant
-	case e.Op != trace.OpSend && e.Op != trace.OpDeliver:
-		return
-	case e.Kind == proto.KindToken:
-		typ = EvTokenHop
-	case e.Kind == proto.KindProbe, e.Kind == proto.KindClaim, e.Kind == proto.KindRecovered:
-		typ = EvRecovery
-	default:
-		return
-	}
-	wall := r.wallAt(e.At)
-	r.mu.Lock()
-	s := r.put()
-	s.Wall, s.Type, s.Node, s.Lock = wall, typ, e.Node, e.Lock
-	if typ == EvGrant {
-		s.Mode, s.Trace = e.Mode, e.Trace
-	} else {
-		s.Kind, s.From, s.To, s.Epoch = e.Kind, e.From, e.To, e.Epoch
-	}
-	r.mu.Unlock()
+	return evs
 }
 
 // DumpEvent is one event rendered for a dump file or the
@@ -338,29 +296,34 @@ func renderEvent(e Event) DumpEvent {
 	return d
 }
 
-// Snapshot returns the retained events in time order, newest last.
-// n > 0 limits to the n most recent. Nil-safe.
+// Snapshot returns the retained events — the followed trace ring's, after
+// a pull, and the recorder's own — in time order, newest last. n > 0
+// limits to the n most recent. Nil-safe.
 func (r *Recorder) Snapshot(n int) []DumpEvent {
 	if r == nil {
 		return nil
 	}
-	r.pull()
+	if s := r.src.Load(); s != nil {
+		s.rec.Pull()
+	}
 	return r.snapshot(n)
 }
 
-// snapshot is Snapshot of what the ring holds now.
+// snapshot is Snapshot of what the two rings hold now. It takes no mutex
+// but theirs.
 func (r *Recorder) snapshot(n int) []DumpEvent {
-	r.mu.Lock()
 	var events []Event
+	if s := r.src.Load(); s != nil {
+		events = s.derive(s.rec.Live())
+	}
+	r.mu.Lock()
 	if r.wrap {
 		events = append(events, r.ring[r.next:]...)
-		events = append(events, r.ring[:r.next]...)
-	} else {
-		events = append(events, r.ring[:r.next]...)
 	}
+	events = append(events, r.ring[:r.next]...)
 	r.mu.Unlock()
-	// Tapped grants reach the ring a batch at a time; Wall says when each
-	// event happened (stable: same-instant events keep admission order).
+	// Staged entries reach the trace ring a batch at a time; Wall says when
+	// each event happened (stable: same-instant events keep ring order).
 	slices.SortStableFunc(events, func(a, b Event) int { return cmp.Compare(a.Wall, b.Wall) })
 	if n > 0 && len(events) > n {
 		events = events[len(events)-n:]
@@ -374,8 +337,9 @@ func (r *Recorder) snapshot(n int) []DumpEvent {
 
 // Stats is a snapshot of the recorder's counters.
 type Stats struct {
-	// Events counts events recorded since start (the ring retains the
-	// most recent len(ring) of them).
+	// Events counts the events Record wrote since start (the recorder's
+	// own ring retains the most recent of them); the trace ring's are not
+	// counted here.
 	Events uint64
 	// Dumps counts dump files written, by reason. Every known reason is
 	// present (zero included) so metric pre-registration is complete.
@@ -393,9 +357,8 @@ func (r *Recorder) Stats() Stats {
 	if r == nil {
 		return st
 	}
-	r.pull()
 	r.mu.Lock()
-	st.Events = r.total
+	st.Events = r.seq
 	for reason, n := range r.dumps {
 		st.Dumps[reason] = n
 	}
@@ -412,15 +375,16 @@ type Dump struct {
 	Events   []DumpEvent `json:"events"`
 }
 
-// TriggerDump writes the ring's current contents to a dump file under
-// the auto-dump directory, rate-limited per reason. Returns the file
-// path, or "" when suppressed (no directory configured, or within the
-// per-reason interval). Nil-safe. The write happens inline — dumps
-// fire on exceptional paths (violations, recovery, lost locks), never
-// on the grant hot path. No OnRead hook runs: the auditor calls this from
-// inside a tap, with the producer's mutex held and perhaps a registry
-// fold in progress, so a dump may lack the grants still staged (a reader
-// that wants them in it reads Stats or Snapshot first).
+// TriggerDump writes what the rings hold now to a dump file under the
+// auto-dump directory, rate-limited per reason. Returns the file path, or
+// "" when suppressed (no directory configured, or within the per-reason
+// interval). Nil-safe. The write happens inline — dumps fire on
+// exceptional paths (violations, recovery, lost locks), never on the
+// grant hot path. The trace ring is not pulled: the auditor calls this
+// from inside a tap, with the producer's mutex held and perhaps a registry
+// fold in progress, so a dump holds the batch the tap is being shown but
+// may lack grants still staged elsewhere (a caller that wants them in it
+// pulls the trace ring first).
 func (r *Recorder) TriggerDump(reason string) (string, error) {
 	if r == nil {
 		return "", nil

@@ -42,17 +42,22 @@ func TestRecorderRingWraps(t *testing.T) {
 	}
 }
 
+// TestTapFiltersTraceStream: of the trace ring the recorder follows it
+// shows grants, token hops and recovery-message transitions, and nothing
+// else.
 func TestTapFiltersTraceStream(t *testing.T) {
 	r := introspect.NewRecorder(2, 16)
-	r.Tap(trace.Entry{Op: trace.OpGranted, Node: 2, Lock: 7, Mode: modes.W,
+	rec := trace.New(16)
+	r.Follow(rec, time.Now())
+	rec.Record(trace.Entry{Op: trace.OpGranted, Node: 2, Lock: 7, Mode: modes.W,
 		Trace: proto.TraceID{Node: 2, Seq: 1}})
-	r.Tap(trace.Entry{Op: trace.OpSend, Node: 0, Kind: proto.KindToken,
+	rec.Record(trace.Entry{Op: trace.OpSend, Node: 0, Kind: proto.KindToken,
 		Lock: 7, From: 0, To: 2, Epoch: 1})
-	r.Tap(trace.Entry{Op: trace.OpDeliver, Node: 2, Kind: proto.KindProbe,
+	rec.Record(trace.Entry{Op: trace.OpDeliver, Node: 2, Kind: proto.KindProbe,
 		Lock: 7, From: 1, To: 2, Epoch: 2})
-	// Uninteresting ops/kinds never touch the ring.
-	r.Tap(trace.Entry{Op: trace.OpSend, Node: 0, Kind: proto.KindRequest, Lock: 7})
-	r.Tap(trace.Entry{Op: trace.OpRelease, Node: 2, Lock: 7, Mode: modes.W})
+	// Uninteresting ops/kinds are not shown.
+	rec.Record(trace.Entry{Op: trace.OpSend, Node: 0, Kind: proto.KindRequest, Lock: 7})
+	rec.Record(trace.Entry{Op: trace.OpRelease, Node: 2, Lock: 7, Mode: modes.W})
 
 	evs := r.Snapshot(0)
 	if len(evs) != 3 {
@@ -153,23 +158,21 @@ func TestListDumpsMissingDir(t *testing.T) {
 // is off).
 func TestRecorderZeroAlloc(t *testing.T) {
 	ev := introspect.Event{Type: introspect.EvGrant, Node: 1, Lock: 7, Mode: modes.W}
-	te := trace.Entry{Op: trace.OpGranted, Node: 1, Lock: 7, Mode: modes.W}
 
 	var nilRec *introspect.Recorder
 	if n := testing.AllocsPerRun(200, func() {
 		nilRec.Record(ev)
-		nilRec.Tap(te)
 		nilRec.Snapshot(0)
 	}); n != 0 {
 		t.Fatalf("nil recorder allocates %.1f per op, want 0", n)
 	}
 
 	live := introspect.NewRecorder(1, 64)
+	live.Follow(trace.New(64), time.Now())
 	if n := testing.AllocsPerRun(200, func() {
 		live.Record(ev)
-		live.Tap(te)
 	}); n != 0 {
-		t.Fatalf("live recorder Record/Tap allocates %.1f per op, want 0", n)
+		t.Fatalf("live recorder Record allocates %.1f per op, want 0", n)
 	}
 }
 
@@ -190,7 +193,7 @@ func TestAuditViolationTriggersDump(t *testing.T) {
 	}})
 	rec := trace.New(4)
 	rec.SetTap(a.Record)
-	rec.AddTap(bb.Tap)
+	bb.Follow(rec, time.Now())
 
 	// Two conflicting W grants on one lock with no release between them.
 	rec.Record(trace.Entry{Op: trace.OpGranted, Node: 0, Lock: 5, Mode: modes.W})
@@ -212,14 +215,17 @@ func TestAuditViolationTriggersDump(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The auditor's tap runs before the recorder's (lockd wires SetTap
-	// then AddTap), so the dump preserves the lead-up to the violation:
-	// the first grant, not the offending second one.
-	if d.Reason != introspect.ReasonAuditViolation || len(d.Events) != 1 {
-		t.Fatalf("dump = reason %q, %d events; want audit_violation with the lead-up grant", d.Reason, len(d.Events))
+	// The ring takes an entry before its taps see it, and the recorder
+	// reads its grants from the ring, so the dump the auditor's tap
+	// triggers holds the lead-up to the violation and the offending grant
+	// itself.
+	if d.Reason != introspect.ReasonAuditViolation || len(d.Events) != 2 {
+		t.Fatalf("dump = reason %q, %d events; want audit_violation with the lead-up and the offending grant", d.Reason, len(d.Events))
 	}
-	if d.Events[0].Type != "grant" || d.Events[0].Node != 0 {
-		t.Fatalf("lead-up event = %+v", d.Events[0])
+	for i, ev := range d.Events {
+		if ev.Type != "grant" || ev.Node != i {
+			t.Fatalf("event %d = %+v, want node %d's grant", i, ev, i)
+		}
 	}
 	if st := bb.Stats(); st.Dumps[introspect.ReasonAuditViolation] != 1 {
 		t.Fatalf("dump counter = %v", st.Dumps)
@@ -227,32 +233,31 @@ func TestAuditViolationTriggersDump(t *testing.T) {
 }
 
 // TestTapWritesThroughAndReadersPull: the recorder stages nothing — a
-// tap-derived grant is in the ring when Tap returns, in call order with
-// direct Records, stamped from the entry's own At — and Snapshot and Stats
-// first run the OnRead hooks of whoever stages in front of the tap, while
-// TriggerDump (which fires inside taps) runs none.
+// grant is there as soon as the trace ring it follows holds it, stamped
+// from the entry's own At, and Record writes through — and Snapshot first
+// runs the OnRead hooks of whoever stages in front of that ring, while
+// TriggerDump (which fires inside taps) and Stats (which counts only the
+// recorder's own events) run none.
 func TestTapWritesThroughAndReadersPull(t *testing.T) {
 	const grants = 5
 	r := introspect.NewRecorder(1, 64)
 	if err := r.EnableAutoDump(t.TempDir(), time.Nanosecond); err != nil {
 		t.Fatal(err)
 	}
+	rec := trace.New(64)
 	epoch := time.Now()
-	r.SetEpoch(epoch)
+	r.Follow(rec, epoch)
 	at := time.Since(epoch)
 	// A producer holding one grant back, handed in by its hook.
 	held := []trace.Entry{{At: at, Op: trace.OpGranted, Node: 1, Lock: 10, Mode: modes.R}}
 	pulls := 0
-	r.OnRead(func() {
+	rec.OnRead(func() {
 		pulls++
-		for _, e := range held {
-			r.Tap(e)
-		}
+		rec.Admit(held)
 		held = nil
 	})
-	r.OnRead(nil)
 	for i := 1; i <= grants; i++ {
-		r.Tap(trace.Entry{At: at + time.Duration(i), Op: trace.OpGranted, Node: 1, Lock: 9, Mode: modes.W})
+		rec.Record(trace.Entry{At: at + time.Duration(i), Op: trace.OpGranted, Node: 1, Lock: 9, Mode: modes.W})
 	}
 	r.Record(introspect.Event{Type: introspect.EvTokenHop, Node: 1, Lock: 9, Kind: proto.KindToken, From: 1, To: 2})
 
@@ -261,16 +266,16 @@ func TestTapWritesThroughAndReadersPull(t *testing.T) {
 		t.Fatalf("TriggerDump = %q, %v", path, err)
 	}
 	if d, err := introspect.ReadDump(filepath.Dir(path), filepath.Base(path)); err != nil || len(d.Events) != grants+1 || pulls != 0 {
-		t.Fatalf("dump has %d events after %d pulls (%v), want the %d in the ring and no pull", len(d.Events), pulls, err, grants+1)
+		t.Fatalf("dump has %d events after %d pulls (%v), want the %d in the rings and no pull", len(d.Events), pulls, err, grants+1)
 	}
-	if got := r.Stats().Events; got != grants+2 || pulls != 1 {
-		t.Fatalf("Stats().Events = %d after %d pulls, want %d after 1", got, pulls, grants+2)
+	if got := r.Stats().Events; got != 1 || pulls != 0 {
+		t.Fatalf("Stats().Events = %d after %d pulls, want the recorder's own 1 and no pull", got, pulls)
 	}
 	snap := r.Snapshot(0)
-	if len(snap) != grants+2 || pulls != 2 {
-		t.Fatalf("snapshot has %d events after %d pulls, want %d after 2", len(snap), pulls, grants+2)
+	if len(snap) != grants+2 || pulls != 1 {
+		t.Fatalf("snapshot has %d events after %d pulls, want %d after 1", len(snap), pulls, grants+2)
 	}
-	if last := snap[len(snap)-1]; last.Type != "token_hop" || last.Seq != grants+1 {
+	if last := snap[len(snap)-1]; last.Type != "token_hop" || last.Seq != 1 {
 		t.Fatalf("last event is %+v, want the token hop recorded right behind lock 9's %d grants", last, grants)
 	}
 	var prev time.Time
@@ -291,12 +296,12 @@ func TestTapWritesThroughAndReadersPull(t *testing.T) {
 	}
 
 	for i := 0; i < 100; i++ {
-		r.Tap(trace.Entry{At: at, Op: trace.OpGranted, Node: 1, Lock: 9, Mode: modes.W})
+		rec.Record(trace.Entry{At: at, Op: trace.OpGranted, Node: 1, Lock: 9, Mode: modes.W})
 	}
-	if got := r.Stats().Events; got != grants+2+100 {
-		t.Fatalf("Stats().Events = %d after 100 more grants, want %d", got, grants+2+100)
+	if got := r.Stats().Events; got != 1 {
+		t.Fatalf("Stats().Events = %d after 100 more grants, want still 1", got)
 	}
-	if got := len(r.Snapshot(0)); got != 64 {
-		t.Fatalf("ring retains %d events, want its capacity 64", got)
+	if got := len(r.Snapshot(0)); got != 64+1 {
+		t.Fatalf("snapshot has %d events, want the trace ring's capacity 64 of grants and the token hop", got)
 	}
 }

@@ -34,8 +34,10 @@ import (
 //	GET /metrics      → Prometheus text exposition of the attached Registry
 //	                   (503 when no registry is attached)
 //	GET /debug/trace  → JSON dump of the attached trace Recorder; ?n=K limits
-//	                   to the K most recent entries, ?enable=on|off toggles
-//	                   recording at runtime (503 when no recorder is attached).
+//	                   to the K most recent entries, ?enable=off freezes what
+//	                   this endpoint shows (the ring, its taps and the flight
+//	                   recorder carry on) until ?enable=on (503 when no
+//	                   recorder is attached).
 //	                   ?peers=addr1,addr2 switches to peer-merge mode: the
 //	                   node fetches every listed peer's /debug/trace buffer
 //	                   and returns one ClusterDump bundling its own buffer
@@ -54,7 +56,7 @@ import (
 //	                   cluster-wide wait-for graph and deadlock cycles —
 //	                   the input `lockctl locks --cluster` renders.
 //	GET /debug/blackbox → JSON view of the flight recorder: counters, the
-//	                   retained event ring (?n=K limits to the K most
+//	                   retained events (?n=K limits to the K most
 //	                   recent) and the dump files on disk. ?dump=NAME
 //	                   returns one dump file; ?trigger=1 forces a manual
 //	                   dump. 503 when no recorder is attached.
@@ -316,9 +318,9 @@ func (s *Server) DebugHandler() http.Handler {
 			return
 		}
 		if r.URL.Query().Get("trigger") != "" {
-			// A dump is what the ring holds (it can fire inside a tap); a
-			// read pulls in the grants the member still has staged.
-			_ = s.Blackbox.Stats()
+			// A dump pulls nothing (it can fire inside a tap): pull in the
+			// grants the member still has staged first.
+			s.Trace.Pull()
 			if _, err := s.Blackbox.TriggerDump(introspect.ReasonManual); err != nil {
 				http.Error(w, err.Error(), http.StatusInternalServerError)
 				return

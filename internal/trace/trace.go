@@ -4,16 +4,17 @@
 // assertions. The simulator and cluster runtime emit into a Recorder when
 // one is attached; recording costs nothing when disabled (nil Recorder).
 //
-// A Recorder has two kinds of consumer. Taps see each entry once: a
-// message event as it is recorded, a client operation a producer staged
-// when its batch is admitted, which is no later than the next message
-// event the producer records for that lock's stripe and no later than the
-// next read of the ring. Readers of the ring — Entries and what is built
-// on it: spans, causal paths, dumps — see every request as OpAcquire,
-// OpGranted, OpRelease, although a producer may hand in a request granted
-// the moment it was issued, and released before anything else happened on
-// its stripe, as one entry: the grant, carrying the acquire's stamp
-// (Entry.Issued) and the release's (Entry.Released).
+// A Recorder has two kinds of consumer. Taps see each entry once, right
+// after the ring took it: a message event as it is recorded, a client
+// operation a producer staged when its batch is admitted, which is no
+// later than the next message event the producer records for that lock's
+// stripe and no later than the next read of the ring. Readers of the ring
+// — Entries and what is built on it: spans, causal paths, dumps — see
+// every request as OpAcquire, OpGranted, OpRelease, although a producer
+// may hand in a request granted the moment it was issued, and released
+// before anything else happened on its stripe, as one entry: the grant,
+// carrying the acquire's stamp (Entry.Issued) and the release's
+// (Entry.Released).
 package trace
 
 import (
@@ -140,8 +141,8 @@ func (e Entry) String() string {
 // Recorder is a bounded ring buffer of entries. The zero value is not
 // usable; construct with New. Safe for concurrent use.
 //
-// Record is write-through: taps, then the ring. A producer on a hot path
-// can stage entries and hand them to Admit in batches, provided it
+// Record is write-through: the ring, then the taps. A producer on a hot
+// path can stage entries and hand them to Admit in batches, provided it
 // registers an OnRead hook that admits whatever it still holds — so every
 // reader of the ring sees every entry offered so far — and admits what it
 // holds for a lock before it records a message event for that lock, so
@@ -150,17 +151,13 @@ func (e Entry) String() string {
 // the ring holds them: a grant that carries its acquire and its release
 // (Entry.Issued, Entry.Released) is one entry to the taps and three here.
 type Recorder struct {
-	// disabled pauses recording when set (SetEnabled(false)). Checked
-	// before the mutex so a paused recorder costs one atomic load.
-	disabled atomic.Bool
-
 	// taps observe every entry recorded or admitted, in the order they
-	// were installed — before ring admission, regardless of capacity
-	// eviction and of the pause state — so an online checker
-	// (internal/audit) sees the complete event stream even while the debug
-	// ring is paused or churning. A tap runs on the recording or admitting
-	// goroutine, possibly inside a reader's OnRead hook, and must not block
-	// or call back into the Recorder.
+	// were installed — once the ring has taken the batch, regardless of
+	// capacity eviction — so an online checker (internal/audit) sees the
+	// complete event stream even while the debug ring churns. A tap runs on
+	// the recording or admitting goroutine, possibly inside a reader's
+	// OnRead hook, with no mutex of the recorder held; it must not block or
+	// run the OnRead hooks, and may read the ring only through Live.
 	taps atomic.Pointer[[]func(Entry)]
 
 	// onRead holds the producers' flush hooks (see OnRead). Both lists are
@@ -173,12 +170,32 @@ type Recorder struct {
 	// another admits a batch.
 	_ [64]byte
 
-	mu      sync.Mutex
+	// frozen is what the ring's readers see while paused (SetEnabled): a
+	// copy of live as it was when the pause took effect. Nil while live.
+	frozen atomic.Pointer[ring]
+
+	mu   sync.Mutex
+	live ring
+	seq  uint64
+}
+
+// ring is a bounded buffer of entries that overwrites, and counts, the
+// oldest once it is full.
+type ring struct {
 	entries []Entry
 	next    int
 	full    bool
-	seq     uint64
 	dropped uint64
+}
+
+// retained copies the ring's entries out, oldest first.
+func (g *ring) retained() []Entry {
+	if !g.full {
+		return append([]Entry(nil), g.entries[:g.next]...)
+	}
+	out := make([]Entry, 0, len(g.entries))
+	out = append(out, g.entries[g.next:]...)
+	return append(out, g.entries[:g.next]...)
 }
 
 // push appends v to the copy-on-write list behind p: readers load the
@@ -212,8 +229,8 @@ func (r *Recorder) SetTap(fn func(Entry)) {
 }
 
 // AddTap installs fn behind the taps already installed, so several
-// consumers (the protocol auditor, the flight recorder) can observe
-// the same stream. No-op on a nil recorder or nil fn.
+// consumers can observe the same stream. No-op on a nil recorder or nil
+// fn.
 func (r *Recorder) AddTap(fn func(Entry)) {
 	if r == nil || fn == nil {
 		return
@@ -221,24 +238,32 @@ func (r *Recorder) AddTap(fn func(Entry)) {
 	push(&r.taps, fn)
 }
 
-// SetEnabled starts or pauses recording at runtime. Entries recorded
-// while paused are discarded; the retained ring is left untouched.
-// No-op on a nil recorder.
+// SetEnabled pauses or resumes what the ring's readers (Entries, Len,
+// Dropped, DumpLast) see. A pause freezes a copy of the ring, every entry
+// offered so far included, and they read that copy until recording
+// resumes; the ring itself, its taps and Live carry on. No-op on a nil
+// recorder.
 func (r *Recorder) SetEnabled(on bool) {
 	if r == nil {
 		return
 	}
-	// What producers staged so far was offered in the state that is ending:
-	// it belongs in the ring before a pause, and only to the taps before a
-	// resumption.
-	r.flushProducers()
-	r.disabled.Store(!on)
+	if on {
+		r.frozen.Store(nil)
+		return
+	}
+	r.Pull()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.frozen.Load() == nil {
+		es := r.live.retained()
+		r.frozen.Store(&ring{entries: es, next: len(es), dropped: r.live.dropped})
+	}
 }
 
-// Enabled reports whether the recorder is accepting entries (false for
-// nil).
+// Enabled reports whether the ring's readers see it live, not frozen
+// (false for nil).
 func (r *Recorder) Enabled() bool {
-	return r != nil && !r.disabled.Load()
+	return r != nil && r.frozen.Load() == nil
 }
 
 // New creates a recorder that retains the most recent capacity entries.
@@ -246,32 +271,23 @@ func New(capacity int) *Recorder {
 	if capacity <= 0 {
 		capacity = 1024
 	}
-	return &Recorder{entries: make([]Entry, capacity)}
+	return &Recorder{live: ring{entries: make([]Entry, capacity)}}
 }
 
 // Record appends an entry (nil recorders discard silently, so call sites
-// need no guards). An installed tap observes the entry first — with its
-// Seq still unassigned — even when the ring is paused.
+// need no guards). The installed taps then observe the entry as offered,
+// its Seq unassigned.
 func (r *Recorder) Record(e Entry) {
 	r.Admit([]Entry{e})
 }
 
-// Admit is Record for a batch a producer staged: every tap sees each
-// entry, in slice order, then the ring — unless paused — appends them under
-// one mutex round. The producer's own mutex, held across the call, is what
-// keeps two batches of one stripe in order. No-op on a nil recorder.
+// Admit is Record for a batch a producer staged: the ring appends the
+// entries under one mutex round, then every tap sees each entry, in slice
+// order — so a tap that reads the ring (Live) finds the whole batch in it.
+// The producer's own mutex, held across the call, is what keeps two
+// batches of one stripe in order. No-op on a nil recorder.
 func (r *Recorder) Admit(es []Entry) {
 	if r == nil || len(es) == 0 {
-		return
-	}
-	if taps := r.taps.Load(); taps != nil {
-		for i := range es {
-			for _, fn := range *taps {
-				fn(es[i])
-			}
-		}
-	}
-	if r.disabled.Load() {
 		return
 	}
 	r.mu.Lock()
@@ -279,6 +295,13 @@ func (r *Recorder) Admit(es []Entry) {
 		r.admit(&es[i])
 	}
 	r.mu.Unlock()
+	if taps := r.taps.Load(); taps != nil {
+		for i := range es {
+			for _, fn := range *taps {
+				fn(es[i])
+			}
+		}
+	}
 }
 
 // admit appends one entry to the ring as its readers are to see it: in
@@ -302,14 +325,15 @@ func (r *Recorder) admit(e *Entry) {
 // put copies e, without the stamps it carries, into the ring's next slot
 // under the next Seq. Callers hold r.mu.
 func (r *Recorder) put(e *Entry) *Entry {
-	if r.full {
-		r.dropped++
+	g := &r.live
+	if g.full {
+		g.dropped++
 	}
-	s := &r.entries[r.next]
-	r.next++
-	if r.next == len(r.entries) {
-		r.next = 0
-		r.full = true
+	s := &g.entries[g.next]
+	g.next++
+	if g.next == len(g.entries) {
+		g.next = 0
+		g.full = true
 	}
 	r.seq++
 	*s = *e
@@ -319,12 +343,12 @@ func (r *Recorder) put(e *Entry) *Entry {
 
 // OnRead registers a staging producer's flush hook: fn must Admit every
 // entry the producer still holds. It runs at the start of every read of
-// the ring (Len, Dropped, Entries and everything built on them) and before
-// a pause or a resumption takes effect, without the recorder's mutex held,
-// so the ring is exact whenever anyone looks. With a producer
-// registered, Entries orders the ring by At: batches from different
-// producers reach the ring out of time order, each entry's At says when
-// it happened. No-op on a nil recorder or nil fn.
+// the ring (Len, Dropped, Entries and everything built on them), on Pull
+// and before a pause takes effect, without the recorder's mutex held, so
+// the ring is exact whenever anyone looks. With a producer registered,
+// Entries orders the ring by At: batches from different producers reach
+// the ring out of time order, each entry's At says when it happened.
+// No-op on a nil recorder or nil fn.
 func (r *Recorder) OnRead(fn func()) {
 	if r == nil || fn == nil {
 		return
@@ -332,64 +356,77 @@ func (r *Recorder) OnRead(fn func()) {
 	push(&r.onRead, fn)
 }
 
-// flushProducers runs the registered OnRead hooks, reporting whether
-// there were any.
-func (r *Recorder) flushProducers() bool {
-	hooks := r.onRead.Load()
-	if hooks == nil {
-		return false
+// Pull runs the registered OnRead hooks: when it returns, the ring holds
+// every entry offered so far. Nil-safe.
+func (r *Recorder) Pull() {
+	if r == nil {
+		return
 	}
-	for _, fn := range *hooks {
-		fn()
+	if hooks := r.onRead.Load(); hooks != nil {
+		for _, fn := range *hooks {
+			fn()
+		}
 	}
-	return true
 }
 
-// Len returns the number of retained entries.
+// Live returns the entries the ring retains, oldest admitted first, paused
+// or not, and runs no OnRead hook: the read for a tap, which may run under
+// the very mutex a hook takes, and for a reader that called Pull first.
+func (r *Recorder) Live() []Entry {
+	if r == nil {
+		return nil
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.live.retained()
+}
+
+// shown pulls, takes r.mu and returns the ring the readers see: the frozen
+// copy while paused, the live ring otherwise. Callers release r.mu.
+func (r *Recorder) shown() *ring {
+	r.Pull()
+	r.mu.Lock()
+	if f := r.frozen.Load(); f != nil {
+		return f
+	}
+	return &r.live
+}
+
+// Len returns the number of retained entries (frozen, while paused).
 func (r *Recorder) Len() int {
 	if r == nil {
 		return 0
 	}
-	r.flushProducers()
-	r.mu.Lock()
+	g := r.shown()
 	defer r.mu.Unlock()
-	if r.full {
-		return len(r.entries)
+	if g.full {
+		return len(g.entries)
 	}
-	return r.next
+	return g.next
 }
 
-// Dropped returns how many entries were evicted from the ring.
+// Dropped returns how many entries were evicted from the ring (by the
+// pause, while paused).
 func (r *Recorder) Dropped() uint64 {
 	if r == nil {
 		return 0
 	}
-	r.flushProducers()
-	r.mu.Lock()
+	g := r.shown()
 	defer r.mu.Unlock()
-	return r.dropped
+	return g.dropped
 }
 
-// Entries returns the retained entries in order: admission order, which
-// for a write-through recorder is recording order; At order (stable, so
-// simultaneous entries keep their admission order) once a staging
-// producer is registered.
+// Entries returns the retained entries (frozen, while paused) in order:
+// admission order, which for a write-through recorder is recording order;
+// At order (stable, so simultaneous entries keep their admission order)
+// once a staging producer is registered.
 func (r *Recorder) Entries() []Entry {
 	if r == nil {
 		return nil
 	}
-	staged := r.flushProducers()
-	r.mu.Lock()
-	var out []Entry
-	if !r.full {
-		out = append(out, r.entries[:r.next]...)
-	} else {
-		out = make([]Entry, 0, len(r.entries))
-		out = append(out, r.entries[r.next:]...)
-		out = append(out, r.entries[:r.next]...)
-	}
+	out := r.shown().retained()
 	r.mu.Unlock()
-	if staged {
+	if r.onRead.Load() != nil {
 		slices.SortStableFunc(out, func(a, b Entry) int { return cmp.Compare(a.At, b.At) })
 	}
 	return out

@@ -102,24 +102,31 @@ func TestOpString(t *testing.T) {
 	}
 }
 
+// TestSetEnabled: a pause freezes what the ring's readers see, not the
+// ring: Live and the taps keep up, and a resumption shows everything.
 func TestSetEnabled(t *testing.T) {
-	r := trace.New(8)
+	r := trace.New(2)
+	tapped := 0
+	r.SetTap(func(trace.Entry) { tapped++ })
 	if !r.Enabled() {
 		t.Fatal("fresh recorder must be enabled")
 	}
-	r.Record(trace.Entry{Op: trace.OpSend})
+	r.Record(trace.Entry{Op: trace.OpSend, Node: 1})
 	r.SetEnabled(false)
 	if r.Enabled() {
 		t.Fatal("disable must be observable")
 	}
-	r.Record(trace.Entry{Op: trace.OpSend}) // discarded
-	if r.Len() != 1 {
-		t.Fatalf("paused recorder retained a new entry: len=%d", r.Len())
+	r.Record(trace.Entry{Op: trace.OpSend, Node: 2})
+	r.Record(trace.Entry{Op: trace.OpSend, Node: 3})
+	if es := r.Entries(); r.Len() != 1 || r.Dropped() != 0 || len(es) != 1 || es[0].Node != 1 {
+		t.Fatalf("paused readers see %v (Len %d, Dropped %d), want the one entry from before the pause", es, r.Len(), r.Dropped())
+	}
+	if live := r.Live(); len(live) != 2 || live[1].Node != 3 || tapped != 3 {
+		t.Fatalf("paused: Live reads %v and the tap saw %d entries, want the ring's last two and 3", live, tapped)
 	}
 	r.SetEnabled(true)
-	r.Record(trace.Entry{Op: trace.OpSend})
-	if r.Len() != 2 {
-		t.Fatalf("re-enabled recorder must record: len=%d", r.Len())
+	if es := r.Entries(); r.Len() != 2 || r.Dropped() != 1 || es[0].Node != 2 || es[1].Node != 3 {
+		t.Fatalf("resumed readers see %v (Len %d, Dropped %d), want the ring as recorded while paused", es, r.Len(), r.Dropped())
 	}
 
 	var nilRec *trace.Recorder
@@ -131,7 +138,8 @@ func TestSetEnabled(t *testing.T) {
 
 // TestDisabledRecordAllocatesNothing is the benchmark guard for the
 // disabled fast path: recording through a nil recorder and a paused
-// recorder must add zero allocations per protocol step.
+// recorder (which records as a live one does) must add zero allocations
+// per protocol step.
 func TestDisabledRecordAllocatesNothing(t *testing.T) {
 	var nilRec *trace.Recorder
 	paused := trace.New(8)
@@ -174,9 +182,9 @@ func TestCheckFIFO(t *testing.T) {
 }
 
 // TestStagedAdmission covers a staging producer: entries it holds back
-// reach the taps and the ring together, when it admits them — which its
-// OnRead hook does whenever the ring is read, and before a pause or a
-// resumption takes effect.
+// reach the ring and the taps together, when it admits them — which its
+// OnRead hook does whenever the ring is read, and before a pause takes
+// effect.
 func TestStagedAdmission(t *testing.T) {
 	r := trace.New(8)
 	var tapped []trace.Entry
@@ -214,19 +222,21 @@ func TestStagedAdmission(t *testing.T) {
 		t.Fatalf("Seq is admission order: got %d %d %d", es[0].Seq, es[1].Seq, es[2].Seq)
 	}
 
-	// A pause takes what was staged while recording was on and nothing
-	// after; a resumption leaves out what was staged while it was off. The
-	// taps see all of it.
+	// A pause freezes a view that holds what was staged before it and
+	// nothing after; the ring and the taps go on taking all of it.
 	stage(trace.Entry{At: 40, Op: trace.OpRelease})
 	r.SetEnabled(false)
 	if len(tapped) != 4 {
 		t.Fatalf("taps saw %d entries, want 4: the pause admits what was staged", len(tapped))
 	}
 	stage(trace.Entry{At: 50, Op: trace.OpAcquire})
+	if n := r.Len(); n != 4 || len(r.Live()) != 5 || len(tapped) != 5 {
+		t.Fatalf("paused: Len() = %d, Live holds %d, taps saw %d; want 4, 5, 5 (a paused read pulls, into the ring only)", n, len(r.Live()), len(tapped))
+	}
 	r.SetEnabled(true)
 	stage(trace.Entry{At: 60, Op: trace.OpGranted})
-	if n := r.Len(); n != 5 {
-		t.Fatalf("Len() = %d, want 5: the entries staged before the pause and after it, not the one during", n)
+	if n := r.Len(); n != 6 {
+		t.Fatalf("Len() = %d, want 6: the entries staged before the pause, during it and after it", n)
 	}
 	if len(tapped) != 6 {
 		t.Fatalf("taps saw %d entries, want 6: a pause does not blind them", len(tapped))
@@ -238,10 +248,10 @@ func TestStagedAdmission(t *testing.T) {
 	}
 	es = r.Entries()
 	if len(es) != 8 || es[0].Node != 2 || es[7].Node != 9 {
-		t.Fatalf("after 15 admissions into 8 slots: %v", es)
+		t.Fatalf("after 16 admissions into 8 slots: %v", es)
 	}
-	if d := r.Dropped(); d != 7 {
-		t.Fatalf("Dropped() = %d, want 7", d)
+	if d := r.Dropped(); d != 8 {
+		t.Fatalf("Dropped() = %d, want 8", d)
 	}
 }
 
@@ -351,7 +361,8 @@ func TestGrantCarryingItsRelease(t *testing.T) {
 		t.Fatalf("ring reads\n%v\nwant\n%v", es, want)
 	}
 
-	// Paused, the taps still see the operation and the ring takes none of it.
+	// Paused, the taps still see the operation and the readers' view takes
+	// none of it.
 	r.SetEnabled(false)
 	r.Record(op)
 	if len(tapped) != 3 || r.Dropped() != 1 {

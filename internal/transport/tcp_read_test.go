@@ -6,9 +6,11 @@ package transport
 // the overflow queue and its bound, Close waiting for the Handler).
 
 import (
+	"bytes"
 	"errors"
 	"net"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -41,15 +43,60 @@ func sendTo(t *testing.T, tr *TCPTransport, to proto.NodeID, ts int) {
 	}
 }
 
+// ackLog is a listener whose connections record the sequence number of
+// every link ack written on them, one per Write (WriteLinkAck writes a
+// frame in one call).
+type ackLog struct {
+	net.Listener
+	mu   sync.Mutex
+	acks []uint64
+}
+
+func (l *ackLog) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	return ackConn{c, l}, err
+}
+
+func (l *ackLog) read() []uint64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return slices.Clone(l.acks)
+}
+
+type ackConn struct {
+	net.Conn
+	log *ackLog
+}
+
+func (c ackConn) Write(p []byte) (int, error) {
+	if typ, seq, _, err := proto.ReadLinkFrame(bytes.NewReader(p)); err == nil && typ == proto.LinkAck {
+		c.log.mu.Lock()
+		c.log.acks = append(c.log.acks, seq)
+		c.log.mu.Unlock()
+	}
+	return c.Conn.Write(p)
+}
+
 // TestTCPDelayedAcksPingPong: frames sent one at a time, each after the
 // previous one was delivered, are acknowledged cumulatively: the receiver
 // (which sends nothing else, so its writes are its acks) writes far fewer
-// acks than it got frames, the sender never holds more than two ack
-// windows of frames, and its buffer still drains to zero.
+// acks than it got frames, never lets more than ackEvery frames go
+// unacknowledged at an ack it writes, and the sender's buffer drains to
+// zero. (How late the sender prunes behind an ack is scheduling, so its
+// high water is not checked.)
 func TestTCPDelayedAcksPingPong(t *testing.T) {
 	const n = 1000
 	delivered := make(chan struct{}, 1)
-	tb := startTCP(t, TCPConfig{Self: 1}, func(*proto.Message) { delivered <- struct{}{} })
+	tb, err := NewTCP(TCPConfig{Self: 1, ListenAddr: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = tb.Close() })
+	log := &ackLog{Listener: tb.ln}
+	tb.ln = log
+	if err := tb.Start(func(*proto.Message) { delivered <- struct{}{} }); err != nil {
+		t.Fatal(err)
+	}
 	ta := startTCP(t, TCPConfig{Self: 0, Peers: map[proto.NodeID]string{1: tb.Addr()}},
 		func(*proto.Message) {})
 	for i := 1; i <= n; i++ {
@@ -67,13 +114,21 @@ func TestTCPDelayedAcksPingPong(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	acks, held := tb.IOStats().WriteCalls, ta.QueueStats()[1].HighWater
-	t.Logf("%d frames, %d ack writes, sender high water %d", n, acks, held)
-	if acks == 0 || acks > n/2 {
-		t.Fatalf("%d ack writes for %d frames: want far fewer acks than frames", acks, n)
+	acks := log.read()
+	t.Logf("%d frames, %d ack writes, sender high water %d", n, len(acks), ta.QueueStats()[1].HighWater)
+	if len(acks) == 0 || len(acks) > n/2 || uint64(len(acks)) != tb.IOStats().WriteCalls {
+		t.Fatalf("%d ack writes (%d writes in all) for %d frames: want far fewer acks than frames, and nothing else written",
+			len(acks), tb.IOStats().WriteCalls, n)
 	}
-	if held > 2*ackEvery {
-		t.Fatalf("sender held %d unacknowledged frames with one in flight: want at most 2 x %d", held, ackEvery)
+	// The first ack answers the connection's first frame; every later one
+	// covers at most ackEvery more, and the last covers the last frame.
+	for i := 1; i < len(acks); i++ {
+		if d := acks[i] - acks[i-1]; acks[i] < acks[i-1] || d > ackEvery {
+			t.Fatalf("ack %d is %d after %d: want an advance of 0..%d", i, acks[i], acks[i-1], ackEvery)
+		}
+	}
+	if got := acks[len(acks)-1] - acks[0]; got != n-1 {
+		t.Fatalf("acks advance by %d over the run, want %d", got, n-1)
 	}
 	if ls := ta.LinkStats(); ls.Retransmits != 0 {
 		t.Fatalf("retransmits on a healthy link: %+v", ls)

@@ -3,11 +3,13 @@ package hierlock_test
 import (
 	"context"
 	"fmt"
+	"math/rand/v2"
 	"sync"
 	"testing"
 	"time"
 
 	"hierlock"
+	"hierlock/internal/introspect"
 )
 
 func TestLockAllBasic(t *testing.T) {
@@ -95,6 +97,78 @@ func TestLockAllNoDeadlock(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestLockAllOrderingNoWaitForCycle is the ordering property behind
+// TestLockAllNoDeadlock, checked where it holds: two members take random
+// overlapping sets of parent and child paths, in R or W, 200 seeded
+// rounds. Every round finishes, and once one member holds its whole set
+// (or after a second, when neither does) the wait-for graph over both
+// inventories has no cycle. Nothing is released before that sample, so
+// each member's inventory is a state it passed through.
+func TestLockAllOrderingNoWaitForCycle(t *testing.T) {
+	const seed, rounds = 1, 200
+	paths := []string{"db", "db/fares", "db/fares/row1", "db/fares/row2", "db/fares/row3",
+		"db/seats", "db/seats/row1", "db/seats/row2"}
+	rng := rand.New(rand.NewPCG(seed, seed))
+	c := newCluster(t, 2)
+	edges := 0
+	for round := 0; round < rounds; round++ {
+		var sets [2][]string
+		var mode [2]hierlock.Mode
+		for i := range sets {
+			for _, j := range rng.Perm(len(paths))[:2+rng.IntN(4)] {
+				sets[i] = append(sets[i], paths[j])
+			}
+			mode[i] = hierlock.W
+			if rng.IntN(3) == 0 {
+				mode[i] = hierlock.R
+			}
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		held := make(chan error, 2)
+		release := make(chan struct{})
+		var wg sync.WaitGroup
+		for i := range sets {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				ls, err := c.Member(i).LockAll(ctx, sets[i], mode[i])
+				held <- err
+				if err != nil {
+					return
+				}
+				<-release
+				if err := ls.Unlock(); err != nil {
+					t.Errorf("round %d: member %d unlock: %v", round, i, err)
+				}
+			}(i)
+		}
+		var errs []error
+		select {
+		case err := <-held:
+			errs = append(errs, err)
+		case <-time.After(time.Second):
+		}
+		wf := introspect.BuildWaitFor([]introspect.NodeInventory{c.Member(0).Inventory(), c.Member(1).Inventory()})
+		if wf.Deadlocked() {
+			t.Errorf("seed %d round %d: sets %v in %v form a wait-for cycle %v: %+v", seed, round, sets, mode, wf.Cycles, wf.Edges)
+		}
+		edges += len(wf.Edges)
+		close(release)
+		for len(errs) < 2 {
+			errs = append(errs, <-held)
+		}
+		wg.Wait()
+		cancel()
+		if errs[0] != nil || errs[1] != nil {
+			t.Fatalf("seed %d round %d: sets %v in %v did not finish: %v", seed, round, sets, mode, errs)
+		}
+	}
+	t.Logf("seed %d: %d wait-for edges sampled over %d rounds", seed, edges, rounds)
+	if edges == 0 {
+		t.Fatal("no sample caught a member waiting on the other: the test is not exercising the ordering")
+	}
 }
 
 func TestLockAllReleasesOnFailure(t *testing.T) {

@@ -52,7 +52,7 @@ var (
 //	               the member is taken while one is held
 //
 // Under a stripe's mutex the member calls out to the trace ring and its
-// taps (auditor, flight recorder), metric handles, the journal
+// taps (the auditor), metric handles, the flight recorder, the journal
 // (Append) and the transport (Send); each has mutexes of its own and none
 // calls back — which is why a tap, and whatever it calls (the auditor's
 // OnViolation, a flight-recorder dump), may read nothing that pulls from
@@ -163,7 +163,7 @@ func (sh *lockShard) fold(tel *telemetry) {
 
 // pull hands what every stripe holds back to its consumers: the staged
 // trace entries to their recorder and its taps (the member's hook on reads
-// of the ring and of the flight recorder, and part of Close) and, given
+// of the ring, and part of Close) and, given
 // the bundle of a registry whose reader is calling, the staged words to
 // its handles — if tel is still the bundle in force: one that was swapped
 // out got its share when SetTelemetry pulled.
@@ -185,13 +185,12 @@ func (m *Member) pull(tel *telemetry) {
 // Lock/Unlock pair on a resident token is one entry.
 const stageEntries = 16
 
-// note stages a client-operation trace entry. The taps (the auditor, the
-// flight recorder) and the ring get it with the stripe's next batch: when
-// the buffer is full, before the next message event on this stripe — so
-// whatever lets another node act on a lock finds what this one did with it
-// already handed in — on Close, and whenever the ring, the registry or the
-// flight recorder is read (pull). Callers hold sh.mu and have checked
-// rec != nil.
+// note stages a client-operation trace entry. The ring and its taps (the
+// auditor) get it with the stripe's next batch: when the buffer is full,
+// before the next message event on this stripe — so whatever lets another
+// node act on a lock finds what this one did with it already handed in —
+// on Close, and whenever the ring (the flight recorder reads it) or the
+// registry is read (pull). Callers hold sh.mu and have checked rec != nil.
 func (sh *lockShard) note(rec *trace.Recorder, e *trace.Entry) {
 	if sh.stagedFor != rec {
 		sh.admit() // a SetTelemetry swap: the old recorder gets what is its
@@ -464,12 +463,12 @@ type Telemetry struct {
 	// protocol errors at Error), each correlated by trace ID. Nil
 	// disables logging.
 	Logger *slog.Logger
-	// Blackbox attaches the black-box flight recorder: the member feeds
-	// it fsync stalls, eviction sweeps, recovery round transitions and
-	// lost holds, and triggers automatic dumps on recovery rounds and
-	// ErrLockLost. Feed it protocol events too by chaining its Tap on the
-	// trace recorder (trace.Recorder.AddTap). Nil disables it at the cost
-	// of one nil check per exceptional event.
+	// Blackbox attaches the black-box flight recorder: the member points
+	// it at Trace, from which it reads grants, token hops and recovery
+	// messages, feeds it fsync stalls, eviction sweeps, recovery round
+	// transitions and lost holds, and triggers automatic dumps on recovery
+	// rounds and ErrLockLost. Nil disables it at the cost of one nil check
+	// per exceptional event.
 	Blackbox *introspect.Recorder
 }
 
@@ -662,15 +661,12 @@ func (m *Member) wire(t Telemetry) *telemetry {
 	defer m.statMu.Unlock()
 	tel := newTelemetry(t)
 	// The member stages client-operation entries and metric samples per
-	// stripe; readers of the ring, of the registry (the auditor's counters
-	// and its report among them) and of the flight recorder pull them in.
-	// The flight recorder stamps what it derives from those entries off
-	// their own At.
-	admit := func() { m.pull(nil) }
-	tel.rec.OnRead(admit)
-	tel.bb.OnRead(admit)
+	// stripe; readers of the ring (the flight recorder, which reads its
+	// grants there, among them) and of the registry (the auditor's counters
+	// and its report among them) pull them in.
+	tel.rec.OnRead(func() { m.pull(nil) })
 	tel.reg.OnRead(func() { m.pull(tel) })
-	tel.bb.SetEpoch(clockEpoch)
+	tel.bb.Follow(tel.rec, clockEpoch)
 	reg := t.Registry
 	if reg == nil {
 		return tel
@@ -790,7 +786,7 @@ func (m *Member) registerFsyncObserver(reg *metrics.Registry, bb *introspect.Rec
 // scrape time; every dump reason is emitted (zeros included).
 func registerBlackboxCollectors(reg *metrics.Registry, bb *introspect.Recorder) {
 	reg.Collect(metrics.MetricBlackboxEvents,
-		"Flight-recorder events recorded since start.", "counter",
+		"Flight-recorder events recorded since start, besides those it reads from the trace ring.", "counter",
 		func(emit func(metrics.Labels, float64)) {
 			emit(nil, float64(bb.Stats().Events))
 		})

@@ -133,7 +133,7 @@ func TestMemberLockUnlockAllocsWithDefaultWiring(t *testing.T) {
 	if n := aud.Snapshot().Entries; n != 501 {
 		t.Errorf("the auditor saw %d entries, want one per pair (%d)", n, 501)
 	}
-	if n := bb.Stats().Events; n != 501 {
+	if n := len(bb.Snapshot(0)); n != 501 {
 		t.Errorf("the flight recorder holds %d events, want one grant per pair (%d)", n, 501)
 	}
 	if n, c := rec.Len(), reg.Counter(metrics.MetricAuditEntries, "", nil).Value(); n != 3*501 || c != 501 {

@@ -21,8 +21,8 @@ import (
 )
 
 // lockdWiring is the telemetry cmd/lockd attaches with no flags: a
-// registry, the trace ring tapped by the auditor and the flight recorder,
-// an info-level logger. Members of one test may share it.
+// registry, the trace ring tapped by the auditor and read by the flight
+// recorder, an info-level logger. Members of one test may share it.
 type lockdWiring struct {
 	reg *metrics.Registry
 	rec *trace.Recorder
@@ -39,7 +39,6 @@ func newLockdWiring(ringSize int) *lockdWiring {
 	w.aud = audit.New(audit.Config{Registry: w.reg, Root: 0,
 		OnViolation: func(audit.Violation) { _, _ = w.bb.TriggerDump(introspect.ReasonAuditViolation) }})
 	w.rec.SetTap(w.aud.Record)
-	w.rec.AddTap(w.bb.Tap)
 	return w
 }
 
@@ -137,9 +136,9 @@ func (c *tapCount) read() (entries, stand int) {
 // goroutine staged on the stripe between a grant and its release) that
 // stand for exactly three, which is what the ring shows, in time order,
 // each lock's acquire → granted → release cycles intact. One goroutine
-// alone stages exactly one entry per pair. A pause keeps out of the ring
-// what came after it and nothing before, and blinds no tap; Close admits
-// what no reader pulled.
+// alone stages exactly one entry per pair. A pause keeps out of what the
+// ring's readers see what came after it and nothing before, and blinds
+// neither the ring nor a tap; Close admits what no reader pulled.
 func TestStagedRingExactAtReadAndOrdered(t *testing.T) {
 	const goroutines, keysPer, pairs = 4, 32, 500
 	c, err := NewCluster(1)
@@ -180,7 +179,7 @@ func TestStagedRingExactAtReadAndOrdered(t *testing.T) {
 	if got := audited.Value(); got != uint64(tapped) {
 		t.Fatalf("%s = %d, want the %d entries the taps saw", metrics.MetricAuditEntries, got, tapped)
 	}
-	if got := w.bb.Stats().Events; got != total {
+	if got := len(w.bb.Snapshot(0)); got != total {
 		t.Fatalf("flight recorder has %d events, want one grant per pair (%d)", got, total)
 	}
 
@@ -195,13 +194,16 @@ func TestStagedRingExactAtReadAndOrdered(t *testing.T) {
 		t.Fatalf("ring has %d entries, want %d", got, 3*(total+pairs))
 	}
 
-	// Paused: the taps keep seeing entries, the ring takes none — not
-	// later either, when the stripes next admit.
+	// Paused: the taps keep seeing entries and the ring keeps taking them;
+	// its readers see it as it was until it resumes.
 	w.rec.SetEnabled(false)
 	residentPairs(t, m, 1, keysPer, 50)
-	w.rec.SetEnabled(true)
 	if got := w.rec.Len(); got != 3*(total+pairs) {
-		t.Fatalf("ring grew to %d entries while paused, want %d", got, 3*(total+pairs))
+		t.Fatalf("the ring's readers saw it grow to %d entries while paused, want %d", got, 3*(total+pairs))
+	}
+	w.rec.SetEnabled(true)
+	if got := w.rec.Len(); got != 3*(total+pairs+50) {
+		t.Fatalf("ring has %d entries after the pause, want %d", got, 3*(total+pairs+50))
 	}
 	if got, want := w.aud.Snapshot().Entries, uint64(tapped+pairs+50); got != want {
 		t.Fatalf("auditor saw %d entries across the pause, want %d", got, want)
@@ -219,7 +221,7 @@ func TestStagedRingExactAtReadAndOrdered(t *testing.T) {
 	if staged := stagedEntries(m); staged != 0 {
 		t.Fatalf("%d entries still staged after Close", staged)
 	}
-	if got, want := w.rec.Len(), 3*(total+pairs+5); got != want {
+	if got, want := w.rec.Len(), 3*(total+pairs+50+5); got != want {
 		t.Fatalf("ring has %d entries after Close, want %d", got, want)
 	}
 	if got, _ := seen.read(); got != tapped+pairs+50+5 {
@@ -914,7 +916,9 @@ func TestSharedAuditorFlagsGrantInsideFoldedPair(t *testing.T) {
 // runs under the stripe's mutex, and under the registry's read lock when a
 // scrape pulled the entry in. With lockd's wiring — OnViolation triggers a
 // flight-recorder dump, auto-dump on — the violation is flagged, the dump
-// is written and nothing deadlocks, whichever way the entry is admitted.
+// is written, holding the offending grant (the ring takes a batch before
+// the taps see it), and nothing deadlocks, whichever way the entry is
+// admitted.
 func TestViolationInStagedEntryDumpsWithoutDeadlock(t *testing.T) {
 	forged, filler := sameStripe("dump")
 	admitters := []struct {
@@ -997,6 +1001,11 @@ func TestViolationInStagedEntryDumpsWithoutDeadlock(t *testing.T) {
 			if err != nil || d.Reason != introspect.ReasonAuditViolation {
 				t.Fatalf("dump: reason %q, %v", d.Reason, err)
 			}
+			if !slices.ContainsFunc(d.Events, func(ev introspect.DumpEvent) bool {
+				return ev.Type == "grant" && ev.Node == int(m.id) && ev.Lock == uint64(lockIDFor(forged))
+			}) {
+				t.Fatalf("the dump lacks the offending grant: %+v", d.Events)
+			}
 			if st := w.bb.Stats(); st.Dumps[introspect.ReasonAuditViolation] != 1 || st.LastErr != nil {
 				t.Fatalf("flight recorder stats: %+v", st)
 			}
@@ -1006,8 +1015,8 @@ func TestViolationInStagedEntryDumpsWithoutDeadlock(t *testing.T) {
 
 // TestEveryConsumerPullsForItself: after N resident pairs with nothing
 // read, the first question asked — of the auditor, of its counter in the
-// registry, of the flight recorder's counters or of its ring — is answered
-// for all N, and empties the stripes.
+// registry, of the flight recorder or of the ring — is answered for all N,
+// and empties the stripes.
 func TestEveryConsumerPullsForItself(t *testing.T) {
 	const pairs = 100 // more than one buffer's worth on no stripe: 64 keys
 	audited := func(w *lockdWiring) *metrics.Counter {
@@ -1019,7 +1028,6 @@ func TestEveryConsumerPullsForItself(t *testing.T) {
 	}{
 		{"Auditor.Snapshot", func(w *lockdWiring) int { return int(w.aud.Snapshot().Entries) }},
 		{metrics.MetricAuditEntries, func(w *lockdWiring) int { return int(audited(w).Value()) }},
-		{"Blackbox.Stats", func(w *lockdWiring) int { return int(w.bb.Stats().Events) }},
 		{"Blackbox.Snapshot", func(w *lockdWiring) int { return len(w.bb.Snapshot(0)) }},
 		{"Recorder.Len", func(w *lockdWiring) int { return w.rec.Len() / 3 }},
 	} {
@@ -1043,5 +1051,55 @@ func TestEveryConsumerPullsForItself(t *testing.T) {
 				t.Fatalf("%d entries still staged after the read", staged)
 			}
 		})
+	}
+}
+
+// TestFlightRecorderSeesGrantsWhileTracePaused: pausing the trace ring
+// (/debug/trace?enable=off) freezes what its readers see and nothing else.
+// Under lockd's wiring the flight recorder, which reads its grants from
+// the ring, shows every pair made while the ring is paused; the ring's
+// readers show exactly the entries from before the pause; after the
+// resumption both show everything.
+func TestFlightRecorderSeesGrantsWhileTracePaused(t *testing.T) {
+	const before, during = 20, 100
+	c, err := NewCluster(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	m := c.Member(0)
+	w := newLockdWiring(1 << 12)
+	w.attach(m)
+	grants := func() int {
+		n := 0
+		for _, ev := range w.bb.Snapshot(0) {
+			if ev.Type == "grant" {
+				n++
+			}
+		}
+		return n
+	}
+
+	residentPairs(t, m, 1, 64, before)
+	w.rec.SetEnabled(false)
+	frozen := w.rec.Entries()
+	if len(frozen) != 3*before {
+		t.Fatalf("the pause froze %d entries, want %d", len(frozen), 3*before)
+	}
+	residentPairs(t, m, 1, 64, during)
+	if got := grants(); got != before+during {
+		t.Fatalf("flight recorder shows %d grants with the trace ring paused, want %d", got, before+during)
+	}
+	if es := w.rec.Entries(); !slices.Equal(es, frozen) || w.rec.Len() != len(frozen) || w.rec.Dropped() != 0 {
+		t.Fatalf("paused ring's readers see %d entries (Len %d, Dropped %d), want the %d from before the pause", len(es), w.rec.Len(), w.rec.Dropped(), len(frozen))
+	}
+
+	w.rec.SetEnabled(true)
+	if got := w.rec.Len(); got != 3*(before+during) {
+		t.Fatalf("resumed ring has %d entries, want %d", got, 3*(before+during))
+	}
+	checkResidentRing(t, w.rec.Entries(), 3*(before+during))
+	if got := grants(); got != before+during {
+		t.Fatalf("flight recorder shows %d grants after the resumption, want %d", got, before+during)
 	}
 }
