@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: build test vet lint race chaos coldstart sessions membership fuzz bench bench-record bench-compare pairs audit loc ci clean
+.PHONY: build test vet lint race chaos coldstart sessions membership fuzz bench pairs gate audit loc ci clean
 
 build:
 	$(GO) build ./...
@@ -15,13 +15,17 @@ vet:
 # Static checks: go vet — over bench/ too, a module of its own that no
 # root-module target compiles, so a root change that stops the frozen
 # harness building fails here and not in the benchmark run — plus a gofmt
-# drift check (fails listing any unformatted file).
+# drift check (fails listing any unformatted file), and the scripts: a
+# syntax check of each, then the pairs summary's verdicts on canned runs,
+# so a broken gate fails here and not at the end of ci.
 lint: vet
 	$(GO) vet -C bench ./...
 	@unformatted=$$($(GOFMT) -l .); \
 	if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; \
 	fi
+	for f in scripts/*.sh; do bash -n $$f || exit 1; done
+	bash scripts/pairs_test.sh
 
 # Full test suite under the race detector (includes the transport
 # failure-path tests and the simulator chaos tests).
@@ -119,30 +123,24 @@ bench:
 	$(GO) test -run '^$$' -bench . -benchmem . ./internal/hlock ./internal/metrics ./internal/trace ./internal/proto ./internal/session
 	$(GO) test -run '^$$' -bench 'BenchmarkMemberDefaultTelemetry|BenchmarkMemberMultiLockContended' -cpu 1,2 -benchtime 100x -benchmem .
 
-# Record a benchmark snapshot of the working tree — the paper's Figure
-# 5/6/7 CSVs plus the microbenchmark output — into the git-ignored
-# .bench_build/, never over the committed baseline.
-bench-record:
-	mkdir -p .bench_build
-	$(GO) run ./cmd/benchrecord -o .bench_build/BENCH_head.json
-
-# Compare that snapshot against the committed baseline (BENCH_pr10.json,
-# the one snapshot kept; the earlier ones are tabulated in
-# EXPERIMENTS.md) and fail on any >10% regression in the gated
-# families: engine microbenchmarks, the live-cluster member hot paths
-# (with the latency SLO histograms active via telemetry tests), and the
-# seeded simulator figure benchmarks.
-bench-compare:
-	$(GO) run ./cmd/benchcompare -old BENCH_pr10.json -new .bench_build/BENCH_head.json -threshold 0.10
-
 # Alternating base/change pairs of one benchmark workload (15 s runs, seed
-# 1), the medians and the pairs the change won: what a perf PR reports in
-# CHANGES.md. BASE is checked out as a worktree under .bench_build/.
+# 1): the base quartiles, the change median, the pairs won and lost and
+# whether the difference is resolved — what a perf PR reports in
+# CHANGES.md. Fails if a run failed an operation or was not correct. BASE
+# is checked out as a worktree under .bench_build/.
 W ?= embedded-local
 N ?= 10
 BASE ?= HEAD~1
 pairs:
 	bash scripts/pairs.sh $(W) $(N) $(BASE)
+
+# The regression gate: the same alternating pairs over the gated
+# microbenchmarks (engine, codec, member and live-cluster hot paths, and
+# the Figure 5/6/7 cells; the set is declared in scripts/pairs.sh). Fails
+# when a benchmark loses >= 8 of 10 pairs and its median is worse than
+# the base's by more than both the base inter-quartile distance and 10%.
+gate:
+	bash scripts/pairs.sh micro $(N) $(BASE)
 
 # The online protocol auditor's invariant tests, under the race
 # detector (they replay violating and healthy trace streams, the interval
@@ -154,12 +152,13 @@ audit:
 # includes the codec allocation assertions compiled out under -race and
 # the figure-CSV golden), the full suite under -race (tier-1), the three
 # targets that add a repeat count to schedule-dependent subsets of it
-# (chaos, coldstart, sessions), the fuzz passes, and the microbenchmark
-# regression gate against the committed baseline. `race` covers ./...
-# once, so `audit` and `membership` — -count=1 subsets of it — are
-# focused local targets and not part of ci. The tracked size is printed
-# last.
-ci: build lint test race chaos coldstart sessions fuzz bench-record bench-compare loc
+# (chaos, coldstart, sessions), the fuzz passes, and the regression gate:
+# alternating pairs of the microbenchmarks against BASE (the parent
+# commit by default), run on this machine in the same minutes. `race`
+# covers ./... once, so `audit` and `membership` — -count=1 subsets of
+# it — are focused local targets and not part of ci. The tracked size is
+# printed last.
+ci: build lint test race chaos coldstart sessions fuzz gate loc
 
 # The tracked size, by the rule CHANGES.md and ROADMAP.md quote: lines of
 # non-test .go files outside bench/.

@@ -15,9 +15,9 @@ var update = flag.Bool("update", false, "rewrite golden files")
 
 // TestFigureCSVGolden pins "figure CSVs byte-identical for seed 1", the
 // acceptance criterion of every simulator change: Figures 5, 6 and 7 at
-// the benchrecord defaults against a golden written at the commit that
-// introduced it (the same bytes as BENCH_pr10.json's figures_csv).
-// -update rewrites the file.
+// nodes 2, 8, 16 and 32, 60 s virtual after a 10 s warm-up, seed 1,
+// against a golden written at the commit that introduced it. -update
+// rewrites the file.
 func TestFigureCSVGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("three figure sweeps; skipped under -short")

@@ -137,11 +137,12 @@ func BenchmarkMemberMultiLockSpread(b *testing.B) {
 	})
 }
 
-// BenchmarkMemberJournaledGrant measures the durable grant path: a
-// single TCP member with a write-ahead journal under the default
-// batched fsync policy, Lock/Unlock on one resource. The benchcompare
-// gate holds this within 10% of the PR-5 (journal-less) grant path —
-// the point of batching fsyncs on the coalescing cadence.
+// BenchmarkMemberJournaledGrant is the resident Lock/Unlock pair on a
+// journaled member: a single TCP member with a write-ahead journal under
+// the default batched fsync policy, one resource. Journal records follow
+// the token, not holds, and the token never leaves this member, so after
+// the first hold a pair writes no record: what this measures is that the
+// journal costs the resident path nothing.
 func BenchmarkMemberJournaledGrant(b *testing.B) {
 	m, err := hierlock.NewTCPMember(hierlock.TCPMemberConfig{
 		ID:         0,

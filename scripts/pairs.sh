@@ -1,22 +1,55 @@
 #!/usr/bin/env bash
-# Alternating base/change pairs of one benchmark workload, the protocol a
-# perf PR reports in CHANGES.md:
+# Alternating base/change pairs: the protocol a perf PR reports in
+# CHANGES.md, and the regression gate `make ci` ends with.
 #
-#   make pairs W=embedded-local N=10 [BASE=HEAD~1]
-#   bash scripts/pairs.sh embedded-local 10 HEAD~1
+#   make pairs W=embedded-local N=10 [BASE=HEAD~1]   # one bench/run.sh workload
+#   make gate N=10 [BASE=HEAD~1]                     # the gated microbenchmarks
+#   bash scripts/pairs.sh WORKLOAD|micro [N] [BASE]
 #
 # BASE is checked out as a git worktree under .bench_build/pairs-base (kept,
 # with its build cache, for the next call); the change is the working tree,
-# uncommitted edits included. Each pair runs
-#   bash bench/run.sh --workload W --seed 1 --seconds 15 --trace 0
-# on both sides, the base first in odd pairs and the change first in even
-# ones. Every run's five end-to-end metrics, failed and correct are printed
-# as it finishes; then, per metric, both medians, the change, and the pairs
-# the change won (ties count for neither side). The runs' stderr goes to
+# uncommitted edits included. The base runs first in odd pairs and the
+# change first in even ones. scripts/pairs.awk summarizes the runs, which
+# are kept in .bench_build/pairs.tsv; their stderr goes to
 # .bench_build/pairs.log.
+#
+# Workload mode runs
+#   bash bench/run.sh --workload W --seed 1 --seconds 15 --trace 0
+# on both sides and prints each run's five end-to-end metrics, failed and
+# correct as it finishes. Then, per metric: the base quartiles, the change
+# median, the pairs won and lost, and "resolved" when the change won >= 9
+# in 10 pairs and the medians differ by more than the base inter-quartile
+# distance. It exits 1 when a run failed an operation or was not correct.
+#
+# Micro mode builds one test binary per package and side, once, with
+# -trimpath so that the same source gives both sides the same bytes. Then
+# it runs each benchmark of the gated set below with -test.count 1, the
+# two sides back to back, and prints the same summary of ns/op. It exits 1
+# when a benchmark loses >= 8 in 10 pairs with a median worse than the
+# base's by more than both the base inter-quartile distance and 10 %.
+#
+# Run lengths, on a 2-core Xeon. One op of a figure cell takes 14-25 ms
+# for the protocol at 10 nodes, 30-50 at 40 and 75-130 at 120, and 3-14 ms
+# for Naimi: the -benchtime Nx counts below give each cell 200-400 ms
+# after Go's first op (one cell's runs vary by 18 % at 75 ms there, and
+# by 10 % from 300 ms on). The engine runs for 1 s, as two back-to-back
+# 200 ms runs of one binary there differ by up to 20 % (1 s: 6 %), and
+# the rest for 300 ms. Each benchmark, and each figure cell, runs alone,
+# so its two sides run within a second or two of each other. A pair takes
+# ~37 s, so N = 10 about six and a half minutes.
 set -euo pipefail
 
-w=${1:?usage: scripts/pairs.sh WORKLOAD [N] [BASE]}
+# The gated set, one package and -benchtime a line, then the benchmarks:
+# top-level names, or the path to one figure cell.
+gated="hierlock 20x $(echo Fig{5MessageOverhead,6LatencyFactor}/our-protocol/nodes-10 Fig7Breakdown/nodes-10)
+hierlock 8x $(echo Fig{5MessageOverhead,6LatencyFactor}/our-protocol/nodes-40 Fig7Breakdown/nodes-40)
+hierlock 3x $(echo Fig{5MessageOverhead,6LatencyFactor}/our-protocol/nodes-120 Fig7Breakdown/nodes-120)
+hierlock 40x $(echo Fig{5MessageOverhead,6LatencyFactor}/naimi-{same-work,pure}/nodes-{10,40,120})
+hierlock 300ms LiveClusterThroughput MemberMultiLockContended MemberJournaledGrant MemberDefaultTelemetry
+hierlock/internal/hlock 1s LocalAcquireRelease RequestGrantRoundTrip QueueChurn Fingerprint
+hierlock/internal/proto 300ms AppendLinkData ReadLinkFrame LinkRoundTrip EncodeMessage DecodeMessage"
+
+w=${1:?usage: scripts/pairs.sh WORKLOAD|micro [N] [BASE]}
 n=${2:-10}
 base=${3:-HEAD~1}
 root=$(git rev-parse --show-toplevel)
@@ -29,67 +62,82 @@ if [[ -e $wt/.git ]]; then
 else
 	git worktree add -q --detach "$wt" "$rev"
 fi
+declare -A tree=([base]=$wt [change]=$root)
 log=$root/.bench_build/pairs.log
 runs=$root/.bench_build/pairs.tsv
+bin=$root/.bench_build/gate
 : >"$log"
 : >"$runs"
 
 metrics="ops_per_s lock_p50_us cpu_us_per_op peak_rss_mb setup_s"
 
-# run SIDE DIR PAIR: one benchmark run in DIR, printed and appended to $runs.
+# run SIDE PAIR: one benchmark run, printed and appended to $runs.
 run() {
-	local out row m v
-	out=$(cd "$2" && bash bench/run.sh --workload "$w" --seed 1 --seconds 15 --trace 0 2>>"$log" | tail -n 1) || true
+	local out line m v
+	out=$(cd "${tree[$1]}" && bash bench/run.sh --workload "$w" --seed 1 --seconds 15 --trace 0 2>>"$log" | tail -n 1) || true
 	if [[ $out != *'"metrics"'* ]]; then
-		echo "pairs: $1 run of pair $3 printed no result (see $log)" >&2
+		echo "pairs: $1 run of pair $2 printed no result (see $log)" >&2
 		exit 1
 	fi
-	row="$1 $3"
-	for m in $metrics; do
-		v=${out#*\"$m\":\{\"value\":}
-		row+=" ${v%%[,\}]*}"
+	line=$(printf '%-6s pair %2d' "$1" "$2")
+	for m in $metrics failed correct; do
+		case $m in
+		failed | correct) v=${out#*\"$m\":} ;;
+		*) v=${out#*\"$m\":\{\"value\":} ;;
+		esac
+		v=${v%%[,\}]*}
+		printf '%s\t%s\t%s\t%s\n' "$1" "$2" "$m" "$v" >>"$runs"
+		if [[ $m != correct ]]; then printf -v v '%.4g' "$v"; fi
+		line+="  $m $v"
 	done
-	v=${out#*\"failed\":}
-	row+=" ${v%%[,\}]*}"
-	v=${out#*\"correct\":}
-	row+=" ${v%%[,\}]*}"
-	echo "$row" >>"$runs"
-	echo "$row" | awk -v names="$metrics" '{
-		split(names, n, " ")
-		line = sprintf("%-6s pair %2d", $1, $2)
-		for (i = 1; i <= 5; i++) line = line sprintf("  %s %.4g", n[i], $(i + 2))
-		print line "  failed " $8 "  correct " $9
-	}'
+	echo "$line"
+}
+
+# bench SIDE PAIR PKG BENCHTIME NAME: one pass of BenchmarkNAME (a/b/c
+# selects that sub-benchmark), each ns/op it prints appended to $runs.
+bench() {
+	local out
+	if ! out=$(cd "${tree[$1]}${3#hierlock}" && "$bin/$1/${3##*/}.test" -test.run '^$' \
+		-test.bench "^Benchmark${5//\//\$/^}\$" -test.benchtime "$4" -test.count 1 </dev/null 2>>"$log"); then
+		echo "$out" >>"$log"
+		echo "pairs: $1 run of pair $2 failed in Benchmark$5 (see $log)" >&2
+		exit 1
+	fi
+	out=$(awk -v side="$1" -v pair="$2" '$1 ~ /^Benchmark/ && $4 == "ns/op" { print side "\t" pair "\t" $1 "\t" $3 }' <<<"$out")
+	if [[ -n $out ]]; then
+		echo "$out" >>"$runs"
+	elif [[ $1 == change ]]; then
+		echo "pairs: the gated Benchmark$5 is not in $3" >&2
+		exit 1
+	fi
 }
 
 echo "$w: $n pairs, base $base ($(git rev-parse --short "$rev")) against the working tree"
+if [[ $w == micro ]]; then
+	for side in base change; do
+		mkdir -p "$bin/$side"
+		(cd "${tree[$side]}" && go test -trimpath -c -o "$bin/$side/" $(cut -d' ' -f1 <<<"$gated" | sort -u))
+	done
+fi
 for ((i = 1; i <= n; i++)); do
-	if ((i % 2)); then
-		run base "$wt" "$i"
-		run change "$root" "$i"
+	first=base second=change
+	if ((i % 2 == 0)); then first=change second=base; fi
+	if [[ $w == micro ]]; then
+		echo "pair $i: $first first"
+		while read -r pkg t names; do
+			for b in $names; do
+				bench "$first" "$i" "$pkg" "$t" "$b"
+				bench "$second" "$i" "$pkg" "$t" "$b"
+			done
+		done <<<"$gated"
 	else
-		run change "$root" "$i"
-		run base "$wt" "$i"
+		run "$first" "$i"
+		run "$second" "$i"
 	fi
 done
 
-awk -v names="$metrics" -v n="$n" '
-function median(a, k,    i, j, t) {
-	for (i = 2; i <= k; i++)
-		for (j = i; j > 1 && a[j - 1] > a[j]; j--) { t = a[j]; a[j] = a[j - 1]; a[j - 1] = t }
-	return k % 2 ? a[(k + 1) / 2] : (a[k / 2] + a[k / 2 + 1]) / 2
-}
-{ side[$1, $2] = 1; for (c = 3; c <= 7; c++) v[$1, $2, c] = $c }
-END {
-	split(names, name, " ")
-	printf "\n%-14s %14s %14s %9s %6s\n", "metric", "base median", "change median", "change", "won"
-	for (c = 3; c <= 7; c++) {
-		won = 0
-		for (i = 1; i <= n; i++) {
-			b[i] = v["base", i, c]; x[i] = v["change", i, c]
-			if (c == 3 ? x[i] > b[i] : x[i] < b[i]) won++
-		}
-		mb = median(b, n); mx = median(x, n)
-		printf "%-14s %14.4g %14.4g %+8.1f%% %3d/%d\n", name[c - 2], mb, mx, mb ? 100 * (mx - mb) / mb : 0, won, n
-	}
-}' "$runs"
+if [[ $w == micro ]]; then
+	awk -v gate=1 -f "$root/scripts/pairs.awk" "$runs"
+else
+	awk -v higher=ops_per_s -f "$root/scripts/pairs.awk" "$runs"
+fi
