@@ -45,7 +45,7 @@ race:
 # its release on a stripe (TestReleaseFolds*, TestSharedAuditor*), which
 # reader's pull hands the auditor an offending entry
 # (TestViolationInStagedEntry*, TestEveryConsumerPulls*) and what a
-# reader of a handle's mode and fence sees beside Refence and Upgrade
+# reader of a handle's mode and fence sees beside an Upgrade
 # (TestHandleGrantEvents*) is schedule too (internal/metrics carries the
 # registry's fold hooks) — and so is whether a client queued for a lock's
 # admission slot is popped before or after it gives up (TestSlotBlocked*),
@@ -78,14 +78,15 @@ coldstart:
 	$(GO) test -race -count=3 -run 'TestTCPColdStart|TestTCPRestartSingleMemberRejoins|TestTCPRestartAfterTrafficRejoins|TestJournalRecordsFollowTokenNotHolds' .
 
 # Session/lease/admission stress under the race detector: the session
-# tier's lifecycle and wait-queue tests, the lockserver bugfix
+# tier's lifecycle and admission-cap tests, the lockserver bugfix
 # regressions, lease acceptance tests and line-protocol pipelining, and
 # the fencing tests (including fence-across-crash-recovery).
-# TestAdmission* includes the sweep that pins "a popped waiter takes its
-# grant, even just past its deadline". The lockserver line runs three
-# times for TestLeaseChaosAcrossMembers (12 clients over three members,
-# three dying mid-hold): which client the sweeper frees next, and which
-# parked LOCK times out into a SESSION RENEW, is schedule.
+# TestAdmission* includes the remote writer that local churn on its key
+# must not starve. The lockserver line runs three times for it and for
+# TestLeaseChaosAcrossMembers (12 clients over three members, three
+# dying mid-hold): which client the sweeper frees next, which parked
+# LOCK times out into a SESSION RENEW, and where in the local churn the
+# remote request lands, is schedule.
 sessions:
 	$(GO) test -race -count=1 ./internal/session/
 	$(GO) test -race -count=3 -run 'TestSession|TestAdmission|TestLease|TestLockHonors|TestUpgradeHonors|TestCloseDrains|TestLongLine|TestPipelined' ./internal/lockserver/

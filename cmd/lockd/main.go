@@ -53,7 +53,7 @@ func main() {
 		joinWait  = flag.Duration("join-timeout", 30*time.Second, "give up on the -join handshake after this long")
 
 		leaseTTL   = flag.Duration("lease-ttl", 30*time.Second, "default session lease TTL; an expired lease force-releases the session's locks")
-		maxWaiters = flag.Int("max-waiters", 0, "cap per (resource, mode) admission queue; beyond it LOCK answers ERR busy (0 = unbounded)")
+		maxWaiters = flag.Int("max-waiters", 0, "cap on exclusive-mode clients waiting per (resource, mode); beyond it LOCK answers ERR busy (0 = unbounded)")
 		debug      = flag.String("debug", "", "debug HTTP listen address for /healthz, /stats, /metrics, /debug/health, /debug/trace, /debug/audit, /debug/locks, /debug/blackbox, /debug/profile and /debug/pprof (disabled if empty)")
 
 		traceBuf   = flag.Int("trace-buf", 4096, "protocol trace ring size in entries (0 disables tracing)")

@@ -7,7 +7,7 @@ import (
 )
 
 // FenceToken is the monotonically increasing token minted with every
-// grant, upgrade and hand-off. Clients attach it to the side effects
+// grant, upgrade and shared join. Clients attach it to the side effects
 // they perform under the lock so downstream systems can reject writes
 // from a stale holder (one whose lock was reaped or demolished by
 // recovery after the token was issued).

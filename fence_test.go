@@ -2,6 +2,7 @@ package hierlock_test
 
 import (
 	"context"
+	"errors"
 	"testing"
 	"time"
 
@@ -43,8 +44,8 @@ func TestFenceTokenOrdering(t *testing.T) {
 }
 
 // TestFenceMonotonicAcrossGrants: along one exclusive hold chain the
-// member mints strictly increasing fences, and Refence (the session
-// tier's hand-off stamp) keeps advancing them for the same holder.
+// member mints strictly increasing fences, and an Upgrade — a handle's
+// only re-grant — keeps advancing them for the same holder.
 func TestFenceMonotonicAcrossGrants(t *testing.T) {
 	cl, err := hierlock.NewCluster(2)
 	if err != nil {
@@ -57,7 +58,7 @@ func TestFenceMonotonicAcrossGrants(t *testing.T) {
 	var last hierlock.FenceToken
 	for i := 0; i < 4; i++ {
 		m := cl.Member(i % 2)
-		l, err := m.Lock(ctx, "chain", hierlock.W)
+		l, err := m.Lock(ctx, "chain", hierlock.U)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,29 +66,29 @@ func TestFenceMonotonicAcrossGrants(t *testing.T) {
 		if !last.Less(f) {
 			t.Fatalf("grant %d fence %s not above %s", i, f, last)
 		}
-		rf, err := l.Refence()
-		if err != nil {
+		if err := l.Upgrade(ctx); err != nil {
 			t.Fatal(err)
 		}
-		if !f.Less(rf) {
-			t.Fatalf("refence %s not above grant fence %s", rf, f)
+		uf := l.Fence()
+		if !f.Less(uf) {
+			t.Fatalf("upgrade fence %s not above grant fence %s", uf, f)
 		}
-		last = rf
+		last = uf
 		if err := l.Unlock(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// After release, Refence must refuse: the handle cannot be
-	// re-stamped into a valid fence for a hold it no longer has.
-	l, err := cl.Member(0).Lock(ctx, "chain", hierlock.W)
+	// After release, Upgrade must refuse: the handle cannot be re-granted
+	// a fence for a hold it no longer has.
+	l, err := cl.Member(0).Lock(ctx, "chain", hierlock.U)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Unlock(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.Refence(); err == nil {
-		t.Fatal("Refence succeeded on a released handle")
+	if err := l.Upgrade(ctx); !errors.Is(err, hierlock.ErrReleased) {
+		t.Fatalf("Upgrade on a released handle: %v, want ErrReleased", err)
 	}
 }
 

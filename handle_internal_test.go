@@ -2,9 +2,9 @@ package hierlock
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"testing"
-	"time"
 	"unsafe"
 )
 
@@ -18,109 +18,102 @@ func TestLockHandleSize(t *testing.T) {
 
 // TestHandleGrantEventsWithoutMutex: Mode and Fence take no mutex — a
 // handle's grant events are immutable records published through one
-// atomic pointer — so readers spinning on them while Refence and Upgrade
-// run see only values that were minted, in mint order, and a mode and a
-// fence read through one load belong to the same grant event: W never
-// comes with a fence minted before the upgrade's. Meant for -race.
+// atomic pointer — so readers spinning on them while Upgrade runs see
+// only values that were minted, in mint order, and a mode and a fence
+// read through one load belong to the same grant event: W never comes
+// with the U grant's fence, nor U with the upgrade's. Many U handles are
+// each upgraded once while readers that have seen its U grant spin until
+// they see W. Meant for -race.
 func TestHandleGrantEventsWithoutMutex(t *testing.T) {
-	const refences = 2000
+	const handles = 1000
 	c, err := NewCluster(1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 	ctx := context.Background()
-	l, err := c.Member(0).Lock(ctx, "handle/u", U)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g := l.granted(); g.mode != U || g.fence != l.Fence() || l.Mode() != U || l.latest.Load() != nil {
-		t.Fatalf("fresh handle: %+v, Mode %v, Fence %v, latest %v", g, l.Mode(), l.Fence(), l.latest.Load())
-	}
-
-	var mintMu sync.Mutex
-	minted := map[FenceToken]Mode{l.Fence(): U}
-	var upgradeFence FenceToken
-	stop := make(chan struct{})
 	type seen struct {
 		mode  Mode
 		fence FenceToken
 	}
-	observed := make([][]seen, 4)
-	var wg sync.WaitGroup
-	for r := range observed {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			var last seen
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				var s seen
-				if r%2 == 0 {
-					g := l.granted()
-					s = seen{g.mode, g.fence}
-				} else {
-					s = seen{l.Mode(), l.Fence()} // two loads: only each one's order is promised
-				}
-				if s != last {
-					observed[r] = append(observed[r], s)
-					last = s
-				}
-			}
-		}(r)
-	}
-	for i := 0; i < refences; i++ {
-		if i == refences/2 {
-			if err := l.Upgrade(ctx); err != nil {
-				t.Fatal(err)
-			}
-			upgradeFence = l.Fence()
-			mintMu.Lock()
-			minted[upgradeFence] = W
-			mintMu.Unlock()
-			continue
-		}
-		f, err := l.Refence()
+	var last FenceToken
+	for i := 0; i < handles; i++ {
+		l, err := c.Member(0).Lock(ctx, "handle/u", U)
 		if err != nil {
 			t.Fatal(err)
 		}
-		mintMu.Lock()
-		minted[f] = l.Mode()
-		mintMu.Unlock()
-		if i%64 == 0 {
-			time.Sleep(10 * time.Microsecond) // let the readers in
+		if g := l.granted(); g.mode != U || g.fence != l.Fence() || l.Mode() != U || l.latest.Load() != nil {
+			t.Fatalf("handle %d fresh: %+v, Mode %v, Fence %v, latest %v", i, g, l.Mode(), l.Fence(), l.latest.Load())
 		}
-	}
-	close(stop)
-	wg.Wait()
+		grant := l.Fence()
+		if !last.Less(grant) {
+			t.Fatalf("handle %d granted with fence %v after %v", i, grant, last)
+		}
 
-	for r, seq := range observed {
-		var prev seen
-		for i, s := range seq {
-			mode, ok := minted[s.fence]
-			if !ok {
-				t.Fatalf("reader %d saw fence %v, which nobody minted", r, s.fence)
-			}
-			if i > 0 && (s.fence.Less(prev.fence) || (r%2 == 0 && s.fence == prev.fence)) {
-				t.Fatalf("reader %d saw fence %v after %v", r, s.fence, prev.fence)
-			}
-			if i > 0 && prev.mode == W && s.mode != W {
-				t.Fatalf("reader %d saw mode %v after W", r, s.mode)
-			}
-			if r%2 == 0 && s.mode != mode {
-				t.Fatalf("reader %d saw %v with fence %v through one load; that fence was minted with %v", r, s.mode, s.fence, mode)
-			}
-			prev = s
+		// Each reader reads the U grant first, then spins until it sees W.
+		observed := make([][]seen, 4)
+		var spinning, wg sync.WaitGroup
+		for r := range observed {
+			spinning.Add(1)
+			wg.Add(1)
+			go func(r int) {
+				defer wg.Done()
+				var last seen
+				for n := 0; last.mode != W; n++ {
+					if n == 1 {
+						spinning.Done()
+					}
+					var s seen
+					if r%2 == 0 {
+						g := l.granted()
+						s = seen{g.mode, g.fence}
+					} else {
+						s = seen{l.Mode(), l.Fence()} // two loads: only each one's order is promised
+					}
+					if s != last {
+						observed[r] = append(observed[r], s)
+						last = s
+					}
+					runtime.Gosched() // more readers than cores: let the upgrade run
+				}
+			}(r)
 		}
-	}
-	if g := l.granted(); g.mode != W || !upgradeFence.Less(g.fence) || len(minted) != refences+1 {
-		t.Fatalf("after the run: %+v, %d distinct fences minted, want W, a fence after the upgrade's and %d", g, len(minted), refences+1)
-	}
-	if err := l.Unlock(); err != nil {
-		t.Fatal(err)
+		spinning.Wait()
+		if err := l.Upgrade(ctx); err != nil {
+			t.Fatal(err)
+		}
+		upgrade := l.Fence()
+		wg.Wait()
+
+		minted := map[FenceToken]Mode{grant: U, upgrade: W}
+		if len(minted) != 2 || !grant.Less(upgrade) {
+			t.Fatalf("handle %d: upgrade fence %v not above the grant's %v", i, upgrade, grant)
+		}
+		for r, seq := range observed {
+			var prev seen
+			for j, s := range seq {
+				mode, ok := minted[s.fence]
+				if !ok {
+					t.Fatalf("handle %d: reader %d saw fence %v, which nobody minted", i, r, s.fence)
+				}
+				if j > 0 && (s.fence.Less(prev.fence) || (r%2 == 0 && s.fence == prev.fence)) {
+					t.Fatalf("handle %d: reader %d saw fence %v after %v", i, r, s.fence, prev.fence)
+				}
+				if j > 0 && prev.mode == W && s.mode != W {
+					t.Fatalf("handle %d: reader %d saw mode %v after W", i, r, s.mode)
+				}
+				if r%2 == 0 && s.mode != mode {
+					t.Fatalf("handle %d: reader %d saw %v with fence %v through one load; that fence was minted with %v", i, r, s.mode, s.fence, mode)
+				}
+				prev = s
+			}
+		}
+		if g := l.granted(); g.mode != W || g.fence != upgrade {
+			t.Fatalf("handle %d after the upgrade: %+v, want W with %v", i, g, upgrade)
+		}
+		last = upgrade
+		if err := l.Unlock(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -28,6 +28,7 @@ func FuzzServeConn(f *testing.F) {
 		"SESSION OPEN s 1ns\nLOCK a W\nSESSION RENEW\nSESSION CLOSE\nQUIT\n",
 		"SESSION OPEN s 30s\nLOCK x IR\nSESSIONS\nSESSION OPEN t\nSESSION CLOSE\nSESSION\nSESSION BOGUS\n",
 		"LOCK kept W\nSESSION OPEN s\nSESSION OPEN s 30s\n",
+		"SESSION OPEN s 18446744074\nLOCK a W\nSESSION CLOSE\nSESSION OPEN t 9223372037\nSESSION RENEW\n",
 		"STATS\nPEERS\nMEMBER LIST\nMEMBER ADD 127.0.0.1:1\nMEMBER REMOVE\nMEMBER\nMEMBER BOGUS\n",
 		"lock a w\r\nupgrade a\r\nunlock a\r\n",
 		"LOCK \x00 W\nUNLOCK \x00\nLOCK a \x00\n",

@@ -61,16 +61,17 @@
 //
 // # Wait-queue admission
 //
-// Exclusive-mode (U, W) requests for one resource collapse into a
-// single member-level waiter: the connection at the head of the queue
-// performs the protocol acquisition itself, bounded by its own
-// Server.Timeout, and the hold is then handed from client to client
-// locally in FIFO order, each hand-off minting a fresh fencing token —
-// 10k blocked clients on a hot lock cost O(1) protocol traffic per
-// grant. Beyond Server.MaxWaiters queued clients per (resource, mode),
-// LOCK answers "ERR busy". Shared modes (IR, R, IW) bypass the queue;
-// the member's shared-join fast path already grants them with zero
-// protocol traffic.
+// Every LOCK calls Member.Lock on the connection's goroutine, bounded by
+// Server.Timeout, and every UNLOCK calls Unlock. Local clients of one
+// lock wait in the member's FIFO admission queue, one operation at a
+// time; every release goes through the protocol engine, which serves a
+// request queued from another member in its turn, so local clients
+// cannot pass a lock among themselves while a remote writer waits. A
+// client whose timeout expires while it is queued answers ERR and the
+// slot passes on. Beyond Server.MaxWaiters exclusive-mode (U, W) clients
+// per (resource, mode) that hold nothing yet, LOCK answers "ERR busy";
+// shared modes (IR, R, IW) are not counted — the member's shared-join
+// fast path grants them with zero protocol traffic.
 package lockserver
 
 import (
@@ -80,6 +81,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"sort"
 	"strconv"
@@ -110,8 +112,9 @@ type Server struct {
 	Timeout time.Duration
 	// LeaseTTL is the default session lease TTL (0 = 30s).
 	LeaseTTL time.Duration
-	// MaxWaiters caps each (resource, mode) admission queue; beyond it
-	// LOCK answers ERR busy (0 = unbounded).
+	// MaxWaiters caps the exclusive-mode clients per (resource, mode)
+	// that hold nothing yet; beyond it LOCK answers ERR busy (0 =
+	// unbounded).
 	MaxWaiters int
 	// SweepInterval overrides the lease sweeper cadence (0 = LeaseTTL/4).
 	SweepInterval time.Duration
@@ -576,12 +579,11 @@ func (se *connState) lock(res, modeStr string) string {
 	if err != nil {
 		return fmt.Sprintf("ERR %v", err)
 	}
-	release := func() error { return se.mgr.Release(res, mode, l) }
-	h := session.NewHeld(res, mode.String(), fence, true, l, release)
+	h := session.NewHeld(res, mode.String(), fence, true, l, l.Unlock)
 	if err := se.sess.AddHeld(h); err != nil {
 		// The session was reaped while the grant was in flight: the
 		// lock must not outlive its lease.
-		_ = release()
+		_ = l.Unlock()
 		return fmt.Sprintf("ERR %v", err)
 	}
 	return fmt.Sprintf("OK %s %v fence=%s", res, mode, fence)
@@ -677,11 +679,15 @@ func (se *connState) ctx() (context.Context, context.CancelFunc) {
 }
 
 // parseTTL parses a client-supplied lease TTL: a Go duration ("30s")
-// or a bare integer second count.
+// or a bare integer second count, saturating at the largest Duration
+// (the session manager clamps any TTL above its MaxTTL).
 func parseTTL(s string) (time.Duration, error) {
 	if secs, err := strconv.Atoi(s); err == nil {
 		if secs <= 0 {
 			return 0, fmt.Errorf("ttl must be positive")
+		}
+		if secs > int(math.MaxInt64/time.Second) {
+			return math.MaxInt64, nil
 		}
 		return time.Duration(secs) * time.Second, nil
 	}

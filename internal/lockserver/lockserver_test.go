@@ -59,6 +59,18 @@ func (c *client) cmd(line string) string {
 	return c.rd.Text()
 }
 
+// try sends one command and returns its reply, for a client goroutine
+// that must not stop the test itself.
+func (c *client) try(line string) (string, error) {
+	if _, err := fmt.Fprintln(c.conn, line); err != nil {
+		return "", err
+	}
+	if !c.rd.Scan() {
+		return "", fmt.Errorf("connection closed: %v", c.rd.Err())
+	}
+	return c.rd.Text(), nil
+}
+
 func (c *client) mustOK(line string) string {
 	c.t.Helper()
 	resp := c.cmd(line)

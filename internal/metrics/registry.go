@@ -200,7 +200,7 @@ const (
 	MetricTokenHops = "hierlock_token_hops"
 
 	// MetricFenceTokens counts fencing tokens issued by the member
-	// (grants, upgrades, shared joins and session-tier hand-offs).
+	// (grants, upgrades and shared joins).
 	MetricFenceTokens = "hierlock_fence_tokens_issued_total"
 
 	// MetricSessionsOpen gauges named client sessions currently live on
@@ -223,21 +223,24 @@ const (
 	// owning session's lease expired.
 	MetricSessionLocksReaped = "hierlock_session_locks_reaped_total"
 
-	// MetricAdmissionWaiting gauges clients queued in the session tier's
-	// wait-queue admission (collapsed behind one member-level waiter per
-	// (resource, mode)).
+	// MetricAdmissionWaiting gauges the session tier's exclusive-mode
+	// clients that wait for a lock and hold nothing yet: the population
+	// the per-(resource, mode) waiter cap bounds.
 	MetricAdmissionWaiting = "hierlock_admission_waiting"
-	// MetricAdmissionEnqueued counts clients that entered an admission
-	// queue.
+	// MetricAdmissionEnqueued counts exclusive-mode client acquisitions
+	// admitted under the waiter cap.
 	MetricAdmissionEnqueued = "hierlock_admission_enqueued_total"
-	// MetricAdmissionHandoffs counts grants satisfied by handing the
-	// member-level hold to the next local waiter (zero protocol traffic).
+	// MetricAdmissionHandoffs named a counter of grants passed from one
+	// local client to the next without a release. No code registers it.
+	//
+	// Deprecated: every release goes through the engine; removed when the
+	// benchmark harness stops reading it.
 	MetricAdmissionHandoffs = "hierlock_admission_handoffs_total"
-	// MetricAdmissionLeaderAcquires counts member-level acquisitions
-	// performed by admission-queue leaders on behalf of their queues.
+	// MetricAdmissionLeaderAcquires counts member-level exclusive-mode
+	// acquisitions made for the session tier's clients.
 	MetricAdmissionLeaderAcquires = "hierlock_admission_leader_acquires_total"
 	// MetricAdmissionBusy counts requests rejected with ERR busy because
-	// the admission queue hit its configured depth cap.
+	// their (resource, mode) already had the configured cap of waiters.
 	MetricAdmissionBusy = "hierlock_admission_busy_rejections_total"
 )
 

@@ -3,12 +3,12 @@
 package session_test
 
 // Allocation guard for the uncontended exclusive path through the
-// admission queue. Member.Lock/Unlock costs 2 objects per operation
-// (member_alloc_test.go in the root package); the session tier may add
-// one, the queue's table entry — a client that finds the queue idle
-// leads inline, with no waiter, channel, context or goroutine of its
-// own. The race detector's instrumentation defeats
-// testing.AllocsPerRun, so this compiles out under -race.
+// session tier. A resident Member.Lock/Unlock pair allocates one object,
+// the 64-byte Lock handle (member_alloc_test.go in the root package); the
+// tier adds none — its waiting count is a map entry, and deleting and
+// re-inserting a key reuses the map's storage. The race detector's
+// instrumentation defeats testing.AllocsPerRun, so this compiles out
+// under -race.
 
 import (
 	"context"
@@ -23,7 +23,7 @@ func TestSessionAcquireReleaseAllocs(t *testing.T) {
 	mgr, m, _ := newMemberManager(t, session.Config{DefaultTTL: time.Minute})
 	acq := acquirer(m, "alloc-guard", hierlock.W)
 	ctx := context.Background()
-	const budget = 3 // BenchmarkSessionAcquireRelease allocs/op
+	const budget = 1 // BenchmarkSessionAcquireRelease allocs/op
 	got := testing.AllocsPerRun(500, func() {
 		l, _, err := mgr.Acquire(ctx, "alloc-guard", hierlock.W, acq)
 		if err != nil {

@@ -10,11 +10,10 @@ import (
 )
 
 // BenchmarkSessionAcquireRelease is the uncontended exclusive path
-// through the admission queue: one client takes and releases a W lock on
-// a resident key of a single-member cluster, so the client leads every
-// time and the figure is the session tier's cost on top of
-// Member.Lock/Unlock (BenchmarkMemberMultiLockContended/goroutines-1 in
-// the root package is the same loop without it).
+// through the session tier: one client takes and releases a W lock on a
+// resident key of a single-member cluster, so the figure is the tier's
+// cost on top of Member.Lock/Unlock (BenchmarkMemberMultiLockContended/
+// goroutines-1 in the root package is the same loop without it).
 func BenchmarkSessionAcquireRelease(b *testing.B) {
 	mgr, m, _ := newMemberManager(b, session.Config{DefaultTTL: time.Minute})
 	acq := acquirer(m, "bench", hierlock.W)

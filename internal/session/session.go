@@ -12,23 +12,18 @@
 //     re-adopts the live session and keeps its locks and handles.
 //
 //   - Fencing tokens. Every grant carries the member's FenceToken; the
-//     session tier records it per held lock and re-stamps on hand-off,
-//     so a storage system can reject writes from a holder whose lease
-//     was reaped.
+//     session tier records it per held lock, so a storage system can
+//     reject writes from a holder whose lease was reaped.
 //
-//   - Wait-queue admission. Exclusive-mode (U, W) requests for the same
-//     resource collapse into one member-level waiter. The head of the
-//     queue leads on its own goroutine: a client that finds the queue
-//     idle performs the protocol acquisition inline, under its own
-//     deadline, with no helper goroutine or channel in the way. Clients
-//     that arrive meanwhile park, and the hold is handed from client to
-//     client locally (Refence mints each new owner's token). 10k
-//     blocked clients on one hot lock therefore cost O(1) protocol
-//     traffic per grant instead of O(n). Only when the hold is really
-//     released, or a lead attempt fails, with clients still parked does
-//     the baton ("your turn to lead") pass to the next of them. Shared
-//     modes (IR, R, IW) bypass the queue — the member's shared-join
-//     fast path already grants them with zero protocol traffic.
+//   - Admission control. Every acquisition runs Member.Lock inline on
+//     the client's goroutine, under the client's own deadline, and every
+//     release is Unlock: the member's per-lock admission FIFO is the one
+//     local queue, and its engine serves a queued remote request in turn.
+//     Exclusive-mode (U, W) clients that hold nothing yet are counted per
+//     (resource, mode); beyond MaxWaiters of them an acquisition fails
+//     with ErrBusy. Shared modes (IR, R, IW) are not counted — the
+//     member's shared-join fast path grants them with zero protocol
+//     traffic.
 package session
 
 import (
@@ -44,8 +39,8 @@ import (
 
 // Tier errors, surfaced verbatim to protocol clients.
 var (
-	// ErrBusy rejects an acquisition when the admission queue for the
-	// (resource, mode) pair is at its configured depth cap.
+	// ErrBusy rejects an acquisition when the (resource, mode) pair
+	// already has its configured cap of clients waiting.
 	ErrBusy = errors.New("busy: admission queue full")
 	// ErrExpired fails operations on a session whose lease was reaped.
 	ErrExpired = errors.New("session expired")
@@ -68,8 +63,9 @@ type Config struct {
 	DefaultTTL time.Duration
 	// MaxTTL caps client-requested TTLs (default 10×DefaultTTL).
 	MaxTTL time.Duration
-	// MaxWaiters caps each (resource, mode) admission queue; beyond it
-	// acquisitions fail with ErrBusy. 0 means unbounded.
+	// MaxWaiters caps the exclusive-mode clients per (resource, mode)
+	// that hold nothing yet; beyond it acquisitions fail with ErrBusy. 0
+	// means unbounded.
 	MaxWaiters int
 	// SweepInterval is the lease sweeper's cadence (default
 	// DefaultTTL/4, clamped to [10ms, 1s]).
@@ -83,14 +79,16 @@ type Config struct {
 	Now func() time.Time
 }
 
-// Manager owns every session and admission queue of one lockd.
+// Manager owns every session and the admission counts of one lockd.
 type Manager struct {
 	cfg Config
 
 	mu       sync.Mutex
 	sessions map[string]*Session
-	queues   map[qkey]*queue
-	closed   bool
+	// waiting counts, per (resource, mode), the exclusive-mode clients
+	// inside Acquire; a pair leaves the map when its count drops to 0.
+	waiting map[qkey]int
+	closed  bool
 
 	done    chan struct{}
 	sweepWG sync.WaitGroup
@@ -103,7 +101,6 @@ type Manager struct {
 	renewals  *metrics.Counter
 	reaped    *metrics.Counter
 	enqueued  *metrics.Counter
-	handoffs  *metrics.Counter
 	leaderAcq *metrics.Counter
 	busy      *metrics.Counter
 }
@@ -131,7 +128,7 @@ func NewManager(cfg Config) *Manager {
 	m := &Manager{
 		cfg:      cfg,
 		sessions: make(map[string]*Session),
-		queues:   make(map[qkey]*queue),
+		waiting:  make(map[qkey]int),
 		done:     make(chan struct{}),
 	}
 	if reg := cfg.Registry; reg != nil {
@@ -148,13 +145,11 @@ func NewManager(cfg Config) *Manager {
 		m.reaped = reg.Counter(metrics.MetricSessionLocksReaped,
 			"Locks force-released because their session's lease expired.", nil)
 		m.enqueued = reg.Counter(metrics.MetricAdmissionEnqueued,
-			"Clients that entered a wait-queue admission queue.", nil)
-		m.handoffs = reg.Counter(metrics.MetricAdmissionHandoffs,
-			"Grants satisfied by handing the member hold to the next local waiter.", nil)
+			"Exclusive-mode client acquisitions admitted under the waiter cap.", nil)
 		m.leaderAcq = reg.Counter(metrics.MetricAdmissionLeaderAcquires,
-			"Member-level acquisitions performed by the head of an admission queue.", nil)
+			"Member-level exclusive-mode acquisitions made for clients.", nil)
 		m.busy = reg.Counter(metrics.MetricAdmissionBusy,
-			"Acquisitions rejected at the admission-queue depth cap.", nil)
+			"Acquisitions rejected at the waiter cap.", nil)
 		reg.Collect(metrics.MetricSessionsOpen,
 			"Named client sessions currently live.", "gauge",
 			func(emit func(metrics.Labels, float64)) {
@@ -164,12 +159,12 @@ func NewManager(cfg Config) *Manager {
 				emit(nil, float64(n))
 			})
 		reg.Collect(metrics.MetricAdmissionWaiting,
-			"Clients queued in wait-queue admission.", "gauge",
+			"Exclusive-mode clients waiting for a lock and holding nothing yet.", "gauge",
 			func(emit func(metrics.Labels, float64)) {
 				m.mu.Lock()
 				n := 0
-				for _, q := range m.queues {
-					n += q.depth()
+				for _, c := range m.waiting {
+					n += c
 				}
 				m.mu.Unlock()
 				emit(nil, float64(n))
@@ -338,8 +333,7 @@ func (m *Manager) logf(msg string, kv ...any) {
 }
 
 // Held is one lock a session holds: the protocol-level key, the handle
-// metadata, and the release closure (a direct Unlock, or a routing
-// through the admission queue for hand-off).
+// metadata, and the release closure (the handle's Unlock).
 type Held struct {
 	// Key is the session-scoped name: the resource for plain locks,
 	// "path:<segments>" for path locks, "set:<resources>" for sets.
@@ -495,8 +489,8 @@ func (s *Session) Release(key string) error {
 }
 
 // ReleaseAll releases every held lock, returning the number of entries
-// drained. Releases run outside the session mutex (they may traverse
-// the admission queues and the member protocol).
+// drained. Releases run outside the session mutex (they may run the
+// member protocol).
 func (s *Session) ReleaseAll() int {
 	s.mu.Lock()
 	held := s.held

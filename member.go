@@ -501,8 +501,8 @@ type telemetry struct {
 	queueWait *metrics.Histogram
 	tokenHops *metrics.Histogram
 
-	// fences counts fencing tokens minted (grants, upgrades, shared
-	// joins and session-tier hand-offs).
+	// fences counts fencing tokens minted (grants, upgrades and shared
+	// joins).
 	fences *metrics.Counter
 
 	// Recovery-phase instrumentation (all nil-safe no-ops without a
@@ -2081,10 +2081,10 @@ type Lock struct {
 	upgrading bool
 
 	// mode and fence are the grant event the handle was built with, never
-	// written again; latest is the most recent one since (a successful
-	// upgrade or a session-tier Refence), nil until there is one. Each is
-	// immutable once published, so Mode and Fence take no mutex, and a mode
-	// and a fence read through one granted call belong to one grant event.
+	// written again; latest is the one a successful upgrade recorded since,
+	// nil until there is one. Each is immutable once published, so Mode and
+	// Fence take no mutex, and a mode and a fence read through one granted
+	// call belong to one grant event.
 	mode   Mode
 	fence  FenceToken
 	latest atomic.Pointer[grantEvent]
@@ -2117,39 +2117,9 @@ func (l *Lock) Resource() string { return l.resource }
 func (l *Lock) Mode() Mode { return l.granted().mode }
 
 // Fence returns the fencing token minted with the handle's most recent
-// grant event (acquire, successful upgrade, or Refence). See FenceToken
-// for the ordering contract.
+// grant event (acquire or successful upgrade). See FenceToken for the
+// ordering contract.
 func (l *Lock) Fence() FenceToken { return l.granted().fence }
-
-// Refence mints a fresh fencing token for the current hold without a
-// release/re-acquire round trip. The session tier uses it to hand a
-// member-level hold from one waiting client to the next: the new owner
-// gets a strictly larger token while the member-level hold — and its
-// protocol state — never moves. It fails with ErrLockLost if the hold
-// was demolished by a recovery reseed, and refuses to re-stamp a handle
-// with an upgrade in flight (the caller falls back to a real Unlock,
-// which the releaseOnUpgrade machinery handles).
-func (l *Lock) Refence() (FenceToken, error) {
-	m, sh, ls := l.sh.m, l.sh, l.ls
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if l.released {
-		return FenceToken{}, ErrReleased
-	}
-	if l.upgrading {
-		return FenceToken{}, fmt.Errorf("hierlock: refence with upgrade in flight")
-	}
-	h := ls.hold
-	if h == nil || h.lost {
-		return FenceToken{}, ErrLockLost
-	}
-	if h.upgrading {
-		return FenceToken{}, fmt.Errorf("hierlock: refence with upgrade in flight")
-	}
-	f := m.mintFence(sh, ls)
-	l.regrant(l.granted().mode, f)
-	return f, nil
-}
 
 // Unlock releases the lock. When several local clients share the hold
 // (self-compatible modes), only the last Unlock releases it for real. If

@@ -15,6 +15,10 @@
 #     median is worse than the base median by more than both the base
 #     inter-quartile distance and 10 %; the exit status is then 1.
 #
+# Each input file is one pass. With more than one, only the last is
+# printed, and a name counts as regressed only when every pass flagged
+# it: the gate's confirmation pass re-runs what the first one flagged.
+#
 # A row named "failed" must hold 0 and one named "correct" must hold
 # "true": they check a run and are not summarized. Any other value is
 # printed and makes the exit status 1.
@@ -23,6 +27,8 @@ BEGIN {
 	split(higher, hi, " ")
 	for (i in hi) up[hi[i]] = 1
 }
+
+FNR == 1 { p++ }
 
 $3 == "failed" || $3 == "correct" {
 	if ($3 == "failed" ? $4 != "0" : $4 != "true") {
@@ -38,8 +44,8 @@ $3 == "failed" || $3 == "correct" {
 		order[++names] = $3
 		if (length($3) > w) w = length($3)
 	}
-	v[$1, $2, $3] = $4 + 0
-	if ($2 + 0 > n) n = $2 + 0
+	v[p, $1, $2, $3] = $4 + 0
+	if ($2 + 0 > n[p]) n[p] = $2 + 0
 }
 
 function sort(a, k,    i, j, t) {
@@ -58,42 +64,48 @@ function quantile(a, k, p,    r, i) {
 END {
 	row = "%-" w "s %11s %11s %11s %11s %8s %5s %5s  %s\n"
 	num = "%-" w "s %11.4g %11.4g %11.4g %11.4g %+7.1f%% %2d/%-2d %2d/%-2d  %s\n"
+	if (p > 1) printf "\npass %d of %d", p, p
 	printf "\n" row, "", "base Q1", "base median", "base Q3", "change med.", "change", "won", "lost", "verdict"
 	for (o = 1; o <= names; o++) {
 		name = order[o]
-		kb = kx = np = won = lost = 0
-		for (i = 1; i <= n; i++) {
-			if (("base", i, name) in v) b[++kb] = v["base", i, name]
-			if (("change", i, name) in v) x[++kx] = v["change", i, name]
-			if (!(("base", i, name) in v) || !(("change", i, name) in v)) continue
-			np++
-			d = v["change", i, name] - v["base", i, name]
-			if (name in up) d = -d
-			if (d < 0) won++
-			else if (d > 0) lost++
-		}
-		if (!kb || !kx) {
-			printf row, name, "", "", "", "", "", "", "", kb ? "base only" : "change only"
-			continue
-		}
-		sort(b, kb)
-		sort(x, kx)
-		q1 = quantile(b, kb, 0.25)
-		mb = quantile(b, kb, 0.5)
-		q3 = quantile(b, kb, 0.75)
-		mx = quantile(x, kx, 0.5)
-		worse = (name in up) ? mb - mx : mx - mb
-		if (gate) {
-			verdict = "ok"
-			if (lost * 10 >= 8 * np && worse > q3 - q1 && worse > 0.10 * mb) {
-				verdict = "REGRESSED"
-				regressed = regressed " " name
+		for (q = 1; q <= p; q++) {
+			kb = kx = np = won = lost = 0
+			for (i = 1; i <= n[q]; i++) {
+				if ((q, "base", i, name) in v) b[++kb] = v[q, "base", i, name]
+				if ((q, "change", i, name) in v) x[++kx] = v[q, "change", i, name]
+				if (!((q, "base", i, name) in v) || !((q, "change", i, name) in v)) continue
+				np++
+				d = v[q, "change", i, name] - v[q, "base", i, name]
+				if (name in up) d = -d
+				if (d < 0) won++
+				else if (d > 0) lost++
 			}
-		} else {
-			verdict = won * 10 >= 9 * np && (worse < 0 ? -worse : worse) > q3 - q1 ? "resolved" : "unresolved"
+			if (!kb || !kx) {
+				if (q == p && (kb || kx)) printf row, name, "", "", "", "", "", "", "", kb ? "base only" : "change only"
+				continue
+			}
+			sort(b, kb)
+			sort(x, kx)
+			q1 = quantile(b, kb, 0.25)
+			mb = quantile(b, kb, 0.5)
+			q3 = quantile(b, kb, 0.75)
+			mx = quantile(x, kx, 0.5)
+			worse = (name in up) ? mb - mx : mx - mb
+			if (gate) {
+				verdict = "ok"
+				if (lost * 10 >= 8 * np && worse > q3 - q1 && worse > 0.10 * mb) {
+					verdict = "REGRESSED"
+					flagged[name]++
+				}
+			} else {
+				verdict = won * 10 >= 9 * np && (worse < 0 ? -worse : worse) > q3 - q1 ? "resolved" : "unresolved"
+			}
+			if (q == p) printf num, name, q1, mb, q3, mx, mb ? 100 * (mx - mb) / mb : 0, won, np, lost, np, verdict
 		}
-		printf num, name, q1, mb, q3, mx, mb ? 100 * (mx - mb) / mb : 0, won, np, lost, np, verdict
+		if (flagged[name] == p) regressed = regressed " " name
+		else if (flagged[name]) cleared = cleared " " name
 	}
+	if (cleared != "") print "\nnot confirmed:" cleared
 	if (regressed != "") {
 		print "\nregressed:" regressed
 		bad = 1

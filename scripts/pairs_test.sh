@@ -17,12 +17,22 @@ tsv() {
 	for v in $3; do printf 'change\t%d\t%s\t%s\n' $((++i)) "$1" "$v"; done
 }
 
-# check EXIT TEXT WHAT AWK-ARGS...: run pairs.awk on stdin and expect its
-# exit status to be EXIT and its output to contain TEXT.
+# check EXIT TEXT WHAT [-v VAR=VALUE]... [PASS-FILE]...: run pairs.awk on
+# the pass files, or on stdin, and expect its exit status to be EXIT and
+# its output to contain TEXT.
 check() {
-	local want=$1 text=$2 what=$3 out status=0
+	local want=$1 text=$2 what=$3 out status=0 opts=() files=()
 	shift 3
-	out=$(awk "$@" -f "$summary") || status=$?
+	while (($#)); do
+		if [[ $1 == -v ]]; then
+			opts+=("$1" "$2")
+			shift
+		else
+			files+=("$1")
+		fi
+		shift
+	done
+	out=$(awk "${opts[@]}" -f "$summary" "${files[@]}") || status=$?
 	if [[ $status != "$want" || $out != *"$text"* ]]; then
 		printf 'FAIL %s: exit %s (want %s), "%s" wanted in:\n%s\n' "$what" "$status" "$want" "$text" "$out" >&2
 		failed=1
@@ -46,6 +56,17 @@ check 0 " 0/10  7/10  ok" "3 ties count for neither side" -v gate=1 \
 	< <(tsv BenchmarkX "$tight" "130 131 129 130 132 128 130 101 99 100")
 check 0 "base only" "a benchmark the change no longer has" -v gate=1 \
 	< <(tsv BenchmarkX "$tight" "")
+
+# The confirmation pass: a benchmark fails the gate only when the re-run
+# of what the first pass flagged flags it again.
+slow="120 121 119 120 122 118 120 121 119 120"
+aa="99 102 100 101 101 99 99 102 98 99"
+check 0 "not confirmed: BenchmarkX" "flagged once, then passes" -v gate=1 \
+	<(tsv BenchmarkX "$tight" "$slow"; tsv BenchmarkY "$tight" "$aa") <(tsv BenchmarkX "$tight" "$aa")
+check 1 "regressed: BenchmarkX" "flagged twice" -v gate=1 \
+	<(tsv BenchmarkX "$tight" "$slow"; tsv BenchmarkY "$tight" "$aa") <(tsv BenchmarkX "$tight" "$slow")
+check 0 "pass 2 of 2" "the confirmation pass is what is printed" -v gate=1 \
+	<(tsv BenchmarkX "$tight" "$slow") <(tsv BenchmarkX "$tight" "$aa")
 
 check 0 "10/10  0/10  resolved" "ops_per_s higher in 10 of 10 pairs" -v higher=ops_per_s \
 	< <(tsv ops_per_s "$tight" "120 121 119 120 122 118 120 121 119 120")

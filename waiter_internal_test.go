@@ -39,11 +39,10 @@ func waitParked(t *testing.T, m *Member) {
 	waitEntry(t, m, "client parked", func(registered, parked, _ bool) bool { return registered && parked })
 }
 
-// TestReusedWaiterStates is the member-level half of the admission
-// waiter enumeration (internal/session TestAdmissionWaiterStates): the
-// waiter and its wake-up channel are the lock entry's own storage,
-// re-armed per request, so a wait that ends by cancel, deadline,
-// RecoveryTimeout or Close while its grant races in must leave nothing
+// TestReusedWaiterStates enumerates the protocol wait: the waiter and
+// its wake-up channel are the lock entry's own storage, re-armed per
+// request, so a wait that ends by cancel, deadline, RecoveryTimeout or
+// Close while its grant races in must leave nothing
 // behind for the next request. Each round parks a victim on the slow
 // path (a Lock behind a remote W holder, or an Upgrade behind a remote
 // reader), fires the event, and releases the remote hold a little later
@@ -266,10 +265,9 @@ func settle(t *testing.T, who string, done chan lockResult, want error, orGrant 
 	}
 }
 
-// TestSlotBlockedWaiterStates enumerates the third waiter layer, after
-// the session tier's queue (TestAdmissionWaiterStates) and the protocol
-// wait (TestReusedWaiterStates): a client queued for a lock's admission
-// slot behind a local W holder. The victim gives up — cancel, deadline,
+// TestSlotBlockedWaiterStates enumerates the local waiter layer, beside
+// the protocol wait (TestReusedWaiterStates): a client queued for a
+// lock's admission slot behind a local W holder. The victim gives up — cancel, deadline,
 // Close — either while the holder still holds (it dequeues itself) or as
 // the holder releases, the release a little later each round so that the
 // pop sweeps across the event (a victim popped before it gives up owns
