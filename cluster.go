@@ -81,16 +81,11 @@ type TCPMemberConfig struct {
 	// that will Join a running cluster starts with an empty map and
 	// learns the peer set from the seed's JoinAck.
 	Peers map[int]string
-	// DialTimeout bounds connection attempts (default 5s).
-	DialTimeout time.Duration
 	// RedialBackoff is the initial wait before reconnecting to an
 	// unreachable peer; consecutive failures back off exponentially (with
 	// jitter) up to RedialBackoffMax. Defaults: 100ms and 5s.
 	RedialBackoff    time.Duration
 	RedialBackoffMax time.Duration
-	// DownAfter is the number of consecutive connection failures after
-	// which a peer is reported down (default 3).
-	DownAfter int
 	// QueueLimit bounds each per-peer outbound queue and the inbound
 	// delivery queue; 0 means unbounded. At the limit, sends fail rather
 	// than buffering without bound.
@@ -114,12 +109,11 @@ type TCPMemberConfig struct {
 	// lock forever, the pre-recovery behavior. All members of one cluster
 	// should agree on this setting.
 	HeartbeatInterval time.Duration
-	// SuspectAfter and ConfirmAfter tune the detector (defaults 4× and 8×
-	// HeartbeatInterval). ConfirmAfter must comfortably exceed the worst
-	// expected stall of a healthy peer — GC pause, scheduling hiccup,
+	// ConfirmAfter is the silence after which the detector confirms a peer
+	// dead (default 8× HeartbeatInterval). It must comfortably exceed the
+	// worst expected stall of a healthy peer — GC pause, scheduling hiccup,
 	// transient partition: a false confirmation fences a live node out of
 	// the new epoch and its holds surface as ErrLockLost.
-	SuspectAfter time.Duration
 	ConfirmAfter time.Duration
 	// ProbeTimeout is the regenerator's re-probe interval for survivors
 	// that have not answered during a recovery round (default 1s).
@@ -203,10 +197,8 @@ func NewTCPMember(cfg TCPMemberConfig) (*Member, error) {
 		Self:             proto.NodeID(cfg.ID),
 		ListenAddr:       cfg.ListenAddr,
 		Peers:            peers,
-		DialTimeout:      cfg.DialTimeout,
 		RedialBackoff:    cfg.RedialBackoff,
 		RedialBackoffMax: cfg.RedialBackoffMax,
-		DownAfter:        cfg.DownAfter,
 		QueueLimit:       cfg.QueueLimit,
 	}
 	if cb := cfg.OnPeerState; cb != nil {
@@ -218,7 +210,6 @@ func NewTCPMember(cfg TCPMemberConfig) (*Member, error) {
 	var mref atomic.Pointer[Member]
 	if cfg.HeartbeatInterval > 0 {
 		tcfg.HeartbeatInterval = cfg.HeartbeatInterval
-		tcfg.SuspectAfter = cfg.SuspectAfter
 		tcfg.ConfirmAfter = cfg.ConfirmAfter
 		// The detector callbacks fire on transport goroutines, possibly
 		// before NewTCPMember returns; they resolve the member through an

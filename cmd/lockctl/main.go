@@ -14,15 +14,15 @@
 //	lockctl -addr host:8400 -i
 //
 // Trace inspection (talks to lockd's -debug HTTP listener, not the text
-// protocol): fetch the protocol trace, reassemble per-request spans and
-// print each request's lifecycle including the token's travel path:
+// protocol): fetch one node's protocol trace and print each operation's
+// causal path, keyed by the trace IDs the wire protocol propagates —
+// its message hops, the token's travel among them:
 //
 //	lockctl trace -debug host:9400 -n 500 -v
 //
-// Cluster mode fetches every listed node's buffer and reconstructs each
-// request's full cross-node causal path (request hops, freezes, the
-// grant or token travelling back) keyed by the trace IDs the wire
-// protocol propagates:
+// Cluster mode fetches every listed node's buffer and merges them, so
+// each path covers every node the operation touched (request hops,
+// freezes, the grant or token travelling back):
 //
 //	lockctl trace --cluster -debug h1:9400,h2:9401,h3:9402
 //	lockctl trace --cluster -debug h1:9400 -remote   # let h1 fetch its peers
@@ -203,10 +203,9 @@ func main() {
 	}
 }
 
-// traceCmd fetches /debug/trace from one or more lockd debug listeners.
-// Single-node mode reassembles the node's entries into per-request spans;
-// --cluster mode merges every node's buffer and reconstructs each
-// request's cross-node causal path by trace ID.
+// traceCmd fetches /debug/trace from one or more lockd debug listeners
+// and prints each operation's causal path, keyed by its trace ID: from
+// one node's buffer, or with --cluster from every node's, merged.
 func traceCmd(args []string) {
 	fs := flag.NewFlagSet("trace", flag.ExitOnError)
 	var (
@@ -215,14 +214,16 @@ func traceCmd(args []string) {
 		remote  = fs.Bool("remote", false, "with --cluster: ask the first node to fetch the rest (server-side peer merge)")
 		filter  = fs.String("trace", "", "show only the causal path of this trace ID (e.g. n2.50)")
 		n       = fs.Int("n", 0, "fetch only the most recent n entries per node (0 = all retained)")
-		verbose = fs.Bool("v", false, "print every retained step of each span/path")
+		verbose = fs.Bool("v", false, "print every retained step of each path")
 		timeout = fs.Duration("timeout", 10*time.Second, "HTTP timeout")
 	)
 	_ = fs.Parse(args)
 
 	client := &http.Client{Timeout: *timeout}
 	if *cluster {
-		clusterTrace(client, strings.Split(*debug, ","), *n, *remote, *filter, *verbose)
+		nodes := fetchCluster(client, strings.Split(*debug, ","), *n, *remote)
+		shown := printPaths(nodes, *filter, *verbose)
+		fmt.Printf("%d node buffers merged, %d causal paths\n", len(nodes), shown)
 		return
 	}
 
@@ -230,21 +231,18 @@ func traceCmd(args []string) {
 	if err := lockserver.GetJSON(client, *debug, tracePath(*n), &dump); err != nil {
 		fatalf("fetch trace: %v", err)
 	}
-	spans := trace.Assemble(dump.Entries)
-	for _, sp := range spans {
-		fmt.Print(sp.Format(*verbose))
-	}
+	shown := printPaths([]trace.Dump{dump}, *filter, *verbose)
 	state := "live"
 	if !dump.Enabled {
 		state = "frozen"
 	}
-	fmt.Printf("%d entries retained (%d evicted), %d spans, view %s\n",
-		len(dump.Entries), dump.Dropped, len(spans), state)
+	fmt.Printf("%d entries retained (%d evicted), %d causal paths, view %s\n",
+		len(dump.Entries), dump.Dropped, shown, state)
 }
 
-// clusterTrace gathers every node's buffer — directly, or via the first
-// node's server-side peer merge — and prints causal paths.
-func clusterTrace(client *http.Client, addrs []string, n int, remote bool, filter string, verbose bool) {
+// fetchCluster gathers every node's buffer — directly, or via the first
+// node's server-side peer merge.
+func fetchCluster(client *http.Client, addrs []string, n int, remote bool) []trace.Dump {
 	var cd trace.ClusterDump
 	if remote {
 		if len(addrs) == 0 {
@@ -273,7 +271,12 @@ func clusterTrace(client *http.Client, addrs []string, n int, remote bool, filte
 	if len(cd.Nodes) == 0 {
 		fatalf("no node buffers fetched")
 	}
+	return cd.Nodes
+}
 
+// printPaths assembles the dumps' causal paths and prints them, or only
+// the one whose trace ID is filter, and returns how many it printed.
+func printPaths(dumps []trace.Dump, filter string, verbose bool) int {
 	var want proto.TraceID
 	if filter != "" {
 		var err error
@@ -281,9 +284,8 @@ func clusterTrace(client *http.Client, addrs []string, n int, remote bool, filte
 			fatalf("bad -trace %q: %v", filter, err)
 		}
 	}
-	paths := trace.AssembleCausal(cd.Nodes)
 	shown := 0
-	for _, p := range paths {
+	for _, p := range trace.AssembleCausal(dumps) {
 		if filter != "" && p.Trace != want {
 			continue
 		}
@@ -293,7 +295,7 @@ func clusterTrace(client *http.Client, addrs []string, n int, remote bool, filte
 	if filter != "" && shown == 0 {
 		fatalf("trace %s not found in any fetched buffer", want)
 	}
-	fmt.Printf("%d node buffers merged, %d causal paths\n", len(cd.Nodes), shown)
+	return shown
 }
 
 // tracePath is /debug/trace for the most recent n entries (0 = all).

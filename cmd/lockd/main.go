@@ -57,7 +57,6 @@ func main() {
 		debug      = flag.String("debug", "", "debug HTTP listen address for /healthz, /stats, /metrics, /debug/health, /debug/trace, /debug/audit, /debug/locks, /debug/blackbox, /debug/profile and /debug/pprof (disabled if empty)")
 
 		traceBuf   = flag.Int("trace-buf", 4096, "protocol trace ring size in entries (0 disables tracing)")
-		netLatency = flag.Duration("net-latency", 150*time.Millisecond, "mean point-to-point network latency, the unit of the latency-factor histogram")
 		auditOn    = flag.Bool("audit", true, "run the online protocol invariant auditor (requires -trace-buf > 0)")
 		bbBuf      = flag.Int("blackbox-buf", 4096, "flight-recorder ring size in events of its own (round transitions, fsync stalls, evictions, lost holds; grants and token hops are read from the -trace-buf ring); 0 disables the black box")
 		bbInterval = flag.Duration("blackbox-interval", 5*time.Second, "minimum spacing between automatic flight-recorder dumps per trigger reason")
@@ -71,7 +70,6 @@ func main() {
 		redialMax  = flag.Duration("redial-max", 0, "redial backoff cap (default 5s)")
 
 		heartbeat       = flag.Duration("heartbeat", 0, "peer heartbeat interval; enables crash detection and token regeneration (0 disables, all members should agree)")
-		suspectAfter    = flag.Duration("suspect-after", 0, "silence before a peer is suspected (default 4x -heartbeat)")
 		confirmAfter    = flag.Duration("confirm-after", 0, "silence before a peer is confirmed dead and recovery starts; must exceed worst-case GC/network stalls (default 8x -heartbeat)")
 		recoveryTimeout = flag.Duration("recovery-timeout", 0, "abandon a lock operation with no grant after this long (0 = wait forever)")
 		recoveryQuorum  = flag.Int("recovery-quorum", 0, "fenced participants required to commit a regeneration round: 0 = majority of the cluster, -1 disables the gate, >0 explicit threshold")
@@ -152,7 +150,6 @@ func main() {
 		RedialBackoff:     *redial,
 		RedialBackoffMax:  *redialMax,
 		HeartbeatInterval: *heartbeat,
-		SuspectAfter:      *suspectAfter,
 		ConfirmAfter:      *confirmAfter,
 		RecoveryTimeout:   *recoveryTimeout,
 		RecoveryQuorum:    *recoveryQuorum,
@@ -163,11 +160,10 @@ func main() {
 			logger.Info("peer state changed", "peer", peer, "state", state)
 		},
 		Telemetry: &hierlock.Telemetry{
-			Registry:       reg,
-			Trace:          rec,
-			NetLatencyBase: *netLatency,
-			Logger:         logger,
-			Blackbox:       bb,
+			Registry: reg,
+			Trace:    rec,
+			Logger:   logger,
+			Blackbox: bb,
 		},
 	})
 	if err != nil {

@@ -35,7 +35,6 @@ func bootDurableMember(t *testing.T, id int, addrs map[int]string, dataDir strin
 		DataDir:           dataDir,
 		RedialBackoff:     20 * time.Millisecond,
 		HeartbeatInterval: 25 * time.Millisecond,
-		SuspectAfter:      200 * time.Millisecond,
 		ConfirmAfter:      500 * time.Millisecond,
 		ProbeTimeout:      150 * time.Millisecond,
 		RecoveryTimeout:   30 * time.Second,

@@ -1,6 +1,7 @@
 package cluster_test
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -88,8 +89,8 @@ func TestTracedRun(t *testing.T) {
 
 // TestSimTelemetry drives a deterministic 3-node acquisition through the
 // simulator with a recorder attached and checks that the reconstructed
-// span has the canonical acquire→token→grant shape with the token
-// travelling 0 → 2 — the shape the live runtime's spans take
+// causal path has the canonical acquire→token→grant shape with the token
+// travelling 0 → 2 — the shape the live runtime's paths take
 // (TestLiveTelemetrySpan at the repo root).
 func TestSimTelemetry(t *testing.T) {
 	rec := trace.New(1 << 12)
@@ -110,28 +111,53 @@ func TestSimTelemetry(t *testing.T) {
 		t.Fatal("request never granted")
 	}
 
-	spans := trace.Assemble(rec.Entries())
-	if len(spans) != 1 {
-		t.Fatalf("spans = %d, want 1", len(spans))
+	p := acquirePath(t, rec)
+	if !p.Complete || p.Origin != 2 || p.Lock != 7 || p.Mode != modes.W {
+		t.Fatalf("path: %+v", p)
 	}
-	sp := spans[0]
-	if !sp.Complete || sp.Node != 2 || sp.Lock != 7 || sp.Mode != modes.W {
-		t.Fatalf("span: %+v", sp)
+	if p.End <= p.Start {
+		t.Fatalf("path duration = %v", p.End-p.Start)
 	}
-	if sp.Duration() <= 0 {
-		t.Fatalf("span duration = %v", sp.Duration())
-	}
-	if path := sp.TokenPath(); len(path) != 2 || path[0] != 0 || path[1] != 2 {
-		t.Fatalf("token path = %v, want [0 2]", path)
+	if path := tokenPath(p); len(path) != 1 || path[0] != [2]proto.NodeID{0, 2} {
+		t.Fatalf("token path = %v, want [0 → 2]", path)
 	}
 }
 
-// TestSimTelemetryDeterministic reconstructs the same span shape from
+// acquirePath is the causal path of the one acquire in rec.
+func acquirePath(t *testing.T, rec *trace.Recorder) *trace.CausalPath {
+	t.Helper()
+	var found *trace.CausalPath
+	for _, p := range trace.AssembleCausal([]trace.Dump{rec.DumpLast(0)}) {
+		if p.Steps[0].Op == trace.OpAcquire {
+			if found != nil {
+				t.Fatalf("two acquire paths: %v and %v", found.Trace, p.Trace)
+			}
+			found = p
+		}
+	}
+	if found == nil {
+		t.Fatalf("no acquire path in:\n%s", rec.String())
+	}
+	return found
+}
+
+// tokenPath is p's token hops as (from, to) pairs.
+func tokenPath(p *trace.CausalPath) [][2]proto.NodeID {
+	var out [][2]proto.NodeID
+	for _, h := range p.Hops() {
+		if h.Kind == proto.KindToken {
+			out = append(out, [2]proto.NodeID{h.From, h.To})
+		}
+	}
+	return out
+}
+
+// TestSimTelemetryDeterministic reconstructs the same path shape from
 // two identically seeded runs: same step count, same token path, same
 // duration — the property that makes simulator traces a debugging
 // reference for live ones.
 func TestSimTelemetryDeterministic(t *testing.T) {
-	run := func() *trace.Span {
+	run := func() *trace.CausalPath {
 		rec := trace.New(1 << 12)
 		c := cluster.New(cluster.Config{
 			Protocol: cluster.Hierarchical,
@@ -145,24 +171,14 @@ func TestSimTelemetryDeterministic(t *testing.T) {
 		if err := c.Err(); err != nil {
 			t.Fatal(err)
 		}
-		spans := trace.Assemble(rec.Entries())
-		if len(spans) != 1 {
-			t.Fatalf("spans = %d", len(spans))
-		}
-		return spans[0]
+		return acquirePath(t, rec)
 	}
 	a, b := run(), run()
-	if a.Duration() != b.Duration() || len(a.Steps) != len(b.Steps) {
+	if a.End-a.Start != b.End-b.Start || len(a.Steps) != len(b.Steps) {
 		t.Fatalf("runs diverged: %v/%d vs %v/%d",
-			a.Duration(), len(a.Steps), b.Duration(), len(b.Steps))
+			a.End-a.Start, len(a.Steps), b.End-b.Start, len(b.Steps))
 	}
-	pa, pb := a.TokenPath(), b.TokenPath()
-	if len(pa) != len(pb) {
+	if pa, pb := tokenPath(a), tokenPath(b); !slices.Equal(pa, pb) {
 		t.Fatalf("token paths diverged: %v vs %v", pa, pb)
-	}
-	for i := range pa {
-		if pa[i] != pb[i] {
-			t.Fatalf("token paths diverged: %v vs %v", pa, pb)
-		}
 	}
 }

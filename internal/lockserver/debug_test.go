@@ -9,7 +9,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"hierlock"
 	"hierlock/internal/audit"
@@ -157,8 +156,8 @@ func TestMetricsGolden(t *testing.T) {
 		"gauge", func(emit func(metrics.Labels, float64)) {
 			emit(metrics.Labels{"lock": "fares/row17"}, 3)
 		})
-	h := reg.Histogram(metrics.MetricRequestLatency,
-		"Issue-to-grant lock request latency in seconds.", []float64{0.1, 0.5, 1}, nil)
+	h := reg.Histogram(metrics.MetricQueueWait,
+		"Per-lock admission queue wait in seconds.", []float64{0.1, 0.5, 1}, nil)
 	h.Observe(0.05)
 	h.Observe(0.3)
 	h.Observe(2)
@@ -191,7 +190,7 @@ func TestMetricsLive(t *testing.T) {
 	defer cl.Close()
 	m := cl.Member(1)
 	reg := metrics.NewRegistry()
-	m.SetTelemetry(hierlock.Telemetry{Registry: reg, NetLatencyBase: 10 * time.Millisecond})
+	m.SetTelemetry(hierlock.Telemetry{Registry: reg})
 
 	l, err := m.Lock(context.Background(), "live", hierlock.W)
 	if err != nil {
@@ -211,9 +210,8 @@ func TestMetricsLive(t *testing.T) {
 	for _, want := range []string{
 		metrics.MetricMessagesTotal + `{kind="request"}`,
 		metrics.MetricRequestsTotal + " 1",
-		metrics.MetricAcquiresTotal + " 1",
-		metrics.MetricRequestLatency + "_bucket",
-		metrics.MetricRequestLatencyFactor + "_count 1",
+		metrics.MetricOpLatency + `_count{op="lock",outcome="remote"} 1`,
+		metrics.MetricTokenHops + "_count 1",
 		metrics.MetricLockQueueDepth + `{lock="live"}`,
 		metrics.MetricLockCopyset + `{lock="live"}`,
 		metrics.MetricLockFrozen + `{lock="live"}`,
@@ -296,9 +294,10 @@ func TestDebugTraceEndpoint(t *testing.T) {
 	if a, g := dump.Entries[0], dump.Entries[1]; a.Trace != g.Trace || a.Lock != g.Lock || a.Mode != g.Mode || a.Node != g.Node {
 		t.Fatalf("derived acquire and its grant differ:\n%v\n%v", a, g)
 	}
-	spans := trace.Assemble(dump.Entries)
-	if len(spans) != 1 || !spans[0].Complete {
-		t.Fatalf("spans from endpoint dump: %+v", spans)
+	// The acquire-and-grant and the release are one causal path each.
+	paths := trace.AssembleCausal([]trace.Dump{dump})
+	if len(paths) != 2 || !paths[0].Complete || !paths[1].Complete || len(paths[0].Steps) != 2 {
+		t.Fatalf("causal paths from endpoint dump: %+v", paths)
 	}
 
 	// ?n= limits, ?enable=off pauses.

@@ -46,7 +46,7 @@ func BenchmarkWritePrometheus(b *testing.B) {
 	for _, k := range Kinds {
 		r.Counter(MetricMessagesTotal, "m", Labels{"kind": k.String()}).Add(uint64(k))
 	}
-	h := r.Histogram(MetricRequestLatency, "l", DefLatencyBuckets, nil)
+	h := r.Histogram(MetricQueueWait, "l", DefLatencyBuckets, nil)
 	for i := 0; i < 1000; i++ {
 		h.Observe(float64(i) / 1000)
 	}

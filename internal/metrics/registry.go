@@ -32,19 +32,9 @@ const (
 	// MetricRequestsTotal counts client lock requests issued (the
 	// denominator of Figure 5's messages-per-request).
 	MetricRequestsTotal = "hierlock_requests_total"
-	// MetricAcquiresTotal counts completed acquisitions (grants, upgrades
-	// and local shared joins).
-	MetricAcquiresTotal = "hierlock_acquires_total"
 	// MetricSharedJoinsTotal counts acquisitions satisfied by joining an
 	// existing local hold (zero protocol messages).
 	MetricSharedJoinsTotal = "hierlock_shared_joins_total"
-	// MetricRequestLatency is the issue→grant latency histogram in
-	// seconds. No labels.
-	MetricRequestLatency = "hierlock_request_latency_seconds"
-	// MetricRequestLatencyFactor is the issue→grant latency as a multiple
-	// of the mean point-to-point network latency, the paper's Figure 6
-	// metric. No labels.
-	MetricRequestLatencyFactor = "hierlock_request_latency_factor"
 	// MetricTokenTransfers counts token transfers observed by this node.
 	// Labels: lock, direction (in|out).
 	MetricTokenTransfers = "hierlock_token_transfers_total"
@@ -160,9 +150,8 @@ const (
 
 	// MetricOpLatency is the end-to-end client operation latency
 	// histogram in seconds, keyed by operation and grant outcome — the
-	// live per-operation SLO series (the latency families above aggregate
-	// across outcomes). Labels: op (lock|upgrade), outcome
-	// (local|remote|recovery|lost).
+	// live per-operation SLO series, and the one latency sample of a
+	// grant. Labels: op (lock|upgrade), outcome (local|remote|recovery|lost).
 	MetricOpLatency = "hierlock_op_latency_seconds"
 	// MetricQueueWait is the histogram of time a client request spends
 	// queued for per-lock admission before it enters the protocol, in
@@ -279,14 +268,6 @@ var TokenHopBuckets = []float64{0, 1, 2, 3, 4, 6, 8, 12, 16, 24, 32}
 var DefLatencyBuckets = []float64{
 	0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
 	0.1, 0.25, 0.5, 1, 2.5, 5, 10,
-}
-
-// LatencyFactorBuckets are the bounds of the latency-factor histogram:
-// request latency expressed as a multiple of the mean point-to-point
-// network latency, matching the scale of the paper's Figure 6 (which
-// plots factors from below 1 up to a few tens).
-var LatencyFactorBuckets = []float64{
-	0.5, 1, 1.5, 2, 2.5, 3, 4, 5, 6, 8, 10, 12, 16, 24, 32, 48, 64,
 }
 
 // Labels is a metric's label set. Keys and values are emitted sorted by

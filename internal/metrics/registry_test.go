@@ -177,7 +177,7 @@ func TestWritePrometheusFormat(t *testing.T) {
 	r.Collect("hierlock_lock_queue_depth", "Queue depth.", "gauge", func(emit func(Labels, float64)) {
 		emit(Labels{"lock": "a/b"}, 2)
 	})
-	h := r.Histogram("hierlock_request_latency_seconds", "Latency.", []float64{0.1, 1}, nil)
+	h := r.Histogram("hierlock_queue_wait_seconds", "Latency.", []float64{0.1, 1}, nil)
 	h.Observe(0.05)
 	h.Observe(0.5)
 	h.Observe(3)
@@ -195,12 +195,12 @@ func TestWritePrometheusFormat(t *testing.T) {
 		`hierlock_messages_sent_total{kind="request"} 3` + "\n",
 		`hierlock_messages_sent_total{kind="token"} 1` + "\n",
 		`hierlock_lock_queue_depth{lock="a/b"} 2` + "\n",
-		"# TYPE hierlock_request_latency_seconds histogram\n",
-		`hierlock_request_latency_seconds_bucket{le="0.1"} 1` + "\n",
-		`hierlock_request_latency_seconds_bucket{le="1"} 2` + "\n",
-		`hierlock_request_latency_seconds_bucket{le="+Inf"} 3` + "\n",
-		"hierlock_request_latency_seconds_sum 3.55\n",
-		"hierlock_request_latency_seconds_count 3\n",
+		"# TYPE hierlock_queue_wait_seconds histogram\n",
+		`hierlock_queue_wait_seconds_bucket{le="0.1"} 1` + "\n",
+		`hierlock_queue_wait_seconds_bucket{le="1"} 2` + "\n",
+		`hierlock_queue_wait_seconds_bucket{le="+Inf"} 3` + "\n",
+		"hierlock_queue_wait_seconds_sum 3.55\n",
+		"hierlock_queue_wait_seconds_count 3\n",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("exposition missing %q:\n%s", want, text)

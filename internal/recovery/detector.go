@@ -1,7 +1,7 @@
 package recovery
 
 import (
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -13,11 +13,8 @@ type PeerState uint8
 
 // Detector peer states.
 const (
-	// PeerHealthy: heard from within SuspectAfter.
+	// PeerHealthy: heard from within ConfirmAfter.
 	PeerHealthy PeerState = iota
-	// PeerSuspect: silent for SuspectAfter but not yet ConfirmAfter; the
-	// transport typically escalates probing, recovery does nothing yet.
-	PeerSuspect
 	// PeerConfirmed: silent for ConfirmAfter; recovery treats the peer as
 	// fail-stop dead and regenerates its tokens.
 	PeerConfirmed
@@ -25,34 +22,26 @@ const (
 
 // String names the state.
 func (s PeerState) String() string {
-	switch s {
-	case PeerSuspect:
-		return "suspect"
-	case PeerConfirmed:
+	if s == PeerConfirmed {
 		return "confirmed"
-	default:
-		return "healthy"
 	}
+	return "healthy"
 }
 
 // DetectorConfig configures a Detector.
 type DetectorConfig struct {
 	// Peers lists the nodes to watch (excluding self).
 	Peers []proto.NodeID
-	// SuspectAfter is the silence threshold for suspicion (default 2s).
-	SuspectAfter time.Duration
 	// ConfirmAfter is the silence threshold for confirming death
-	// (default 2×SuspectAfter). It must comfortably exceed the worst
-	// network partition or GC pause expected in the deployment: a falsely
+	// (default 4s). It must comfortably exceed the worst network
+	// partition or GC pause expected in the deployment: a falsely
 	// confirmed peer has its locks regenerated out from under it and its
 	// clients see ErrLockLost.
 	ConfirmAfter time.Duration
-	// OnSuspect fires on the healthy→suspect transition (optional).
-	OnSuspect func(proto.NodeID)
 	// OnConfirm fires on the →confirmed transition. This is the signal
 	// recovery acts on (Manager.ConfirmDead).
 	OnConfirm func(proto.NodeID)
-	// OnAlive fires when a suspect or confirmed peer is heard from again
+	// OnAlive fires when a confirmed peer is heard from again
 	// (optional; feeds Manager.Alive for confirmed peers).
 	OnAlive func(proto.NodeID)
 }
@@ -76,11 +65,8 @@ type Detector struct {
 // (a node that is already dead at startup is confirmed one ConfirmAfter
 // later).
 func NewDetector(cfg DetectorConfig, now time.Time) *Detector {
-	if cfg.SuspectAfter <= 0 {
-		cfg.SuspectAfter = 2 * time.Second
-	}
 	if cfg.ConfirmAfter <= 0 {
-		cfg.ConfirmAfter = 2 * cfg.SuspectAfter
+		cfg.ConfirmAfter = 4 * time.Second
 	}
 	d := &Detector{
 		cfg:       cfg,
@@ -113,8 +99,8 @@ func (d *Detector) Remove(peer proto.NodeID) {
 }
 
 // Observe records proof of life from a peer (call on every inbound
-// frame). A suspect or confirmed peer transitions back to healthy and
-// OnAlive fires.
+// frame). A confirmed peer transitions back to healthy and OnAlive
+// fires.
 func (d *Detector) Observe(peer proto.NodeID, now time.Time) {
 	d.mu.Lock()
 	if _, watched := d.lastHeard[peer]; !watched {
@@ -122,49 +108,33 @@ func (d *Detector) Observe(peer proto.NodeID, now time.Time) {
 		return
 	}
 	d.lastHeard[peer] = now
-	wasDownish := d.state[peer] != PeerHealthy
+	wasConfirmed := d.state[peer] == PeerConfirmed
 	d.state[peer] = PeerHealthy
 	d.mu.Unlock()
-	if wasDownish && d.cfg.OnAlive != nil {
+	if wasConfirmed && d.cfg.OnAlive != nil {
 		d.cfg.OnAlive(peer)
 	}
 }
 
-// Tick re-evaluates every peer's silence against the thresholds and
-// fires transition callbacks. Call periodically (a fraction of
-// SuspectAfter).
+// Tick re-evaluates every peer's silence against ConfirmAfter and fires
+// OnConfirm for each peer newly confirmed, in ID order. Call
+// periodically (a fraction of ConfirmAfter).
 func (d *Detector) Tick(now time.Time) {
-	type transition struct {
-		peer proto.NodeID
-		to   PeerState
-	}
-	var fired []transition
+	var confirmed []proto.NodeID
 	d.mu.Lock()
 	for peer, heard := range d.lastHeard {
-		silent := now.Sub(heard)
-		cur := d.state[peer]
-		switch {
-		case silent >= d.cfg.ConfirmAfter && cur != PeerConfirmed:
+		if now.Sub(heard) >= d.cfg.ConfirmAfter && d.state[peer] != PeerConfirmed {
 			d.state[peer] = PeerConfirmed
-			fired = append(fired, transition{peer, PeerConfirmed})
-		case silent >= d.cfg.SuspectAfter && silent < d.cfg.ConfirmAfter && cur == PeerHealthy:
-			d.state[peer] = PeerSuspect
-			fired = append(fired, transition{peer, PeerSuspect})
+			confirmed = append(confirmed, peer)
 		}
 	}
 	d.mu.Unlock()
-	sort.Slice(fired, func(i, j int) bool { return fired[i].peer < fired[j].peer })
-	for _, t := range fired {
-		switch t.to {
-		case PeerSuspect:
-			if d.cfg.OnSuspect != nil {
-				d.cfg.OnSuspect(t.peer)
-			}
-		case PeerConfirmed:
-			if d.cfg.OnConfirm != nil {
-				d.cfg.OnConfirm(t.peer)
-			}
-		}
+	if d.cfg.OnConfirm == nil {
+		return
+	}
+	slices.Sort(confirmed)
+	for _, peer := range confirmed {
+		d.cfg.OnConfirm(peer)
 	}
 }
 

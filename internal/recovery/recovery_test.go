@@ -479,38 +479,36 @@ func TestConfirmDeadRefreshesActiveRounds(t *testing.T) {
 }
 
 func TestDetectorTransitions(t *testing.T) {
-	var suspects, confirms, alives []proto.NodeID
+	var confirms, alives []proto.NodeID
 	t0 := time.Unix(0, 0)
 	d := NewDetector(DetectorConfig{
 		Peers:        []proto.NodeID{1, 2},
-		SuspectAfter: time.Second,
 		ConfirmAfter: 3 * time.Second,
-		OnSuspect:    func(p proto.NodeID) { suspects = append(suspects, p) },
 		OnConfirm:    func(p proto.NodeID) { confirms = append(confirms, p) },
 		OnAlive:      func(p proto.NodeID) { alives = append(alives, p) },
 	}, t0)
 
-	d.Tick(t0.Add(500 * time.Millisecond))
-	if len(suspects)+len(confirms) != 0 {
-		t.Fatal("transitions before any threshold")
-	}
-
-	// Node 2 keeps talking; node 1 goes silent.
+	// Node 2 keeps talking; node 1 goes silent. Short of ConfirmAfter
+	// both are healthy, and no callback fires.
 	d.Observe(2, t0.Add(1500*time.Millisecond))
 	d.Tick(t0.Add(2 * time.Second))
-	if len(suspects) != 1 || suspects[0] != 1 || d.State(1) != PeerSuspect || d.State(2) != PeerHealthy {
-		t.Fatalf("suspects = %v, state(1) = %v", suspects, d.State(1))
+	if len(confirms)+len(alives) != 0 || d.State(1) != PeerHealthy || d.State(2) != PeerHealthy {
+		t.Fatalf("before the threshold: confirms %v, alives %v, state(1) %v", confirms, alives, d.State(1))
 	}
+	// Hearing from a healthy peer is not a comeback.
 	d.Observe(2, t0.Add(2200*time.Millisecond))
-	d.Tick(t0.Add(2500 * time.Millisecond))
-	if len(suspects) != 1 {
-		t.Fatal("suspect transition re-fired")
+	if len(alives) != 0 {
+		t.Fatalf("OnAlive fired for a healthy peer: %v", alives)
 	}
 	d.Observe(2, t0.Add(3500*time.Millisecond))
 
 	d.Tick(t0.Add(4 * time.Second))
-	if len(confirms) != 1 || confirms[0] != 1 || d.State(1) != PeerConfirmed {
-		t.Fatalf("confirms = %v", confirms)
+	if len(confirms) != 1 || confirms[0] != 1 || d.State(1) != PeerConfirmed || d.State(2) != PeerHealthy {
+		t.Fatalf("confirms = %v, state(1) = %v, state(2) = %v", confirms, d.State(1), d.State(2))
+	}
+	d.Tick(t0.Add(4500 * time.Millisecond))
+	if len(confirms) != 1 {
+		t.Fatal("confirm transition re-fired")
 	}
 
 	// The peer restarts: healthy again, OnAlive fires once.

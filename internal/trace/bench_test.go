@@ -37,21 +37,22 @@ func BenchmarkRecordPaused(b *testing.B) {
 	}
 }
 
-func BenchmarkAssemble(b *testing.B) {
+func BenchmarkAssembleCausal(b *testing.B) {
 	r := trace.New(4096)
 	for i := 0; i < 4096/4; i++ {
 		n := proto.NodeID(i % 8)
-		r.Record(trace.Entry{Op: trace.OpAcquire, Node: n, Lock: 3})
-		r.Record(trace.Entry{Op: trace.OpSend, Kind: proto.KindToken, From: 0, To: n, Lock: 3})
-		r.Record(trace.Entry{Op: trace.OpGranted, Node: n, Lock: 3})
-		r.Record(trace.Entry{Op: trace.OpRelease, Node: n, Lock: 3})
+		tr := proto.TraceID{Node: n, Seq: uint64(i + 1)}
+		r.Record(trace.Entry{Op: trace.OpAcquire, Node: n, Lock: 3, Trace: tr})
+		r.Record(trace.Entry{Op: trace.OpSend, Kind: proto.KindToken, From: 0, To: n, Lock: 3, Trace: tr})
+		r.Record(trace.Entry{Op: trace.OpGranted, Node: n, Lock: 3, Trace: tr})
+		r.Record(trace.Entry{Op: trace.OpRelease, Node: n, Lock: 3, Trace: tr})
 	}
-	entries := r.Entries()
+	dumps := []trace.Dump{r.DumpLast(0)}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if spans := trace.Assemble(entries); len(spans) == 0 {
-			b.Fatal("no spans")
+		if paths := trace.AssembleCausal(dumps); len(paths) == 0 {
+			b.Fatal("no paths")
 		}
 	}
 }

@@ -10,12 +10,12 @@ import (
 	"hierlock/internal/proto"
 )
 
-// CausalPath is one client operation's cross-node lifecycle, rebuilt by
-// merging the per-node trace buffers of a cluster on the operation's
-// trace ID: the acquire at the origin, every request hop toward a
-// granter, freezes the operation triggered, and the grant or token
-// travel back — the live analogue of Figure 7's per-message-type
-// breakdown, but for a single request.
+// CausalPath is one client operation's lifecycle, rebuilt by merging the
+// trace buffers at hand — one node's, or every node's of a cluster — on
+// the operation's trace ID: the acquire at the origin, every request hop
+// toward a granter, freezes the operation triggered, and the grant or
+// token travel back — the live analogue of Figure 7's per-message-type
+// breakdown, but for a single request. Its token path is its token hops.
 type CausalPath struct {
 	Trace  proto.TraceID
 	Lock   proto.LockID
@@ -113,9 +113,8 @@ func (p *CausalPath) Format(verbose bool) string {
 // AssembleCausal merges per-node trace dumps into one CausalPath per
 // trace ID. Dumps sharing a non-NoNode Node are deduplicated (first
 // wins), so fetching a peer twice is harmless. Entries without a trace
-// ID are ignored — Assemble remains the tool for untraced buffers.
-// Paths are ordered by (origin node, origin sequence) for deterministic
-// output.
+// ID are ignored. Paths are ordered by (origin node, origin sequence)
+// for deterministic output.
 func AssembleCausal(dumps []Dump) []*CausalPath {
 	seenNode := make(map[proto.NodeID]bool)
 	perTrace := make(map[proto.TraceID][][]Entry)

@@ -9,7 +9,7 @@
 // operation a producer staged when its batch is admitted, which is no
 // later than the next message event the producer records for that lock's
 // stripe and no later than the next read of the ring. Readers of the ring
-// — Entries and what is built on it: spans, causal paths, dumps — see
+// — Entries and what is built on it: causal paths, dumps — see
 // every request as OpAcquire, OpGranted, OpRelease, although a producer
 // may hand in a request granted the moment it was issued, and released
 // before anything else happened on its stripe, as one entry: the grant,

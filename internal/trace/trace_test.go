@@ -315,8 +315,9 @@ func TestGrantCarryingItsAcquire(t *testing.T) {
 	if es := r.Entries(); es[0] != acquire || es[1] != grant || es[2].Seq != 3 {
 		t.Fatalf("ring reads\n%v\nwant the acquire, then the grant without Issued, then the release", es)
 	}
-	if spans := trace.Assemble(r.Entries()); len(spans) != 1 || !spans[0].Complete || spans[0].Duration() != 10 {
-		t.Fatalf("spans: %+v", spans)
+	paths := trace.AssembleCausal([]trace.Dump{r.DumpLast(0)})
+	if len(paths) != 1 || !paths[0].Complete || paths[0].End-paths[0].Start != 10 || len(paths[0].Steps) != 2 {
+		t.Fatalf("causal paths: %+v", paths)
 	}
 
 	// Admitted in a batch into a ring with one slot to spare: both halves

@@ -83,20 +83,16 @@ type TCPConfig struct {
 	// silence-based failure detector fed by every inbound frame. 0
 	// disables heartbeats and failure detection entirely.
 	HeartbeatInterval time.Duration
-	// SuspectAfter is the detector's silence threshold for suspecting a
-	// peer (default 4×HeartbeatInterval).
-	SuspectAfter time.Duration
 	// ConfirmAfter is the silence threshold for confirming a peer dead
-	// (default 2×SuspectAfter). It must comfortably exceed the worst GC
-	// pause or network blip expected in the deployment: recovery
+	// (default 8×HeartbeatInterval). It must comfortably exceed the worst
+	// GC pause or network blip expected in the deployment: recovery
 	// regenerates a falsely confirmed peer's locks out from under it and
 	// its clients see ErrLockLost.
 	ConfirmAfter time.Duration
-	// OnPeerSuspect, OnPeerConfirmed and OnPeerAlive fire on detector
-	// transitions (suspect, confirmed dead, heard from again). They run
-	// on transport goroutines and must not block; OnPeerConfirmed is the
-	// signal the recovery layer acts on.
-	OnPeerSuspect   func(proto.NodeID)
+	// OnPeerConfirmed and OnPeerAlive fire on detector transitions
+	// (confirmed dead, heard from again). They run on transport
+	// goroutines and must not block; OnPeerConfirmed is the signal the
+	// recovery layer acts on.
 	OnPeerConfirmed func(proto.NodeID)
 	OnPeerAlive     func(proto.NodeID)
 }
@@ -236,11 +232,8 @@ func NewTCP(cfg TCPConfig) (*TCPTransport, error) {
 		recvSeq: make(map[proto.NodeID]uint64),
 	}
 	if cfg.HeartbeatInterval > 0 {
-		if t.cfg.SuspectAfter <= 0 {
-			t.cfg.SuspectAfter = 4 * cfg.HeartbeatInterval
-		}
 		if t.cfg.ConfirmAfter <= 0 {
-			t.cfg.ConfirmAfter = 2 * t.cfg.SuspectAfter
+			t.cfg.ConfirmAfter = 8 * cfg.HeartbeatInterval
 		}
 		for id := range cfg.Peers {
 			t.hbPeers = append(t.hbPeers, id)
@@ -248,9 +241,7 @@ func NewTCP(cfg TCPConfig) (*TCPTransport, error) {
 		sort.Slice(t.hbPeers, func(i, j int) bool { return t.hbPeers[i] < t.hbPeers[j] })
 		t.detector = recovery.NewDetector(recovery.DetectorConfig{
 			Peers:        t.hbPeers,
-			SuspectAfter: t.cfg.SuspectAfter,
 			ConfirmAfter: t.cfg.ConfirmAfter,
-			OnSuspect:    cfg.OnPeerSuspect,
 			OnConfirm:    cfg.OnPeerConfirmed,
 			OnAlive:      cfg.OnPeerAlive,
 		}, time.Now())

@@ -564,8 +564,8 @@ func TestTCPSendPeerNeverUp(t *testing.T) {
 }
 
 // TestTCPFailureDetection: with heartbeats enabled, killing one member
-// of a three-node mesh drives the survivors' detectors through suspect
-// to confirmed, and a restarted member is reported alive again. The
+// of a three-node mesh drives the survivors' detectors to confirmed, and
+// a restarted member is reported alive again. The
 // addresses are reserved up front (deadAddr) so every transport can be
 // constructed with the full mesh in cfg.Peers — the detector snapshots
 // its watch list at construction time.
@@ -585,7 +585,6 @@ func TestTCPFailureDetection(t *testing.T) {
 			Self: self, ListenAddr: addrs[self], Peers: peersOf(self),
 			RedialBackoff:     10 * time.Millisecond,
 			HeartbeatInterval: 25 * time.Millisecond,
-			SuspectAfter:      150 * time.Millisecond,
 			ConfirmAfter:      400 * time.Millisecond,
 			OnPeerConfirmed:   func(p proto.NodeID) { confirmed <- p },
 			OnPeerAlive:       func(p proto.NodeID) { alive <- p },

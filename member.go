@@ -127,17 +127,13 @@ type staged struct {
 	// hierlock_queue_wait_seconds samples of 0.
 	zeroWaits uint64
 	// grants and grantNS are the grants the member's own dispatch produced
-	// (no hops, outcome local) in less than the bundle's fastMax: one
-	// hierlock_acquires_total each, a lowest-bucket sample of the request
-	// latency, the latency factor and op_latency{lock,local}, and a 0 in
-	// hierlock_token_hops.
+	// (no hops, outcome local) in less than fastMax: a lowest-bucket sample
+	// of op_latency{lock,local} each, and a 0 in hierlock_token_hops.
 	grants  uint64
 	grantNS time.Duration
-	// joins and joinNS are the shared joins in less than fastMax: as a
-	// grant, with hierlock_shared_joins_total and without the two
-	// request-latency families.
-	joins  uint64
-	joinNS time.Duration
+	// joins counts the shared joins: as a grant of latency 0, plus one
+	// hierlock_shared_joins_total each.
+	joins uint64
 }
 
 // fold adds the stripe's staged words to tel's handles and clears them.
@@ -149,15 +145,11 @@ func (sh *lockShard) fold(tel *telemetry) {
 		return
 	}
 	sh.cnt = staged{}
-	local := tel.opLatency[metrics.OpLock][metrics.OutcomeLocal]
 	tel.requests.Add(c.requests)
 	tel.fences.Add(c.fences)
 	tel.queueWait.AddLowest(c.zeroWaits, 0)
-	tel.acquires.Add(c.grants + c.joins)
 	tel.sharedJoins.Add(c.joins)
-	tel.latency.AddLowest(c.grants, c.grantNS.Seconds())
-	tel.factor.AddLowest(c.grants, c.grantNS.Seconds()/tel.base.Seconds())
-	local.AddLowest(c.grants+c.joins, (c.grantNS + c.joinNS).Seconds())
+	tel.opLatency[metrics.OpLock][metrics.OutcomeLocal].AddLowest(c.grants+c.joins, c.grantNS.Seconds())
 	tel.tokenHops.AddLowest(c.grants+c.joins, 0)
 }
 
@@ -451,13 +443,14 @@ type Telemetry struct {
 	// latency histograms, per-lock and transport gauges). See
 	// internal/metrics for the metric catalog.
 	Registry *metrics.Registry
-	// Trace receives per-event protocol trace entries, from which
-	// per-request spans are reconstructed (see internal/trace).
+	// Trace receives per-event protocol trace entries, from which each
+	// operation's causal path is reconstructed (see internal/trace).
 	Trace *trace.Recorder
-	// NetLatencyBase scales the request-latency-factor histogram (the
-	// paper's Figure 6 metric: latency as a multiple of the mean
-	// point-to-point network delay). Default 150ms, the paper's testbed
-	// latency.
+	// NetLatencyBase is accepted and ignored.
+	//
+	// Deprecated: latency is exported in seconds only
+	// (hierlock_op_latency_seconds); removed when the benchmark harness
+	// stops setting it.
 	NetLatencyBase time.Duration
 	// Logger receives structured protocol logs (grants at Debug, internal
 	// protocol errors at Error), each correlated by trace ID. Nil
@@ -475,23 +468,12 @@ type Telemetry struct {
 // telemetry is the member's wired instrumentation state: cached series
 // handles so hot paths never do registry lookups.
 type telemetry struct {
-	reg  *metrics.Registry
-	rec  *trace.Recorder
-	log  *slog.Logger
-	base time.Duration
-	// fastMax bounds the latencies a stripe counts as a class instead of
-	// observing one by one (see staged): anything below it lies in the
-	// lowest bucket of DefLatencyBuckets and, as a multiple of base, of
-	// LatencyFactorBuckets.
-	fastMax time.Duration
+	reg *metrics.Registry
+	rec *trace.Recorder
+	log *slog.Logger
 
-	sent        [6]*metrics.Counter // indexed by proto.Kind
-	sentUnknown *metrics.Counter
 	requests    *metrics.Counter
-	acquires    *metrics.Counter
 	sharedJoins *metrics.Counter
-	latency     *metrics.Histogram
-	factor      *metrics.Histogram
 
 	// Per-operation SLO families: end-to-end latency by (op, outcome) —
 	// indexed by metrics.Op*/Outcome* so the hot path addresses a cached
@@ -527,22 +509,14 @@ type telemetry struct {
 	bb *introspect.Recorder
 }
 
-// newTelemetry builds the bundle for t with no handle resolved yet.
-func newTelemetry(t Telemetry) *telemetry {
-	tel := &telemetry{rec: t.Trace, log: t.Logger, bb: t.Blackbox,
-		base: t.NetLatencyBase, reg: t.Registry}
-	if tel.base <= 0 {
-		tel.base = 150 * time.Millisecond
-	}
-	tel.fastMax = min(time.Duration(metrics.DefLatencyBuckets[0]*float64(time.Second)),
-		time.Duration(metrics.LatencyFactorBuckets[0]*float64(tel.base)))
-	return tel
-}
+// fastMax bounds the latencies a stripe counts as a class instead of
+// observing one by one (see staged): the lowest DefLatencyBuckets bound,
+// 0.5 ms, so everything counted lies in the lowest bucket.
+var fastMax = time.Duration(metrics.DefLatencyBuckets[0] * float64(time.Second))
 
 // grant is one granted client operation as the metrics see it.
 type grant struct {
 	op, outcome int           // metrics.Op*, metrics.Outcome*
-	join        bool          // joined an existing local hold: no request of its own
 	d           time.Duration // issue to grant
 	hops        int           // token transfers delivered while it waited
 }
@@ -552,14 +526,9 @@ type grant struct {
 // plain addition under the mutex; any other — a wait, a hop, a slow
 // grant — is recorded once the mutex is released.
 func (tel *telemetry) observe(sh *lockShard, g grant) {
-	if g.outcome == metrics.OutcomeLocal && g.hops == 0 && g.d < tel.fastMax {
-		if g.join {
-			sh.cnt.joins++
-			sh.cnt.joinNS += g.d
-		} else {
-			sh.cnt.grants++
-			sh.cnt.grantNS += g.d
-		}
+	if g.outcome == metrics.OutcomeLocal && g.hops == 0 && g.d < fastMax {
+		sh.cnt.grants++
+		sh.cnt.grantNS += g.d
 		sh.mu.Unlock()
 		return
 	}
@@ -568,23 +537,14 @@ func (tel *telemetry) observe(sh *lockShard, g grant) {
 }
 
 // record writes one granted operation to the registry's handles, as one
-// group (BeginWrite): an exposition shows a grant in
-// hierlock_acquires_total and in its histograms or in neither. Callers
-// hold no stripe's mutex.
+// group (BeginWrite): an exposition shows a grant in its op_latency
+// histogram and in hierlock_token_hops or in neither. Callers hold no
+// stripe's mutex.
 func (tel *telemetry) record(g grant) {
 	if tel.reg == nil {
 		return
 	}
 	tel.reg.BeginWrite()
-	switch {
-	case g.join:
-		tel.sharedJoins.Inc()
-		tel.acquires.Inc()
-	case g.op == metrics.OpLock:
-		tel.acquires.Inc()
-		tel.latency.ObserveDuration(g.d)
-		tel.factor.Observe(g.d.Seconds() / tel.base.Seconds())
-	}
 	tel.opLatency[g.op][g.outcome].ObserveDuration(g.d)
 	tel.tokenHops.Observe(float64(g.hops))
 	tel.reg.EndWrite()
@@ -625,17 +585,18 @@ func msgTrace(msg *proto.Message) proto.TraceID {
 	return msg.Trace
 }
 
-// countSent records one outbound protocol message.
-func (t *telemetry) countSent(k proto.Kind) {
-	if t.reg == nil {
-		return
-	}
-	if int(k) < len(t.sent) {
-		t.sent[k].Inc()
-		return
-	}
-	t.sentUnknown.Inc()
+// countMessage records one outbound protocol message in m.sent, which
+// MessagesSent, Stats and the hierlock_messages_sent_total collector read.
+func (m *Member) countMessage(k proto.Kind) {
+	m.statMu.Lock()
+	m.sent.Count(k)
+	m.statMu.Unlock()
 }
+
+// sentKinds are the message kinds a member sends, each exported under its
+// own name (heartbeats are the transport's own, and not counted).
+var sentKinds = append(slices.Clone(metrics.Kinds), proto.KindProbe, proto.KindClaim,
+	proto.KindRecovered, proto.KindJoin, proto.KindJoinAck, proto.KindLeave, proto.KindLeaveAck)
 
 // SetTelemetry attaches observability sinks to the member and registers
 // its scrape-time collectors (per-lock engine gauges; transport queue,
@@ -645,9 +606,7 @@ func (m *Member) SetTelemetry(t Telemetry) {
 	tel := m.wire(t)
 	// What the stripes counted so far belongs to the bundle in force so
 	// far (to nobody, before the first SetTelemetry): fold it there, as a
-	// read of its registry would, before the new one takes over. Not under
-	// statMu: a dispatch counts its messages there with a stripe's mutex
-	// held.
+	// read of its registry would, before the new one takes over.
 	old := m.tel.Load()
 	old.reg.Pull()
 	m.pull(old)
@@ -657,9 +616,7 @@ func (m *Member) SetTelemetry(t Telemetry) {
 // wire builds the bundle for t: handles resolved, hooks and collectors
 // registered.
 func (m *Member) wire(t Telemetry) *telemetry {
-	m.statMu.Lock()
-	defer m.statMu.Unlock()
-	tel := newTelemetry(t)
+	tel := &telemetry{reg: t.Registry, rec: t.Trace, log: t.Logger, bb: t.Blackbox}
 	// The member stages client-operation entries and metric samples per
 	// stripe; readers of the ring (the flight recorder, which reads its
 	// grants there, among them) and of the registry (the auditor's counters
@@ -671,24 +628,23 @@ func (m *Member) wire(t Telemetry) *telemetry {
 	if reg == nil {
 		return tel
 	}
-	for _, k := range metrics.Kinds {
-		tel.sent[k] = reg.Counter(metrics.MetricMessagesTotal,
-			"Protocol messages sent, by kind.", metrics.Labels{"kind": k.String()})
-	}
-	tel.sentUnknown = reg.Counter(metrics.MetricMessagesTotal,
-		"Protocol messages sent, by kind.", metrics.Labels{"kind": "unknown"})
+	// Messages are counted once, in m.sent, and rendered from there at
+	// scrape; statMu is a leaf, so the collector may take it under the
+	// registry's read lock.
+	reg.Collect(metrics.MetricMessagesTotal, "Protocol messages sent, by kind.", "counter",
+		func(emit func(metrics.Labels, float64)) {
+			m.statMu.Lock()
+			sent := m.sent
+			m.statMu.Unlock()
+			for _, k := range sentKinds {
+				emit(metrics.Labels{"kind": k.String()}, float64(sent.ByKind[k]))
+			}
+			emit(metrics.Labels{"kind": "unknown"}, float64(sent.Unknown))
+		})
 	tel.requests = reg.Counter(metrics.MetricRequestsTotal,
 		"Client lock requests issued (including upgrades and local joins).", nil)
-	tel.acquires = reg.Counter(metrics.MetricAcquiresTotal,
-		"Completed lock acquisitions (grants, upgrades, shared joins).", nil)
 	tel.sharedJoins = reg.Counter(metrics.MetricSharedJoinsTotal,
 		"Acquisitions satisfied by joining an existing local hold.", nil)
-	tel.latency = reg.Histogram(metrics.MetricRequestLatency,
-		"Issue-to-grant lock request latency in seconds.",
-		metrics.DefLatencyBuckets, nil)
-	tel.factor = reg.Histogram(metrics.MetricRequestLatencyFactor,
-		"Request latency as a multiple of the mean point-to-point network latency (Figure 6).",
-		metrics.LatencyFactorBuckets, nil)
 
 	// Per-operation SLO families, every (op, outcome) series pre-registered
 	// at zero so the first scrape is complete before any traffic.
@@ -1114,7 +1070,7 @@ func newMember(id, root proto.NodeID, tr transport.Transport, rec *memberRecover
 	for i := range m.shards {
 		m.shards[i].m = m
 	}
-	m.tel.Store(newTelemetry(Telemetry{}))
+	m.tel.Store(&telemetry{})
 	if jn != nil {
 		m.replayed = jn.State()
 	}
@@ -1196,10 +1152,7 @@ func (m *Member) sendRecovery(msg proto.Message) {
 	if msg.Kind == proto.KindRecovered {
 		m.journalRecovered(msg.Lock, msg.Epoch, msg.Req.Origin)
 	}
-	m.statMu.Lock()
-	m.sent.Count(msg.Kind)
-	m.statMu.Unlock()
-	tel.countSent(msg.Kind)
+	m.countMessage(msg.Kind)
 	switch msg.Kind {
 	case proto.KindProbe:
 		tel.probesSent.Inc()
@@ -1921,7 +1874,8 @@ func (m *Member) LockWithPriority(ctx context.Context, resource string, mode Mod
 			sh.note(rec, &trace.Entry{At: start, Op: trace.OpGranted,
 				Node: m.id, Lock: lockID, Mode: mode, Trace: tr})
 		}
-		tel.observe(sh, grant{op: metrics.OpLock, outcome: metrics.OutcomeLocal, join: true})
+		sh.cnt.joins++ // latency 0, no hops: always a staged sample
+		sh.mu.Unlock()
 		if lg := tel.log; lg != nil && lg.Enabled(ctx, slog.LevelDebug) {
 			lg.Debug("lock granted", "trace", tr.String(), "resource", resource,
 				"mode", mode.String(), "shared_join", true)
@@ -2386,10 +2340,7 @@ func (m *Member) dispatch(sh *lockShard, ls *lockState, out hlock.Out) {
 	m.journalLock(ls)
 	for i := range out.Msgs {
 		msg := &out.Msgs[i]
-		m.statMu.Lock()
-		m.sent.Count(msg.Kind)
-		m.statMu.Unlock()
-		tel.countSent(msg.Kind)
+		m.countMessage(msg.Kind)
 		if rec := tel.rec; rec != nil {
 			sh.record(rec, trace.Entry{At: sinceEpoch(), Op: trace.OpSend,
 				Node: m.id, Lock: msg.Lock, Mode: msg.Mode,

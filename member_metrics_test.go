@@ -64,25 +64,28 @@ lines:
 	return sum
 }
 
-// grantedLocks is Σ hierlock_op_latency_seconds_count{op="lock"} over the
-// outcomes that are grants.
-func grantedLocks(text string) float64 {
-	return promSum(text, metrics.MetricOpLatency+"_count", []string{`op="lock"`}, `outcome="lost"`)
+// grantedOps is Σ hierlock_op_latency_seconds_count over the outcomes
+// that are grants, of both operations.
+func grantedOps(text string) float64 {
+	return promSum(text, metrics.MetricOpLatency+"_count", nil, `outcome="lost"`)
 }
 
-// hammer runs workers goroutines, each locking and unlocking its own keys
-// private keys in W, rounds times over, and returns when all are done.
-func hammer(t *testing.T, m *hierlock.Member, workers, keys, rounds int) {
+// hammer runs workers goroutines, each locking and unlocking keys keys in
+// W, rounds times over, and returns when all are done. Worker w runs on
+// members[w%len(members)]; the workers of one round of the members share
+// their keys, so with more than one member the keys' tokens travel.
+func hammer(t *testing.T, members []*hierlock.Member, workers, keys, rounds int) {
 	t.Helper()
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			m := members[w%len(members)]
 			ctx := context.Background()
 			names := make([]string, keys)
 			for k := range names {
-				names[k] = fmt.Sprintf("hammer/%d/%d", w, k)
+				names[k] = fmt.Sprintf("hammer/%d/%d", w/len(members), k)
 			}
 			for r := 0; r < rounds; r++ {
 				for _, name := range names {
@@ -102,29 +105,34 @@ func hammer(t *testing.T, m *hierlock.Member, workers, keys, rounds int) {
 	wg.Wait()
 }
 
-// TestScrapeExactWhileCounting: 4 goroutines x 64 private keys with a
-// scraper running. Every exposition shows each grant in
-// hierlock_acquires_total and in its op_latency histogram or in neither,
-// no counter goes backwards, and the read after the last operation
-// returned has them all. Run once with every grant in the class the
-// stripes count (staged, folded at the read) and once with none in it (a
-// latency base so small that no latency is "fast": every grant writes the
-// handles directly, as one group; the subtest keeps its old name).
+// TestScrapeExactWhileCounting: 4 goroutines x 64 keys with a scraper
+// running on member 0's registry. Every exposition shows each grant in its
+// op_latency histogram and in hierlock_token_hops or in neither (the
+// one-cut witness: Σ op_latency_count{outcome≠"lost"} =
+// token_hops_count), no count goes backwards, and the read after the last
+// operation returned has them all. Run once on one member with private
+// keys, every grant in the class the stripes count (staged, folded at the
+// read), and once on two members sharing each key, so most grants fetch
+// the token and write the handles directly, as one group.
 func TestScrapeExactWhileCounting(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		base time.Duration
-	}{{"staged", 0}, {"striped", time.Nanosecond}} {
+		name            string
+		members, rounds int
+	}{{"staged", 1, 150}, {"striped", 2, 40}} {
 		t.Run(tc.name, func(t *testing.T) {
-			const workers, keys, rounds = 4, 64, 150
-			c, err := hierlock.NewCluster(1)
+			const workers, keys = 4, 64
+			c, err := hierlock.NewCluster(tc.members)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer c.Close()
-			m := c.Member(0)
+			members := make([]*hierlock.Member, tc.members)
+			for i := range members {
+				members[i] = c.Member(i)
+			}
+			m := members[0]
 			reg := metrics.NewRegistry()
-			m.SetTelemetry(hierlock.Telemetry{Registry: reg, NetLatencyBase: tc.base})
+			m.SetTelemetry(hierlock.Telemetry{Registry: reg})
 
 			stop := make(chan struct{})
 			scraped := make(chan int)
@@ -139,47 +147,52 @@ func TestScrapeExactWhileCounting(t *testing.T) {
 					default:
 					}
 					text := scrape(t, reg)
-					acq := promSum(text, metrics.MetricAcquiresTotal, nil)
-					if lat := grantedLocks(text); acq != lat {
-						t.Errorf("scrape %d: acquires_total %v, op_latency{op=lock} counts %v", n, acq, lat)
+					hops := promSum(text, metrics.MetricTokenHops+"_count", nil)
+					if lat := grantedOps(text); hops != lat {
+						t.Errorf("scrape %d: token_hops_count %v, op_latency counts %v", n, hops, lat)
 						return
 					}
-					if acq < last {
-						t.Errorf("scrape %d: acquires_total went from %v to %v", n, last, acq)
+					if hops < last {
+						t.Errorf("scrape %d: token_hops_count went from %v to %v", n, last, hops)
 						return
 					}
-					last = acq
+					last = hops
 					n++
 				}
 			}()
-			hammer(t, m, workers, keys, rounds)
+			hammer(t, members, workers, keys, tc.rounds)
 			close(stop)
-			t.Logf("%d scrapes during %d operations", <-scraped, workers*keys*rounds)
+			total := workers / tc.members * keys * tc.rounds
+			t.Logf("%d scrapes during %d operations on member 0", <-scraped, total)
 
-			const total = workers * keys * rounds
 			text := scrape(t, reg)
-			for series, got := range map[string]float64{
-				metrics.MetricRequestsTotal:              promSum(text, metrics.MetricRequestsTotal, nil),
-				metrics.MetricAcquiresTotal:              promSum(text, metrics.MetricAcquiresTotal, nil),
-				metrics.MetricFenceTokens:                promSum(text, metrics.MetricFenceTokens, nil),
-				metrics.MetricOpLatency + "{lock}":       grantedLocks(text),
-				metrics.MetricRequestLatency:             promSum(text, metrics.MetricRequestLatency+"_count", nil),
-				metrics.MetricRequestLatencyFactor:       promSum(text, metrics.MetricRequestLatencyFactor+"_count", nil),
-				metrics.MetricQueueWait:                  promSum(text, metrics.MetricQueueWait+"_count", nil),
-				metrics.MetricTokenHops:                  promSum(text, metrics.MetricTokenHops+"_count", nil),
-				metrics.MetricTokenHops + "{le=0}":       promSum(text, metrics.MetricTokenHops+"_bucket", []string{`le="0"`}),
-				metrics.MetricRequestLatency + "{+Inf}":  promSum(text, metrics.MetricRequestLatency+"_bucket", []string{`le="+Inf"`}),
-				metrics.MetricOpLatency + "{local,+Inf}": promSum(text, metrics.MetricOpLatency+"_bucket", []string{`outcome="local"`, `op="lock"`, `le="+Inf"`}),
-			} {
-				if got != total {
+			remote := promSum(text, metrics.MetricOpLatency+"_count", []string{`outcome="remote"`})
+			want := map[string]float64{
+				metrics.MetricRequestsTotal:        promSum(text, metrics.MetricRequestsTotal, nil),
+				metrics.MetricFenceTokens:          promSum(text, metrics.MetricFenceTokens, nil),
+				metrics.MetricOpLatency + "{lock}": grantedOps(text),
+				metrics.MetricQueueWait:            promSum(text, metrics.MetricQueueWait+"_count", nil),
+				metrics.MetricTokenHops:            promSum(text, metrics.MetricTokenHops+"_count", nil),
+			}
+			if tc.members == 1 {
+				want[metrics.MetricTokenHops+"{le=0}"] = promSum(text, metrics.MetricTokenHops+"_bucket", []string{`le="0"`})
+				want[metrics.MetricOpLatency+"{local,+Inf}"] = promSum(text, metrics.MetricOpLatency+"_bucket", []string{`outcome="local"`, `op="lock"`, `le="+Inf"`})
+				if remote != 0 {
+					t.Errorf("%v remote grants on a one-member cluster", remote)
+				}
+			} else if remote == 0 {
+				t.Error("no grant fetched the token: the direct path was not exercised")
+			}
+			for series, got := range want {
+				if got != float64(total) {
 					t.Errorf("%s = %v after %d operations", series, got, total)
 				}
 			}
-			if st := m.Stats(); st.Acquires != total {
+			if st := m.Stats(); st.Acquires != uint64(total) {
 				t.Errorf("Stats().Acquires = %d, want %d", st.Acquires, total)
 			}
 			// A direct read of a handle pulls as a scrape does.
-			if got := reg.Counter(metrics.MetricAcquiresTotal, "", nil).Value(); got != total {
+			if got := reg.Counter(metrics.MetricRequestsTotal, "", nil).Value(); got != uint64(total) {
 				t.Errorf("Counter.Value() = %d, want %d", got, total)
 			}
 		})
@@ -207,23 +220,20 @@ func TestSetTelemetrySwapSplitsCounts(t *testing.T) {
 		defer close(swapped)
 		// Swap once the run is under way (some of it counted, some still
 		// staged), or at the latest when it is over.
-		acquires := regA.Counter(metrics.MetricAcquiresTotal, "", nil)
-		for deadline := time.Now().Add(5 * time.Second); acquires.Value() < workers*keys && time.Now().Before(deadline); {
+		requests := regA.Counter(metrics.MetricRequestsTotal, "", nil)
+		for deadline := time.Now().Add(5 * time.Second); requests.Value() < workers*keys && time.Now().Before(deadline); {
 			time.Sleep(50 * time.Microsecond)
 		}
 		m.SetTelemetry(hierlock.Telemetry{Registry: regB})
 	}()
-	hammer(t, m, workers, keys, rounds)
+	hammer(t, []*hierlock.Member{m}, workers, keys, rounds)
 	<-swapped
 
 	const total = workers * keys * rounds
 	a, b := scrape(t, regA), scrape(t, regB)
 	for _, series := range []string{
 		metrics.MetricRequestsTotal,
-		metrics.MetricAcquiresTotal,
 		metrics.MetricFenceTokens,
-		metrics.MetricRequestLatency + "_count",
-		metrics.MetricRequestLatencyFactor + "_count",
 		metrics.MetricQueueWait + "_count",
 		metrics.MetricTokenHops + "_count",
 	} {
@@ -232,16 +242,16 @@ func TestSetTelemetrySwapSplitsCounts(t *testing.T) {
 			t.Errorf("%s: %v in the old registry + %v in the new, want %d between them", series, inA, inB, total)
 		}
 	}
-	if inA, inB := grantedLocks(a), grantedLocks(b); inA+inB != total {
-		t.Errorf("op_latency{op=lock}: %v + %v, want %d", inA, inB, total)
+	inA, inB := grantedOps(a), grantedOps(b)
+	if inA+inB != total {
+		t.Errorf("op_latency counts: %v + %v, want %d", inA, inB, total)
 	}
-	inA, inB := promSum(a, metrics.MetricAcquiresTotal, nil), promSum(b, metrics.MetricAcquiresTotal, nil)
-	t.Logf("acquires: %v before the swap, %v after", inA, inB)
+	t.Logf("grants: %v before the swap, %v after", inA, inB)
 	if inA == 0 {
 		t.Error("nothing was counted into the old registry")
 	}
 	// The old registry is done: reading it again pulls nothing more.
-	if again := promSum(scrape(t, regA), metrics.MetricAcquiresTotal, nil); again != inA {
+	if again := grantedOps(scrape(t, regA)); again != inA {
 		t.Errorf("the old registry moved from %v to %v after the swap", inA, again)
 	}
 }
@@ -249,7 +259,7 @@ func TestSetTelemetrySwapSplitsCounts(t *testing.T) {
 // volatile matches the exposition lines whose value is a measurement of
 // the run, not a count of what the script did: the sums of the time-valued
 // histograms and the Lamport clock.
-var volatile = regexp.MustCompile(`(?m)^(hierlock_[a-z_]*(seconds|factor)_sum(\{[^}]*\})?|hierlock_lamport_clock) .*$`)
+var volatile = regexp.MustCompile(`(?m)^(hierlock_[a-z_]*seconds_sum(\{[^}]*\})?|hierlock_lamport_clock) .*$`)
 
 // goldenScript runs the fixed script on a fresh two-member cluster and
 // returns member 0's exposition with the measured values masked.

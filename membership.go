@@ -529,12 +529,8 @@ func (m *Member) sendMembership(msg *proto.Message) {
 // countMembershipSend applies the outbound-message accounting without
 // transmitting (the initial JOIN goes out-of-band via SendTo).
 func (m *Member) countMembershipSend(msg *proto.Message) {
-	m.statMu.Lock()
-	m.sent.Count(msg.Kind)
-	m.statMu.Unlock()
-	tel := m.tel.Load()
-	tel.countSent(msg.Kind)
-	if rec := tel.rec; rec != nil {
+	m.countMessage(msg.Kind)
+	if rec := m.tel.Load().rec; rec != nil {
 		rec.Record(trace.Entry{At: sinceEpoch(), Op: trace.OpSend,
 			Node: m.id, Kind: msg.Kind, From: msg.From, To: msg.To,
 			Epoch: msg.Epoch, Trace: msgTrace(msg)})

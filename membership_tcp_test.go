@@ -17,7 +17,6 @@ func recoveryTCPConfig(id int, listen string, peers map[int]string) hierlock.TCP
 		Peers:             peers,
 		RedialBackoff:     20 * time.Millisecond,
 		HeartbeatInterval: 25 * time.Millisecond,
-		SuspectAfter:      200 * time.Millisecond,
 		ConfirmAfter:      500 * time.Millisecond,
 		ProbeTimeout:      150 * time.Millisecond,
 		RecoveryTimeout:   20 * time.Second,

@@ -33,7 +33,6 @@ func newDetectorPair(t *testing.T) [2]*Member {
 			Peers:             map[int]string{1 - i: addrs[1-i]},
 			RedialBackoff:     20 * time.Millisecond,
 			HeartbeatInterval: 25 * time.Millisecond,
-			SuspectAfter:      250 * time.Millisecond,
 			ConfirmAfter:      time.Second,
 		})
 		if err != nil {

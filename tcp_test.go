@@ -201,7 +201,6 @@ func newRecoveryTCPCluster(t *testing.T, n int) []*hierlock.Member {
 			Peers:             peers,
 			RedialBackoff:     20 * time.Millisecond,
 			HeartbeatInterval: 25 * time.Millisecond,
-			SuspectAfter:      200 * time.Millisecond,
 			ConfirmAfter:      500 * time.Millisecond,
 			ProbeTimeout:      150 * time.Millisecond,
 			RecoveryTimeout:   20 * time.Second,

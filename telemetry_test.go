@@ -2,30 +2,29 @@ package hierlock_test
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
 	"hierlock"
 	"hierlock/internal/metrics"
+	"hierlock/internal/proto"
 	"hierlock/internal/trace"
 )
 
-// TestLiveTelemetrySpan reconstructs an acquire→grant span from a real
-// 3-node TCP cluster: member 2 requests W on a lock whose token starts
-// at member 0, so its trace must show the request leaving, the token
-// arriving 0 → 2, and the grant — the same shape the simulator test
+// TestLiveTelemetrySpan reconstructs an acquire→grant causal path from
+// one member's ring in a real 3-node TCP cluster, as `lockctl trace` does
+// without --cluster: member 2 requests W on a lock whose token starts at
+// member 0, so its path must show the request leaving, the token arriving
+// 0 → 2, and the grant — the same shape the simulator test
 // (internal/cluster.TestSimTelemetry) produces deterministically.
 func TestLiveTelemetrySpan(t *testing.T) {
 	members := newTCPCluster(t, 3)
 	m := members[2]
 	reg := metrics.NewRegistry()
 	rec := trace.New(4096)
-	m.SetTelemetry(hierlock.Telemetry{
-		Registry:       reg,
-		Trace:          rec,
-		NetLatencyBase: time.Millisecond,
-	})
+	m.SetTelemetry(hierlock.Telemetry{Registry: reg, Trace: rec})
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -37,65 +36,67 @@ func TestLiveTelemetrySpan(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	spans := trace.Assemble(rec.Entries())
-	var sp *trace.Span
-	for _, s := range spans {
-		if s.Complete && s.Node == 2 {
-			sp = s
+	dump := rec.DumpLast(0)
+	dump.Node = 2
+	var p *trace.CausalPath
+	for _, cp := range trace.AssembleCausal([]trace.Dump{dump}) {
+		if cp.Complete && cp.Origin == 2 && cp.Steps[0].Op == trace.OpAcquire {
+			p = cp
 		}
 	}
-	if sp == nil {
-		t.Fatalf("no complete span for node 2 in:\n%s", rec.String())
+	if p == nil {
+		t.Fatalf("no complete acquire path for node 2 in:\n%s", rec.String())
 	}
-	if sp.Mode != hierlock.W || sp.Duration() <= 0 {
-		t.Fatalf("span: mode=%v duration=%v", sp.Mode, sp.Duration())
+	if p.Mode != hierlock.W || p.End <= p.Start {
+		t.Fatalf("path: mode=%v duration=%v", p.Mode, p.End-p.Start)
 	}
 	// The requester's view of the token travel: delivered from 0 to 2.
-	path := sp.TokenPath()
-	if len(path) < 2 || path[len(path)-1] != 2 || path[0] != 0 {
-		t.Fatalf("token path = %v, want 0 → … → 2\ntrace:\n%s", path, rec.String())
+	var token []trace.Entry
+	for _, h := range p.Hops() {
+		if h.Kind == proto.KindToken {
+			token = append(token, h)
+		}
+	}
+	if len(token) != 1 || token[0].From != 0 || token[0].To != 2 {
+		t.Fatalf("token hops = %v, want 0 → 2\ntrace:\n%s", token, rec.String())
 	}
 	// The human rendering lockctl prints.
-	out := sp.Format(false)
-	if !strings.Contains(out, "granted in") || !strings.Contains(out, "token path: 0 → 2") {
-		t.Fatalf("span format:\n%s", out)
+	if out := p.Format(false); !strings.Contains(out, "completed in") || !strings.Contains(out, "token   0 → 2") {
+		t.Fatalf("path format:\n%s", out)
 	}
 
-	// Registry agreement with the member's own accumulating counters.
+	// The scrape agrees with the member's own accumulating counters.
+	var sb strings.Builder
+	if err := reg.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	text := sb.String()
 	if got := reg.Counter(metrics.MetricRequestsTotal, "", nil).Value(); got != 1 {
 		t.Fatalf("requests = %d", got)
 	}
-	if got := reg.Counter(metrics.MetricAcquiresTotal, "", nil).Value(); got != 1 {
-		t.Fatalf("acquires = %d", got)
-	}
-	if lat := reg.Histogram(metrics.MetricRequestLatency, "", nil, nil); lat.Count() != 1 {
-		t.Fatalf("latency observations = %d", lat.Count())
+	remote := metrics.MetricOpLatency + `_count{op="lock",outcome="remote"} 1`
+	if !strings.Contains(text, remote) {
+		t.Fatalf("scrape missing %q:\n%s", remote, text)
 	}
 	sent := m.MessagesSent()
-	var regTotal, memberTotal uint64
+	var memberTotal uint64
 	for _, k := range metrics.Kinds {
-		v := reg.Counter(metrics.MetricMessagesTotal, "", metrics.Labels{"kind": k.String()}).Value()
-		if v != sent[k.String()] {
-			t.Fatalf("kind %v: registry %d != member %d", k, v, sent[k.String()])
+		line := fmt.Sprintf(`%s{kind="%s"} %d`, metrics.MetricMessagesTotal, k, sent[k.String()])
+		if !strings.Contains(text, line+"\n") {
+			t.Fatalf("scrape missing %q (the member's own count):\n%s", line, text)
 		}
-		regTotal += v
 		memberTotal += sent[k.String()]
 	}
-	if regTotal == 0 || regTotal != memberTotal {
-		t.Fatalf("message totals: registry %d, member %d", regTotal, memberTotal)
+	if memberTotal == 0 {
+		t.Fatal("the member sent no message")
 	}
 	if got := reg.Counter(metrics.MetricTokenTransfers, "",
 		metrics.Labels{"direction": "in", "lock": "span-test"}).Value(); got != 1 {
 		t.Fatalf("token transfers in = %d", got)
 	}
 
-	// The scrape is well-formed and carries the per-lock and transport
-	// families by resource name.
-	var sb strings.Builder
-	if err := reg.WritePrometheus(&sb); err != nil {
-		t.Fatal(err)
-	}
-	text := sb.String()
+	// The scrape carries the per-lock and transport families by resource
+	// name.
 	for _, want := range []string{
 		metrics.MetricTokenHeld + `{lock="span-test"} 1`,
 		metrics.MetricLockQueueDepth + `{lock="span-test"} 0`,
