@@ -81,11 +81,6 @@ type TCPMemberConfig struct {
 	// that will Join a running cluster starts with an empty map and
 	// learns the peer set from the seed's JoinAck.
 	Peers map[int]string
-	// RedialBackoff is the initial wait before reconnecting to an
-	// unreachable peer; consecutive failures back off exponentially (with
-	// jitter) up to RedialBackoffMax. Defaults: 100ms and 5s.
-	RedialBackoff    time.Duration
-	RedialBackoffMax time.Duration
 	// QueueLimit bounds each per-peer outbound queue and the inbound
 	// delivery queue; 0 means unbounded. At the limit, sends fail rather
 	// than buffering without bound.
@@ -95,10 +90,6 @@ type TCPMemberConfig struct {
 	// Deprecated: the link is always sequenced; removed when the
 	// benchmark harness stops setting it.
 	Reliable bool
-	// OnPeerState, when non-nil, is called from transport goroutines each
-	// time a peer's health changes ("up", "degraded", "down"). It must not
-	// block.
-	OnPeerState func(peer int, state string)
 
 	// HeartbeatInterval enables the failure detector and the crash-
 	// recovery runtime: the member heartbeats every peer at this interval,
@@ -115,9 +106,6 @@ type TCPMemberConfig struct {
 	// transient partition: a false confirmation fences a live node out of
 	// the new epoch and its holds surface as ErrLockLost.
 	ConfirmAfter time.Duration
-	// ProbeTimeout is the regenerator's re-probe interval for survivors
-	// that have not answered during a recovery round (default 1s).
-	ProbeTimeout time.Duration
 	// RecoveryTimeout, when set, bounds every blocking Lock/Upgrade call:
 	// an operation with no grant within it is abandoned and fails with
 	// ErrLockLost. It is the client-side backstop for requests recovery
@@ -125,15 +113,6 @@ type TCPMemberConfig struct {
 	// exceed the worst legitimate wait for a contended lock. Zero
 	// disables the bound.
 	RecoveryTimeout time.Duration
-	// RecoveryQuorum gates regeneration-round commits on fenced
-	// participants: 0 (the default) requires a majority of the
-	// configured cluster, a positive value sets an explicit threshold,
-	// and -1 disables the gate (a round commits once every survivor the
-	// detector still trusts has claimed — the pre-quorum behavior, which
-	// lets a minority partition mint a competing token). Only meaningful
-	// with HeartbeatInterval set. See docs/PROTOCOL.md for the
-	// availability tradeoff.
-	RecoveryQuorum int
 
 	// DataDir, when set, makes the member durable: a write-ahead journal
 	// of every externally-visible lock transition lives under
@@ -149,9 +128,6 @@ type TCPMemberConfig struct {
 	// path, FsyncNever leaves flushing to the OS. See docs/OPERATIONS.md
 	// for the durability windows each policy leaves open.
 	FsyncPolicy FsyncPolicy
-	// SnapshotEvery compacts the journal after this many WAL records
-	// (default 4096; negative disables snapshots).
-	SnapshotEvery int
 
 	// Telemetry, when non-nil, is attached before the transport starts,
 	// so the sinks observe the member from its first frame. SetTelemetry
@@ -193,27 +169,28 @@ func NewTCPMember(cfg TCPMemberConfig) (*Member, error) {
 	for id, addr := range cfg.Peers {
 		peers[proto.NodeID(id)] = addr
 	}
+	// The transport's callbacks fire on its goroutines, possibly before
+	// NewTCPMember returns; they resolve the member through an atomic
+	// late-bound reference.
+	var mref atomic.Pointer[Member]
 	tcfg := transport.TCPConfig{
-		Self:             proto.NodeID(cfg.ID),
-		ListenAddr:       cfg.ListenAddr,
-		Peers:            peers,
-		RedialBackoff:    cfg.RedialBackoff,
-		RedialBackoffMax: cfg.RedialBackoffMax,
-		QueueLimit:       cfg.QueueLimit,
-	}
-	if cb := cfg.OnPeerState; cb != nil {
-		tcfg.OnPeerState = func(peer proto.NodeID, s transport.PeerState) {
-			cb(int(peer), s.String())
-		}
+		Self:       proto.NodeID(cfg.ID),
+		ListenAddr: cfg.ListenAddr,
+		Peers:      peers,
+		QueueLimit: cfg.QueueLimit,
+		OnPeerHealth: func(peer proto.NodeID, s transport.PeerState) {
+			if m := mref.Load(); m != nil {
+				if lg := m.tel.Load().log; lg != nil {
+					lg.Info("peer state changed", "peer", int(peer), "state", s.String())
+				}
+			}
+		},
 	}
 	var rec *memberRecovery
-	var mref atomic.Pointer[Member]
 	if cfg.HeartbeatInterval > 0 {
 		tcfg.HeartbeatInterval = cfg.HeartbeatInterval
 		tcfg.ConfirmAfter = cfg.ConfirmAfter
-		// The detector callbacks fire on transport goroutines, possibly
-		// before NewTCPMember returns; they resolve the member through an
-		// atomic late-bound reference and re-enter it asynchronously. The
+		// The detector callbacks re-enter the member asynchronously. The
 		// fresh goroutines impose no ordering — peerConfirmed/peerAlive
 		// re-check the detector's current state before acting, so a
 		// callback overtaken by a newer transition becomes a no-op.
@@ -231,30 +208,14 @@ func NewTCPMember(cfg TCPMemberConfig) (*Member, error) {
 		for id := range peers {
 			nodes = append(nodes, id)
 		}
-		quorum := cfg.RecoveryQuorum
-		switch {
-		case quorum == 0:
-			quorum = len(nodes)/2 + 1
-		case quorum < 0:
-			quorum = 0
-		}
-		rec = &memberRecovery{
-			nodes:        nodes,
-			probeTimeout: cfg.ProbeTimeout,
-			opTimeout:    cfg.RecoveryTimeout,
-			quorum:       quorum,
-			quorumAuto:   cfg.RecoveryQuorum == 0,
-		}
+		rec = &memberRecovery{nodes: nodes, opTimeout: cfg.RecoveryTimeout}
 	}
 	var jn *journal.Journal
 	if cfg.DataDir != "" {
 		var err error
 		jn, err = journal.Open(
 			filepath.Join(cfg.DataDir, fmt.Sprintf("member-%d", cfg.ID)),
-			journal.Options{
-				Fsync:         journal.Policy(cfg.FsyncPolicy),
-				SnapshotEvery: cfg.SnapshotEvery,
-			})
+			journal.Options{Fsync: journal.Policy(cfg.FsyncPolicy)})
 		if err != nil {
 			return nil, err
 		}

@@ -25,7 +25,6 @@
 // freezes, the grant or token travelling back):
 //
 //	lockctl trace --cluster -debug h1:9400,h2:9401,h3:9402
-//	lockctl trace --cluster -debug h1:9400 -remote   # let h1 fetch its peers
 //
 // Lock introspection (also over the -debug listener): dump one node's
 // lock inventory, or merge every node's into the cluster view with the
@@ -211,7 +210,6 @@ func traceCmd(args []string) {
 	var (
 		debug   = fs.String("debug", "127.0.0.1:9400", "lockd debug HTTP address (comma-separated list with --cluster)")
 		cluster = fs.Bool("cluster", false, "fetch every listed node's buffer and assemble cross-node causal paths")
-		remote  = fs.Bool("remote", false, "with --cluster: ask the first node to fetch the rest (server-side peer merge)")
 		filter  = fs.String("trace", "", "show only the causal path of this trace ID (e.g. n2.50)")
 		n       = fs.Int("n", 0, "fetch only the most recent n entries per node (0 = all retained)")
 		verbose = fs.Bool("v", false, "print every retained step of each path")
@@ -221,7 +219,11 @@ func traceCmd(args []string) {
 
 	client := &http.Client{Timeout: *timeout}
 	if *cluster {
-		nodes := fetchCluster(client, strings.Split(*debug, ","), *n, *remote)
+		nodes, errs := lockserver.FetchAll[trace.Dump](client, splitAddrs(*debug), tracePath(*n))
+		warnUnreachable(errs, "assembling a partial capture")
+		if len(nodes) == 0 {
+			fatalf("no node buffers fetched")
+		}
 		shown := printPaths(nodes, *filter, *verbose)
 		fmt.Printf("%d node buffers merged, %d causal paths\n", len(nodes), shown)
 		return
@@ -238,40 +240,6 @@ func traceCmd(args []string) {
 	}
 	fmt.Printf("%d entries retained (%d evicted), %d causal paths, view %s\n",
 		len(dump.Entries), dump.Dropped, shown, state)
-}
-
-// fetchCluster gathers every node's buffer — directly, or via the first
-// node's server-side peer merge.
-func fetchCluster(client *http.Client, addrs []string, n int, remote bool) []trace.Dump {
-	var cd trace.ClusterDump
-	if remote {
-		if len(addrs) == 0 {
-			fatalf("--remote needs at least one -debug address")
-		}
-		path := tracePath(n) + "&peers=" + strings.Join(addrs[1:], ",")
-		if err := lockserver.GetJSON(client, addrs[0], path, &cd); err != nil {
-			fatalf("fetch cluster trace: %v", err)
-		}
-	} else {
-		cd.Errors = make(map[string]string)
-		for _, addr := range addrs {
-			addr = strings.TrimSpace(addr)
-			if addr == "" {
-				continue
-			}
-			var d trace.Dump
-			if err := lockserver.GetJSON(client, addr, tracePath(n), &d); err != nil {
-				cd.Errors[addr] = err.Error()
-				continue
-			}
-			cd.Nodes = append(cd.Nodes, d)
-		}
-	}
-	warnUnreachable(cd.Errors, "assembling a partial capture")
-	if len(cd.Nodes) == 0 {
-		fatalf("no node buffers fetched")
-	}
-	return cd.Nodes
 }
 
 // printPaths assembles the dumps' causal paths and prints them, or only
@@ -301,11 +269,6 @@ func printPaths(dumps []trace.Dump, filter string, verbose bool) int {
 // tracePath is /debug/trace for the most recent n entries (0 = all).
 func tracePath(n int) string { return fmt.Sprintf("/debug/trace?n=%d", n) }
 
-// locksCmd fetches /debug/locks from one or more debug listeners.
-// Single-node mode prints the node's inventory; --cluster (or several
-// addresses, or the top leaderboard) merges every node's inventory into
-// the cluster view, builds the cluster-wide wait-for graph and flags
-// deadlock cycles.
 // sessionsCmd lists the named client sessions (lease state, held locks
 // with fencing tokens) of one or more lockd nodes, from /debug/locks.
 func sessionsCmd(args []string) {
@@ -323,21 +286,15 @@ func sessionsCmd(args []string) {
 		Node     int                      `json:"node"`
 		Sessions []introspect.SessionInfo `json:"sessions"`
 	}
-	var out []nodeSessions
-	errs := map[string]string{}
-	for _, addr := range addrs {
-		var inv introspect.NodeInventory
-		if err := lockserver.GetJSON(client, addr, "/debug/locks", &inv); err != nil {
-			errs[addr] = err.Error()
-			continue
-		}
-		out = append(out, nodeSessions{Node: inv.Node, Sessions: inv.Sessions})
-	}
-	if len(out) == 0 {
-		warnUnreachable(errs, "listing a partial view")
+	invs, errs := lockserver.FetchAll[introspect.NodeInventory](client, addrs, "/debug/locks")
+	warnUnreachable(errs, "listing a partial view")
+	if len(invs) == 0 {
 		fatalf("no node inventories fetched")
 	}
-	warnUnreachable(errs, "listing a partial view")
+	out := make([]nodeSessions, len(invs))
+	for i, inv := range invs {
+		out[i] = nodeSessions{Node: inv.Node, Sessions: inv.Sessions}
+	}
 	if *asJSON {
 		printJSON(out)
 		return
@@ -352,12 +309,16 @@ func sessionsCmd(args []string) {
 	}
 }
 
+// locksCmd fetches /debug/locks from one or more debug listeners.
+// Single-node mode prints the node's inventory; --cluster (or several
+// addresses, or the top leaderboard) merges every node's inventory into
+// the cluster view, builds the cluster-wide wait-for graph and flags
+// deadlock cycles.
 func locksCmd(args []string, top bool) {
 	fs := flag.NewFlagSet("locks", flag.ExitOnError)
 	var (
 		debug   = fs.String("debug", "127.0.0.1:9400", "lockd debug HTTP address (comma-separated list with --cluster)")
 		cluster = fs.Bool("cluster", false, "merge every listed node's inventory into the cluster view")
-		remote  = fs.Bool("remote", false, "with --cluster: ask the first node to fetch the rest (server-side peer merge)")
 		n       = fs.Int("n", 20, "top: show at most n locks (0 = all)")
 		asJSON  = fs.Bool("json", false, "print the raw JSON instead of the text report")
 		timeout = fs.Duration("timeout", 10*time.Second, "HTTP timeout")
@@ -379,35 +340,15 @@ func locksCmd(args []string, top bool) {
 		return
 	}
 
-	var c introspect.Cluster
-	if *remote {
-		path := "/debug/locks?peers=" + strings.Join(addrs[1:], ",")
-		if err := lockserver.GetJSON(client, addrs[0], path, &c); err != nil {
-			fatalf("fetch cluster locks: %v", err)
-		}
-	} else {
-		var nodes []introspect.NodeInventory
-		errs := map[string]string{}
-		for _, addr := range addrs {
-			var inv introspect.NodeInventory
-			if err := lockserver.GetJSON(client, addr, "/debug/locks", &inv); err != nil {
-				errs[addr] = err.Error()
-				continue
-			}
-			nodes = append(nodes, inv)
-		}
-		if len(nodes) == 0 {
-			warnUnreachable(errs, "merging a partial view")
-			fatalf("no node inventories fetched")
-		}
-		c = introspect.Merge(nodes)
-		if len(errs) > 0 {
-			c.Errors = errs
-		}
-	}
+	nodes, errs := lockserver.FetchAll[introspect.NodeInventory](client, addrs, "/debug/locks")
 	// Unreachable peers degrade the report, not the exit status: exit 2
 	// stays reserved for a detected deadlock so scripts can rely on it.
-	warnUnreachable(c.Errors, "merging a partial view")
+	warnUnreachable(errs, "merging a partial view")
+	if len(nodes) == 0 {
+		fatalf("no node inventories fetched")
+	}
+	c := introspect.Merge(nodes)
+	c.Errors = errs
 	switch {
 	case *asJSON:
 		printJSON(c)

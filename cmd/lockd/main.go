@@ -50,38 +50,32 @@ func main() {
 
 		join      = flag.String("join", "", "join a running cluster via this seed member's peer address (requires -heartbeat; -peers may be empty, the cluster is learned from the seed)")
 		advertise = flag.String("advertise", "", "peer address other members should dial to reach this one (default: the -listen listener's actual address)")
-		joinWait  = flag.Duration("join-timeout", 30*time.Second, "give up on the -join handshake after this long")
 
 		leaseTTL   = flag.Duration("lease-ttl", 30*time.Second, "default session lease TTL; an expired lease force-releases the session's locks")
 		maxWaiters = flag.Int("max-waiters", 0, "cap on exclusive-mode clients waiting per (resource, mode); beyond it LOCK answers ERR busy (0 = unbounded)")
 		debug      = flag.String("debug", "", "debug HTTP listen address for /healthz, /stats, /metrics, /debug/health, /debug/trace, /debug/audit, /debug/locks, /debug/blackbox, /debug/profile and /debug/pprof (disabled if empty)")
 
-		traceBuf   = flag.Int("trace-buf", 4096, "protocol trace ring size in entries (0 disables tracing)")
-		auditOn    = flag.Bool("audit", true, "run the online protocol invariant auditor (requires -trace-buf > 0)")
-		bbBuf      = flag.Int("blackbox-buf", 4096, "flight-recorder ring size in events of its own (round transitions, fsync stalls, evictions, lost holds; grants and token hops are read from the -trace-buf ring); 0 disables the black box")
-		bbInterval = flag.Duration("blackbox-interval", 5*time.Second, "minimum spacing between automatic flight-recorder dumps per trigger reason")
+		traceBuf = flag.Int("trace-buf", 4096, "protocol trace ring size in entries (0 disables tracing)")
+		auditOn  = flag.Bool("audit", true, "run the online protocol invariant auditor (requires -trace-buf > 0)")
+		bbBuf    = flag.Int("blackbox-buf", 4096, "flight-recorder ring size in events of its own (round transitions, fsync stalls, evictions, lost holds; grants and token hops are read from the -trace-buf ring); 0 disables the black box")
 
 		logFormat = flag.String("log-format", "text", "log output format: text or json")
 		logLevel  = flag.String("log-level", "info", "minimum log level: debug, info, warn or error")
 
 		_          = flag.Bool("reliable", true, "ignored. Deprecated: the link is always sequenced; removed when the benchmark harness stops setting it")
 		queueLimit = flag.Int("queue-limit", 0, "bound per-peer outbound and inbound queues (0 = unbounded)")
-		redial     = flag.Duration("redial", 0, "initial redial backoff for unreachable peers (default 100ms)")
-		redialMax  = flag.Duration("redial-max", 0, "redial backoff cap (default 5s)")
 
 		heartbeat       = flag.Duration("heartbeat", 0, "peer heartbeat interval; enables crash detection and token regeneration (0 disables, all members should agree)")
 		confirmAfter    = flag.Duration("confirm-after", 0, "silence before a peer is confirmed dead and recovery starts; must exceed worst-case GC/network stalls (default 8x -heartbeat)")
 		recoveryTimeout = flag.Duration("recovery-timeout", 0, "abandon a lock operation with no grant after this long (0 = wait forever)")
-		recoveryQuorum  = flag.Int("recovery-quorum", 0, "fenced participants required to commit a regeneration round: 0 = majority of the cluster, -1 disables the gate, >0 explicit threshold")
 
 		profileDir = flag.String("profile-dir", "", "directory for continuous-profiling captures (default <data-dir>/profiles when -data-dir is set; empty without -data-dir disables capture)")
 		mutexFrac  = flag.Int("mutex-profile-fraction", 0, "sample 1/N of mutex contention events into the mutex profile (0 = off)")
 		blockRate  = flag.Int("block-profile-rate", 0, "sample blocking events of at least N ns into the block profile (1 = everything, 0 = off)")
 		wdInterval = flag.Duration("watchdog", time.Second, "stall-watchdog evaluation interval for /healthz and /debug/health (0 disables)")
 
-		dataDir       = flag.String("data-dir", "", "directory for the durable write-ahead journal (empty = no persistence); state lives under <data-dir>/member-<id>")
-		fsyncPolicy   = flag.String("fsync", "batched", "journal fsync policy: batched (group fsync on the coalescing cadence), always (inline per append) or never")
-		snapshotEvery = flag.Int("snapshot-every", 0, "compact the journal into a snapshot after this many WAL records (0 = default 4096, negative disables)")
+		dataDir     = flag.String("data-dir", "", "directory for the durable write-ahead journal (empty = no persistence); state lives under <data-dir>/member-<id>")
+		fsyncPolicy = flag.String("fsync", "batched", "journal fsync policy: batched (group fsync on the coalescing cadence), always (inline per append) or never")
 	)
 	flag.Parse()
 
@@ -116,7 +110,7 @@ func main() {
 		bb = introspect.NewRecorder(proto.NodeID(*id), *bbBuf)
 		if *dataDir != "" {
 			bbDir = filepath.Join(*dataDir, "blackbox")
-			if err := bb.EnableAutoDump(bbDir, *bbInterval); err != nil {
+			if err := bb.EnableAutoDump(bbDir, 0); err != nil {
 				fatal("blackbox dir failed", "dir", bbDir, "err", err)
 			}
 		}
@@ -147,18 +141,11 @@ func main() {
 		AdvertiseAddr:     *advertise,
 		Peers:             peerMap,
 		QueueLimit:        *queueLimit,
-		RedialBackoff:     *redial,
-		RedialBackoffMax:  *redialMax,
 		HeartbeatInterval: *heartbeat,
 		ConfirmAfter:      *confirmAfter,
 		RecoveryTimeout:   *recoveryTimeout,
-		RecoveryQuorum:    *recoveryQuorum,
 		DataDir:           *dataDir,
 		FsyncPolicy:       fsync,
-		SnapshotEvery:     *snapshotEvery,
-		OnPeerState: func(peer int, state string) {
-			logger.Info("peer state changed", "peer", peer, "state", state)
-		},
 		Telemetry: &hierlock.Telemetry{
 			Registry: reg,
 			Trace:    rec,
@@ -172,7 +159,7 @@ func main() {
 	defer m.Close()
 
 	if *join != "" {
-		ctx, cancel := context.WithTimeout(context.Background(), *joinWait)
+		ctx, cancel := context.WithTimeout(context.Background(), lockserver.MembershipTimeout)
 		err := m.Join(ctx, *join)
 		cancel()
 		if err != nil {
@@ -182,15 +169,15 @@ func main() {
 	}
 
 	// Continuous profiling: captures land next to the blackbox dumps and
-	// share their rate-limit cadence, so a health incident leaves both
-	// the event lead-up and the execution profile behind.
+	// share their default rate-limit cadence, so a health incident leaves
+	// both the event lead-up and the execution profile behind.
 	profile.EnableRuntimeProfiles(*mutexFrac, *blockRate)
 	var prof *profile.Profiler
 	if dir := *profileDir; dir != "" || *dataDir != "" {
 		if dir == "" {
 			dir = filepath.Join(*dataDir, "profiles")
 		}
-		prof, err = profile.New(dir, *bbInterval)
+		prof, err = profile.New(dir, 0)
 		if err != nil {
 			fatal("profile dir failed", "dir", dir, "err", err)
 		}

@@ -24,8 +24,14 @@ func TestEveryFlagDocumented(t *testing.T) {
 		docs = append(docs, doc...)
 	}
 	flags := regexp.MustCompile(`flag\.[A-Z][a-z]+\("([a-z-]+)"`).FindAllSubmatch(src, -1)
-	if len(flags) < 30 {
-		t.Fatalf("found %d flag registrations in main.go: the scan is broken", len(flags))
+	found := map[string]bool{}
+	for _, f := range flags {
+		found[string(f[1])] = true
+	}
+	for _, name := range []string{"id", "peers", "data-dir"} {
+		if !found[name] {
+			t.Fatalf("the scan of main.go missed -%s: it is broken", name)
+		}
 	}
 	for _, f := range flags {
 		name := string(f[1])

@@ -33,10 +33,8 @@ func bootDurableMember(t *testing.T, id int, addrs map[int]string, dataDir strin
 		ListenAddr:        addrs[id],
 		Peers:             peers,
 		DataDir:           dataDir,
-		RedialBackoff:     20 * time.Millisecond,
 		HeartbeatInterval: 25 * time.Millisecond,
 		ConfirmAfter:      500 * time.Millisecond,
-		ProbeTimeout:      150 * time.Millisecond,
 		RecoveryTimeout:   30 * time.Second,
 		Telemetry:         tel,
 	})

@@ -116,13 +116,6 @@ type RecoveryOptions struct {
 	// ProbeTimeout is the regenerator's re-probe interval for survivors
 	// that have not answered a recovery probe. Default 1s.
 	ProbeTimeout time.Duration
-	// Quorum gates regeneration-round commits on fenced participants,
-	// mirroring TCPMemberConfig.RecoveryQuorum: 0 (the default) requires
-	// a majority of the cluster, a positive value sets an explicit
-	// threshold, and -1 disables the gate (a round commits once every
-	// survivor the detector still trusts has claimed). See
-	// docs/PROTOCOL.md for the availability tradeoff.
-	Quorum int
 }
 
 // DefaultLatencyMean is the paper's mean network latency.
@@ -159,9 +152,6 @@ type Cluster struct {
 	// departed. Node slots in Nodes are never reused; a departed node
 	// stays in the slice but leaves this set.
 	members map[proto.NodeID]bool
-	// quorumAuto records that the recovery quorum was configured as
-	// "majority" (Quorum == 0), so membership changes recompute it.
-	quorumAuto bool
 }
 
 // New builds a cluster per cfg. Node 0 initially holds every token and is
@@ -187,13 +177,6 @@ func New(cfg Config) *Cluster {
 		}
 		if r.ProbeTimeout <= 0 {
 			r.ProbeTimeout = time.Second
-		}
-		switch {
-		case r.Quorum == 0:
-			r.Quorum = cfg.Nodes/2 + 1
-			c.quorumAuto = true
-		case r.Quorum < 0:
-			r.Quorum = 0
 		}
 		c.recovery = &r
 	}
@@ -626,21 +609,6 @@ func (n *Node) newTrace() proto.TraceID {
 	return proto.TraceID{Node: n.ID, Seq: uint64(n.clock.Tick())}
 }
 
-// msgTrace extracts a message's causal trace ID (requests carry the
-// authoritative copy in the embedded Request).
-func msgTrace(msg *proto.Message) proto.TraceID {
-	if msg.Kind == proto.KindRequest && !msg.Req.Trace.IsZero() {
-		return msg.Req.Trace
-	}
-	if msg.Kind == proto.KindRecovered {
-		// The regenerated root rides in Req.Origin; surfacing it as the
-		// entry's trace node lets the auditor learn the new release target
-		// every reseeded node acquires.
-		return proto.TraceID{Node: msg.Req.Origin}
-	}
-	return msg.Trace
-}
-
 func newNode(c *Cluster, id proto.NodeID, cfg Config) *Node {
 	n := &Node{ID: id, c: c, nnodes: cfg.Nodes,
 		waiters:    make(map[proto.LockID]waiting),
@@ -670,7 +638,8 @@ func (n *Node) newManager() *recovery.Manager {
 	c := n.c
 	// Peers come from the cluster's current membership, not the boot-time
 	// node count: a manager rebuilt after a disk-loss restart must not
-	// resurrect departed members or miss runtime joiners.
+	// resurrect departed members or miss runtime joiners. A round commits
+	// on a majority of them.
 	peers := make([]proto.NodeID, 0, len(c.members))
 	for id := range c.members {
 		peers = append(peers, id)
@@ -688,7 +657,7 @@ func (n *Node) newManager() *recovery.Manager {
 		Clock:            &n.clock,
 		After:            func(d time.Duration, fn func()) { c.Sim.At(d, fn) },
 		ProbeTimeout:     c.recovery.ProbeTimeout,
-		Quorum:           c.recovery.Quorum,
+		Quorum:           len(peers)/2 + 1,
 		OnRoundStart: func(lock proto.LockID, proposed uint32) {
 			n.roundStart[lock] = c.Sim.Now()
 		},
@@ -1176,6 +1145,7 @@ func (nw *Network) Faults() *sim.Faults { return nw.faults }
 // existed on the wire as far as ordering is concerned.
 func (nw *Network) Send(msg proto.Message) {
 	nw.Metrics.Count(msg.Kind)
+	tid := proto.MsgTrace(&msg)
 	var at time.Duration
 	if nw.faults != nil {
 		out := nw.faults.Apply(int(msg.From), int(msg.To), nw.sim.Now(), nw.rand)
@@ -1188,7 +1158,7 @@ func (nw *Network) Send(msg proto.Message) {
 			nw.trace.Record(trace.Entry{
 				At: nw.sim.Now(), Op: trace.OpLost, Node: msg.From,
 				Lock: msg.Lock, Mode: msg.Mode, Kind: msg.Kind, From: msg.From, To: msg.To,
-				Trace: msgTrace(&msg), Epoch: msg.Epoch,
+				Trace: tid, Epoch: msg.Epoch,
 			})
 			return
 		}
@@ -1196,7 +1166,7 @@ func (nw *Network) Send(msg proto.Message) {
 		nw.trace.Record(trace.Entry{
 			At: nw.sim.Now(), Op: trace.OpSend, Node: msg.From,
 			Lock: msg.Lock, Mode: msg.Mode, Kind: msg.Kind, From: msg.From, To: msg.To,
-			Trace: msgTrace(&msg), Epoch: msg.Epoch,
+			Trace: tid, Epoch: msg.Epoch,
 		})
 		if nw.trace != nil {
 			nw.recordFaults(&msg, out)
@@ -1206,7 +1176,7 @@ func (nw *Network) Send(msg proto.Message) {
 		nw.trace.Record(trace.Entry{
 			At: nw.sim.Now(), Op: trace.OpSend, Node: msg.From,
 			Lock: msg.Lock, Mode: msg.Mode, Kind: msg.Kind, From: msg.From, To: msg.To,
-			Trace: msgTrace(&msg), Epoch: msg.Epoch,
+			Trace: tid, Epoch: msg.Epoch,
 		})
 	}
 	key := [2]proto.NodeID{msg.From, msg.To}
@@ -1223,7 +1193,7 @@ func (nw *Network) Send(msg proto.Message) {
 		nw.trace.Record(trace.Entry{
 			At: nw.sim.Now(), Op: trace.OpDeliver, Node: m.To,
 			Lock: m.Lock, Mode: m.Mode, Kind: m.Kind, From: m.From, To: m.To,
-			Trace: msgTrace(&m), Epoch: m.Epoch,
+			Trace: proto.MsgTrace(&m), Epoch: m.Epoch,
 		})
 		h(&m)
 	})
@@ -1238,7 +1208,7 @@ func (nw *Network) recordFaults(msg *proto.Message, out sim.Outcome) {
 			nw.trace.Record(trace.Entry{
 				At: nw.sim.Now(), Op: op, Node: msg.From,
 				Lock: msg.Lock, Mode: msg.Mode, Kind: msg.Kind, From: msg.From, To: msg.To,
-				Trace: msgTrace(msg),
+				Trace: proto.MsgTrace(msg),
 			})
 		}
 	}

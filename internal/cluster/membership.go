@@ -24,7 +24,7 @@ import (
 // the lowest-ID live member remembers and raises its epoch floor to the
 // highest epoch that member has observed, so nothing the joiner later
 // regenerates can collide with a world it never saw. Every member's
-// recovery manager learns the joiner, and a majority-tracked quorum is
+// recovery manager learns the joiner, and the majority quorum is
 // recomputed over the grown membership. No token moves: a join is a
 // recovery round with zero lost tokens.
 //
@@ -154,15 +154,10 @@ func (c *Cluster) lowestLiveMember(exclude proto.NodeID) *Node {
 	return nil
 }
 
-// recomputeQuorum re-derives a majority quorum over the current
-// membership and installs it on every member's manager. No-op when the
-// quorum was configured explicitly (or disabled).
+// recomputeQuorum re-derives the majority quorum over the current
+// membership and installs it on every member's manager.
 func (c *Cluster) recomputeQuorum() {
-	if !c.quorumAuto {
-		return
-	}
 	q := len(c.members)/2 + 1
-	c.recovery.Quorum = q
 	for _, n := range c.Nodes {
 		if n.mgr != nil && c.members[n.ID] {
 			n.mgr.SetQuorum(q)

@@ -37,13 +37,8 @@ import (
 //	                   to the K most recent entries, ?enable=off freezes what
 //	                   this endpoint shows (the ring, its taps and the flight
 //	                   recorder carry on) until ?enable=on (503 when no
-//	                   recorder is attached).
-//	                   ?peers=addr1,addr2 switches to peer-merge mode: the
-//	                   node fetches every listed peer's /debug/trace buffer
-//	                   and returns one ClusterDump bundling its own buffer
-//	                   with the peers' (per-peer fetch errors reported, not
-//	                   fatal) — the input `lockctl trace --cluster` assembles
-//	                   causal paths from.
+//	                   recorder is attached). `lockctl trace --cluster`
+//	                   fetches it from every node and merges the buffers.
 //	GET /debug/audit  → JSON report of the online protocol auditor: entries
 //	                   consumed, violations per invariant, recent violation
 //	                   details (503 when no auditor is attached)
@@ -51,10 +46,8 @@ import (
 //	                   epoch, token ownership, held/pending/frozen modes,
 //	                   copyset, probable-owner next hop, queued requests
 //	                   and the local waiter with its wait duration.
-//	                   ?peers=addr1,addr2 merges the listed peers'
-//	                   inventories into one cluster view with the
-//	                   cluster-wide wait-for graph and deadlock cycles —
-//	                   the input `lockctl locks --cluster` renders.
+//	                   `lockctl locks --cluster` fetches it from every
+//	                   node and merges the cluster-wide wait-for graph.
 //	GET /debug/blackbox → JSON view of the flight recorder: counters, the
 //	                   retained events (?n=K limits to the K most
 //	                   recent) and the dump files on disk. ?dump=NAME
@@ -68,7 +61,8 @@ import (
 //	                   pprof file. 503 when no profiler is attached.
 //	GET /debug/pprof/ → the standard net/http/pprof profiles
 //
-// Mount it on lockd's -debug listener.
+// Mount it on lockd's -debug listener. The handler never fetches another
+// URL: merging nodes is the caller's job (FetchAll).
 func (s *Server) DebugHandler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -270,10 +264,6 @@ func (s *Server) DebugHandler() http.Handler {
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		if peers := r.URL.Query().Get("peers"); peers != "" {
-			_ = enc.Encode(s.clusterDump(n, strings.Split(peers, ",")))
-			return
-		}
 		_ = enc.Encode(s.localDump(n))
 	})
 	mux.HandleFunc("/debug/audit", func(w http.ResponseWriter, r *http.Request) {
@@ -290,10 +280,6 @@ func (s *Server) DebugHandler() http.Handler {
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		if peers := r.URL.Query().Get("peers"); peers != "" {
-			_ = enc.Encode(s.clusterInventory(strings.Split(peers, ",")))
-			return
-		}
 		_ = enc.Encode(s.inventory())
 	})
 	mux.HandleFunc("/debug/blackbox", func(w http.ResponseWriter, r *http.Request) {
@@ -362,31 +348,6 @@ func (s *Server) localDump(n int) trace.Dump {
 	return d
 }
 
-// clusterDump bundles this node's buffer with every listed peer's,
-// fetched over their debug listeners. Peer failures are reported in
-// Errors rather than failing the merge — a partial capture still
-// assembles a useful causal path.
-func (s *Server) clusterDump(n int, peers []string) trace.ClusterDump {
-	out := trace.ClusterDump{Nodes: []trace.Dump{s.localDump(n)}}
-	client := &http.Client{Timeout: 5 * time.Second}
-	for _, peer := range peers {
-		peer = strings.TrimSpace(peer)
-		if peer == "" {
-			continue
-		}
-		var d trace.Dump
-		if err := GetJSON(client, peer, fmt.Sprintf("/debug/trace?n=%d", n), &d); err != nil {
-			if out.Errors == nil {
-				out.Errors = make(map[string]string)
-			}
-			out.Errors[peer] = err.Error()
-			continue
-		}
-		out.Nodes = append(out.Nodes, d)
-	}
-	return out
-}
-
 // HealthView is the /debug/health response: the watchdog's current
 // verdict with its structured reasons and per-state transition counts.
 type HealthView struct {
@@ -419,32 +380,6 @@ type BlackboxView struct {
 	LastDumpErr string                 `json:"last_dump_err,omitempty"`
 	Ring        []introspect.DumpEvent `json:"ring"`
 	Files       []introspect.DumpFile  `json:"files,omitempty"`
-}
-
-// clusterInventory merges this node's lock inventory with every listed
-// peer's into the cluster view (wait-for graph included). Peer failures
-// are reported in Errors rather than failing the merge.
-func (s *Server) clusterInventory(peers []string) introspect.Cluster {
-	nodes := []introspect.NodeInventory{s.inventory()}
-	errs := map[string]string{}
-	client := &http.Client{Timeout: 5 * time.Second}
-	for _, peer := range peers {
-		peer = strings.TrimSpace(peer)
-		if peer == "" {
-			continue
-		}
-		var inv introspect.NodeInventory
-		if err := GetJSON(client, peer, "/debug/locks", &inv); err != nil {
-			errs[peer] = err.Error()
-			continue
-		}
-		nodes = append(nodes, inv)
-	}
-	c := introspect.Merge(nodes)
-	if len(errs) > 0 {
-		c.Errors = errs
-	}
-	return c
 }
 
 // inventory is the member's lock inventory plus the session tier's
@@ -486,9 +421,8 @@ func DebugURL(addr, path string) string {
 // GetJSON fetches path from a node's debug listener and decodes the JSON
 // body into v. Any status but 200 is an error carrying the status and the
 // first 512 bytes of the body; the body is still decoded into v if it
-// parses, because /debug/health answers 503 with its verdict. Shared by
-// the peer-merge modes above and every lockctl subcommand that talks to
-// the debug listener.
+// parses, because /debug/health answers 503 with its verdict. Every
+// lockctl subcommand that talks to the debug listener fetches through it.
 func GetJSON(client *http.Client, addr, path string, v any) error {
 	url := DebugURL(addr, path)
 	resp, err := client.Get(url)
@@ -505,4 +439,23 @@ func GetJSON(client *http.Client, addr, path string, v any) error {
 		return fmt.Errorf("%s: %w", url, err)
 	}
 	return nil
+}
+
+// FetchAll fetches path from every listed debug listener and decodes each
+// answer into a T, in list order. A listener that cannot be fetched is
+// left out and its error kept in errs under its address, so a cluster
+// view built from the rest is partial, not lost.
+func FetchAll[T any](client *http.Client, addrs []string, path string) (got []T, errs map[string]string) {
+	for _, addr := range addrs {
+		var v T
+		if err := GetJSON(client, addr, path, &v); err != nil {
+			if errs == nil {
+				errs = make(map[string]string)
+			}
+			errs[addr] = err.Error()
+			continue
+		}
+		got = append(got, v)
+	}
+	return got, errs
 }

@@ -4,10 +4,14 @@ import (
 	"context"
 	"encoding/json"
 	"flag"
+	"io"
+	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"hierlock"
@@ -152,9 +156,9 @@ func TestMetricsGolden(t *testing.T) {
 		metrics.Labels{"kind": "request"}).Add(4)
 	reg.Counter(metrics.MetricMessagesTotal, "Protocol messages sent, by kind.",
 		metrics.Labels{"kind": "token"}).Add(2)
-	reg.Collect(metrics.MetricLockQueueDepth, "Locally queued requests per lock.",
+	reg.Collect(metrics.MetricStripeLocks, "Tracked locks per shard stripe of the member's lock table.",
 		"gauge", func(emit func(metrics.Labels, float64)) {
-			emit(metrics.Labels{"lock": "fares/row17"}, 3)
+			emit(metrics.Labels{"stripe": "17"}, 3)
 		})
 	h := reg.Histogram(metrics.MetricQueueWait,
 		"Per-lock admission queue wait in seconds.", []float64{0.1, 0.5, 1}, nil)
@@ -212,14 +216,14 @@ func TestMetricsLive(t *testing.T) {
 		metrics.MetricRequestsTotal + " 1",
 		metrics.MetricOpLatency + `_count{op="lock",outcome="remote"} 1`,
 		metrics.MetricTokenHops + "_count 1",
-		metrics.MetricLockQueueDepth + `{lock="live"}`,
-		metrics.MetricLockCopyset + `{lock="live"}`,
-		metrics.MetricLockFrozen + `{lock="live"}`,
-		metrics.MetricTokenHeld + `{lock="live"} 1`,
+		metrics.MetricStripeLocks + `{stripe="0"}`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("live exposition missing %q", want)
 		}
+	}
+	if strings.Contains(text, "lock=") {
+		t.Errorf("live exposition has a per-lock series:\n%s", text)
 	}
 }
 
@@ -393,9 +397,9 @@ func TestDebugAuditEndpoint(t *testing.T) {
 }
 
 // TestDebugTraceClusterMerge runs two members behind real HTTP debug
-// listeners and asks one for a peer-merged dump: both node buffers must
-// come back attributed, and a dead peer must land in Errors rather than
-// failing the merge.
+// listeners and fetches their dumps the way `lockctl trace --cluster`
+// does: both node buffers must come back attributed, and a dead peer
+// must land in the errors rather than failing the merge.
 func TestDebugTraceClusterMerge(t *testing.T) {
 	cl, err := hierlock.NewCluster(2)
 	if err != nil {
@@ -424,26 +428,19 @@ func TestDebugTraceClusterMerge(t *testing.T) {
 	_ = l.Unlock()
 
 	peer := strings.TrimPrefix(listeners[0].URL, "http://")
-	resp, err := listeners[1].Client().Get(listeners[1].URL + "/debug/trace?peers=" + peer + ",127.0.0.1:1")
-	if err != nil {
-		t.Fatal(err)
+	nodes, errs := lockserver.FetchAll[trace.Dump](listeners[1].Client(),
+		[]string{listeners[1].URL, peer, "127.0.0.1:1"}, "/debug/trace")
+	if len(nodes) != 2 {
+		t.Fatalf("merged %d node buffers, want 2", len(nodes))
 	}
-	defer resp.Body.Close()
-	var cd trace.ClusterDump
-	if err := json.NewDecoder(resp.Body).Decode(&cd); err != nil {
-		t.Fatal(err)
+	if nodes[0].Node != 1 || nodes[1].Node != 0 {
+		t.Fatalf("dump attribution: first=%d second=%d", nodes[0].Node, nodes[1].Node)
 	}
-	if len(cd.Nodes) != 2 {
-		t.Fatalf("merged %d node buffers, want 2", len(cd.Nodes))
-	}
-	if cd.Nodes[0].Node != 1 || cd.Nodes[1].Node != 0 {
-		t.Fatalf("dump attribution: self=%d peer=%d", cd.Nodes[0].Node, cd.Nodes[1].Node)
-	}
-	if len(cd.Errors) != 1 {
-		t.Fatalf("dead peer not reported: %+v", cd.Errors)
+	if len(errs) != 1 {
+		t.Fatalf("dead peer not reported: %+v", errs)
 	}
 
-	paths := trace.AssembleCausal(cd.Nodes)
+	paths := trace.AssembleCausal(nodes)
 	var found bool
 	for _, p := range paths {
 		if p.Origin == 1 && p.Complete && len(p.Nodes) == 2 {
@@ -452,5 +449,48 @@ func TestDebugTraceClusterMerge(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("no complete cross-node causal path for node 1; got %d paths", len(paths))
+	}
+}
+
+// TestDebugPeersFetchesNothing: the debug listener never fetches a URL a
+// caller names. A ?peers= parameter on /debug/trace or /debug/locks sends
+// no request to the named server and answers with the local view alone.
+func TestDebugPeersFetchesNothing(t *testing.T) {
+	cl, err := hierlock.NewCluster(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	var hits atomic.Int64
+	named := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		hits.Add(1)
+		http.Error(w, "secret-internal-body", http.StatusForbidden)
+	}))
+	defer named.Close()
+
+	srv := lockserver.New(cl.Member(0))
+	srv.Trace = trace.New(64)
+	h := httptest.NewServer(srv.DebugHandler())
+	defer h.Close()
+	for _, path := range []string{"/debug/trace", "/debug/locks"} {
+		resp, err := http.Get(h.URL + path + "?peers=" + url.QueryEscape(named.URL+"/admin/keys#"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || strings.Contains(string(body), "secret-internal-body") {
+			t.Errorf("%s: %s\n%s", path, resp.Status, body)
+		}
+		var local struct {
+			Node  *int            `json:"node"`
+			Nodes json.RawMessage `json:"nodes"`
+		}
+		if err := json.Unmarshal(body, &local); err != nil || local.Node == nil || *local.Node != 0 || local.Nodes != nil {
+			t.Errorf("%s?peers= answered %s, want node 0's own view", path, body)
+		}
+	}
+	if n := hits.Load(); n != 0 {
+		t.Fatalf("the debug listener sent %d requests to a server named in ?peers=", n)
 	}
 }

@@ -52,9 +52,10 @@ func TestDebugLocksGolden(t *testing.T) {
 }
 
 // TestDebugLocksClusterMerge stands up two members' debug listeners,
-// blocks member 0 behind member 1's exclusive hold, and checks the
-// ?peers= merge assembles the cluster view with the conflict edge (and
-// no false deadlock).
+// blocks member 0 behind member 1's exclusive hold, and checks that
+// merging their inventories the way lockctl does (FetchAll, then Merge)
+// assembles the cluster view with the conflict edge (and no false
+// deadlock).
 func TestDebugLocksClusterMerge(t *testing.T) {
 	cl, err := hierlock.NewCluster(2)
 	if err != nil {
@@ -101,20 +102,16 @@ func TestDebugLocksClusterMerge(t *testing.T) {
 	ts1 := httptest.NewServer(lockserver.New(cl.Member(1)).DebugHandler())
 	defer ts1.Close()
 
-	resp, err := http.Get(ts1.URL + "/debug/locks?peers=" + url.QueryEscape(ts0.URL))
-	if err != nil {
-		t.Fatal(err)
+	merge := func(addrs ...string) (introspect.Cluster, map[string]string) {
+		nodes, errs := lockserver.FetchAll[introspect.NodeInventory](http.DefaultClient, addrs, "/debug/locks")
+		return introspect.Merge(nodes), errs
 	}
-	defer resp.Body.Close()
-	var c introspect.Cluster
-	if err := json.NewDecoder(resp.Body).Decode(&c); err != nil {
-		t.Fatal(err)
-	}
+	c, errs := merge(ts1.URL, ts0.URL)
 	if len(c.Nodes) != 2 {
 		t.Fatalf("merged %d nodes, want 2", len(c.Nodes))
 	}
-	if len(c.Errors) != 0 {
-		t.Fatalf("merge errors: %v", c.Errors)
+	if len(errs) != 0 {
+		t.Fatalf("merge errors: %v", errs)
 	}
 	if len(c.WaitFor.Edges) != 1 {
 		t.Fatalf("wait-for edges = %+v, want the 0->1 conflict", c.WaitFor.Edges)
@@ -134,17 +131,9 @@ func TestDebugLocksClusterMerge(t *testing.T) {
 	}
 
 	// Unreachable peers degrade to a partial view, not a failure.
-	resp2, err := http.Get(ts1.URL + "/debug/locks?peers=127.0.0.1:1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp2.Body.Close()
-	var partial introspect.Cluster
-	if err := json.NewDecoder(resp2.Body).Decode(&partial); err != nil {
-		t.Fatal(err)
-	}
-	if len(partial.Nodes) != 1 || len(partial.Errors) != 1 {
-		t.Fatalf("partial merge = %d nodes, errors %v", len(partial.Nodes), partial.Errors)
+	partial, errs := merge(ts1.URL, "127.0.0.1:1")
+	if len(partial.Nodes) != 1 || len(errs) != 1 {
+		t.Fatalf("partial merge = %d nodes, errors %v", len(partial.Nodes), errs)
 	}
 
 	l.Unlock()

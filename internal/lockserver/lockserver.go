@@ -432,8 +432,9 @@ func (se *connState) handle(line string) (string, bool) {
 	}
 }
 
-// membershipTimeout bounds the blocking MEMBER ADD/REMOVE handshakes.
-const membershipTimeout = 30 * time.Second
+// MembershipTimeout bounds the blocking membership handshakes: MEMBER
+// ADD/REMOVE, and lockd's -join.
+const MembershipTimeout = 30 * time.Second
 
 // memberCmd handles the MEMBER subcommands: LIST renders this member's
 // current view of the cluster (self marked with *), ADD makes this
@@ -468,7 +469,7 @@ func (se *connState) memberCmd(args []string) string {
 		if len(args) != 2 {
 			return "ERR usage: MEMBER ADD <seed-addr>"
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), membershipTimeout)
+		ctx, cancel := context.WithTimeout(context.Background(), MembershipTimeout)
 		defer cancel()
 		if err := se.srv.member.Join(ctx, args[1]); err != nil {
 			return fmt.Sprintf("ERR %v", err)
@@ -478,7 +479,7 @@ func (se *connState) memberCmd(args []string) string {
 		if len(args) != 1 {
 			return "ERR usage: MEMBER REMOVE"
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), membershipTimeout)
+		ctx, cancel := context.WithTimeout(context.Background(), MembershipTimeout)
 		defer cancel()
 		if err := se.srv.member.Leave(ctx); err != nil {
 			return fmt.Sprintf("ERR %v", err)

@@ -35,21 +35,6 @@ const (
 	// MetricSharedJoinsTotal counts acquisitions satisfied by joining an
 	// existing local hold (zero protocol messages).
 	MetricSharedJoinsTotal = "hierlock_shared_joins_total"
-	// MetricTokenTransfers counts token transfers observed by this node.
-	// Labels: lock, direction (in|out).
-	MetricTokenTransfers = "hierlock_token_transfers_total"
-	// MetricLockQueueDepth gauges locally queued requests per lock.
-	// Labels: lock.
-	MetricLockQueueDepth = "hierlock_lock_queue_depth"
-	// MetricLockCopyset gauges the copyset size (children granted a copy)
-	// per lock at this node. Labels: lock.
-	MetricLockCopyset = "hierlock_lock_copyset_size"
-	// MetricLockFrozen gauges the number of frozen modes per lock at this
-	// node. Labels: lock.
-	MetricLockFrozen = "hierlock_lock_frozen_modes"
-	// MetricTokenHeld gauges whether this node holds the lock's token
-	// (0 or 1). Labels: lock.
-	MetricTokenHeld = "hierlock_token_held"
 
 	// MetricTransportBytes counts transport payload bytes. Labels:
 	// direction (sent|recv).

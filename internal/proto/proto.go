@@ -187,6 +187,22 @@ func ParseTraceID(s string) (TraceID, error) {
 	return TraceID{Node: NodeID(n), Seq: q}, nil
 }
 
+// MsgTrace extracts a message's causal trace ID: requests carry it in
+// the embedded Request (authoritative even when a forwarding hop lost
+// the header copy), everything else in the header. Recovered frames
+// carry the regenerated root in Req.Origin instead; surfacing it as the
+// trace node lets the auditor open the new epoch's token ledger at the
+// right node.
+func MsgTrace(msg *Message) TraceID {
+	if msg.Kind == KindRequest && !msg.Req.Trace.IsZero() {
+		return msg.Req.Trace
+	}
+	if msg.Kind == KindRecovered {
+		return TraceID{Node: msg.Req.Origin}
+	}
+	return msg.Trace
+}
+
 // Request is a pending lock request as it travels through the tree and
 // sits in local queues. Origin, TS, Priority and Trace never change as
 // the request is forwarded.

@@ -88,23 +88,6 @@ type Dump struct {
 	Entries []Entry      `json:"entries"`
 }
 
-// ClusterDump bundles the trace buffers of several nodes, as served by
-// /debug/trace in peer-merge mode and consumed by `lockctl trace
-// --cluster`. Errors records peers whose buffer could not be fetched.
-type ClusterDump struct {
-	Nodes  []Dump            `json:"nodes"`
-	Errors map[string]string `json:"errors,omitempty"`
-}
-
-// Entries concatenates all per-node buffers (per-node order preserved).
-func (c *ClusterDump) Entries() []Entry {
-	var out []Entry
-	for _, d := range c.Nodes {
-		out = append(out, d.Entries...)
-	}
-	return out
-}
-
 // DumpLast captures the most recent n retained entries (all of them if
 // n <= 0 or exceeds the retention) as a Dump. Nil-safe. The caller owns
 // Node (DumpLast reports NoNode).

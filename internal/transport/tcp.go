@@ -71,10 +71,10 @@ type TCPConfig struct {
 	// Deprecated: the link is always sequenced; removed when the
 	// benchmark harness stops setting it.
 	Reliable bool
-	// OnPeerState, when non-nil, is invoked from transport goroutines
+	// OnPeerHealth, when non-nil, is invoked from transport goroutines
 	// whenever a peer's health state changes. It must not block and must
 	// not call back into the transport.
-	OnPeerState func(peer proto.NodeID, state PeerState)
+	OnPeerHealth func(peer proto.NodeID, state PeerState)
 
 	// HeartbeatInterval enables the liveness layer: every interval the
 	// transport sends a KindHeartbeat frame to each configured peer whose
@@ -989,7 +989,7 @@ func (w *peerWriter) setState(s PeerState, reset bool) {
 	changed := w.state != s
 	w.state = s
 	w.mu.Unlock()
-	if changed && w.t.cfg.OnPeerState != nil {
-		w.t.cfg.OnPeerState(w.peer, s)
+	if changed && w.t.cfg.OnPeerHealth != nil {
+		w.t.cfg.OnPeerHealth(w.peer, s)
 	}
 }

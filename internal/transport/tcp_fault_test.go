@@ -95,7 +95,7 @@ func TestTCPHealthTransitions(t *testing.T) {
 		Peers:         map[proto.NodeID]string{1: addr},
 		RedialBackoff: 10 * time.Millisecond,
 		DownAfter:     2,
-		OnPeerState: func(peer proto.NodeID, s PeerState) {
+		OnPeerHealth: func(peer proto.NodeID, s PeerState) {
 			if peer == 1 {
 				states <- s
 			}

@@ -273,42 +273,6 @@ type lockState struct {
 	// journal replay, or the most recent recovery round), recorded in
 	// journal records so a restarted member knows where to re-home.
 	seedRoot proto.NodeID
-	// xfer caches the lock's token-transfer counters so a token frame
-	// does no registry lookup under the shard mutex.
-	xfer transferCounters
-}
-
-// transferCounters holds one lock's hierlock_token_transfers_total
-// series by direction, each resolved on first use. They belong to one
-// telemetry bundle and one label: a SetTelemetry swap, or the resource
-// name arriving after the numeric ID was used, resolves them afresh.
-type transferCounters struct {
-	tel   *telemetry
-	named bool
-	dir   [2]*metrics.Counter // indexed by transferIn/transferOut
-}
-
-const (
-	transferIn = iota
-	transferOut
-)
-
-// countTransfer counts one token transfer of ls in direction d. Callers
-// hold the shard mutex owning ls.
-func (ls *lockState) countTransfer(tel *telemetry, d int) {
-	if tel.reg == nil {
-		return
-	}
-	x := &ls.xfer
-	if named := ls.res != ""; x.tel != tel || x.named != named {
-		*x = transferCounters{tel: tel, named: named}
-	}
-	if x.dir[d] == nil {
-		x.dir[d] = tel.reg.Counter(metrics.MetricTokenTransfers,
-			"Token transfers observed by this node.",
-			metrics.Labels{"lock": ls.label(), "direction": [...]string{"in", "out"}[d]})
-	}
-	x.dir[d].Inc()
 }
 
 // journaled is the durable-state fingerprint of one lock's engine: the
@@ -319,15 +283,6 @@ func (ls *lockState) countTransfer(tel *telemetry, d int) {
 type journaled struct {
 	epoch uint32
 	token bool
-}
-
-// label names the lock for metric labels: the resource name when known,
-// the numeric lock ID otherwise.
-func (ls *lockState) label() string {
-	if ls.res != "" {
-		return ls.res
-	}
-	return strconv.FormatUint(uint64(ls.id), 10)
 }
 
 // Member is one participant of a locking cluster: it hosts the protocol
@@ -366,10 +321,6 @@ type Member struct {
 	// (carried in JOIN announcements; empty for in-process members, which
 	// have no runtime membership).
 	advertise string
-	// quorumAuto records that the recovery quorum was derived as a
-	// majority of the configured cluster rather than set explicitly, so
-	// membership changes recompute it for the new size.
-	quorumAuto bool
 	// ackMu guards the membership handshake channels: joinC/leaveC are
 	// non-nil only while a Join/Leave call is collecting acknowledgments.
 	ackMu  sync.Mutex
@@ -569,22 +520,6 @@ func (m *Member) newTrace() proto.TraceID {
 	return proto.TraceID{Node: m.id, Seq: uint64(m.clock.Tick())}
 }
 
-// msgTrace extracts a message's causal trace ID: requests carry it in
-// the embedded Request (authoritative even when a forwarding hop lost
-// the header copy), everything else in the header.
-func msgTrace(msg *proto.Message) proto.TraceID {
-	if msg.Kind == proto.KindRequest && !msg.Req.Trace.IsZero() {
-		return msg.Req.Trace
-	}
-	if msg.Kind == proto.KindRecovered {
-		// Recovered frames carry the regenerated root in Req.Origin; the
-		// auditor reads it from the trace ID to open the new epoch's
-		// token ledger at the right node.
-		return proto.TraceID{Node: msg.Req.Origin}
-	}
-	return msg.Trace
-}
-
 // countMessage records one outbound protocol message in m.sent, which
 // MessagesSent, Stats and the hierlock_messages_sent_total collector read.
 func (m *Member) countMessage(k proto.Kind) {
@@ -599,8 +534,8 @@ var sentKinds = append(slices.Clone(metrics.Kinds), proto.KindProbe, proto.KindC
 	proto.KindRecovered, proto.KindJoin, proto.KindJoinAck, proto.KindLeave, proto.KindLeaveAck)
 
 // SetTelemetry attaches observability sinks to the member and registers
-// its scrape-time collectors (per-lock engine gauges; transport queue,
-// link and wire-volume metrics for TCP members). Call once, before
+// its scrape-time collectors (lock-table gauges; transport queue, link
+// and wire-volume metrics for TCP members). Call once, before
 // client operations; inbound delivery may already be running.
 func (m *Member) SetTelemetry(t Telemetry) {
 	tel := m.wire(t)
@@ -788,39 +723,11 @@ func registerJournalCollectors(reg *metrics.Registry, jn *journal.Journal) {
 		})
 }
 
-// registerLockCollectors registers scrape-time gauges over the member's
-// per-lock engine state. Each collector walks the shard stripes, taking
-// each stripe's mutex briefly at scrape.
+// registerLockCollectors registers the member's scrape-time gauges:
+// tracked locks per stripe (taking each stripe's mutex briefly) and the
+// Lamport clock. None is per lock, so the scrape does not grow with the
+// resources ever named; /debug/locks serves per-lock state.
 func (m *Member) registerLockCollectors(reg *metrics.Registry) {
-	engineGauge := func(f func(*hlock.Engine) float64) metrics.Collector {
-		return func(emit func(metrics.Labels, float64)) {
-			for i := range m.shards {
-				sh := &m.shards[i]
-				sh.mu.Lock()
-				for _, ls := range sh.locks {
-					emit(metrics.Labels{"lock": ls.label()}, f(ls.engine))
-				}
-				sh.mu.Unlock()
-			}
-		}
-	}
-	reg.Collect(metrics.MetricLockQueueDepth,
-		"Locally queued requests per lock.", "gauge",
-		engineGauge(func(e *hlock.Engine) float64 { return float64(e.QueueLen()) }))
-	reg.Collect(metrics.MetricLockCopyset,
-		"Copyset size (children holding a granted copy) per lock.", "gauge",
-		engineGauge(func(e *hlock.Engine) float64 { return float64(len(e.Children())) }))
-	reg.Collect(metrics.MetricLockFrozen,
-		"Number of frozen modes per lock.", "gauge",
-		engineGauge(func(e *hlock.Engine) float64 { return float64(e.Frozen().Len()) }))
-	reg.Collect(metrics.MetricTokenHeld,
-		"Whether this node holds the lock's token (0 or 1).", "gauge",
-		engineGauge(func(e *hlock.Engine) float64 {
-			if e.IsToken() {
-				return 1
-			}
-			return 0
-		}))
 	reg.Collect(metrics.MetricStripeLocks,
 		"Tracked locks per shard stripe of the member's lock table.", "gauge",
 		func(emit func(metrics.Labels, float64)) {
@@ -1033,20 +940,12 @@ func (m *Member) await(ctx context.Context, sh *lockShard, w *waiter) error {
 }
 
 // memberRecovery configures a member's crash-recovery runtime: the full
-// node set (recovery rounds span every configured member) and the
-// protocol/client timeouts. Nil disables recovery.
+// node set (recovery rounds span every configured member, and a round
+// commits on a majority of them) and the client timeout. Nil disables
+// recovery.
 type memberRecovery struct {
-	nodes        []proto.NodeID // all cluster members, including self
-	probeTimeout time.Duration
-	opTimeout    time.Duration
-	// quorum is the minimum fenced-participant count a regeneration
-	// round needs to commit (0 disables the gate; see
-	// TCPMemberConfig.RecoveryQuorum for the host-level policy).
-	quorum int
-	// quorumAuto marks a quorum derived as a cluster majority (the
-	// RecoveryQuorum==0 policy): membership changes then recompute it for
-	// the new cluster size.
-	quorumAuto bool
+	nodes     []proto.NodeID // all cluster members, including self
+	opTimeout time.Duration
 	// advertise is the address JOIN announcements carry for this member
 	// (empty disables runtime membership).
 	advertise string
@@ -1076,7 +975,6 @@ func newMember(id, root proto.NodeID, tr transport.Transport, rec *memberRecover
 	}
 	if rec != nil {
 		m.recoveryTimeout = rec.opTimeout
-		m.quorumAuto = rec.quorumAuto
 		m.advertise = rec.advertise
 		m.roundStart = make(map[proto.LockID]time.Time)
 		m.mgr = recovery.NewManager(recovery.Config{
@@ -1089,8 +987,7 @@ func newMember(id, root proto.NodeID, tr transport.Transport, rec *memberRecover
 			Reseed:           m.recoveryReseed,
 			Clock:            &m.clock,
 			After:            m.afterRecovery,
-			ProbeTimeout:     rec.probeTimeout,
-			Quorum:           rec.quorum,
+			Quorum:           len(rec.nodes)/2 + 1,
 			LocksReferencing: m.locksReferencing,
 			OnRoundStart:     m.recoveryRoundStart,
 			OnRoundDone:      m.recoveryRoundDone,
@@ -1162,7 +1059,7 @@ func (m *Member) sendRecovery(msg proto.Message) {
 	if rec := tel.rec; rec != nil {
 		rec.Record(trace.Entry{At: sinceEpoch(), Op: trace.OpSend,
 			Node: m.id, Lock: msg.Lock, Kind: msg.Kind, From: msg.From,
-			To: msg.To, Epoch: msg.Epoch, Trace: msgTrace(&msg)})
+			To: msg.To, Epoch: msg.Epoch, Trace: proto.MsgTrace(&msg)})
 	}
 	_ = m.tr.Send(&msg)
 }
@@ -1466,10 +1363,6 @@ func (m *Member) MessagesSent() map[string]uint64 {
 	return out
 }
 
-// TrackedLocks returns the number of locks the member currently holds
-// state for. Idle locks (no hold, no waiter, engine at its initial
-// state) are evicted from the table, so the count stays proportional to
-// the working set rather than to every resource ever named.
 // HealthSample snapshots the stall watchdog's inputs (see
 // internal/watchdog): pending waiters and their worst age, cumulative
 // grants, in-flight recovery rounds, journal fsync stalls and transport
@@ -1518,6 +1411,10 @@ func (m *Member) HealthSample() watchdog.Sample {
 	return s
 }
 
+// TrackedLocks returns the number of locks the member currently holds
+// state for. Idle locks (no hold, no waiter, engine at its initial
+// state) are evicted from the table, so the count stays proportional to
+// the working set rather than to every resource ever named.
 func (m *Member) TrackedLocks() int {
 	n := 0
 	for i := range m.shards {
@@ -2204,7 +2101,7 @@ func (m *Member) delivery(msg *proto.Message) trace.Entry {
 	return trace.Entry{At: sinceEpoch(), Op: trace.OpDeliver,
 		Node: m.id, Lock: msg.Lock, Mode: msg.Mode,
 		Kind: msg.Kind, From: msg.From, To: msg.To, Epoch: msg.Epoch,
-		Trace: msgTrace(msg)}
+		Trace: proto.MsgTrace(msg)}
 }
 
 // handle is the transport delivery callback (serialized per member).
@@ -2260,7 +2157,6 @@ func (m *Member) handle(msg *proto.Message) {
 		if w := ls.waiter; w != nil {
 			w.hops++
 		}
-		ls.countTransfer(tel, transferIn)
 	}
 	out, err := ls.engine.Handle(msg)
 	if err != nil {
@@ -2268,7 +2164,7 @@ func (m *Member) handle(msg *proto.Message) {
 		if lg := tel.log; lg != nil {
 			lg.Error("protocol error", "err", err, "kind", msg.Kind.String(),
 				"lock", uint64(msg.Lock), "from", int(msg.From),
-				"trace", msgTrace(msg).String())
+				"trace", proto.MsgTrace(msg).String())
 		}
 	}
 	if out.Stale && m.mgr != nil {
@@ -2345,10 +2241,7 @@ func (m *Member) dispatch(sh *lockShard, ls *lockState, out hlock.Out) {
 			sh.record(rec, trace.Entry{At: sinceEpoch(), Op: trace.OpSend,
 				Node: m.id, Lock: msg.Lock, Mode: msg.Mode,
 				Kind: msg.Kind, From: msg.From, To: msg.To, Epoch: msg.Epoch,
-				Trace: msgTrace(msg)})
-		}
-		if msg.Kind == proto.KindToken {
-			ls.countTransfer(tel, transferOut)
+				Trace: proto.MsgTrace(msg)})
 		}
 		if err := m.tr.Send(msg); err != nil && !m.closed.Load() {
 			if errors.Is(err, transport.ErrUnknown) && m.mgr != nil {

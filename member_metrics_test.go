@@ -340,3 +340,52 @@ func TestMemberMetricsGolden(t *testing.T) {
 	}
 	t.Errorf("golden mismatch for %s:\n--- want ---\n%s\n--- got ---\n%s", path, want, got)
 }
+
+// TestScrapeBoundedByWorkingSet is the series-cardinality gate: no series
+// names a lock (/debug/locks serves the per-lock facts), so once idle
+// locks are evicted a member that moved a thousand locks' tokens scrapes
+// no longer than one that moved a hundred.
+func TestScrapeBoundedByWorkingSet(t *testing.T) {
+	lines := func(n int) int {
+		c, err := hierlock.NewCluster(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		var regs [2]*metrics.Registry
+		for i := range regs {
+			regs[i] = metrics.NewRegistry()
+			c.Member(i).SetTelemetry(hierlock.Telemetry{Registry: regs[i]})
+		}
+		ctx := context.Background()
+		for r := 0; r < n; r++ {
+			res := fmt.Sprintf("cardinality/%d", r)
+			for _, i := range []int{1, 0} { // the token goes out and comes back
+				l, err := c.Member(i).Lock(ctx, res, hierlock.W)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := l.Unlock(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		total := 0
+		for i, reg := range regs {
+			m := c.Member(i)
+			m.EvictIdle()
+			if left := m.TrackedLocks(); left != 0 {
+				t.Fatalf("N=%d: member %d still tracks %d locks after EvictIdle", n, i, left)
+			}
+			text := scrape(t, reg)
+			if strings.Contains(text, "lock=") {
+				t.Fatalf("N=%d: member %d's scrape has a series per lock:\n%s", n, i, text)
+			}
+			total += strings.Count(text, "\n")
+		}
+		return total
+	}
+	if small, large := lines(100), lines(1000); large > small {
+		t.Fatalf("scrape grew with the resources ever named: %d lines at N=100, %d at N=1000", small, large)
+	}
+}

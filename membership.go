@@ -266,7 +266,7 @@ func (m *Member) tokenLockIDs() []proto.LockID {
 
 // handleJoin admits (or re-acknowledges) a joining peer: its address
 // joins the transport's peer set, its ID joins the recovery node set,
-// the quorum is recomputed if it tracks the majority, and a JoinAck
+// the quorum is recomputed as a majority of the grown set, and a JoinAck
 // answers with this member's world — the peer list, the highest epoch
 // observed, and a batch of recovery-table seeds. Idempotent: the initial
 // JOIN arrives out-of-band and may be duplicated.
@@ -288,9 +288,7 @@ func (m *Member) handleJoin(msg *proto.Message) {
 	}
 	t.AddPeer(msg.From, msg.Addr)
 	m.mgr.AddNode(msg.From)
-	if m.quorumAuto {
-		m.mgr.SetQuorum(len(m.mgr.Nodes())/2 + 1)
-	}
+	m.mgr.SetQuorum(len(m.mgr.Nodes())/2 + 1)
 	ack := proto.Message{Kind: proto.KindJoinAck, From: m.id, To: msg.From,
 		TS:    m.clock.Tick(),
 		Addr:  m.peerList(t),
@@ -337,9 +335,7 @@ func (m *Member) handleJoinAck(msg *proto.Message) {
 		t.AddPeer(id, addr)
 		m.mgr.AddNode(id)
 	}
-	if m.quorumAuto {
-		m.mgr.SetQuorum(len(m.mgr.Nodes())/2 + 1)
-	}
+	m.mgr.SetQuorum(len(m.mgr.Nodes())/2 + 1)
 	m.mgr.SetEpochFloor(msg.Epoch)
 	for _, r := range msg.Queue {
 		m.mgr.Adopt(proto.LockID(r.TS), recovery.Seed{
@@ -396,9 +392,7 @@ func (m *Member) handleLeave(msg *proto.Message) {
 			locks[i] = proto.LockID(v)
 		}
 		m.mgr.Depart(msg.From, locks)
-		if m.quorumAuto {
-			m.mgr.SetQuorum(len(m.mgr.Nodes())/2 + 1)
-		}
+		m.mgr.SetQuorum(len(m.mgr.Nodes())/2 + 1)
 	}
 	m.mgrMu.Unlock()
 	if wasMember {
@@ -533,7 +527,7 @@ func (m *Member) countMembershipSend(msg *proto.Message) {
 	if rec := m.tel.Load().rec; rec != nil {
 		rec.Record(trace.Entry{At: sinceEpoch(), Op: trace.OpSend,
 			Node: m.id, Kind: msg.Kind, From: msg.From, To: msg.To,
-			Epoch: msg.Epoch, Trace: msgTrace(msg)})
+			Epoch: msg.Epoch, Trace: proto.MsgTrace(msg)})
 	}
 }
 

@@ -15,10 +15,8 @@ func recoveryTCPConfig(id int, listen string, peers map[int]string) hierlock.TCP
 		ID:                id,
 		ListenAddr:        listen,
 		Peers:             peers,
-		RedialBackoff:     20 * time.Millisecond,
 		HeartbeatInterval: 25 * time.Millisecond,
 		ConfirmAfter:      500 * time.Millisecond,
-		ProbeTimeout:      150 * time.Millisecond,
 		RecoveryTimeout:   20 * time.Second,
 	}
 }

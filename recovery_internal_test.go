@@ -31,7 +31,6 @@ func newDetectorPair(t *testing.T) [2]*Member {
 			ID:                i,
 			ListenAddr:        addrs[i],
 			Peers:             map[int]string{1 - i: addrs[1-i]},
-			RedialBackoff:     20 * time.Millisecond,
 			HeartbeatInterval: 25 * time.Millisecond,
 			ConfirmAfter:      time.Second,
 		})

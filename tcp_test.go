@@ -199,10 +199,8 @@ func newRecoveryTCPCluster(t *testing.T, n int) []*hierlock.Member {
 			ID:                i,
 			ListenAddr:        addrs[i],
 			Peers:             peers,
-			RedialBackoff:     20 * time.Millisecond,
 			HeartbeatInterval: 25 * time.Millisecond,
 			ConfirmAfter:      500 * time.Millisecond,
-			ProbeTimeout:      150 * time.Millisecond,
 			RecoveryTimeout:   20 * time.Second,
 		})
 		if err != nil {

@@ -28,52 +28,6 @@ func TestDisabledTelemetryAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestTransferCountersFollowTelemetryAndLabel: the per-lock cache of
-// hierlock_token_transfers_total handles is tied to the telemetry bundle
-// and to the label it was resolved under — a SetTelemetry swap counts
-// into the new registry, a resource name arriving after the numeric ID
-// was used counts under the name, a direction never used creates no
-// series, and the cached path allocates nothing.
-func TestTransferCountersFollowTelemetryAndLabel(t *testing.T) {
-	value := func(reg *metrics.Registry, lock, dir string) uint64 {
-		return reg.Counter(metrics.MetricTokenTransfers, "",
-			metrics.Labels{"lock": lock, "direction": dir}).Value()
-	}
-	regA, regB := metrics.NewRegistry(), metrics.NewRegistry()
-	telA, telB := &telemetry{reg: regA}, &telemetry{reg: regB}
-	ls := &lockState{id: 7}
-
-	ls.countTransfer(&telemetry{}, transferIn) // no registry: no-op
-	ls.countTransfer(telA, transferIn)
-	ls.countTransfer(telA, transferIn)
-	var sb strings.Builder
-	if err := regA.WritePrometheus(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(sb.String(), `direction="out"`) {
-		t.Fatalf("an unused direction got a series:\n%s", sb.String())
-	}
-	ls.countTransfer(telA, transferOut)
-	if in, out := value(regA, "7", "in"), value(regA, "7", "out"); in != 2 || out != 1 {
-		t.Fatalf("registry A by ID: in=%d out=%d, want 2 and 1", in, out)
-	}
-
-	ls.res = "fares/row7"
-	ls.countTransfer(telA, transferIn)
-	if id, named := value(regA, "7", "in"), value(regA, "fares/row7", "in"); id != 2 || named != 1 {
-		t.Fatalf("after the name arrived: by ID %d, by name %d, want 2 and 1", id, named)
-	}
-
-	ls.countTransfer(telB, transferIn)
-	if a, b := value(regA, "fares/row7", "in"), value(regB, "fares/row7", "in"); a != 1 || b != 1 {
-		t.Fatalf("after the telemetry swap: registry A %d, registry B %d, want 1 and 1", a, b)
-	}
-
-	if n := testing.AllocsPerRun(200, func() { ls.countTransfer(telB, transferIn) }); n != 0 {
-		t.Fatalf("cached transfer count allocated %.1f times", n)
-	}
-}
-
 // TestMessagesSentNamesEveryKind: hierlock_messages_sent_total shows every
 // kind a member sends from the first scrape, recovery and membership
 // frames under their own names, and "unknown" stays for kinds out of range.

@@ -90,16 +90,13 @@ func TestLiveTelemetrySpan(t *testing.T) {
 	if memberTotal == 0 {
 		t.Fatal("the member sent no message")
 	}
-	if got := reg.Counter(metrics.MetricTokenTransfers, "",
-		metrics.Labels{"direction": "in", "lock": "span-test"}).Value(); got != 1 {
-		t.Fatalf("token transfers in = %d", got)
-	}
 
-	// The scrape carries the per-lock and transport families by resource
-	// name.
+	// The scrape carries the transport families, and no series per lock:
+	// /debug/locks serves those facts.
+	if strings.Contains(text, "lock=") {
+		t.Errorf("scrape has a per-lock series:\n%s", text)
+	}
 	for _, want := range []string{
-		metrics.MetricTokenHeld + `{lock="span-test"} 1`,
-		metrics.MetricLockQueueDepth + `{lock="span-test"} 0`,
 		metrics.MetricTransportBytes + `{direction="sent"}`,
 		metrics.MetricTransportFrames + `{direction="recv"}`,
 		metrics.MetricTransportPeerState,
