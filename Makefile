@@ -39,10 +39,12 @@ race:
 # hides what the next one shows (TestTCPCutScheduleExactlyOnce, a few
 # hundred seeded cuts, is there to find two readers on one sequence
 # number; only the race detector's pace makes that likely). So do the
-# last three: which stripe admits
-# its staged trace entries (to the taps and the ring alike) or folds its
-# staged metric words when, whether anything comes between a grant and
-# its release on a stripe (TestReleaseFolds*, TestSharedAuditor*), which
+# last three: which stripe admits its staged trace entries (to the taps
+# and the ring alike) or folds its staged metric words when (every
+# client-operation sample is such a word, and a scrape must show each
+# grant in both families it feeds or in neither:
+# TestScrapeExactWhileCounting), whether anything comes between a grant
+# and its release on a stripe (TestReleaseFolds*, TestSharedAuditor*), which
 # reader's pull hands the auditor an offending entry
 # (TestViolationInStagedEntry*, TestEveryConsumerPulls*) and what a
 # reader of a handle's mode and fence sees beside an Upgrade
@@ -58,7 +60,7 @@ chaos:
 	$(GO) test -race -count=1 ./internal/recovery/
 	$(GO) test -race -count=1 -run 'TestTCPCrashRecovery|TestTCPRecoveryQuietWithoutCrash' .
 	$(GO) test -race -count=3 -run 'TestStagedRing|TestSharedRing|TestResidentPath|TestAcquireFolded|TestSlotBlocked|TestReleaseFolds|TestClientScriptRingGolden|TestSharedAuditor|TestViolationInStagedEntry|TestEveryConsumerPulls|TestHandleGrantEvents|TestFlightRecorderSees|TestLockAllOrdering' .
-	$(GO) test -race -count=3 -run 'TestScrapeExactWhileCounting|TestSetTelemetrySwapSplitsCounts|TestMemberMetricsGolden' .
+	$(GO) test -race -count=3 -run 'TestScrapeExactWhileCounting|TestMemberMetricsGolden' .
 	$(GO) test -race -count=3 ./internal/audit/ ./internal/trace/ ./internal/introspect/ ./internal/metrics/
 
 # Durability coverage: the journal package (torn-tail, corrupt-frame,
@@ -114,15 +116,16 @@ fuzz:
 # overhead benches (histogram/counter/trace-record, including the
 # nil-handle disabled paths, which must report 0 allocs/op). The second
 # line is a smoke run of the member's resident pair, bare and under
-# lockd's default telemetry, on one core and on two: what a member makes
-# its callers share shows only in the -cpu 2 column (for figures worth
-# quoting raise -benchtime). Under the default telemetry a pair stages one
+# lockd's default telemetry, and of a remote grant under that telemetry
+# (two members passing one key's token), on one core and on two: what a
+# member makes its callers share shows only in the -cpu 2 column (for
+# figures worth quoting raise -benchtime). Under the default telemetry a pair stages one
 # trace entry — its grant, carrying the acquire's and the release's stamps
 # — which the ring and then the auditor get 16 at a time; the flight
 # recorder reads its grants from the ring when it is read.
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem . ./internal/hlock ./internal/metrics ./internal/trace ./internal/proto ./internal/session
-	$(GO) test -run '^$$' -bench 'BenchmarkMemberDefaultTelemetry|BenchmarkMemberMultiLockContended' -cpu 1,2 -benchtime 100x -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkMemberDefaultTelemetry|BenchmarkMemberRemoteTelemetry|BenchmarkMemberMultiLockContended' -cpu 1,2 -benchtime 100x -benchmem .
 
 # Alternating base/change pairs of one benchmark workload (15 s runs, seed
 # 1): the base quartiles, the change median, the pairs won and lost and

@@ -90,19 +90,9 @@ const (
 	// saturated volume) visible.
 	MetricJournalFsyncLatency = "hierlock_journal_fsync_latency_seconds"
 
-	// MetricRecoveryRounds counts token-regeneration rounds this node
-	// completed as the regenerator.
-	MetricRecoveryRounds = "hierlock_recovery_rounds_total"
 	// MetricRecoveryRoundDuration is the start→Recovered duration
 	// histogram of regeneration rounds run by this node, in seconds.
 	MetricRecoveryRoundDuration = "hierlock_recovery_round_duration_seconds"
-	// MetricRecoveryProbes counts recovery Probe messages. Labels:
-	// direction (sent|received).
-	MetricRecoveryProbes = "hierlock_recovery_probes_total"
-	// MetricRecoveryClaims counts recovery Claim messages (solicited
-	// answers and unsolicited nominations). Labels: direction
-	// (sent|received).
-	MetricRecoveryClaims = "hierlock_recovery_claims_total"
 	// MetricRecoveryRegenerated counts locks reseeded into a recovered
 	// epoch at this node (every Reseed applied, as regenerator or
 	// survivor).
@@ -321,21 +311,26 @@ func (h *Histogram) Observe(v float64) {
 	if h == nil {
 		return
 	}
-	// Binary search for the first bound >= v.
-	lo, hi := 0, len(h.upper)
+	h.cell[Bucket(h.upper, v)].Add(1)
+	if v == 0 {
+		return // a zero sample (a free admission slot, no token hops) adds nothing to the sum
+	}
+	addFloat(&h.cell[len(h.upper)+1], v)
+}
+
+// Bucket returns the bucket a sample v lands in under the inclusive upper
+// bounds upper: the index of the first bound >= v, or len(upper) (+Inf).
+func Bucket(upper []float64, v float64) int {
+	lo, hi := 0, len(upper)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if h.upper[mid] < v {
+		if upper[mid] < v {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	h.cell[lo].Add(1)
-	if v == 0 {
-		return // a zero sample (a free admission slot, no token hops) adds nothing to the sum
-	}
-	addFloat(&h.cell[len(h.upper)+1], v)
+	return lo
 }
 
 // addFloat adds v to the float64 whose bits w holds.
@@ -349,15 +344,19 @@ func addFloat(w *atomic.Uint64, v float64) {
 	}
 }
 
-// AddLowest records n samples that all lie in the lowest bucket (each at
-// or below the first bound; the caller's word for it) and add up to sum:
-// how a producer that counted such samples in words of its own folds
-// them in, with one write for the lot. No-op on a nil histogram.
-func (h *Histogram) AddLowest(n uint64, sum float64) {
-	if h == nil || n == 0 {
+// Add records samples counted elsewhere: counts[i] more in bucket i (see
+// Bucket; len(counts) is at most the bucket count, +Inf included), adding
+// up to sum — how a producer that counted samples in words of its own
+// folds them in. No-op on a nil histogram.
+func (h *Histogram) Add(counts []uint64, sum float64) {
+	if h == nil {
 		return
 	}
-	h.cell[0].Add(n)
+	for i, n := range counts {
+		if n != 0 {
+			h.cell[i].Add(n)
+		}
+	}
 	if sum != 0 {
 		addFloat(&h.cell[len(h.upper)+1], sum)
 	}
@@ -456,12 +455,11 @@ type Registry struct {
 	mu       sync.Mutex
 	families map[string]*family
 
-	// read is held exclusively by a reader while the fold hooks run and,
-	// in WritePrometheus, until the last family is rendered; a writer whose
-	// samples in several families must be seen together holds it shared
-	// (BeginWrite). One exposition therefore never shows half of a fold or
-	// half of such a group. Lock order: read before anything a hook takes.
-	read   sync.RWMutex
+	// read is held by a reader while the fold hooks run and, in
+	// WritePrometheus, until the last family is rendered: one exposition
+	// never shows half of a fold. Only readers take it. Lock order: read
+	// before anything a hook takes.
+	read   sync.Mutex
 	onRead atomic.Pointer[[]func()]
 }
 
@@ -486,9 +484,9 @@ func NewRegistry() *Registry {
 }
 
 // OnRead registers a staging producer's fold hook: fn adds to the
-// registry's handles (Add, AddLowest) whatever the producer has counted
-// and not yet folded. It runs at the start of every read, one reader at
-// a time. No-op on a nil registry or nil fn.
+// registry's handles (Counter.Add, Histogram.Add) whatever the producer
+// has counted and not yet folded. It runs at the start of every read, one
+// reader at a time. No-op on a nil registry or nil fn.
 func (r *Registry) OnRead(fn func()) {
 	if r == nil || fn == nil {
 		return
@@ -506,8 +504,9 @@ func (r *Registry) OnRead(fn func()) {
 	}
 }
 
-// Pull runs the fold hooks as a read would, for a producer about to stop
-// staging into this registry. A registry nobody stages into pays one
+// Pull runs the fold hooks as a read would, for a reader of what they
+// fold that is not an exposition: a handle's Value, Count, Sum and
+// Quantile, the auditor's report. A registry nobody stages into pays one
 // atomic load. Nil-safe.
 func (r *Registry) Pull() {
 	if r == nil || r.onRead.Load() == nil {
@@ -518,30 +517,12 @@ func (r *Registry) Pull() {
 	r.read.Unlock()
 }
 
-// fold runs the hooks. Callers hold r.read exclusively.
+// fold runs the hooks. Callers hold r.read.
 func (r *Registry) fold() {
 	if hooks := r.onRead.Load(); hooks != nil {
 		for _, fn := range *hooks {
 			fn()
 		}
-	}
-}
-
-// BeginWrite opens a group of writes to handles of different families
-// that an exposition must show all of or none of (one grant's counter
-// and its histograms); EndWrite closes it. Writers do not wait for each
-// other, only for an exposition in progress, and must not hold anything a
-// fold hook takes. Nil-safe.
-func (r *Registry) BeginWrite() {
-	if r != nil {
-		r.read.RLock()
-	}
-}
-
-// EndWrite closes the group BeginWrite opened.
-func (r *Registry) EndWrite() {
-	if r != nil {
-		r.read.RUnlock()
 	}
 }
 

@@ -2,12 +2,12 @@ package metrics
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"testing"
 	"time"
-	"unsafe"
 )
 
 // validateExposition checks Prometheus text-format invariants: every
@@ -297,9 +297,7 @@ func TestRegistryConcurrency(t *testing.T) {
 
 // TestStripedHandles (the name is from when handles had striped cells):
 // Inc/Observe from eight goroutines read back as the serial totals
-// through every reader; the exposition's _count is its +Inf bucket; and a
-// Counter stays two words (a member registers a labelled counter pair
-// per lock).
+// through every reader, and the exposition's _count is its +Inf bucket.
 func TestStripedHandles(t *testing.T) {
 	const workers, per = 8, 5000
 	r := NewRegistry()
@@ -360,17 +358,13 @@ func TestStripedHandles(t *testing.T) {
 			t.Errorf("exposition missing %q:\n%s", want, text)
 		}
 	}
-
-	if size := unsafe.Sizeof(Counter{}); size > 16 {
-		t.Fatalf("Counter is %d bytes, want at most two words (count, registry)", size)
-	}
 }
 
 // TestOnReadFoldsBeforeEveryRead: a producer counts in words of its own
 // and folds them in an OnRead hook. Every way of reading the registry —
 // the exposition and Value, Count, Sum, Quantile on its handles — runs
 // the hook first, a registry without producers and a standalone handle
-// run none, and AddLowest puts n samples in the first bucket with one
+// run none, and Add puts counted samples in their buckets with one
 // addition to the sum.
 func TestOnReadFoldsBeforeEveryRead(t *testing.T) {
 	r := NewRegistry()
@@ -384,7 +378,7 @@ func TestOnReadFoldsBeforeEveryRead(t *testing.T) {
 		defer mu.Unlock()
 		folds++
 		c.Add(staged)
-		h.AddLowest(staged, 0.25*float64(staged))
+		h.Add([]uint64{staged}, 0.25*float64(staged))
 		staged = 0
 	})
 	stage := func(n uint64) {
@@ -435,15 +429,17 @@ func TestOnReadFoldsBeforeEveryRead(t *testing.T) {
 		t.Errorf("Pull did not run the hook")
 	}
 
-	// A write group waits for nothing but an exposition, and nests with
-	// other groups.
-	r.BeginWrite()
-	r.BeginWrite()
-	c.Inc()
-	r.EndWrite()
-	r.EndWrite()
-	if got := c.Value(); got != 12 {
-		t.Fatalf("Value() = %d after a grouped Inc", got)
+	// Add with a count per bucket: the samples land where Observe puts
+	// them, Bucket being its search.
+	h.Add([]uint64{0, 2, 0, 1}, 12)
+	for _, v := range []float64{1.5, 2, 9} {
+		h.Observe(v)
+	}
+	if got := []int{Bucket(h.upper, 1.5), Bucket(h.upper, 2), Bucket(h.upper, 9)}; !slices.Equal(got, []int{1, 1, 3}) {
+		t.Fatalf("Bucket = %v, want [1 1 3]", got)
+	}
+	if q := h.Quantile(1); q != 5 || h.Count() != 18 || h.Sum() != 5.75+12+12.5 {
+		t.Fatalf("after Add: P100 %v count %d sum %v", q, h.Count(), h.Sum())
 	}
 
 	// Nothing to run, nothing to lock: nil registry, nil and standalone
@@ -451,12 +447,10 @@ func TestOnReadFoldsBeforeEveryRead(t *testing.T) {
 	var nilR *Registry
 	nilR.OnRead(func() { t.Error("hook of a nil registry ran") })
 	nilR.Pull()
-	nilR.BeginWrite()
-	nilR.EndWrite()
 	var nilH *Histogram
-	nilH.AddLowest(3, 1)
+	nilH.Add([]uint64{3}, 1)
 	lone := NewHistogram([]float64{1})
-	lone.AddLowest(2, 0.5)
+	lone.Add([]uint64{2}, 0.5)
 	if lone.Count() != 2 || lone.Sum() != 0.5 {
 		t.Fatalf("standalone histogram: count %d sum %v", lone.Count(), lone.Sum())
 	}

@@ -52,18 +52,17 @@ var (
 //	               the member is taken while one is held
 //
 // Under a stripe's mutex the member calls out to the trace ring and its
-// taps (the auditor), metric handles, the flight recorder, the journal
-// (Append) and the transport (Send); each has mutexes of its own and none
-// calls back — which is why a tap, and whatever it calls (the auditor's
-// OnViolation, a flight-recorder dump), may read nothing that pulls from
-// the stripes. The other direction goes through the OnRead hooks: a reader
-// of the registry, of the ring or of the flight recorder runs them — they
-// take each stripe's mutex in turn — before it takes the mutex of what it
-// reads and, for the registry, while it holds the read lock exclusively,
-// so a metric group (Registry.BeginWrite, the shared side of that lock) is
-// opened with no stripe's mutex held. A Lock/Unlock pair on a resident
-// token takes its lock's stripe mutex twice and no other mutex at all,
-// save once in stageEntries pairs.
+// taps (the auditor), the flight recorder, the journal (Append) and the
+// transport (Send); each has mutexes of its own and none calls back —
+// which is why a tap, and whatever it calls (the auditor's OnViolation, a
+// flight-recorder dump), may read nothing that pulls from the stripes. The
+// other direction goes through the OnRead hooks: a reader of the registry,
+// of the ring or of the flight recorder runs them — they take each
+// stripe's mutex in turn — before it takes the mutex of what it reads and,
+// for the registry, while it holds the registry's read mutex, which only
+// readers take. A Lock/Unlock pair on a resident token takes its lock's
+// stripe mutex twice and no other mutex at all, save once in stageEntries
+// pairs.
 
 // lockShardCount is the number of stripes the member's per-lock state is
 // spread over. Lock IDs are hashes of resource names, so a simple modulo
@@ -76,13 +75,11 @@ const lockShardCount = 64
 // stripe's mutex, and so do the stripe's share of what a client
 // operation accounts: the acquire-latency summary, the shared-join
 // count, the metric samples waiting for the registry and the trace
-// entries waiting for the ring. An uncontended operation on a resident
-// token therefore takes no other mutex and writes no word another stripe
-// writes, with or without telemetry attached, save the Lamport clock
-// (atomic). Messages are another matter: each one sent still counts
-// under statMu, and a grant that waited, travelled or took long writes
-// the registry's handles directly (telemetry.record): each such grant
-// already cost a network round trip or a wait.
+// entries waiting for the ring. A client operation therefore writes no
+// metric or trace word another stripe writes, with or without telemetry
+// attached, whether it waited, travelled or was granted at once; what it
+// shares is the Lamport clock (atomic) and, per message it sends, the
+// member's message count under statMu.
 type lockShard struct {
 	mu    sync.Mutex
 	m     *Member // a Lock handle reaches its member through its stripe
@@ -95,78 +92,132 @@ type lockShard struct {
 	acq         metrics.Latency
 	sharedJoins uint64
 
-	// cnt is what the stripe has counted for the registry and not yet
-	// folded into its handles: see staged.
-	cnt staged
-
 	// staged holds client-operation trace entries (acquire, granted,
 	// release) no consumer has seen yet, neither the taps nor the ring: see
 	// note. It is the one staging layer between a client operation and all
-	// of them. The entries were staged for stagedFor, the recorder of the
-	// bundle in force then.
-	staged    []trace.Entry
-	stagedFor *trace.Recorder
+	// of them.
+	staged []trace.Entry
+
+	// cnt is what the stripe has counted for the registry and not yet
+	// folded into its handles: see staged.
+	cnt staged
 
 	// The next stripe's mutex must not share a cache line with the words
 	// every operation on this one writes.
 	_ [64]byte
 }
 
-// staged is a stripe's share of the member's metrics in plain words under
-// the stripe's mutex: the counters every client operation bumps, and per
-// class of sample a count and a nanosecond sum. A class is a set of
-// samples that land in one known place of every histogram they feed, so
-// n of them fold as one addition per family. The registry's readers pull
-// the words into the handles (pull, the member's OnRead hook), and
-// SetTelemetry does before it swaps the bundle, so an exposition shows
-// what it showed when each sample wrote the handles itself.
+// Series a stripe stages, the columns of staged.n: the admission wait,
+// the token hops, then hierlock_op_latency_seconds by (op, outcome) (see
+// latency).
+const (
+	seriesWait = iota // hierlock_queue_wait_seconds
+	seriesHops        // hierlock_token_hops
+	seriesLat
+	nSeries = seriesLat + 2*4
+)
+
+// latency returns the series of op_latency{op, outcome}.
+func latency(op, outcome int) int { return seriesLat + op*len(metrics.Outcomes) + outcome }
+
+// bounds returns the bucket bounds series s is counted over.
+func bounds(s int) []float64 {
+	if s == seriesHops {
+		return metrics.TokenHopBuckets
+	}
+	return metrics.DefLatencyBuckets
+}
+
+// staged is a stripe's share of the member's client-operation metrics in
+// plain words under the stripe's mutex: the counters, and per series (see
+// seriesWait) a count per bucket of the histogram it feeds and the sum.
+// The registry's readers fold the words into the handles (pull), which
+// nothing else writes, so an exposition shows what it showed when each
+// sample wrote the handles itself. The buckets are bucket-major: the
+// lowest bucket of every series, all a resident Lock/Unlock pair writes
+// besides the counters, sits within 104 bytes of requests.
 type staged struct {
 	requests uint64 // hierlock_requests_total
 	fences   uint64 // hierlock_fence_tokens_issued_total
-	// zeroWaits counts admissions that found the slot free:
-	// hierlock_queue_wait_seconds samples of 0.
-	zeroWaits uint64
-	// grants and grantNS are the grants the member's own dispatch produced
-	// (no hops, outcome local) in less than fastMax: a lowest-bucket sample
-	// of op_latency{lock,local} each, and a 0 in hierlock_token_hops.
-	grants  uint64
-	grantNS time.Duration
-	// joins counts the shared joins: as a grant of latency 0, plus one
-	// hierlock_shared_joins_total each.
-	joins uint64
+	joins    uint64 // hierlock_shared_joins_total
+	// n[b][s] counts series s's samples in bucket b (+Inf last; 15 is
+	// len(metrics.DefLatencyBuckets)+1, the most any series has), and
+	// sum[s] is their sum: nanoseconds, or hops.
+	n   [15][nSeries]uint64
+	sum [nSeries]uint64
+}
+
+// stage counts one sample of series s, of value v (nanoseconds; hops for
+// seriesHops), in the bucket Histogram.Observe puts it in. Callers hold
+// the stripe's mutex.
+func (c *staged) stage(s int, v int64) {
+	if v != 0 {
+		c.add(s, v)
+		return
+	}
+	c.n[0][s]++ // a 0, all a resident pair stages: no bound is negative
+}
+
+// add is stage for a sample other than 0.
+func (c *staged) add(s int, v int64) {
+	x := float64(v)
+	if s != seriesHops {
+		x = time.Duration(v).Seconds()
+	}
+	c.n[metrics.Bucket(bounds(s), x)][s]++
+	c.sum[s] += uint64(v)
+}
+
+// stageGrant counts a granted operation: its latency d by op and outcome
+// (metrics.Op*, Outcome*) and its hops, in one hold of the stripe's mutex,
+// so an exposition shows it in both families or in neither.
+func (c *staged) stageGrant(op, outcome int, d time.Duration, hops int) {
+	c.stage(latency(op, outcome), int64(d))
+	c.stage(seriesHops, int64(hops))
 }
 
 // fold adds the stripe's staged words to tel's handles and clears them.
-// Callers hold sh.mu and, when tel has a registry, are its reader (an
-// OnRead hook or Pull), so no exposition shows half of it.
+// Callers hold sh.mu and are the registry's reader (its OnRead hook), so
+// no exposition shows half of it.
 func (sh *lockShard) fold(tel *telemetry) {
-	c := sh.cnt
-	if c == (staged{}) {
-		return
-	}
-	sh.cnt = staged{}
+	c := &sh.cnt
 	tel.requests.Add(c.requests)
 	tel.fences.Add(c.fences)
-	tel.queueWait.AddLowest(c.zeroWaits, 0)
 	tel.sharedJoins.Add(c.joins)
-	tel.opLatency[metrics.OpLock][metrics.OutcomeLocal].AddLowest(c.grants+c.joins, c.grantNS.Seconds())
-	tel.tokenHops.AddLowest(c.grants+c.joins, 0)
+	for s, h := range tel.series {
+		var counts [len(staged{}.n)]uint64
+		for b := range counts {
+			counts[b] = c.n[b][s]
+		}
+		sum := time.Duration(c.sum[s]).Seconds()
+		if s == seriesHops {
+			sum = float64(c.sum[s])
+		}
+		h.Add(counts[:len(bounds(s))+1], sum)
+	}
+	*c = staged{}
 }
 
-// pull hands what every stripe holds back to its consumers: the staged
-// trace entries to their recorder and its taps (the member's hook on reads
-// of the ring, and part of Close) and, given
-// the bundle of a registry whose reader is calling, the staged words to
-// its handles — if tel is still the bundle in force: one that was swapped
-// out got its share when SetTelemetry pulled.
-func (m *Member) pull(tel *telemetry) {
-	fold := tel != nil && m.tel.Load() == tel
+// pull is the member's hook on reads of its registry: every stripe's
+// staged words go to the handles and its staged trace entries to the ring
+// and its taps (the auditor counts into the registry too).
+func (m *Member) pull() {
+	tel := m.tel.Load()
 	for i := range m.shards {
 		sh := &m.shards[i]
 		sh.mu.Lock()
-		if fold {
-			sh.fold(tel)
-		}
+		sh.fold(tel)
+		sh.admit()
+		sh.mu.Unlock()
+	}
+}
+
+// flush hands every stripe's staged trace entries to the ring and its
+// taps: the member's hook on reads of the ring, and part of Close.
+func (m *Member) flush() {
+	for i := range m.shards {
+		sh := &m.shards[i]
+		sh.mu.Lock()
 		sh.admit()
 		sh.mu.Unlock()
 	}
@@ -182,12 +233,9 @@ const stageEntries = 16
 // before the next message event on this stripe — so whatever lets another
 // node act on a lock finds what this one did with it already handed in —
 // on Close, and whenever the ring (the flight recorder reads it) or the
-// registry is read (pull). Callers hold sh.mu and have checked rec != nil.
-func (sh *lockShard) note(rec *trace.Recorder, e *trace.Entry) {
-	if sh.stagedFor != rec {
-		sh.admit() // a SetTelemetry swap: the old recorder gets what is its
-		sh.stagedFor = rec
-	}
+// registry is read (flush, pull). Callers hold sh.mu and have checked that
+// the member has a recorder.
+func (sh *lockShard) note(e *trace.Entry) {
 	if sh.staged == nil {
 		sh.staged = make([]trace.Entry, 0, stageEntries)
 	} else if len(sh.staged) == cap(sh.staged) {
@@ -199,17 +247,17 @@ func (sh *lockShard) note(rec *trace.Recorder, e *trace.Entry) {
 // noteRelease records the release, at stamp at and under trace tr, of this
 // member's hold on lock: in the hold's OpGranted entry
 // (trace.Entry.Released), which then stands for the whole operation, when
-// that is the last thing the stripe staged, for the same recorder; as an
-// OpRelease entry when anything was staged or admitted in between. Callers
-// hold sh.mu and have checked rec != nil.
-func (sh *lockShard) noteRelease(rec *trace.Recorder, at time.Duration, lock proto.LockID, tr proto.TraceID) {
-	if n := len(sh.staged); n > 0 && sh.stagedFor == rec {
+// that is the last thing the stripe staged; as an OpRelease entry when
+// anything was staged or admitted in between. Callers hold sh.mu and have
+// checked that the member has a recorder.
+func (sh *lockShard) noteRelease(at time.Duration, lock proto.LockID, tr proto.TraceID) {
+	if n := len(sh.staged); n > 0 {
 		if g := &sh.staged[n-1]; g.Op == trace.OpGranted && g.Lock == lock && g.Released == 0 {
 			g.Released, g.ReleaseSeq = at, tr.Seq
 			return
 		}
 	}
-	sh.note(rec, &trace.Entry{At: at, Op: trace.OpRelease, Node: tr.Node, Lock: lock, Trace: tr})
+	sh.note(&trace.Entry{At: at, Op: trace.OpRelease, Node: tr.Node, Lock: lock, Trace: tr})
 }
 
 // record writes a message event through to the taps and the ring, behind
@@ -222,10 +270,11 @@ func (sh *lockShard) record(rec *trace.Recorder, e trace.Entry) {
 	rec.Record(e)
 }
 
-// admit hands the staged entries to their recorder. Callers hold sh.mu.
+// admit hands the staged entries to the member's recorder, the one they
+// were staged for: telemetry attaches once. Callers hold sh.mu.
 func (sh *lockShard) admit() {
 	if len(sh.staged) > 0 {
-		sh.stagedFor.Admit(sh.staged)
+		sh.m.tel.Load().rec.Admit(sh.staged)
 		sh.staged = sh.staged[:0]
 	}
 }
@@ -377,8 +426,8 @@ type Member struct {
 	// the fsync observer), one of the stall watchdog's inputs.
 	fsyncStalls atomic.Uint64
 
-	// tel is the wired instrumentation bundle, never nil (an all-nil
-	// bundle until SetTelemetry). It is published atomically because the
+	// tel is the wired instrumentation bundle: &detached until
+	// SetTelemetry publishes the one bundle, atomically because the
 	// transport — and a journal-restored member's cold-start traffic — is
 	// already delivering by the time a host can call SetTelemetry.
 	tel atomic.Pointer[telemetry]
@@ -426,13 +475,10 @@ type telemetry struct {
 	requests    *metrics.Counter
 	sharedJoins *metrics.Counter
 
-	// Per-operation SLO families: end-to-end latency by (op, outcome) —
-	// indexed by metrics.Op*/Outcome* so the hot path addresses a cached
-	// handle instead of formatting labels — plus admission queue wait and
-	// the token-hop distribution per granted request.
-	opLatency [2][4]*metrics.Histogram
-	queueWait *metrics.Histogram
-	tokenHops *metrics.Histogram
+	// series are the histograms the stripes stage for (see seriesWait):
+	// admission wait, token hops per grant, and the per-operation SLO
+	// latency by (op, outcome). Only fold writes them.
+	series [nSeries]*metrics.Histogram
 
 	// fences counts fencing tokens minted (grants, upgrades and shared
 	// joins).
@@ -441,12 +487,7 @@ type telemetry struct {
 	// Recovery-phase instrumentation (all nil-safe no-ops without a
 	// registry; recovery itself may also be disabled, leaving them at
 	// their pre-registered zeros).
-	recRounds   *metrics.Counter
 	recRoundDur *metrics.Histogram
-	probesSent  *metrics.Counter
-	probesRecv  *metrics.Counter
-	claimsSent  *metrics.Counter
-	claimsRecv  *metrics.Counter
 	regenerated *metrics.Counter
 	recLost     *metrics.Counter
 
@@ -458,47 +499,6 @@ type telemetry struct {
 
 	// bb is the attached flight recorder (nil-safe).
 	bb *introspect.Recorder
-}
-
-// fastMax bounds the latencies a stripe counts as a class instead of
-// observing one by one (see staged): the lowest DefLatencyBuckets bound,
-// 0.5 ms, so everything counted lies in the lowest bucket.
-var fastMax = time.Duration(metrics.DefLatencyBuckets[0] * float64(time.Second))
-
-// grant is one granted client operation as the metrics see it.
-type grant struct {
-	op, outcome int           // metrics.Op*, metrics.Outcome*
-	d           time.Duration // issue to grant
-	hops        int           // token transfers delivered while it waited
-}
-
-// observe accounts one granted Lock on sh and releases sh.mu, which the
-// caller holds. A sample of a class the stripe counts (see staged) is a
-// plain addition under the mutex; any other — a wait, a hop, a slow
-// grant — is recorded once the mutex is released.
-func (tel *telemetry) observe(sh *lockShard, g grant) {
-	if g.outcome == metrics.OutcomeLocal && g.hops == 0 && g.d < fastMax {
-		sh.cnt.grants++
-		sh.cnt.grantNS += g.d
-		sh.mu.Unlock()
-		return
-	}
-	sh.mu.Unlock()
-	tel.record(g)
-}
-
-// record writes one granted operation to the registry's handles, as one
-// group (BeginWrite): an exposition shows a grant in its op_latency
-// histogram and in hierlock_token_hops or in neither. Callers hold no
-// stripe's mutex.
-func (tel *telemetry) record(g grant) {
-	if tel.reg == nil {
-		return
-	}
-	tel.reg.BeginWrite()
-	tel.opLatency[g.op][g.outcome].ObserveDuration(g.d)
-	tel.tokenHops.Observe(float64(g.hops))
-	tel.reg.EndWrite()
 }
 
 // clockEpoch is the instant every member of the process counts trace
@@ -533,31 +533,31 @@ func (m *Member) countMessage(k proto.Kind) {
 var sentKinds = append(slices.Clone(metrics.Kinds), proto.KindProbe, proto.KindClaim,
 	proto.KindRecovered, proto.KindJoin, proto.KindJoinAck, proto.KindLeave, proto.KindLeaveAck)
 
+var detached telemetry // the bundle of a member with no telemetry attached
+
 // SetTelemetry attaches observability sinks to the member and registers
 // its scrape-time collectors (lock-table gauges; transport queue, link
-// and wire-volume metrics for TCP members). Call once, before
-// client operations; inbound delivery may already be running.
+// and wire-volume metrics for TCP members). Call it once, before client
+// operations (inbound delivery may already be running); a second call
+// panics. The member's counters run from its start: what client
+// operations counted before the attach is folded in at the registry's
+// first read.
 func (m *Member) SetTelemetry(t Telemetry) {
 	tel := m.wire(t)
-	// What the stripes counted so far belongs to the bundle in force so
-	// far (to nobody, before the first SetTelemetry): fold it there, as a
-	// read of its registry would, before the new one takes over.
-	old := m.tel.Load()
-	old.reg.Pull()
-	m.pull(old)
-	m.tel.Store(tel) // published whole: delivery may already be running
+	if !m.tel.CompareAndSwap(&detached, tel) { // published whole: delivery may already be running
+		panic("hierlock: SetTelemetry called twice")
+	}
+	// Readers of the ring (the flight recorder among them) and of the
+	// registry (the auditor's counters and report among them) pull in what
+	// the stripes stage; hooked once tel is in force, so that a fold finds
+	// its handles.
+	tel.rec.OnRead(m.flush)
+	tel.reg.OnRead(m.pull)
 }
 
-// wire builds the bundle for t: handles resolved, hooks and collectors
-// registered.
+// wire builds the bundle for t: handles resolved, collectors registered.
 func (m *Member) wire(t Telemetry) *telemetry {
 	tel := &telemetry{reg: t.Registry, rec: t.Trace, log: t.Logger, bb: t.Blackbox}
-	// The member stages client-operation entries and metric samples per
-	// stripe; readers of the ring (the flight recorder, which reads its
-	// grants there, among them) and of the registry (the auditor's counters
-	// and its report among them) pull them in.
-	tel.rec.OnRead(func() { m.pull(nil) })
-	tel.reg.OnRead(func() { m.pull(tel) })
 	tel.bb.Follow(tel.rec, clockEpoch)
 	reg := t.Registry
 	if reg == nil {
@@ -585,36 +585,25 @@ func (m *Member) wire(t Telemetry) *telemetry {
 	// at zero so the first scrape is complete before any traffic.
 	for oi, op := range metrics.OpKinds {
 		for ci, oc := range metrics.Outcomes {
-			tel.opLatency[oi][ci] = reg.Histogram(metrics.MetricOpLatency,
+			tel.series[latency(oi, ci)] = reg.Histogram(metrics.MetricOpLatency,
 				"End-to-end client operation latency in seconds, by operation and grant outcome.",
-				metrics.DefLatencyBuckets, metrics.Labels{"op": op, "outcome": oc})
+				bounds(latency(oi, ci)), metrics.Labels{"op": op, "outcome": oc})
 		}
 	}
-	tel.queueWait = reg.Histogram(metrics.MetricQueueWait,
+	tel.series[seriesWait] = reg.Histogram(metrics.MetricQueueWait,
 		"Per-lock admission queue wait in seconds, request issue to protocol entry.",
-		metrics.DefLatencyBuckets, nil)
-	tel.tokenHops = reg.Histogram(metrics.MetricTokenHops,
+		bounds(seriesWait), nil)
+	tel.series[seriesHops] = reg.Histogram(metrics.MetricTokenHops,
 		"Token transfers observed per granted request (0 = pure local grant; Figure 5).",
-		metrics.TokenHopBuckets, nil)
+		bounds(seriesHops), nil)
 	tel.fences = reg.Counter(metrics.MetricFenceTokens,
-		"Fencing tokens issued (grants, upgrades, shared joins, hand-offs).", nil)
+		"Fencing tokens issued (grants, upgrades, shared joins).", nil)
 
-	// Recovery-phase families, pre-registered at zero (both directions of
-	// the labeled counters included) so the first scrape is complete even
-	// on a node that never runs a round.
-	tel.recRounds = reg.Counter(metrics.MetricRecoveryRounds,
-		"Token-regeneration rounds completed by this node as regenerator.", nil)
+	// Recovery-phase families, pre-registered at zero so the first scrape
+	// is complete even on a node that never runs a round.
 	tel.recRoundDur = reg.Histogram(metrics.MetricRecoveryRoundDuration,
 		"Token-regeneration round duration in seconds, first probe to commit.",
 		metrics.DefLatencyBuckets, nil)
-	tel.probesSent = reg.Counter(metrics.MetricRecoveryProbes,
-		"Recovery probe messages, by direction.", metrics.Labels{"direction": "sent"})
-	tel.probesRecv = reg.Counter(metrics.MetricRecoveryProbes,
-		"Recovery probe messages, by direction.", metrics.Labels{"direction": "received"})
-	tel.claimsSent = reg.Counter(metrics.MetricRecoveryClaims,
-		"Recovery claim messages, by direction.", metrics.Labels{"direction": "sent"})
-	tel.claimsRecv = reg.Counter(metrics.MetricRecoveryClaims,
-		"Recovery claim messages, by direction.", metrics.Labels{"direction": "received"})
 	tel.regenerated = reg.Counter(metrics.MetricRecoveryRegenerated,
 		"Locks reseeded into a recovered topology by completed rounds.", nil)
 	tel.recLost = reg.Counter(metrics.MetricRecoveryLostHolds,
@@ -969,7 +958,7 @@ func newMember(id, root proto.NodeID, tr transport.Transport, rec *memberRecover
 	for i := range m.shards {
 		m.shards[i].m = m
 	}
-	m.tel.Store(&telemetry{})
+	m.tel.Store(&detached)
 	if jn != nil {
 		m.replayed = jn.State()
 	}
@@ -1045,18 +1034,11 @@ func (m *Member) locksReferencing(dead proto.NodeID) []proto.LockID {
 // the recovery window peers are expected to be unreachable, and the
 // protocol re-probes until every survivor has claimed.
 func (m *Member) sendRecovery(msg proto.Message) {
-	tel := m.tel.Load()
 	if msg.Kind == proto.KindRecovered {
 		m.journalRecovered(msg.Lock, msg.Epoch, msg.Req.Origin)
 	}
 	m.countMessage(msg.Kind)
-	switch msg.Kind {
-	case proto.KindProbe:
-		tel.probesSent.Inc()
-	case proto.KindClaim:
-		tel.claimsSent.Inc()
-	}
-	if rec := tel.rec; rec != nil {
+	if rec := m.tel.Load().rec; rec != nil {
 		rec.Record(trace.Entry{At: sinceEpoch(), Op: trace.OpSend,
 			Node: m.id, Lock: msg.Lock, Kind: msg.Kind, From: msg.From,
 			To: msg.To, Epoch: msg.Epoch, Trace: proto.MsgTrace(&msg)})
@@ -1194,9 +1176,8 @@ func (m *Member) recoveryRoundDone(lock proto.LockID, final uint32) {
 		dur = time.Since(t0)
 		delete(m.roundStart, lock)
 	}
-	tel.recRounds.Inc()
 	tel.recRoundDur.ObserveDuration(dur)
-	m.pull(nil) // a dump pulls nothing, and no stripe's mutex is held here
+	m.flush() // a dump pulls nothing, and no stripe's mutex is held here
 	tel.bb.Record(introspect.Event{Type: introspect.EvRoundDone,
 		Node: m.id, Lock: lock, Epoch: final, Dur: dur})
 	if _, err := tel.bb.TriggerDump(introspect.ReasonRecoveryRound); err != nil && tel.log != nil {
@@ -1528,7 +1509,7 @@ func (m *Member) Close() error {
 			err = jerr
 		}
 	}
-	m.pull(nil)
+	m.flush()
 	return err
 }
 
@@ -1767,11 +1748,12 @@ func (m *Member) LockWithPriority(ctx context.Context, resource string, mode Mod
 		fence := m.mintFence(sh, ls)
 		sh.sharedJoins++
 		if rec != nil {
-			m.noteAcquire(sh, rec, start, lockID, mode, tr)
-			sh.note(rec, &trace.Entry{At: start, Op: trace.OpGranted,
+			m.noteAcquire(sh, start, lockID, mode, tr)
+			sh.note(&trace.Entry{At: start, Op: trace.OpGranted,
 				Node: m.id, Lock: lockID, Mode: mode, Trace: tr})
 		}
-		sh.cnt.joins++ // latency 0, no hops: always a staged sample
+		sh.cnt.joins++
+		sh.cnt.stageGrant(metrics.OpLock, metrics.OutcomeLocal, 0, 0)
 		sh.mu.Unlock()
 		if lg := tel.log; lg != nil && lg.Enabled(ctx, slog.LevelDebug) {
 			lg.Debug("lock granted", "trace", tr.String(), "resource", resource,
@@ -1792,7 +1774,7 @@ func (m *Member) LockWithPriority(ctx context.Context, resource string, mode Mod
 		// slot pops the head of the queue and passes it the slot.
 		start = sinceEpoch()
 		if rec != nil {
-			m.noteAcquire(sh, rec, start, lockID, mode, tr)
+			m.noteAcquire(sh, start, lockID, mode, tr)
 		}
 		turn := make(chan struct{}, 1)
 		ls.admitQ = append(ls.admitQ, turn)
@@ -1828,13 +1810,12 @@ func (m *Member) LockWithPriority(ctx context.Context, resource string, mode Mod
 	}
 	// Admission is complete: everything before this point was local
 	// head-of-line queueing, not protocol latency. A slot that was free
-	// waited zero, recorded without a clock read; the nil guard is outside
-	// the call so a telemetry-free member skips the read for a taken one.
-	if !waited {
-		sh.cnt.zeroWaits++
-	} else if tel.queueWait != nil {
-		tel.queueWait.ObserveDuration(sinceEpoch() - start)
+	// waited zero, recorded without a clock read.
+	var queued time.Duration
+	if waited {
+		queued = sinceEpoch() - start
 	}
+	sh.cnt.stage(seriesWait, int64(queued))
 	w := ls.arm(start, tr, mode, false)
 	out, err := ls.engine.AcquireTraced(mode, priority, tr)
 	if !waited && (err != nil || len(out.Msgs) > 0 || len(out.Events) != 1) {
@@ -1843,7 +1824,7 @@ func (m *Member) LockWithPriority(ctx context.Context, resource string, mode Mod
 		start = sinceEpoch()
 		w.since = start
 		if rec != nil {
-			m.noteAcquire(sh, rec, start, lockID, mode, tr)
+			m.noteAcquire(sh, start, lockID, mode, tr)
 		}
 	}
 	if err != nil {
@@ -1867,7 +1848,7 @@ func (m *Member) LockWithPriority(ctx context.Context, resource string, mode Mod
 	} else {
 		if err := m.await(ctx, sh, w); err != nil {
 			if err == ErrLockLost {
-				err = m.lostWait(metrics.OpLock, lockID, mode, tr, start, resource)
+				err = m.lostWait(sh, metrics.OpLock, lockID, mode, tr, start, resource)
 			}
 			return nil, err
 		}
@@ -1878,16 +1859,16 @@ func (m *Member) LockWithPriority(ctx context.Context, resource string, mode Mod
 	}
 	// The waiter is ours until Unlock frees the admission slot.
 	sh.acq.Observe(d)
-	tel.observe(sh, grant{op: metrics.OpLock,
-		outcome: w.outcome(localGrant), d: d, hops: w.hops})
+	sh.cnt.stageGrant(metrics.OpLock, w.outcome(localGrant), d, w.hops)
+	sh.mu.Unlock()
 	return &Lock{sh: sh, ls: ls, resource: resource, mode: mode, fence: w.fence}, nil
 }
 
 // noteAcquire stages the OpAcquire entry of a request for mode on lock,
 // issued at stamp at under trace tr. Callers hold sh.mu and have checked
-// rec != nil.
-func (m *Member) noteAcquire(sh *lockShard, rec *trace.Recorder, at time.Duration, lock proto.LockID, mode Mode, tr proto.TraceID) {
-	sh.note(rec, &trace.Entry{At: at, Op: trace.OpAcquire, Node: m.id, Lock: lock, Mode: mode, Trace: tr})
+// that the member has a recorder.
+func (m *Member) noteAcquire(sh *lockShard, at time.Duration, lock proto.LockID, mode Mode, tr proto.TraceID) {
+	sh.note(&trace.Entry{At: at, Op: trace.OpAcquire, Node: m.id, Lock: lock, Mode: mode, Trace: tr})
 }
 
 // outcome classifies a granted wait for the per-operation SLO families.
@@ -1901,12 +1882,15 @@ func (w *waiter) outcome(localGrant bool) int {
 	return metrics.OutcomeRemote
 }
 
-// lostWait accounts for a wait that outlived RecoveryTimeout (SLO
-// outcome, flight-recorder entry and dump) and builds its error.
-func (m *Member) lostWait(op int, lock proto.LockID, mode modes.Mode, tr proto.TraceID, start time.Duration, res string) error {
+// lostWait accounts for a wait on sh that outlived RecoveryTimeout (SLO
+// outcome, flight-recorder entry and dump) and builds its error. Callers
+// hold no stripe's mutex.
+func (m *Member) lostWait(sh *lockShard, op int, lock proto.LockID, mode modes.Mode, tr proto.TraceID, start time.Duration, res string) error {
+	sh.mu.Lock()
+	sh.cnt.stage(latency(op, metrics.OutcomeLost), int64(sinceEpoch()-start))
+	sh.mu.Unlock()
+	m.flush() // as in recoveryRoundDone
 	tel := m.tel.Load()
-	tel.opLatency[op][metrics.OutcomeLost].ObserveDuration(sinceEpoch() - start)
-	m.pull(nil) // as in recoveryRoundDone
 	tel.bb.Record(introspect.Event{Type: introspect.EvLockLost,
 		Node: m.id, Lock: lock, Mode: mode, Trace: tr})
 	_, _ = tel.bb.TriggerDump(introspect.ReasonLockLost)
@@ -2009,9 +1993,9 @@ func (l *Lock) Unlock() error {
 	}
 	ls.hold = nil
 	tr := m.newTrace()
-	if rec := m.tel.Load().rec; rec != nil {
+	if m.tel.Load().rec != nil {
 		// A resident pair's second clock read; dispatch took the first.
-		sh.noteRelease(rec, sinceEpoch(), ls.id, tr)
+		sh.noteRelease(sinceEpoch(), ls.id, tr)
 	}
 	out, err := ls.engine.ReleaseTraced(tr)
 	if err != nil {
@@ -2052,12 +2036,11 @@ func (l *Lock) Upgrade(ctx context.Context) error {
 	if h := ls.hold; h != nil {
 		h.upgrading = true // U is never shared, so refs == 1 here
 	}
-	tel := m.tel.Load()
 	sh.cnt.requests++
 	tr := m.newTrace()
 	start := sinceEpoch()
-	if rec := tel.rec; rec != nil {
-		m.noteAcquire(sh, rec, start, ls.id, modes.W, tr)
+	if m.tel.Load().rec != nil {
+		m.noteAcquire(sh, start, ls.id, modes.W, tr)
 	}
 	w := ls.arm(start, tr, modes.W, true)
 	out, err := ls.engine.UpgradeTraced(0, tr)
@@ -2081,18 +2064,18 @@ func (l *Lock) Upgrade(ctx context.Context) error {
 			// arrives; the waiter stays registered, so a subsequent Unlock
 			// is handled via releaseOnUpgrade.
 			if err == ErrLockLost {
-				err = m.lostWait(metrics.OpUpgrade, ls.id, modes.W, tr, start, l.resource)
+				err = m.lostWait(sh, metrics.OpUpgrade, ls.id, modes.W, tr, start, l.resource)
 			}
 			return err
 		}
 		d = sinceEpoch() - start
 		sh.mu.Lock()
 	}
-	g := grant{op: metrics.OpUpgrade, outcome: w.outcome(localGrant), d: d, hops: w.hops}
+	sh.acq.Observe(d)
+	sh.cnt.stageGrant(metrics.OpUpgrade, w.outcome(localGrant), d, w.hops)
 	l.upgrading = false
 	l.regrant(W, w.fence)
 	sh.mu.Unlock()
-	tel.record(g)
 	return nil
 }
 
@@ -2123,12 +2106,6 @@ func (m *Member) handle(msg *proto.Message) {
 	}
 	switch msg.Kind {
 	case proto.KindProbe, proto.KindClaim, proto.KindRecovered:
-		switch msg.Kind {
-		case proto.KindProbe:
-			tel.probesRecv.Inc()
-		case proto.KindClaim:
-			tel.claimsRecv.Inc()
-		}
 		if m.mgr != nil {
 			m.mgrMu.Lock()
 			m.mgr.HandleMessage(msg)
@@ -2304,8 +2281,8 @@ func (m *Member) dispatch(sh *lockShard, ls *lockState, out hlock.Out) {
 				if w.since == 0 {
 					w.since, issued = w.granted, w.granted
 				}
-				if rec := tel.rec; rec != nil {
-					sh.note(rec, &trace.Entry{At: w.granted, Op: trace.OpGranted,
+				if tel.rec != nil {
+					sh.note(&trace.Entry{At: w.granted, Op: trace.OpGranted,
 						Node: m.id, Lock: ls.id, Mode: ev.Mode, Trace: ev.Trace,
 						Issued: issued})
 				}

@@ -96,6 +96,34 @@ func BenchmarkMemberDefaultTelemetry(b *testing.B) {
 
 var fenceSink hierlock.FenceToken
 
+// BenchmarkMemberRemoteTelemetry is the remote grant under the same
+// telemetry: two members, each wired as cmd/lockd wires one, take turns
+// locking one W key, so every grant fetches the token from the other (one
+// hop) and its client parks and wakes. One op is one Lock/Unlock pair.
+func BenchmarkMemberRemoteTelemetry(b *testing.B) {
+	c, err := hierlock.NewCluster(2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	members := [2]*hierlock.Member{c.Member(0), c.Member(1)}
+	for _, m := range members {
+		attachDefaultTelemetry(m)
+	}
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		l, err := members[i%2].Lock(ctx, "remote", hierlock.W)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := l.Unlock(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // attachDefaultTelemetry wires m the way cmd/lockd does with no flags
 // (see hierlock.AttachLockdWiring) and returns the pieces for tests that
 // read them back.

@@ -168,9 +168,18 @@ func TestMemberStats(t *testing.T) {
 	}
 	_ = l1.Unlock()
 	_ = l2.Unlock()
+	// An upgrade is an acquisition of its own: the U and then the W.
+	u, err := c.Member(1).Lock(ctx, "stats-upgrade", hierlock.U)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := u.Upgrade(ctx); err != nil {
+		t.Fatal(err)
+	}
+	_ = u.Unlock()
 	st := c.Member(1).Stats()
-	if st.Acquires != 2 {
-		t.Errorf("acquires = %d, want 2", st.Acquires)
+	if st.Acquires != 4 {
+		t.Errorf("acquires = %d, want 4 (R, its join, U, the upgrade)", st.Acquires)
 	}
 	if st.SharedJoins != 1 {
 		t.Errorf("shared joins = %d, want 1", st.SharedJoins)

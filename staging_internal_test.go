@@ -692,7 +692,7 @@ func sameStripe(prefix string) (a, b string) {
 
 // TestReleaseFoldsOnlyIntoLastStagedGrant: Unlock writes the release into
 // the hold's grant entry only when that entry is the last thing the
-// lock's stripe staged and is still staged, for the recorder in force.
+// lock's stripe staged and is still staged.
 // Each row takes a lock on m0 (root of a two-member cluster), does
 // something in between and releases it: with nothing in between the taps
 // see the pair as one entry, otherwise the grant and the release reach
@@ -704,7 +704,6 @@ func TestReleaseFoldsOnlyIntoLastStagedGrant(t *testing.T) {
 		t      *testing.T
 		m0, m1 *Member
 		rec    *trace.Recorder
-		tap    func(trace.Entry)
 		res    string
 		mode   Mode
 		after  func() // run once the row has released, before anything is read
@@ -759,14 +758,6 @@ func TestReleaseFoldsOnlyIntoLastStagedGrant(t *testing.T) {
 				}
 			}
 		}, false, 2},
-		{"a SetTelemetry swap in between", W, func(e *env) {
-			// The swap as a client operation can meet it: SetTelemetry pulls
-			// the stripes and then publishes, and the row's grant was staged
-			// in between.
-			next := trace.New(64)
-			next.SetTap(e.tap)
-			e.m0.tel.Store(e.m0.wire(Telemetry{Trace: next}))
-		}, false, 2},
 		{"the ring paused and resumed in between", W, func(e *env) {
 			e.rec.SetEnabled(false)
 			e.rec.SetEnabled(true)
@@ -782,14 +773,13 @@ func TestReleaseFoldsOnlyIntoLastStagedGrant(t *testing.T) {
 			e := &env{t: t, m0: c.Member(0), m1: c.Member(1), rec: trace.New(64), res: resA, mode: row.mode, after: func() {}}
 			var mu sync.Mutex
 			var tapped []trace.Entry
-			e.tap = func(en trace.Entry) {
+			e.rec.SetTap(func(en trace.Entry) {
 				if en.Lock == lockIDFor(resA) && en.Kind == 0 {
 					mu.Lock()
 					tapped = append(tapped, en)
 					mu.Unlock()
 				}
-			}
-			e.rec.SetTap(e.tap)
+			})
 			e.m0.SetTelemetry(Telemetry{Trace: e.rec})
 
 			l, err := e.m0.Lock(bg, e.res, row.mode)
@@ -801,10 +791,7 @@ func TestReleaseFoldsOnlyIntoLastStagedGrant(t *testing.T) {
 				t.Fatal(err)
 			}
 			e.after()
-			es := e.rec.Entries() // admits what m0 still holds for this recorder
-			if tel := e.m0.tel.Load(); tel.rec != e.rec {
-				es = append(es, tel.rec.Entries()...)
-			}
+			es := e.rec.Entries() // admits what m0 still holds
 
 			mu.Lock()
 			defer mu.Unlock()

@@ -2,6 +2,7 @@ package hierlock_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"hierlock"
+	"hierlock/internal/metrics"
 )
 
 // newTCPCluster boots n members on loopback TCP with ":0" listeners,
@@ -168,9 +170,10 @@ func TestTCPClusterHierarchical(t *testing.T) {
 }
 
 // newRecoveryTCPCluster boots n members with the failure detector and
-// crash-recovery runtime enabled (aggressive timings for test speed).
-// Members are not auto-closed: crash tests close them explicitly.
-func newRecoveryTCPCluster(t *testing.T, n int) []*hierlock.Member {
+// crash-recovery runtime enabled (aggressive timings for test speed),
+// member i attached to regs[i] from its first frame when given. Members
+// are not auto-closed: crash tests close them explicitly.
+func newRecoveryTCPCluster(t *testing.T, n int, regs ...*metrics.Registry) []*hierlock.Member {
 	t.Helper()
 	addrs := make(map[int]string, n)
 	boot := make([]*hierlock.Member, n)
@@ -195,14 +198,18 @@ func newRecoveryTCPCluster(t *testing.T, n int) []*hierlock.Member {
 				peers[j] = a
 			}
 		}
-		m, err := hierlock.NewTCPMember(hierlock.TCPMemberConfig{
+		cfg := hierlock.TCPMemberConfig{
 			ID:                i,
 			ListenAddr:        addrs[i],
 			Peers:             peers,
 			HeartbeatInterval: 25 * time.Millisecond,
 			ConfirmAfter:      500 * time.Millisecond,
 			RecoveryTimeout:   20 * time.Second,
-		})
+		}
+		if i < len(regs) {
+			cfg.Telemetry = &hierlock.Telemetry{Registry: regs[i]}
+		}
+		m, err := hierlock.NewTCPMember(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -220,9 +227,12 @@ func newRecoveryTCPCluster(t *testing.T, n int) []*hierlock.Member {
 // therefore the lock's token). Without recovery the lock would hang
 // forever; with the detector and token regeneration enabled, the
 // survivors confirm the crash, regenerate the token at a fresh epoch,
-// and both serve their acquisitions.
+// and both serve their acquisitions. The survivors' Locks park on the
+// dead holder until the reseed, so their scrapes count grants of outcome
+// "recovery".
 func TestTCPCrashRecovery(t *testing.T) {
-	members := newRecoveryTCPCluster(t, 3)
+	regs := []*metrics.Registry{metrics.NewRegistry(), metrics.NewRegistry()}
+	members := newRecoveryTCPCluster(t, 3, regs...)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
@@ -250,6 +260,13 @@ func TestTCPCrashRecovery(t *testing.T) {
 	// The regenerator is the lowest surviving ID.
 	if r := members[0].RecoveryRounds(); r == 0 {
 		t.Error("member 0 completed no recovery rounds")
+	}
+	recovered := 0.0
+	for _, reg := range regs {
+		recovered += promSum(scrape(t, reg), metrics.MetricOpLatency+"_count", []string{`outcome="recovery"`})
+	}
+	if recovered < 1 {
+		t.Errorf("the survivors counted %v grants of outcome recovery, want at least 1", recovered)
 	}
 	for _, i := range []int{0, 1} {
 		if err := members[i].Err(); err != nil {
@@ -284,6 +301,71 @@ func TestTCPRecoveryQuietWithoutCrash(t *testing.T) {
 		}
 		if err := m.Err(); err != nil {
 			t.Errorf("member %d protocol error: %v", m.ID(), err)
+		}
+	}
+}
+
+// TestTCPLostWaitCountsOutcome: a Lock that outlives RecoveryTimeout is
+// one hierlock_op_latency_seconds sample of outcome "lost", staged in its
+// stripe like every other sample and in no other family, so a scrape's
+// token_hops_count still equals its granted operations. The lock serves
+// member 0 again once member 1 lets it go (locally: the abandoned
+// request's grant, released at once, brought the token along).
+func TestTCPLostWaitCountsOutcome(t *testing.T) {
+	addrs := reserveAddrs(t, 2)
+	reg := metrics.NewRegistry()
+	members := make([]*hierlock.Member, 2)
+	for i := range members {
+		cfg := hierlock.TCPMemberConfig{
+			ID: i, ListenAddr: addrs[i], Peers: map[int]string{1 - i: addrs[1-i]},
+			HeartbeatInterval: 25 * time.Millisecond,
+			RecoveryTimeout:   300 * time.Millisecond,
+		}
+		if i == 0 {
+			cfg.Telemetry = &hierlock.Telemetry{Registry: reg}
+		}
+		m, err := hierlock.NewTCPMember(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = m.Close() })
+		members[i] = m
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	counts := func() (lost, granted, hops float64) {
+		text := scrape(t, reg)
+		return promSum(text, metrics.MetricOpLatency+"_count", []string{`op="lock"`, `outcome="lost"`}),
+			grantedOps(text), promSum(text, metrics.MetricTokenHops+"_count", nil)
+	}
+
+	held, err := members[1].Lock(ctx, "lost-res", hierlock.W)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := members[0].Lock(ctx, "lost-res", hierlock.W); !errors.Is(err, hierlock.ErrLockLost) {
+		t.Fatalf("Lock behind a hold longer than RecoveryTimeout: %v, want ErrLockLost", err)
+	}
+	if lost, granted, hops := counts(); lost != 1 || granted != 0 || hops != 0 {
+		t.Fatalf("after the lost wait: lost %v, granted %v, token_hops_count %v; want 1, 0, 0", lost, granted, hops)
+	}
+
+	if err := held.Unlock(); err != nil {
+		t.Fatal(err)
+	}
+	l, err := members[0].Lock(ctx, "lost-res", hierlock.W)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Unlock(); err != nil {
+		t.Fatal(err)
+	}
+	if lost, granted, hops := counts(); lost != 1 || granted != 1 || hops != granted {
+		t.Fatalf("after the next grant: lost %v, granted %v, token_hops_count %v; want 1, 1, 1", lost, granted, hops)
+	}
+	for i, m := range members {
+		if err := m.Err(); err != nil {
+			t.Errorf("member %d protocol error: %v", i, err)
 		}
 	}
 }

@@ -16,12 +16,13 @@ import (
 // call a protocol step makes must then add zero allocations.
 func TestDisabledTelemetryAllocatesNothing(t *testing.T) {
 	var tel telemetry
+	var c staged
 	e := trace.Entry{Op: trace.OpSend, Kind: proto.KindToken, From: 0, To: 2, Lock: 7}
 	if n := testing.AllocsPerRun(200, func() {
 		// The calls dispatch/handle/LockWithPriority make per step.
 		tel.requests.Inc()
 		tel.sharedJoins.Inc()
-		tel.record(grant{op: metrics.OpLock, outcome: metrics.OutcomeRemote, d: 1e6, hops: 1})
+		c.stageGrant(metrics.OpLock, metrics.OutcomeRemote, 1e6, 1)
 		tel.rec.Record(e)
 	}); n != 0 {
 		t.Fatalf("disabled telemetry allocated %.1f times per protocol step", n)
