@@ -53,7 +53,12 @@ race:
 # admission slot is popped before or after it gives up (TestSlotBlocked*),
 # what the flight recorder finds in a paused ring (TestFlightRecorderSees*)
 # and which member of a LockAll round is caught waiting on the other when
-# the wait-for graph is sampled (TestLockAllOrdering*).
+# the wait-for graph is sampled (TestLockAllOrdering*). The control plane
+# is mgrMu alone — recovery, the membership handshake, the tracked timers —
+# so its line runs three times too: which of a stale message's stripe
+# release and a client's Lock comes first (TestStaleHint*), when a
+# RecoveryTimeout fires beside the grant it bounds, and how a tracked
+# timer's callback, a handshake ack and Close interleave on it.
 chaos:
 	$(GO) test -race -count=1 -run 'Chaos' ./internal/cluster/
 	$(GO) test -race -count=3 -run 'TestTCP' ./internal/transport/
@@ -61,6 +66,7 @@ chaos:
 	$(GO) test -race -count=1 -run 'TestTCPCrashRecovery|TestTCPRecoveryQuietWithoutCrash' .
 	$(GO) test -race -count=3 -run 'TestStagedRing|TestSharedRing|TestResidentPath|TestAcquireFolded|TestSlotBlocked|TestReleaseFolds|TestClientScriptRingGolden|TestSharedAuditor|TestViolationInStagedEntry|TestEveryConsumerPulls|TestHandleGrantEvents|TestFlightRecorderSees|TestLockAllOrdering' .
 	$(GO) test -race -count=3 -run 'TestScrapeExactWhileCounting|TestMemberMetricsGolden' .
+	$(GO) test -race -count=3 -run 'TestStaleHintSyncsOutsideStripe|TestTCPRecoveryTimeoutWithoutHeartbeat|TestCloseWaitsForInflightRecoveryRetry|TestTCPMembership|TestTCPLeave|TestTCPLeaver' .
 	$(GO) test -race -count=3 ./internal/audit/ ./internal/trace/ ./internal/introspect/ ./internal/metrics/
 
 # Durability coverage: the journal package (torn-tail, corrupt-frame,

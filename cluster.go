@@ -106,12 +106,12 @@ type TCPMemberConfig struct {
 	// transient partition: a false confirmation fences a live node out of
 	// the new epoch and its holds surface as ErrLockLost.
 	ConfirmAfter time.Duration
-	// RecoveryTimeout, when set, bounds every blocking Lock/Upgrade call:
-	// an operation with no grant within it is abandoned and fails with
-	// ErrLockLost. It is the client-side backstop for requests recovery
-	// cannot regenerate (see docs/OPERATIONS.md) and must comfortably
-	// exceed the worst legitimate wait for a contended lock. Zero
-	// disables the bound.
+	// RecoveryTimeout, when set, bounds every blocking Lock/Upgrade call,
+	// with or without HeartbeatInterval: an operation with no grant within
+	// it is abandoned and fails with ErrLockLost. It is the client-side
+	// backstop for requests recovery cannot regenerate (see
+	// docs/OPERATIONS.md) and must comfortably exceed the worst legitimate
+	// wait for a contended lock. Zero disables the bound.
 	RecoveryTimeout time.Duration
 
 	// DataDir, when set, makes the member durable: a write-ahead journal
@@ -208,7 +208,7 @@ func NewTCPMember(cfg TCPMemberConfig) (*Member, error) {
 		for id := range peers {
 			nodes = append(nodes, id)
 		}
-		rec = &memberRecovery{nodes: nodes, opTimeout: cfg.RecoveryTimeout}
+		rec = &memberRecovery{nodes: nodes}
 	}
 	var jn *journal.Journal
 	if cfg.DataDir != "" {
@@ -241,6 +241,7 @@ func NewTCPMember(cfg TCPMemberConfig) (*Member, error) {
 		}
 		return nil, err
 	}
+	m.recoveryTimeout = cfg.RecoveryTimeout // with or without recovery: see RecoveryTimeout
 	mref.Store(m)
 	return m, nil
 }

@@ -49,7 +49,7 @@ func main() {
 		timeout = flag.Duration("timeout", 0, "per-request lock timeout (0 = wait forever)")
 
 		join      = flag.String("join", "", "join a running cluster via this seed member's peer address (requires -heartbeat; -peers may be empty, the cluster is learned from the seed)")
-		advertise = flag.String("advertise", "", "peer address other members should dial to reach this one (default: the -listen listener's actual address)")
+		advertise = flag.String("advertise", "", "peer address other members should dial to reach this one (requires -heartbeat; default: the -listen listener's actual address)")
 
 		leaseTTL   = flag.Duration("lease-ttl", 30*time.Second, "default session lease TTL; an expired lease force-releases the session's locks")
 		maxWaiters = flag.Int("max-waiters", 0, "cap on exclusive-mode clients waiting per (resource, mode); beyond it LOCK answers ERR busy (0 = unbounded)")
@@ -66,7 +66,7 @@ func main() {
 		queueLimit = flag.Int("queue-limit", 0, "bound per-peer outbound and inbound queues (0 = unbounded)")
 
 		heartbeat       = flag.Duration("heartbeat", 0, "peer heartbeat interval; enables crash detection and token regeneration (0 disables, all members should agree)")
-		confirmAfter    = flag.Duration("confirm-after", 0, "silence before a peer is confirmed dead and recovery starts; must exceed worst-case GC/network stalls (default 8x -heartbeat)")
+		confirmAfter    = flag.Duration("confirm-after", 0, "silence before a peer is confirmed dead and recovery starts (requires -heartbeat); must exceed worst-case GC/network stalls (default 8x -heartbeat)")
 		recoveryTimeout = flag.Duration("recovery-timeout", 0, "abandon a lock operation with no grant after this long (0 = wait forever)")
 
 		profileDir = flag.String("profile-dir", "", "directory for continuous-profiling captures (default <data-dir>/profiles when -data-dir is set; empty without -data-dir disables capture)")

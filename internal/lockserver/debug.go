@@ -189,15 +189,13 @@ func (s *Server) DebugHandler() http.Handler {
 			Locks       int     `json:"locks"`
 		}
 		type stats struct {
-			MemberID      int                `json:"member_id"`
-			Acquires      uint64             `json:"acquires"`
-			SharedJoins   uint64             `json:"shared_joins"`
-			MeanAcquireMS float64            `json:"mean_acquire_ms"`
-			P99AcquireMS  float64            `json:"p99_acquire_ms"`
-			MessagesSent  map[string]uint64  `json:"messages_sent"`
-			PeerHealth    map[int]peerHealth `json:"peer_health"`
-			Link          linkCounters       `json:"link"`
-			Journal       *journalStats      `json:"journal,omitempty"`
+			MemberID     int                `json:"member_id"`
+			Acquires     uint64             `json:"acquires"`
+			SharedJoins  uint64             `json:"shared_joins"`
+			MessagesSent map[string]uint64  `json:"messages_sent"`
+			PeerHealth   map[int]peerHealth `json:"peer_health"`
+			Link         linkCounters       `json:"link"`
+			Journal      *journalStats      `json:"journal,omitempty"`
 		}
 		ph := make(map[int]peerHealth)
 		for id, h := range s.member.PeerHealth() {
@@ -210,13 +208,11 @@ func (s *Server) DebugHandler() http.Handler {
 		}
 		lc := s.member.LinkCounters()
 		out := stats{
-			MemberID:      s.member.ID(),
-			Acquires:      st.Acquires,
-			SharedJoins:   st.SharedJoins,
-			MeanAcquireMS: float64(st.MeanAcquire) / float64(time.Millisecond),
-			P99AcquireMS:  float64(st.P99Acquire) / float64(time.Millisecond),
-			MessagesSent:  s.member.MessagesSent(),
-			PeerHealth:    ph,
+			MemberID:     s.member.ID(),
+			Acquires:     st.Acquires,
+			SharedJoins:  st.SharedJoins,
+			MessagesSent: s.member.MessagesSent(),
+			PeerHealth:   ph,
 			Link: linkCounters{
 				Redials:        lc.Redials,
 				Retransmits:    lc.Retransmits,

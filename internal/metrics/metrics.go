@@ -4,8 +4,7 @@
 // latency (Figure 6).
 //
 // Collectors are plain value-accumulating structs with no locking; in the
-// discrete-event simulator everything runs on one goroutine, and live
-// runtimes own one collector per node, merging at the end.
+// discrete-event simulator everything runs on one goroutine.
 package metrics
 
 import (
@@ -47,14 +46,6 @@ func (m *Messages) Total() uint64 {
 	return t
 }
 
-// Merge adds other's counts into m.
-func (m *Messages) Merge(other *Messages) {
-	for i, n := range other.ByKind {
-		m.ByKind[i] += n
-	}
-	m.Unknown += other.Unknown
-}
-
 // Kinds lists the message kinds in the order Figure 7 plots them.
 var Kinds = []proto.Kind{
 	proto.KindRequest, proto.KindGrant, proto.KindToken,
@@ -85,15 +76,6 @@ type Faults struct {
 // Total returns the total number of fault events.
 func (f *Faults) Total() uint64 {
 	return f.Drops + f.Duplicates + f.DelaySpikes + f.Deferrals + f.Lost
-}
-
-// Merge adds other's counts into f.
-func (f *Faults) Merge(other *Faults) {
-	f.Drops += other.Drops
-	f.Duplicates += other.Duplicates
-	f.DelaySpikes += other.DelaySpikes
-	f.Deferrals += other.Deferrals
-	f.Lost += other.Lost
 }
 
 // String renders the counters compactly.
@@ -128,13 +110,6 @@ type Link struct {
 	DupsSuppressed uint64
 }
 
-// Merge adds other's counts into l.
-func (l *Link) Merge(other *Link) {
-	l.Redials += other.Redials
-	l.Retransmits += other.Retransmits
-	l.DupsSuppressed += other.DupsSuppressed
-}
-
 // Latency accumulates durations and derives summary statistics,
 // including approximate percentiles from a fixed exponential histogram
 // (buckets double from 1 µs up to ~1.2 h, ≤ one-bucket relative error).
@@ -143,8 +118,6 @@ type Latency struct {
 	Sum   time.Duration
 	Min   time.Duration
 	Max   time.Duration
-	// sumSq accumulates squared seconds for the standard deviation.
-	sumSq float64
 	// buckets[i] counts samples in (2^(i-1)µs, 2^i µs]; buckets[0] counts
 	// ≤ 1µs, the last bucket is unbounded.
 	buckets [33]uint64
@@ -160,8 +133,6 @@ func (l *Latency) Observe(d time.Duration) {
 	}
 	l.Count++
 	l.Sum += d
-	s := d.Seconds()
-	l.sumSq += s * s
 	l.buckets[bucketOf(d)]++
 }
 
@@ -211,38 +182,6 @@ func (l *Latency) Mean() time.Duration {
 		return 0
 	}
 	return l.Sum / time.Duration(l.Count)
-}
-
-// StdDev returns the population standard deviation of the samples.
-func (l *Latency) StdDev() time.Duration {
-	if l.Count == 0 {
-		return 0
-	}
-	mean := l.Sum.Seconds() / float64(l.Count)
-	v := l.sumSq/float64(l.Count) - mean*mean
-	if v < 0 {
-		v = 0
-	}
-	return time.Duration(math.Sqrt(v) * float64(time.Second))
-}
-
-// Merge folds other into l.
-func (l *Latency) Merge(other *Latency) {
-	if other.Count == 0 {
-		return
-	}
-	if l.Count == 0 || other.Min < l.Min {
-		l.Min = other.Min
-	}
-	if other.Max > l.Max {
-		l.Max = other.Max
-	}
-	l.Count += other.Count
-	l.Sum += other.Sum
-	l.sumSq += other.sumSq
-	for i, n := range other.buckets {
-		l.buckets[i] += n
-	}
 }
 
 // Factor expresses the mean latency as a multiple of base (the paper's

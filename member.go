@@ -43,14 +43,16 @@ var (
 	ErrLockLost = errors.New("hierlock: lock lost in crash recovery")
 )
 
-// Lock order. A goroutine holding one of the member's mutexes takes only
-// mutexes further down this list:
+// Lock order. The member has two mutexes, its control plane's and its data
+// plane's; a goroutine holding the first may take the second, never the
+// reverse:
 //
-//	Member.mgrMu   every recovery.Manager entry point and its callbacks
-//	lockShard.mu   one stripe at a time, never two
-//	leaves         Member.statMu, recMu, ackMu and timerMu: no mutex of
-//	               the member is taken while one is held
+//	Member.mgrMu   the control plane: every recovery.Manager entry point
+//	               and its callbacks (the Recovered journal record among
+//	               them), the membership handshake and the tracked timers
+//	lockShard.mu   the data plane: one stripe at a time, never two
 //
+// The member-wide counters are atomics and have no place in this order.
 // Under a stripe's mutex the member calls out to the trace ring and its
 // taps (the auditor), the flight recorder, the journal (Append) and the
 // transport (Send); each has mutexes of its own and none calls back —
@@ -78,18 +80,18 @@ const lockShardCount = 64
 // entries waiting for the ring. A client operation therefore writes no
 // metric or trace word another stripe writes, with or without telemetry
 // attached, whether it waited, travelled or was granted at once; what it
-// shares is the Lamport clock (atomic) and, per message it sends, the
-// member's message count under statMu.
+// shares is the Lamport clock and, per message it sends, the member's
+// message count (both atomic).
 type lockShard struct {
 	mu    sync.Mutex
 	m     *Member // a Lock handle reaches its member through its stripe
 	locks map[proto.LockID]*lockState
 
-	// acq summarizes issue-to-grant latency of this stripe's grants and
-	// sharedJoins counts its joins of an existing hold; Stats and
-	// HealthSample merge the stripes (these are the stripe's own words, so
-	// those two readers have nothing to fold).
-	acq         metrics.Latency
+	// grants counts this stripe's granted acquisitions and upgrades, and
+	// sharedJoins its joins of an existing hold; Stats and HealthSample sum
+	// the stripes (these are the stripe's own words, so those two readers
+	// have nothing to fold).
+	grants      uint64
 	sharedJoins uint64
 
 	// staged holds client-operation trace entries (acquire, granted,
@@ -370,33 +372,35 @@ type Member struct {
 	// (carried in JOIN announcements; empty for in-process members, which
 	// have no runtime membership).
 	advertise string
-	// ackMu guards the membership handshake channels: joinC/leaveC are
-	// non-nil only while a Join/Leave call is collecting acknowledgments.
-	ackMu  sync.Mutex
-	joinC  chan proto.NodeID
-	leaveC chan proto.NodeID
-
-	// timerMu guards the member's tracked time.AfterFunc timers
-	// (recovery retries, deferred peer retirements). Close stops every
-	// tracked timer and waits for in-flight callbacks, so none can fire
-	// into a torn-down member. Lock order: timerMu is leaf-only — a
-	// callback releases it before taking mgrMu.
-	timerMu       sync.Mutex
-	timers        map[*time.Timer]struct{}
-	timersStopped bool
-	timerWG       sync.WaitGroup
 
 	// mgr runs the crash-recovery protocol when the member was created
 	// with a failure detector (nil otherwise). mgrMu serializes every
-	// Manager entry point except the concurrency-safe SeedFor/Hint/Table,
-	// per the Manager's contract; the lock order is always mgrMu before a
-	// shard mutex, never the reverse.
+	// Manager entry point except the seed-table reads SeedFor and Table,
+	// which take no member mutex; the lock order is always mgrMu before a
+	// shard mutex, never the reverse. roundStart, recEpochs, joinC/leaveC
+	// and the timers below are the rest of the control plane, guarded by
+	// mgrMu too.
 	mgr   *recovery.Manager
 	mgrMu sync.Mutex
 	// roundStart stamps each in-flight regeneration round this node runs
 	// as regenerator (per lock), for the round-duration histogram.
-	// Guarded by mgrMu like the manager itself.
 	roundStart map[proto.LockID]time.Time
+	// recEpochs dedups the append-before-broadcast journal record for
+	// Recovered fan-outs (one durable record per lock per epoch, not one
+	// per receiver or hint).
+	recEpochs map[proto.LockID]uint32
+	// joinC/leaveC are the membership handshake channels: non-nil only
+	// while a Join/Leave call is collecting acknowledgments.
+	joinC  chan proto.NodeID
+	leaveC chan proto.NodeID
+	// timers are the member's tracked time.AfterFunc timers (recovery
+	// retries, deferred peer retirements). Close stops every tracked timer
+	// and waits for in-flight callbacks (timerWG), so none can fire into a
+	// torn-down member.
+	timers        map[*trackedTimer]struct{}
+	timersStopped bool
+	timerWG       sync.WaitGroup
+
 	// recoveryTimeout, when non-zero, bounds each blocking client
 	// operation (see TCPMemberConfig.RecoveryTimeout).
 	recoveryTimeout time.Duration
@@ -408,19 +412,16 @@ type Member struct {
 	// is immutable after construction.
 	jn       *journal.Journal
 	replayed map[proto.LockID]journal.Record
-	// recMu/recEpochs dedup the append-before-broadcast journal record
-	// for Recovered fan-outs (one durable record per lock per epoch, not
-	// one per receiver or hint).
-	recMu     sync.Mutex
-	recEpochs map[proto.LockID]uint32
 
-	// statMu guards the member-wide counters below (never held together
-	// with a shard mutex for long: stat updates are point writes). Grants
-	// are not among them: they are counted per stripe (lockShard.acq).
-	statMu    sync.Mutex
-	sent      metrics.Messages
-	lostHolds uint64
-	firstEr   error
+	// sent counts the protocol messages the member sent, indexed as
+	// metrics.Messages.ByKind with one more word for out-of-range kinds
+	// (its Unknown); lostHolds counts holds demolished by recovery
+	// reseeds; firstErr is the first internal error (first one wins).
+	// Atomics: a message is counted wherever it is sent, under a stripe's
+	// mutex, mgrMu or neither.
+	sent      [len(metrics.Messages{}.ByKind) + 1]atomic.Uint64
+	lostHolds atomic.Uint64
+	firstErr  atomic.Pointer[error]
 
 	// fsyncStalls counts journal fsyncs over the stall threshold (fed by
 	// the fsync observer), one of the stall watchdog's inputs.
@@ -523,9 +524,17 @@ func (m *Member) newTrace() proto.TraceID {
 // countMessage records one outbound protocol message in m.sent, which
 // MessagesSent, Stats and the hierlock_messages_sent_total collector read.
 func (m *Member) countMessage(k proto.Kind) {
-	m.statMu.Lock()
-	m.sent.Count(k)
-	m.statMu.Unlock()
+	m.sent[min(int(k), len(m.sent)-1)].Add(1)
+}
+
+// messages snapshots m.sent.
+func (m *Member) messages() metrics.Messages {
+	var out metrics.Messages
+	for k := range out.ByKind {
+		out.ByKind[k] = m.sent[k].Load()
+	}
+	out.Unknown = m.sent[len(out.ByKind)].Load()
+	return out
 }
 
 // sentKinds are the message kinds a member sends, each exported under its
@@ -564,13 +573,10 @@ func (m *Member) wire(t Telemetry) *telemetry {
 		return tel
 	}
 	// Messages are counted once, in m.sent, and rendered from there at
-	// scrape; statMu is a leaf, so the collector may take it under the
-	// registry's read lock.
+	// scrape.
 	reg.Collect(metrics.MetricMessagesTotal, "Protocol messages sent, by kind.", "counter",
 		func(emit func(metrics.Labels, float64)) {
-			m.statMu.Lock()
-			sent := m.sent
-			m.statMu.Unlock()
+			sent := m.messages()
 			for _, k := range sentKinds {
 				emit(metrics.Labels{"kind": k.String()}, float64(sent.ByKind[k]))
 			}
@@ -930,11 +936,9 @@ func (m *Member) await(ctx context.Context, sh *lockShard, w *waiter) error {
 
 // memberRecovery configures a member's crash-recovery runtime: the full
 // node set (recovery rounds span every configured member, and a round
-// commits on a majority of them) and the client timeout. Nil disables
-// recovery.
+// commits on a majority of them). Nil disables recovery.
 type memberRecovery struct {
-	nodes     []proto.NodeID // all cluster members, including self
-	opTimeout time.Duration
+	nodes []proto.NodeID // all cluster members, including self
 	// advertise is the address JOIN announcements carry for this member
 	// (empty disables runtime membership).
 	advertise string
@@ -963,7 +967,6 @@ func newMember(id, root proto.NodeID, tr transport.Transport, rec *memberRecover
 		m.replayed = jn.State()
 	}
 	if rec != nil {
-		m.recoveryTimeout = rec.opTimeout
 		m.advertise = rec.advertise
 		m.roundStart = make(map[proto.LockID]time.Time)
 		m.mgr = recovery.NewManager(recovery.Config{
@@ -1032,7 +1035,8 @@ func (m *Member) locksReferencing(dead proto.NodeID) []proto.LockID {
 // sendRecovery transmits one recovery-protocol message with the same
 // accounting as engine traffic. Send failures are not surfaced: during
 // the recovery window peers are expected to be unreachable, and the
-// protocol re-probes until every survivor has claimed.
+// protocol re-probes until every survivor has claimed. It is the
+// manager's Send, so callers hold mgrMu.
 func (m *Member) sendRecovery(msg proto.Message) {
 	if msg.Kind == proto.KindRecovered {
 		m.journalRecovered(msg.Lock, msg.Epoch, msg.Req.Origin)
@@ -1051,18 +1055,14 @@ func (m *Member) sendRecovery(msg proto.Message) {
 // (lock, epoch) is preceded by a synced journal record, so a
 // regenerator that crashes mid-broadcast replays an epoch at least as
 // new as anything any peer could have observed. Deduplicated per
-// (lock, epoch) — retries and hints re-send old epochs freely.
+// (lock, epoch) — retries and hints re-send old epochs freely. Callers
+// hold mgrMu (the recovery manager's Send) and no stripe's mutex: the
+// Sync below can take as long as the disk does.
 func (m *Member) journalRecovered(lock proto.LockID, epoch uint32, root proto.NodeID) {
-	if m.jn == nil {
-		return
-	}
-	m.recMu.Lock()
-	if m.recEpochs[lock] >= epoch {
-		m.recMu.Unlock()
+	if m.jn == nil || m.recEpochs[lock] >= epoch {
 		return
 	}
 	m.recEpochs[lock] = epoch
-	m.recMu.Unlock()
 	err := m.jn.Append(journal.Record{
 		Kind: journal.RecEpoch, Lock: lock, Epoch: epoch,
 		Token: root == m.id, Root: root, TS: uint64(m.clock.Tick()),
@@ -1130,9 +1130,7 @@ func (m *Member) recoveryReseed(lock proto.LockID, root proto.NodeID, epoch uint
 		if h := ls.hold; h != nil {
 			h.lost = true
 		}
-		m.statMu.Lock()
-		m.lostHolds++
-		m.statMu.Unlock()
+		m.lostHolds.Add(1)
 		tel.recLost.Inc()
 		sh.admit() // a dump pulls nothing: hand in this lock's history, the lost grant included
 		tel.bb.Record(introspect.Event{Type: introspect.EvLockLost,
@@ -1185,56 +1183,54 @@ func (m *Member) recoveryRoundDone(lock proto.LockID, final uint32) {
 	}
 }
 
-// afterRecovery schedules a recovery-protocol retry, serialized under
-// the manager mutex like every other manager entry point. The timer is
-// tracked so Close can stop it: an untracked retry firing after Close
-// would race the teardown (and, under a journal, could append to a
-// closed WAL).
+// afterRecovery is the recovery manager's After: fn runs on a tracked
+// timer (see afterTracked), so Close can stop it — an untracked retry
+// firing after Close would race the teardown and, under a journal, could
+// append to a closed WAL — and not at all once Close has begun.
 func (m *Member) afterRecovery(d time.Duration, fn func()) {
 	m.afterTracked(d, func() {
-		if m.closed.Load() {
-			return
+		if !m.closed.Load() {
+			fn()
 		}
-		m.mgrMu.Lock()
-		defer m.mgrMu.Unlock()
-		fn()
 	})
 }
 
-// afterTracked runs fn after d on a tracked timer: Close (stopTimers)
-// cancels timers that have not fired and waits for callbacks already in
-// flight, so no tracked callback ever runs concurrently with or after
-// teardown completes. Callbacks must not call stopTimers.
+// trackedTimer is one tracked timer. It is registered before it is
+// armed, so its callback finds its entry without reading anything written
+// after the timer started.
+type trackedTimer struct{ *time.Timer }
+
+// afterTracked runs fn under mgrMu after d on a tracked timer: Close
+// (stopTimers) cancels timers that have not fired and waits for callbacks
+// already in flight, so no tracked callback ever runs concurrently with or
+// after teardown completes. Callers hold mgrMu.
 func (m *Member) afterTracked(d time.Duration, fn func()) {
-	m.timerMu.Lock()
-	defer m.timerMu.Unlock()
 	if m.timersStopped {
 		return
 	}
+	if m.timers == nil {
+		m.timers = make(map[*trackedTimer]struct{})
+	}
+	t := new(trackedTimer)
+	m.timers[t] = struct{}{}
 	m.timerWG.Add(1)
-	var t *time.Timer
-	t = time.AfterFunc(d, func() {
+	t.Timer = time.AfterFunc(d, func() {
 		defer m.timerWG.Done()
-		m.timerMu.Lock()
+		m.mgrMu.Lock()
+		defer m.mgrMu.Unlock()
 		if m.timersStopped {
-			m.timerMu.Unlock()
 			return
 		}
 		delete(m.timers, t)
-		m.timerMu.Unlock()
 		fn()
 	})
-	if m.timers == nil {
-		m.timers = make(map[*time.Timer]struct{})
-	}
-	m.timers[t] = struct{}{}
 }
 
 // stopTimers cancels every tracked timer and waits for callbacks that
 // already fired to finish. Timers whose Stop fails are mid-flight: their
-// callbacks observe timersStopped (or m.closed) and return.
+// callbacks find timersStopped and return, or have run already.
 func (m *Member) stopTimers() {
-	m.timerMu.Lock()
+	m.mgrMu.Lock()
 	m.timersStopped = true
 	for t := range m.timers {
 		if t.Stop() {
@@ -1242,7 +1238,7 @@ func (m *Member) stopTimers() {
 		}
 	}
 	m.timers = nil
-	m.timerMu.Unlock()
+	m.mgrMu.Unlock()
 	m.timerWG.Wait()
 }
 
@@ -1318,28 +1314,23 @@ func (m *Member) ID() int { return int(m.id) }
 // Err returns the first internal protocol error observed, if any. A
 // non-nil value indicates a bug or a violated transport assumption.
 func (m *Member) Err() error {
-	m.statMu.Lock()
-	defer m.statMu.Unlock()
-	return m.firstEr
+	if p := m.firstErr.Load(); p != nil {
+		return *p
+	}
+	return nil
 }
 
 // fail records an internal error (first one wins).
 func (m *Member) fail(err error) {
-	m.statMu.Lock()
-	if m.firstEr == nil {
-		m.firstEr = err
-	}
-	m.statMu.Unlock()
+	m.firstErr.CompareAndSwap(nil, &err)
 }
 
 // MessagesSent returns a snapshot of the protocol messages this member
 // has sent, by kind.
 func (m *Member) MessagesSent() map[string]uint64 {
-	m.statMu.Lock()
-	defer m.statMu.Unlock()
 	out := make(map[string]uint64, len(metrics.Kinds))
 	for _, k := range metrics.Kinds {
-		out[k.String()] = m.sent.ByKind[k]
+		out[k.String()] = m.sent[k].Load()
 	}
 	return out
 }
@@ -1357,7 +1348,7 @@ func (m *Member) HealthSample() watchdog.Sample {
 		sh := &m.shards[i]
 		sh.mu.Lock()
 		s.TrackedLocks += len(sh.locks)
-		s.Grants += sh.acq.Count + sh.sharedJoins
+		s.Grants += sh.grants + sh.sharedJoins
 		for _, ls := range sh.locks {
 			if w := ls.waiter; w != nil && !w.abandoned {
 				s.Waiters++
@@ -1454,9 +1445,6 @@ type Stats struct {
 	// SharedJoins counts acquisitions satisfied by joining an existing
 	// local hold (zero protocol messages).
 	SharedJoins uint64
-	// MeanAcquire and P99Acquire summarize acquisition wait times.
-	MeanAcquire time.Duration
-	P99Acquire  time.Duration
 	// MessagesSent totals the protocol messages sent.
 	MessagesSent uint64
 	// LostHolds counts holds demolished by crash-recovery reseeds (each
@@ -1466,24 +1454,20 @@ type Stats struct {
 
 // Stats returns a snapshot of the member's counters.
 func (m *Member) Stats() Stats {
-	var acq metrics.Latency
-	var joins uint64
+	var grants, joins uint64
 	for i := range m.shards {
 		sh := &m.shards[i]
 		sh.mu.Lock()
-		acq.Merge(&sh.acq)
+		grants += sh.grants
 		joins += sh.sharedJoins
 		sh.mu.Unlock()
 	}
-	m.statMu.Lock()
-	defer m.statMu.Unlock()
+	sent := m.messages()
 	return Stats{
-		Acquires:     acq.Count + joins,
+		Acquires:     grants + joins,
 		SharedJoins:  joins,
-		MeanAcquire:  acq.Mean(),
-		P99Acquire:   acq.Quantile(0.99),
-		MessagesSent: m.sent.Total(),
-		LostHolds:    m.lostHolds,
+		MessagesSent: sent.Total(),
+		LostHolds:    m.lostHolds.Load(),
 	}
 }
 
@@ -1858,7 +1842,7 @@ func (m *Member) LockWithPriority(ctx context.Context, resource string, mode Mod
 		sh.mu.Lock()
 	}
 	// The waiter is ours until Unlock frees the admission slot.
-	sh.acq.Observe(d)
+	sh.grants++
 	sh.cnt.stageGrant(metrics.OpLock, w.outcome(localGrant), d, w.hops)
 	sh.mu.Unlock()
 	return &Lock{sh: sh, ls: ls, resource: resource, mode: mode, fence: w.fence}, nil
@@ -2071,7 +2055,7 @@ func (l *Lock) Upgrade(ctx context.Context) error {
 		d = sinceEpoch() - start
 		sh.mu.Lock()
 	}
-	sh.acq.Observe(d)
+	sh.grants++
 	sh.cnt.stageGrant(metrics.OpUpgrade, w.outcome(localGrant), d, w.hops)
 	l.upgrading = false
 	l.regrant(W, w.fence)
@@ -2126,7 +2110,6 @@ func (m *Member) handle(msg *proto.Message) {
 		return
 	}
 	sh, ls := m.state(msg.Lock, "")
-	defer sh.mu.Unlock()
 	if rec != nil {
 		sh.record(rec, m.delivery(msg))
 	}
@@ -2144,15 +2127,20 @@ func (m *Member) handle(msg *proto.Message) {
 				"trace", proto.MsgTrace(msg).String())
 		}
 	}
+	m.dispatch(sh, ls, out)
+	m.maybeEvict(sh)
+	sh.mu.Unlock()
 	if out.Stale && m.mgr != nil {
 		// The sender is behind a completed recovery round (pre-crash
 		// traffic, or a restarted node): answer with the recovered
-		// (root, epoch) so it can catch up without a full round. Hint is
-		// safe under the shard mutex (it only reads the seed table).
+		// (root, epoch) so it can catch up without a full round. The hint
+		// is a recovery send — its first one per (lock, epoch) journals
+		// and syncs — so it goes out under mgrMu, after the stripe is
+		// released. A stale step sends nothing, so no frame overtakes it.
+		m.mgrMu.Lock()
 		m.mgr.Hint(msg.Lock, msg.From)
+		m.mgrMu.Unlock()
 	}
-	m.dispatch(sh, ls, out)
-	m.maybeEvict(sh)
 }
 
 // journalLock appends a journal record when the state replay restores

@@ -184,11 +184,6 @@ func TestMemberStats(t *testing.T) {
 	if st.SharedJoins != 1 {
 		t.Errorf("shared joins = %d, want 1", st.SharedJoins)
 	}
-	// P99 comes from a power-of-two-bucket histogram, so it can sit up to
-	// one bucket (2×) below the exact mean when samples cluster.
-	if st.MeanAcquire <= 0 || st.P99Acquire < st.MeanAcquire/2 {
-		t.Errorf("latency stats: mean=%v p99=%v", st.MeanAcquire, st.P99Acquire)
-	}
 	if st.MessagesSent == 0 {
 		t.Errorf("messages = %d", st.MessagesSent)
 	}

@@ -81,13 +81,13 @@ func (m *Member) Join(ctx context.Context, seedAddr string) error {
 		return ErrLeaving
 	}
 	joinC := make(chan proto.NodeID, 64)
-	m.ackMu.Lock()
+	m.mgrMu.Lock()
 	m.joinC = joinC
-	m.ackMu.Unlock()
+	m.mgrMu.Unlock()
 	defer func() {
-		m.ackMu.Lock()
+		m.mgrMu.Lock()
 		m.joinC = nil
-		m.ackMu.Unlock()
+		m.mgrMu.Unlock()
 	}()
 
 	announce := proto.Message{Kind: proto.KindJoin, From: m.id, To: proto.NoNode,
@@ -173,13 +173,13 @@ func (m *Member) Leave(ctx context.Context) error {
 	}
 
 	leaveC := make(chan proto.NodeID, 64)
-	m.ackMu.Lock()
+	m.mgrMu.Lock()
 	m.leaveC = leaveC
-	m.ackMu.Unlock()
+	m.mgrMu.Unlock()
 	defer func() {
-		m.ackMu.Lock()
+		m.mgrMu.Lock()
 		m.leaveC = nil
-		m.ackMu.Unlock()
+		m.mgrMu.Unlock()
 	}()
 
 	vec := make([]uint64, len(tokens))
@@ -307,9 +307,10 @@ func (m *Member) handleJoin(msg *proto.Message) {
 }
 
 // handleJoinAck is the joiner's side of the handshake: adopt the
-// answering member's world (peer set, epoch floor, recovery seeds),
-// announce to any member learned for the first time, and wake the Join
-// call. Also idempotent — acks are re-sent on every retry.
+// answering member's world (peer set, epoch floor, recovery seeds) and
+// wake the Join call, both under mgrMu, then announce to any member
+// learned for the first time. Also idempotent — acks are re-sent on every
+// retry.
 func (m *Member) handleJoinAck(msg *proto.Message) {
 	t, err := m.membership()
 	if err != nil || msg.From == m.id {
@@ -341,6 +342,12 @@ func (m *Member) handleJoinAck(msg *proto.Message) {
 		m.mgr.Adopt(proto.LockID(r.TS), recovery.Seed{
 			Root: r.Origin, Epoch: uint32(r.Trace.Seq)})
 	}
+	if c := m.joinC; c != nil {
+		select {
+		case c <- msg.From:
+		default:
+		}
+	}
 	m.mgrMu.Unlock()
 
 	sort.Slice(learned, func(i, j int) bool { return learned[i] < learned[j] })
@@ -351,15 +358,6 @@ func (m *Member) handleJoinAck(msg *proto.Message) {
 		m.sendMembership(&proto.Message{Kind: proto.KindJoin,
 			From: m.id, To: id, TS: m.clock.Tick(), Addr: m.advertise})
 	}
-
-	m.ackMu.Lock()
-	if c := m.joinC; c != nil {
-		select {
-		case c <- msg.From:
-		default:
-		}
-	}
-	m.ackMu.Unlock()
 }
 
 // handleLeave processes a peer's graceful departure: acknowledge first —
@@ -393,6 +391,10 @@ func (m *Member) handleLeave(msg *proto.Message) {
 		}
 		m.mgr.Depart(msg.From, locks)
 		m.mgr.SetQuorum(len(m.mgr.Nodes())/2 + 1)
+		peer := msg.From
+		m.afterTracked(leaveDetachDelay, func() {
+			t.RemovePeer(peer)
+		})
 	}
 	m.mgrMu.Unlock()
 	if wasMember {
@@ -403,23 +405,19 @@ func (m *Member) handleLeave(msg *proto.Message) {
 			lg.Info("peer left gracefully", "peer", int(msg.From),
 				"handoff_locks", len(msg.Vec))
 		}
-		peer := msg.From
-		m.afterTracked(leaveDetachDelay, func() {
-			t.RemovePeer(peer)
-		})
 	}
 }
 
 // handleLeaveAck wakes a blocked Leave call.
 func (m *Member) handleLeaveAck(msg *proto.Message) {
-	m.ackMu.Lock()
+	m.mgrMu.Lock()
 	if c := m.leaveC; c != nil {
 		select {
 		case c <- msg.From:
 		default:
 		}
 	}
-	m.ackMu.Unlock()
+	m.mgrMu.Unlock()
 }
 
 // peerList renders this member's view of the cluster as the JoinAck

@@ -1,6 +1,8 @@
 package hierlock
 
 import (
+	"context"
+	"sync"
 	"testing"
 	"time"
 
@@ -95,4 +97,67 @@ func TestStaleDetectorCallbacksDropped(t *testing.T) {
 	if st, ok := m0.detectorState(proto.NodeID(1)); !ok || st != recovery.PeerConfirmed {
 		t.Fatalf("detector state = %v, %v, want confirmed", st, ok)
 	}
+}
+
+// TestStaleHintSyncsOutsideStripe: the recovery hint a stale message earns
+// is a recovery send — the first one for its (lock, epoch) appends a
+// journal record and syncs it — so it goes out under mgrMu once the
+// message's stripe is released, and a client on that stripe does not wait
+// for the disk. The journal's fsync observer, which Sync runs inline,
+// blocks the hint here while a resident lock on the stripe is taken.
+func TestStaleHintSyncsOutsideStripe(t *testing.T) {
+	m, err := NewTCPMember(TCPMemberConfig{ID: 0, ListenAddr: "127.0.0.1:0",
+		HeartbeatInterval: time.Second, DataDir: t.TempDir(), FsyncPolicy: FsyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = m.Close() })
+	ctx := context.Background()
+	stale, resident := sameStripe("hint")
+	lockResident := func() error {
+		l, err := m.Lock(ctx, resident, W)
+		if err != nil {
+			return err
+		}
+		return l.Unlock()
+	}
+	// The first grant on the resident lock journals its record now, not
+	// while the hint's Sync holds the journal.
+	if err := lockResident(); err != nil {
+		t.Fatal(err)
+	}
+	lock := lockIDFor(stale)
+	m.mgrMu.Lock()
+	m.mgr.Adopt(lock, recovery.Seed{Root: m.id, Epoch: 3})
+	m.mgrMu.Unlock()
+
+	syncing, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	m.jn.SetFsyncObserver(func(time.Duration) {
+		once.Do(func() { close(syncing) })
+		<-release
+	})
+	hinted := make(chan struct{})
+	go func() {
+		defer close(hinted)
+		m.handle(&proto.Message{Kind: proto.KindRequest, Lock: lock, From: 1, To: m.id, Epoch: 0})
+	}()
+	select {
+	case <-syncing:
+	case <-time.After(5 * time.Second):
+		close(release)
+		t.Fatal("a stale message's hint did not sync the journal")
+	}
+	granted := make(chan error, 1)
+	go func() { granted <- lockResident() }()
+	select {
+	case err := <-granted:
+		if err != nil {
+			t.Error(err)
+		}
+	case <-time.After(time.Second):
+		t.Error("Lock on the stale lock's stripe waits for the hint's fsync")
+	}
+	close(release)
+	<-hinted
 }

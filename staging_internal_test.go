@@ -414,11 +414,12 @@ func TestSharedRingKeepsCausalOrder(t *testing.T) {
 	}
 }
 
-// TestResidentPathSharesNoMemberMutex: with statMu held by the test, a
-// thousand resident pairs under lockd's default wiring complete. (The
-// ring, auditor and flight-recorder mutexes cannot be held from outside;
-// that the path takes none of them per entry is DESIGN.md's claim and
-// BenchmarkMemberDefaultTelemetry's -cpu 2 figure.)
+// TestResidentPathSharesNoMemberMutex: with mgrMu, the member's one
+// member-wide mutex, held by the test, a thousand resident pairs under
+// lockd's default wiring complete. (The ring, auditor and flight-recorder
+// mutexes cannot be held from outside; that the path takes none of them
+// per entry is DESIGN.md's claim and BenchmarkMemberDefaultTelemetry's
+// -cpu 2 figure.)
 func TestResidentPathSharesNoMemberMutex(t *testing.T) {
 	c, err := NewCluster(1)
 	if err != nil {
@@ -428,7 +429,7 @@ func TestResidentPathSharesNoMemberMutex(t *testing.T) {
 	m := c.Member(0)
 	newLockdWiring(4096).attach(m)
 
-	m.statMu.Lock()
+	m.mgrMu.Lock()
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -437,9 +438,9 @@ func TestResidentPathSharesNoMemberMutex(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(30 * time.Second):
-		t.Error("resident Lock/Unlock pairs block on statMu")
+		t.Error("resident Lock/Unlock pairs block on mgrMu")
 	}
-	m.statMu.Unlock()
+	m.mgrMu.Unlock()
 	<-done
 	if got := m.Stats().Acquires; got != 1000 {
 		t.Fatalf("Stats().Acquires = %d, want 1000", got)
@@ -522,8 +523,9 @@ func clientScript(t *testing.T, m0, m1 *Member) []scriptRequest {
 // before its OpGranted, alike in node, lock and trace, one entry for each
 // the tap saw or was told of, and none of the carried stamps. A grant at
 // once is stamped once — its acquire, its grant and its latency (0 in
-// Stats) share the stamp — as is a join; a request that queued for the
-// slot or sent a message was issued strictly before it was granted.
+// the stripe's staged op_latency words) share the stamp — as is a join;
+// a request that queued for the slot or sent a message was issued
+// strictly before it was granted.
 func TestAcquireFoldedOnlyWhenGrantedAtOnce(t *testing.T) {
 	c, err := NewCluster(2)
 	if err != nil {
@@ -538,8 +540,13 @@ func TestAcquireFoldedOnlyWhenGrantedAtOnce(t *testing.T) {
 	if err := l.Unlock(); err != nil {
 		t.Fatal(err)
 	}
-	if st := m0.Stats(); st.Acquires != 1 || st.MeanAcquire != 0 {
-		t.Fatalf("a grant at once: Stats %+v, want one acquire of latency 0", st)
+	sh, lat := l.sh, latency(metrics.OpLock, metrics.OutcomeLocal)
+	sh.mu.Lock()
+	n, sum := sh.cnt.n[0][lat], sh.cnt.sum[lat]
+	sh.mu.Unlock()
+	if acq := m0.Stats().Acquires; acq != 1 || n != 1 || sum != 0 {
+		t.Fatalf("a grant at once: %d acquires, %d staged samples in the lowest bucket summing to %dns; want one of latency 0",
+			acq, n, sum)
 	}
 	rec := trace.New(1024)
 	var tapMu sync.Mutex

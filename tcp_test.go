@@ -369,3 +369,38 @@ func TestTCPLostWaitCountsOutcome(t *testing.T) {
 		}
 	}
 }
+
+// TestTCPRecoveryTimeoutWithoutHeartbeat: RecoveryTimeout bounds a blocking
+// Lock on a member without the failure detector too. Member 1 holds the
+// lock past member 0's RecoveryTimeout, so member 0's Lock fails with
+// ErrLockLost long before its context expires.
+func TestTCPRecoveryTimeoutWithoutHeartbeat(t *testing.T) {
+	addrs := reserveAddrs(t, 2)
+	members := make([]*hierlock.Member, 2)
+	for i := range members {
+		m, err := hierlock.NewTCPMember(hierlock.TCPMemberConfig{
+			ID: i, ListenAddr: addrs[i], Peers: map[int]string{1 - i: addrs[1-i]},
+			RecoveryTimeout: 300 * time.Millisecond,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = m.Close() })
+		members[i] = m
+	}
+	held, err := members[1].Lock(context.Background(), "timeout-res", hierlock.W)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer held.Unlock()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	start := time.Now()
+	_, err = members[0].Lock(ctx, "timeout-res", hierlock.W)
+	if !errors.Is(err, hierlock.ErrLockLost) {
+		t.Fatalf("Lock behind a hold longer than RecoveryTimeout: %v, want ErrLockLost", err)
+	}
+	if d := time.Since(start); d > 2*time.Second {
+		t.Fatalf("ErrLockLost after %v, want about RecoveryTimeout (300ms)", d)
+	}
+}

@@ -96,17 +96,19 @@ func TestCloseTimerStress(t *testing.T) {
 					default:
 					}
 					d := time.Duration(i%3) * time.Millisecond
+					m.mgrMu.Lock() // afterTracked's callers hold it
 					m.afterTracked(d, func() {
 						if closed.Load() {
 							lateRun.Store(true)
 						}
 					})
+					m.mgrMu.Unlock()
 					time.Sleep(time.Duration(i%2) * time.Millisecond)
 				}
 			}()
 		}
 		time.Sleep(5 * time.Millisecond)
-		// stopTimers holds timerMu while sweeping, then waits; callbacks
+		// stopTimers holds mgrMu while sweeping, then waits; callbacks
 		// started before the sweep finish first.
 		if err := m.Close(); err != nil {
 			t.Fatal(err)
