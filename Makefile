@@ -51,8 +51,11 @@ race:
 # (TestHandleGrantEvents*) is schedule too (internal/metrics carries the
 # registry's fold hooks) — and so is whether a client queued for a lock's
 # admission slot is popped before or after it gives up (TestSlotBlocked*),
-# what the flight recorder finds in a paused ring (TestFlightRecorderSees*)
-# and which member of a LockAll round is caught waiting on the other when
+# what an incident copies of a paused ring (TestFlightRecorderSees*) and
+# whether an incident, triggered in a tap under a stripe mutex and written
+# on a goroutine of its own that takes every stripe mutex, is complete when
+# Close returns (TestNodeEventsInTheRing, TestDebugIncidents*, the
+# introspect line) — and which member of a LockAll round is caught waiting on the other when
 # the wait-for graph is sampled (TestLockAllOrdering*). The control plane
 # is mgrMu alone — recovery, the membership handshake, the tracked timers —
 # so its line runs three times too: which of a stale message's stripe
@@ -64,10 +67,11 @@ chaos:
 	$(GO) test -race -count=3 -run 'TestTCP' ./internal/transport/
 	$(GO) test -race -count=1 ./internal/recovery/
 	$(GO) test -race -count=1 -run 'TestTCPCrashRecovery|TestTCPRecoveryQuietWithoutCrash' .
-	$(GO) test -race -count=3 -run 'TestStagedRing|TestSharedRing|TestResidentPath|TestAcquireFolded|TestSlotBlocked|TestReleaseFolds|TestClientScriptRingGolden|TestSharedAuditor|TestViolationInStagedEntry|TestEveryConsumerPulls|TestHandleGrantEvents|TestFlightRecorderSees|TestLockAllOrdering' .
+	$(GO) test -race -count=3 -run 'TestStagedRing|TestSharedRing|TestResidentPath|TestAcquireFolded|TestSlotBlocked|TestReleaseFolds|TestClientScriptRingGolden|TestSharedAuditor|TestViolationInStagedEntry|TestEveryConsumerPulls|TestHandleGrantEvents|TestFlightRecorderSees|TestNodeEventsInTheRing|TestLockAllOrdering' .
 	$(GO) test -race -count=3 -run 'TestScrapeExactWhileCounting|TestMemberMetricsGolden' .
 	$(GO) test -race -count=3 -run 'TestStaleHintSyncsOutsideStripe|TestTCPRecoveryTimeoutWithoutHeartbeat|TestCloseWaitsForInflightRecoveryRetry|TestTCPMembership|TestTCPLeave|TestTCPLeaver' .
 	$(GO) test -race -count=3 ./internal/audit/ ./internal/trace/ ./internal/introspect/ ./internal/metrics/
+	$(GO) test -race -count=3 -run 'TestDebugIncidents' ./internal/lockserver/
 
 # Durability coverage: the journal package (torn-tail, corrupt-frame,
 # snapshot-rotation, parent-commit WAL replay tests; an append during a

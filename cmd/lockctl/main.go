@@ -40,18 +40,12 @@
 //
 //	lockctl sessions -debug h1:9400,h2:9401
 //
-// Flight recorder: show the black-box ring and the dump files written
-// on audit violations, recovery rounds and lost locks; retrieve one:
+// Incidents: list what a node wrote on audit violations, recovery
+// rounds, lost locks and stalls, write one now, or fetch one file of one:
 //
-//	lockctl blackbox -debug h1:9400
-//	lockctl blackbox -debug h1:9400 -dump 1723100000000000000-audit_violation.json
-//
-// Continuous profiling: list captured profiles, force a capture, or
-// fetch one profile file from a node:
-//
-//	lockctl profile -debug h1:9400
-//	lockctl profile -debug h1:9400 -capture cpu
-//	lockctl profile -debug h1:9400 -fetch 1723100000000000000-heap.pprof -o heap.pprof
+//	lockctl incidents -debug h1:9400
+//	lockctl incidents -debug h1:9400 -trigger
+//	lockctl incidents -debug h1:9400 -get 1723100000000000000-stall/cpu.pprof -o cpu.pprof
 //
 // Cluster health: one-shot or live watch of every node's stall
 // watchdog verdict:
@@ -103,11 +97,8 @@ func main() {
 		case "top":
 			locksCmd(args[1:], true)
 			return
-		case "blackbox":
-			blackboxCmd(args[1:])
-			return
-		case "profile":
-			profileCmd(args[1:])
+		case "incidents":
+			incidentsCmd(args[1:])
 			return
 		case "watch":
 			watchCmd(args[1:])
@@ -153,7 +144,7 @@ func main() {
 
 	args := flag.Args()
 	if len(args) == 0 {
-		fatalf("usage: lockctl [-addr A] lock <resource> <mode> [-hold D] | unlock <resource> | upgrade <resource> | held | stats | member list|add <seed-addr>|remove | trace|locks|top|sessions|blackbox|profile|watch [-debug A]")
+		fatalf("usage: lockctl [-addr A] lock <resource> <mode> [-hold D] | unlock <resource> | upgrade <resource> | held | stats | member list|add <seed-addr>|remove | trace|locks|top|sessions|incidents|watch [-debug A]")
 	}
 	switch strings.ToLower(args[0]) {
 	case "lock":
@@ -362,95 +353,36 @@ func locksCmd(args []string, top bool) {
 	}
 }
 
-// blackboxCmd shows a node's flight recorder: counters, the retained
-// event ring, the dump files on disk — or one dump file's contents.
-func blackboxCmd(args []string) {
-	fs := flag.NewFlagSet("blackbox", flag.ExitOnError)
+// incidentsCmd talks to a node's /debug/incidents endpoint: list the
+// incidents and their files, trigger a manual one (a POST), or fetch one
+// file of one incident.
+func incidentsCmd(args []string) {
+	fs := flag.NewFlagSet("incidents", flag.ExitOnError)
 	var (
 		debug   = fs.String("debug", "127.0.0.1:9400", "lockd debug HTTP address")
-		n       = fs.Int("n", 25, "show the n most recent ring events (0 = all retained)")
-		dump    = fs.String("dump", "", "retrieve and print one dump file by name")
-		trigger = fs.Bool("trigger", false, "force a manual dump before reporting")
+		trigger = fs.Bool("trigger", false, "write a manual incident before listing")
+		get     = fs.String("get", "", "fetch one file, as INCIDENT/FILE")
+		out     = fs.String("o", "", "with -get: write the file here instead of stdout")
 		asJSON  = fs.Bool("json", false, "print the raw JSON instead of the text report")
 		timeout = fs.Duration("timeout", 10*time.Second, "HTTP timeout")
 	)
 	_ = fs.Parse(args)
 
 	client := &http.Client{Timeout: *timeout}
-	if *dump != "" {
-		var d introspect.Dump
-		if err := lockserver.GetJSON(client, *debug, "/debug/blackbox?dump="+url.QueryEscape(*dump), &d); err != nil {
-			fatalf("fetch blackbox: %v", err)
+	if *get != "" {
+		incident, file, ok := strings.Cut(*get, "/")
+		if !ok {
+			fatalf("-get wants INCIDENT/FILE, got %q", *get)
 		}
-		if *asJSON {
-			printJSON(d)
-			return
-		}
-		fmt.Printf("dump %s: node %d, reason %s, %d events\n", *dump, d.Node, d.Reason, len(d.Events))
-		for _, e := range d.Events {
-			fmt.Println(introspect.FormatDumpEvent(e))
-		}
-		return
-	}
-
-	path := fmt.Sprintf("/debug/blackbox?n=%d", *n)
-	if *trigger {
-		path += "&trigger=1"
-	}
-	var view lockserver.BlackboxView
-	if err := lockserver.GetJSON(client, *debug, path, &view); err != nil {
-		fatalf("fetch blackbox: %v", err)
-	}
-	if *asJSON {
-		printJSON(view)
-		return
-	}
-	fmt.Printf("node %d: %d events recorded\n", view.Node, view.Events)
-	reasons := make([]string, 0, len(view.Dumps))
-	for r := range view.Dumps {
-		reasons = append(reasons, r)
-	}
-	sort.Strings(reasons)
-	for _, r := range reasons {
-		fmt.Printf("  dumps[%s]: %d\n", r, view.Dumps[r])
-	}
-	if view.LastDumpErr != "" {
-		fmt.Printf("  last dump error: %s\n", view.LastDumpErr)
-	}
-	for _, f := range view.Files {
-		fmt.Printf("  file %s (%d bytes, %s)\n", f.Name, f.Size, f.MTime)
-	}
-	for _, e := range view.Ring {
-		fmt.Println(introspect.FormatDumpEvent(e))
-	}
-}
-
-// profileCmd talks to a node's /debug/profile endpoint: list the
-// capture files and counters, force a capture (one kind or "all"), or
-// fetch one .pprof file to disk for `go tool pprof`.
-func profileCmd(args []string) {
-	fs := flag.NewFlagSet("profile", flag.ExitOnError)
-	var (
-		debug   = fs.String("debug", "127.0.0.1:9400", "lockd debug HTTP address")
-		capture = fs.String("capture", "", "force a capture: cpu, heap, goroutine, mutex, block, or all")
-		fetch   = fs.String("fetch", "", "retrieve one capture file by name")
-		out     = fs.String("o", "", "with -fetch: write the profile here instead of stdout")
-		asJSON  = fs.Bool("json", false, "print the raw JSON instead of the text report")
-		timeout = fs.Duration("timeout", 30*time.Second, "HTTP timeout (CPU captures block for the capture duration)")
-	)
-	_ = fs.Parse(args)
-
-	client := &http.Client{Timeout: *timeout}
-	if *fetch != "" {
-		// The one answer that is a file, not JSON.
-		resp, err := client.Get(lockserver.DebugURL(*debug, "/debug/profile?file="+url.QueryEscape(*fetch)))
+		q := url.Values{"incident": {incident}, "file": {file}}
+		resp, err := client.Get(lockserver.DebugURL(*debug, "/debug/incidents?"+q.Encode()))
 		if err != nil {
-			fatalf("fetch profile: %v", err)
+			fatalf("fetch incident file: %v", err)
 		}
 		defer resp.Body.Close()
 		if resp.StatusCode != http.StatusOK {
 			body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-			fatalf("fetch profile: %s: %s", resp.Status, strings.TrimSpace(string(body)))
+			fatalf("fetch incident file: %s: %s", resp.Status, strings.TrimSpace(string(body)))
 		}
 		dst := io.Writer(os.Stdout)
 		if *out != "" {
@@ -461,52 +393,62 @@ func profileCmd(args []string) {
 			defer f.Close()
 			dst = f
 		}
-		n, err := io.Copy(dst, resp.Body)
-		if err != nil {
-			fatalf("fetch %s: %v", *fetch, err)
-		}
-		if *out != "" {
-			fmt.Fprintf(os.Stderr, "wrote %s (%d bytes)\n", *out, n)
+		if _, err := io.Copy(dst, resp.Body); err != nil {
+			fatalf("fetch %s: %v", *get, err)
 		}
 		return
 	}
 
-	path := "/debug/profile"
-	if *capture != "" {
-		path += "?capture=" + url.QueryEscape(*capture)
+	var view lockserver.IncidentsView
+	var err error
+	if *trigger {
+		err = postJSON(client, lockserver.DebugURL(*debug, "/debug/incidents"), &view)
+	} else {
+		err = lockserver.GetJSON(client, *debug, "/debug/incidents", &view)
 	}
-	var view lockserver.ProfileView
-	if err := lockserver.GetJSON(client, *debug, path, &view); err != nil {
-		fatalf("fetch profile: %v", err)
+	if err != nil {
+		fatalf("incidents: %v", err)
 	}
 	if *asJSON {
 		printJSON(view)
 		return
 	}
-	fmt.Printf("node %d: profiles in %s\n", view.Node, view.Dir)
-	kinds := make([]string, 0, len(view.Captures))
-	for k := range view.Captures {
-		kinds = append(kinds, k)
+	fmt.Printf("node %d: incidents in %s\n", view.Node, view.Dir)
+	if *trigger {
+		if view.Triggered == "" {
+			fmt.Println("  trigger suppressed by the rate limit")
+		} else {
+			fmt.Printf("  triggered %s (complete once listed)\n", view.Triggered)
+		}
 	}
-	sort.Strings(kinds)
-	for _, k := range kinds {
-		fmt.Printf("  captures[%s]: %d\n", k, view.Captures[k])
+	reasons := make([]string, 0, len(view.Written))
+	for r := range view.Written {
+		reasons = append(reasons, r)
 	}
-	if view.Suppressed > 0 {
-		fmt.Printf("  suppressed (rate limit): %d\n", view.Suppressed)
-	}
-	for _, name := range view.Captured {
-		fmt.Printf("  captured %s\n", name)
-	}
-	if view.CaptureErr != "" {
-		fmt.Printf("  capture error: %s\n", view.CaptureErr)
+	sort.Strings(reasons)
+	for _, r := range reasons {
+		fmt.Printf("  written[%s]: %d\n", r, view.Written[r])
 	}
 	if view.LastErr != "" {
 		fmt.Printf("  last error: %s\n", view.LastErr)
 	}
-	for _, f := range view.Files {
-		fmt.Printf("  file %s (%d bytes, %s)\n", f.Name, f.Size, f.MTime)
+	for _, inc := range view.Incidents {
+		fmt.Printf("  %s: %s\n", inc.Name, strings.Join(inc.Files, " "))
 	}
+}
+
+// postJSON POSTs an empty body to url and decodes the JSON answer into v.
+func postJSON(client *http.Client, url string, v any) error {
+	resp, err := client.Post(url, "", nil)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
+		return fmt.Errorf("%s: %s: %s", url, resp.Status, strings.TrimSpace(string(body)))
+	}
+	return json.NewDecoder(resp.Body).Decode(v)
 }
 
 // watchCmd polls every listed node's /debug/health and renders a

@@ -53,11 +53,10 @@ func main() {
 
 		leaseTTL   = flag.Duration("lease-ttl", 30*time.Second, "default session lease TTL; an expired lease force-releases the session's locks")
 		maxWaiters = flag.Int("max-waiters", 0, "cap on exclusive-mode clients waiting per (resource, mode); beyond it LOCK answers ERR busy (0 = unbounded)")
-		debug      = flag.String("debug", "", "debug HTTP listen address for /healthz, /stats, /metrics, /debug/health, /debug/trace, /debug/audit, /debug/locks, /debug/blackbox, /debug/profile and /debug/pprof (disabled if empty)")
+		debug      = flag.String("debug", "", "debug HTTP listen address for /healthz, /stats, /metrics, /debug/health, /debug/trace, /debug/audit, /debug/locks, /debug/incidents and /debug/pprof (disabled if empty)")
 
 		traceBuf = flag.Int("trace-buf", 4096, "protocol trace ring size in entries (0 disables tracing)")
 		auditOn  = flag.Bool("audit", true, "run the online protocol invariant auditor (requires -trace-buf > 0)")
-		bbBuf    = flag.Int("blackbox-buf", 4096, "flight-recorder ring size in events of its own (round transitions, fsync stalls, evictions, lost holds; grants and token hops are read from the -trace-buf ring); 0 disables the black box")
 
 		logFormat = flag.String("log-format", "text", "log output format: text or json")
 		logLevel  = flag.String("log-level", "info", "minimum log level: debug, info, warn or error")
@@ -69,7 +68,6 @@ func main() {
 		confirmAfter    = flag.Duration("confirm-after", 0, "silence before a peer is confirmed dead and recovery starts (requires -heartbeat); must exceed worst-case GC/network stalls (default 8x -heartbeat)")
 		recoveryTimeout = flag.Duration("recovery-timeout", 0, "abandon a lock operation with no grant after this long (0 = wait forever)")
 
-		profileDir = flag.String("profile-dir", "", "directory for continuous-profiling captures (default <data-dir>/profiles when -data-dir is set; empty without -data-dir disables capture)")
 		mutexFrac  = flag.Int("mutex-profile-fraction", 0, "sample 1/N of mutex contention events into the mutex profile (0 = off)")
 		blockRate  = flag.Int("block-profile-rate", 0, "sample blocking events of at least N ns into the block profile (1 = everything, 0 = off)")
 		wdInterval = flag.Duration("watchdog", time.Second, "stall-watchdog evaluation interval for /healthz and /debug/health (0 disables)")
@@ -104,28 +102,25 @@ func main() {
 	reg := metrics.NewRegistry()
 	var rec *trace.Recorder
 	var auditor *audit.Auditor
-	var bb *introspect.Recorder
-	var bbDir string
-	if *bbBuf > 0 {
-		bb = introspect.NewRecorder(proto.NodeID(*id), *bbBuf)
-		if *dataDir != "" {
-			bbDir = filepath.Join(*dataDir, "blackbox")
-			if err := bb.EnableAutoDump(bbDir, 0); err != nil {
-				fatal("blackbox dir failed", "dir", bbDir, "err", err)
-			}
+	// Incidents are written under the data dir; without one, nothing is.
+	incidents := introspect.NewRecorder(proto.NodeID(*id), 0)
+	if *dataDir != "" {
+		dir := filepath.Join(*dataDir, "incidents")
+		if err := incidents.EnableAutoDump(dir, 0); err != nil {
+			fatal("incident dir failed", "dir", dir, "err", err)
 		}
 	}
 	if *traceBuf > 0 {
 		rec = trace.New(*traceBuf)
 		if *auditOn {
 			auditor = audit.New(audit.Config{Registry: reg, Root: proto.NodeID(*root),
-				// An invariant breach is exactly what the black box exists
-				// for: dump the event lead-up the moment one is flagged.
+				// An invariant breach is exactly what incidents exist for:
+				// keep the lead-up the moment one is flagged.
 				OnViolation: func(v audit.Violation) {
-					path, _ := bb.TriggerDump(introspect.ReasonAuditViolation)
+					path, _ := incidents.TriggerDump(introspect.ReasonAuditViolation)
 					logger.Warn("protocol invariant violated",
 						"invariant", v.Invariant, "lock", uint64(v.Lock),
-						"detail", v.Detail, "blackbox_dump", path)
+						"detail", v.Detail, "incident", path)
 				}})
 			rec.SetTap(auditor.Record)
 		}
@@ -150,7 +145,7 @@ func main() {
 			Registry: reg,
 			Trace:    rec,
 			Logger:   logger,
-			Blackbox: bb,
+			Blackbox: incidents,
 		},
 	})
 	if err != nil {
@@ -168,35 +163,19 @@ func main() {
 		logger.Info("joined cluster", "seed", *join, "members", len(m.Members()))
 	}
 
-	// Continuous profiling: captures land next to the blackbox dumps and
-	// share their default rate-limit cadence, so a health incident leaves
-	// both the event lead-up and the execution profile behind.
 	profile.EnableRuntimeProfiles(*mutexFrac, *blockRate)
-	var prof *profile.Profiler
-	if dir := *profileDir; dir != "" || *dataDir != "" {
-		if dir == "" {
-			dir = filepath.Join(*dataDir, "profiles")
-		}
-		prof, err = profile.New(dir, 0)
-		if err != nil {
-			fatal("profile dir failed", "dir", dir, "err", err)
-		}
-		profile.RegisterCollectors(reg, prof)
-	}
 
 	// The stall watchdog samples the member every interval and drives
-	// /healthz; entering the stalled state fires a blackbox dump and a
-	// full profile capture so the evidence survives the incident.
+	// /healthz; entering the stalled state writes an incident, profiles
+	// included, so the evidence survives the stall.
 	var wd *watchdog.Runner
 	if *wdInterval > 0 {
 		wd = watchdog.NewRunner(watchdog.Config{}, *wdInterval, m.HealthSample)
 		wd.OnTransition(func(from, to watchdog.State, h watchdog.Health) {
 			if to == watchdog.Stalled {
-				path, _ := bb.TriggerDump(introspect.ReasonStall)
-				files, _ := prof.CaptureAll()
+				path, _ := incidents.TriggerDump(introspect.ReasonStall)
 				logger.Error("watchdog: node stalled",
-					"reasons", healthReasonCodes(h),
-					"blackbox_dump", path, "profiles", len(files))
+					"reasons", healthReasonCodes(h), "incident", path)
 				return
 			}
 			logger.Warn("watchdog state changed",
@@ -221,9 +200,7 @@ func main() {
 	srv.Registry = reg
 	srv.Trace = rec
 	srv.Audit = auditor
-	srv.Blackbox = bb
-	srv.BlackboxDir = bbDir
-	srv.Profiler = prof
+	srv.Incidents = incidents
 	srv.Health = wd
 
 	// The debug listener runs behind an http.Server so shutdown can drain

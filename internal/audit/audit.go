@@ -94,9 +94,9 @@ type Config struct {
 	// the mutex of the producer admitting the batch, and with Registry's
 	// read lock when a scrape pulled the batch in. It must not block, call
 	// back into the Auditor, or read Registry, the trace ring or anything
-	// else that pulls from producers. Hosts use it to trigger a flight-
-	// recorder dump (introspect.Recorder.TriggerDump pulls nothing) the
-	// moment an invariant breaks.
+	// else that pulls from producers. Hosts use it to trigger an incident
+	// (introspect.Recorder.TriggerDump pulls nothing) the moment an
+	// invariant breaks.
 	OnViolation func(Violation)
 }
 
@@ -268,8 +268,8 @@ func (a *Auditor) Record(e trace.Entry) {
 		a.fifoDeliver(e)
 		a.linkMu.Unlock()
 	}
-	// Every other op (acquires, the fault ops) is counted and not
-	// examined: it returned without taking a lock.
+	// Every other op (acquires, the fault ops, the node events) is counted
+	// and not examined: it returned without taking a lock.
 }
 
 // lock returns (creating) the ledger of one lock. Callers hold st.mu.

@@ -5,9 +5,9 @@ import (
 	"time"
 
 	"hierlock/internal/cluster"
+	"hierlock/internal/introspect"
 	"hierlock/internal/metrics"
 	"hierlock/internal/modes"
-	"hierlock/internal/profile"
 	"hierlock/internal/proto"
 	"hierlock/internal/sim"
 	"hierlock/internal/trace"
@@ -29,24 +29,41 @@ func scheduleTicks(c *cluster.Cluster, wd *watchdog.Runner, n int, onTick func(i
 	}
 }
 
-// captureOn wires the runner's transition hook to capture one goroutine
-// profile whenever health worsens past the given floor — the sim mirror
-// of lockd's stalled→blackbox-dump+profile wiring. Returns the profiler
-// (rate limit one hour, so any repeat inside the test is suppressed).
-func captureOn(t *testing.T, wd *watchdog.Runner, floor watchdog.State) *profile.Profiler {
+// incidentOn wires the runner's transition hook to write a stall
+// incident, of the ring rec and the profiles, whenever health worsens
+// past the given floor — the sim mirror of lockd's stalled→incident
+// wiring (rate limit one hour, so any repeat inside the test is
+// suppressed). Reading the result closes the recorder, which waits for
+// the incident and cuts its CPU profile short: it returns the incidents
+// written and the triggers suppressed.
+func incidentOn(t *testing.T, wd *watchdog.Runner, floor watchdog.State, rec *trace.Recorder) (result func() (written, suppressed int)) {
 	t.Helper()
-	p, err := profile.New(t.TempDir(), time.Hour)
-	if err != nil {
+	r := introspect.NewRecorder(0, 0)
+	if err := r.EnableAutoDump(t.TempDir(), time.Hour); err != nil {
 		t.Fatal(err)
 	}
+	r.Follow(introspect.Source{Trace: rec})
+	t.Cleanup(r.Close)
+	suppressed := 0
 	wd.OnTransition(func(from, to watchdog.State, h watchdog.Health) {
 		if to >= floor && to > from {
-			if _, err := p.Capture("goroutine"); err != nil {
-				t.Errorf("capture on transition to %s: %v", to, err)
+			path, err := r.TriggerDump(introspect.ReasonStall)
+			if err != nil {
+				t.Errorf("incident on transition to %s: %v", to, err)
+			}
+			if path == "" {
+				suppressed++
 			}
 		}
 	})
-	return p
+	return func() (int, int) {
+		r.Close()
+		st := r.Stats()
+		if st.LastErr != nil {
+			t.Fatalf("incident error: %v", st.LastErr)
+		}
+		return int(st.Written[introspect.ReasonStall]), suppressed
+	}
 }
 
 func hasReason(h watchdog.Health, code string) bool {
@@ -63,8 +80,8 @@ func hasReason(h watchdog.Health, code string) bool {
 // surviving minority can never meet the majority quorum, so the
 // regenerator's round stays in flight forever. The watchdog must walk
 // healthy → degraded → stalled exactly once, flag the wedged round (and
-// the starved waiters), and fire exactly one rate-limited profile
-// capture on the transition to stalled.
+// the starved waiters), and write exactly one rate-limited incident on
+// the transition to stalled.
 func TestWatchdogChaosWedgedRecovery(t *testing.T) {
 	const (
 		lock   proto.LockID = 1
@@ -106,7 +123,7 @@ func TestWatchdogChaosWedgedRecovery(t *testing.T) {
 		StalledAfter: 30 * time.Second,
 		RoundGrace:   10 * time.Second,
 	}, time.Second, c.HealthSample)
-	prof := captureOn(t, wd, watchdog.Stalled)
+	incidents := incidentOn(t, wd, watchdog.Stalled, rec)
 
 	// The victim takes W (and the token) and dies holding it; the
 	// survivors' requests then wait on a round that can never commit.
@@ -141,13 +158,8 @@ func TestWatchdogChaosWedgedRecovery(t *testing.T) {
 	if tr[watchdog.Degraded] == 0 {
 		t.Fatal("never degraded before stalling — escalation skipped a stage")
 	}
-	st := prof.Stats()
-	if st.Captures["goroutine"] != 1 {
-		t.Fatalf("stall fired %d captures, want exactly 1 (suppressed %d)",
-			st.Captures["goroutine"], st.Suppressed)
-	}
-	if st.LastErr != nil {
-		t.Fatalf("capture error: %v", st.LastErr)
+	if written, suppressed := incidents(); written != 1 {
+		t.Fatalf("stall wrote %d incidents, want exactly 1 (suppressed %d)", written, suppressed)
 	}
 	// The sample itself must pin the wedge: one round in flight, three
 	// starved waiters.
@@ -163,9 +175,9 @@ func TestWatchdogChaosWedgedRecovery(t *testing.T) {
 // TestWatchdogChaosFsyncStalls overlays an injected fsync-stall
 // schedule (the simulator models no disk) on a healthy workload: two
 // stall bursts, each long enough to trip the streak detector. Health
-// must flip to degraded for each burst and recover between them; the
-// profile capture fires on the first flip and is rate-limited away on
-// the second, so the incident costs exactly one capture.
+// must flip to degraded for each burst and recover between them; an
+// incident is written on the first flip and rate-limited away on the
+// second, so the two bursts cost exactly one.
 func TestWatchdogChaosFsyncStalls(t *testing.T) {
 	const lock proto.LockID = 1
 	rec := trace.New(1)
@@ -188,7 +200,7 @@ func TestWatchdogChaosFsyncStalls(t *testing.T) {
 		return s
 	}
 	wd := watchdog.NewRunner(watchdog.Config{FsyncStreak: 3}, time.Second, sample)
-	prof := captureOn(t, wd, watchdog.Degraded)
+	incidents := incidentOn(t, wd, watchdog.Degraded, rec)
 
 	// A light closed-loop workload keeps grants flowing so the only
 	// health signal is the injected stalls.
@@ -229,13 +241,12 @@ func TestWatchdogChaosFsyncStalls(t *testing.T) {
 	if h := wd.Current(); h.State != watchdog.Healthy {
 		t.Fatalf("final health %s, want healthy: %+v", h.Status, h.Reasons)
 	}
-	st := prof.Stats()
-	if st.Captures["goroutine"] != 1 {
-		t.Fatalf("bursts fired %d captures, want exactly 1 (the second is rate-limited)",
-			st.Captures["goroutine"])
+	written, suppressed := incidents()
+	if written != 1 {
+		t.Fatalf("bursts wrote %d incidents, want exactly 1 (the second is rate-limited)", written)
 	}
-	if st.Suppressed != 1 {
-		t.Fatalf("rate limit suppressed %d captures, want exactly 1", st.Suppressed)
+	if suppressed != 1 {
+		t.Fatalf("rate limit suppressed %d incidents, want exactly 1", suppressed)
 	}
 }
 

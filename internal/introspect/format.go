@@ -232,35 +232,6 @@ func FormatWaitFor(w WaitFor) string {
 	return b.String()
 }
 
-// FormatDumpEvent renders one flight-recorder event as a log line, for
-// `lockctl blackbox`.
-func FormatDumpEvent(e DumpEvent) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s #%d %-11s node=%d", e.At, e.Seq, e.Type, e.Node)
-	if e.Lock != 0 {
-		fmt.Fprintf(&b, " lock=%d", e.Lock)
-	}
-	if e.Mode != "" {
-		fmt.Fprintf(&b, " mode=%s", e.Mode)
-	}
-	if e.Kind != "" {
-		fmt.Fprintf(&b, " %s %d→%d", e.Kind, e.From, e.To)
-	}
-	if e.Epoch != 0 {
-		fmt.Fprintf(&b, " epoch=%d", e.Epoch)
-	}
-	if e.Trace != "" {
-		fmt.Fprintf(&b, " trace=%s", e.Trace)
-	}
-	if e.DurNS > 0 {
-		fmt.Fprintf(&b, " dur=%s", time.Duration(e.DurNS).Truncate(time.Microsecond))
-	}
-	if e.N > 0 {
-		fmt.Fprintf(&b, " n=%d", e.N)
-	}
-	return b.String()
-}
-
 // FormatTop renders the cluster view as a contention leaderboard:
 // locks sorted by (waiters+queued, max wait) descending, the `lockctl
 // top` output. n > 0 limits the rows.

@@ -1,8 +1,8 @@
 // Package introspect is the cluster's lock-state observability surface:
 // per-node lock inventories (who holds what, who is queued where, where
 // the token is headed), their cluster-wide merge with a wait-for graph
-// and distributed-deadlock flags, and a black-box flight recorder that
-// preserves the last protocol events around a failure.
+// and distributed-deadlock flags, and incidents: what a node held when
+// something went wrong, one directory per failure (see Recorder).
 //
 // The inventory answers the question the hierarchical model makes
 // hardest operationally: a lock's state is spread over the token node

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"hierlock/internal/introspect"
-	"hierlock/internal/profile"
 	"hierlock/internal/proto"
 	"hierlock/internal/trace"
 	"hierlock/internal/watchdog"
@@ -35,9 +34,9 @@ import (
 //	                   (503 when no registry is attached)
 //	GET /debug/trace  → JSON dump of the attached trace Recorder; ?n=K limits
 //	                   to the K most recent entries, ?enable=off freezes what
-//	                   this endpoint shows (the ring, its taps and the flight
-//	                   recorder carry on) until ?enable=on (503 when no
-//	                   recorder is attached). `lockctl trace --cluster`
+//	                   this endpoint shows (the ring, its taps and incidents
+//	                   carry on) until ?enable=on (503 when no recorder is
+//	                   attached). `lockctl trace --cluster`
 //	                   fetches it from every node and merges the buffers.
 //	GET /debug/audit  → JSON report of the online protocol auditor: entries
 //	                   consumed, violations per invariant, recent violation
@@ -48,17 +47,13 @@ import (
 //	                   and the local waiter with its wait duration.
 //	                   `lockctl locks --cluster` fetches it from every
 //	                   node and merges the cluster-wide wait-for graph.
-//	GET /debug/blackbox → JSON view of the flight recorder: counters, the
-//	                   retained events (?n=K limits to the K most
-//	                   recent) and the dump files on disk. ?dump=NAME
-//	                   returns one dump file; ?trigger=1 forces a manual
-//	                   dump. 503 when no recorder is attached.
-//	GET /debug/profile → JSON view of the continuous profiler: capture
-//	                   counters and the pprof files on disk. ?capture=KIND
-//	                   (cpu, heap, goroutine, mutex, block or all) takes a
-//	                   capture first (rate-limited per kind; cpu blocks for
-//	                   the sampling duration); ?file=NAME returns one raw
-//	                   pprof file. 503 when no profiler is attached.
+//	GET /debug/incidents → JSON: the incidents on disk, with their files,
+//	                   and the count written per reason; ?incident=NAME&file=F
+//	                   returns one file of one incident.
+//	POST /debug/incidents → triggers a manual incident and answers the
+//	                   same JSON, naming it (rate-limited). Any other
+//	                   method, or a GET asking to trigger, is 405. 503 when
+//	                   no recorder is attached.
 //	GET /debug/pprof/ → the standard net/http/pprof profiles
 //
 // Mount it on lockd's -debug listener. The handler never fetches another
@@ -105,67 +100,6 @@ func (s *Server) DebugHandler() http.Handler {
 			Reasons:     h.Reasons,
 			Transitions: transitions,
 		})
-	})
-	mux.HandleFunc("/debug/profile", func(w http.ResponseWriter, r *http.Request) {
-		if s.Profiler == nil {
-			http.Error(w, "no profiler attached", http.StatusServiceUnavailable)
-			return
-		}
-		q := r.URL.Query()
-		if name := q.Get("file"); name != "" {
-			data, err := s.Profiler.Read(name)
-			if err != nil {
-				http.Error(w, err.Error(), http.StatusNotFound)
-				return
-			}
-			w.Header().Set("Content-Type", "application/octet-stream")
-			w.Header().Set("Content-Disposition", fmt.Sprintf("attachment; filename=%q", name))
-			_, _ = w.Write(data)
-			return
-		}
-		var captured []string
-		var capErr string
-		switch kind := q.Get("capture"); kind {
-		case "":
-		case "all":
-			files, err := s.Profiler.CaptureAll()
-			for _, f := range files {
-				captured = append(captured, filepath.Base(f))
-			}
-			if err != nil {
-				capErr = err.Error()
-			}
-		default:
-			path, err := s.Profiler.Capture(kind)
-			if err != nil {
-				http.Error(w, err.Error(), http.StatusBadRequest)
-				return
-			}
-			if path != "" {
-				captured = append(captured, filepath.Base(path))
-			}
-		}
-		files, err := s.Profiler.List()
-		view := ProfileView{
-			Node:       s.member.ID(),
-			Dir:        s.Profiler.Dir(),
-			Captured:   captured,
-			CaptureErr: capErr,
-			Files:      files,
-		}
-		st := s.Profiler.Stats()
-		view.Captures = st.Captures
-		view.Suppressed = st.Suppressed
-		if st.LastErr != nil {
-			view.LastErr = st.LastErr.Error()
-		}
-		if err != nil {
-			view.LastErr = err.Error()
-		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(view)
 	})
 	mux.HandleFunc("/stats", func(w http.ResponseWriter, r *http.Request) {
 		st := s.member.Stats()
@@ -278,56 +212,7 @@ func (s *Server) DebugHandler() http.Handler {
 		enc.SetIndent("", "  ")
 		_ = enc.Encode(s.inventory())
 	})
-	mux.HandleFunc("/debug/blackbox", func(w http.ResponseWriter, r *http.Request) {
-		if s.Blackbox == nil {
-			http.Error(w, "no flight recorder attached", http.StatusServiceUnavailable)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		if name := r.URL.Query().Get("dump"); name != "" {
-			if s.BlackboxDir == "" {
-				http.Error(w, "no blackbox dump directory configured", http.StatusServiceUnavailable)
-				return
-			}
-			d, err := introspect.ReadDump(s.BlackboxDir, name)
-			if err != nil {
-				http.Error(w, err.Error(), http.StatusNotFound)
-				return
-			}
-			_ = enc.Encode(d)
-			return
-		}
-		if r.URL.Query().Get("trigger") != "" {
-			// A dump pulls nothing (it can fire inside a tap): pull in the
-			// grants the member still has staged first.
-			s.Trace.Pull()
-			if _, err := s.Blackbox.TriggerDump(introspect.ReasonManual); err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-				return
-			}
-		}
-		n, _ := strconv.Atoi(r.URL.Query().Get("n"))
-		st := s.Blackbox.Stats()
-		view := BlackboxView{
-			Node:   s.member.ID(),
-			Events: st.Events,
-			Dumps:  st.Dumps,
-			Ring:   s.Blackbox.Snapshot(n),
-		}
-		if st.LastErr != nil {
-			view.LastDumpErr = st.LastErr.Error()
-		}
-		if s.BlackboxDir != "" {
-			files, err := introspect.ListDumps(s.BlackboxDir)
-			if err != nil {
-				view.LastDumpErr = err.Error()
-			}
-			view.Files = files
-		}
-		_ = enc.Encode(view)
-	})
+	mux.HandleFunc("/debug/incidents", s.incidents)
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -353,29 +238,73 @@ type HealthView struct {
 	Transitions map[string]uint64 `json:"transitions"`
 }
 
-// ProfileView is the /debug/profile response: the profiler's counters
-// and the capture files on disk (Captured names any files this request
-// just wrote).
-type ProfileView struct {
-	Node       int               `json:"node"`
-	Dir        string            `json:"dir"`
-	Captures   map[string]uint64 `json:"captures"`
-	Suppressed uint64            `json:"suppressed"`
-	Captured   []string          `json:"captured,omitempty"`
-	CaptureErr string            `json:"capture_err,omitempty"`
-	LastErr    string            `json:"last_err,omitempty"`
-	Files      []profile.File    `json:"files,omitempty"`
+// IncidentsView is the /debug/incidents response.
+type IncidentsView struct {
+	Node int    `json:"node"`
+	Dir  string `json:"dir"`
+	// Written counts the incidents written, by reason.
+	Written map[string]uint64 `json:"written"`
+	LastErr string            `json:"last_err,omitempty"`
+	// Triggered names the incident a POST started ("" when the rate limit
+	// suppressed it).
+	Triggered string                `json:"triggered,omitempty"`
+	Incidents []introspect.Incident `json:"incidents"`
 }
 
-// BlackboxView is the /debug/blackbox response: the flight recorder's
-// counters, its retained ring, and the dump files on disk.
-type BlackboxView struct {
-	Node        int                    `json:"node"`
-	Events      uint64                 `json:"events"`
-	Dumps       map[string]uint64      `json:"dumps"`
-	LastDumpErr string                 `json:"last_dump_err,omitempty"`
-	Ring        []introspect.DumpEvent `json:"ring"`
-	Files       []introspect.DumpFile  `json:"files,omitempty"`
+// incidents serves /debug/incidents. A GET never writes: only a POST
+// triggers, so a crawler or a browser's prefetch cannot.
+func (s *Server) incidents(w http.ResponseWriter, r *http.Request) {
+	if s.Incidents == nil {
+		http.Error(w, "no incident recorder attached", http.StatusServiceUnavailable)
+		return
+	}
+	q := r.URL.Query()
+	var view IncidentsView
+	switch {
+	case r.Method == http.MethodGet && q.Has("file"):
+		data, err := s.Incidents.Read(q.Get("incident"), q.Get("file"))
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusNotFound)
+			return
+		}
+		w.Header().Set("Content-Type", "application/octet-stream")
+		_, _ = w.Write(data)
+		return
+	case r.Method == http.MethodPost:
+		if s.Incidents.Dir() == "" {
+			http.Error(w, "no incident directory (lockd writes incidents under -data-dir)", http.StatusServiceUnavailable)
+			return
+		}
+		// An incident pulls nothing (it can fire inside a tap): pull in
+		// what the member still stages first.
+		s.Trace.Pull()
+		path, err := s.Incidents.TriggerDump(introspect.ReasonManual)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
+		if path != "" {
+			view.Triggered = filepath.Base(path)
+		}
+	case r.Method != http.MethodGet || q.Has("trigger"):
+		w.Header().Set("Allow", "GET, POST")
+		http.Error(w, "GET lists incidents, POST triggers one", http.StatusMethodNotAllowed)
+		return
+	}
+	st := s.Incidents.Stats()
+	view.Node, view.Dir, view.Written = s.member.ID(), s.Incidents.Dir(), st.Written
+	if st.LastErr != nil {
+		view.LastErr = st.LastErr.Error()
+	}
+	list, err := s.Incidents.List()
+	if err != nil {
+		view.LastErr = err.Error()
+	}
+	view.Incidents = list
+	w.Header().Set("Content-Type", "application/json")
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	_ = enc.Encode(view)
 }
 
 // inventory is the member's lock inventory plus the session tier's

@@ -6,6 +6,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -13,6 +15,7 @@ import (
 	"hierlock"
 	"hierlock/internal/introspect"
 	"hierlock/internal/lockserver"
+	"hierlock/internal/trace"
 )
 
 // TestDebugLocksGolden pins the /debug/locks JSON shape (the lockctl
@@ -142,109 +145,114 @@ func TestDebugLocksClusterMerge(t *testing.T) {
 	}
 }
 
-// TestDebugBlackboxEndpoint drives the flight-recorder endpoint: ring
-// view, manual trigger, dump listing and retrieval, and the traversal
-// guard on ?dump names.
-func TestDebugBlackboxEndpoint(t *testing.T) {
+// TestDebugIncidentsEndpoint drives /debug/incidents: a GET lists and
+// never writes (a trigger parameter is 405, as is any method but GET and
+// POST), a POST writes a manual incident holding what the member did, and
+// a file of it is fetched by bare names only.
+func TestDebugIncidentsEndpoint(t *testing.T) {
 	cl, err := hierlock.NewCluster(1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-
+	m := cl.Member(0)
 	dir := t.TempDir()
-	bb := introspect.NewRecorder(0, 16)
-	if err := bb.EnableAutoDump(dir, time.Millisecond); err != nil {
+	rec := trace.New(64)
+	bb := introspect.NewRecorder(0, 0)
+	if err := bb.EnableAutoDump(dir, time.Hour); err != nil {
 		t.Fatal(err)
 	}
-	bb.Record(introspect.Event{Type: introspect.EvGrant, Node: 0, Lock: 7})
-	bb.Record(introspect.Event{Type: introspect.EvEvict, Node: 0, N: 3})
+	m.SetTelemetry(hierlock.Telemetry{Trace: rec, Blackbox: bb})
+	l, err := m.Lock(context.Background(), "orders/eu", hierlock.W)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Unlock(); err != nil {
+		t.Fatal(err)
+	}
 
-	srv := lockserver.New(cl.Member(0))
-	srv.Blackbox = bb
-	srv.BlackboxDir = dir
+	srv := lockserver.New(m)
+	srv.Trace = rec
+	srv.Incidents = bb
 	h := srv.DebugHandler()
-
-	get := func(path string) (*httptest.ResponseRecorder, lockserver.BlackboxView) {
+	do := func(method, path string) (*httptest.ResponseRecorder, lockserver.IncidentsView) {
 		t.Helper()
 		rr := httptest.NewRecorder()
-		h.ServeHTTP(rr, httptest.NewRequest("GET", path, nil))
-		var v lockserver.BlackboxView
-		if rr.Code == http.StatusOK {
+		h.ServeHTTP(rr, httptest.NewRequest(method, path, nil))
+		var v lockserver.IncidentsView
+		if rr.Code == http.StatusOK && rr.Header().Get("Content-Type") == "application/json" {
 			if err := json.Unmarshal(rr.Body.Bytes(), &v); err != nil {
-				t.Fatalf("%s: %v", path, err)
+				t.Fatalf("%s %s: %v", method, path, err)
 			}
 		}
 		return rr, v
 	}
 
-	rr, view := get("/debug/blackbox")
-	if rr.Code != http.StatusOK {
-		t.Fatalf("GET /debug/blackbox = %d", rr.Code)
+	if rr, v := do("GET", "/debug/incidents"); rr.Code != http.StatusOK || len(v.Incidents) != 0 || v.Dir != dir {
+		t.Fatalf("GET = %d, %+v", rr.Code, v)
 	}
-	if view.Events != 2 || len(view.Ring) != 2 || len(view.Files) != 0 {
-		t.Fatalf("view = %+v", view)
-	}
-	for _, reason := range introspect.Reasons {
-		if n, ok := view.Dumps[reason]; !ok || n != 0 {
-			t.Fatalf("dumps not pre-registered at zero: %v", view.Dumps)
+	for _, req := range [][2]string{{"GET", "/debug/incidents?trigger=1"}, {"PUT", "/debug/incidents"}, {"DELETE", "/debug/incidents"}} {
+		if rr, _ := do(req[0], req[1]); rr.Code != http.StatusMethodNotAllowed {
+			t.Fatalf("%s %s = %d, want 405", req[0], req[1], rr.Code)
 		}
 	}
-	if view.Ring[1].Type != "evict_sweep" || view.Ring[1].N != 3 {
-		t.Fatalf("ring = %+v", view.Ring)
+	if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+		t.Fatalf("a request that may not write wrote %d entries", len(entries))
 	}
 
-	// ?n limits the ring view.
-	if _, v := get("/debug/blackbox?n=1"); len(v.Ring) != 1 || v.Ring[0].Type != "evict_sweep" {
-		t.Fatalf("?n=1 ring = %+v", v.Ring)
+	rr, v := do("POST", "/debug/incidents")
+	if rr.Code != http.StatusOK || !strings.HasSuffix(v.Triggered, "-"+introspect.ReasonManual) {
+		t.Fatalf("POST = %d, %+v", rr.Code, v)
+	}
+	if _, again := do("POST", "/debug/incidents"); again.Triggered != "" {
+		t.Fatalf("a second manual incident within the interval: %+v", again)
+	}
+	cl.Close() // waits for the incident, cutting its CPU profile short
+	_, v = do("GET", "/debug/incidents")
+	if len(v.Incidents) != 1 || v.Incidents[0].Name != filepath.Base(v.Incidents[0].Name) || v.Written[introspect.ReasonManual] != 1 {
+		t.Fatalf("listing after the POST = %+v", v)
+	}
+	for _, reason := range introspect.Reasons {
+		if _, ok := v.Written[reason]; !ok {
+			t.Fatalf("counters not pre-registered at zero: %v", v.Written)
+		}
 	}
 
-	// Manual trigger writes a dump and shows up in the listing.
-	if rr, v := get("/debug/blackbox?trigger=1"); rr.Code != http.StatusOK || len(v.Files) != 1 ||
-		v.Dumps[introspect.ReasonManual] != 1 {
-		t.Fatalf("trigger = %d, %+v", rr.Code, v)
+	// The trace file holds the pair made before the trigger: the POST
+	// pulled it in.
+	q := url.Values{"incident": {v.Incidents[0].Name}, "file": {"trace.json"}}
+	rr, _ = do("GET", "/debug/incidents?"+q.Encode())
+	var d trace.Dump
+	if rr.Code != http.StatusOK || json.Unmarshal(rr.Body.Bytes(), &d) != nil {
+		t.Fatalf("trace.json fetch = %d: %s", rr.Code, rr.Body.String())
 	}
-	_, v := get("/debug/blackbox")
-	if len(v.Files) != 1 {
-		t.Fatalf("files = %+v", v.Files)
+	if len(d.Entries) != 3 || d.Entries[1].Op != trace.OpGranted {
+		t.Fatalf("trace.json = %+v, want the pair's acquire, grant and release", d.Entries)
 	}
-
-	// Retrieve the dump by name.
-	rr = httptest.NewRecorder()
-	h.ServeHTTP(rr, httptest.NewRequest("GET", "/debug/blackbox?dump="+url.QueryEscape(v.Files[0].Name), nil))
-	if rr.Code != http.StatusOK {
-		t.Fatalf("dump fetch = %d: %s", rr.Code, rr.Body.String())
-	}
-	var d introspect.Dump
-	if err := json.Unmarshal(rr.Body.Bytes(), &d); err != nil {
-		t.Fatal(err)
-	}
-	if d.Reason != introspect.ReasonManual || len(d.Events) != 2 {
-		t.Fatalf("dump = %+v", d)
-	}
-
-	// Path traversal in ?dump is rejected.
-	rr = httptest.NewRecorder()
-	h.ServeHTTP(rr, httptest.NewRequest("GET", "/debug/blackbox?dump="+url.QueryEscape("../secrets.json"), nil))
-	if rr.Code == http.StatusOK {
-		t.Fatal("traversal name served")
+	for _, bad := range []url.Values{
+		{"incident": {".."}, "file": {"secrets.json"}},
+		{"incident": {v.Incidents[0].Name}, "file": {"../../secrets.json"}},
+	} {
+		if rr, _ := do("GET", "/debug/incidents?"+bad.Encode()); rr.Code == http.StatusOK {
+			t.Fatalf("traversal %v served", bad)
+		}
 	}
 }
 
-// TestDebugBlackboxUnattached: no recorder → 503, like the other
+// TestDebugIncidentsUnattached: no recorder → 503, like the other
 // optional debug surfaces.
-func TestDebugBlackboxUnattached(t *testing.T) {
+func TestDebugIncidentsUnattached(t *testing.T) {
 	cl, err := hierlock.NewCluster(1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
 	rr := httptest.NewRecorder()
-	lockserver.New(cl.Member(0)).DebugHandler().ServeHTTP(rr, httptest.NewRequest("GET", "/debug/blackbox", nil))
+	lockserver.New(cl.Member(0)).DebugHandler().ServeHTTP(rr, httptest.NewRequest("POST", "/debug/incidents", nil))
 	if rr.Code != http.StatusServiceUnavailable {
-		t.Fatalf("unattached blackbox = %d, want 503", rr.Code)
+		t.Fatalf("unattached incidents = %d, want 503", rr.Code)
 	}
-	if !strings.Contains(rr.Body.String(), "no flight recorder") {
+	if !strings.Contains(rr.Body.String(), "no incident recorder") {
 		t.Fatalf("body = %q", rr.Body.String())
 	}
 }

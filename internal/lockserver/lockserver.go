@@ -93,7 +93,6 @@ import (
 	"hierlock/internal/audit"
 	"hierlock/internal/introspect"
 	"hierlock/internal/metrics"
-	"hierlock/internal/profile"
 	"hierlock/internal/session"
 	"hierlock/internal/trace"
 	"hierlock/internal/watchdog"
@@ -127,15 +126,9 @@ type Server struct {
 	// Audit, when non-nil, is reported on the debug handler's /debug/audit
 	// endpoint (invariant violation counts and recent violations).
 	Audit *audit.Auditor
-	// Blackbox, when non-nil, serves the flight recorder's live ring and
-	// counters on /debug/blackbox; BlackboxDir, when set, additionally
-	// lists and serves the dump files written there.
-	Blackbox    *introspect.Recorder
-	BlackboxDir string
-	// Profiler, when non-nil, serves profile captures on the debug
-	// handler's /debug/profile endpoint: listing, on-demand capture and
-	// raw pprof retrieval.
-	Profiler *profile.Profiler
+	// Incidents, when non-nil, serves the incidents written under its
+	// directory on /debug/incidents, and takes manual ones.
+	Incidents *introspect.Recorder
 	// Health, when non-nil, drives /healthz beyond the bare
 	// protocol-failure check and serves the watchdog's full verdict on
 	// /debug/health.

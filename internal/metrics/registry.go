@@ -116,12 +116,10 @@ const (
 	// peers (the token locks each LEAVE nominated for regeneration).
 	MetricMembershipHandoffLocks = "hierlock_membership_handoff_locks_total"
 
-	// MetricBlackboxEvents counts structured events captured by the
-	// flight recorder's ring.
-	MetricBlackboxEvents = "hierlock_blackbox_events_total"
-	// MetricBlackboxDumps counts flight-recorder dumps written to disk.
-	// Labels: reason (audit_violation|recovery_round|lock_lost|stall|manual).
-	MetricBlackboxDumps = "hierlock_blackbox_dumps_total"
+	// MetricIncidents counts incidents written to disk (see
+	// introspect.Recorder). Labels: reason
+	// (audit_violation|recovery_round|lock_lost|stall|manual).
+	MetricIncidents = "hierlock_incidents_total"
 
 	// MetricOpLatency is the end-to-end client operation latency
 	// histogram in seconds, keyed by operation and grant outcome — the
@@ -141,12 +139,6 @@ const (
 	// state entered. Labels: state (healthy|degraded|stalled).
 	MetricHealthTransitions = "hierlock_health_transitions_total"
 
-	// MetricProfileCaptures counts profile captures written to disk, by
-	// profile kind. Labels: profile (cpu|heap|goroutine|mutex|block).
-	MetricProfileCaptures = "hierlock_profile_captures_total"
-	// MetricProfileSuppressed counts capture requests suppressed by the
-	// per-kind rate limit.
-	MetricProfileSuppressed = "hierlock_profile_suppressed_total"
 	// MetricStripeLocks gauges tracked-lock occupancy per shard stripe of
 	// the member's lock table, exposing stripe contention hot spots.
 	// Labels: stripe.

@@ -1,10 +1,7 @@
-// Package profile gives lockd continuous-profiling hooks: on-demand and
-// trigger-driven capture of runtime profiles (CPU, heap, goroutine,
-// mutex, block), saved as pprof files next to the flight recorder's
-// blackbox dumps so a health incident leaves both the event lead-up and
-// the execution profile behind. Captures are rate-limited per kind the
-// same way blackbox dumps are rate-limited per reason, so a flapping
-// trigger cannot fill the disk.
+// Package profile writes the runtime's profiles (CPU, heap, goroutine,
+// mutex, block) into a directory: an incident's (see
+// introspect.Recorder), so a stall leaves its execution profile beside its
+// trace. Profiles on demand are /debug/pprof's job.
 //
 // Mutex and block profiling have a runtime-wide cost and are off by
 // default; EnableRuntimeProfiles turns them on behind lockd's
@@ -12,69 +9,28 @@
 package profile
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
-	"sort"
-	"strings"
-	"sync"
 	"time"
+
+	"hierlock/internal/metrics"
 )
 
-// Kinds lists the capturable profile kinds, for zero-pre-registration
-// of the capture counter's label values.
+// Kinds lists the profile kinds WriteAll writes, each as <kind>.pprof.
 var Kinds = []string{"cpu", "heap", "goroutine", "mutex", "block"}
 
-// DefaultCPUDuration is how long a CPU capture samples when not
-// overridden with SetCPUDuration.
-const DefaultCPUDuration = time.Second
-
-// Profiler writes rate-limited profile captures under one directory.
-// All methods are nil-safe: a runtime without a profiler attached pays
-// only a nil check.
-type Profiler struct {
-	dir         string
-	minInterval time.Duration
-
-	mu         sync.Mutex
-	cpuDur     time.Duration
-	last       map[string]time.Time
-	captures   map[string]uint64
-	suppressed uint64
-	lastErr    error
-	cpuBusy    bool
-}
-
-// New creates a profiler writing captures under dir (created if
-// missing), at most one per kind per minInterval (default 5s when
-// <= 0, matching the flight recorder's dump spacing).
-func New(dir string, minInterval time.Duration) (*Profiler, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
-	if minInterval <= 0 {
-		minInterval = 5 * time.Second
-	}
-	p := &Profiler{
-		dir:         dir,
-		minInterval: minInterval,
-		cpuDur:      DefaultCPUDuration,
-		last:        make(map[string]time.Time),
-		captures:    make(map[string]uint64, len(Kinds)),
-	}
-	for _, k := range Kinds {
-		p.captures[k] = 0
-	}
-	return p, nil
-}
+// CPUDuration is how long WriteAll samples the CPU.
+const CPUDuration = time.Second
 
 // EnableRuntimeProfiles turns on the runtime's contention profilers:
 // mutexFraction > 0 samples 1/fraction of mutex contention events and
 // blockRate > 0 samples blocking events lasting at least that many
 // nanoseconds (1 samples everything). Zero leaves the corresponding
-// profiler off; the captures then contain whatever the runtime
+// profiler off; the profiles then contain whatever the runtime
 // accumulated (typically nothing).
 func EnableRuntimeProfiles(mutexFraction, blockRate int) {
 	if mutexFraction > 0 {
@@ -85,73 +41,21 @@ func EnableRuntimeProfiles(mutexFraction, blockRate int) {
 	}
 }
 
-// SetCPUDuration overrides how long CPU captures sample (values <= 0
-// keep the current duration). Nil-safe.
-func (p *Profiler) SetCPUDuration(d time.Duration) {
-	if p == nil || d <= 0 {
-		return
-	}
-	p.mu.Lock()
-	p.cpuDur = d
-	p.mu.Unlock()
-}
-
-// Capture writes one profile of the given kind, rate-limited per kind.
-// Returns the file path, or "" when suppressed by the rate limit. The
-// CPU kind blocks for the configured sampling duration; call it from a
-// background goroutine when latency matters. Nil-safe.
-func (p *Profiler) Capture(kind string) (string, error) {
-	if p == nil {
-		return "", nil
-	}
-	known := false
-	for _, k := range Kinds {
-		if k == kind {
-			known = true
-			break
+// WriteAll writes one profile of every kind into dir, which must exist.
+// The CPU profile samples for CPUDuration or until stop closes, whichever
+// is first. A kind that fails (the CPU profiler already running, say)
+// does not keep the others from being written; the errors are joined.
+func WriteAll(dir string, stop <-chan struct{}) error {
+	var errs []error
+	for _, kind := range Kinds {
+		if err := write(filepath.Join(dir, kind+".pprof"), kind, stop); err != nil {
+			errs = append(errs, fmt.Errorf("profile %s: %w", kind, err))
 		}
 	}
-	if !known {
-		return "", fmt.Errorf("profile: unknown kind %q", kind)
-	}
-	now := time.Now()
-	p.mu.Lock()
-	if p.minInterval > 0 && now.Sub(p.last[kind]) < p.minInterval {
-		p.suppressed++
-		p.mu.Unlock()
-		return "", nil
-	}
-	if kind == "cpu" {
-		if p.cpuBusy {
-			p.suppressed++
-			p.mu.Unlock()
-			return "", nil
-		}
-		p.cpuBusy = true
-	}
-	p.last[kind] = now
-	dur := p.cpuDur
-	p.mu.Unlock()
-
-	path := filepath.Join(p.dir, fmt.Sprintf("%d-%s.pprof", now.UnixNano(), kind))
-	err := writeProfile(path, kind, dur)
-	p.mu.Lock()
-	if kind == "cpu" {
-		p.cpuBusy = false
-	}
-	if err != nil {
-		p.lastErr = err
-	} else {
-		p.captures[kind]++
-	}
-	p.mu.Unlock()
-	if err != nil {
-		return "", err
-	}
-	return path, nil
+	return errors.Join(errs...)
 }
 
-func writeProfile(path, kind string, cpuDur time.Duration) error {
+func write(path, kind string, stop <-chan struct{}) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
@@ -162,128 +66,30 @@ func writeProfile(path, kind string, cpuDur time.Duration) error {
 		if err := pprof.StartCPUProfile(f); err != nil {
 			return err
 		}
-		time.Sleep(cpuDur)
+		select {
+		case <-time.After(CPUDuration):
+		case <-stop:
+		}
 		pprof.StopCPUProfile()
 		return nil
 	case "heap":
-		// Capture allocation state as of the most recent GC.
+		// Allocation state as of the most recent GC.
 		runtime.GC()
-		return pprof.Lookup("heap").WriteTo(f, 0)
-	default:
-		pr := pprof.Lookup(kind)
-		if pr == nil {
-			return fmt.Errorf("profile: runtime has no %q profile", kind)
-		}
-		return pr.WriteTo(f, 0)
 	}
+	return pprof.Lookup(kind).WriteTo(f, 0)
 }
 
-// CaptureAll captures every non-CPU kind plus a CPU sample, returning
-// the files written (suppressed kinds omitted) and the first error.
-// This is the watchdog's stall hook: one call leaves a full execution
-// snapshot next to the blackbox dump. Nil-safe.
-func (p *Profiler) CaptureAll() ([]string, error) {
-	if p == nil {
-		return nil, nil
-	}
-	var files []string
-	var first error
-	for _, kind := range Kinds {
-		path, err := p.Capture(kind)
-		if err != nil && first == nil {
-			first = err
-		}
-		if path != "" {
-			files = append(files, path)
-		}
-	}
-	return files, first
-}
+// Profiler is what New returns. It holds nothing.
+type Profiler struct{}
 
-// File describes one capture on disk.
-type File struct {
-	Name  string `json:"name"`
-	Size  int64  `json:"size"`
-	MTime string `json:"mtime"`
-}
+// New returns a nil Profiler and creates nothing: profiles are written
+// into incidents (WriteAll).
+//
+// Deprecated: the benchmark PR (ROADMAP item 1) deletes it with its call.
+func New(dir string, minInterval time.Duration) (*Profiler, error) { return nil, nil }
 
-// List enumerates the capture files under the profiler's directory,
-// oldest first. Nil-safe (empty list).
-func (p *Profiler) List() ([]File, error) {
-	if p == nil {
-		return nil, nil
-	}
-	entries, err := os.ReadDir(p.dir)
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	var out []File
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".pprof") {
-			continue
-		}
-		info, err := e.Info()
-		if err != nil {
-			continue
-		}
-		out = append(out, File{
-			Name:  e.Name(),
-			Size:  info.Size(),
-			MTime: info.ModTime().UTC().Format(time.RFC3339),
-		})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out, nil
-}
-
-// Read loads one capture by name. The name must be a bare file name
-// from List — path separators are rejected so an HTTP retrieval
-// endpoint can pass client input through safely.
-func (p *Profiler) Read(name string) ([]byte, error) {
-	if p == nil {
-		return nil, fmt.Errorf("profile: no profiler attached")
-	}
-	if name != filepath.Base(name) || name == "." || name == "" ||
-		!strings.HasSuffix(name, ".pprof") {
-		return nil, fmt.Errorf("profile: bad capture name %q", name)
-	}
-	return os.ReadFile(filepath.Join(p.dir, name))
-}
-
-// Stats is a snapshot of the profiler's counters. Every kind is present
-// (zero included) so metric pre-registration is complete.
-type Stats struct {
-	Captures   map[string]uint64
-	Suppressed uint64
-	LastErr    error
-}
-
-// Stats returns the profiler's counters. Nil-safe.
-func (p *Profiler) Stats() Stats {
-	st := Stats{Captures: make(map[string]uint64, len(Kinds))}
-	for _, k := range Kinds {
-		st.Captures[k] = 0
-	}
-	if p == nil {
-		return st
-	}
-	p.mu.Lock()
-	for k, n := range p.captures {
-		st.Captures[k] = n
-	}
-	st.Suppressed = p.suppressed
-	st.LastErr = p.lastErr
-	p.mu.Unlock()
-	return st
-}
-
-// Dir returns the capture directory ("" for a nil profiler).
-func (p *Profiler) Dir() string {
-	if p == nil {
-		return ""
-	}
-	return p.dir
-}
+// RegisterCollectors registers nothing: incidents are counted by
+// hierlock_incidents_total.
+//
+// Deprecated: the benchmark PR (ROADMAP item 1) deletes it with its call.
+func RegisterCollectors(reg *metrics.Registry, p *Profiler) {}

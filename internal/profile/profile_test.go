@@ -1,144 +1,54 @@
 package profile
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 	"time"
+
+	"hierlock/internal/metrics"
 )
 
-func newTestProfiler(t *testing.T, minInterval time.Duration) *Profiler {
-	t.Helper()
-	p, err := New(t.TempDir(), minInterval)
-	if err != nil {
+// TestCaptureWritesEveryKind: WriteAll writes one non-empty <kind>.pprof
+// per kind, and a closed stop channel cuts the CPU sample short.
+func TestCaptureWritesEveryKind(t *testing.T) {
+	dir := t.TempDir()
+	stop := make(chan struct{})
+	close(stop)
+	start := time.Now()
+	if err := WriteAll(dir, stop); err != nil {
 		t.Fatal(err)
 	}
-	return p
-}
-
-func TestCaptureWritesEveryKind(t *testing.T) {
-	p := newTestProfiler(t, 0)
-	p.SetCPUDuration(10 * time.Millisecond)
+	if took := time.Since(start); took >= CPUDuration {
+		t.Fatalf("WriteAll took %v with stop closed, want the CPU sample cut short", took)
+	}
 	for _, kind := range Kinds {
-		path, err := p.Capture(kind)
+		fi, err := os.Stat(filepath.Join(dir, kind+".pprof"))
 		if err != nil {
-			t.Fatalf("capture %s: %v", kind, err)
-		}
-		if path == "" {
-			t.Fatalf("capture %s suppressed with rate limiting disabled", kind)
-		}
-		fi, err := os.Stat(path)
-		if err != nil {
-			t.Fatalf("capture %s wrote nothing: %v", kind, err)
+			t.Fatalf("%s: %v", kind, err)
 		}
 		if fi.Size() == 0 {
-			t.Fatalf("capture %s wrote an empty file", kind)
-		}
-		if !strings.HasSuffix(path, "-"+kind+".pprof") {
-			t.Fatalf("capture %s wrote unexpected name %s", kind, path)
-		}
-	}
-	st := p.Stats()
-	for _, kind := range Kinds {
-		if st.Captures[kind] != 1 {
-			t.Fatalf("captures[%s] = %d, want 1", kind, st.Captures[kind])
-		}
-	}
-	if st.Suppressed != 0 || st.LastErr != nil {
-		t.Fatalf("unexpected stats: %+v", st)
-	}
-}
-
-func TestCaptureRateLimit(t *testing.T) {
-	p := newTestProfiler(t, time.Hour)
-	if path, err := p.Capture("goroutine"); err != nil || path == "" {
-		t.Fatalf("first capture: path %q err %v", path, err)
-	}
-	// Inside the interval: suppressed, not an error.
-	if path, err := p.Capture("goroutine"); err != nil || path != "" {
-		t.Fatalf("second capture: path %q err %v, want suppressed", path, err)
-	}
-	// A different kind has its own limiter.
-	if path, err := p.Capture("heap"); err != nil || path == "" {
-		t.Fatalf("heap capture: path %q err %v", path, err)
-	}
-	st := p.Stats()
-	if st.Captures["goroutine"] != 1 || st.Captures["heap"] != 1 || st.Suppressed != 1 {
-		t.Fatalf("stats %+v, want goroutine:1 heap:1 suppressed:1", st)
-	}
-}
-
-func TestCaptureUnknownKind(t *testing.T) {
-	p := newTestProfiler(t, 0)
-	if _, err := p.Capture("threads"); err == nil {
-		t.Fatal("unknown kind accepted")
-	}
-}
-
-func TestCaptureAll(t *testing.T) {
-	p := newTestProfiler(t, 0)
-	p.SetCPUDuration(10 * time.Millisecond)
-	files, err := p.CaptureAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(files) != len(Kinds) {
-		t.Fatalf("CaptureAll wrote %d files, want %d", len(files), len(Kinds))
-	}
-}
-
-func TestListAndRead(t *testing.T) {
-	p := newTestProfiler(t, 0)
-	path, err := p.Capture("heap")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A stray non-profile file must not be listed or readable.
-	if err := os.WriteFile(filepath.Join(p.Dir(), "notes.txt"), []byte("x"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	files, err := p.List()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(files) != 1 || files[0].Name != filepath.Base(path) {
-		t.Fatalf("List = %+v, want exactly %s", files, filepath.Base(path))
-	}
-	data, err := p.Read(files[0].Name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(data) == 0 {
-		t.Fatal("Read returned no bytes")
-	}
-	for _, bad := range []string{"notes.txt", "../escape.pprof", "sub/dir.pprof"} {
-		if _, err := p.Read(bad); err == nil {
-			t.Fatalf("Read(%q) accepted", bad)
+			t.Fatalf("%s profile is empty", kind)
 		}
 	}
 }
 
+// TestNilProfilerSafe: what New returns, and what RegisterCollectors
+// does with it, is nothing — the benchmark harness still calls both.
 func TestNilProfilerSafe(t *testing.T) {
-	var p *Profiler
-	if path, err := p.Capture("cpu"); err != nil || path != "" {
-		t.Fatalf("nil Capture: %q, %v", path, err)
+	dir := filepath.Join(t.TempDir(), "profiles")
+	p, err := New(dir, time.Hour)
+	if p != nil || err != nil {
+		t.Fatalf("New = %v, %v, want nil, nil", p, err)
 	}
-	if files, err := p.CaptureAll(); err != nil || files != nil {
-		t.Fatalf("nil CaptureAll: %v, %v", files, err)
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Fatalf("New made its directory (%v)", err)
 	}
-	if files, err := p.List(); err != nil || files != nil {
-		t.Fatalf("nil List: %v, %v", files, err)
-	}
-	if _, err := p.Read("x.pprof"); err == nil {
-		t.Fatal("nil Read succeeded")
-	}
-	st := p.Stats()
-	if len(st.Captures) != len(Kinds) {
-		t.Fatalf("nil Stats missing kinds: %+v", st)
-	}
-	p.SetCPUDuration(time.Second)
-	if p.Dir() != "" {
-		t.Fatal("nil Dir nonempty")
+	reg := metrics.NewRegistry()
+	RegisterCollectors(reg, p)
+	var out bytes.Buffer
+	if err := reg.WritePrometheus(&out); err != nil || out.Len() != 0 {
+		t.Fatalf("RegisterCollectors registered %q (%v), want nothing", out.String(), err)
 	}
 }

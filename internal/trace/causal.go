@@ -113,8 +113,8 @@ func (p *CausalPath) Format(verbose bool) string {
 // AssembleCausal merges per-node trace dumps into one CausalPath per
 // trace ID. Dumps sharing a non-NoNode Node are deduplicated (first
 // wins), so fetching a peer twice is harmless. Entries without a trace
-// ID are ignored. Paths are ordered by (origin node, origin sequence)
-// for deterministic output.
+// ID, and the node events (see Op), are ignored. Paths are ordered by
+// (origin node, origin sequence) for deterministic output.
 func AssembleCausal(dumps []Dump) []*CausalPath {
 	seenNode := make(map[proto.NodeID]bool)
 	perTrace := make(map[proto.TraceID][][]Entry)
@@ -127,7 +127,7 @@ func AssembleCausal(dumps []Dump) []*CausalPath {
 		}
 		streams := make(map[proto.TraceID][]Entry)
 		for _, e := range d.Entries {
-			if e.Trace.IsZero() {
+			if e.Trace.IsZero() || e.Op.nodeEvent() {
 				continue
 			}
 			streams[e.Trace] = append(streams[e.Trace], e)

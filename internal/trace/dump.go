@@ -24,6 +24,7 @@ type entryJSON struct {
 	KindCode  uint8  `json:"kind_code"`
 	From      int32  `json:"from"`
 	To        int32  `json:"to"`
+	Epoch     uint32 `json:"epoch,omitempty"`
 	Trace     string `json:"trace,omitempty"`
 	TraceNode int32  `json:"trace_node,omitempty"`
 	TraceSeq  uint64 `json:"trace_seq,omitempty"`
@@ -43,6 +44,7 @@ func (e Entry) MarshalJSON() ([]byte, error) {
 		KindCode: uint8(e.Kind),
 		From:     int32(e.From),
 		To:       int32(e.To),
+		Epoch:    e.Epoch,
 	}
 	if e.Kind != proto.KindInvalid {
 		j.Kind = e.Kind.String()
@@ -72,6 +74,7 @@ func (e *Entry) UnmarshalJSON(data []byte) error {
 		Kind:  proto.Kind(j.KindCode),
 		From:  proto.NodeID(j.From),
 		To:    proto.NodeID(j.To),
+		Epoch: j.Epoch,
 		Trace: proto.TraceID{Node: proto.NodeID(j.TraceNode), Seq: j.TraceSeq},
 	}
 	return nil

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"hierlock/internal/modes"
 	"hierlock/internal/proto"
@@ -179,6 +180,44 @@ func TestEntryJSONRoundTrip(t *testing.T) {
 	}
 	if out != in {
 		t.Fatalf("round trip: got %+v, want %+v", out, in)
+	}
+}
+
+// TestEntrySize pins an Entry at 88 bytes: the resident pair copies one
+// into its stripe's buffer, and the node events ride in its fields.
+func TestEntrySize(t *testing.T) {
+	if n := unsafe.Sizeof(trace.Entry{}); n != 88 {
+		t.Fatalf("trace.Entry is %d bytes, want 88", n)
+	}
+}
+
+// TestNodeEventsRoundTripAndJoinNoPath: the node events keep their values
+// (epoch, count, duration) through the JSON dump, so merged dumps carry
+// them, and the causal assembler ignores them, a lost wait's included.
+func TestNodeEventsRoundTripAndJoinNoPath(t *testing.T) {
+	tr := proto.TraceID{Node: 1, Seq: 7}
+	in := []trace.Entry{
+		{Seq: 1, At: time.Millisecond, Op: trace.OpRoundStart, Node: 1, Lock: 9, Epoch: 3},
+		{Seq: 2, At: 2 * time.Millisecond, Op: trace.OpRoundDone, Node: 1, Lock: 9, Epoch: 3, Trace: proto.TraceID{Seq: uint64(40 * time.Millisecond)}},
+		{Seq: 3, At: 3 * time.Millisecond, Op: trace.OpFsyncStall, Node: 1, Trace: proto.TraceID{Seq: uint64(60 * time.Millisecond)}},
+		{Seq: 4, At: 4 * time.Millisecond, Op: trace.OpEvict, Node: 1, Epoch: 12},
+		{Seq: 5, At: 5 * time.Millisecond, Op: trace.OpAcquire, Node: 1, Lock: 9, Mode: modes.W, Trace: tr},
+		{Seq: 6, At: 6 * time.Millisecond, Op: trace.OpLockLost, Node: 1, Lock: 9, Mode: modes.W, Trace: tr},
+	}
+	data, err := json.Marshal(trace.Dump{Node: 1, Entries: in})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out trace.Dump
+	if err := json.Unmarshal(data, &out); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(out.Entries, in) {
+		t.Fatalf("round trip: got %+v, want %+v", out.Entries, in)
+	}
+	paths := trace.AssembleCausal([]trace.Dump{out})
+	if len(paths) != 1 || paths[0].Trace != tr || len(paths[0].Steps) != 1 || paths[0].Steps[0].Op != trace.OpAcquire {
+		t.Fatalf("paths = %+v, want the acquire's alone", paths)
 	}
 }
 

@@ -47,7 +47,22 @@ const (
 	OpRestart               // a crashed node came back up (Epoch: rejoin epoch, 0 = disk lost)
 	OpJoin                  // a node joined the running cluster (Epoch: adopted epoch floor)
 	OpLeave                 // a node left gracefully (Lock count of handed-off tokens in Epoch)
+
+	// Node events: what a member did besides messages and client
+	// operations. They are rare (a healthy run records none), and the
+	// auditor and AssembleCausal ignore them. Durations ride in Trace.Seq,
+	// in nanoseconds, since no other field of an Entry holds 64 bits that
+	// the ring keeps and the JSON dump carries.
+	OpRoundStart // this node began a regeneration round for Lock as regenerator (Epoch: proposed epoch)
+	OpRoundDone  // a round this node ran for Lock committed (Epoch: final epoch; Trace.Seq: the round's duration)
+	OpFsyncStall // a journal fsync took at least the stall threshold (Trace.Seq: its duration)
+	OpEvict      // an idle-lock eviction sweep (Epoch: count of entries evicted)
+	OpLockLost   // recovery lost a hold on Lock (Mode: the mode the round accounted; Epoch: its epoch), or a wait on it outlived RecoveryTimeout (Mode, Trace: the wait's)
 )
+
+// nodeEvent reports whether o is one of the node events, which belong to
+// no operation's causal path.
+func (o Op) nodeEvent() bool { return o >= OpRoundStart && o <= OpLockLost }
 
 // String names the op.
 func (o Op) String() string {
@@ -76,6 +91,16 @@ func (o Op) String() string {
 		return "join"
 	case OpLeave:
 		return "leave"
+	case OpRoundStart:
+		return "round_start"
+	case OpRoundDone:
+		return "round_done"
+	case OpFsyncStall:
+		return "fsync_stall"
+	case OpEvict:
+		return "evict_sweep"
+	case OpLockLost:
+		return "lock_lost"
 	default:
 		// The zero Op (and any out-of-range value) is a corrupt or
 		// uninitialized entry; print the numeric value so it is
@@ -97,6 +122,7 @@ type Entry struct {
 	From, To proto.NodeID
 	// Epoch is the message's recovery epoch (OpSend / OpDeliver / OpLost);
 	// the audit layer keys token conservation per (lock, epoch) with it.
+	// A few other ops carry an epoch or a count in it (see Op).
 	Epoch uint32
 	// Trace is the causal identity of the client operation this event
 	// belongs to (zero when untraced). Entries sharing a Trace across the

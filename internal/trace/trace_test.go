@@ -92,6 +92,11 @@ func TestOpString(t *testing.T) {
 		{trace.OpDrop, "drop"},
 		{trace.OpDup, "dup"},
 		{trace.OpDefer, "defer"},
+		{trace.OpRoundStart, "round_start"},
+		{trace.OpRoundDone, "round_done"},
+		{trace.OpFsyncStall, "fsync_stall"},
+		{trace.OpEvict, "evict_sweep"},
+		{trace.OpLockLost, "lock_lost"},
 		{trace.Op(99), "invalid(99)"},
 		{trace.Op(255), "invalid(255)"},
 	}

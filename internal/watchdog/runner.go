@@ -10,7 +10,7 @@ import (
 // Runner drives a Watchdog on a ticker for the live runtime: it pulls
 // a Sample from the node each interval, evaluates it, and invokes the
 // transition hook when the verdict changes (lockd uses the hook to
-// fire a blackbox dump and a profile capture on entry to Stalled).
+// write an incident on entry to Stalled).
 // Current is safe to call from HTTP handlers; all methods are nil-safe.
 type Runner struct {
 	wd       *Watchdog

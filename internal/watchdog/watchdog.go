@@ -5,8 +5,7 @@
 // it needs (progress deltas, streak counters), so the simulator can
 // drive it deterministically and tests can replay exact incident
 // shapes. The Runner wraps it in a ticker loop for lockd, feeding
-// /healthz, /debug/health and the stall-triggered blackbox/profile
-// captures.
+// /healthz, /debug/health and the stall-triggered incidents.
 package watchdog
 
 import (

@@ -104,7 +104,8 @@ func TestLockAllNoDeadlock(t *testing.T) {
 // overlapping sets of parent and child paths, in R or W, 200 seeded
 // rounds. Every round finishes, and once one member holds its whole set
 // (or after a second, when neither does) the wait-for graph over both
-// inventories has no cycle. Nothing is released before that sample, so
+// inventories has no cycle, sampled until the other member holds its set
+// too or is seen waiting. Nothing is released before that sample, so
 // each member's inventory is a state it passed through.
 func TestLockAllOrderingNoWaitForCycle(t *testing.T) {
 	const seed, rounds = 1, 200
@@ -150,9 +151,22 @@ func TestLockAllOrderingNoWaitForCycle(t *testing.T) {
 			errs = append(errs, err)
 		case <-time.After(time.Second):
 		}
-		wf := introspect.BuildWaitFor([]introspect.NodeInventory{c.Member(0).Inventory(), c.Member(1).Inventory()})
-		if wf.Deadlocked() {
-			t.Errorf("seed %d round %d: sets %v in %v form a wait-for cycle %v: %+v", seed, round, sets, mode, wf.Cycles, wf.Edges)
+		// The other member may not have asked yet: sample until it holds
+		// its set too, is seen waiting, or a second has passed.
+		var wf introspect.WaitFor
+		for deadline := time.Now().Add(time.Second); ; time.Sleep(50 * time.Microsecond) {
+			wf = introspect.BuildWaitFor([]introspect.NodeInventory{c.Member(0).Inventory(), c.Member(1).Inventory()})
+			if wf.Deadlocked() {
+				t.Errorf("seed %d round %d: sets %v in %v form a wait-for cycle %v: %+v", seed, round, sets, mode, wf.Cycles, wf.Edges)
+			}
+			if len(errs) != 1 || len(wf.Edges) > 0 || time.Now().After(deadline) {
+				break
+			}
+			select {
+			case err := <-held:
+				errs = append(errs, err)
+			default:
+			}
 		}
 		edges += len(wf.Edges)
 		close(release)

@@ -54,15 +54,14 @@ var (
 //
 // The member-wide counters are atomics and have no place in this order.
 // Under a stripe's mutex the member calls out to the trace ring and its
-// taps (the auditor), the flight recorder, the journal (Append) and the
+// taps (the auditor), the incident recorder, the journal (Append) and the
 // transport (Send); each has mutexes of its own and none calls back —
-// which is why a tap, and whatever it calls (the auditor's OnViolation, a
-// flight-recorder dump), may read nothing that pulls from the stripes. The
-// other direction goes through the OnRead hooks: a reader of the registry,
-// of the ring or of the flight recorder runs them — they take each
-// stripe's mutex in turn — before it takes the mutex of what it reads and,
-// for the registry, while it holds the registry's read mutex, which only
-// readers take. A Lock/Unlock pair on a resident token takes its lock's
+// which is why a tap, and whatever it calls (the auditor's OnViolation, an
+// incident's trigger), may read nothing that pulls from the stripes. The
+// other direction goes through the OnRead hooks: a reader of the registry
+// or of the ring runs them — they take each stripe's mutex in turn —
+// before it takes the mutex of what it reads and, for the registry, while
+// it holds the registry's read mutex, which only readers take. A Lock/Unlock pair on a resident token takes its lock's
 // stripe mutex twice and no other mutex at all, save once in stageEntries
 // pairs.
 
@@ -234,7 +233,7 @@ const stageEntries = 16
 // auditor) get it with the stripe's next batch: when the buffer is full,
 // before the next message event on this stripe — so whatever lets another
 // node act on a lock finds what this one did with it already handed in —
-// on Close, and whenever the ring (the flight recorder reads it) or the
+// on Close, and whenever the ring (an incident copies it) or the
 // registry is read (flush, pull). Callers hold sh.mu and have checked that
 // the member has a recorder.
 func (sh *lockShard) note(e *trace.Entry) {
@@ -457,12 +456,13 @@ type Telemetry struct {
 	// protocol errors at Error), each correlated by trace ID. Nil
 	// disables logging.
 	Logger *slog.Logger
-	// Blackbox attaches the black-box flight recorder: the member points
-	// it at Trace, from which it reads grants, token hops and recovery
-	// messages, feeds it fsync stalls, eviction sweeps, recovery round
-	// transitions and lost holds, and triggers automatic dumps on recovery
-	// rounds and ErrLockLost. Nil disables it at the cost of one nil check
-	// per exceptional event.
+	// Blackbox attaches the incident recorder: the member points it at
+	// Trace, its lock inventory and its health sample, and triggers an
+	// incident on every recovery round and ErrLockLost; Close waits for
+	// the incidents in flight. Round transitions, fsync stalls, eviction
+	// sweeps and lost holds are recorded in Trace whether or not it is
+	// set. Nil disables it at the cost of one nil check per exceptional
+	// event.
 	Blackbox *introspect.Recorder
 }
 
@@ -498,7 +498,7 @@ type telemetry struct {
 	mLeaves  *metrics.Counter
 	mHandoff *metrics.Counter
 
-	// bb is the attached flight recorder (nil-safe).
+	// bb is the attached incident recorder (nil-safe).
 	bb *introspect.Recorder
 }
 
@@ -556,10 +556,9 @@ func (m *Member) SetTelemetry(t Telemetry) {
 	if !m.tel.CompareAndSwap(&detached, tel) { // published whole: delivery may already be running
 		panic("hierlock: SetTelemetry called twice")
 	}
-	// Readers of the ring (the flight recorder among them) and of the
-	// registry (the auditor's counters and report among them) pull in what
-	// the stripes stage; hooked once tel is in force, so that a fold finds
-	// its handles.
+	// Readers of the ring and of the registry (the auditor's counters and
+	// report among them) pull in what the stripes stage; hooked once tel
+	// is in force, so that a fold finds its handles.
 	tel.rec.OnRead(m.flush)
 	tel.reg.OnRead(m.pull)
 }
@@ -567,7 +566,7 @@ func (m *Member) SetTelemetry(t Telemetry) {
 // wire builds the bundle for t: handles resolved, collectors registered.
 func (m *Member) wire(t Telemetry) *telemetry {
 	tel := &telemetry{reg: t.Registry, rec: t.Trace, log: t.Logger, bb: t.Blackbox}
-	tel.bb.Follow(tel.rec, clockEpoch)
+	tel.bb.Follow(introspect.Source{Trace: tel.rec, Locks: m.Inventory, Health: m.HealthSample})
 	reg := t.Registry
 	if reg == nil {
 		return tel
@@ -635,10 +634,16 @@ func (m *Member) wire(t Telemetry) *telemetry {
 	m.registerLockCollectors(reg)
 	if m.jn != nil {
 		registerJournalCollectors(reg, m.jn)
-		m.registerFsyncObserver(reg, tel.bb)
+		m.registerFsyncObserver(reg, tel.rec)
 	}
 	if bb := tel.bb; bb != nil {
-		registerBlackboxCollectors(reg, bb)
+		reg.Collect(metrics.MetricIncidents, "Incidents written to disk, by trigger reason.", "counter",
+			func(emit func(metrics.Labels, float64)) {
+				st := bb.Stats()
+				for _, reason := range introspect.Reasons {
+					emit(metrics.Labels{"reason": reason}, float64(st.Written[reason]))
+				}
+			})
 	}
 	if tt, ok := m.tr.(*transport.TCPTransport); ok {
 		registerTransportCollectors(reg, tt)
@@ -646,16 +651,16 @@ func (m *Member) wire(t Telemetry) *telemetry {
 	return tel
 }
 
-// fsyncStallThreshold is the journal fsync latency above which the
-// flight recorder logs an EvFsyncStall (a disk hiccup worth keeping in
-// the black box: fsync stalls delay grants under FsyncAlways and group
-// syncs alike).
+// fsyncStallThreshold is the journal fsync latency at and above which the
+// member records a trace.OpFsyncStall (a disk hiccup worth keeping in an
+// incident: fsync stalls delay grants under FsyncAlways and group syncs
+// alike).
 const fsyncStallThreshold = 50 * time.Millisecond
 
 // registerFsyncObserver wires the journal's per-fsync latency into a
 // histogram (the cumulative fsync-seconds counter only yields a mean)
-// and flags stalls to the flight recorder.
-func (m *Member) registerFsyncObserver(reg *metrics.Registry, bb *introspect.Recorder) {
+// and records stalls in the trace ring.
+func (m *Member) registerFsyncObserver(reg *metrics.Registry, rec *trace.Recorder) {
 	hist := reg.Histogram(metrics.MetricJournalFsyncLatency,
 		"Journal fsync latency in seconds, per fsync.",
 		metrics.DefLatencyBuckets, nil)
@@ -663,27 +668,9 @@ func (m *Member) registerFsyncObserver(reg *metrics.Registry, bb *introspect.Rec
 		hist.ObserveDuration(d)
 		if d >= fsyncStallThreshold {
 			m.fsyncStalls.Add(1)
-			bb.Record(introspect.Event{Type: introspect.EvFsyncStall, Node: m.id, Dur: d})
+			rec.Record(trace.Entry{At: sinceEpoch(), Op: trace.OpFsyncStall, Node: m.id, Trace: proto.TraceID{Seq: uint64(d)}})
 		}
 	})
-}
-
-// registerBlackboxCollectors exposes the flight recorder's counters at
-// scrape time; every dump reason is emitted (zeros included).
-func registerBlackboxCollectors(reg *metrics.Registry, bb *introspect.Recorder) {
-	reg.Collect(metrics.MetricBlackboxEvents,
-		"Flight-recorder events recorded since start, besides those it reads from the trace ring.", "counter",
-		func(emit func(metrics.Labels, float64)) {
-			emit(nil, float64(bb.Stats().Events))
-		})
-	reg.Collect(metrics.MetricBlackboxDumps,
-		"Flight-recorder dump files written, by trigger reason.", "counter",
-		func(emit func(metrics.Labels, float64)) {
-			st := bb.Stats()
-			for _, reason := range introspect.Reasons {
-				emit(metrics.Labels{"reason": reason}, float64(st.Dumps[reason]))
-			}
-		})
 }
 
 // registerJournalCollectors registers scrape-time metrics over the
@@ -1132,11 +1119,12 @@ func (m *Member) recoveryReseed(lock proto.LockID, root proto.NodeID, epoch uint
 		}
 		m.lostHolds.Add(1)
 		tel.recLost.Inc()
-		sh.admit() // a dump pulls nothing: hand in this lock's history, the lost grant included
-		tel.bb.Record(introspect.Event{Type: introspect.EvLockLost,
+		// An incident pulls nothing: behind this lock's history, the lost
+		// grant included.
+		sh.record(tel.rec, trace.Entry{At: sinceEpoch(), Op: trace.OpLockLost,
 			Node: m.id, Lock: lock, Epoch: epoch, Mode: accounted})
 		if _, err := tel.bb.TriggerDump(introspect.ReasonLockLost); err != nil && tel.log != nil {
-			tel.log.Warn("blackbox dump failed", "err", err)
+			tel.log.Warn("incident failed", "err", err)
 		}
 		if lg := tel.log; lg != nil {
 			lg.Warn("hold lost in crash recovery",
@@ -1153,20 +1141,19 @@ func (m *Member) recoveryReseed(lock proto.LockID, root proto.NodeID, epoch uint
 
 // recoveryRoundStart observes a regeneration round this node begins as
 // regenerator: it stamps the round's start for the duration histogram
-// and logs the transition to the flight recorder. Runs under mgrMu
-// (every Manager entry point is serialized there).
+// and records the transition in the trace ring. Runs under mgrMu (every
+// Manager entry point is serialized there).
 func (m *Member) recoveryRoundStart(lock proto.LockID, proposed uint32) {
 	m.roundStart[lock] = time.Now()
-	m.tel.Load().bb.Record(introspect.Event{Type: introspect.EvRoundStart,
+	m.tel.Load().rec.Record(trace.Entry{At: sinceEpoch(), Op: trace.OpRoundStart,
 		Node: m.id, Lock: lock, Epoch: proposed})
 }
 
 // recoveryRoundDone observes a round this node committed: round count
-// and duration metrics, a flight-recorder entry, and an automatic
-// blackbox dump — a recovery round is exactly the moment the event
-// lead-up is worth preserving. Runs under mgrMu. A round yielded to a
-// higher-ID regenerator leaves its roundStart stamp behind; the next
-// round on the lock overwrites it.
+// and duration metrics, a trace entry, and an incident — a recovery
+// round is exactly the moment the lead-up is worth preserving. Runs under
+// mgrMu. A round yielded to a higher-ID regenerator leaves its roundStart
+// stamp behind; the next round on the lock overwrites it.
 func (m *Member) recoveryRoundDone(lock proto.LockID, final uint32) {
 	tel := m.tel.Load()
 	var dur time.Duration
@@ -1175,11 +1162,11 @@ func (m *Member) recoveryRoundDone(lock proto.LockID, final uint32) {
 		delete(m.roundStart, lock)
 	}
 	tel.recRoundDur.ObserveDuration(dur)
-	m.flush() // a dump pulls nothing, and no stripe's mutex is held here
-	tel.bb.Record(introspect.Event{Type: introspect.EvRoundDone,
-		Node: m.id, Lock: lock, Epoch: final, Dur: dur})
+	m.flush() // an incident pulls nothing, and no stripe's mutex is held here
+	tel.rec.Record(trace.Entry{At: sinceEpoch(), Op: trace.OpRoundDone,
+		Node: m.id, Lock: lock, Epoch: final, Trace: proto.TraceID{Seq: uint64(dur)}})
 	if _, err := tel.bb.TriggerDump(introspect.ReasonRecoveryRound); err != nil && tel.log != nil {
-		tel.log.Warn("blackbox dump failed", "err", err)
+		tel.log.Warn("incident failed", "err", err)
 	}
 }
 
@@ -1433,10 +1420,6 @@ func (m *Member) Inventory() introspect.NodeInventory {
 	return inv
 }
 
-// Blackbox returns the member's attached flight recorder (nil when none
-// was wired via SetTelemetry).
-func (m *Member) Blackbox() *introspect.Recorder { return m.tel.Load().bb }
-
 // Stats is a snapshot of a member's client-side observability counters.
 type Stats struct {
 	// Acquires counts completed lock acquisitions (including upgrades and
@@ -1486,6 +1469,7 @@ func (m *Member) Close() error {
 	// before tearing the transport down: a retry that already fired
 	// drains harmlessly (closed is set), and none remain after this.
 	m.stopTimers()
+	m.tel.Load().bb.Close() // no incident write outlives Close
 	err := m.tr.Close()
 	if m.jn != nil {
 		// Final group sync: everything appended is durable at close.
@@ -1650,7 +1634,7 @@ func (m *Member) sweepLocked(sh *lockShard) int {
 		n++
 	}
 	if n > 0 {
-		m.tel.Load().bb.Record(introspect.Event{Type: introspect.EvEvict, Node: m.id, N: n})
+		sh.record(m.tel.Load().rec, trace.Entry{At: sinceEpoch(), Op: trace.OpEvict, Node: m.id, Epoch: uint32(n)})
 	}
 	return n
 }
@@ -1867,7 +1851,7 @@ func (w *waiter) outcome(localGrant bool) int {
 }
 
 // lostWait accounts for a wait on sh that outlived RecoveryTimeout (SLO
-// outcome, flight-recorder entry and dump) and builds its error. Callers
+// outcome, trace entry and incident) and builds its error. Callers
 // hold no stripe's mutex.
 func (m *Member) lostWait(sh *lockShard, op int, lock proto.LockID, mode modes.Mode, tr proto.TraceID, start time.Duration, res string) error {
 	sh.mu.Lock()
@@ -1875,7 +1859,7 @@ func (m *Member) lostWait(sh *lockShard, op int, lock proto.LockID, mode modes.M
 	sh.mu.Unlock()
 	m.flush() // as in recoveryRoundDone
 	tel := m.tel.Load()
-	tel.bb.Record(introspect.Event{Type: introspect.EvLockLost,
+	tel.rec.Record(trace.Entry{At: sinceEpoch(), Op: trace.OpLockLost,
 		Node: m.id, Lock: lock, Mode: mode, Trace: tr})
 	_, _ = tel.bb.TriggerDump(introspect.ReasonLockLost)
 	return fmt.Errorf("hierlock: no grant for %q within recovery timeout %v: %w",

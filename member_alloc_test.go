@@ -19,9 +19,11 @@ import (
 	"context"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"hierlock"
 	"hierlock/internal/metrics"
+	"hierlock/internal/trace"
 )
 
 func TestMemberLockUnlockAllocsBare(t *testing.T) {
@@ -99,7 +101,7 @@ func TestMemberJournaledLockUnlockAllocsWithTelemetry(t *testing.T) {
 }
 
 // The same pair under everything cmd/lockd attaches by default — ring,
-// auditor and flight recorder included: staging a trace entry, counting
+// auditor and incident recorder included: staging a trace entry, counting
 // a metric and checking a grant allocate nothing per operation (the
 // staging buffers are allocated once, during the
 // warm-up run AllocsPerRun makes), and neither does admission, which
@@ -113,7 +115,7 @@ func TestMemberLockUnlockAllocsWithDefaultWiring(t *testing.T) {
 	}
 	defer c.Close()
 	m := c.Member(0)
-	reg, rec, aud, bb := attachDefaultTelemetry(m)
+	reg, rec, aud, _ := attachDefaultTelemetry(m)
 	ctx := context.Background()
 	const budget = 1 // BenchmarkMemberDefaultTelemetry allocs/op
 	got := testing.AllocsPerRun(500, func() {
@@ -128,13 +130,10 @@ func TestMemberLockUnlockAllocsWithDefaultWiring(t *testing.T) {
 	if got > budget {
 		t.Errorf("local Lock/Unlock under the default wiring allocates %.1f objects/op, budget %d", got, budget)
 	}
-	// The auditor and the flight recorder are asked first: each pulls the
-	// staged operations in itself, no ring read before it.
+	// The auditor is asked first: it pulls the staged operations in
+	// itself, no ring read before it.
 	if n := aud.Snapshot().Entries; n != 501 {
 		t.Errorf("the auditor saw %d entries, want one per pair (%d)", n, 501)
-	}
-	if n := len(bb.Snapshot(0)); n != 501 {
-		t.Errorf("the flight recorder holds %d events, want one grant per pair (%d)", n, 501)
 	}
 	if n, c := rec.Len(), reg.Counter(metrics.MetricAuditEntries, "", nil).Value(); n != 3*501 || c != 501 {
 		t.Errorf("ring holds %d entries and %s = %d, want %d and %d", n, metrics.MetricAuditEntries, c, 3*501, 501)
@@ -157,5 +156,39 @@ func TestMemberLockUnlockAllocsWithDefaultWiring(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if b := (after.TotalAlloc - before.TotalAlloc) / pairs; b > byteBudget {
 		t.Errorf("local Lock/Unlock under the default wiring allocates %d bytes/op, budget %d", b, byteBudget)
+	}
+}
+
+// TestLockdWiringStandingHeap: what a node's telemetry keeps standing,
+// wired as cmd/lockd wires it, is its trace ring and little else — the
+// incident recorder holds no ring beside it. A byte count, so the
+// machine's speed does not move it.
+func TestLockdWiringStandingHeap(t *testing.T) {
+	const ring = 4096
+	// margin covers the registry's series, the auditor's stripes and the
+	// member's collectors; the ring the recorder used to keep was
+	// 4096 × 80 B = 320 KiB.
+	const margin = 128 << 10
+	c, err := hierlock.NewCluster(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	m := c.Member(0)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	reg, rec, aud, bb := hierlock.AttachLockdWiring(m, ring)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(reg)
+	runtime.KeepAlive(rec)
+	runtime.KeepAlive(aud)
+	runtime.KeepAlive(bb)
+	delta := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	budget := int64(ring*unsafe.Sizeof(trace.Entry{})) + margin
+	t.Logf("standing telemetry heap %d B (ring %d B, budget %d B)", delta, ring*unsafe.Sizeof(trace.Entry{}), budget)
+	if delta > budget {
+		t.Fatalf("attaching lockd's wiring keeps %d B standing, budget %d B: a %d-entry ring and %d B of the rest", delta, budget, ring, margin)
 	}
 }

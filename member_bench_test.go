@@ -59,7 +59,7 @@ func BenchmarkMemberMultiLockContended(b *testing.B) {
 
 // BenchmarkMemberDefaultTelemetry is the resident Lock/Fence/Unlock pair
 // under the telemetry cmd/lockd attaches by default: a registry, the
-// trace ring, and the auditor and the flight recorder tapped onto it.
+// trace ring tapped by the auditor, and the incident recorder.
 // Each goroutine cycles 64 private W keys, so there is no lock contention
 // and no protocol traffic: what -cpu 2 loses against -cpu 1 is what the
 // telemetry path makes callers share. `make bench` runs it at -cpu 1,2.

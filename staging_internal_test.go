@@ -3,10 +3,13 @@ package hierlock
 import (
 	"cmp"
 	"context"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
 	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"sync"
@@ -21,8 +24,8 @@ import (
 )
 
 // lockdWiring is the telemetry cmd/lockd attaches with no flags: a
-// registry, the trace ring tapped by the auditor and read by the flight
-// recorder, an info-level logger. Members of one test may share it.
+// registry, the trace ring tapped by the auditor, the incident recorder,
+// an info-level logger. Members of one test may share it.
 type lockdWiring struct {
 	reg *metrics.Registry
 	rec *trace.Recorder
@@ -58,6 +61,20 @@ func AttachLockdWiring(m *Member, ringSize int) (*metrics.Registry, *trace.Recor
 	w := newLockdWiring(ringSize)
 	w.attach(m)
 	return w.reg, w.rec, w.aud, w.bb
+}
+
+// readIncidentRing reads the trace ring an incident holds.
+func readIncidentRing(t *testing.T, path string) []trace.Entry {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join(path, "trace.json"))
+	var d trace.Dump
+	if err == nil {
+		err = json.Unmarshal(data, &d)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d.Entries
 }
 
 // residentPairs runs pairs Lock/Unlock pairs per goroutine on m, each
@@ -128,8 +145,8 @@ func (c *tapCount) read() (entries, stand int) {
 // TestStagedRingExactAtReadAndOrdered: the member holds client-operation
 // entries back per stripe, from the taps as from the ring, and records a
 // grant made at once and released before anything else was staged on its
-// stripe as one entry — and nobody reading the ring, the auditor or the
-// flight recorder can tell. After resident pairs over 128 locks from four
+// stripe as one entry — and nobody reading the ring or the auditor can
+// tell. After resident pairs over 128 locks from four
 // goroutines nothing has reached a tap that a full buffer did not push
 // there; the first question to the auditor pulls the rest in, and the taps
 // have then seen between one and two entries per pair (two where another
@@ -178,9 +195,6 @@ func TestStagedRingExactAtReadAndOrdered(t *testing.T) {
 	checkResidentRing(t, w.rec.Entries(), 3*total)
 	if got := audited.Value(); got != uint64(tapped) {
 		t.Fatalf("%s = %d, want the %d entries the taps saw", metrics.MetricAuditEntries, got, tapped)
-	}
-	if got := len(w.bb.Snapshot(0)); got != total {
-		t.Fatalf("flight recorder has %d events, want one grant per pair (%d)", got, total)
 	}
 
 	// One goroutine: nothing comes between a grant and its release, so a
@@ -416,7 +430,7 @@ func TestSharedRingKeepsCausalOrder(t *testing.T) {
 
 // TestResidentPathSharesNoMemberMutex: with mgrMu, the member's one
 // member-wide mutex, held by the test, a thousand resident pairs under
-// lockd's default wiring complete. (The ring, auditor and flight-recorder
+// lockd's default wiring complete. (The ring's and the auditor's
 // mutexes cannot be held from outside; that the path takes none of them
 // per entry is DESIGN.md's claim and BenchmarkMemberDefaultTelemetry's
 // -cpu 2 figure.)
@@ -908,11 +922,12 @@ func TestSharedAuditorFlagsGrantInsideFoldedPair(t *testing.T) {
 // TestViolationInStagedEntryDumpsWithoutDeadlock: the auditor's
 // OnViolation runs inside a tap, so when the offending entry was staged it
 // runs under the stripe's mutex, and under the registry's read lock when a
-// scrape pulled the entry in. With lockd's wiring — OnViolation triggers a
-// flight-recorder dump, auto-dump on — the violation is flagged, the dump
-// is written, holding the offending grant (the ring takes a batch before
-// the taps see it), and nothing deadlocks, whichever way the entry is
-// admitted.
+// scrape pulled the entry in. With lockd's wiring — OnViolation triggers an
+// incident, incidents on — the violation is flagged, the incident is
+// written, its trace holding the offending grant (the ring takes a batch
+// before the taps see it), and nothing deadlocks, whichever way the entry
+// is admitted — although the incident's inventory and health sample take
+// every stripe mutex.
 func TestViolationInStagedEntryDumpsWithoutDeadlock(t *testing.T) {
 	forged, filler := sameStripe("dump")
 	admitters := []struct {
@@ -925,7 +940,6 @@ func TestViolationInStagedEntryDumpsWithoutDeadlock(t *testing.T) {
 			}
 		}},
 		{"a ring read", func(_ *testing.T, w *lockdWiring, _ *Member) { w.rec.Len() }},
-		{"a flight-recorder read", func(_ *testing.T, w *lockdWiring, _ *Member) { w.bb.Snapshot(0) }},
 		{"a full buffer", func(t *testing.T, _ *lockdWiring, m *Member) {
 			// The offending pair is the stripe's first entry: stageEntries
 			// more, on another lock of the stripe, push it out.
@@ -969,8 +983,8 @@ func TestViolationInStagedEntryDumpsWithoutDeadlock(t *testing.T) {
 			if err := l.Unlock(); err != nil {
 				t.Fatal(err)
 			}
-			if files, _ := introspect.ListDumps(dir); len(files) != 0 {
-				t.Fatalf("a dump before the pair was admitted: %v", files)
+			if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+				t.Fatalf("an incident before the pair was admitted: %v", entries)
 			}
 
 			done := make(chan struct{})
@@ -987,21 +1001,19 @@ func TestViolationInStagedEntryDumpsWithoutDeadlock(t *testing.T) {
 			if rep := w.aud.Snapshot(); rep.ByCheck[audit.InvMutualExclusion] != 1 {
 				t.Fatalf("report: %+v, want one mutual_exclusion violation", rep)
 			}
-			files, err := introspect.ListDumps(dir)
-			if err != nil || len(files) != 1 {
-				t.Fatalf("dumps: %v, %v; want one", files, err)
+			w.bb.Close() // waits for the incident
+			list, err := w.bb.List()
+			if err != nil || len(list) != 1 || !strings.HasSuffix(list[0].Name, introspect.ReasonAuditViolation) {
+				t.Fatalf("incidents: %+v, %v; want one audit_violation", list, err)
 			}
-			d, err := introspect.ReadDump(dir, files[0].Name)
-			if err != nil || d.Reason != introspect.ReasonAuditViolation {
-				t.Fatalf("dump: reason %q, %v", d.Reason, err)
-			}
-			if !slices.ContainsFunc(d.Events, func(ev introspect.DumpEvent) bool {
-				return ev.Type == "grant" && ev.Node == int(m.id) && ev.Lock == uint64(lockIDFor(forged))
+			es := readIncidentRing(t, filepath.Join(dir, list[0].Name))
+			if !slices.ContainsFunc(es, func(e trace.Entry) bool {
+				return e.Op == trace.OpGranted && e.Node == m.id && e.Lock == lockIDFor(forged)
 			}) {
-				t.Fatalf("the dump lacks the offending grant: %+v", d.Events)
+				t.Fatalf("the incident lacks the offending grant: %+v", es)
 			}
-			if st := w.bb.Stats(); st.Dumps[introspect.ReasonAuditViolation] != 1 || st.LastErr != nil {
-				t.Fatalf("flight recorder stats: %+v", st)
+			if st := w.bb.Stats(); st.Written[introspect.ReasonAuditViolation] != 1 || st.LastErr != nil {
+				t.Fatalf("incident stats: %+v", st)
 			}
 		})
 	}
@@ -1009,8 +1021,8 @@ func TestViolationInStagedEntryDumpsWithoutDeadlock(t *testing.T) {
 
 // TestEveryConsumerPullsForItself: after N resident pairs with nothing
 // read, the first question asked — of the auditor, of its counter in the
-// registry, of the flight recorder or of the ring — is answered for all N,
-// and empties the stripes.
+// registry or of the ring — is answered for all N, and empties the
+// stripes.
 func TestEveryConsumerPullsForItself(t *testing.T) {
 	const pairs = 100 // more than one buffer's worth on no stripe: 64 keys
 	audited := func(w *lockdWiring) *metrics.Counter {
@@ -1022,7 +1034,6 @@ func TestEveryConsumerPullsForItself(t *testing.T) {
 	}{
 		{"Auditor.Snapshot", func(w *lockdWiring) int { return int(w.aud.Snapshot().Entries) }},
 		{metrics.MetricAuditEntries, func(w *lockdWiring) int { return int(audited(w).Value()) }},
-		{"Blackbox.Snapshot", func(w *lockdWiring) int { return len(w.bb.Snapshot(0)) }},
 		{"Recorder.Len", func(w *lockdWiring) int { return w.rec.Len() / 3 }},
 	} {
 		t.Run(q.name, func(t *testing.T) {
@@ -1050,10 +1061,10 @@ func TestEveryConsumerPullsForItself(t *testing.T) {
 
 // TestFlightRecorderSeesGrantsWhileTracePaused: pausing the trace ring
 // (/debug/trace?enable=off) freezes what its readers see and nothing else.
-// Under lockd's wiring the flight recorder, which reads its grants from
-// the ring, shows every pair made while the ring is paused; the ring's
-// readers show exactly the entries from before the pause; after the
-// resumption both show everything.
+// Under lockd's wiring an incident, which copies the live ring, holds
+// every pair made while the ring is paused; the ring's readers show
+// exactly the entries from before the pause; after the resumption both
+// show everything.
 func TestFlightRecorderSeesGrantsWhileTracePaused(t *testing.T) {
 	const before, during = 20, 100
 	c, err := NewCluster(1)
@@ -1063,11 +1074,29 @@ func TestFlightRecorderSeesGrantsWhileTracePaused(t *testing.T) {
 	defer c.Close()
 	m := c.Member(0)
 	w := newLockdWiring(1 << 12)
+	if err := w.bb.EnableAutoDump(t.TempDir(), time.Nanosecond); err != nil {
+		t.Fatal(err)
+	}
 	w.attach(m)
 	grants := func() int {
+		// As /debug/incidents does: pull, then trigger. Of the reasons, one
+		// that writes no profiles.
+		w.rec.Pull()
+		path, err := w.bb.TriggerDump(introspect.ReasonRecoveryRound)
+		if err != nil || path == "" {
+			t.Fatalf("TriggerDump = %q, %v", path, err)
+		}
+		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+			if _, err := os.Stat(path); err == nil {
+				break // renamed into place once complete
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("incident %s never completed", path)
+			}
+		}
 		n := 0
-		for _, ev := range w.bb.Snapshot(0) {
-			if ev.Type == "grant" {
+		for _, e := range readIncidentRing(t, path) {
+			if e.Op == trace.OpGranted {
 				n++
 			}
 		}
@@ -1082,7 +1111,7 @@ func TestFlightRecorderSeesGrantsWhileTracePaused(t *testing.T) {
 	}
 	residentPairs(t, m, 1, 64, during)
 	if got := grants(); got != before+during {
-		t.Fatalf("flight recorder shows %d grants with the trace ring paused, want %d", got, before+during)
+		t.Fatalf("an incident holds %d grants with the trace ring paused, want %d", got, before+during)
 	}
 	if es := w.rec.Entries(); !slices.Equal(es, frozen) || w.rec.Len() != len(frozen) || w.rec.Dropped() != 0 {
 		t.Fatalf("paused ring's readers see %d entries (Len %d, Dropped %d), want the %d from before the pause", len(es), w.rec.Len(), w.rec.Dropped(), len(frozen))
@@ -1094,6 +1123,78 @@ func TestFlightRecorderSeesGrantsWhileTracePaused(t *testing.T) {
 	}
 	checkResidentRing(t, w.rec.Entries(), 3*(before+during))
 	if got := grants(); got != before+during {
-		t.Fatalf("flight recorder shows %d grants after the resumption, want %d", got, before+during)
+		t.Fatalf("an incident holds %d grants after the resumption, want %d", got, before+during)
+	}
+}
+
+// TestNodeEventsInTheRing: the node events are trace entries in the one
+// ring — an eviction sweep with its count, a wait lost to RecoveryTimeout
+// with its operation's trace — and the lock_lost incident the lost wait
+// writes holds its entry.
+func TestNodeEventsInTheRing(t *testing.T) {
+	bg := context.Background()
+	c, err := NewCluster(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	m0, m1 := c.Member(0), c.Member(1)
+	w := newLockdWiring(1 << 10)
+	dir := t.TempDir()
+	if err := w.bb.EnableAutoDump(dir, time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	w.attach(m0)
+	for _, res := range []string{"a", "b", "c"} {
+		l, err := m0.Lock(bg, res, W)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Unlock(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	evicted := m0.EvictIdle()
+	if evicted == 0 {
+		t.Fatal("nothing evicted: the test is not exercising the sweep")
+	}
+
+	remote, err := m1.Lock(bg, "lost", W)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m0.recoveryTimeout = 10 * time.Millisecond // before the client parks
+	if _, err := m0.Lock(bg, "lost", W); !errors.Is(err, ErrLockLost) {
+		t.Fatalf("Lock behind a remote hold past RecoveryTimeout = %v, want ErrLockLost", err)
+	}
+	if err := remote.Unlock(); err != nil {
+		t.Fatal(err)
+	}
+	w.bb.Close() // waits for the incident
+
+	swept := 0
+	var lost []trace.Entry
+	for _, e := range w.rec.Entries() {
+		switch e.Op {
+		case trace.OpEvict:
+			swept += int(e.Epoch)
+		case trace.OpLockLost:
+			lost = append(lost, e)
+		}
+	}
+	if swept != evicted {
+		t.Fatalf("evict_sweep entries count %d evictions, EvictIdle returned %d", swept, evicted)
+	}
+	if len(lost) != 1 || lost[0].Lock != lockIDFor("lost") || lost[0].Mode != W || lost[0].Trace.Node != m0.id {
+		t.Fatalf("lock_lost entries = %+v, want one for the wait on %q", lost, "lost")
+	}
+	list, err := w.bb.List()
+	if err != nil || len(list) != 1 || !strings.HasSuffix(list[0].Name, introspect.ReasonLockLost) {
+		t.Fatalf("incidents = %+v, %v; want one lock_lost", list, err)
+	}
+	if !slices.ContainsFunc(readIncidentRing(t, filepath.Join(dir, list[0].Name)), func(e trace.Entry) bool {
+		return e.Op == trace.OpLockLost && e.Seq == lost[0].Seq && e.Trace == lost[0].Trace
+	}) {
+		t.Fatalf("the lock_lost incident lacks %+v", lost[0])
 	}
 }

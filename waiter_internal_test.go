@@ -39,6 +39,32 @@ func waitParked(t *testing.T, m *Member) {
 	waitEntry(t, m, "client parked", func(registered, parked, _ bool) bool { return registered && parked })
 }
 
+// deadlineContext is what a context's deadline gives a client, on cue:
+// Done closes when its expiry is called, and Err is then
+// context.DeadlineExceeded. A context.WithTimeout armed before the victim
+// starts can pass under load before the victim queues or parks.
+type deadlineContext struct {
+	context.Context
+	done chan struct{}
+}
+
+// expiringContext returns a deadlineContext and its expiry.
+func expiringContext() (context.Context, func()) {
+	ctx := &deadlineContext{Context: context.Background(), done: make(chan struct{})}
+	return ctx, func() { close(ctx.done) }
+}
+
+func (c *deadlineContext) Done() <-chan struct{} { return c.done }
+
+func (c *deadlineContext) Err() error {
+	select {
+	case <-c.done:
+		return context.DeadlineExceeded
+	default:
+		return nil
+	}
+}
+
 // TestReusedWaiterStates enumerates the protocol wait: the waiter and
 // its wake-up channel are the lock entry's own storage, re-armed per
 // request, so a wait that ends by cancel, deadline, RecoveryTimeout or
@@ -66,10 +92,8 @@ func TestReusedWaiterStates(t *testing.T) {
 		{"cancel", false, func(*testing.T, *Member) (context.Context, func()) {
 			return context.WithCancel(bg)
 		}},
-		{"deadline", false, func(t *testing.T, _ *Member) (context.Context, func()) {
-			ctx, cancel := context.WithTimeout(bg, 10*time.Millisecond)
-			t.Cleanup(cancel)
-			return ctx, func() { <-ctx.Done() }
+		{"deadline", false, func(*testing.T, *Member) (context.Context, func()) {
+			return expiringContext()
 		}},
 		{"recovery timeout", false, func(_ *testing.T, m *Member) (context.Context, func()) {
 			m.recoveryTimeout = 10 * time.Millisecond // before any client parks
@@ -285,10 +309,8 @@ func TestSlotBlockedWaiterStates(t *testing.T) {
 		{"cancel", context.Canceled, false, func(*testing.T, *Member) (context.Context, func()) {
 			return context.WithCancel(bg)
 		}},
-		{"deadline", context.DeadlineExceeded, false, func(t *testing.T, _ *Member) (context.Context, func()) {
-			ctx, cancel := context.WithTimeout(bg, 10*time.Millisecond)
-			t.Cleanup(cancel)
-			return ctx, func() { <-ctx.Done() }
+		{"deadline", context.DeadlineExceeded, false, func(*testing.T, *Member) (context.Context, func()) {
+			return expiringContext()
 		}},
 		{"close", ErrClosed, true, func(_ *testing.T, m *Member) (context.Context, func()) {
 			return bg, func() { _ = m.Close() }
