@@ -177,8 +177,10 @@ type stripe struct {
 // token/copyset ledger of a message belong to one lock and live in that
 // lock's stripe; the link FIFO check spans locks and has its own mutex,
 // taken only for message entries; the violation list has a third, taken
-// only when an invariant breaks. Every entry is checked before Record
-// returns; Snapshot and Violations first pull in what Config.Registry's
+// only when an invariant breaks. The lock order is a stripe mutex, then
+// linkMu, then violMu: Record holds the stripe of a run of entries across
+// the link check of each message among them. Every entry is checked before
+// Record returns; Snapshot and Violations first pull in what Config.Registry's
 // producers have staged, so they answer for every operation that finished
 // before they were asked.
 type Auditor struct {
@@ -189,8 +191,8 @@ type Auditor struct {
 	linkMu sync.Mutex
 	links  map[linkKey]*linkState
 
-	// violMu guards the violation counts and the retained list. Lock
-	// order: a stripe mutex or linkMu first, violMu last.
+	// violMu guards the violation counts and the retained list. It is
+	// taken last (see the lock order above).
 	violMu     sync.Mutex
 	counts     map[string]uint64
 	violations []Violation
@@ -235,41 +237,54 @@ func New(cfg Config) *Auditor {
 	return a
 }
 
-// Record consumes one trace entry. It has the trace.Recorder tap
-// signature: rec.SetTap(a.Record).
-func (a *Auditor) Record(e trace.Entry) {
-	if a == nil {
+// Record consumes a batch of trace entries, in order. It has the
+// trace.Recorder tap signature: rec.SetTap(a.Record). The batch is
+// counted in one add, and a run of entries whose locks share a stripe is
+// checked under one round of its mutex: a member admits a batch from one
+// of its own stripes, which maps to one of these.
+func (a *Auditor) Record(es []trace.Entry) {
+	if a == nil || len(es) == 0 {
 		return
 	}
-	n := uint(e.Lock) % stripeCount
-	st := &a.stripes[n]
-	a.entries.Inc()
-	switch e.Op {
-	case trace.OpGranted:
-		st.mu.Lock()
-		a.onGranted(st.lock(a, e.Lock), e)
-		st.mu.Unlock()
-	case trace.OpRelease:
-		st.mu.Lock()
-		st.lock(a, e.Lock).release(e.Node, e.At)
-		st.mu.Unlock()
-	case trace.OpSend:
-		st.mu.Lock()
-		a.onSend(st.lock(a, e.Lock), e)
-		st.mu.Unlock()
-		a.linkMu.Lock()
-		a.fifoSend(e)
-		a.linkMu.Unlock()
-	case trace.OpDeliver:
-		st.mu.Lock()
-		a.onDeliver(st.lock(a, e.Lock), e)
-		st.mu.Unlock()
-		a.linkMu.Lock()
-		a.fifoDeliver(e)
-		a.linkMu.Unlock()
+	a.entries.Add(uint64(len(es)))
+	var st *stripe // the stripe whose mutex is held, if any
+	for i := range es {
+		e := &es[i]
+		switch e.Op {
+		case trace.OpGranted, trace.OpRelease, trace.OpSend, trace.OpDeliver:
+		default:
+			// Every other op (acquires, the fault ops, the node events) is
+			// counted and not examined.
+			continue
+		}
+		if s := &a.stripes[uint(e.Lock)%stripeCount]; s != st {
+			if st != nil {
+				st.mu.Unlock()
+			}
+			st = s
+			st.mu.Lock()
+		}
+		ls := st.lock(a, e.Lock)
+		switch e.Op {
+		case trace.OpGranted:
+			a.onGranted(ls, *e)
+		case trace.OpRelease:
+			ls.release(e.Node, e.At)
+		case trace.OpSend:
+			a.onSend(ls, *e)
+			a.linkMu.Lock()
+			a.fifoSend(*e)
+			a.linkMu.Unlock()
+		case trace.OpDeliver:
+			a.onDeliver(ls, *e)
+			a.linkMu.Lock()
+			a.fifoDeliver(*e)
+			a.linkMu.Unlock()
+		}
 	}
-	// Every other op (acquires, the fault ops, the node events) is counted
-	// and not examined: it returned without taking a lock.
+	if st != nil {
+		st.mu.Unlock()
+	}
 }
 
 // lock returns (creating) the ledger of one lock. Callers hold st.mu.
@@ -302,7 +317,8 @@ func (ls *lockState) token(epoch uint32) *tokenState {
 	return t
 }
 
-// flag records one violation. Callers hold a stripe mutex or linkMu.
+// flag records one violation. Callers hold a stripe mutex, and linkMu for
+// a FIFO breach.
 func (a *Auditor) flag(inv string, e trace.Entry, format string, args ...any) {
 	v := Violation{
 		Invariant: inv, Lock: e.Lock, At: e.At,

@@ -1,6 +1,7 @@
 package audit
 
 import (
+	"reflect"
 	"slices"
 	"strings"
 	"sync"
@@ -34,7 +35,7 @@ func release(lock proto.LockID, mode modes.Mode, node proto.NodeID) trace.Entry 
 
 func feed(a *Auditor, entries ...trace.Entry) {
 	for _, e := range entries {
-		a.Record(e)
+		a.Record([]trace.Entry{e})
 	}
 }
 
@@ -215,10 +216,10 @@ func TestFreezeFIFOViolation(t *testing.T) {
 func TestFIFOBacklogGoesLossy(t *testing.T) {
 	a := New(Config{Root: 0, MaxLinkBacklog: 4})
 	for i := 0; i < 10; i++ {
-		a.Record(send(proto.KindRequest, 1, modes.R, 0, 1))
+		a.Record([]trace.Entry{send(proto.KindRequest, 1, modes.R, 0, 1)})
 	}
 	// Out-of-order delivery on the lossy link must not flag.
-	a.Record(deliver(proto.KindToken, 1, modes.W, 0, 1))
+	a.Record([]trace.Entry{deliver(proto.KindToken, 1, modes.W, 0, 1)})
 	if n := a.Snapshot().ByCheck[InvFreezeFIFO]; n != 0 {
 		t.Fatalf("lossy link flagged %d", n)
 	}
@@ -271,11 +272,11 @@ func TestTapIntegration(t *testing.T) {
 func TestViolationListBounded(t *testing.T) {
 	a := New(Config{Root: 0, MaxViolations: 2})
 	for i := 0; i < 5; i++ {
-		a.Record(send(proto.KindToken, proto.LockID(100), modes.W, 3, 4))
-		a.Record(deliver(proto.KindToken, proto.LockID(100), modes.W, 3, 4))
+		a.Record([]trace.Entry{send(proto.KindToken, proto.LockID(100), modes.W, 3, 4)})
+		a.Record([]trace.Entry{deliver(proto.KindToken, proto.LockID(100), modes.W, 3, 4)})
 		// Every send after the first is by the (now correct) holder... use
 		// distinct locks to force fresh non-holder sends.
-		a.Record(send(proto.KindToken, proto.LockID(200+i), modes.W, 9, 4))
+		a.Record([]trace.Entry{send(proto.KindToken, proto.LockID(200+i), modes.W, 9, 4)})
 	}
 	rep := a.Snapshot()
 	if len(rep.Violations) != 2 {
@@ -290,7 +291,7 @@ func TestViolationListBounded(t *testing.T) {
 // auditor attached pass nil around freely).
 func TestNilAuditor(t *testing.T) {
 	var a *Auditor
-	a.Record(granted(1, modes.W, 0))
+	a.Record([]trace.Entry{granted(1, modes.W, 0)})
 	if a.Violations() != 0 {
 		t.Fatal("nil auditor")
 	}
@@ -322,10 +323,10 @@ func TestConcurrentStripes(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWorker/4; i++ {
 				lock := proto.LockID(1000*(w+1) + i%37) // private to the worker, every stripe
-				a.Record(trace.Entry{Op: trace.OpAcquire, Node: 0, Lock: lock, Mode: modes.W})
-				a.Record(granted(lock, modes.W, 0))
-				a.Record(release(lock, modes.W, 0))
-				a.Record(trace.Entry{Op: trace.OpDrop, Lock: lock})
+				a.Record([]trace.Entry{{Op: trace.OpAcquire, Node: 0, Lock: lock, Mode: modes.W}})
+				a.Record([]trace.Entry{granted(lock, modes.W, 0)})
+				a.Record([]trace.Entry{release(lock, modes.W, 0)})
+				a.Record([]trace.Entry{{Op: trace.OpDrop, Lock: lock}})
 				if w == 2 && i == perWorker/8 {
 					// Node 1 is granted W on lock 7 while node 0 holds it.
 					feed(a, granted(7, modes.W, 0), granted(7, modes.W, 1),
@@ -394,5 +395,81 @@ func TestFinishedOperationsAreIntervals(t *testing.T) {
 			t.Errorf("%s: %d violations over %d entries, want %d over %d: %+v",
 				c.name, rep.Total, rep.Entries, c.want, len(c.stream), rep.Violations)
 		}
+	}
+}
+
+// TestRecordBatchAsOneByOne: a batch is checked as its entries would be
+// one at a time — runs of one stripe, stripe changes mid-batch, counted
+// ops among checked ones, messages on a link — with one add to the entry
+// count. The stream holds one violation of each of mutual_exclusion,
+// token_conservation, copyset_release and freeze_fifo.
+func TestRecordBatchAsOneByOne(t *testing.T) {
+	stream := []trace.Entry{
+		{Op: trace.OpAcquire, Node: 1, Lock: 1, Mode: modes.W},
+		granted(1, modes.W, 0),
+		granted(17, modes.R, 0), // lock 17 shares lock 1's stripe
+		granted(1, modes.W, 1),  // node 0 holds W
+		{Op: trace.OpFsyncStall, Node: 0},
+		send(proto.KindToken, 2, modes.W, 0, 1),
+		send(proto.KindToken, 2, modes.W, 0, 2), // already in flight
+		send(proto.KindRelease, 3, modes.R, 4, 5),
+		send(proto.KindRequest, 18, modes.R, 0, 3),
+		send(proto.KindGrant, 18, modes.R, 0, 3),
+		deliver(proto.KindGrant, 18, modes.R, 0, 3), // the request went first
+		release(1, modes.W, 0),
+		release(1, modes.W, 1),
+	}
+	reg := metrics.NewRegistry()
+	batch, single := New(Config{Registry: reg, Root: 0}), New(Config{Root: 0})
+	batch.Record(stream)
+	feed(single, stream...)
+	got, want := batch.Snapshot(), single.Snapshot()
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("one batch reports\n%+v\none entry at a time\n%+v", got, want)
+	}
+	if got.Entries != uint64(len(stream)) || got.Total != 4 {
+		t.Fatalf("report %+v, want %d entries and one violation of each invariant", got, len(stream))
+	}
+	for _, inv := range Invariants {
+		if got.ByCheck[inv] != 1 {
+			t.Fatalf("%s flagged %d times, want 1: %+v", inv, got.ByCheck[inv], got.Violations)
+		}
+	}
+	if n := reg.Counter(metrics.MetricAuditEntries, "", nil).Value(); n != got.Entries {
+		t.Fatalf("%s = %d, report says %d", metrics.MetricAuditEntries, n, got.Entries)
+	}
+	batch.Record(nil)
+	if n := batch.Snapshot().Entries; n != got.Entries {
+		t.Fatalf("an empty batch counted: %d entries, want %d", n, got.Entries)
+	}
+}
+
+// TestConcurrentBatches: batches that hold a stripe mutex across the link
+// check of each message among them, admitted from several goroutines over
+// stripes and links they share, neither deadlock nor lose an entry.
+func TestConcurrentBatches(t *testing.T) {
+	const workers, batches = 4, 500
+	a := New(Config{Root: proto.NoNode})
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			es := make([]trace.Entry, 0, 16)
+			for i := 0; i < batches; i++ {
+				lock := proto.LockID(64*i + w) // a member stripe of its own, auditor stripes shared
+				node, peer := proto.NodeID(w), proto.NodeID(workers+w)
+				es = append(es[:0],
+					trace.Entry{At: ms(2 * i), Released: ms(2*i + 1), Op: trace.OpGranted, Node: node, Lock: lock, Mode: modes.W},
+					send(proto.KindRequest, lock, modes.R, node, peer),
+					deliver(proto.KindRequest, lock, modes.R, node, peer))
+				a.Record(es)
+			}
+		}(w)
+	}
+	wg.Wait()
+	rep := a.Snapshot()
+	if rep.Entries != workers*batches*3 || rep.Total != 0 {
+		t.Fatalf("%d entries and %d violations (%v), want %d and none", rep.Entries, rep.Total, rep.ByCheck, workers*batches*3)
 	}
 }

@@ -99,7 +99,7 @@ func (r *Recorder) Follow(s Source) {
 // Tap does nothing: incidents copy the trace ring itself.
 //
 // Deprecated: the benchmark PR (ROADMAP item 1) deletes it with its call.
-func (r *Recorder) Tap(trace.Entry) {}
+func (r *Recorder) Tap([]trace.Entry) {}
 
 // EnableAutoDump makes TriggerDump write incidents under dir, at most one
 // per reason per minInterval (default 5s when <= 0). The directory is

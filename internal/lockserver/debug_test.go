@@ -249,7 +249,7 @@ func TestDebugTraceEndpoint(t *testing.T) {
 	m := cl.Member(0)
 	rc := trace.New(64)
 	var tapped []trace.Entry // admitted by the endpoint's read, on the test's goroutine
-	rc.SetTap(func(e trace.Entry) { tapped = append(tapped, e) })
+	rc.SetTap(func(es []trace.Entry) { tapped = append(tapped, es...) })
 	m.SetTelemetry(hierlock.Telemetry{Trace: rc})
 
 	l, err := m.Lock(context.Background(), "traced", hierlock.W)

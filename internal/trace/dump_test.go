@@ -191,6 +191,14 @@ func TestEntrySize(t *testing.T) {
 	}
 }
 
+// TestSlotSize pins what the ring keeps of an entry at 48 bytes: no Seq
+// (its position implies it) and none of the three staging words.
+func TestSlotSize(t *testing.T) {
+	if trace.SlotSize != 48 {
+		t.Fatalf("a ring slot is %d bytes, want 48", trace.SlotSize)
+	}
+}
+
 // TestNodeEventsRoundTripAndJoinNoPath: the node events keep their values
 // (epoch, count, duration) through the JSON dump, so merged dumps carry
 // them, and the causal assembler ignores them, a lost wait's included.

@@ -4,11 +4,12 @@
 // assertions. The simulator and cluster runtime emit into a Recorder when
 // one is attached; recording costs nothing when disabled (nil Recorder).
 //
-// A Recorder has two kinds of consumer. Taps see each entry once, right
-// after the ring took it: a message event as it is recorded, a client
-// operation a producer staged when its batch is admitted, which is no
-// later than the next message event the producer records for that lock's
-// stripe and no later than the next read of the ring. Readers of the ring
+// A Recorder has two kinds of consumer. Taps see each entry once, in one
+// call per batch, right after the ring took the batch: an entry recorded
+// write-through as a batch of its own, an entry a producer staged when
+// its batch is admitted, which is no later than the next message event
+// the producer stages for that lock's stripe and no later than the next
+// read of the ring. Readers of the ring
 // — Entries and what is built on it: causal paths, dumps — see
 // every request as OpAcquire, OpGranted, OpRelease, although a producer
 // may hand in a request granted the moment it was issued, and released
@@ -171,26 +172,27 @@ func (e Entry) String() string {
 // path can stage entries and hand them to Admit in batches, provided it
 // registers an OnRead hook that admits whatever it still holds — so every
 // reader of the ring sees every entry offered so far — and admits what it
-// holds for a lock before it records a message event for that lock, so
+// holds for a lock no later than a message event for that lock, so
 // what a node did with a lock reaches the taps before anything that lets
 // another node act on it. Capacity, Len, Dropped and Seq count entries as
 // the ring holds them: a grant that carries its acquire and its release
 // (Entry.Issued, Entry.Released) is one entry to the taps and three here.
 type Recorder struct {
-	// taps observe every entry recorded or admitted, in the order they
+	// taps observe every batch recorded or admitted, in the order they
 	// were installed — once the ring has taken the batch, regardless of
 	// capacity eviction — so an online checker (internal/audit) sees the
 	// complete event stream even while the debug ring churns. A tap runs on
 	// the recording or admitting goroutine, possibly inside a reader's
-	// OnRead hook, with no mutex of the recorder held; it must not block or
-	// run the OnRead hooks, and may read the ring only through Live.
-	taps atomic.Pointer[[]func(Entry)]
+	// OnRead hook, with no mutex of the recorder held; it must not block,
+	// run the OnRead hooks or keep the slice past the call (a producer
+	// reuses it), and may read the ring only through Live.
+	taps atomic.Pointer[[]func([]Entry)]
 
 	// onRead holds the producers' flush hooks (see OnRead). Both lists are
 	// copy-on-write: see push.
 	onRead atomic.Pointer[[]func()]
 
-	// The words above are read on every entry and written almost never;
+	// The words above are read on every batch and written almost never;
 	// the ring state below is written on every admission. Keep them on
 	// different cache lines so one core's tap calls do not miss each time
 	// another admits a batch.
@@ -202,26 +204,91 @@ type Recorder struct {
 
 	mu   sync.Mutex
 	live ring
-	seq  uint64
 }
 
-// ring is a bounded buffer of entries that overwrites, and counts, the
-// oldest once it is full.
+// ring is a bounded buffer of entries, packed into slots, that overwrites,
+// and counts, the oldest once it is full.
 type ring struct {
-	entries []Entry
+	slots   []slot
 	next    int
 	full    bool
 	dropped uint64
+	// seq is the Seq of the newest slot: Seq counts every entry the ring
+	// took, so each retained slot's follows from its position.
+	seq uint64
 }
 
-// retained copies the ring's entries out, oldest first.
-func (g *ring) retained() []Entry {
-	if !g.full {
-		return append([]Entry(nil), g.entries[:g.next]...)
+// slot is an Entry as the ring keeps it: what its readers get back. Seq
+// is implied by the slot's position, and Issued, Released and ReleaseSeq
+// are zero once admission has expanded them (see Recorder.admit). Fields
+// are ordered by size: 47 bytes, padded to 48 against the Entry's 88.
+type slot struct {
+	at        time.Duration
+	lock      proto.LockID
+	traceSeq  uint64
+	traceNode proto.NodeID
+	epoch     uint32
+	node      proto.NodeID
+	from, to  proto.NodeID
+	op        Op
+	mode      modes.Mode
+	kind      proto.Kind
+}
+
+// pack copies what the ring keeps of e into s.
+func (s *slot) pack(e *Entry) {
+	s.at, s.lock, s.traceSeq, s.traceNode = e.At, e.Lock, e.Trace.Seq, e.Trace.Node
+	s.epoch, s.node, s.from, s.to = e.Epoch, e.Node, e.From, e.To
+	s.op, s.mode, s.kind = e.Op, e.Mode, e.Kind
+}
+
+// entry unpacks s as the entry numbered seq.
+func (s *slot) entry(seq uint64) Entry {
+	return Entry{Seq: seq, At: s.at, Op: s.op, Node: s.node, Lock: s.lock, Mode: s.mode,
+		Kind: s.kind, From: s.from, To: s.to, Epoch: s.epoch,
+		Trace: proto.TraceID{Node: s.traceNode, Seq: s.traceSeq}}
+}
+
+// len returns the number of slots the ring retains.
+func (g *ring) len() int {
+	if g.full {
+		return len(g.slots)
 	}
-	out := make([]Entry, 0, len(g.entries))
-	out = append(out, g.entries[g.next:]...)
-	return append(out, g.entries[:g.next]...)
+	return g.next
+}
+
+// halves returns the retained slots, oldest first, as the two runs of the
+// backing array they occupy.
+func (g *ring) halves() [2][]slot {
+	if !g.full {
+		return [2][]slot{g.slots[:g.next]}
+	}
+	return [2][]slot{g.slots[g.next:], g.slots[:g.next]}
+}
+
+// frozenCopy returns a ring of the retained slots alone, oldest first,
+// numbered and counted as g numbers and counts them.
+func (g *ring) frozenCopy() *ring {
+	h := g.halves()
+	slots := append(append(make([]slot, 0, g.len()), h[0]...), h[1]...)
+	return &ring{slots: slots, next: len(slots), dropped: g.dropped, seq: g.seq}
+}
+
+// retained unpacks the ring's slots into entries, oldest first.
+func (g *ring) retained() []Entry {
+	n := g.len()
+	if n == 0 {
+		return nil
+	}
+	out := make([]Entry, 0, n)
+	seq := g.seq - uint64(n)
+	for _, half := range g.halves() {
+		for i := range half {
+			seq++
+			out = append(out, half[i].entry(seq))
+		}
+	}
+	return out
 }
 
 // push appends v to the copy-on-write list behind p: readers load the
@@ -243,7 +310,7 @@ func push[T any](p *atomic.Pointer[[]T], v T) {
 // SetTap installs fn as the recorder's only observer (nil removes every
 // tap). See the taps field for the delivery contract. No-op on a nil
 // recorder.
-func (r *Recorder) SetTap(fn func(Entry)) {
+func (r *Recorder) SetTap(fn func([]Entry)) {
 	if r == nil {
 		return
 	}
@@ -251,13 +318,13 @@ func (r *Recorder) SetTap(fn func(Entry)) {
 		r.taps.Store(nil)
 		return
 	}
-	r.taps.Store(&[]func(Entry){fn})
+	r.taps.Store(&[]func([]Entry){fn})
 }
 
 // AddTap installs fn behind the taps already installed, so several
 // consumers can observe the same stream. No-op on a nil recorder or nil
 // fn.
-func (r *Recorder) AddTap(fn func(Entry)) {
+func (r *Recorder) AddTap(fn func([]Entry)) {
 	if r == nil || fn == nil {
 		return
 	}
@@ -281,8 +348,7 @@ func (r *Recorder) SetEnabled(on bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.frozen.Load() == nil {
-		es := r.live.retained()
-		r.frozen.Store(&ring{entries: es, next: len(es), dropped: r.live.dropped})
+		r.frozen.Store(r.live.frozenCopy())
 	}
 }
 
@@ -297,19 +363,30 @@ func New(capacity int) *Recorder {
 	if capacity <= 0 {
 		capacity = 1024
 	}
-	return &Recorder{live: ring{entries: make([]Entry, capacity)}}
+	return &Recorder{live: ring{slots: make([]slot, capacity)}}
 }
 
 // Record appends an entry (nil recorders discard silently, so call sites
 // need no guards). The installed taps then observe the entry as offered,
-// its Seq unassigned.
+// its Seq unassigned, as a batch of one.
 func (r *Recorder) Record(e Entry) {
-	r.Admit([]Entry{e})
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	r.admit(&e)
+	r.mu.Unlock()
+	if taps := r.taps.Load(); taps != nil {
+		es := []Entry{e} // the one allocation, and only with a tap to see it
+		for _, fn := range *taps {
+			fn(es)
+		}
+	}
 }
 
 // Admit is Record for a batch a producer staged: the ring appends the
-// entries under one mutex round, then every tap sees each entry, in slice
-// order — so a tap that reads the ring (Live) finds the whole batch in it.
+// entries under one mutex round, then each tap sees the batch, in one
+// call — so a tap that reads the ring (Live) finds the whole batch in it.
 // The producer's own mutex, held across the call, is what keeps two
 // batches of one stripe in order. No-op on a nil recorder.
 func (r *Recorder) Admit(es []Entry) {
@@ -322,10 +399,8 @@ func (r *Recorder) Admit(es []Entry) {
 	}
 	r.mu.Unlock()
 	if taps := r.taps.Load(); taps != nil {
-		for i := range es {
-			for _, fn := range *taps {
-				fn(es[i])
-			}
+		for _, fn := range *taps {
+			fn(es)
 		}
 	}
 }
@@ -334,36 +409,36 @@ func (r *Recorder) Admit(es []Entry) {
 // front of a grant that carries its acquire (Entry.Issued) the OpAcquire
 // its producer did not record, behind one that carries its release
 // (Entry.Released) the OpRelease, each at the stamp and with the trace it
-// would have had. Each is one copy into its slot, patched there. Callers
+// would have had. Each is one pack into its slot, patched there. Callers
 // hold r.mu.
 func (r *Recorder) admit(e *Entry) {
 	if e.Issued != 0 {
 		s := r.put(e)
-		s.At, s.Op = e.Issued, OpAcquire
+		s.at, s.op = e.Issued, OpAcquire
 	}
 	r.put(e)
 	if e.Released != 0 {
 		s := r.put(e)
-		s.At, s.Op, s.Mode, s.Trace = e.Released, OpRelease, modes.None, proto.TraceID{Node: e.Node, Seq: e.ReleaseSeq}
+		s.at, s.op, s.mode = e.Released, OpRelease, modes.None
+		s.traceNode, s.traceSeq = e.Node, e.ReleaseSeq
 	}
 }
 
-// put copies e, without the stamps it carries, into the ring's next slot
-// under the next Seq. Callers hold r.mu.
-func (r *Recorder) put(e *Entry) *Entry {
+// put packs e into the ring's next slot, under the next Seq. Callers hold
+// r.mu.
+func (r *Recorder) put(e *Entry) *slot {
 	g := &r.live
 	if g.full {
 		g.dropped++
 	}
-	s := &g.entries[g.next]
+	s := &g.slots[g.next]
 	g.next++
-	if g.next == len(g.entries) {
+	if g.next == len(g.slots) {
 		g.next = 0
 		g.full = true
 	}
-	r.seq++
-	*s = *e
-	s.Seq, s.Issued, s.Released, s.ReleaseSeq = r.seq, 0, 0, 0
+	g.seq++
+	s.pack(e)
 	return s
 }
 
@@ -425,10 +500,7 @@ func (r *Recorder) Len() int {
 	}
 	g := r.shown()
 	defer r.mu.Unlock()
-	if g.full {
-		return len(g.entries)
-	}
-	return g.next
+	return g.len()
 }
 
 // Dropped returns how many entries were evicted from the ring (by the

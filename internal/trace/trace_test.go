@@ -1,6 +1,7 @@
 package trace_test
 
 import (
+	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -112,7 +113,7 @@ func TestOpString(t *testing.T) {
 func TestSetEnabled(t *testing.T) {
 	r := trace.New(2)
 	tapped := 0
-	r.SetTap(func(trace.Entry) { tapped++ })
+	r.SetTap(func(es []trace.Entry) { tapped += len(es) })
 	if !r.Enabled() {
 		t.Fatal("fresh recorder must be enabled")
 	}
@@ -193,7 +194,7 @@ func TestCheckFIFO(t *testing.T) {
 func TestStagedAdmission(t *testing.T) {
 	r := trace.New(8)
 	var tapped []trace.Entry
-	r.SetTap(func(e trace.Entry) { tapped = append(tapped, e) })
+	r.SetTap(func(es []trace.Entry) { tapped = append(tapped, es...) })
 
 	var staged []trace.Entry
 	flushes := 0
@@ -278,8 +279,8 @@ func TestEntriesUnsortedWithoutProducer(t *testing.T) {
 func TestTapsRunInInstallOrder(t *testing.T) {
 	r := trace.New(4)
 	var calls []string
-	tap := func(name string) func(trace.Entry) {
-		return func(trace.Entry) { calls = append(calls, name) }
+	tap := func(name string) func([]trace.Entry) {
+		return func([]trace.Entry) { calls = append(calls, name) }
 	}
 	r.AddTap(tap("dropped by SetTap"))
 	r.SetTap(tap("a"))
@@ -306,7 +307,7 @@ func TestTapsRunInInstallOrder(t *testing.T) {
 func TestGrantCarryingItsAcquire(t *testing.T) {
 	r := trace.New(4)
 	tapped := 0
-	r.SetTap(func(trace.Entry) { tapped++ })
+	r.SetTap(func(es []trace.Entry) { tapped += len(es) })
 	grant := trace.Entry{At: 20, Issued: 10, Op: trace.OpGranted, Node: 3, Lock: 7,
 		Mode: modes.W, Trace: proto.TraceID{Node: 3, Seq: 9}}
 	r.Record(grant)
@@ -347,7 +348,7 @@ func TestGrantCarryingItsAcquire(t *testing.T) {
 func TestGrantCarryingItsRelease(t *testing.T) {
 	r := trace.New(4)
 	var tapped []trace.Entry
-	r.SetTap(func(e trace.Entry) { tapped = append(tapped, e) })
+	r.SetTap(func(es []trace.Entry) { tapped = append(tapped, es...) })
 	op := trace.Entry{At: 20, Issued: 10, Released: 30, ReleaseSeq: 11, Op: trace.OpGranted,
 		Node: 3, Lock: 7, Mode: modes.W, Trace: proto.TraceID{Node: 3, Seq: 9}}
 	r.Admit([]trace.Entry{op, {At: 40, Released: 50, ReleaseSeq: 13, Op: trace.OpGranted, Node: 3, Lock: 7, Mode: modes.R}})
@@ -373,5 +374,98 @@ func TestGrantCarryingItsRelease(t *testing.T) {
 	r.Record(op)
 	if len(tapped) != 3 || r.Dropped() != 1 {
 		t.Fatalf("paused: taps saw %d entries, Dropped() = %d; want 3 and 1", len(tapped), r.Dropped())
+	}
+}
+
+// TestSlotRoundTrip: what the ring packs of an entry is everything its
+// readers get back, for every op, at the fields' extremes: the node
+// events' counts and durations (Epoch, Trace.Seq), NoNode in each node
+// field, a zero Kind and a message's. A pause's frozen copy reads the same.
+func TestSlotRoundTrip(t *testing.T) {
+	var in []trace.Entry
+	for op := trace.OpSend; op <= trace.OpLockLost; op++ {
+		in = append(in,
+			trace.Entry{At: time.Duration(op) * time.Hour, Op: op, Node: proto.NoNode, Lock: math.MaxUint64,
+				Mode: modes.W, Kind: proto.KindToken, From: proto.NoNode, To: proto.NoNode,
+				Epoch: math.MaxUint32, Trace: proto.TraceID{Node: proto.NoNode, Seq: math.MaxUint64}},
+			trace.Entry{At: math.MaxInt64, Op: op, Node: math.MaxInt32, Lock: 1, Mode: modes.IR,
+				From: math.MinInt32, To: 7, Epoch: 12, Trace: proto.TraceID{Seq: uint64(40 * time.Millisecond)}},
+		)
+	}
+	r := trace.New(len(in))
+	for _, e := range in {
+		r.Record(e)
+	}
+	for i := range in {
+		in[i].Seq = uint64(i + 1)
+	}
+	if got := r.Entries(); !slices.Equal(got, in) {
+		t.Fatalf("ring reads\n%v\nwant\n%v", got, in)
+	}
+	r.SetEnabled(false)
+	if got := r.Entries(); !slices.Equal(got, in) {
+		t.Fatalf("paused, the ring reads\n%v\nwant\n%v", got, in)
+	}
+}
+
+// TestSeqAcrossWrapAndPause: Seq, which the ring derives from each slot's
+// position, and Dropped stay exact across a wrap, a pause taken mid-wrap
+// (the frozen copy numbers its slots as the ring did) and a resume.
+func TestSeqAcrossWrapAndPause(t *testing.T) {
+	r := trace.New(4)
+	recorded := 0
+	record := func(n int) {
+		for ; n > 0; n-- {
+			recorded++
+			r.Record(trace.Entry{Op: trace.OpSend, Node: proto.NodeID(recorded)})
+		}
+	}
+	// check: es holds n entries numbered first.., each recorded as its Seq.
+	check := func(what string, es []trace.Entry, first uint64, n int) {
+		t.Helper()
+		if len(es) != n {
+			t.Fatalf("%s: %d entries, want %d: %v", what, len(es), n, es)
+		}
+		for i, e := range es {
+			if e.Seq != first+uint64(i) || uint64(e.Node) != e.Seq {
+				t.Fatalf("%s: entry %d is %v, want Seq %d recorded as such", what, i, e, first+uint64(i))
+			}
+		}
+	}
+
+	record(3)
+	check("before the wrap", r.Entries(), 1, 3)
+	record(3) // wraps: the next slot is the third of four
+	check("wrapped", r.Entries(), 3, 4)
+	if d := r.Dropped(); d != 2 {
+		t.Fatalf("wrapped: Dropped() = %d, want 2", d)
+	}
+
+	r.SetEnabled(false)
+	record(3)
+	check("paused", r.Entries(), 3, 4)
+	check("paused, live", r.Live(), 6, 4)
+	if n, d := r.Len(), r.Dropped(); n != 4 || d != 2 {
+		t.Fatalf("paused: Len() = %d, Dropped() = %d; want 4 and 2", n, d)
+	}
+
+	r.SetEnabled(true)
+	check("resumed", r.Entries(), 6, 4)
+	if d := r.Dropped(); d != 5 {
+		t.Fatalf("resumed: Dropped() = %d, want 5", d)
+	}
+	record(1)
+	check("after the resume", r.Entries(), 7, 4)
+	if d := r.Dropped(); d != 6 {
+		t.Fatalf("after the resume: Dropped() = %d, want 6", d)
+	}
+
+	// A pause of a ring that never wrapped freezes its entries as numbered.
+	r2 := trace.New(4)
+	r2.Record(trace.Entry{Op: trace.OpSend, Node: 1})
+	r2.SetEnabled(false)
+	r2.Record(trace.Entry{Op: trace.OpSend, Node: 2})
+	if es := r2.Entries(); len(es) != 1 || es[0].Seq != 1 || r2.Dropped() != 0 {
+		t.Fatalf("paused before any wrap: %v, Dropped() = %d; want the one entry, Seq 1, and 0", es, r2.Dropped())
 	}
 }

@@ -225,17 +225,17 @@ func (m *Member) flush() {
 }
 
 // stageEntries is how many trace entries a stripe holds back before it
-// admits them in one round of the ring's and each tap's mutex. A
-// Lock/Unlock pair on a resident token is one entry.
+// admits them in one round of the ring's mutex and one call of each tap.
+// A Lock/Unlock pair on a resident token is one entry.
 const stageEntries = 16
 
-// note stages a client-operation trace entry. The ring and its taps (the
-// auditor) get it with the stripe's next batch: when the buffer is full,
-// before the next message event on this stripe — so whatever lets another
-// node act on a lock finds what this one did with it already handed in —
-// on Close, and whenever the ring (an incident copies it) or the
-// registry is read (flush, pull). Callers hold sh.mu and have checked that
-// the member has a recorder.
+// note stages a trace entry. The ring and its taps (the auditor) get it
+// with the stripe's next batch: when the buffer is full, with the next
+// message event on this stripe, which goes in last (record) — so whatever
+// lets another node act on a lock finds what this one did with it already
+// handed in — on Close, and whenever the ring (an incident copies it) or
+// the registry is read (flush, pull). Callers hold sh.mu and have checked
+// that the member has a recorder.
 func (sh *lockShard) note(e *trace.Entry) {
 	if sh.staged == nil {
 		sh.staged = make([]trace.Entry, 0, stageEntries)
@@ -261,14 +261,15 @@ func (sh *lockShard) noteRelease(at time.Duration, lock proto.LockID, tr proto.T
 	sh.note(&trace.Entry{At: at, Op: trace.OpRelease, Node: tr.Node, Lock: lock, Trace: tr})
 }
 
-// record writes a message event through to the taps and the ring, behind
-// everything staged on the stripe: what a node did with a lock before it
-// sent the token precedes the send, and so the peer's delivery and
-// whatever the peer does next, in a ring or an auditor several members
-// share. Callers hold sh.mu.
-func (sh *lockShard) record(rec *trace.Recorder, e trace.Entry) {
+// record hands a message event or a node event to the ring and its taps
+// at once, as the last entry of the stripe's batch: what a node did with
+// a lock before it sent the token precedes the send, and so the peer's
+// delivery and whatever the peer does next, in a ring or an auditor
+// several members share. Callers hold sh.mu and have checked that the
+// member has a recorder.
+func (sh *lockShard) record(e trace.Entry) {
+	sh.note(&e)
 	sh.admit()
-	rec.Record(e)
 }
 
 // admit hands the staged entries to the member's recorder, the one they
@@ -452,9 +453,10 @@ type Telemetry struct {
 	// (hierlock_op_latency_seconds); removed when the benchmark harness
 	// stops setting it.
 	NetLatencyBase time.Duration
-	// Logger receives structured protocol logs (grants at Debug, internal
-	// protocol errors at Error), each correlated by trace ID. Nil
-	// disables logging.
+	// Logger receives structured protocol logs: peer state, recovery and
+	// membership at Info and Warn, internal protocol errors at Error, the
+	// latter correlated by trace ID. Grants are not logged: each is an
+	// OpGranted entry in Trace. Nil disables logging.
 	Logger *slog.Logger
 	// Blackbox attaches the incident recorder: the member points it at
 	// Trace, its lock inventory and its health sample, and triggers an
@@ -1121,8 +1123,10 @@ func (m *Member) recoveryReseed(lock proto.LockID, root proto.NodeID, epoch uint
 		tel.recLost.Inc()
 		// An incident pulls nothing: behind this lock's history, the lost
 		// grant included.
-		sh.record(tel.rec, trace.Entry{At: sinceEpoch(), Op: trace.OpLockLost,
-			Node: m.id, Lock: lock, Epoch: epoch, Mode: accounted})
+		if tel.rec != nil {
+			sh.record(trace.Entry{At: sinceEpoch(), Op: trace.OpLockLost,
+				Node: m.id, Lock: lock, Epoch: epoch, Mode: accounted})
+		}
 		if _, err := tel.bb.TriggerDump(introspect.ReasonLockLost); err != nil && tel.log != nil {
 			tel.log.Warn("incident failed", "err", err)
 		}
@@ -1633,8 +1637,8 @@ func (m *Member) sweepLocked(sh *lockShard) int {
 		delete(sh.locks, id)
 		n++
 	}
-	if n > 0 {
-		sh.record(m.tel.Load().rec, trace.Entry{At: sinceEpoch(), Op: trace.OpEvict, Node: m.id, Epoch: uint32(n)})
+	if n > 0 && m.tel.Load().rec != nil {
+		sh.record(trace.Entry{At: sinceEpoch(), Op: trace.OpEvict, Node: m.id, Epoch: uint32(n)})
 	}
 	return n
 }
@@ -1723,10 +1727,6 @@ func (m *Member) LockWithPriority(ctx context.Context, resource string, mode Mod
 		sh.cnt.joins++
 		sh.cnt.stageGrant(metrics.OpLock, metrics.OutcomeLocal, 0, 0)
 		sh.mu.Unlock()
-		if lg := tel.log; lg != nil && lg.Enabled(ctx, slog.LevelDebug) {
-			lg.Debug("lock granted", "trace", tr.String(), "resource", resource,
-				"mode", mode.String(), "shared_join", true)
-		}
 		return &Lock{sh: sh, ls: ls, resource: resource, mode: mode, fence: fence}, nil
 	}
 
@@ -2095,7 +2095,7 @@ func (m *Member) handle(msg *proto.Message) {
 	}
 	sh, ls := m.state(msg.Lock, "")
 	if rec != nil {
-		sh.record(rec, m.delivery(msg))
+		sh.record(m.delivery(msg))
 	}
 	if msg.Kind == proto.KindToken {
 		if w := ls.waiter; w != nil {
@@ -2186,8 +2186,8 @@ func (m *Member) dispatch(sh *lockShard, ls *lockState, out hlock.Out) {
 	for i := range out.Msgs {
 		msg := &out.Msgs[i]
 		m.countMessage(msg.Kind)
-		if rec := tel.rec; rec != nil {
-			sh.record(rec, trace.Entry{At: sinceEpoch(), Op: trace.OpSend,
+		if tel.rec != nil {
+			sh.record(trace.Entry{At: sinceEpoch(), Op: trace.OpSend,
 				Node: m.id, Lock: msg.Lock, Mode: msg.Mode,
 				Kind: msg.Kind, From: msg.From, To: msg.To, Epoch: msg.Epoch,
 				Trace: proto.MsgTrace(msg)})
@@ -2257,10 +2257,6 @@ func (m *Member) dispatch(sh *lockShard, ls *lockState, out hlock.Out) {
 					sh.note(&trace.Entry{At: w.granted, Op: trace.OpGranted,
 						Node: m.id, Lock: ls.id, Mode: ev.Mode, Trace: ev.Trace,
 						Issued: issued})
-				}
-				if lg := tel.log; lg != nil && lg.Enabled(context.Background(), slog.LevelDebug) {
-					lg.Debug("lock granted", "trace", ev.Trace.String(),
-						"lock", uint64(ls.id), "mode", ev.Mode.String())
 				}
 				w.fence = m.mintFence(sh, ls)
 				if w.parked {

@@ -19,11 +19,9 @@ import (
 	"context"
 	"runtime"
 	"testing"
-	"unsafe"
 
 	"hierlock"
 	"hierlock/internal/metrics"
-	"hierlock/internal/trace"
 )
 
 func TestMemberLockUnlockAllocsBare(t *testing.T) {
@@ -161,14 +159,16 @@ func TestMemberLockUnlockAllocsWithDefaultWiring(t *testing.T) {
 
 // TestLockdWiringStandingHeap: what a node's telemetry keeps standing,
 // wired as cmd/lockd wires it, is its trace ring and little else — the
-// incident recorder holds no ring beside it. A byte count, so the
+// incident recorder holds no ring beside it, and the ring keeps each entry
+// in a 48-byte slot, not an 88-byte trace.Entry. A byte count, so the
 // machine's speed does not move it.
 func TestLockdWiringStandingHeap(t *testing.T) {
 	const ring = 4096
-	// margin covers the registry's series, the auditor's stripes and the
-	// member's collectors; the ring the recorder used to keep was
-	// 4096 × 80 B = 320 KiB.
-	const margin = 128 << 10
+	// slot is what the ring keeps per entry (internal/trace's
+	// TestSlotSize pins it); margin covers the registry's series, the
+	// auditor's stripes and the member's collectors. A ring of Entries
+	// would be 4096 × 88 B = 352 KiB, 160 KiB over this budget.
+	const slot, margin = 48, 64 << 10
 	c, err := hierlock.NewCluster(1)
 	if err != nil {
 		t.Fatal(err)
@@ -186,8 +186,8 @@ func TestLockdWiringStandingHeap(t *testing.T) {
 	runtime.KeepAlive(aud)
 	runtime.KeepAlive(bb)
 	delta := int64(after.HeapAlloc) - int64(before.HeapAlloc)
-	budget := int64(ring*unsafe.Sizeof(trace.Entry{})) + margin
-	t.Logf("standing telemetry heap %d B (ring %d B, budget %d B)", delta, ring*unsafe.Sizeof(trace.Entry{}), budget)
+	budget := int64(ring*slot + margin)
+	t.Logf("standing telemetry heap %d B (ring %d B, budget %d B)", delta, ring*slot, budget)
 	if delta > budget {
 		t.Fatalf("attaching lockd's wiring keeps %d B standing, budget %d B: a %d-entry ring and %d B of the rest", delta, budget, ring, margin)
 	}

@@ -51,7 +51,8 @@ hierlock 3x $(echo Fig{5MessageOverhead,6LatencyFactor}/our-protocol/nodes-120 F
 hierlock 40x $(echo Fig{5MessageOverhead,6LatencyFactor}/naimi-{same-work,pure}/nodes-{10,40,120})
 hierlock 300ms LiveClusterThroughput MemberMultiLockContended MemberJournaledGrant MemberDefaultTelemetry MemberRemoteTelemetry
 hierlock/internal/hlock 1s LocalAcquireRelease RequestGrantRoundTrip QueueChurn Fingerprint
-hierlock/internal/proto 300ms AppendLinkData ReadLinkFrame LinkRoundTrip EncodeMessage DecodeMessage"
+hierlock/internal/proto 300ms AppendLinkData ReadLinkFrame LinkRoundTrip EncodeMessage DecodeMessage
+hierlock/internal/trace 300ms AdmitResidentBatch"
 
 w=${1:?usage: scripts/pairs.sh WORKLOAD|micro [N] [BASE]}
 n=${2:-10}

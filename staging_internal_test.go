@@ -123,15 +123,17 @@ type tapCount struct {
 	entries, stand int
 }
 
-func (c *tapCount) tap(e trace.Entry) {
+func (c *tapCount) tap(es []trace.Entry) {
 	c.mu.Lock()
-	c.entries++
-	c.stand++
-	if e.Issued != 0 {
+	for _, e := range es {
+		c.entries++
 		c.stand++
-	}
-	if e.Released != 0 {
-		c.stand++
+		if e.Issued != 0 {
+			c.stand++
+		}
+		if e.Released != 0 {
+			c.stand++
+		}
 	}
 	c.mu.Unlock()
 }
@@ -565,9 +567,9 @@ func TestAcquireFoldedOnlyWhenGrantedAtOnce(t *testing.T) {
 	rec := trace.New(1024)
 	var tapMu sync.Mutex
 	var tapped []trace.Entry
-	rec.SetTap(func(e trace.Entry) {
+	rec.SetTap(func(es []trace.Entry) {
 		tapMu.Lock()
-		tapped = append(tapped, e)
+		tapped = append(tapped, es...)
 		tapMu.Unlock()
 	})
 	m0.SetTelemetry(Telemetry{Trace: rec})
@@ -794,12 +796,14 @@ func TestReleaseFoldsOnlyIntoLastStagedGrant(t *testing.T) {
 			e := &env{t: t, m0: c.Member(0), m1: c.Member(1), rec: trace.New(64), res: resA, mode: row.mode, after: func() {}}
 			var mu sync.Mutex
 			var tapped []trace.Entry
-			e.rec.SetTap(func(en trace.Entry) {
-				if en.Lock == lockIDFor(resA) && en.Kind == 0 {
-					mu.Lock()
-					tapped = append(tapped, en)
-					mu.Unlock()
+			e.rec.SetTap(func(es []trace.Entry) {
+				mu.Lock()
+				for _, en := range es {
+					if en.Lock == lockIDFor(resA) && en.Kind == 0 {
+						tapped = append(tapped, en)
+					}
 				}
+				mu.Unlock()
 			})
 			e.m0.SetTelemetry(Telemetry{Trace: e.rec})
 
