@@ -17,7 +17,10 @@ vet:
 # harness building fails here and not in the benchmark run — plus a gofmt
 # drift check (fails listing any unformatted file), and the scripts: a
 # syntax check of each, then the pairs summary's verdicts on canned runs,
-# so a broken gate fails here and not at the end of ci.
+# so a broken gate fails here and not at the end of ci. Last, every
+# |-separated alternative of every -run pattern below must name a test
+# (`go test -run` passes after running nothing, so a deleted or renamed
+# test would drop out of its target unnoticed).
 lint: vet
 	$(GO) vet -C bench ./...
 	@unformatted=$$($(GOFMT) -l .); \
@@ -26,6 +29,7 @@ lint: vet
 	fi
 	for f in scripts/*.sh; do bash -n $$f || exit 1; done
 	bash scripts/pairs_test.sh
+	GO=$(GO) bash scripts/runpatterns.sh Makefile
 
 # Full test suite under the race detector (includes the transport
 # failure-path tests and the simulator chaos tests).

@@ -74,8 +74,8 @@ type TCPMemberConfig struct {
 	// AdvertiseAddr is the address other members should dial to reach
 	// this one, carried in JOIN announcements (default: the listener's
 	// actual address, which is wrong behind NAT or with a ":0" listener
-	// on a multi-homed host — set it explicitly there). Only meaningful
-	// with HeartbeatInterval (runtime membership rides recovery).
+	// on a multi-homed host — set it explicitly there). Requires
+	// HeartbeatInterval (runtime membership rides recovery).
 	AdvertiseAddr string
 	// Peers maps every other member ID to its listen address. A member
 	// that will Join a running cluster starts with an empty map and
@@ -104,7 +104,8 @@ type TCPMemberConfig struct {
 	// dead (default 8× HeartbeatInterval). It must comfortably exceed the
 	// worst expected stall of a healthy peer — GC pause, scheduling hiccup,
 	// transient partition: a false confirmation fences a live node out of
-	// the new epoch and its holds surface as ErrLockLost.
+	// the new epoch and its holds surface as ErrLockLost. Requires
+	// HeartbeatInterval.
 	ConfirmAfter time.Duration
 	// RecoveryTimeout, when set, bounds every blocking Lock/Upgrade call,
 	// with or without HeartbeatInterval: an operation with no grant within
@@ -164,6 +165,16 @@ func ParseFsyncPolicy(s string) (FsyncPolicy, error) {
 func NewTCPMember(cfg TCPMemberConfig) (*Member, error) {
 	if cfg.ID < 0 {
 		return nil, fmt.Errorf("hierlock: invalid member id %d", cfg.ID)
+	}
+	if cfg.HeartbeatInterval <= 0 {
+		// Both ride the failure detector: without it they would be
+		// silently ignored.
+		if cfg.ConfirmAfter != 0 {
+			return nil, fmt.Errorf("hierlock: ConfirmAfter requires HeartbeatInterval")
+		}
+		if cfg.AdvertiseAddr != "" {
+			return nil, fmt.Errorf("hierlock: AdvertiseAddr requires HeartbeatInterval")
+		}
 	}
 	peers := make(map[proto.NodeID]string, len(cfg.Peers))
 	for id, addr := range cfg.Peers {

@@ -6,7 +6,6 @@
 //
 // Query commands:
 //
-//	lockctl -addr host:8400 stats
 //	lockctl -addr host:8400 held
 //
 // Interactive (raw protocol pass-through):
@@ -144,7 +143,7 @@ func main() {
 
 	args := flag.Args()
 	if len(args) == 0 {
-		fatalf("usage: lockctl [-addr A] lock <resource> <mode> [-hold D] | unlock <resource> | upgrade <resource> | held | stats | member list|add <seed-addr>|remove | trace|locks|top|sessions|incidents|watch [-debug A]")
+		fatalf("usage: lockctl [-addr A] lock <resource> <mode> [-hold D] | unlock <resource> | upgrade <resource> | held | member list|add <seed-addr>|remove | trace|locks|top|sessions|incidents|watch [-debug A]")
 	}
 	switch strings.ToLower(args[0]) {
 	case "lock":
@@ -161,7 +160,7 @@ func main() {
 			time.Sleep(*hold)
 			fmt.Println(send("UNLOCK " + args[1]))
 		}
-	case "unlock", "upgrade", "held", "stats":
+	case "unlock", "upgrade", "held":
 		line := strings.ToUpper(args[0])
 		if len(args) > 1 {
 			line += " " + strings.Join(args[1:], " ")

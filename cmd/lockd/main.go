@@ -53,7 +53,7 @@ func main() {
 
 		leaseTTL   = flag.Duration("lease-ttl", 30*time.Second, "default session lease TTL; an expired lease force-releases the session's locks")
 		maxWaiters = flag.Int("max-waiters", 0, "cap on exclusive-mode clients waiting per (resource, mode); beyond it LOCK answers ERR busy (0 = unbounded)")
-		debug      = flag.String("debug", "", "debug HTTP listen address for /healthz, /stats, /metrics, /debug/health, /debug/trace, /debug/audit, /debug/locks, /debug/incidents and /debug/pprof (disabled if empty)")
+		debug      = flag.String("debug", "", "debug HTTP listen address for /healthz, /metrics, /debug/health, /debug/trace, /debug/audit, /debug/locks, /debug/incidents and /debug/pprof (disabled if empty)")
 
 		traceBuf = flag.Int("trace-buf", 4096, "protocol trace ring size in entries (0 disables tracing)")
 		auditOn  = flag.Bool("audit", true, "run the online protocol invariant auditor (requires -trace-buf > 0)")
@@ -211,7 +211,7 @@ func main() {
 		if err != nil {
 			fatal("debug listen failed", "addr", *debug, "err", err)
 		}
-		logger.Info("debug endpoints up", "url", "http://"+dln.Addr().String()+"/stats")
+		logger.Info("debug endpoints up", "url", "http://"+dln.Addr().String()+"/healthz")
 		debugSrv = &http.Server{Handler: srv.DebugHandler()}
 		go func() {
 			if err := debugSrv.Serve(dln); err != nil && err != http.ErrServerClosed {

@@ -12,7 +12,8 @@
 //
 // The package simulates the protocol, not the service around it: engines
 // on a seeded event heap, a fault plan, the oracle, and the shared
-// recovery.Manager driven under seeded faults (membership.go). Leases,
+// recovery.Manager driven under seeded faults (membership.go) for the
+// hierarchical engine, the one the live runtime ships. Leases,
 // sessions and the Prometheus registry exist only in the live runtime and
 // are tested there. What the simulator does offer the shipping analysers
 // is its state in their input shapes: the trace ring (auditor, spans,
@@ -96,11 +97,12 @@ type Config struct {
 	// counted in Network.FaultStats and recorded in the trace.
 	Faults *sim.FaultPlan
 	// Recovery, when non-nil, enables crash recovery (internal/recovery)
-	// on the token-based protocols that support it (Hierarchical, Naimi):
-	// confirmed node deaths trigger epoch-stamped token-regeneration
-	// rounds instead of wedging the crashed node's locks forever. The
-	// failure detector is modelled from fault-plan ground truth, so this
-	// requires Faults with crash windows to have any effect.
+	// on the Hierarchical protocol, the one engine the live runtime ships
+	// (the baselines ignore it): confirmed node deaths trigger
+	// epoch-stamped token-regeneration rounds instead of wedging the
+	// crashed node's locks forever. The failure detector is modelled from
+	// fault-plan ground truth, so this requires Faults with crash windows
+	// to have any effect.
 	Recovery *RecoveryOptions
 }
 
@@ -170,7 +172,7 @@ func New(cfg Config) *Cluster {
 		oracle: make(map[proto.LockID]map[proto.NodeID]modes.Mode, len(cfg.Locks)),
 		died:   make(map[proto.NodeID]bool),
 	}
-	if cfg.Recovery != nil && (cfg.Protocol == Hierarchical || cfg.Protocol == Naimi) {
+	if cfg.Recovery != nil && cfg.Protocol == Hierarchical {
 		r := *cfg.Recovery
 		if r.ConfirmAfter <= 0 {
 			r.ConfirmAfter = 2 * time.Second
@@ -432,9 +434,6 @@ func (c *Cluster) CheckTokens() error {
 			if e := n.hier[lock]; e != nil {
 				up(e.Epoch())
 			}
-			if e := n.NaimiEngine(lock); e != nil {
-				up(e.Epoch())
-			}
 		}
 		// Pass 2: count token holders among live nodes at that epoch.
 		var holders []proto.NodeID
@@ -453,11 +452,7 @@ func (c *Cluster) CheckTokens() error {
 				}
 				continue
 			}
-			// Only Naimi has epochs among the baselines; the others never
-			// run recovery, so maxEpoch is 0 for them.
-			if e := n.NaimiEngine(lock); e != nil && e.Epoch() != maxEpoch {
-				continue
-			}
+			// The baselines never run recovery, so maxEpoch is 0 for them.
 			if e, ok := n.excl[lock].(interface{ HasToken() bool }); ok && e.HasToken() {
 				holders = append(holders, n.ID)
 			}
@@ -547,7 +542,7 @@ type Node struct {
 	excl map[proto.LockID]exclEngine
 
 	// mgr runs the crash-recovery protocol for this node (nil unless
-	// Config.Recovery enabled it on a supporting protocol).
+	// Config.Recovery enabled it on the Hierarchical protocol).
 	mgr      *recovery.Manager
 	cfgLocks []proto.LockID
 	nnodes   int
@@ -578,8 +573,8 @@ type waiting struct {
 
 // exclEngine is what the node loop needs of an exclusive-only baseline
 // engine (Naimi, Raymond, Suzuki–Kasami, Ricart–Agrawala). What only
-// some of them have — a token, Naimi's recovery hooks — is reached by
-// type assertion where it is needed.
+// some of them have — a token — is reached by type assertion where it
+// is needed.
 type exclEngine interface {
 	Acquire() (proto.ExclOut, error)
 	Release() (proto.ExclOut, error)
@@ -699,11 +694,6 @@ func (n *Node) maxEpoch() uint32 {
 	for _, e := range n.hier {
 		up(e.Epoch())
 	}
-	for _, e := range n.excl {
-		if ne, ok := e.(*naimi.Engine); ok {
-			up(ne.Epoch())
-		}
-	}
 	return max
 }
 
@@ -731,8 +721,8 @@ func (n *Node) wipe() {
 // regeneration round: the configured set plus anything it tracks live
 // engine state for (workload-generated IDs).
 func (n *Node) recoveryLocks() []proto.LockID {
-	seen := make(map[proto.LockID]bool, len(n.cfgLocks)+len(n.hier)+len(n.excl))
-	locks := make([]proto.LockID, 0, len(n.cfgLocks)+len(n.hier)+len(n.excl))
+	seen := make(map[proto.LockID]bool, len(n.cfgLocks)+len(n.hier))
+	locks := make([]proto.LockID, 0, len(n.cfgLocks)+len(n.hier))
 	add := func(l proto.LockID) {
 		if !seen[l] {
 			seen[l] = true
@@ -745,39 +735,20 @@ func (n *Node) recoveryLocks() []proto.LockID {
 	for l := range n.hier {
 		add(l)
 	}
-	for l := range n.excl {
-		add(l)
-	}
 	return locks
 }
 
 // recoveryState captures the accountable engine state for a recovery
 // claim (recovery.Config.State).
 func (n *Node) recoveryState(lock proto.LockID) recovery.State {
-	if n.hier != nil {
-		e := n.hierEngine(lock)
-		return recovery.State{Epoch: e.Epoch(), Held: e.Held(), Token: e.IsToken()}
-	}
-	if e := n.NaimiEngine(lock); e != nil {
-		st := recovery.State{Epoch: e.Epoch(), Token: e.HasToken()}
-		if e.Held() {
-			st.Held = modes.W
-		}
-		return st
-	}
-	return recovery.State{}
+	e := n.hierEngine(lock)
+	return recovery.State{Epoch: e.Epoch(), Held: e.Held(), Token: e.IsToken()}
 }
 
 // recoveryPrepare fences the lock's engine for a regeneration round
 // (recovery.Config.PrepareReseed).
 func (n *Node) recoveryPrepare(lock proto.LockID, epoch uint32) {
-	if n.hier != nil {
-		n.hierEngine(lock).PrepareReseed(epoch)
-		return
-	}
-	if e := n.NaimiEngine(lock); e != nil {
-		e.PrepareReseed(epoch)
-	}
+	n.hierEngine(lock).PrepareReseed(epoch)
 }
 
 // recoveryReseed installs a completed round's outcome into the lock's
@@ -788,23 +759,11 @@ func (n *Node) recoveryReseed(lock proto.LockID, root proto.NodeID, epoch uint32
 	// watchdog never judges a superseded round as wedged (the member's
 	// recoveryReseed does the same).
 	delete(n.roundStart, lock)
-	if n.hier != nil {
-		out, lost := n.hierEngine(lock).Reseed(root, epoch, accounted, copyset)
-		if lost {
-			n.c.lockLost(lock, n.ID)
-		}
-		n.dispatchHier(lock, out, nil)
-		return
-	}
-	e := n.NaimiEngine(lock)
-	if e == nil {
-		return
-	}
-	out, lost := e.Reseed(root, epoch, accounted != modes.None)
+	out, lost := n.hierEngine(lock).Reseed(root, epoch, accounted, copyset)
 	if lost {
 		n.c.lockLost(lock, n.ID)
 	}
-	n.dispatchExcl(lock, out, nil)
+	n.dispatchHier(lock, out, nil)
 }
 
 // RecoveryManager exposes the node's crash-recovery manager (nil when
@@ -988,9 +947,8 @@ func (n *Node) HierEngine(lock proto.LockID) *hlock.Engine {
 	return n.hierEngine(lock)
 }
 
-// NaimiEngine exposes the Naimi–Trehel engine for a lock; nil on any
-// other protocol's cluster. The recovery wiring reaches Naimi's epoch
-// and reseed hooks through it.
+// NaimiEngine exposes the Naimi–Trehel engine for a lock (tests and
+// structural checks); nil on any other protocol's cluster.
 func (n *Node) NaimiEngine(lock proto.LockID) *naimi.Engine {
 	e, _ := n.excl[lock].(*naimi.Engine)
 	return e
@@ -1009,12 +967,6 @@ func (n *Node) handle(msg *proto.Message) {
 			n.c.fail(fmt.Errorf("node %d lock %d: %w", n.ID, msg.Lock, err))
 			return
 		}
-		if out.Stale && n.mgr != nil {
-			// The engine fenced the frame out as pre-recovery traffic: the
-			// sender may be a restarted node that missed the round. Answer
-			// with the completed-round outcome so it catches up.
-			n.mgr.Hint(msg.Lock, msg.From)
-		}
 		n.dispatchExcl(msg.Lock, out, nil)
 		return
 	}
@@ -1028,6 +980,9 @@ func (n *Node) handle(msg *proto.Message) {
 		return
 	}
 	if out.Stale && n.mgr != nil {
+		// The engine fenced the frame out as pre-recovery traffic: the
+		// sender may be a restarted node that missed the round. Answer
+		// with the completed-round outcome so it catches up.
 		n.mgr.Hint(msg.Lock, msg.From)
 	}
 	n.dispatchHier(msg.Lock, out, nil)

@@ -28,7 +28,7 @@ import (
 // recomputed over the grown membership. No token moves: a join is a
 // recovery round with zero lost tokens.
 //
-// Only the protocols that support recovery (Hierarchical, Naimi) accept
+// Only the Hierarchical protocol, the one that runs recovery, accepts
 // runtime membership changes, and the cluster must have been built with
 // Config.Recovery.
 func (c *Cluster) Join() (*Node, error) {

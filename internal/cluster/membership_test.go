@@ -96,7 +96,7 @@ func TestJoinDuringRecoveryRound(t *testing.T) {
 // hot tokens (but no client locks): its nominated tokens regenerate
 // among the survivors, who keep serving the locks afterwards.
 func TestLeaveHandsOffTokens(t *testing.T) {
-	for _, p := range []cluster.Protocol{cluster.Hierarchical, cluster.Naimi} {
+	for _, p := range []cluster.Protocol{cluster.Hierarchical} {
 		p := p
 		t.Run(p.String(), func(t *testing.T) {
 			locks := []proto.LockID{1, 2}

@@ -9,7 +9,6 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
-	"time"
 
 	"hierlock/internal/introspect"
 	"hierlock/internal/proto"
@@ -29,7 +28,6 @@ import (
 //	                   structured reasons (code, severity, detail) and the
 //	                   per-state transition counts (503 when no watchdog is
 //	                   attached)
-//	GET /stats        → JSON: acquisitions, latencies, message counts by kind
 //	GET /metrics      → Prometheus text exposition of the attached Registry
 //	                   (503 when no registry is attached)
 //	GET /debug/trace  → JSON dump of the attached trace Recorder; ?n=K limits
@@ -100,76 +98,6 @@ func (s *Server) DebugHandler() http.Handler {
 			Reasons:     h.Reasons,
 			Transitions: transitions,
 		})
-	})
-	mux.HandleFunc("/stats", func(w http.ResponseWriter, r *http.Request) {
-		st := s.member.Stats()
-		type peerHealth struct {
-			State          string `json:"state"`
-			QueueLen       uint64 `json:"queue_len"`
-			QueueHighWater uint64 `json:"queue_high_water"`
-			QueueFullDrops uint64 `json:"queue_full_drops"`
-		}
-		type linkCounters struct {
-			Redials        uint64 `json:"redials"`
-			Retransmits    uint64 `json:"retransmits"`
-			DupsSuppressed uint64 `json:"dups_suppressed"`
-		}
-		type journalStats struct {
-			Records     uint64  `json:"records"`
-			WALBytes    int64   `json:"wal_bytes"`
-			Fsyncs      uint64  `json:"fsyncs"`
-			MeanFsyncMS float64 `json:"mean_fsync_ms"`
-			Snapshots   uint64  `json:"snapshots"`
-			Locks       int     `json:"locks"`
-		}
-		type stats struct {
-			MemberID     int                `json:"member_id"`
-			Acquires     uint64             `json:"acquires"`
-			SharedJoins  uint64             `json:"shared_joins"`
-			MessagesSent map[string]uint64  `json:"messages_sent"`
-			PeerHealth   map[int]peerHealth `json:"peer_health"`
-			Link         linkCounters       `json:"link"`
-			Journal      *journalStats      `json:"journal,omitempty"`
-		}
-		ph := make(map[int]peerHealth)
-		for id, h := range s.member.PeerHealth() {
-			ph[id] = peerHealth{
-				State:          h.State,
-				QueueLen:       h.QueueLen,
-				QueueHighWater: h.QueueHighWater,
-				QueueFullDrops: h.QueueFullDrops,
-			}
-		}
-		lc := s.member.LinkCounters()
-		out := stats{
-			MemberID:     s.member.ID(),
-			Acquires:     st.Acquires,
-			SharedJoins:  st.SharedJoins,
-			MessagesSent: s.member.MessagesSent(),
-			PeerHealth:   ph,
-			Link: linkCounters{
-				Redials:        lc.Redials,
-				Retransmits:    lc.Retransmits,
-				DupsSuppressed: lc.DupsSuppressed,
-			},
-		}
-		if js, ok := s.member.JournalStats(); ok {
-			j := journalStats{
-				Records:   js.Records,
-				WALBytes:  js.WALBytes,
-				Fsyncs:    js.Fsyncs,
-				Snapshots: js.Snapshots,
-				Locks:     js.Locks,
-			}
-			if js.Fsyncs > 0 {
-				j.MeanFsyncMS = float64(js.FsyncTime) / float64(js.Fsyncs) / float64(time.Millisecond)
-			}
-			out.Journal = &j
-		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(out)
 	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		if s.Registry == nil {

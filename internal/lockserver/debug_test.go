@@ -97,44 +97,6 @@ func checkExposition(t *testing.T, text string) {
 	}
 }
 
-// TestStatsGolden pins the /stats document shape. A single-node cluster
-// acquiring locally sends zero protocol messages, and the document carries
-// no wall-clock field, so it is fully deterministic.
-func TestStatsGolden(t *testing.T) {
-	cl, err := hierlock.NewCluster(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	m := cl.Member(0)
-	l, err := m.Lock(context.Background(), "dbg", hierlock.W)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = l.Unlock()
-
-	srv := lockserver.New(m)
-	rec := httptest.NewRecorder()
-	srv.DebugHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/stats", nil))
-	if rec.Code != 200 {
-		t.Fatalf("stats: %d", rec.Code)
-	}
-	var doc map[string]any
-	if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil {
-		t.Fatalf("stats json: %v\n%s", err, rec.Body.String())
-	}
-	for _, section := range []string{"peer_health", "link", "messages_sent"} {
-		if _, ok := doc[section]; !ok {
-			t.Fatalf("stats lost the %s section:\n%s", section, rec.Body.String())
-		}
-	}
-	out, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	golden(t, "stats.golden", append(out, '\n'))
-}
-
 // TestMetricsGolden pins the /metrics exposition byte-for-byte against a
 // registry with known contents.
 func TestMetricsGolden(t *testing.T) {

@@ -17,7 +17,6 @@
 //	SESSION CLOSE                 end the session, releasing its locks
 //	SESSIONS                      list this lockd's named sessions
 //	HELD                          list locks held by this session
-//	STATS                         protocol message counters
 //	PEERS                         per-peer link health and queue depth
 //	MEMBER LIST                   this member's view of the cluster
 //	MEMBER ADD <seed-addr>        join a running cluster via the seed's peer address
@@ -387,18 +386,6 @@ func (se *connState) handle(line string) (string, bool) {
 			default:
 				parts = append(parts, h.Key)
 			}
-		}
-		return "OK " + strings.Join(parts, " "), false
-	case "STATS":
-		sent := se.srv.member.MessagesSent()
-		kinds := make([]string, 0, len(sent))
-		for k := range sent {
-			kinds = append(kinds, k)
-		}
-		sort.Strings(kinds)
-		parts := make([]string, 0, len(kinds))
-		for _, k := range kinds {
-			parts = append(parts, fmt.Sprintf("%s=%d", k, sent[k]))
 		}
 		return "OK " + strings.Join(parts, " "), false
 	case "PEERS":

@@ -48,14 +48,6 @@ type Engine struct {
 	token      bool
 	held       bool
 	requesting bool
-
-	// epoch is the lock's recovery epoch (bumped per token-regeneration
-	// round); stamped on all outbound messages, with mismatching inputs
-	// dropped. fenced bars all inputs between a recovery claim
-	// (PrepareReseed) and the round's Reseed. stale counts fencing drops.
-	epoch  uint32
-	fenced bool
-	stale  uint64
 }
 
 // New constructs the engine. Exactly one node has the token initially;
@@ -96,17 +88,6 @@ func (e *Engine) Father() proto.NodeID { return e.father }
 // Next returns the distributed-queue successor (NoNode if none).
 func (e *Engine) Next() proto.NodeID { return e.next }
 
-// Epoch returns the lock's current recovery epoch at this node.
-func (e *Engine) Epoch() uint32 { return e.epoch }
-
-// StaleDrops returns how many inputs epoch fencing has discarded.
-func (e *Engine) StaleDrops() uint64 { return e.stale }
-
-// SeedEpoch initializes the recovery epoch. Call immediately after New,
-// before feeding any input, when creating an engine for a lock that has
-// already been through recovery rounds.
-func (e *Engine) SeedEpoch(epoch uint32) { e.epoch = epoch }
-
 // String summarizes the engine state.
 func (e *Engine) String() string {
 	return fmt.Sprintf("naimi node %d lock %d: token=%v held=%v req=%v father=%d next=%d",
@@ -129,22 +110,16 @@ func (e *Engine) Acquire() (Out, error) {
 	if e.requesting {
 		return out, ErrPending
 	}
-	if e.token && !e.fenced {
+	if e.token {
 		e.held = true
 		out.Acquired = true
 		return out, nil
 	}
 	e.requesting = true
-	if e.fenced {
-		// Mid-recovery: record the request; Reseed re-issues it to the
-		// regenerated root.
-		return out, nil
-	}
 	req := proto.Request{Origin: e.self, TS: e.clock.Tick()}
 	out.Msgs = append(out.Msgs, proto.Message{
 		Kind: proto.KindRequest, Lock: e.lock,
 		From: e.self, To: e.father, TS: e.clock.Tick(), Req: req,
-		Epoch: e.epoch,
 	})
 	// The requester detaches: it will be the new root once served.
 	e.father = proto.NoNode
@@ -159,12 +134,11 @@ func (e *Engine) Release() (Out, error) {
 		return out, ErrNotHeld
 	}
 	e.held = false
-	if e.next != proto.NoNode && !e.fenced {
+	if e.next != proto.NoNode {
 		e.token = false
 		out.Msgs = append(out.Msgs, proto.Message{
 			Kind: proto.KindToken, Lock: e.lock,
 			From: e.self, To: e.next, TS: e.clock.Tick(),
-			Epoch: e.epoch,
 		})
 		e.next = proto.NoNode
 	}
@@ -178,14 +152,6 @@ func (e *Engine) Handle(msg *proto.Message) (Out, error) {
 		return out, fmt.Errorf("%w: message for lock %d at engine for lock %d", ErrProtocol, msg.Lock, e.lock)
 	}
 	e.clock.Witness(msg.TS)
-	// Epoch fencing: old-world traffic after a regeneration round, and
-	// anything arriving mid-round at a fenced engine, is dropped — the
-	// round's reseed restores liveness.
-	if e.fenced || msg.Epoch != e.epoch {
-		e.stale++
-		out.Stale = true
-		return out, nil
-	}
 	switch msg.Kind {
 	case proto.KindRequest:
 		e.handleRequest(msg.Req, &out)
@@ -219,7 +185,6 @@ func (e *Engine) handleRequest(req proto.Request, out *Out) {
 			out.Msgs = append(out.Msgs, proto.Message{
 				Kind: proto.KindToken, Lock: e.lock,
 				From: e.self, To: req.Origin, TS: e.clock.Tick(),
-				Epoch: e.epoch,
 			})
 		}
 	} else {
@@ -227,7 +192,6 @@ func (e *Engine) handleRequest(req proto.Request, out *Out) {
 		out.Msgs = append(out.Msgs, proto.Message{
 			Kind: proto.KindRequest, Lock: e.lock,
 			From: e.self, To: e.father, TS: e.clock.Tick(), Req: req,
-			Epoch: e.epoch,
 		})
 	}
 	e.father = req.Origin
@@ -253,73 +217,5 @@ func (e *Engine) Clone(clock *proto.Clock) *Engine {
 // Fingerprint canonically encodes the engine state for model-checking
 // deduplication.
 func (e *Engine) Fingerprint() string {
-	return fmt.Sprintf("f%d n%d t%v h%v r%v e%d/%v", e.father, e.next, e.token, e.held, e.requesting,
-		e.epoch, e.fenced)
-}
-
-// PrepareReseed fences the engine for a recovery round at the proposed
-// epoch: until Reseed, every message is dropped and the token is not
-// forwarded, so the state reported in the recovery claim (held, token)
-// cannot strengthen while the round is in flight. Idempotent.
-func (e *Engine) PrepareReseed(epoch uint32) {
-	e.fenced = true
-	if epoch > e.epoch {
-		e.epoch = epoch
-	}
-}
-
-// Reseed installs the outcome of a completed token-regeneration round:
-// root holds the regenerated token for the new epoch. accounted reports
-// whether this node's claim told the regenerator it was inside its
-// critical section (always false for non-participants catching up from a
-// hint). The distributed queue and probable-owner chains are demolished;
-// requesting nodes re-issue their request to the new root. The returned
-// lost flag reports an unaccounted critical section that is no longer
-// protected — the hold is dropped and the host must surface ErrLockLost.
-func (e *Engine) Reseed(root proto.NodeID, epoch uint32, accounted bool) (Out, bool) {
-	var out Out
-	e.fenced = false
-	e.epoch = epoch
-	e.next = proto.NoNode
-
-	lost := false
-	if e.held && !accounted {
-		e.held = false
-		lost = true
-	}
-
-	if root == e.self {
-		e.token = true
-		e.father = proto.NoNode
-		if e.requesting && !e.held {
-			// The outstanding request is served locally: the regenerated
-			// token is here and, by construction of root selection, idle.
-			e.requesting = false
-			e.held = true
-			out.Acquired = true
-		}
-		return out, lost
-	}
-
-	e.token = false
-	e.father = root
-	if e.held {
-		// Root selection guarantees a node inside its critical section is
-		// chosen root (the token travels with the CS in Naimi); an
-		// accounted holder that is not the root cannot happen. Keep the
-		// hold — the regenerator accounted for it — but leave routing
-		// pointed at the root.
-		return out, lost
-	}
-	if e.requesting {
-		// Re-issue the outstanding request to the regenerated root.
-		req := proto.Request{Origin: e.self, TS: e.clock.Tick()}
-		out.Msgs = append(out.Msgs, proto.Message{
-			Kind: proto.KindRequest, Lock: e.lock,
-			From: e.self, To: root, TS: e.clock.Tick(), Req: req,
-			Epoch: e.epoch,
-		})
-		e.father = proto.NoNode
-	}
-	return out, lost
+	return fmt.Sprintf("f%d n%d t%v h%v r%v", e.father, e.next, e.token, e.held, e.requesting)
 }

@@ -317,11 +317,7 @@ type Message struct {
 // ExclOut is what one step of an exclusive-only baseline engine
 // (internal/naimi, raymond, suzuki, ricart) produces: messages to
 // transmit and whether the step completed this node's acquisition.
-// Stale reports that epoch fencing dropped the input, so the host may
-// answer with a recovery hint; only Naimi, the one baseline with
-// epochs, ever sets it.
 type ExclOut struct {
 	Msgs     []Message
 	Acquired bool
-	Stale    bool
 }

@@ -8,7 +8,9 @@
 // owner chains always terminate, and queued requests are eventually
 // served. A fail-stop crash that destroys a node's memory breaks all
 // three — a crashed token holder wedges its locks forever. This package
-// restores them without touching the failure-free fast path:
+// restores them for internal/hlock, the engine the runtime ships (the
+// Naimi baseline stays crash-free, as in the paper's evaluation),
+// without touching the failure-free fast path:
 //
 //  1. A failure detector (Detector for live transports; the simulator
 //     models its own from fault-plan ground truth) confirms a peer dead

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -98,6 +99,42 @@ func TestTCPReliableFieldIgnored(t *testing.T) {
 		if err := m.Err(); err != nil {
 			t.Fatalf("member %d protocol error: %v", i, err)
 		}
+	}
+}
+
+// TestTCPMemberDetectorFieldsRequireHeartbeat: ConfirmAfter and
+// AdvertiseAddr only act through the failure detector, so a member
+// configured with either and no HeartbeatInterval is refused instead of
+// running with crash detection silently off.
+func TestTCPMemberDetectorFieldsRequireHeartbeat(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		cfg     hierlock.TCPMemberConfig
+		wantErr string
+	}{
+		{"confirm-after alone", hierlock.TCPMemberConfig{ConfirmAfter: 2 * time.Second}, "ConfirmAfter requires HeartbeatInterval"},
+		{"advertise alone", hierlock.TCPMemberConfig{AdvertiseAddr: "127.0.0.1:7400"}, "AdvertiseAddr requires HeartbeatInterval"},
+		{"both with heartbeat", hierlock.TCPMemberConfig{
+			HeartbeatInterval: 50 * time.Millisecond,
+			ConfirmAfter:      2 * time.Second,
+			AdvertiseAddr:     "127.0.0.1:7400",
+		}, ""},
+		{"neither", hierlock.TCPMemberConfig{}, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg
+			cfg.ListenAddr = "127.0.0.1:0"
+			m, err := hierlock.NewTCPMember(cfg)
+			if err == nil {
+				_ = m.Close()
+			}
+			switch {
+			case tc.wantErr == "" && err != nil:
+				t.Fatalf("unexpected error: %v", err)
+			case tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)):
+				t.Fatalf("err = %v, want %q", err, tc.wantErr)
+			}
+		})
 	}
 }
 
