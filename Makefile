@@ -153,10 +153,12 @@ pairs:
 	bash scripts/pairs.sh $(W) $(N) $(BASE)
 
 # The regression gate: the same alternating pairs over the gated
-# microbenchmarks (engine, codec, member and live-cluster hot paths, and
-# the Figure 5/6/7 cells; the set is declared in scripts/pairs.sh). Fails
-# when a benchmark loses >= 8 of 10 pairs and its median is worse than
-# the base's by more than both the base inter-quartile distance and 10%.
+# microbenchmarks (engine, codec, member, line-server and live-cluster hot
+# paths, and the Figure 5/6/7 cells; the set is declared in
+# scripts/pairs.sh). Fails when a benchmark loses >= 8 of 10 pairs and its
+# median is worse than the base's by more than both the base
+# inter-quartile distance and 10%, or when its median allocs/op or B/op
+# rises beyond the tolerance scripts/pairs.awk states.
 gate:
 	bash scripts/pairs.sh micro $(N) $(BASE)
 

@@ -9,10 +9,10 @@ import (
 )
 
 // TestLockHandleSize: the handle is the one allocation of a resident
-// Lock/Unlock pair; at 64 bytes it sits in the 64-byte size class.
+// Lock/Unlock pair; at 32 bytes it sits in the 32-byte size class.
 func TestLockHandleSize(t *testing.T) {
-	if n := unsafe.Sizeof(Lock{}); n > 64 {
-		t.Fatalf("Lock is %d bytes, want at most 64", n)
+	if n := unsafe.Sizeof(Lock{}); n > 32 {
+		t.Fatalf("Lock is %d bytes, want at most 32", n)
 	}
 }
 
@@ -115,5 +115,87 @@ func TestHandleGrantEventsWithoutMutex(t *testing.T) {
 		if err := l.Unlock(); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestHandleResource: the handle keeps no name of its own — Resource is
+// its entry's — and still answers the name it was locked by: before and
+// after Unlock (the entry may be evicted by then; the handle keeps it),
+// for every segment of a LockPath, and for a lock whose entry a remote
+// message created, nameless, before the first local Lock.
+func TestHandleResource(t *testing.T) {
+	c, err := NewCluster(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx := context.Background()
+	m0, m1 := c.Member(0), c.Member(1)
+
+	l, err := m0.Lock(ctx, "handle/res", W)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := l.Resource(); got != "handle/res" {
+		t.Fatalf("held: Resource() = %q, want %q", got, "handle/res")
+	}
+	if err := l.Unlock(); err != nil {
+		t.Fatal(err)
+	}
+	m0.EvictIdle()
+	if got := l.Resource(); got != "handle/res" {
+		t.Fatalf("after Unlock: Resource() = %q, want %q", got, "handle/res")
+	}
+
+	pl, err := m0.LockPath(ctx, []string{"db", "fares", "row17"}, W)
+	if err != nil {
+		t.Fatal(err)
+	}
+	segs := append([]*Lock(nil), pl.locks...)
+	want := []string{"db", "db/fares", "db/fares/row17"}
+	check := func(when string) {
+		t.Helper()
+		for i, l := range segs {
+			if got := l.Resource(); got != want[i] {
+				t.Fatalf("%s: segment %d Resource() = %q, want %q", when, i, got, want[i])
+			}
+		}
+	}
+	check("held")
+	if err := pl.Unlock(); err != nil {
+		t.Fatal(err)
+	}
+	check("after Unlock")
+
+	// Member 1 takes the token of a lock member 0 (its root) has never
+	// been asked for by name: member 0's entry comes from the request.
+	const res = "handle/remote-first"
+	r, err := m1.Lock(ctx, res, W)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Unlock(); err != nil {
+		t.Fatal(err)
+	}
+	id := lockIDFor(res)
+	sh := &m0.shards[uint64(id)%lockShardCount]
+	sh.mu.Lock()
+	ls, ok := sh.locks[id]
+	sh.mu.Unlock()
+	if !ok || ls.res != "" {
+		t.Fatalf("member 0's entry for a remote-only lock: present %v, want one named \"\"", ok)
+	}
+	l, err = m0.Lock(ctx, res, W)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := l.Resource(); got != res {
+		t.Fatalf("local Lock after a remote one: Resource() = %q, want %q", got, res)
+	}
+	if err := l.Unlock(); err != nil {
+		t.Fatal(err)
+	}
+	if got := l.Resource(); got != res {
+		t.Fatalf("after Unlock: Resource() = %q, want %q", got, res)
 	}
 }

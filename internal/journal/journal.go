@@ -12,10 +12,11 @@
 //	[u32 length][u32 crc32(payload)][payload]
 //
 // Replay stops cleanly at the first short, oversized or corrupt frame
-// (a torn tail from a crash mid-write), keeping every record before
-// it. Each record carries the complete per-lock state (last record
-// wins), so replay is a single forward scan into a map and a snapshot
-// is just the map re-encoded — the same framing, compacted.
+// (a torn tail from a crash mid-write), keeping every record before it;
+// Open cuts the WAL back to those records before it appends. Each record
+// carries the complete per-lock state (last record wins), so replay is a
+// single forward scan into a map and a snapshot is just the map
+// re-encoded — the same framing, compacted.
 //
 // Fsync policy is the durability/throughput knob: FsyncAlways syncs
 // inline on every append, FsyncBatched (the default) amortizes syncs
@@ -245,7 +246,7 @@ func Open(dir string, opts Options) (*Journal, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("journal: %w", err)
 	}
-	state, err := Replay(dir)
+	state, clean, records, err := replay(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -253,23 +254,28 @@ func Open(dir string, opts Options) (*Journal, error) {
 	if err != nil {
 		return nil, fmt.Errorf("journal: %w", err)
 	}
+	// Replay stopped at the first torn or corrupt frame. Cut the WAL back
+	// to the frames it kept before the first append: a record appended
+	// behind the bad bytes would be invisible to every later replay.
 	info, err := wal.Stat()
+	if err == nil && info.Size() != clean {
+		if err = wal.Truncate(clean); err == nil {
+			err = wal.Sync()
+		}
+	}
 	if err != nil {
 		wal.Close()
 		return nil, fmt.Errorf("journal: %w", err)
 	}
 	j := &Journal{
-		dir:    dir,
-		policy: opts.Fsync,
-		batch:  opts.BatchInterval,
-		snapEv: opts.SnapshotEvery,
-		wal:    wal,
-		state:  state,
-		// The reopened WAL's records are already folded into state; an
-		// exact count does not survive restarts, so approximate from size
-		// to keep snapshot rotation armed.
-		walRecords: int(info.Size() / (frameHeader + payloadSize)),
-		walBytes:   info.Size(),
+		dir:        dir,
+		policy:     opts.Fsync,
+		batch:      opts.BatchInterval,
+		snapEv:     opts.SnapshotEvery,
+		wal:        wal,
+		state:      state,
+		walRecords: records,
+		walBytes:   clean,
 		done:       make(chan struct{}),
 		wake:       make(chan struct{}, 1),
 	}
@@ -552,19 +558,29 @@ func (j *Journal) State() map[proto.LockID]Record {
 // cleanly — everything before the first bad frame is kept, which is
 // exactly the prefix that was durable when the crash hit.
 func Replay(dir string) (map[proto.LockID]Record, error) {
-	state := make(map[proto.LockID]Record)
+	state, _, _, err := replay(dir)
+	return state, err
+}
+
+// replay is Replay, also returning the length of the WAL's clean prefix
+// (the frames replayed, 0 without a WAL) and their number.
+func replay(dir string) (state map[proto.LockID]Record, walClean int64, walRecords int, err error) {
+	state = make(map[proto.LockID]Record)
 	for _, name := range []string{snapName, walName} {
 		f, err := os.Open(filepath.Join(dir, name))
 		if errors.Is(err, os.ErrNotExist) {
 			continue
 		}
 		if err != nil {
-			return nil, fmt.Errorf("journal: replay: %w", err)
+			return nil, 0, 0, fmt.Errorf("journal: replay: %w", err)
 		}
-		replayFile(f, state)
+		clean, records := replayFile(f, state)
 		f.Close()
+		if name == walName {
+			walClean, walRecords = clean, records
+		}
 	}
-	return state, nil
+	return state, walClean, walRecords, nil
 }
 
 // MaxEpoch returns the highest epoch in a replayed state map.
@@ -579,8 +595,9 @@ func MaxEpoch(state map[proto.LockID]Record) uint32 {
 }
 
 // replayFile scans one file's frames into state, stopping at the first
-// torn or corrupt frame.
-func replayFile(f *os.File, state map[proto.LockID]Record) {
+// torn or corrupt frame, and returns the length and number of the frames
+// it replayed.
+func replayFile(f *os.File, state map[proto.LockID]Record) (clean int64, records int) {
 	var hdr [frameHeader]byte
 	for {
 		if _, err := io.ReadFull(f, hdr[:]); err != nil {
@@ -600,5 +617,7 @@ func replayFile(f *os.File, state map[proto.LockID]Record) {
 		}
 		r := decodeRecord(payload)
 		state[r.Lock] = r
+		clean += frameHeader + int64(length)
+		records++
 	}
 }

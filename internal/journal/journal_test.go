@@ -153,6 +153,73 @@ func TestCorruptFrameStopsReplay(t *testing.T) {
 	}
 }
 
+// TestAppendAfterTornTailReplays: a journal reopened over a torn or
+// corrupt tail cuts the WAL back to its clean prefix before its first
+// append, so what it appends after the restart replays — a record written
+// behind the bad frame would be lost to every later replay, and a second
+// restart would roll its epochs back. A clean reopen keeps everything.
+// The reopened journal counts the WAL's records exactly.
+func TestAppendAfterTornTailReplays(t *testing.T) {
+	const frame = frameHeader + payloadSize
+	for _, tc := range []struct {
+		name string
+		bad  func(wal []byte) []byte // damage to the third frame
+		kept int                     // records the reopen finds
+	}{
+		{"torn", func(wal []byte) []byte { return wal[:2*frame+5] }, 2},
+		{"corrupt-crc", func(wal []byte) []byte { wal[2*frame+5] ^= 0xff; return wal }, 2},
+		{"clean", func(wal []byte) []byte { return wal }, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			j := mustOpen(t, dir, Options{Fsync: FsyncAlways})
+			for i := 1; i <= 3; i++ {
+				if err := j.Append(Record{Kind: RecGrant, Lock: proto.LockID(i), Epoch: 1}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := j.Close(); err != nil {
+				t.Fatal(err)
+			}
+			wal := filepath.Join(dir, walName)
+			data, err := os.ReadFile(wal)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(wal, tc.bad(data), 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			j = mustOpen(t, dir, Options{Fsync: FsyncAlways})
+			if st := j.Stats(); st.WALRecords != tc.kept || st.WALBytes != int64(tc.kept*frame) {
+				t.Fatalf("reopened: %d WAL records in %d bytes, want %d in %d",
+					st.WALRecords, st.WALBytes, tc.kept, tc.kept*frame)
+			}
+			bumped := Record{Kind: RecEpoch, Lock: 1, Epoch: 7}
+			if err := j.Append(bumped); err != nil {
+				t.Fatal(err)
+			}
+			if err := j.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			state, err := Replay(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r := state[1]; r != bumped {
+				t.Fatalf("lock 1 replays as %+v, want the record appended after the reopen, %+v", r, bumped)
+			}
+			if len(state) != tc.kept {
+				t.Fatalf("replay holds %d locks, want %d", len(state), tc.kept)
+			}
+			if info, err := os.Stat(wal); err != nil || info.Size() != int64((tc.kept+1)*frame) {
+				t.Fatalf("WAL after the append: %v, %v; want %d bytes", info.Size(), err, (tc.kept+1)*frame)
+			}
+		})
+	}
+}
+
 func TestSnapshotRotationBoundsWAL(t *testing.T) {
 	dir := t.TempDir()
 	j := mustOpen(t, dir, Options{Fsync: FsyncAlways, SnapshotEvery: 10})

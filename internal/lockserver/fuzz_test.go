@@ -36,6 +36,14 @@ func FuzzServeConn(f *testing.F) {
 		"LOCK a W\nLOCK b W",
 		"QUIT\nLOCK a W\n",
 		strings.Repeat("x", maxLine+1) + "\nLOCK a W\n",
+		// The reader's copy path: a line across the end of its 4 KiB
+		// buffer, one longer than the buffer, CRLF line ends, pipelined
+		// LOCK/UNLOCK pairs and an unterminated last line.
+		"LOCK " + strings.Repeat("p", 4096-6-len("LOCK  W\n")) + " W\nLOCK b W\nUNLOCK b\n",
+		"LOCK " + strings.Repeat("y", 5000) + " W\nUNLOCK " + strings.Repeat("y", 5000) + "\n",
+		"LOCK a W\r\nUNLOCK a\r\n",
+		"LOCK a W\nUNLOCK a\nLOCK b W\nUNLOCK b\nLOCK a W\nUNLOCK a\n",
+		"LOCK a W\nUNLOCK a",
 	} {
 		f.Add([]byte(seed))
 	}

@@ -87,6 +87,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+	"unicode"
+	"unicode/utf8"
 
 	"hierlock"
 	"hierlock/internal/audit"
@@ -242,25 +244,29 @@ func (s *Server) ServeConn(conn io.ReadWriteCloser) {
 
 	mgr := s.Sessions()
 	se := &connState{srv: s, mgr: mgr, sess: mgr.Anonymous()}
+	se.acquire = se.memberLock
 	defer func() { se.mgr.Detach(se.sess) }()
 
 	br := bufio.NewReader(conn)
 	w := bufio.NewWriter(conn)
+	var out []byte // the reply being built, reused line to line
 	for {
 		line, err := readLine(br)
-		var resp string
 		var quit bool
 		switch err {
 		case nil:
-			resp, quit = se.handle(line)
+			out, quit = se.handle(out[:0], line)
 		case errLineTooLong:
-			resp = "ERR line too long"
+			out = append(out[:0], "ERR line too long"...)
 		default:
 			return
 		}
 		// A failed write is remembered by w and reported by Flush.
-		_, _ = w.WriteString(resp)
-		_ = w.WriteByte('\n')
+		_, _ = w.Write(append(out, '\n'))
+		// A long line's buffers are not kept for the connection's life.
+		if cap(out) > 4<<10 || cap(se.fields) > 256 {
+			out, se.fields = nil, nil
+		}
 		// Pipelined lines share one write: the replies go out once the next
 		// read would have to wait for the client. Until then they are behind
 		// a complete line, which readLine returns without touching conn, so
@@ -280,12 +286,22 @@ func lineBuffered(br *bufio.Reader) bool {
 	return bytes.IndexByte(buf, '\n') >= 0
 }
 
-// readLine reads one newline-terminated line of at most maxLine bytes.
-// Longer lines are consumed to their newline and reported as
-// errLineTooLong, leaving the stream usable. A final unterminated line
-// before EOF is returned as a line.
-func readLine(br *bufio.Reader) (string, error) {
-	var buf []byte
+// readLine reads one newline-terminated line of at most maxLine bytes,
+// without its trailing CR and LF bytes. A line that fits br's buffer, the
+// common case, is returned where br holds it, uncopied, valid until the
+// next read from br. A longer one is gathered into a copy; one over
+// maxLine is consumed to its newline and reported as errLineTooLong,
+// leaving the stream usable. A final unterminated line before EOF is
+// returned as a line.
+func readLine(br *bufio.Reader) ([]byte, error) {
+	frag, err := br.ReadSlice('\n')
+	switch {
+	case err == nil, err == io.EOF && len(frag) > 0:
+		return bytes.TrimRight(frag, "\r\n"), nil
+	case err != bufio.ErrBufferFull:
+		return nil, err
+	}
+	buf := append([]byte(nil), frag...)
 	overflow := false
 	for {
 		frag, err := br.ReadSlice('\n')
@@ -301,14 +317,14 @@ func readLine(br *bufio.Reader) (string, error) {
 			continue
 		case nil:
 			if overflow {
-				return "", errLineTooLong
+				return nil, errLineTooLong
 			}
-			return strings.TrimRight(string(buf), "\r\n"), nil
+			return bytes.TrimRight(buf, "\r\n"), nil
 		default:
-			if err == io.EOF && !overflow && len(buf) > 0 {
-				return strings.TrimRight(string(buf), "\r\n"), nil
+			if err == io.EOF && !overflow {
+				return bytes.TrimRight(buf, "\r\n"), nil
 			}
-			return "", err
+			return nil, err
 		}
 	}
 }
@@ -318,63 +334,74 @@ type connState struct {
 	srv  *Server
 	mgr  *session.Manager
 	sess *session.Session
+	// fields is the line being handled, split where it lies; the slice is
+	// reused line to line.
+	fields [][]byte
+	// acquire is memberLock, bound once per connection, and lockRes and
+	// lockMode the LOCK it acquires for.
+	acquire  session.Acquirer
+	lockRes  string
+	lockMode hierlock.Mode
 }
 
-// handle executes one command line and returns the reply plus whether
-// the session should end.
-func (se *connState) handle(line string) (string, bool) {
-	fields := strings.Fields(line)
+// handle executes one command line, appends its reply (without the
+// newline) to out and returns it, plus whether the session should end.
+// The line is only read: a name the session keeps is copied out of it.
+func (se *connState) handle(out, line []byte) ([]byte, bool) {
+	se.fields = splitFields(se.fields[:0], line)
+	fields := se.fields
 	if len(fields) == 0 {
-		return "ERR empty command", false
+		return append(out, "ERR empty command"...), false
 	}
 	// A reaped session answers one "ERR session expired" and the
 	// connection falls back to a fresh anonymous session; any command
 	// on a live named session counts as a heartbeat.
 	if se.sess.Named() && se.sess.Expired() {
 		se.sess = se.mgr.Anonymous()
-		return "ERR session expired", false
+		return append(out, "ERR session expired"...), false
 	}
 	se.sess.Touch()
-	switch strings.ToUpper(fields[0]) {
+	var up [16]byte
+	switch verb := upper(up[:0], fields[0]); string(verb) {
 	case "LOCK":
 		if len(fields) != 3 {
-			return "ERR usage: LOCK <resource> <mode>", false
+			return append(out, "ERR usage: LOCK <resource> <mode>"...), false
 		}
-		return se.lock(fields[1], fields[2]), false
+		return se.lock(out, fields[1], fields[2]), false
 	case "UNLOCK":
 		if len(fields) != 2 {
-			return "ERR usage: UNLOCK <resource>", false
+			return append(out, "ERR usage: UNLOCK <resource>"...), false
 		}
-		return se.release(fields[1]), false
+		return se.release(out, string(fields[1])), false
 	case "UPGRADE":
 		if len(fields) != 2 {
-			return "ERR usage: UPGRADE <resource>", false
+			return append(out, "ERR usage: UPGRADE <resource>"...), false
 		}
-		return se.upgrade(fields[1]), false
+		return se.upgrade(out, string(fields[1])), false
 	case "LOCKPATH":
 		if len(fields) < 3 {
-			return "ERR usage: LOCKPATH <mode> <segment>...", false
+			return append(out, "ERR usage: LOCKPATH <mode> <segment>..."...), false
 		}
-		return se.lockPath(fields[1], fields[2:]), false
+		return se.lockPath(out, fields[1], strs(fields[2:])), false
 	case "UNLOCKPATH":
 		if len(fields) < 2 {
-			return "ERR usage: UNLOCKPATH <segment>...", false
+			return append(out, "ERR usage: UNLOCKPATH <segment>..."...), false
 		}
-		return se.release("path:" + strings.Join(fields[1:], "/")), false
+		return se.release(out, "path:"+strings.Join(strs(fields[1:]), "/")), false
 	case "LOCKALL":
 		if len(fields) < 3 {
-			return "ERR usage: LOCKALL <mode> <resource>...", false
+			return append(out, "ERR usage: LOCKALL <mode> <resource>..."...), false
 		}
-		return se.lockAll(fields[1], fields[2:]), false
+		return se.lockAll(out, fields[1], strs(fields[2:])), false
 	case "UNLOCKALL":
 		if len(fields) < 2 {
-			return "ERR usage: UNLOCKALL <resource>...", false
+			return append(out, "ERR usage: UNLOCKALL <resource>..."...), false
 		}
-		return se.release("set:" + setKey(fields[1:])), false
+		return se.release(out, "set:"+setKey(strs(fields[1:]))), false
 	case "SESSION":
-		return se.session(fields[1:]), false
+		return append(out, se.session(strs(fields[1:]))...), false
 	case "SESSIONS":
-		return se.sessions(), false
+		return append(out, se.sessions()...), false
 	case "HELD":
 		parts := make([]string, 0, se.sess.Len())
 		for _, h := range se.sess.List() {
@@ -387,7 +414,7 @@ func (se *connState) handle(line string) (string, bool) {
 				parts = append(parts, h.Key)
 			}
 		}
-		return "OK " + strings.Join(parts, " "), false
+		return append(append(out, "OK "...), strings.Join(parts, " ")...), false
 	case "PEERS":
 		health := se.srv.member.PeerHealth()
 		lc := se.srv.member.LinkCounters()
@@ -396,20 +423,74 @@ func (se *connState) handle(line string) (string, bool) {
 			ids = append(ids, id)
 		}
 		sort.Ints(ids)
-		parts := []string{fmt.Sprintf("redials=%d retransmits=%d dups_suppressed=%d",
-			lc.Redials, lc.Retransmits, lc.DupsSuppressed)}
+		out = fmt.Appendf(out, "OK redials=%d retransmits=%d dups_suppressed=%d",
+			lc.Redials, lc.Retransmits, lc.DupsSuppressed)
 		for _, id := range ids {
 			h := health[id]
-			parts = append(parts, fmt.Sprintf("%d=%s/q%d", id, h.State, h.QueueLen))
+			out = fmt.Appendf(out, " %d=%s/q%d", id, h.State, h.QueueLen)
 		}
-		return "OK " + strings.Join(parts, " "), false
+		return out, false
 	case "MEMBER":
-		return se.memberCmd(fields[1:]), false
+		return append(out, se.memberCmd(strs(fields[1:]))...), false
 	case "QUIT":
-		return "OK bye", true
+		return append(out, "OK bye"...), true
 	default:
-		return fmt.Sprintf("ERR unknown command %s", strings.ToUpper(fields[0])), false
+		return append(append(out, "ERR unknown command "...), verb...), false
 	}
+}
+
+// splitFields appends to dst the fields of line — its runs of non-space
+// bytes, space as unicode.IsSpace has it — as strings.Fields splits a
+// string, each a subslice of line.
+func splitFields(dst [][]byte, line []byte) [][]byte {
+	start := -1
+	for i := 0; i < len(line); {
+		r, size := rune(line[i]), 1
+		if r >= utf8.RuneSelf {
+			r, size = utf8.DecodeRune(line[i:])
+		}
+		if unicode.IsSpace(r) {
+			if start >= 0 {
+				dst = append(dst, line[start:i])
+				start = -1
+			}
+		} else if start < 0 {
+			start = i
+		}
+		i += size
+	}
+	if start >= 0 {
+		dst = append(dst, line[start:])
+	}
+	return dst
+}
+
+// upper appends b upper-cased, as strings.ToUpper has it, to dst: an
+// ASCII word (every verb and mode) byte by byte, anything else through
+// strings.ToUpper.
+func upper(dst, b []byte) []byte {
+	for _, c := range b {
+		if c >= utf8.RuneSelf {
+			return append(dst, strings.ToUpper(string(b))...)
+		}
+	}
+	for _, c := range b {
+		if 'a' <= c && c <= 'z' {
+			c -= 'a' - 'A'
+		}
+		dst = append(dst, c)
+	}
+	return dst
+}
+
+// strs copies fields out as strings, for the verbs whose arguments the
+// session or the member keep as names.
+func strs(fields [][]byte) []string {
+	out := make([]string, len(fields))
+	for i, f := range fields {
+		out[i] = string(f)
+	}
+	return out
 }
 
 // MembershipTimeout bounds the blocking membership handshakes: MEMBER
@@ -542,113 +623,133 @@ func (se *connState) sessions() string {
 	return "OK " + strings.Join(parts, " ")
 }
 
-func (se *connState) lock(res, modeStr string) string {
-	mode, err := ParseMode(modeStr)
+func (se *connState) lock(out, resource, modeName []byte) []byte {
+	mode, err := parseMode(modeName)
 	if err != nil {
-		return fmt.Sprintf("ERR %v", err)
+		return fmt.Appendf(out, "ERR %v", err)
 	}
+	// The one copy out of the line: the session keys its entry by it and
+	// the member names the lock with it.
+	res := string(resource)
 	if _, dup := se.sess.Get(res); dup {
-		return fmt.Sprintf("ERR already holding %s", res)
+		return append(append(out, "ERR already holding "...), res...)
 	}
 	ctx, cancel := se.ctx()
 	defer cancel()
-	srv := se.srv
-	acquire := func(ctx context.Context) (*hierlock.Lock, error) {
-		return srv.member.Lock(ctx, res, mode)
-	}
-	l, fence, err := se.mgr.Acquire(ctx, res, mode, acquire)
+	se.lockRes, se.lockMode = res, mode
+	l, fence, err := se.mgr.Acquire(ctx, res, mode, se.acquire)
 	if err != nil {
-		return fmt.Sprintf("ERR %v", err)
+		return fmt.Appendf(out, "ERR %v", err)
 	}
-	h := session.NewHeld(res, mode.String(), fence, true, l, l.Unlock)
+	h := session.NewHeld(res, mode.String(), fence, true, l)
 	if err := se.sess.AddHeld(h); err != nil {
 		// The session was reaped while the grant was in flight: the
 		// lock must not outlive its lease.
 		_ = l.Unlock()
-		return fmt.Sprintf("ERR %v", err)
+		return fmt.Appendf(out, "ERR %v", err)
 	}
-	return fmt.Sprintf("OK %s %v fence=%s", res, mode, fence)
+	return appendGrant(out, res, mode, fence)
 }
 
-func (se *connState) upgrade(res string) string {
+// memberLock acquires the LOCK in progress (lockRes, lockMode) from the
+// member. It is the connection's Acquirer, bound once, so a LOCK builds
+// no closure.
+func (se *connState) memberLock(ctx context.Context) (*hierlock.Lock, error) {
+	return se.srv.member.Lock(ctx, se.lockRes, se.lockMode)
+}
+
+// appendGrant appends a grant's reply, "OK <key> <mode> fence=<fence>",
+// with the fence in FenceToken.String's form.
+func appendGrant(out []byte, key string, mode hierlock.Mode, fence hierlock.FenceToken) []byte {
+	out = append(out, "OK "...)
+	out = append(out, key...)
+	out = append(out, ' ')
+	out = append(out, mode.String()...)
+	out = append(out, " fence="...)
+	out = strconv.AppendUint(out, uint64(fence.Epoch), 10)
+	out = append(out, '.')
+	return strconv.AppendUint(out, fence.Seq, 10)
+}
+
+func (se *connState) upgrade(out []byte, res string) []byte {
 	h, ok := se.sess.Get(res)
 	if !ok {
-		return fmt.Sprintf("ERR not holding %s", res)
+		return append(append(out, "ERR not holding "...), res...)
 	}
 	l, isLock := h.Handle.(*hierlock.Lock)
 	if !isLock {
-		return fmt.Sprintf("ERR %s is not upgradable", res)
+		return append(append(append(out, "ERR "...), res...), " is not upgradable"...)
 	}
 	ctx, cancel := se.ctx()
 	defer cancel()
 	if err := l.Upgrade(ctx); err != nil {
-		return fmt.Sprintf("ERR %v", err)
+		return fmt.Appendf(out, "ERR %v", err)
 	}
 	h.Mode = l.Mode().String()
 	h.Fence = l.Fence()
-	return fmt.Sprintf("OK %s %v fence=%s", res, l.Mode(), h.Fence)
+	return appendGrant(out, res, l.Mode(), h.Fence)
 }
 
 // release routes UNLOCK/UNLOCKPATH/UNLOCKALL of the session key through
 // the session, which removes the entry only when the handle was actually
-// disposed of (a failed unlock must stay visible to releaseAll). A
-// successful release builds no string.
-func (se *connState) release(key string) string {
+// disposed of (a failed unlock must stay visible to releaseAll). The key
+// is not kept.
+func (se *connState) release(out []byte, key string) []byte {
 	err := se.sess.Release(key)
 	switch {
 	case errors.Is(err, session.ErrNotHeld):
-		return "ERR not holding " + key
+		return append(append(out, "ERR not holding "...), key...)
 	case err != nil:
-		return fmt.Sprintf("ERR %v", err)
+		return fmt.Appendf(out, "ERR %v", err)
 	}
-	return "OK"
+	return append(out, "OK"...)
 }
 
-func (se *connState) lockPath(modeStr string, segs []string) string {
-	mode, err := ParseMode(modeStr)
+func (se *connState) lockPath(out, modeName []byte, segs []string) []byte {
+	mode, err := parseMode(modeName)
 	if err != nil {
-		return fmt.Sprintf("ERR %v", err)
+		return fmt.Appendf(out, "ERR %v", err)
 	}
 	key := "path:" + strings.Join(segs, "/")
 	if _, dup := se.sess.Get(key); dup {
-		return fmt.Sprintf("ERR already holding %s", key)
+		return fmt.Appendf(out, "ERR already holding %s", key)
 	}
 	ctx, cancel := se.ctx()
 	defer cancel()
 	pl, err := se.srv.member.LockPath(ctx, segs, mode)
 	if err != nil {
-		return fmt.Sprintf("ERR %v", err)
+		return fmt.Appendf(out, "ERR %v", err)
 	}
 	leaf := pl.Leaf()
-	h := session.NewHeld(key, leaf.Mode().String(), leaf.Fence(), true, pl, pl.Unlock)
+	h := session.NewHeld(key, leaf.Mode().String(), leaf.Fence(), true, pl)
 	if err := se.sess.AddHeld(h); err != nil {
 		_ = pl.Unlock()
-		return fmt.Sprintf("ERR %v", err)
+		return fmt.Appendf(out, "ERR %v", err)
 	}
-	return fmt.Sprintf("OK %s %v fence=%s", key, leaf.Mode(), leaf.Fence())
+	return appendGrant(out, key, leaf.Mode(), leaf.Fence())
 }
 
-func (se *connState) lockAll(modeStr string, resources []string) string {
-	mode, err := ParseMode(modeStr)
+func (se *connState) lockAll(out, modeName []byte, resources []string) []byte {
+	mode, err := parseMode(modeName)
 	if err != nil {
-		return fmt.Sprintf("ERR %v", err)
+		return fmt.Appendf(out, "ERR %v", err)
 	}
 	key := "set:" + setKey(resources)
 	if _, dup := se.sess.Get(key); dup {
-		return fmt.Sprintf("ERR already holding %s", key)
+		return fmt.Appendf(out, "ERR already holding %s", key)
 	}
 	ctx, cancel := se.ctx()
 	defer cancel()
 	ls, err := se.srv.member.LockAll(ctx, resources, mode)
 	if err != nil {
-		return fmt.Sprintf("ERR %v", err)
+		return fmt.Appendf(out, "ERR %v", err)
 	}
-	h := session.NewHeld(key, "", hierlock.FenceToken{}, false, ls, ls.Unlock)
+	h := session.NewHeld(key, "", hierlock.FenceToken{}, false, ls)
 	if err := se.sess.AddHeld(h); err != nil {
 		_ = ls.Unlock()
-		return fmt.Sprintf("ERR %v", err)
+		return fmt.Appendf(out, "ERR %v", err)
 	}
-	return fmt.Sprintf("OK %s %d", key, ls.Len())
+	return fmt.Appendf(out, "OK %s %d", key, ls.Len())
 }
 
 // ctx builds the per-request context honoring the server timeout.
@@ -696,8 +797,12 @@ func setKey(resources []string) string {
 }
 
 // ParseMode parses a client-supplied mode name.
-func ParseMode(s string) (hierlock.Mode, error) {
-	switch strings.ToUpper(s) {
+func ParseMode(s string) (hierlock.Mode, error) { return parseMode([]byte(s)) }
+
+// parseMode is ParseMode on a field of the line being handled.
+func parseMode(name []byte) (hierlock.Mode, error) {
+	var up [4]byte
+	switch string(upper(up[:0], name)) {
 	case "IR":
 		return hierlock.IR, nil
 	case "R":
@@ -708,7 +813,6 @@ func ParseMode(s string) (hierlock.Mode, error) {
 		return hierlock.IW, nil
 	case "W":
 		return hierlock.W, nil
-	default:
-		return 0, fmt.Errorf("unknown mode %q (want IR, R, U, IW or W)", s)
 	}
+	return 0, fmt.Errorf("unknown mode %q (want IR, R, U, IW or W)", name)
 }

@@ -7,8 +7,8 @@ import (
 )
 
 // Acquirer performs one member-level acquisition for a client
-// (lockserver binds it to Member.Lock). It runs on that client's
-// goroutine, under that client's context.
+// (lockserver binds one per connection to Member.Lock). It runs on that
+// client's goroutine, under that client's context.
 type Acquirer func(ctx context.Context) (*hierlock.Lock, error)
 
 // qkey names the exclusive-mode clients that want the same mode on the

@@ -4,7 +4,7 @@ package session_test
 
 // Allocation guard for the uncontended exclusive path through the
 // session tier. A resident Member.Lock/Unlock pair allocates one object,
-// the 64-byte Lock handle (member_alloc_test.go in the root package); the
+// the 32-byte Lock handle (member_alloc_test.go in the root package); the
 // tier adds none — its waiting count is a map entry, and deleting and
 // re-inserting a key reuses the map's storage. The race detector's
 // instrumentation defeats testing.AllocsPerRun, so this compiles out

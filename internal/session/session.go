@@ -333,7 +333,7 @@ func (m *Manager) logf(msg string, kv ...any) {
 }
 
 // Held is one lock a session holds: the protocol-level key, the handle
-// metadata, and the release closure (the handle's Unlock).
+// metadata, and the handle, through which the session releases it.
 type Held struct {
 	// Key is the session-scoped name: the resource for plain locks,
 	// "path:<segments>" for path locks, "set:<resources>" for sets.
@@ -346,14 +346,20 @@ type Held struct {
 	Fence    hierlock.FenceToken
 	HasFence bool
 	// Handle is the underlying lock handle (*hierlock.Lock, *PathLock
-	// or *LockSet) for operations beyond release, e.g. UPGRADE.
-	Handle  any
-	release func() error
+	// or *LockSet): released through its Unlock, and open to operations
+	// beyond release, e.g. UPGRADE.
+	Handle Handle
 }
 
-// NewHeld builds a Held entry with its release closure.
-func NewHeld(key, mode string, fence hierlock.FenceToken, hasFence bool, handle any, release func() error) *Held {
-	return &Held{Key: key, Mode: mode, Fence: fence, HasFence: hasFence, Handle: handle, release: release}
+// Handle is what a session holds a lock through: *hierlock.Lock,
+// *hierlock.PathLock and *hierlock.LockSet all are.
+type Handle interface {
+	Unlock() error
+}
+
+// NewHeld builds a Held entry.
+func NewHeld(key, mode string, fence hierlock.FenceToken, hasFence bool, handle Handle) *Held {
+	return &Held{Key: key, Mode: mode, Fence: fence, HasFence: hasFence, Handle: handle}
 }
 
 // Session is one client's lock namespace. An anonymous session (name
@@ -475,11 +481,11 @@ func (s *Session) Release(key string) error {
 	}
 	delete(s.held, key)
 	s.mu.Unlock()
-	if err := h.release(); err != nil {
+	if err := h.Handle.Unlock(); err != nil {
 		if !errors.Is(err, hierlock.ErrReleased) && !errors.Is(err, hierlock.ErrLockLost) {
 			s.mu.Lock()
 			if !s.gone {
-				s.held[key] = h
+				s.held[h.Key] = h // not key: the caller's key does not escape
 			}
 			s.mu.Unlock()
 		}
@@ -497,7 +503,7 @@ func (s *Session) ReleaseAll() int {
 	s.held = make(map[string]*Held)
 	s.mu.Unlock()
 	for _, h := range held {
-		_ = h.release()
+		_ = h.Handle.Unlock()
 	}
 	return len(held)
 }

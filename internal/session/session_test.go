@@ -24,14 +24,19 @@ func counter(reg *metrics.Registry, name string) uint64 {
 	return reg.Counter(name, "", nil).Value()
 }
 
+// unlockFunc is a session.Handle whose Unlock is the function.
+type unlockFunc func() error
+
+func (f unlockFunc) Unlock() error { return f() }
+
 // held builds a Held entry whose release bumps released and returns
 // err (released is atomic: the lease sweeper releases from its own
 // goroutine).
 func held(key string, released *atomic.Int64, err error) *session.Held {
-	return session.NewHeld(key, "W", hierlock.FenceToken{}, false, nil, func() error {
+	return session.NewHeld(key, "W", hierlock.FenceToken{}, false, unlockFunc(func() error {
 		released.Add(1)
 		return err
-	})
+	}))
 }
 
 // TestLeaseExpiryReapsLocks: a named session that stops heartbeating is
@@ -154,13 +159,13 @@ func TestReleaseFailureRetainsEntry(t *testing.T) {
 	s := mgr.Anonymous()
 
 	calls := 0
-	flaky := session.NewHeld("k", "W", hierlock.FenceToken{}, false, nil, func() error {
+	flaky := session.NewHeld("k", "W", hierlock.FenceToken{}, false, unlockFunc(func() error {
 		calls++
 		if calls == 1 {
 			return errors.New("transient member failure")
 		}
 		return nil
-	})
+	}))
 	if err := s.AddHeld(flaky); err != nil {
 		t.Fatal(err)
 	}
@@ -175,9 +180,9 @@ func TestReleaseFailureRetainsEntry(t *testing.T) {
 	}
 
 	// A handle that is already dead must NOT be re-inserted.
-	dead := session.NewHeld("d", "W", hierlock.FenceToken{}, false, nil, func() error {
+	dead := session.NewHeld("d", "W", hierlock.FenceToken{}, false, unlockFunc(func() error {
 		return hierlock.ErrReleased
-	})
+	}))
 	if err := s.AddHeld(dead); err != nil {
 		t.Fatal(err)
 	}
@@ -204,8 +209,8 @@ func TestSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = s.AddHeld(session.NewHeld("z", "W", hierlock.FenceToken{Epoch: 1, Seq: 7}, true, nil, func() error { return nil }))
-	_ = s.AddHeld(session.NewHeld("a", "R", hierlock.FenceToken{}, false, nil, func() error { return nil }))
+	_ = s.AddHeld(session.NewHeld("z", "W", hierlock.FenceToken{Epoch: 1, Seq: 7}, true, unlockFunc(func() error { return nil })))
+	_ = s.AddHeld(session.NewHeld("a", "R", hierlock.FenceToken{}, false, unlockFunc(func() error { return nil })))
 	if _, _, err := mgr.Open("a", 30*time.Second); err != nil {
 		t.Fatal(err)
 	}

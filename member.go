@@ -285,9 +285,11 @@ func (sh *lockShard) admit() {
 // guarded by the owning shard's mutex.
 type lockState struct {
 	id proto.LockID
-	// res is the resource name clients used for this lock, for
-	// human-readable metric labels ("" when only remote messages have
-	// touched the lock so far).
+	// sh is the stripe that owns the entry, set at creation.
+	sh *lockShard
+	// res is the resource name clients used for this lock: every handle's
+	// Resource, and the name in the inventory ("" when only remote
+	// messages have touched the lock so far).
 	res    string
 	engine *hlock.Engine
 	// waiter is the outstanding client request, if any: nil or &w. The
@@ -1587,6 +1589,7 @@ func (m *Member) state(lock proto.LockID, res string) (*lockShard, *lockState) {
 		_, recorded := m.replayed[lock]
 		ls = &lockState{
 			id:       lock,
+			sh:       sh,
 			res:      res,
 			engine:   e,
 			w:        waiter{ch: make(chan struct{}, 1)},
@@ -1727,7 +1730,7 @@ func (m *Member) LockWithPriority(ctx context.Context, resource string, mode Mod
 		sh.cnt.joins++
 		sh.cnt.stageGrant(metrics.OpLock, metrics.OutcomeLocal, 0, 0)
 		sh.mu.Unlock()
-		return &Lock{sh: sh, ls: ls, resource: resource, mode: mode, fence: fence}, nil
+		return &Lock{ls: ls, seq: fence.Seq, epoch: fence.Epoch, mode: mode}, nil
 	}
 
 	// Admission: one client operation per lock per member at a time. A
@@ -1829,7 +1832,7 @@ func (m *Member) LockWithPriority(ctx context.Context, resource string, mode Mod
 	sh.grants++
 	sh.cnt.stageGrant(metrics.OpLock, w.outcome(localGrant), d, w.hops)
 	sh.mu.Unlock()
-	return &Lock{sh: sh, ls: ls, resource: resource, mode: mode, fence: w.fence}, nil
+	return &Lock{ls: ls, seq: w.fence.Seq, epoch: w.fence.Epoch, mode: mode}, nil
 }
 
 // noteAcquire stages the OpAcquire entry of a request for mode on lock,
@@ -1866,31 +1869,31 @@ func (m *Member) lostWait(sh *lockShard, op int, lock proto.LockID, mode modes.M
 		res, m.recoveryTimeout, ErrLockLost)
 }
 
-// Lock is a held lock handle: 64 bytes, the allocation a resident
+// Lock is a held lock handle: 32 bytes, the allocation a resident
 // Lock/Unlock pair makes.
 type Lock struct {
-	// sh and ls are the lock's stripe and entry (the member is sh.m): an
-	// entry with a hold or its admission slot taken is never evicted, so
-	// they stay the live ones from grant to release and no operation on the
-	// handle looks the entry up again.
-	sh       *lockShard
-	ls       *lockState
-	resource string
+	// ls is the lock's entry; its stripe is ls.sh and the member ls.sh.m.
+	// An entry with a hold or its admission slot taken is never evicted, so
+	// it stays the live one from grant to release and no operation on the
+	// handle looks the entry up again. Its res, which every client Lock
+	// sets, is the handle's Resource.
+	ls *lockState
+	// latest is the grant event a successful upgrade recorded, nil until
+	// there is one.
+	latest atomic.Pointer[grantEvent]
 
-	// released and upgrading (an Upgrade in flight) are guarded by sh.mu,
-	// which every method that looks at them takes anyway; they share a word
-	// with mode.
+	// seq, epoch and mode are the grant event the handle was built with
+	// (its FenceToken flattened, so the three pack with the two flags),
+	// never written again. Each grant event is immutable once published,
+	// so Mode and Fence take no mutex, and a mode and a fence read through
+	// one granted call belong to one grant event.
+	seq   uint64
+	epoch uint32
+	// released and upgrading (an Upgrade in flight) are guarded by
+	// ls.sh.mu, which every method that looks at them takes anyway.
 	released  bool
 	upgrading bool
-
-	// mode and fence are the grant event the handle was built with, never
-	// written again; latest is the one a successful upgrade recorded since,
-	// nil until there is one. Each is immutable once published, so Mode and
-	// Fence take no mutex, and a mode and a fence read through one granted
-	// call belong to one grant event.
-	mode   Mode
-	fence  FenceToken
-	latest atomic.Pointer[grantEvent]
+	mode      Mode
 }
 
 // grantEvent is a handle's held mode and the fencing token minted with it.
@@ -1904,17 +1907,19 @@ func (l *Lock) granted() grantEvent {
 	if g := l.latest.Load(); g != nil {
 		return *g
 	}
-	return grantEvent{l.mode, l.fence}
+	return grantEvent{l.mode, FenceToken{Epoch: l.epoch, Seq: l.seq}}
 }
 
-// regrant records a new grant event on the handle. Callers hold l.sh.mu,
+// regrant records a new grant event on the handle. Callers hold l.ls.sh.mu,
 // which orders the events.
 func (l *Lock) regrant(mode Mode, fence FenceToken) {
 	l.latest.Store(&grantEvent{mode, fence})
 }
 
-// Resource returns the locked resource name.
-func (l *Lock) Resource() string { return l.resource }
+// Resource returns the locked resource name: the name the handle was
+// locked by, unless another name maps to the same LockID, in which case
+// both share one lock and the name its entry was first locked by.
+func (l *Lock) Resource() string { return l.ls.res }
 
 // Mode returns the currently held mode (W after a successful upgrade).
 func (l *Lock) Mode() Mode { return l.granted().mode }
@@ -1931,7 +1936,9 @@ func (l *Lock) Fence() FenceToken { return l.granted().fence }
 // member too — local state is cleaned up and undeliverable protocol
 // messages are dropped silently.
 func (l *Lock) Unlock() error {
-	m, sh, ls := l.sh.m, l.sh, l.ls
+	ls := l.ls
+	sh := ls.sh
+	m := sh.m
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if l.released {
@@ -1981,7 +1988,9 @@ func (l *Lock) Unlock() error {
 // handle then holds W, or the lock is auto-released if Unlock was called
 // meanwhile.
 func (l *Lock) Upgrade(ctx context.Context) error {
-	m, sh, ls := l.sh.m, l.sh, l.ls
+	ls := l.ls
+	sh := ls.sh
+	m := sh.m
 	sh.mu.Lock()
 	var err error
 	switch {
@@ -2032,7 +2041,7 @@ func (l *Lock) Upgrade(ctx context.Context) error {
 			// arrives; the waiter stays registered, so a subsequent Unlock
 			// is handled via releaseOnUpgrade.
 			if err == ErrLockLost {
-				err = m.lostWait(sh, metrics.OpUpgrade, ls.id, modes.W, tr, start, l.resource)
+				err = m.lostWait(sh, metrics.OpUpgrade, ls.id, modes.W, tr, start, ls.res)
 			}
 			return err
 		}

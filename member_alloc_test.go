@@ -137,9 +137,9 @@ func TestMemberLockUnlockAllocsWithDefaultWiring(t *testing.T) {
 		t.Errorf("ring holds %d entries and %s = %d, want %d and %d", n, metrics.MetricAuditEntries, c, 3*501, 501)
 	}
 
-	// The one object is the 64-byte handle: bytes, not only objects, so the
+	// The one object is the 32-byte handle: bytes, not only objects, so the
 	// handle cannot grow into the next size class unnoticed.
-	const pairs, byteBudget = 500, 64
+	const pairs, byteBudget = 500, 32
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < pairs; i++ {

@@ -23,11 +23,13 @@
 #
 # Micro mode builds one test binary per package and side, once, with
 # -trimpath so that the same source gives both sides the same bytes. Then
-# it runs each benchmark of the gated set below with -test.count 1, the
-# two sides back to back, and prints the same summary of ns/op. A
-# benchmark is flagged when it loses >= 8 in 10 pairs with a median worse
-# than the base's by more than both the base inter-quartile distance and
-# 10 %. Whatever the first pass flags is run for N more pairs (kept in
+# it runs each benchmark of the gated set below with -test.count 1 and
+# -test.benchmem, the two sides back to back, and prints the same summary
+# of ns/op, B/op and allocs/op. A benchmark is flagged when it loses >= 8
+# in 10 pairs with a median ns/op worse than the base's by more than both
+# the base inter-quartile distance and 10 %, or when its median B/op or
+# allocs/op rises beyond the tolerance scripts/pairs.awk states. Whatever
+# the first pass flags is run for N more pairs (kept in
 # .bench_build/pairs-confirm.tsv) and summarized again; the script exits 1
 # only on a benchmark flagged in both passes.
 #
@@ -52,7 +54,8 @@ hierlock 40x $(echo Fig{5MessageOverhead,6LatencyFactor}/naimi-{same-work,pure}/
 hierlock 300ms LiveClusterThroughput MemberMultiLockContended MemberJournaledGrant MemberDefaultTelemetry MemberRemoteTelemetry
 hierlock/internal/hlock 1s LocalAcquireRelease RequestGrantRoundTrip QueueChurn Fingerprint
 hierlock/internal/proto 300ms AppendLinkData ReadLinkFrame LinkRoundTrip EncodeMessage DecodeMessage
-hierlock/internal/trace 300ms AdmitResidentBatch"
+hierlock/internal/trace 300ms AdmitResidentBatch
+hierlock/internal/lockserver 300ms ServeConnLockUnlock"
 
 w=${1:?usage: scripts/pairs.sh WORKLOAD|micro [N] [BASE]}
 n=${2:-10}
@@ -99,16 +102,22 @@ run() {
 }
 
 # bench SIDE PAIR PKG BENCHTIME NAME: one pass of BenchmarkNAME (a/b/c
-# selects that sub-benchmark), each ns/op it prints appended to $runs.
+# selects that sub-benchmark), appended to $runs: each ns/op it prints
+# under the benchmark's name, each B/op and allocs/op under the name and
+# ":B/op" or ":allocs/op".
 bench() {
 	local out
 	if ! out=$(cd "${tree[$1]}${3#hierlock}" && "$bin/$1/${3##*/}.test" -test.run '^$' \
-		-test.bench "^Benchmark${5//\//\$/^}\$" -test.benchtime "$4" -test.count 1 </dev/null 2>>"$log"); then
+		-test.bench "^Benchmark${5//\//\$/^}\$" -test.benchtime "$4" -test.count 1 -test.benchmem </dev/null 2>>"$log"); then
 		echo "$out" >>"$log"
 		echo "pairs: $1 run of pair $2 failed in Benchmark$5 (see $log)" >&2
 		exit 1
 	fi
-	out=$(awk -v side="$1" -v pair="$2" '$1 ~ /^Benchmark/ && $4 == "ns/op" { print side "\t" pair "\t" $1 "\t" $3 }' <<<"$out")
+	out=$(awk -v side="$1" -v pair="$2" '$1 ~ /^Benchmark/ && $4 == "ns/op" {
+		print side "\t" pair "\t" $1 "\t" $3
+		for (i = 5; i < NF; i += 2)
+			if ($(i + 1) == "B/op" || $(i + 1) == "allocs/op") print side "\t" pair "\t" $1 ":" $(i + 1) "\t" $i
+	}' <<<"$out")
 	if [[ -n $out ]]; then
 		echo "$out" >>"$runs"
 	elif [[ $1 == change ]]; then

@@ -57,6 +57,18 @@ check 0 " 0/10  7/10  ok" "3 ties count for neither side" -v gate=1 \
 check 0 "base only" "a benchmark the change no longer has" -v gate=1 \
 	< <(tsv BenchmarkX "$tight" "")
 
+# Counts: a rise in allocs/op or B/op beyond the tolerance fails the gate
+# however many pairs it lost and however the time went; the A/A jitter of
+# B/op does not.
+check 1 "regressed: BenchmarkX:allocs/op" "median allocs/op 1 -> 2 in 6 of 10 pairs, time unchanged" -v gate=1 \
+	< <(tsv BenchmarkX "$tight" "99 102 100 101 101 99 99 102 98 99"
+		tsv BenchmarkX:allocs/op "1 1 1 1 1 1 1 1 1 1" "2 2 1 2 1 2 1 2 1 2"
+		tsv BenchmarkX:B/op "32 32 32 32 32 32 32 32 32 32" "32 32 32 32 32 32 32 32 32 32")
+check 0 " 0/10  0/10  ok" "allocs/op and B/op hold within the A/A jitter" -v gate=1 \
+	< <(tsv BenchmarkX "$tight" "99 102 100 101 101 99 99 102 98 99"
+		tsv BenchmarkX:allocs/op "8 8 8 8 8 8 8 8 8 8" "8 8 8 8 8 8 8 8 8 8"
+		tsv BenchmarkX:B/op "564 574 577 570 560 580 571 575 566 573" "570 578 583 566 575 590 570 577 580 574")
+
 # The confirmation pass: a benchmark fails the gate only when the re-run
 # of what the first pass flagged flags it again.
 slow="120 121 119 120 122 118 120 121 119 120"

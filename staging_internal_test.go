@@ -556,7 +556,7 @@ func TestAcquireFoldedOnlyWhenGrantedAtOnce(t *testing.T) {
 	if err := l.Unlock(); err != nil {
 		t.Fatal(err)
 	}
-	sh, lat := l.sh, latency(metrics.OpLock, metrics.OutcomeLocal)
+	sh, lat := l.ls.sh, latency(metrics.OpLock, metrics.OutcomeLocal)
 	sh.mu.Lock()
 	n, sum := sh.cnt.n[0][lat], sh.cnt.sum[lat]
 	sh.mu.Unlock()
