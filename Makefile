@@ -14,7 +14,9 @@ vet:
 
 # Static checks: go vet — over bench/ too, a module of its own that no
 # root-module target compiles, so a root change that stops the frozen
-# harness building fails here and not in the benchmark run — plus a gofmt
+# harness building fails here and not in the benchmark run, and for
+# darwin and windows, so the journal's per-OS mapping code (unix mmap
+# without fdatasync, Windows views) keeps building — plus a gofmt
 # drift check (fails listing any unformatted file), and the scripts: a
 # syntax check of each, then the pairs summary's verdicts on canned runs,
 # so a broken gate fails here and not at the end of ci. Last, every
@@ -23,6 +25,8 @@ vet:
 # test would drop out of its target unnoticed).
 lint: vet
 	$(GO) vet -C bench ./...
+	GOOS=darwin $(GO) vet ./...
+	GOOS=windows $(GO) vet ./...
 	@unformatted=$$($(GOFMT) -l .); \
 	if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; \
@@ -128,7 +132,9 @@ fuzz:
 
 # Microbenchmarks: protocol engine hot paths plus the observability
 # overhead benches (histogram/counter/trace-record, including the
-# nil-handle disabled paths, which must report 0 allocs/op). The second
+# nil-handle disabled paths, which must report 0 allocs/op), a journal
+# append, and the token path on journaled members (two records an op,
+# BenchmarkMemberJournaledTransfer). The second
 # line is a smoke run of the member's resident pair, bare and under
 # lockd's default telemetry, and of a remote grant under that telemetry
 # (two members passing one key's token), on one core and on two: what a
@@ -138,7 +144,7 @@ fuzz:
 # — which the ring and then the auditor get 16 at a time; the flight
 # recorder reads its grants from the ring when it is read.
 bench:
-	$(GO) test -run '^$$' -bench . -benchmem . ./internal/hlock ./internal/metrics ./internal/trace ./internal/proto ./internal/session
+	$(GO) test -run '^$$' -bench . -benchmem . ./internal/hlock ./internal/metrics ./internal/trace ./internal/proto ./internal/session ./internal/journal
 	$(GO) test -run '^$$' -bench 'BenchmarkMemberDefaultTelemetry|BenchmarkMemberRemoteTelemetry|BenchmarkMemberMultiLockContended' -cpu 1,2 -benchtime 100x -benchmem .
 
 # Alternating base/change pairs of one benchmark workload (15 s runs, seed

@@ -49,7 +49,7 @@ func bootDurableMember(t *testing.T, id int, addrs map[int]string, dataDir strin
 // port handed out by a ":0" listener returns to that pool once the
 // listener closes, where any outbound connection of the process can
 // draw it as its source port and keep it for as long as it lives.
-func reserveAddrs(t *testing.T, n int) map[int]string {
+func reserveAddrs(t testing.TB, n int) map[int]string {
 	t.Helper()
 	addrs := make(map[int]string, n)
 	for port := 20000 + rand.Intn(8000); len(addrs) < n; port++ {

@@ -18,10 +18,22 @@
 // single forward scan into a map and a snapshot is just the map
 // re-encoded — the same framing, compacted.
 //
+// The WAL file is zero-filled ahead of its records, to the room one
+// snapshot cadence needs, and an append is a store through a shared,
+// writable mapping of a small window over its tail: no system call, and
+// the record is in the page cache, where a killed process cannot lose it,
+// when Append returns. A zero length prefix ends replay like any short
+// frame, so the records end at the first zero frame. A snapshot truncates
+// the WAL to zero, then zero-fills it again; the used prefix is never
+// zeroed in place.
+//
 // Fsync policy is the durability/throughput knob: FsyncAlways syncs
 // inline on every append, FsyncBatched (the default) amortizes syncs
 // on a background cadence, outside the append lock, FsyncNever leaves
-// flushing to the OS.
+// flushing to the OS. A sync is fdatasync where the OS has it: the
+// file's length changes at a snapshot only. The first failed sync, like
+// any other failure of the WAL file, is returned by every later Append,
+// Sync and Snapshot.
 package journal
 
 import (
@@ -32,6 +44,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -94,6 +107,9 @@ const payloadSize = 1 + 8 + 4 + 1 + 1 + 4 + 8 // kind lock epoch mode flags root
 // frameHeader is the per-record framing overhead.
 const frameHeader = 8 // u32 length + u32 crc
 
+// frameSize is the WAL bytes one record takes.
+const frameSize = frameHeader + payloadSize
+
 // maxFrame bounds the length prefix accepted during replay; anything
 // larger is treated as corruption (current records are payloadSize
 // bytes; the slack admits forward-compatible growth).
@@ -111,6 +127,13 @@ func (r Record) encode(buf []byte) {
 	}
 	binary.LittleEndian.PutUint32(buf[15:], uint32(r.Root))
 	binary.LittleEndian.PutUint64(buf[19:], r.TS)
+}
+
+// putFrame encodes r as one frame into buf[:frameSize].
+func putFrame(buf []byte, r Record) {
+	binary.LittleEndian.PutUint32(buf[0:], payloadSize)
+	r.encode(buf[frameHeader:frameSize])
+	binary.LittleEndian.PutUint32(buf[4:], crc32.ChecksumIEEE(buf[frameHeader:frameSize]))
 }
 
 func decodeRecord(buf []byte) Record {
@@ -184,9 +207,9 @@ type Options struct {
 // metrics scrapes and the debug endpoint.
 type Stats struct {
 	Records    uint64        // records appended since Open
-	WALBytes   int64         // current WAL file size
+	WALBytes   int64         // bytes of the records in the WAL; zeros follow them in the file
 	WALRecords int           // records in the WAL since the last snapshot
-	Fsyncs     uint64        // fsync calls issued
+	Fsyncs     uint64        // WAL syncs issued: fdatasync where the OS has it
 	FsyncTime  time.Duration // cumulative time spent in fsync
 	Snapshots  uint64        // snapshot rotations completed
 	Locks      int           // distinct locks in the state map
@@ -204,9 +227,19 @@ type Journal struct {
 	wal        *os.File
 	state      map[proto.LockID]Record
 	walRecords int
-	walBytes   int64
-	dirty      bool // unsynced appends (batched policy)
-	closed     bool
+	walBytes   int64 // the records' bytes: where the next one goes
+	size       int64 // the file's length, records and the zeros after them
+	// win maps [winOff, winOff+len(win)) of the WAL, over its tail. It
+	// changes under mu and syncMu both: a sync reads it (Windows flushes
+	// the view) holding syncMu alone.
+	win    []byte
+	winOff int64
+	dirty  bool // unsynced appends (batched policy)
+	closed bool
+	// err is the first failure of the WAL file: a sync, a store into the
+	// mapping, a truncation or a remap. Once set the WAL's durability is
+	// unknown, and every later Append, Sync, Snapshot and Close returns it.
+	err error
 	// wake tells the sleeping flusher that an append dirtied a clean WAL.
 	// Sent and drained under mu, so a token is there exactly while an
 	// append waits for a tick to cover it.
@@ -218,6 +251,9 @@ type Journal struct {
 	// parkSync, when set (tests only), runs under syncMu just before the
 	// flusher's fsync. Guarded by mu.
 	parkSync func()
+	// syncErr, when set (tests only), replaces the result of every sync.
+	// Guarded by syncMu.
+	syncErr error
 
 	records   atomic.Uint64
 	fsyncs    atomic.Uint64
@@ -239,6 +275,19 @@ const (
 	snapName = "snapshot.snap"
 )
 
+const (
+	// windowGranules is the mapped window's length in mapping granules: a
+	// page on unix (16 KiB windows, a remap every ~460 records, at most
+	// four resident pages), 64 KiB on Windows (the whole WAL at the default
+	// cadence). It is more than one granule plus a frame, so a window
+	// started at the granule holding the tail always has room for the next
+	// record.
+	windowGranules = 4
+	// growStep is how far the WAL is zero-filled past its records when
+	// snapshots are off, and again each time they reach its end.
+	growStep = 64 << 10
+)
+
 // Open creates or reopens the journal in dir, replaying any existing
 // snapshot and WAL into the in-memory state map. The directory is
 // created if absent.
@@ -250,21 +299,8 @@ func Open(dir string, opts Options) (*Journal, error) {
 	if err != nil {
 		return nil, err
 	}
-	wal, err := os.OpenFile(filepath.Join(dir, walName), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	wal, err := os.OpenFile(filepath.Join(dir, walName), os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
-		return nil, fmt.Errorf("journal: %w", err)
-	}
-	// Replay stopped at the first torn or corrupt frame. Cut the WAL back
-	// to the frames it kept before the first append: a record appended
-	// behind the bad bytes would be invisible to every later replay.
-	info, err := wal.Stat()
-	if err == nil && info.Size() != clean {
-		if err = wal.Truncate(clean); err == nil {
-			err = wal.Sync()
-		}
-	}
-	if err != nil {
-		wal.Close()
 		return nil, fmt.Errorf("journal: %w", err)
 	}
 	j := &Journal{
@@ -285,11 +321,103 @@ func Open(dir string, opts Options) (*Journal, error) {
 	if j.snapEv == 0 {
 		j.snapEv = DefaultSnapshotEvery
 	}
+	if err := j.prepare(); err != nil {
+		wal.Close()
+		return nil, fmt.Errorf("journal: %w", err)
+	}
 	if j.policy == FsyncBatched {
 		j.wg.Add(1)
 		go j.flusher()
 	}
 	return j, nil
+}
+
+// prepare readies a freshly opened WAL for appends. Replay stopped at the
+// first torn or corrupt frame, or at the zeros after the records. Cut the
+// WAL back to the frames it kept, and sync that, before the first append:
+// a record stored behind bad bytes would be invisible to every later
+// replay, and one stored over them could leave older valid frames after
+// it, to be replayed over it. Then zero-fill and map the tail.
+func (j *Journal) prepare() error {
+	info, err := j.wal.Stat()
+	if err != nil {
+		return err
+	}
+	if info.Size() > j.walBytes {
+		if err := j.wal.Truncate(j.walBytes); err != nil {
+			return err
+		}
+		if err := datasync(j.wal, nil); err != nil {
+			return err
+		}
+	}
+	return j.zeroFill()
+}
+
+// capacity is the length the WAL is zero-filled to: room for one snapshot
+// cadence of records (the append that reaches it snapshots), or growStep
+// bytes past the records when snapshots are off or the records already
+// fill that.
+func (j *Journal) capacity() int64 {
+	if size := int64(j.snapEv+1) * frameSize; j.snapEv > 0 && j.walBytes+frameSize <= size {
+		return size
+	}
+	return j.walBytes + growStep
+}
+
+// zeroFill zero-fills the WAL past its records to capacity and maps the
+// window over the tail.
+func (j *Journal) zeroFill() error {
+	j.size = j.capacity()
+	if err := j.wal.Truncate(j.size); err != nil {
+		return err
+	}
+	return j.mapTail()
+}
+
+// mapTail maps the window over the granule holding the tail.
+func (j *Journal) mapTail() error {
+	off := j.walBytes / mapGranularity * mapGranularity
+	win, err := mmap(j.wal, off, int(min(windowGranules*mapGranularity, j.size-off)))
+	if err != nil {
+		return err
+	}
+	j.win, j.winOff = win, off
+	return nil
+}
+
+// unmap drops the window. Callers hold j.mu and j.syncMu.
+func (j *Journal) unmap() error {
+	if j.win == nil {
+		return nil
+	}
+	err := munmap(j.win)
+	j.win = nil
+	return err
+}
+
+// remap moves the window over the tail once the next record would pass
+// its end, zero-filling the WAL further first if the record would pass
+// the file's. Callers hold j.mu; the window changes under j.syncMu too.
+func (j *Journal) remap() error {
+	j.syncMu.Lock()
+	defer j.syncMu.Unlock()
+	if err := j.unmap(); err != nil {
+		return err
+	}
+	if j.walBytes+frameSize > j.size {
+		return j.zeroFill()
+	}
+	return j.mapTail()
+}
+
+// fail records err as the journal's first failure of the WAL file, if it
+// is the first, and returns that first failure. Callers hold j.mu.
+func (j *Journal) fail(err error) error {
+	if j.err == nil {
+		j.err = err
+	}
+	return j.err
 }
 
 // idleTicks is how many consecutive clean ticks send the flusher to
@@ -306,8 +434,9 @@ const idleTicks = 64
 // fill, and syncs; while appends keep coming it ticks on, one interval
 // from each fsync's start to the next, and idleTicks clean ticks in a row
 // put it back to sleep — an idle journal wakes nobody. The fsync runs
-// outside j.mu: an append that arrives meanwhile writes, marks the
-// journal dirty again and is covered by the next tick.
+// outside j.mu: an append that arrives meanwhile stores its record, marks
+// the journal dirty again and is covered by the next tick. A failed fsync
+// fails the journal: the appends it covered may be lost.
 func (j *Journal) flusher() {
 	defer j.wg.Done()
 	t := time.NewTimer(time.Hour)
@@ -345,8 +474,15 @@ func (j *Journal) flusher() {
 			if park != nil {
 				park()
 			}
-			_ = j.fsync() // after Close this fails; Close synced already
+			err := j.fsync()
 			j.syncMu.Unlock()
+			if err != nil {
+				j.mu.Lock()
+				if !j.closed { // after Close this fails; Close synced already
+					j.fail(fmt.Errorf("journal: sync: %w", err))
+				}
+				j.mu.Unlock()
+			}
 		}
 	}
 }
@@ -362,10 +498,14 @@ func (j *Journal) SetFsyncObserver(fn func(time.Duration)) {
 	j.observeFsync.Store(&fn)
 }
 
-// fsync syncs the WAL, timing it. Callers hold j.syncMu.
+// fsync syncs the WAL's data, timing it. Callers hold j.syncMu.
 func (j *Journal) fsync() error {
 	start := time.Now()
-	if err := j.wal.Sync(); err != nil {
+	err := datasync(j.wal, j.win)
+	if j.syncErr != nil {
+		err = j.syncErr
+	}
+	if err != nil {
 		return err
 	}
 	j.fsyncs.Add(1)
@@ -384,31 +524,46 @@ func (j *Journal) syncLocked() error {
 	return j.fsync()
 }
 
-// Append writes one record to the WAL and folds it into the state map.
-// Under FsyncAlways the call returns only after the record is on
-// stable storage; under FsyncBatched it returns after the buffered OS
-// write and the background flusher syncs within one batch interval.
-func (j *Journal) Append(r Record) error {
-	var buf [frameHeader + payloadSize]byte
-	binary.LittleEndian.PutUint32(buf[0:], payloadSize)
-	r.encode(buf[frameHeader:])
-	binary.LittleEndian.PutUint32(buf[4:], crc32.ChecksumIEEE(buf[frameHeader:]))
+// errClosed is what every call on a closed journal returns.
+var errClosed = errors.New("journal: closed")
 
+// refuse returns why the journal takes no more appends, syncs or
+// snapshots: it is closed, or its WAL file failed. Callers hold j.mu.
+func (j *Journal) refuse() error {
+	if j.closed {
+		return errClosed
+	}
+	return j.err
+}
+
+// Append stores one record in the WAL and folds it into the state map.
+// The record is in the page cache when Append returns, so a killed
+// process loses nothing; under FsyncAlways it is on stable storage too,
+// and under FsyncBatched the background flusher syncs it within one
+// batch interval.
+func (j *Journal) Append(r Record) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.closed {
-		return errors.New("journal: closed")
+	if err := j.refuse(); err != nil {
+		return err
 	}
-	if _, err := j.wal.Write(buf[:]); err != nil {
-		return fmt.Errorf("journal: append: %w", err)
+	if j.walBytes+frameSize > j.winOff+int64(len(j.win)) {
+		if err := j.remap(); err != nil {
+			return j.fail(fmt.Errorf("journal: append: %w", err))
+		}
+	}
+	if err := store(j.win[j.walBytes-j.winOff:], r); err != nil {
+		return j.fail(err)
 	}
 	j.state[r.Lock] = r
 	j.walRecords++
-	j.walBytes += int64(len(buf))
+	j.walBytes += frameSize
 	j.records.Add(1)
 	switch j.policy {
 	case FsyncAlways:
-		_ = j.syncLocked() // surfaced via the next append's write error, if any
+		if err := j.syncLocked(); err != nil {
+			return j.fail(fmt.Errorf("journal: sync: %w", err))
+		}
 	case FsyncBatched:
 		if !j.dirty {
 			j.dirty = true
@@ -424,17 +579,32 @@ func (j *Journal) Append(r Record) error {
 	return nil
 }
 
+// store encodes r as a frame where it goes in the mapped window, win. A
+// fault there — the file was cut short under the mapping, or the disk had
+// no block for the page — is an error, not a crash. A process killed part
+// of the way through leaves a torn frame, which ends replay.
+func store(win []byte, r Record) (err error) {
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("journal: append: fault on the mapped WAL: %v", p)
+		}
+	}()
+	putFrame(win, r)
+	return nil
+}
+
 // Sync forces any buffered appends to stable storage now, regardless
 // of policy.
 func (j *Journal) Sync() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.closed {
-		return errors.New("journal: closed")
+	if err := j.refuse(); err != nil {
+		return err
 	}
 	j.dirty = false
 	if err := j.syncLocked(); err != nil {
-		return fmt.Errorf("journal: sync: %w", err)
+		return j.fail(fmt.Errorf("journal: sync: %w", err))
 	}
 	return nil
 }
@@ -444,33 +614,35 @@ func (j *Journal) Sync() error {
 func (j *Journal) Snapshot() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.closed {
-		return errors.New("journal: closed")
+	if err := j.refuse(); err != nil {
+		return err
 	}
 	return j.snapshotLocked()
 }
 
 // snapshotLocked writes every state-map record to a temporary file,
 // fsyncs it, atomically renames it over the snapshot, then truncates
-// the WAL. A crash at any point leaves either the old snapshot + full
-// WAL or the new snapshot + (possibly still full) WAL — both replay to
-// the same state because records are last-write-wins per lock and the
-// snapshot holds exactly the fold of everything truncated.
+// the WAL to zero and zero-fills it again. A crash at any point leaves
+// either the old snapshot + full WAL or the new snapshot + (possibly
+// still full, or empty) WAL — each replays to the same state because
+// records are last-write-wins per lock and the snapshot holds exactly
+// the fold of everything truncated. The WAL's records are never zeroed
+// in place: a crash part-way through that would leave some of them,
+// older than the snapshot, to be replayed over it.
 func (j *Journal) snapshotLocked() error {
 	tmp, err := os.CreateTemp(j.dir, "snapshot-*.tmp")
 	if err != nil {
 		return fmt.Errorf("journal: snapshot: %w", err)
 	}
 	defer os.Remove(tmp.Name())
-	var buf [frameHeader + payloadSize]byte
+	buf := make([]byte, 0, len(j.state)*frameSize)
 	for _, r := range j.state {
-		binary.LittleEndian.PutUint32(buf[0:], payloadSize)
-		r.encode(buf[frameHeader:])
-		binary.LittleEndian.PutUint32(buf[4:], crc32.ChecksumIEEE(buf[frameHeader:]))
-		if _, err := tmp.Write(buf[:]); err != nil {
-			tmp.Close()
-			return fmt.Errorf("journal: snapshot: %w", err)
-		}
+		buf = buf[:len(buf)+frameSize]
+		putFrame(buf[len(buf)-frameSize:], r)
+	}
+	if _, err := tmp.Write(buf); err != nil {
+		tmp.Close()
+		return fmt.Errorf("journal: snapshot: %w", err)
 	}
 	if err := tmp.Sync(); err != nil {
 		tmp.Close()
@@ -487,20 +659,26 @@ func (j *Journal) snapshotLocked() error {
 	// flusher fsync from straddling the truncation.
 	j.syncMu.Lock()
 	defer j.syncMu.Unlock()
-	_ = j.fsync()
-	if err := j.wal.Truncate(0); err != nil {
-		return fmt.Errorf("journal: snapshot truncate: %w", err)
+	if err := j.fsync(); err != nil {
+		return j.fail(fmt.Errorf("journal: snapshot: %w", err))
 	}
-	if _, err := j.wal.Seek(0, io.SeekStart); err != nil {
-		return fmt.Errorf("journal: snapshot seek: %w", err)
+	if err := j.unmap(); err != nil {
+		return j.fail(fmt.Errorf("journal: snapshot: %w", err))
+	}
+	if err := j.wal.Truncate(0); err != nil {
+		return j.fail(fmt.Errorf("journal: snapshot truncate: %w", err))
 	}
 	j.walRecords = 0
 	j.walBytes = 0
+	if err := j.zeroFill(); err != nil {
+		return j.fail(fmt.Errorf("journal: snapshot: %w", err))
+	}
 	j.snapshots.Add(1)
 	return nil
 }
 
-// Close syncs and closes the journal. Further appends fail.
+// Close syncs and closes the journal. Further appends fail. It returns
+// the journal's first failure, if the WAL file had one.
 func (j *Journal) Close() error {
 	j.mu.Lock()
 	if j.closed {
@@ -510,18 +688,19 @@ func (j *Journal) Close() error {
 	j.closed = true
 	close(j.done)
 	j.syncMu.Lock()
-	err := j.wal.Sync()
+	err := datasync(j.wal, j.win)
+	uerr := j.unmap()
 	cerr := j.wal.Close()
 	j.syncMu.Unlock()
+	first := j.err
 	j.mu.Unlock()
 	j.wg.Wait()
-	if err != nil {
-		return fmt.Errorf("journal: close: %w", err)
+	for _, e := range []error{err, uerr, cerr} {
+		if first == nil && e != nil {
+			first = fmt.Errorf("journal: close: %w", e)
+		}
 	}
-	if cerr != nil {
-		return fmt.Errorf("journal: close: %w", cerr)
-	}
-	return nil
+	return first
 }
 
 // Stats returns a snapshot of the journal's counters.

@@ -1,8 +1,11 @@
 package journal
 
 import (
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -18,6 +21,32 @@ func mustOpen(t *testing.T, dir string, opts Options) *Journal {
 		t.Fatal(err)
 	}
 	return j
+}
+
+// walOnDisk reads dir's WAL file and returns its records: the frames
+// before the first zero frame, each of which must be a whole, CRC-valid
+// record. Every byte after them must be zero.
+func walOnDisk(t *testing.T, dir string) []Record {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join(dir, walName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recs []Record
+	off := 0
+	for ; off+frameHeader <= len(data) && binary.LittleEndian.Uint32(data[off:]) != 0; off += frameSize {
+		if off+frameSize > len(data) || binary.LittleEndian.Uint32(data[off:]) != payloadSize ||
+			binary.LittleEndian.Uint32(data[off+4:]) != crc32.ChecksumIEEE(data[off+frameHeader:off+frameSize]) {
+			t.Fatalf("WAL frame %d at byte %d is not a record", len(recs), off)
+		}
+		recs = append(recs, decodeRecord(data[off+frameHeader:off+frameSize]))
+	}
+	for i, b := range data[off:] {
+		if b != 0 {
+			t.Fatalf("WAL byte %d, after its %d records, is %#x: want zero", off+i, len(recs), b)
+		}
+	}
+	return recs
 }
 
 func TestAppendReplayRoundTrip(t *testing.T) {
@@ -63,10 +92,11 @@ func TestTornTailTruncation(t *testing.T) {
 	dir := t.TempDir()
 	j := mustOpen(t, dir, Options{Fsync: FsyncAlways})
 	const n = 8
+	rec := func(i int) Record {
+		return Record{Kind: RecGrant, Lock: proto.LockID(i), Epoch: uint32(i), Mode: modes.W, TS: uint64(i)}
+	}
 	for i := 0; i < n; i++ {
-		if err := j.Append(Record{
-			Kind: RecGrant, Lock: proto.LockID(i), Epoch: uint32(i), Mode: modes.W, TS: uint64(i),
-		}); err != nil {
+		if err := j.Append(rec(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -79,8 +109,14 @@ func TestTornTailTruncation(t *testing.T) {
 		t.Fatal(err)
 	}
 	const frame = frameHeader + payloadSize
-	if len(full) != n*frame {
-		t.Fatalf("wal size = %d, want %d", len(full), n*frame)
+	recs := walOnDisk(t, dir)
+	if len(recs) != n {
+		t.Fatalf("wal holds %d records, want %d", len(recs), n)
+	}
+	for i, r := range recs {
+		if r != rec(i) {
+			t.Fatalf("wal record %d = %+v, want %+v", i, r, rec(i))
+		}
 	}
 
 	// Truncate at every byte offset inside the final two frames.
@@ -213,8 +249,14 @@ func TestAppendAfterTornTailReplays(t *testing.T) {
 			if len(state) != tc.kept {
 				t.Fatalf("replay holds %d locks, want %d", len(state), tc.kept)
 			}
-			if info, err := os.Stat(wal); err != nil || info.Size() != int64((tc.kept+1)*frame) {
-				t.Fatalf("WAL after the append: %v, %v; want %d bytes", info.Size(), err, (tc.kept+1)*frame)
+			recs := walOnDisk(t, dir)
+			if len(recs) != tc.kept+1 || recs[tc.kept] != bumped {
+				t.Fatalf("WAL after the append holds %+v: want %d records, then %+v", recs, tc.kept, bumped)
+			}
+			for i, r := range recs[:tc.kept] {
+				if want := (Record{Kind: RecGrant, Lock: proto.LockID(i + 1), Epoch: 1}); r != want {
+					t.Fatalf("WAL record %d = %+v, want %+v", i, r, want)
+				}
 			}
 		})
 	}
@@ -541,10 +583,13 @@ func TestSnapshotAndCloseWaitForParkedBatchSync(t *testing.T) {
 		dir := t.TempDir()
 		j := mustOpen(t, dir, Options{Fsync: FsyncBatched, BatchInterval: time.Millisecond})
 		parked, release := parkBatchSync(j)
+		var appended []Record
 		for i := 1; i <= records; i++ {
-			if err := j.Append(Record{Kind: RecToken, Lock: proto.LockID(i), Epoch: uint32(round)}); err != nil {
+			r := Record{Kind: RecToken, Lock: proto.LockID(i), Epoch: uint32(round)}
+			if err := j.Append(r); err != nil {
 				t.Fatal(err)
 			}
+			appended = append(appended, r)
 		}
 		waitParked(t, parked)
 		done := make(chan error, 1)
@@ -562,8 +607,8 @@ func TestSnapshotAndCloseWaitForParkedBatchSync(t *testing.T) {
 			t.Fatalf("round %d: finished under a parked fsync (err %v)", round, err)
 		case <-time.After(2 * time.Millisecond):
 		}
-		if info, err := os.Stat(filepath.Join(dir, walName)); err != nil || info.Size() == 0 {
-			t.Fatalf("round %d: WAL truncated under a parked fsync (size %v, err %v)", round, info, err)
+		if recs := walOnDisk(t, dir); !slices.Equal(recs, appended) {
+			t.Fatalf("round %d: WAL holds %+v under a parked fsync, want the %d records appended", round, recs, records)
 		}
 		release()
 		select {
@@ -581,8 +626,12 @@ func TestSnapshotAndCloseWaitForParkedBatchSync(t *testing.T) {
 		if len(state) != records {
 			t.Fatalf("round %d: replayed %d of %d records", round, len(state), records)
 		}
-		if info, err := os.Stat(filepath.Join(dir, walName)); err != nil || (round%2 == 0) != (info.Size() == 0) {
-			t.Fatalf("round %d: WAL size %d after the race (err %v)", round, info.Size(), err)
+		want := appended
+		if round%2 == 0 {
+			want = nil // the snapshot round leaves no record in the WAL
+		}
+		if recs := walOnDisk(t, dir); !slices.Equal(recs, want) {
+			t.Fatalf("round %d: WAL holds %+v after the race, want %+v", round, recs, want)
 		}
 	}
 }

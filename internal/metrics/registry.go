@@ -76,9 +76,13 @@ const (
 	MetricAuditEntries = "hierlock_audit_entries_total"
 	// MetricJournalRecords counts write-ahead journal records appended.
 	MetricJournalRecords = "hierlock_journal_records_total"
-	// MetricJournalWALBytes gauges the current WAL file size.
+	// MetricJournalWALBytes gauges the bytes of the records in the WAL
+	// since the last snapshot. That is not the file's length: the file is
+	// zero-filled past its records. (The HELP string still says file
+	// size.)
 	MetricJournalWALBytes = "hierlock_journal_wal_bytes"
-	// MetricJournalFsyncs counts journal fsync calls.
+	// MetricJournalFsyncs counts journal WAL syncs: fdatasync calls where
+	// the OS has fdatasync, fsync elsewhere.
 	MetricJournalFsyncs = "hierlock_journal_fsyncs_total"
 	// MetricJournalFsyncSeconds accumulates time spent in journal fsync.
 	MetricJournalFsyncSeconds = "hierlock_journal_fsync_seconds_total"

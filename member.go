@@ -1501,9 +1501,11 @@ func (m *Member) EpochOf(resource string) uint32 {
 type JournalStats struct {
 	// Records counts journal records appended since the member started.
 	Records uint64
-	// WALBytes is the current size of the write-ahead log file.
+	// WALBytes is the bytes of the records in the write-ahead log since
+	// the last snapshot. The file is longer: it is zero-filled past them.
 	WALBytes int64
-	// Fsyncs counts fsync calls; FsyncTime is their cumulative duration.
+	// Fsyncs counts WAL syncs (fdatasync where the OS has it); FsyncTime
+	// is their cumulative duration.
 	Fsyncs    uint64
 	FsyncTime time.Duration
 	// Snapshots counts snapshot rotations (WAL compactions).

@@ -193,3 +193,52 @@ func BenchmarkMemberJournaledGrant(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkMemberJournaledTransfer is the token path on journaled
+// members: two TCP members on loopback, each with a write-ahead journal
+// under the default batched fsync policy, take turns locking one W key.
+// Every grant fetches the token from the other member, and each end of
+// the transfer appends a record before it acts on it, so one op, a
+// Lock/Unlock pair, is one token hop and two journal records (reported
+// as records/op). BenchmarkMemberJournaledGrant is the resident path,
+// which appends nothing.
+func BenchmarkMemberJournaledTransfer(b *testing.B) {
+	addrs := reserveAddrs(b, 2)
+	dir := b.TempDir()
+	var members [2]*hierlock.Member
+	for i := range members {
+		m, err := hierlock.NewTCPMember(hierlock.TCPMemberConfig{
+			ID:         i,
+			ListenAddr: addrs[i],
+			Peers:      map[int]string{1 - i: addrs[1-i]},
+			DataDir:    dir,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer m.Close()
+		members[i] = m
+	}
+	records := func() (n uint64) {
+		for _, m := range members {
+			st, _ := m.JournalStats()
+			n += st.Records
+		}
+		return n
+	}
+	ctx := context.Background()
+	before := records()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		l, err := members[i%2].Lock(ctx, "transfer", hierlock.W)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := l.Unlock(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(records()-before)/float64(b.N), "records/op")
+}

@@ -51,7 +51,8 @@ gated="hierlock 20x $(echo Fig{5MessageOverhead,6LatencyFactor}/our-protocol/nod
 hierlock 8x $(echo Fig{5MessageOverhead,6LatencyFactor}/our-protocol/nodes-40 Fig7Breakdown/nodes-40)
 hierlock 3x $(echo Fig{5MessageOverhead,6LatencyFactor}/our-protocol/nodes-120 Fig7Breakdown/nodes-120)
 hierlock 40x $(echo Fig{5MessageOverhead,6LatencyFactor}/naimi-{same-work,pure}/nodes-{10,40,120})
-hierlock 300ms LiveClusterThroughput MemberMultiLockContended MemberJournaledGrant MemberDefaultTelemetry MemberRemoteTelemetry
+hierlock 300ms LiveClusterThroughput MemberMultiLockContended MemberJournaledGrant MemberJournaledTransfer MemberDefaultTelemetry MemberRemoteTelemetry
+hierlock/internal/journal 300ms Append
 hierlock/internal/hlock 1s LocalAcquireRelease RequestGrantRoundTrip QueueChurn Fingerprint
 hierlock/internal/proto 300ms AppendLinkData ReadLinkFrame LinkRoundTrip EncodeMessage DecodeMessage
 hierlock/internal/trace 300ms AdmitResidentBatch
