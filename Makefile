@@ -36,12 +36,21 @@ lint: vet
 	GO=$(GO) bash scripts/runpatterns.sh Makefile
 
 # Full test suite under the race detector (includes the transport
-# failure-path tests and the simulator chaos tests).
+# failure-path tests, the simulator's link-fault chaos tests and the
+# crash, restart, membership and watchdog scenarios on live members).
 race:
 	$(GO) test -race -count=1 ./...
 
 # Just the fault-injection, crash-recovery and transport-failure
-# coverage (includes the disk-loss restart chaos scenarios). The
+# coverage: the simulator's link-fault chaos runs, and on live loopback
+# members the token holder's crash with requests queued behind it, the
+# hang without a detector, the restarts with and without the data dir, a
+# join during a recovery round, the root's graceful leave, the watchdog
+# over a wedged round, fsync stalls and a healthy cluster, a request
+# re-issued into a still-fenced new root, and the deadlock report over
+# merged inventories (the fifth line, three times:
+# where the queued requests sit when the holder dies, and when a
+# restarted member's first frames land, are schedule). The
 # transport line runs three times: when a delayed ack is written and
 # which reader ends up delivering depend on the schedule, and one pass
 # hides what the next one shows (TestTCPCutScheduleExactlyOnce, a few
@@ -75,6 +84,7 @@ chaos:
 	$(GO) test -race -count=3 -run 'TestTCP' ./internal/transport/
 	$(GO) test -race -count=1 ./internal/recovery/
 	$(GO) test -race -count=1 -run 'TestTCPCrashRecovery|TestTCPRecoveryQuietWithoutCrash' .
+	$(GO) test -race -count=3 -run 'TestTCPCrashServesQueuedWaiters|TestTCPHolderCrashHangsWithoutDetector|TestTCPDiskLossRestartIsFenced|TestTCPRestartResumesRoundEpoch|TestTCPJoinDuringRecoveryRound|TestTCPRootLeaveRegeneratesImplicitTokens|TestEarlyFrameReplayedAtReseed|TestTCPWatchdog|TestInventory' .
 	$(GO) test -race -count=3 -run 'TestStagedRing|TestSharedRing|TestResidentPath|TestAcquireFolded|TestSlotBlocked|TestReleaseFolds|TestClientScriptRingGolden|TestSharedAuditor|TestViolationInStagedEntry|TestEveryConsumerPulls|TestHandleGrantEvents|TestFlightRecorderSees|TestNodeEventsInTheRing|TestLockAllOrdering' .
 	$(GO) test -race -count=3 -run 'TestScrapeExactWhileCounting|TestMemberMetricsGolden' .
 	$(GO) test -race -count=3 -run 'TestStaleHintSyncsOutsideStripe|TestTCPRecoveryTimeoutWithoutHeartbeat|TestCloseWaitsForInflightRecoveryRetry|TestTCPMembership|TestTCPLeave|TestTCPLeaver' .
@@ -113,13 +123,12 @@ sessions:
 	$(GO) test -race -count=1 -run 'TestFence' .
 
 # Runtime-membership coverage under the race detector: the live TCP
-# join/leave acceptance tests (grow, shrink, leaver killed mid-handoff),
-# the simulator join/leave chaos and determinism tests, the tracked
+# join/leave acceptance tests (grow, shrink, leaver killed mid-handoff,
+# the root's leave, a join during a recovery round), the tracked
 # recovery-timer regressions, and the membership wire-kind golden/fuzz
-# corpus rides in the proto package.
+# corpus that rides in the proto package.
 membership:
-	$(GO) test -race -count=1 -run 'TestTCPMembership|TestTCPLeave|TestTCPLeaver|TestCloseWaitsForInflightRecoveryRetry|TestClosedMemberRunsNoTrackedCallbacks|TestCloseTimerStress' .
-	$(GO) test -race -count=1 -run 'TestJoin|TestLeave|TestRootLeave|TestMembershipChaos' ./internal/cluster/
+	$(GO) test -race -count=1 -run 'TestTCPMembership|TestTCPLeave|TestTCPLeaver|TestTCPRootLeave|TestTCPJoinDuringRecoveryRound|TestCloseWaitsForInflightRecoveryRetry|TestClosedMemberRunsNoTrackedCallbacks|TestCloseTimerStress' .
 	$(GO) test -race -count=1 ./internal/proto/
 
 # Short seeded fuzz passes over the journal replayer, the wire decoder and

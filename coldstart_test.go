@@ -22,26 +22,9 @@ import (
 // auditor must see those sends to match them with their deliveries.
 func bootDurableMember(t *testing.T, id int, addrs map[int]string, dataDir string, tel *hierlock.Telemetry) *hierlock.Member {
 	t.Helper()
-	peers := make(map[int]string, len(addrs)-1)
-	for j, a := range addrs {
-		if j != id {
-			peers[j] = a
-		}
-	}
-	m, err := hierlock.NewTCPMember(hierlock.TCPMemberConfig{
-		ID:                id,
-		ListenAddr:        addrs[id],
-		Peers:             peers,
-		DataDir:           dataDir,
-		HeartbeatInterval: 25 * time.Millisecond,
-		ConfirmAfter:      500 * time.Millisecond,
-		RecoveryTimeout:   30 * time.Second,
-		Telemetry:         tel,
+	return bootRecoveryMember(t, id, addrs, func(_ int, cfg *hierlock.TCPMemberConfig) {
+		cfg.DataDir, cfg.Telemetry = dataDir, tel
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m
 }
 
 // reserveAddrs picks n free loopback addresses a restarted cluster can

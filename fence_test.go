@@ -97,7 +97,7 @@ func TestFenceMonotonicAcrossGrants(t *testing.T) {
 // pre-crash holder could ever have minted — the property a storage
 // system relies on to reject the dead holder's writes.
 func TestFenceAdvancesAcrossRecovery(t *testing.T) {
-	members := newRecoveryTCPCluster(t, 3)
+	members := newRecoveryTCPCluster(t, 3, nil)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 

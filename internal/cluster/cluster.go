@@ -10,20 +10,16 @@
 // compatible. Violations and engine-level protocol errors are recorded on
 // the cluster and fail the run.
 //
-// The package simulates the protocol, not the service around it: engines
-// on a seeded event heap, a fault plan, the oracle, and the shared
-// recovery.Manager driven under seeded faults (membership.go) for the
-// hierarchical engine, the one the live runtime ships. Leases,
-// sessions and the Prometheus registry exist only in the live runtime and
-// are tested there. What the simulator does offer the shipping analysers
-// is its state in their input shapes: the trace ring (auditor, spans,
-// CheckFIFO), Inventory (introspect.BuildWaitFor, the deadlock report)
-// and HealthSample (watchdog.Runner). It imports none of the runtime.
+// The package simulates the protocol, not the service around it:
+// engines on a seeded event heap, the link-fault model and the oracle.
+// Crash recovery, membership, leases, sessions and the Prometheus
+// registry exist only in the live runtime and are tested there, on real
+// members. What the simulator does offer the shipping analysers is its
+// trace ring (auditor, spans, CheckFIFO). It imports none of the runtime.
 package cluster
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"hierlock/internal/hlock"
@@ -32,12 +28,10 @@ import (
 	"hierlock/internal/naimi"
 	"hierlock/internal/proto"
 	"hierlock/internal/raymond"
-	"hierlock/internal/recovery"
 	"hierlock/internal/ricart"
 	"hierlock/internal/sim"
 	"hierlock/internal/suzuki"
 	"hierlock/internal/trace"
-	"hierlock/internal/watchdog"
 )
 
 // Protocol selects the locking protocol a cluster runs.
@@ -96,28 +90,6 @@ type Config struct {
 	// modelled reliable link layer; see sim.FaultPlan. Fault events are
 	// counted in Network.FaultStats and recorded in the trace.
 	Faults *sim.FaultPlan
-	// Recovery, when non-nil, enables crash recovery (internal/recovery)
-	// on the Hierarchical protocol, the one engine the live runtime ships
-	// (the baselines ignore it): confirmed node deaths trigger
-	// epoch-stamped token-regeneration rounds instead of wedging the
-	// crashed node's locks forever. The failure detector is modelled from
-	// fault-plan ground truth, so this requires Faults with crash windows
-	// to have any effect.
-	Recovery *RecoveryOptions
-}
-
-// RecoveryOptions tunes the simulated crash-recovery subsystem.
-type RecoveryOptions struct {
-	// ConfirmAfter models the failure detector's confirmation threshold:
-	// each surviving node confirms a crashed peer dead this long after its
-	// crash window opens (staggered a millisecond per observer, as real
-	// detectors never fire simultaneously). Crash windows shorter than
-	// ConfirmAfter are never confirmed — exactly how a silence-based
-	// detector rides out brief outages. Default 2s.
-	ConfirmAfter time.Duration
-	// ProbeTimeout is the regenerator's re-probe interval for survivors
-	// that have not answered a recovery probe. Default 1s.
-	ProbeTimeout time.Duration
 }
 
 // DefaultLatencyMean is the paper's mean network latency.
@@ -133,27 +105,11 @@ type Cluster struct {
 	// Requests counts client lock requests issued (including message-free
 	// local acquisitions), the denominator of the paper's Figure 5.
 	Requests uint64
-	// LostHolds counts holds that did not survive a regeneration round
-	// (the live runtime surfaces these to clients as ErrLockLost).
-	LostHolds uint64
-	// Grants counts completed acquisitions (grants and upgrades) across
-	// the cluster, the progress signal HealthSample feeds the stall
-	// watchdog.
-	Grants uint64
 
-	oracle   map[proto.LockID]map[proto.NodeID]modes.Mode
-	errs     []error
-	trace    *trace.Recorder
-	recovery *RecoveryOptions
-	died     map[proto.NodeID]bool
-
-	// cfg is the resolved construction config, kept so runtime joins can
-	// mint nodes identical to the originals (see membership.go).
-	cfg Config
-	// members is the current membership: node IDs admitted and not
-	// departed. Node slots in Nodes are never reused; a departed node
-	// stays in the slice but leaves this set.
-	members map[proto.NodeID]bool
+	oracle map[proto.LockID]map[proto.NodeID]modes.Mode
+	errs   []error
+	trace  *trace.Recorder
+	cfg    Config
 }
 
 // New builds a cluster per cfg. Node 0 initially holds every token and is
@@ -170,22 +126,7 @@ func New(cfg Config) *Cluster {
 		Sim:    s,
 		trace:  cfg.Trace,
 		oracle: make(map[proto.LockID]map[proto.NodeID]modes.Mode, len(cfg.Locks)),
-		died:   make(map[proto.NodeID]bool),
-	}
-	if cfg.Recovery != nil && cfg.Protocol == Hierarchical {
-		r := *cfg.Recovery
-		if r.ConfirmAfter <= 0 {
-			r.ConfirmAfter = 2 * time.Second
-		}
-		if r.ProbeTimeout <= 0 {
-			r.ProbeTimeout = time.Second
-		}
-		c.recovery = &r
-	}
-	c.cfg = cfg
-	c.members = make(map[proto.NodeID]bool, cfg.Nodes)
-	for i := 0; i < cfg.Nodes; i++ {
-		c.members[proto.NodeID(i)] = true
+		cfg:    cfg,
 	}
 	c.Net = NewNetwork(s, cfg.Latency)
 	c.Net.trace = cfg.Trace
@@ -200,133 +141,7 @@ func New(cfg Config) *Cluster {
 		c.Nodes = append(c.Nodes, n)
 		c.Net.Register(n.ID, n.handle)
 	}
-	if c.recovery != nil && cfg.Faults != nil {
-		c.scheduleDetector(cfg.Faults)
-	}
-	if cfg.Faults != nil {
-		c.scheduleRestarts(cfg.Faults)
-	}
 	return c
-}
-
-// scheduleRestarts arms one daemon event per crash window at the
-// window's end: the moment a node comes back up, the event applies the
-// window's restart fate (see sim.CrashWindow.LoseDisk) and records an
-// OpRestart trace entry whose Epoch distinguishes the two — the highest
-// epoch the node's surviving state remembers for crash-with-disk, 0 for
-// crash-with-disk-loss. Daemon events keep permanent crash windows
-// (End far beyond the run horizon) from blocking Quiesced.
-func (c *Cluster) scheduleRestarts(plan *sim.FaultPlan) {
-	for _, cw := range plan.Crashes {
-		cw := cw
-		if cw.Node < 0 || cw.Node >= len(c.Nodes) || cw.End <= cw.Start {
-			continue
-		}
-		c.Sim.AtDaemon(cw.End-c.Sim.Now(), func() {
-			f := c.Net.Faults()
-			if f != nil && f.DownAt(cw.Node, c.Sim.Now()) {
-				return // an overlapping window still covers the node
-			}
-			c.restartNode(proto.NodeID(cw.Node), cw.LoseDisk)
-		})
-	}
-}
-
-// restartNode applies a crash window's restart fate. Crash-with-disk
-// (the default) keeps the node's engine state — the in-memory model of
-// a process that replayed a perfect journal — so only the trace entry
-// and the death bookkeeping change. Crash-with-disk-loss wipes the node
-// back to a blank boot: engines at initial topology, outstanding client
-// requests abandoned, a fresh recovery manager with no seed table. The
-// blank node then catches up through recovery hints when survivors
-// fence its stale (epoch-0) traffic, exactly like a live member
-// restarting without its data directory.
-func (c *Cluster) restartNode(id proto.NodeID, loseDisk bool) {
-	n := c.Nodes[id]
-	var epoch uint32
-	if loseDisk {
-		n.wipe()
-	} else {
-		epoch = n.maxEpoch()
-	}
-	// A restarted node can die again: let the next confirmation release
-	// its (new) holds instead of being swallowed by the once-only guard.
-	delete(c.died, id)
-	c.trace.Record(trace.Entry{
-		At: c.Sim.Now(), Op: trace.OpRestart, Node: id, Epoch: epoch,
-	})
-}
-
-// scheduleDetector models the failure detector from fault-plan ground
-// truth with a finite set of pre-scheduled events, preserving simulator
-// quiescence (a periodically ticking detector never would): for every
-// crash window and every other node, one confirmation event fires
-// ConfirmAfter past the window's start, staggered a millisecond per
-// observer. At fire time the event checks the peer is still down —
-// windows shorter than ConfirmAfter never confirm, exactly like a
-// silence-based detector riding out a brief outage. Restarted nodes are
-// not reported alive again: survivors keep excluding them from rounds
-// and they catch up through recovery hints, the trajectory a live
-// deployment follows when a member restarts with a cold detector.
-func (c *Cluster) scheduleDetector(plan *sim.FaultPlan) {
-	for _, cw := range plan.Crashes {
-		dead := proto.NodeID(cw.Node)
-		if int(dead) >= len(c.Nodes) {
-			continue
-		}
-		for i := range c.Nodes {
-			if proto.NodeID(i) == dead {
-				continue
-			}
-			obs := c.Nodes[i]
-			at := cw.Start + c.recovery.ConfirmAfter + time.Duration(i)*time.Millisecond
-			c.Sim.At(at-c.Sim.Now(), func() {
-				f := c.Net.Faults()
-				if f == nil || !f.DownAt(int(dead), c.Sim.Now()) {
-					return // restarted before the silence threshold
-				}
-				if obs.mgr == nil || c.NodeDown(obs.ID) {
-					return
-				}
-				c.nodeDied(dead)
-				obs.mgr.ConfirmDead(dead)
-			})
-		}
-	}
-}
-
-// nodeDied models the memory loss of a fail-stop crash, once, at the
-// first confirmation: the dead node's holds vanish (recorded as
-// releases so the oracle and auditor stay balanced) and its outstanding
-// client requests are abandoned.
-func (c *Cluster) nodeDied(dead proto.NodeID) {
-	if c.died[dead] {
-		return
-	}
-	c.died[dead] = true
-	locks := make([]proto.LockID, 0, len(c.oracle))
-	for lock, holders := range c.oracle {
-		if _, held := holders[dead]; held {
-			locks = append(locks, lock)
-		}
-	}
-	sort.Slice(locks, func(i, j int) bool { return locks[i] < locks[j] })
-	for _, lock := range locks {
-		c.oracleRelease(lock, dead, proto.TraceID{})
-	}
-	clear(c.Nodes[dead].waiters)
-}
-
-// lockLost records that a node's hold did not survive a regeneration
-// round: the round closed without accounting for it, so the rebuilt
-// world may grant conflicting modes. The live runtime surfaces this as
-// ErrLockLost; the oracle drops the hold so it mirrors what recovery
-// actually guarantees.
-func (c *Cluster) lockLost(lock proto.LockID, node proto.NodeID) {
-	c.LostHolds++
-	if _, held := c.oracle[lock][node]; held {
-		c.oracleRelease(lock, node, proto.TraceID{})
-	}
 }
 
 // Err returns the first recorded failure (protocol error or oracle
@@ -396,136 +211,50 @@ func (c *Cluster) Quiesced() bool {
 	return true
 }
 
-// CheckTokens verifies epoch-aware token conservation: every lock of a
-// token-based protocol must have exactly one token holder among live
-// nodes at the lock's highest live epoch. Zero holders means the token
-// was lost (a dropped Token message the transport failed to recover, or
-// a crash recovery failed to regenerate it); more than one means it was
-// duplicated. Nodes inside a crash window are excluded — their state
-// died with them — and stale engines from before the last regeneration
-// round are fenced out by the epoch filter rather than counted as
-// duplicates. Call when the cluster is quiesced — during a transfer the
-// token is legitimately in flight. Ricart–Agrawala is permission-based
-// and vacuously conserves.
+// CheckTokens verifies token conservation: every lock of a token-based
+// protocol must have exactly one token holder. Zero holders means the
+// token was lost (a dropped Token message the transport failed to
+// recover); more than one means it was duplicated. An absent (evicted or
+// never-created) hierarchical engine holds the token only at node 0, the
+// initial root: a non-root engine is never evicted holding it, since that
+// is not its initial state. Crash windows keep their node's state, so
+// every node counts. Call when the cluster is quiesced — during a
+// transfer the token is legitimately in flight. Ricart–Agrawala is
+// permission-based and vacuously conserves.
 func (c *Cluster) CheckTokens() error {
 	if c.cfg.Protocol == Ricart {
 		return nil // permission-based: no token to conserve
 	}
 	for lock := range c.oracle {
-		// Pass 1: the highest epoch any live node has seen for this lock.
-		// Completed-round seeds count alongside engine state: a recovered
-		// root's engine may have been evicted at its post-recovery initial
-		// state, with only the seed table remembering the world.
-		var maxEpoch uint32
-		up := func(e uint32) {
-			if e > maxEpoch {
-				maxEpoch = e
-			}
-		}
-		for _, n := range c.Nodes {
-			if c.NodeDown(n.ID) {
-				continue
-			}
-			if n.mgr != nil {
-				if s, ok := n.mgr.SeedFor(lock); ok {
-					up(s.Epoch)
-				}
-			}
-			if e := n.hier[lock]; e != nil {
-				up(e.Epoch())
-			}
-		}
-		// Pass 2: count token holders among live nodes at that epoch.
 		var holders []proto.NodeID
 		for _, n := range c.Nodes {
-			if c.NodeDown(n.ID) {
-				continue
-			}
-			if n.hier != nil {
-				switch e := n.hier[lock]; {
-				case e != nil:
-					if e.Epoch() == maxEpoch && e.IsToken() {
-						holders = append(holders, n.ID)
-					}
-				case c.absentHolds(n, lock, maxEpoch):
+			switch {
+			case n.hier != nil:
+				if e := n.hier[lock]; (e == nil && n.ID == 0) || (e != nil && e.IsToken()) {
 					holders = append(holders, n.ID)
 				}
-				continue
-			}
-			// The baselines never run recovery, so maxEpoch is 0 for them.
-			if e, ok := n.excl[lock].(interface{ HasToken() bool }); ok && e.HasToken() {
-				holders = append(holders, n.ID)
+			default:
+				if e, ok := n.excl[lock].(interface{ HasToken() bool }); ok && e.HasToken() {
+					holders = append(holders, n.ID)
+				}
 			}
 		}
 		switch len(holders) {
 		case 1:
 		case 0:
-			return fmt.Errorf("cluster: token lost on lock %d (no live holder at epoch %d)", lock, maxEpoch)
+			return fmt.Errorf("cluster: token lost on lock %d (no holder)", lock)
 		default:
-			return fmt.Errorf("cluster: token duplicated on lock %d (holders %v at epoch %d)", lock, holders, maxEpoch)
+			return fmt.Errorf("cluster: token duplicated on lock %d (holders %v)", lock, holders)
 		}
 	}
 	return nil
 }
 
-// absentHolds reports whether an absent (evicted or never-created)
-// hierarchical engine at node n would hold the token at maxEpoch if
-// lazily re-created. At epoch 0 that is the initial topology — node 0
-// roots everything; a non-root engine can never be evicted while
-// holding the token (not its initial state), so counting node 0 keeps
-// conservation exact under eviction. After a regeneration round the
-// recovered root plays that role for the round's epoch.
-func (c *Cluster) absentHolds(n *Node, lock proto.LockID, maxEpoch uint32) bool {
-	if n.mgr != nil {
-		if s, ok := n.mgr.SeedFor(lock); ok {
-			return s.Root == n.ID && s.Epoch == maxEpoch
-		}
-	}
-	return n.ID == 0 && maxEpoch == 0
-}
-
-// NodeDown reports whether a node is currently absent from the cluster:
-// inside a scheduled crash window, or gracefully departed via Leave.
-// Workloads use it to pause issuing client operations on a downed node;
-// the token-conservation and health checks use it to exclude state that
-// died (or left) with the process.
+// NodeDown reports whether a node is inside a scheduled crash window.
+// Workloads use it to pause issuing client operations on a downed node.
 func (c *Cluster) NodeDown(id proto.NodeID) bool {
-	if !c.members[id] {
-		return true
-	}
 	f := c.Net.Faults()
 	return f != nil && f.DownAt(int(id), c.Sim.Now())
-}
-
-// HealthSample snapshots the cluster's live state into a stall-watchdog
-// sample, the simulator's mirror of Member.HealthSample aggregated over
-// every up node. Sample.Now is the virtual clock projected onto an
-// epoch-anchored wall time, so seeded runs feed the watchdog identical
-// timestamps and its verdicts join the deterministic envelope. The
-// simulator models no disk, so FsyncStalls is always zero; chaos tests
-// overlay injected stall schedules on top.
-func (c *Cluster) HealthSample() watchdog.Sample {
-	now := c.Sim.Now()
-	s := watchdog.Sample{Now: time.Unix(0, 0).UTC().Add(now), Grants: c.Grants}
-	for _, n := range c.Nodes {
-		if c.NodeDown(n.ID) {
-			continue
-		}
-		s.TrackedLocks += n.TrackedLocks()
-		for _, w := range n.waiters {
-			s.Waiters++
-			if age := now - w.start; age > s.OldestWaiterAge {
-				s.OldestWaiterAge = age
-			}
-		}
-		for _, t0 := range n.roundStart {
-			s.RoundsInFlight++
-			if age := now - t0; age > s.OldestRoundAge {
-				s.OldestRoundAge = age
-			}
-		}
-	}
-	return s
 }
 
 // Node is one simulated participant running every lock's engine.
@@ -541,34 +270,10 @@ type Node struct {
 	opts hlock.Options
 	excl map[proto.LockID]exclEngine
 
-	// mgr runs the crash-recovery protocol for this node (nil unless
-	// Config.Recovery enabled it on the Hierarchical protocol).
-	mgr      *recovery.Manager
-	cfgLocks []proto.LockID
-	nnodes   int
-
+	nnodes int
 	// waiters holds the completion callback of the outstanding request
 	// per lock (at most one per lock).
-	waiters map[proto.LockID]waiting
-
-	// roundStart stamps (in virtual time) each regeneration round this
-	// node runs as regenerator, the simulator's mirror of the member's
-	// roundStart map; HealthSample judges round ages from it.
-	roundStart map[proto.LockID]time.Duration
-
-	// left marks a gracefully departed node: its handler drops every
-	// frame still in flight to it, modelling the process that shut down
-	// after the hand-off (see Cluster.Leave).
-	left bool
-}
-
-// waiting is one outstanding client request: the mode it asked for, the
-// virtual time it was issued (wait ages in HealthSample and Inventory)
-// and the completion callback.
-type waiting struct {
-	mode  modes.Mode
-	start time.Duration
-	done  func()
+	waiters map[proto.LockID]func()
 }
 
 // exclEngine is what the node loop needs of an exclusive-only baseline
@@ -605,9 +310,7 @@ func (n *Node) newTrace() proto.TraceID {
 }
 
 func newNode(c *Cluster, id proto.NodeID, cfg Config) *Node {
-	n := &Node{ID: id, c: c, nnodes: cfg.Nodes,
-		waiters:    make(map[proto.LockID]waiting),
-		roundStart: make(map[proto.LockID]time.Duration)}
+	n := &Node{ID: id, c: c, nnodes: cfg.Nodes, waiters: make(map[proto.LockID]func())}
 	if cfg.Protocol == Hierarchical {
 		// Hierarchical engines are created lazily (and evicted when idle)
 		// to mirror the live member runtime; see hierEngine.
@@ -619,179 +322,19 @@ func newNode(c *Cluster, id proto.NodeID, cfg Config) *Node {
 			n.excl[l] = n.newExcl(l)
 		}
 	}
-	if c.recovery != nil {
-		n.cfgLocks = append([]proto.LockID(nil), cfg.Locks...)
-		n.mgr = n.newManager()
-	}
 	return n
 }
-
-// newManager builds the node's recovery manager from the cluster's
-// resolved recovery options. A disk-loss restart constructs a fresh one
-// — the old manager's seed table and round state died with the process.
-func (n *Node) newManager() *recovery.Manager {
-	c := n.c
-	// Peers come from the cluster's current membership, not the boot-time
-	// node count: a manager rebuilt after a disk-loss restart must not
-	// resurrect departed members or miss runtime joiners. A round commits
-	// on a majority of them.
-	peers := make([]proto.NodeID, 0, len(c.members))
-	for id := range c.members {
-		peers = append(peers, id)
-	}
-	sort.Slice(peers, func(i, j int) bool { return peers[i] < peers[j] })
-	return recovery.NewManager(recovery.Config{
-		Self:             n.ID,
-		Nodes:            peers,
-		Send:             func(msg proto.Message) { c.Net.Send(msg) },
-		Locks:            n.recoveryLocks,
-		State:            n.recoveryState,
-		PrepareReseed:    n.recoveryPrepare,
-		Reseed:           n.recoveryReseed,
-		LocksReferencing: n.locksReferencing,
-		Clock:            &n.clock,
-		After:            func(d time.Duration, fn func()) { c.Sim.At(d, fn) },
-		ProbeTimeout:     c.recovery.ProbeTimeout,
-		Quorum:           len(peers)/2 + 1,
-		OnRoundStart: func(lock proto.LockID, proposed uint32) {
-			n.roundStart[lock] = c.Sim.Now()
-		},
-		OnRoundDone: func(lock proto.LockID, final uint32) {
-			delete(n.roundStart, lock)
-		},
-	})
-}
-
-// locksReferencing returns the locks whose live engine state mentions a
-// dead peer (recovery.Config.LocksReferencing): the eager-regeneration
-// sweep uses it to catch locks whose probable-owner chain passed through
-// the dead node even though no local request is outstanding on them.
-func (n *Node) locksReferencing(dead proto.NodeID) []proto.LockID {
-	var out []proto.LockID
-	for lock, e := range n.hier {
-		if e.References(dead) {
-			out = append(out, lock)
-		}
-	}
-	return out
-}
-
-// maxEpoch returns the highest recovery epoch the node's surviving
-// state remembers across engines and the completed-round seed table
-// (the rejoin epoch a crash-with-disk restart reports).
-func (n *Node) maxEpoch() uint32 {
-	var max uint32
-	up := func(e uint32) {
-		if e > max {
-			max = e
-		}
-	}
-	if n.mgr != nil {
-		for _, s := range n.mgr.Table() {
-			up(s.Epoch)
-		}
-	}
-	for _, e := range n.hier {
-		up(e.Epoch())
-	}
-	return max
-}
-
-// wipe models a disk-loss restart: every engine reverts to the initial
-// topology a blank boot derives, outstanding client requests are
-// abandoned (the process that issued them is gone), and the recovery
-// manager restarts with no memory of past rounds. The node's Lamport
-// clock is deliberately kept monotonic — a real implementation fences
-// restarted clocks the same way — so message ordering stays safe.
-func (n *Node) wipe() {
-	clear(n.waiters)
-	clear(n.roundStart) // a crashed regenerator's rounds die with it
-	if n.hier != nil {
-		n.hier = make(map[proto.LockID]*hlock.Engine)
-	}
-	for lock := range n.excl {
-		n.excl[lock] = n.newExcl(lock)
-	}
-	if n.mgr != nil {
-		n.mgr = n.newManager()
-	}
-}
-
-// recoveryLocks returns the locks this node can account for in a
-// regeneration round: the configured set plus anything it tracks live
-// engine state for (workload-generated IDs).
-func (n *Node) recoveryLocks() []proto.LockID {
-	seen := make(map[proto.LockID]bool, len(n.cfgLocks)+len(n.hier))
-	locks := make([]proto.LockID, 0, len(n.cfgLocks)+len(n.hier))
-	add := func(l proto.LockID) {
-		if !seen[l] {
-			seen[l] = true
-			locks = append(locks, l)
-		}
-	}
-	for _, l := range n.cfgLocks {
-		add(l)
-	}
-	for l := range n.hier {
-		add(l)
-	}
-	return locks
-}
-
-// recoveryState captures the accountable engine state for a recovery
-// claim (recovery.Config.State).
-func (n *Node) recoveryState(lock proto.LockID) recovery.State {
-	e := n.hierEngine(lock)
-	return recovery.State{Epoch: e.Epoch(), Held: e.Held(), Token: e.IsToken()}
-}
-
-// recoveryPrepare fences the lock's engine for a regeneration round
-// (recovery.Config.PrepareReseed).
-func (n *Node) recoveryPrepare(lock proto.LockID, epoch uint32) {
-	n.hierEngine(lock).PrepareReseed(epoch)
-}
-
-// recoveryReseed installs a completed round's outcome into the lock's
-// engine and dispatches the fallout (recovery.Config.Reseed).
-func (n *Node) recoveryReseed(lock proto.LockID, root proto.NodeID, epoch uint32, accounted modes.Mode, copyset []proto.Request) {
-	// The round is over for this lock however it ended: drop any stamp a
-	// round yielded to a higher-ID regenerator left behind, so the stall
-	// watchdog never judges a superseded round as wedged (the member's
-	// recoveryReseed does the same).
-	delete(n.roundStart, lock)
-	out, lost := n.hierEngine(lock).Reseed(root, epoch, accounted, copyset)
-	if lost {
-		n.c.lockLost(lock, n.ID)
-	}
-	n.dispatchHier(lock, out, nil)
-}
-
-// RecoveryManager exposes the node's crash-recovery manager (nil when
-// recovery is disabled). Tests and experiments only.
-func (n *Node) RecoveryManager() *recovery.Manager { return n.mgr }
 
 // hierEngine returns (creating lazily) the hierarchical engine for a
 // lock. Every node derives the same initial topology — node 0 holds the
 // token and is everyone's initial parent — so a freshly created engine
-// is protocol-correct regardless of when it springs into existence.
-// After a regeneration round, the recovery manager's seed table replaces
-// that derivation: the engine springs into the recovered world (the
-// regenerated root, the round's epoch) so eviction stays safe across
-// recoveries. This is the same lazy-creation scheme the live member
-// runtime uses, keeping simulated and live state lifecycles identical.
+// is protocol-correct regardless of when it springs into existence. This
+// is the same lazy-creation scheme the live member runtime uses, keeping
+// simulated and live state lifecycles identical.
 func (n *Node) hierEngine(lock proto.LockID) *hlock.Engine {
 	e, ok := n.hier[lock]
 	if !ok {
-		parent, token, epoch := proto.NodeID(0), n.ID == 0, uint32(0)
-		if n.mgr != nil {
-			if s, seeded := n.mgr.SeedFor(lock); seeded {
-				parent, token, epoch = s.Root, n.ID == s.Root, s.Epoch
-			}
-		}
-		e = hlock.New(n.ID, lock, parent, token, &n.clock, n.opts)
-		if epoch != 0 {
-			e.SeedEpoch(epoch)
-		}
+		e = hlock.New(n.ID, lock, 0, n.ID == 0, &n.clock, n.opts)
 		n.hier[lock] = e
 	}
 	return e
@@ -955,12 +498,6 @@ func (n *Node) NaimiEngine(lock proto.LockID) *naimi.Engine {
 }
 
 func (n *Node) handle(msg *proto.Message) {
-	if n.left {
-		return
-	}
-	if n.mgr != nil && n.mgr.HandleMessage(msg) {
-		return
-	}
 	if e, ok := n.excl[msg.Lock]; ok {
 		out, err := e.Handle(msg)
 		if err != nil {
@@ -979,12 +516,6 @@ func (n *Node) handle(msg *proto.Message) {
 		n.c.fail(fmt.Errorf("node %d lock %d: %w", n.ID, msg.Lock, err))
 		return
 	}
-	if out.Stale && n.mgr != nil {
-		// The engine fenced the frame out as pre-recovery traffic: the
-		// sender may be a restarted node that missed the round. Answer
-		// with the completed-round outcome so it catches up.
-		n.mgr.Hint(msg.Lock, msg.From)
-	}
 	n.dispatchHier(msg.Lock, out, nil)
 	n.maybeEvictHier()
 }
@@ -997,7 +528,7 @@ func (n *Node) dispatchHier(lock proto.LockID, out hlock.Out, done func()) {
 			n.c.fail(fmt.Errorf("cluster: node %d issued overlapping requests on lock %d", n.ID, lock))
 			return
 		}
-		n.waiters[lock] = waiting{mode: n.hier[lock].Pending(), start: n.c.Sim.Now(), done: done}
+		n.waiters[lock] = done
 	}
 	for i := range out.Msgs {
 		n.c.Net.Send(out.Msgs[i])
@@ -1006,14 +537,13 @@ func (n *Node) dispatchHier(lock proto.LockID, out hlock.Out, done func()) {
 		switch ev.Kind {
 		case hlock.EventAcquired, hlock.EventUpgraded:
 			n.c.oracleAcquire(lock, n.ID, ev.Mode, ev.Trace)
-			w, ok := n.waiters[lock]
+			done, ok := n.waiters[lock]
 			if !ok {
 				n.c.fail(fmt.Errorf("cluster: node %d lock %d acquired with no waiter", n.ID, lock))
 				continue
 			}
 			delete(n.waiters, lock)
-			n.c.Grants++
-			w.done()
+			done()
 		}
 	}
 }
@@ -1026,21 +556,20 @@ func (n *Node) dispatchExcl(lock proto.LockID, out proto.ExclOut, done func()) {
 			n.c.fail(fmt.Errorf("cluster: node %d issued overlapping requests on lock %d", n.ID, lock))
 			return
 		}
-		n.waiters[lock] = waiting{mode: modes.W, start: n.c.Sim.Now(), done: done}
+		n.waiters[lock] = done
 	}
 	for i := range out.Msgs {
 		n.c.Net.Send(out.Msgs[i])
 	}
 	if out.Acquired {
 		n.c.oracleAcquire(lock, n.ID, modes.W, proto.TraceID{})
-		w, ok := n.waiters[lock]
+		done, ok := n.waiters[lock]
 		if !ok {
 			n.c.fail(fmt.Errorf("cluster: node %d lock %d acquired with no waiter", n.ID, lock))
 			return
 		}
 		delete(n.waiters, lock)
-		n.c.Grants++
-		w.done()
+		done()
 	}
 }
 
@@ -1093,11 +622,7 @@ func (nw *Network) SetFaults(plan sim.FaultPlan) {
 func (nw *Network) Faults() *sim.Faults { return nw.faults }
 
 // Send enqueues a message for delivery after a randomized latency,
-// clamped so deliveries on the same ordered link never reorder. Under a
-// LoseOnCrash fault plan a frame touching a crashed endpoint is
-// destroyed outright: no send is recorded (a loss is), no delivery is
-// scheduled, and the link's FIFO clamp is untouched — the frame never
-// existed on the wire as far as ordering is concerned.
+// clamped so deliveries on the same ordered link never reorder.
 func (nw *Network) Send(msg proto.Message) {
 	nw.Metrics.Count(msg.Kind)
 	tid := proto.MsgTrace(&msg)
@@ -1108,15 +633,6 @@ func (nw *Network) Send(msg proto.Message) {
 		nw.FaultStats.Duplicates += uint64(out.Duplicates)
 		nw.FaultStats.DelaySpikes += uint64(out.Spikes)
 		nw.FaultStats.Deferrals += uint64(out.Deferrals)
-		if out.Lost {
-			nw.FaultStats.Lost++
-			nw.trace.Record(trace.Entry{
-				At: nw.sim.Now(), Op: trace.OpLost, Node: msg.From,
-				Lock: msg.Lock, Mode: msg.Mode, Kind: msg.Kind, From: msg.From, To: msg.To,
-				Trace: tid, Epoch: msg.Epoch,
-			})
-			return
-		}
 		at = out.Deliver
 		nw.trace.Record(trace.Entry{
 			At: nw.sim.Now(), Op: trace.OpSend, Node: msg.From,

@@ -375,6 +375,10 @@ func (e *Engine) Queue() []proto.Request {
 // Epoch returns the lock's current recovery epoch at this node.
 func (e *Engine) Epoch() uint32 { return e.epoch }
 
+// Fenced reports whether the engine is fenced for a recovery round:
+// between PrepareReseed and Reseed.
+func (e *Engine) Fenced() bool { return e.fenced }
+
 // StaleDrops returns how many inputs epoch fencing has discarded.
 func (e *Engine) StaleDrops() uint64 { return e.stale }
 

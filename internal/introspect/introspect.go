@@ -121,12 +121,12 @@ type SessionInfo struct {
 }
 
 // NodeInventory is one node's full lock inventory, the payload of
-// /debug/locks (and the simulator's equivalent).
+// /debug/locks.
 type NodeInventory struct {
 	Node  int        `json:"node"`
 	Locks []LockInfo `json:"locks"`
 	// Sessions lists the node's named client sessions (lockd only;
-	// empty for raw members and the simulator).
+	// empty for raw members).
 	Sessions []SessionInfo `json:"sessions,omitempty"`
 }
 
@@ -174,17 +174,15 @@ func modeString(m modes.Mode) string {
 }
 
 // ModeString is modeString for inventory builders outside this package
-// (a waiter's mode in the member runtime and the simulator).
+// (a waiter's mode in the member runtime).
 func ModeString(m modes.Mode) string { return modeString(m) }
 
 // EngineInfo builds one lock's LockInfo from its engine: epoch, token,
 // held and pending modes, frozen set, probable-owner next hop (-1 for
 // proto.NoNode: this node is the root), stale drops, the copyset sorted
-// by node and the local queue. It is the one builder behind
-// Member.Inventory and the simulator's Node.Inventory, so both serve
-// the same shape by construction. waiter is the node's own outstanding
-// client request, if any; the caller adds what only it knows
-// (Resource).
+// by node and the local queue: Member.Inventory's builder. waiter is
+// the node's own outstanding client request, if any; the caller adds
+// what only it knows (Resource).
 func EngineInfo(e *hlock.Engine, waiter *Waiter) LockInfo {
 	li := LockInfo{
 		Lock:       uint64(e.Lock()),

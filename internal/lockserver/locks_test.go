@@ -58,7 +58,7 @@ func TestDebugLocksGolden(t *testing.T) {
 // blocks member 0 behind member 1's exclusive hold, and checks that
 // merging their inventories the way lockctl does (FetchAll, then Merge)
 // assembles the cluster view with the conflict edge (and no false
-// deadlock).
+// deadlock), and skips a third address whose listener is closed.
 func TestDebugLocksClusterMerge(t *testing.T) {
 	cl, err := hierlock.NewCluster(2)
 	if err != nil {
@@ -138,6 +138,23 @@ func TestDebugLocksClusterMerge(t *testing.T) {
 	if len(partial.Nodes) != 1 || len(errs) != 1 {
 		t.Fatalf("partial merge = %d nodes, errors %v", len(partial.Nodes), errs)
 	}
+	// A third member whose debug listener is gone: the merge skips it,
+	// names it, and keeps the live members' view whole.
+	t.Run("closed-listener", func(t *testing.T) {
+		ts2 := httptest.NewServer(lockserver.New(cl.Member(1)).DebugHandler())
+		gone := ts2.URL
+		ts2.Close()
+		c, errs := merge(ts1.URL, ts0.URL, gone)
+		if len(c.Nodes) != 2 {
+			t.Fatalf("merged %d nodes, want 2", len(c.Nodes))
+		}
+		if _, named := errs[gone]; len(errs) != 1 || !named {
+			t.Fatalf("merge errors = %v, want one naming %s", errs, gone)
+		}
+		if e := c.WaitFor.Edges; len(e) != 1 || e[0].Waiter != 0 || e[0].Holder != 1 {
+			t.Fatalf("wait-for edges = %+v, want the 0->1 conflict", e)
+		}
+	})
 
 	l.Unlock()
 	if err := <-errc; err != nil {

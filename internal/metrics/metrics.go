@@ -67,21 +67,17 @@ type Faults struct {
 	// Deferrals counts transmissions that waited out a link partition or a
 	// crashed destination.
 	Deferrals uint64
-	// Lost counts frames permanently destroyed by a crash (FaultPlan.
-	// LoseOnCrash): addressed to, queued at, or in flight toward a node
-	// inside a crash window. Unlike Drops these are never retransmitted.
-	Lost uint64
 }
 
 // Total returns the total number of fault events.
 func (f *Faults) Total() uint64 {
-	return f.Drops + f.Duplicates + f.DelaySpikes + f.Deferrals + f.Lost
+	return f.Drops + f.Duplicates + f.DelaySpikes + f.Deferrals
 }
 
 // String renders the counters compactly.
 func (f *Faults) String() string {
-	return fmt.Sprintf("drops=%d dups=%d spikes=%d deferrals=%d lost=%d",
-		f.Drops, f.Duplicates, f.DelaySpikes, f.Deferrals, f.Lost)
+	return fmt.Sprintf("drops=%d dups=%d spikes=%d deferrals=%d",
+		f.Drops, f.Duplicates, f.DelaySpikes, f.Deferrals)
 }
 
 // Queue is a snapshot of one bounded queue's occupancy (a transport

@@ -12,9 +12,9 @@
 // Naimi baseline stays crash-free, as in the paper's evaluation),
 // without touching the failure-free fast path:
 //
-//  1. A failure detector (Detector for live transports; the simulator
-//     models its own from fault-plan ground truth) confirms a peer dead
-//     after a conservative silence threshold and tells the Manager.
+//  1. A failure detector (Detector, fed by the live transport) confirms
+//     a peer dead after a conservative silence threshold and tells the
+//     Manager.
 //
 //  2. The surviving node with the lowest ID becomes the regenerator. It
 //     runs one round per known lock: a Probe broadcast carrying a
@@ -129,8 +129,8 @@ func departClaimLeaver(seq uint64) (proto.NodeID, bool) {
 	return proto.NodeID(uint16(seq >> departLeaverShift)), true
 }
 
-// Config wires a Manager to its host (the simulated cluster node or the
-// live member runtime). All callbacks are invoked synchronously from
+// Config wires a Manager to its host (the member runtime, or a test
+// harness). All callbacks are invoked synchronously from
 // Manager methods; they must not call back into the Manager except for
 // SeedFor and Hint, which use separate internal locking exactly so that
 // lazy engine creation inside State or Reseed can consult them.
@@ -162,7 +162,7 @@ type Config struct {
 	Reseed func(lock proto.LockID, root proto.NodeID, epoch uint32, accounted modes.Mode, copyset []proto.Request)
 	// Clock is the node's Lamport clock, shared with its engines.
 	Clock *proto.Clock
-	// After schedules fn after d (the simulator's At, or a timer). Nil
+	// After schedules fn after d (a timer, or a test's fake). Nil
 	// disables probe retries.
 	After func(d time.Duration, fn func())
 	// ProbeTimeout is the regenerator's re-probe interval for survivors
@@ -213,8 +213,8 @@ type round struct {
 
 // Manager runs the recovery protocol for one node. Methods other than
 // SeedFor, Hint and Table must be externally serialized with each other
-// and with the host's engine access (the simulator's single goroutine,
-// or the member runtime's recovery mutex); SeedFor/Hint/Table are safe
+// and with the host's engine access (the member runtime's recovery
+// mutex, or a test's single goroutine); SeedFor/Hint/Table are safe
 // to call concurrently, including from inside Config callbacks.
 type Manager struct {
 	cfg   Config

@@ -39,15 +39,6 @@ type FaultPlan struct {
 	Partitions []Partition
 	// Crashes lists scheduled node downtime windows.
 	Crashes []CrashWindow
-	// LoseOnCrash switches crashes from the durable-state model (frames
-	// into a crash window defer and replay on restart) to true fail-stop
-	// loss: frames addressed to a node inside a crash window, frames a
-	// crashed node would have sent, and frames in flight toward a node
-	// when it crashes are destroyed for good and counted in the Lost
-	// stats. Partitions still defer. This is the model the crash-recovery
-	// subsystem is tested under: without recovery, a crashed token holder
-	// wedges its locks forever.
-	LoseOnCrash bool
 }
 
 // Partition cuts the link between two nodes for [Start, End) of virtual
@@ -59,26 +50,16 @@ type Partition struct {
 	End    time.Duration
 }
 
-// CrashWindow takes one node down for [Start, End) of virtual time. By
-// default the model is fail-stop with durable state (a process freeze or
-// reboot that keeps its disk): the node processes nothing while down, and
-// frames addressed to it wait in the senders' retransmit buffers until
-// restart. With FaultPlan.LoseOnCrash those frames are instead lost for
-// good.
-//
-// LoseDisk distinguishes the two restart fates a real deployment has:
-// false (default) models crash-with-disk — the node restarts with its
-// journaled lock state (epochs, token ownership) intact, only volatile
-// state (client holds, in-flight requests) lost; true models
-// crash-with-disk-loss — the node comes back blank, at epoch 0, and
-// must be re-fenced by the survivors' recovery rounds before it can
-// participate again. Chaos tests and the auditor treat the two as
-// distinct faults (see trace.OpRestart).
+// CrashWindow takes one node down for [Start, End) of virtual time. The
+// model is fail-stop with durable state (a process freeze or reboot that
+// keeps its disk): the node processes nothing while down, and frames
+// addressed to it wait in the senders' retransmit buffers until restart.
+// Crashes that lose state, and the recovery they need, are exercised on
+// the live runtime.
 type CrashWindow struct {
-	Node     int
-	Start    time.Duration
-	End      time.Duration
-	LoseDisk bool
+	Node  int
+	Start time.Duration
+	End   time.Duration
 }
 
 // Outcome reports what the fault layer did to one message.
@@ -95,10 +76,6 @@ type Outcome struct {
 	Spikes int
 	// Deferrals counts waits against a partitioned link or crashed node.
 	Deferrals int
-	// Lost reports that the frame was destroyed for good by a crash
-	// (FaultPlan.LoseOnCrash). When set, Deliver is meaningless and the
-	// network must not schedule a delivery.
-	Lost bool
 }
 
 // Faults is the runtime form of a FaultPlan: the plan plus the seeded
@@ -167,9 +144,9 @@ func (f *Faults) blockedUntil(from, to int, at time.Duration) (time.Duration, bo
 }
 
 // Apply runs one message through the fault model. send is the virtual send
-// time and latency samples the network's per-transmission delay. Unless
-// the outcome reports Lost, its Deliver is always a valid time ≥ send:
-// the reliable link keeps retransmitting until the frame gets through.
+// time and latency samples the network's per-transmission delay. The
+// outcome's Deliver is always a valid time ≥ send: the reliable link keeps
+// retransmitting until the frame gets through.
 func (f *Faults) Apply(from, to int, send time.Duration, latency func() time.Duration) Outcome {
 	out := Outcome{}
 	rto := f.plan.RetransmitTimeout
@@ -177,13 +154,6 @@ func (f *Faults) Apply(from, to int, send time.Duration, latency func() time.Dur
 	// Cap the recovery loop defensively; with DropRate < 1 and finite
 	// fault windows it terminates long before this.
 	for i := 0; i < 10000; i++ {
-		// Under LoseOnCrash a crash destroys frames instead of deferring
-		// them: a crashed sender's queued output dies with it, and anything
-		// addressed to a node inside its crash window is gone for good.
-		if f.plan.LoseOnCrash && (f.DownAt(from, tx) || f.DownAt(to, tx)) {
-			out.Lost = true
-			return out
-		}
 		if until, blocked := f.blockedUntil(from, to, tx); blocked {
 			// The sender probes every RTO; it gets through within one RTO
 			// of the heal.
@@ -202,14 +172,9 @@ func (f *Faults) Apply(from, to int, send time.Duration, latency func() time.Dur
 			d += f.plan.SpikeDelay(f.rng)
 		}
 		arrive := tx + d
-		// The destination crashed while the frame was in flight: lost for
-		// good under LoseOnCrash, otherwise retransmitted once the node
-		// restarts.
+		// The destination crashed while the frame was in flight: it is
+		// retransmitted once the node restarts.
 		if until, down := f.downUntil(to, arrive); down {
-			if f.plan.LoseOnCrash {
-				out.Lost = true
-				return out
-			}
 			out.Deferrals++
 			tx = until + rto
 			continue

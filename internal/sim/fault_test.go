@@ -113,51 +113,6 @@ func TestFaultsCrashWindow(t *testing.T) {
 	}
 }
 
-func TestFaultsLoseOnCrash(t *testing.T) {
-	s := New(6)
-	plan := FaultPlan{
-		LoseOnCrash:       true,
-		RetransmitTimeout: 100 * time.Millisecond,
-		Crashes:           []CrashWindow{{Node: 2, Start: time.Second, End: 5 * time.Second}},
-		Partitions: []Partition{
-			{A: 0, B: 1, Start: time.Second, End: 2 * time.Second},
-		},
-	}
-	f := NewFaults(plan, s.NewRand())
-	lat := func() time.Duration { return 10 * time.Millisecond }
-
-	// A frame addressed to the crashed node is destroyed, not deferred.
-	out := f.Apply(0, 2, 2*time.Second, lat)
-	if !out.Lost || out.Deferrals != 0 {
-		t.Fatalf("frame into crash window not lost: %+v", out)
-	}
-	// A frame in flight when the destination crashes is destroyed too.
-	out = f.Apply(0, 2, time.Second-5*time.Millisecond, lat)
-	if !out.Lost {
-		t.Fatalf("in-flight frame into crash window not lost: %+v", out)
-	}
-	// Queued output of the crashed node dies with it.
-	out = f.Apply(2, 0, 2*time.Second, lat)
-	if !out.Lost {
-		t.Fatalf("crashed sender's frame not lost: %+v", out)
-	}
-	// Partitions still defer and deliver.
-	out = f.Apply(0, 1, 1500*time.Millisecond, lat)
-	if out.Lost || out.Deferrals == 0 || out.Deliver < 2*time.Second {
-		t.Fatalf("partition under LoseOnCrash: %+v", out)
-	}
-	// Traffic between healthy nodes outside windows is untouched.
-	out = f.Apply(0, 1, 6*time.Second, lat)
-	if out.Lost || out.Deferrals != 0 {
-		t.Fatalf("healthy traffic affected: %+v", out)
-	}
-	// After the window the node is reachable again.
-	out = f.Apply(0, 2, 6*time.Second, lat)
-	if out.Lost {
-		t.Fatalf("post-restart frame lost: %+v", out)
-	}
-}
-
 func TestFaultsDeterministic(t *testing.T) {
 	run := func() []Outcome {
 		s := New(42)

@@ -44,8 +44,8 @@ const (
 	OpDrop                  // fault injection: a frame was dropped (and retransmitted)
 	OpDup                   // fault injection: a duplicate frame was generated (and suppressed)
 	OpDefer                 // fault injection: delivery deferred by a partition or crash
-	OpLost                  // fault injection: a frame destroyed for good by a crash (LoseOnCrash)
-	OpRestart               // a crashed node came back up (Epoch: rejoin epoch, 0 = disk lost)
+	_                       // retired: 9 was a frame a simulated crash destroyed
+	_                       // retired: 10 was a simulated node's restart
 	OpJoin                  // a node joined the running cluster (Epoch: adopted epoch floor)
 	OpLeave                 // a node left gracefully (Lock count of handed-off tokens in Epoch)
 
@@ -84,10 +84,6 @@ func (o Op) String() string {
 		return "dup"
 	case OpDefer:
 		return "defer"
-	case OpLost:
-		return "lost"
-	case OpRestart:
-		return "restart"
 	case OpJoin:
 		return "join"
 	case OpLeave:
@@ -121,7 +117,7 @@ type Entry struct {
 	// Message fields (OpSend / OpDeliver and the fault ops only).
 	Kind     proto.Kind
 	From, To proto.NodeID
-	// Epoch is the message's recovery epoch (OpSend / OpDeliver / OpLost);
+	// Epoch is the message's recovery epoch (OpSend / OpDeliver);
 	// the audit layer keys token conservation per (lock, epoch) with it.
 	// A few other ops carry an epoch or a count in it (see Op).
 	Epoch uint32
@@ -152,7 +148,7 @@ func (e Entry) String() string {
 		tr = " trace=" + e.Trace.String()
 	}
 	switch e.Op {
-	case OpSend, OpDeliver, OpDrop, OpDup, OpDefer, OpLost:
+	case OpSend, OpDeliver, OpDrop, OpDup, OpDefer:
 		ep := ""
 		if e.Epoch != 0 {
 			ep = fmt.Sprintf(" epoch=%d", e.Epoch)

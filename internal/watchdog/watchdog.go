@@ -2,9 +2,8 @@
 // three-state verdict — healthy, degraded, stalled — with structured
 // reasons. The evaluator is pure: it consumes periodic Samples (whose
 // clock the caller supplies) and keeps only the cross-evaluation state
-// it needs (progress deltas, streak counters), so the simulator can
-// drive it deterministically and tests can replay exact incident
-// shapes. The Runner wraps it in a ticker loop for lockd, feeding
+// it needs (progress deltas, streak counters), so tests can drive it
+// tick by tick and replay exact incident shapes. The Runner wraps it in a ticker loop for lockd, feeding
 // /healthz, /debug/health and the stall-triggered incidents.
 package watchdog
 
@@ -67,12 +66,12 @@ const (
 )
 
 // Sample is one periodic observation of a node's health signals. All
-// fields are plain scalars the member (or the simulator) snapshots;
+// fields are plain scalars the member snapshots;
 // cumulative counters are compared across evaluations by the watchdog
 // itself.
 type Sample struct {
-	// Now is the observation clock — wall time on a live node, virtual
-	// time in the simulator. Only differences between samples matter.
+	// Now is the observation clock, wall time on a live node. Only
+	// differences between samples matter.
 	Now time.Time
 	// Waiters counts pending client requests; OldestWaiterAge is the age
 	// of the oldest.

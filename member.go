@@ -326,6 +326,10 @@ type lockState struct {
 	// journal replay, or the most recent recovery round), recorded in
 	// journal records so a restarted member knows where to re-home.
 	seedRoot proto.NodeID
+	// early holds frames of the round the engine is fenced for that
+	// arrived before its own Recovered (see handle); the reseed replays
+	// them, and only what the engine drops then counts as a stale drop.
+	early []proto.Message
 }
 
 // journaled is the durable-state fingerprint of one lock's engine: the
@@ -379,9 +383,9 @@ type Member struct {
 	// with a failure detector (nil otherwise). mgrMu serializes every
 	// Manager entry point except the seed-table reads SeedFor and Table,
 	// which take no member mutex; the lock order is always mgrMu before a
-	// shard mutex, never the reverse. roundStart, recEpochs, joinC/leaveC
-	// and the timers below are the rest of the control plane, guarded by
-	// mgrMu too.
+	// shard mutex, never the reverse. roundStart, recEpochs, joinC/leaveC,
+	// departed and the timers below are the rest of the control plane,
+	// guarded by mgrMu too.
 	mgr   *recovery.Manager
 	mgrMu sync.Mutex
 	// roundStart stamps each in-flight regeneration round this node runs
@@ -395,8 +399,12 @@ type Member struct {
 	// while a Join/Leave call is collecting acknowledgments.
 	joinC  chan proto.NodeID
 	leaveC chan proto.NodeID
+	// departed maps each peer whose LEAVE this member processed to the
+	// address it dialed the peer on, so a re-delivered LEAVE is
+	// acknowledged after the link is gone.
+	departed map[proto.NodeID]string
 	// timers are the member's tracked time.AfterFunc timers (recovery
-	// retries, deferred peer retirements). Close stops every tracked timer
+	// retries). Close stops every tracked timer
 	// and waits for in-flight callbacks (timerWG), so none can fire into a
 	// torn-down member.
 	timers        map[*trackedTimer]struct{}
@@ -1142,6 +1150,15 @@ func (m *Member) recoveryReseed(lock proto.LockID, root proto.NodeID, epoch uint
 			"lock", uint64(lock), "epoch", epoch, "root", int(root))
 	}
 	m.dispatch(sh, ls, out)
+	early := ls.early
+	ls.early = nil
+	for i := range early {
+		out, err := ls.engine.Handle(&early[i])
+		if err != nil {
+			m.fail(err)
+		}
+		m.dispatch(sh, ls, out)
+	}
 	m.maybeEvict(sh)
 }
 
@@ -1471,8 +1488,8 @@ func (m *Member) Close() error {
 		return nil
 	}
 	close(m.done)
-	// Stop tracked timers (recovery retries, deferred peer retirements)
-	// before tearing the transport down: a retry that already fired
+	// Stop tracked timers (recovery retries) before tearing the
+	// transport down: a retry that already fired
 	// drains harmlessly (closed is set), and none remain after this.
 	m.stopTimers()
 	m.tel.Load().bb.Close() // no incident write outlives Close
@@ -2112,6 +2129,16 @@ func (m *Member) handle(msg *proto.Message) {
 		if w := ls.waiter; w != nil {
 			w.hops++
 		}
+	}
+	if ls.engine.Fenced() && msg.Epoch == ls.engine.Epoch() {
+		// The sender already applied the round this engine is fenced for
+		// (a request re-issued to this new root, say) and overtook the
+		// round's Recovered on its way here. The engine would drop it, but
+		// the sender is ahead, not behind, so no hint would help. The
+		// reseed hands it to the engine instead.
+		ls.early = append(ls.early, *msg)
+		sh.mu.Unlock()
+		return
 	}
 	out, err := ls.engine.Handle(msg)
 	if err != nil {

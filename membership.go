@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -36,10 +37,6 @@ const (
 	// membershipRetry is the announce/ack retry cadence of Join and
 	// Leave while acknowledgments are outstanding.
 	membershipRetry = 250 * time.Millisecond
-	// leaveDetachDelay is how long a survivor keeps a leaver's peer link
-	// after acknowledging its LEAVE, so the ack (and any hand-off retry
-	// acks) drain before the writer is retired.
-	leaveDetachDelay = 2 * time.Second
 	// seedBatchLimit caps the recovery-table seeds a JoinAck carries (the
 	// joiner learns the rest lazily through recovery hints).
 	seedBatchLimit = 1024
@@ -279,13 +276,7 @@ func (m *Member) handleJoin(msg *proto.Message) {
 		return // a departing member admits no one
 	}
 	m.mgrMu.Lock()
-	known := false
-	for _, n := range m.mgr.Nodes() {
-		if n == msg.From {
-			known = true
-			break
-		}
-	}
+	known := slices.Contains(m.mgr.Nodes(), msg.From)
 	t.AddPeer(msg.From, msg.Addr)
 	m.mgr.AddNode(msg.From)
 	m.mgr.SetQuorum(len(m.mgr.Nodes())/2 + 1)
@@ -360,43 +351,48 @@ func (m *Member) handleJoinAck(msg *proto.Message) {
 	}
 }
 
-// handleLeave processes a peer's graceful departure: acknowledge first —
-// on the still-live link, so the leaver can unblock — then hand its
-// nominated token locks to the recovery machinery for regeneration among
-// the survivors, and finally retire the peer link after a grace delay
-// (the ack, and acks for any hand-off retries, must drain before the
-// writer is dropped). Idempotent: a re-delivered LEAVE from an already-
-// departed peer is re-acknowledged while its link survives and hands
-// off nothing new.
+// handleLeave processes a peer's graceful departure: retire its link,
+// hand its nominated token locks to the recovery machinery for
+// regeneration among the survivors, and acknowledge out of band, to the
+// address this member has been dialing the leaver on. The link goes
+// first: from then on every frame for the leaver fails with ErrUnknown,
+// so a request an engine still addresses to it (a lock it roots
+// implicitly, with no engine it could nominate) regenerates the lock
+// among the members that remain (dispatch), and a request queued before
+// is covered by Depart, since its engine still references the leaver.
+// Idempotent: a re-delivered LEAVE from an already-departed peer is
+// re-acknowledged, at the address remembered in departed, and hands off
+// nothing new.
 func (m *Member) handleLeave(msg *proto.Message) {
 	t, err := m.membership()
 	if err != nil || msg.From == m.id {
 		return
 	}
-	m.sendMembership(&proto.Message{Kind: proto.KindLeaveAck,
-		From: m.id, To: msg.From, TS: m.clock.Tick()})
-
 	m.mgrMu.Lock()
-	wasMember := false
-	for _, n := range m.mgr.Nodes() {
-		if n == msg.From {
-			wasMember = true
-			break
-		}
+	wasMember := slices.Contains(m.mgr.Nodes(), msg.From)
+	addr, ok := t.Peers()[msg.From]
+	if !ok {
+		addr = m.departed[msg.From]
 	}
 	if wasMember {
+		if m.departed == nil {
+			m.departed = make(map[proto.NodeID]string)
+		}
+		m.departed[msg.From] = addr
+		t.RemovePeer(msg.From)
 		locks := make([]proto.LockID, len(msg.Vec))
 		for i, v := range msg.Vec {
 			locks[i] = proto.LockID(v)
 		}
 		m.mgr.Depart(msg.From, locks)
 		m.mgr.SetQuorum(len(m.mgr.Nodes())/2 + 1)
-		peer := msg.From
-		m.afterTracked(leaveDetachDelay, func() {
-			t.RemovePeer(peer)
-		})
 	}
 	m.mgrMu.Unlock()
+	if addr != "" {
+		ack := proto.Message{Kind: proto.KindLeaveAck, From: m.id, To: msg.From, TS: m.clock.Tick()}
+		m.countMembershipSend(&ack)
+		go t.SendTo(addr, &ack) // a dial, up to DialTimeout: off the delivery path every peer shares
+	}
 	if wasMember {
 		tel := m.tel.Load()
 		tel.mLeaves.Inc()

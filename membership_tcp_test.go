@@ -2,6 +2,7 @@ package hierlock_test
 
 import (
 	"context"
+	"net"
 	"testing"
 	"time"
 
@@ -43,7 +44,7 @@ func waitMembers(t *testing.T, m *hierlock.Member, want int) {
 // then a member departs gracefully with tokens at its node — all with
 // fencing tokens never decreasing and no protocol errors.
 func TestTCPMembershipGrowShrink(t *testing.T) {
-	members := newRecoveryTCPCluster(t, 3)
+	members := newRecoveryTCPCluster(t, 3, nil)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 
@@ -134,28 +135,129 @@ func TestTCPMembershipGrowShrink(t *testing.T) {
 	}
 }
 
-// TestTCPLeaveRefusedWhileHolding: a member holding a client lock
-// cannot leave; after releasing, the same leave succeeds.
+// TestTCPLeaveRefusedWhileHolding: a member holding a client lock, in
+// an exclusive or a shared mode, cannot leave, and the refusal leaves the
+// membership as it was; after releasing, the same leave succeeds.
 func TestTCPLeaveRefusedWhileHolding(t *testing.T) {
-	members := newRecoveryTCPCluster(t, 3)
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
+	for _, mode := range []hierlock.Mode{hierlock.W, hierlock.R} {
+		t.Run(mode.String(), func(t *testing.T) {
+			t.Parallel()
+			members := newRecoveryTCPCluster(t, 3, nil)
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
 
-	l, err := members[2].Lock(ctx, "leave-held", hierlock.W)
-	if err != nil {
-		t.Fatal(err)
+			l, err := members[2].Lock(ctx, "leave-held", mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := members[2].Leave(ctx); err == nil {
+				t.Fatal("leave succeeded while holding a lock")
+			}
+			for _, m := range members {
+				if got := len(m.Members()); got != 3 {
+					t.Fatalf("refused leave changed member %d's membership: size = %d", m.ID(), got)
+				}
+			}
+			if err := l.Unlock(); err != nil {
+				t.Fatal(err)
+			}
+			if err := members[2].Leave(ctx); err != nil {
+				t.Fatalf("leave after release: %v", err)
+			}
+			waitMembers(t, members[0], 2)
+			waitMembers(t, members[1], 2)
+		})
 	}
-	if err := members[2].Leave(ctx); err == nil {
-		t.Fatal("leave succeeded while holding a lock")
+}
+
+// TestTCPLeaveHandsOffTokens: a leaver that pulled the tokens of two
+// locks to itself and released them hands them to the survivors in its
+// LEAVE; the lowest survivor regenerates them among the survivors, with
+// the leaver already excluded. Every survivor is then served on both,
+// with fences climbing past the leaver's, and the shared auditor sees
+// both ends of every transfer. An ordinary member leaves in one case,
+// the static root in another. In the third the leaver advertises the
+// unspecified-host form of member 0's port, which is what a member of a
+// static cluster listening on ":7400" on every host advertises: a
+// survivor dialing it reaches a listener of its own host, not the
+// leaver. The leave-ack must go to the address the survivor dials the
+// leaver on.
+func TestTCPLeaveHandsOffTokens(t *testing.T) {
+	t.Parallel()
+	for _, tc := range []struct {
+		name        string
+		leaver      int
+		unspecified bool
+	}{
+		{"member-leaver", 2, false},
+		{"root-leaver", 0, false},
+		{"unspecified-advertise", 2, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			au := newSharedAudit(t)
+			members := newRecoveryTCPCluster(t, 4, func(i int, cfg *hierlock.TCPMemberConfig) {
+				au.tune(i, cfg)
+				if tc.unspecified && i == tc.leaver {
+					_, port, err := net.SplitHostPort(cfg.Peers[0])
+					if err != nil {
+						t.Fatal(err)
+					}
+					cfg.AdvertiseAddr = net.JoinHostPort("::", port)
+				}
+			})
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+
+			leaver := members[tc.leaver]
+			last := make(map[string]hierlock.FenceToken)
+			for _, res := range []string{"handoff-a", "handoff-b"} {
+				l, err := leaver.Lock(ctx, res, hierlock.W)
+				if err != nil {
+					t.Fatal(err)
+				}
+				last[res] = l.Fence()
+				if err := l.Unlock(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := leaver.Leave(ctx); err != nil {
+				t.Fatalf("leave: %v", err)
+			}
+			if err := leaver.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			for i, m := range members {
+				if i == tc.leaver {
+					continue
+				}
+				waitMembers(t, m, 3)
+				for res, prev := range last {
+					l, err := m.Lock(ctx, res, hierlock.W)
+					if err != nil {
+						t.Fatalf("survivor %d lock %s after the leave: %v", i, res, err)
+					}
+					if f := l.Fence(); !prev.Less(f) {
+						t.Fatalf("survivor %d fence %s on %s does not follow %s", i, f, res, prev)
+					}
+					last[res] = l.Fence()
+					if err := l.Unlock(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			for i, m := range members {
+				if i == tc.leaver {
+					continue
+				}
+				if err := m.Err(); err != nil {
+					t.Errorf("member %d protocol error: %v", i, err)
+				}
+			}
+			au.check()
+		})
 	}
-	if err := l.Unlock(); err != nil {
-		t.Fatal(err)
-	}
-	if err := members[2].Leave(ctx); err != nil {
-		t.Fatalf("leave after release: %v", err)
-	}
-	waitMembers(t, members[0], 2)
-	waitMembers(t, members[1], 2)
 }
 
 // TestTCPLeaverKilledMidHandoff: the leaver dies before its LEAVE
@@ -165,7 +267,7 @@ func TestTCPLeaveRefusedWhileHolding(t *testing.T) {
 // announcement landed, crash recovery where it did not — and serve the
 // token the leaver took down with it.
 func TestTCPLeaverKilledMidHandoff(t *testing.T) {
-	members := newRecoveryTCPCluster(t, 3)
+	members := newRecoveryTCPCluster(t, 3, nil)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 
@@ -201,6 +303,56 @@ func TestTCPLeaverKilledMidHandoff(t *testing.T) {
 	for _, i := range []int{0, 1} {
 		if err := members[i].Err(); err != nil {
 			t.Errorf("member %d protocol error: %v", i, err)
+		}
+	}
+}
+
+// TestTCPRootLeaveRegeneratesImplicitTokens: the static root roots every
+// lock no member has touched, and every lock it touched, released and
+// evicted, without an engine for either, so its LEAVE nominates
+// neither. A survivor's first request on such a lock is addressed to the
+// departed root; it must regenerate the lock among the current members
+// at once, not wait for the root's link to retire or its detector to
+// fire (ConfirmAfter here is 8 heartbeats, 4 s).
+func TestTCPRootLeaveRegeneratesImplicitTokens(t *testing.T) {
+	t.Parallel()
+	members := newRecoveryTCPCluster(t, 3, func(_ int, cfg *hierlock.TCPMemberConfig) {
+		cfg.HeartbeatInterval, cfg.ConfirmAfter = 500*time.Millisecond, 0
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+
+	l, err := members[0].Lock(ctx, "root-evicted", hierlock.W)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Unlock(); err != nil {
+		t.Fatal(err)
+	}
+	if n := members[0].EvictIdle(); n == 0 {
+		t.Fatal("the root evicted nothing: its engine was not at its initial state")
+	}
+	if err := members[0].Leave(ctx); err != nil {
+		t.Fatalf("root leave: %v", err)
+	}
+	if err := members[0].Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, res := range []string{"root-untouched", "root-evicted"} {
+		lctx, lcancel := context.WithTimeout(ctx, time.Second)
+		l, err := members[1].Lock(lctx, res, hierlock.W)
+		lcancel()
+		if err != nil {
+			t.Fatalf("survivor lock %s after the root left: %v", res, err)
+		}
+		if err := l.Unlock(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, m := range members[1:] {
+		if err := m.Err(); err != nil {
+			t.Errorf("member %d protocol error: %v", m.ID(), err)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"hierlock/internal/modes"
 	"hierlock/internal/proto"
 	"hierlock/internal/recovery"
 )
@@ -160,4 +161,86 @@ func TestStaleHintSyncsOutsideStripe(t *testing.T) {
 	}
 	close(release)
 	<-hinted
+}
+
+// TestEarlyFrameReplayedAtReseed: a member that has applied a round's
+// outcome re-issues its pending request to the new root, and the root,
+// whose own Recovered is still on its way, is fenced for that round.
+// The frame carries the round's epoch, so it is not stale but early: the
+// root keeps it, serves it at its reseed and counts no stale drop. Dropped, it was lost for
+// good (the requester is ahead, so no hint helps) and the client waited
+// until RecoveryTimeout.
+func TestEarlyFrameReplayedAtReseed(t *testing.T) {
+	cl, err := NewCluster(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	m0, m1 := cl.Member(0), cl.Member(1)
+	lock := lockIDFor("early")
+	for _, m := range []*Member{m0, m1} {
+		m.recoveryPrepare(lock, 1)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	type result struct {
+		l   *Lock
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		l, err := m1.Lock(ctx, "early", W)
+		done <- result{l, err}
+	}()
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+	staleDrops := func(m *Member) uint64 {
+		for _, li := range m.Inventory().Locks {
+			if li.Lock == uint64(lock) {
+				return li.StaleDrops
+			}
+		}
+		return 0
+	}
+	waitFor("member 1's fenced request", func() bool {
+		for _, li := range m1.Inventory().Locks {
+			if li.Lock == uint64(lock) && li.Pending == "W" {
+				return true
+			}
+		}
+		return false
+	})
+	// Member 1 applies the round (root 0, epoch 1) and re-issues; the
+	// root is still fenced when the request lands.
+	m1.recoveryReseed(lock, 0, 1, modes.None, nil)
+	waitFor("the request at the fenced root", func() bool {
+		sh, ls := m0.state(lock, "")
+		defer sh.mu.Unlock()
+		return len(ls.early) == 1
+	})
+	m0.recoveryReseed(lock, 0, 1, modes.None, nil)
+
+	r := <-done
+	if r.err != nil {
+		t.Fatalf("request re-issued into the fenced root: %v", r.err)
+	}
+	if f := r.l.Fence(); f.Epoch != 1 {
+		t.Fatalf("granted at epoch %d, want the round's 1", f.Epoch)
+	}
+	if err := r.l.Unlock(); err != nil {
+		t.Fatal(err)
+	}
+	if n := staleDrops(m0); n != 0 {
+		t.Fatalf("the root counts %d stale drops for a frame it served", n)
+	}
+	if err := cl.Err(); err != nil {
+		t.Fatal(err)
+	}
 }

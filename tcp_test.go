@@ -207,57 +207,47 @@ func TestTCPClusterHierarchical(t *testing.T) {
 }
 
 // newRecoveryTCPCluster boots n members with the failure detector and
-// crash-recovery runtime enabled (aggressive timings for test speed),
-// member i attached to regs[i] from its first frame when given. Members
-// are not auto-closed: crash tests close them explicitly.
-func newRecoveryTCPCluster(t *testing.T, n int, regs ...*metrics.Registry) []*hierlock.Member {
+// crash-recovery runtime enabled (recoveryTCPConfig's aggressive
+// timings) on reserved loopback addresses, so a crashed member can come
+// back on its own. tune, when non-nil, adjusts member i's config before
+// it boots (telemetry, a data dir, no detector). Crash tests Close
+// members themselves; whatever is in the slice at cleanup is closed.
+func newRecoveryTCPCluster(t *testing.T, n int, tune func(i int, cfg *hierlock.TCPMemberConfig)) []*hierlock.Member {
 	t.Helper()
-	addrs := make(map[int]string, n)
-	boot := make([]*hierlock.Member, n)
-	for i := 0; i < n; i++ {
-		m, err := hierlock.NewTCPMember(hierlock.TCPMemberConfig{
-			ID: i, ListenAddr: "127.0.0.1:0",
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		boot[i] = m
-		addrs[i] = m.TCPAddr()
-	}
-	for _, m := range boot {
-		_ = m.Close()
-	}
+	addrs := reserveAddrs(t, n)
 	members := make([]*hierlock.Member, n)
-	for i := 0; i < n; i++ {
-		peers := make(map[int]string, n-1)
-		for j, a := range addrs {
-			if j != i {
-				peers[j] = a
-			}
-		}
-		cfg := hierlock.TCPMemberConfig{
-			ID:                i,
-			ListenAddr:        addrs[i],
-			Peers:             peers,
-			HeartbeatInterval: 25 * time.Millisecond,
-			ConfirmAfter:      500 * time.Millisecond,
-			RecoveryTimeout:   20 * time.Second,
-		}
-		if i < len(regs) {
-			cfg.Telemetry = &hierlock.Telemetry{Registry: regs[i]}
-		}
-		m, err := hierlock.NewTCPMember(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		members[i] = m
-	}
 	t.Cleanup(func() {
 		for _, m := range members {
-			_ = m.Close()
+			if m != nil {
+				_ = m.Close()
+			}
 		}
 	})
+	for i := range members {
+		members[i] = bootRecoveryMember(t, i, addrs, tune)
+	}
 	return members
+}
+
+// bootRecoveryMember starts (or restarts, on its old address) member id
+// of a recovery cluster on addrs, tuned as newRecoveryTCPCluster tunes it.
+func bootRecoveryMember(t *testing.T, id int, addrs map[int]string, tune func(i int, cfg *hierlock.TCPMemberConfig)) *hierlock.Member {
+	t.Helper()
+	peers := make(map[int]string, len(addrs)-1)
+	for j, a := range addrs {
+		if j != id {
+			peers[j] = a
+		}
+	}
+	cfg := recoveryTCPConfig(id, addrs[id], peers)
+	if tune != nil {
+		tune(id, &cfg)
+	}
+	m, err := hierlock.NewTCPMember(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
 }
 
 // TestTCPCrashRecovery: a member crashes while holding a W lock (and
@@ -269,7 +259,11 @@ func newRecoveryTCPCluster(t *testing.T, n int, regs ...*metrics.Registry) []*hi
 // "recovery".
 func TestTCPCrashRecovery(t *testing.T) {
 	regs := []*metrics.Registry{metrics.NewRegistry(), metrics.NewRegistry()}
-	members := newRecoveryTCPCluster(t, 3, regs...)
+	members := newRecoveryTCPCluster(t, 3, func(i int, cfg *hierlock.TCPMemberConfig) {
+		if i < len(regs) {
+			cfg.Telemetry = &hierlock.Telemetry{Registry: regs[i]}
+		}
+	})
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
@@ -315,7 +309,7 @@ func TestTCPCrashRecovery(t *testing.T) {
 // TestTCPRecoveryQuietWithoutCrash: enabling the detector on a healthy
 // cluster must not trigger recovery rounds or perturb normal operation.
 func TestTCPRecoveryQuietWithoutCrash(t *testing.T) {
-	members := newRecoveryTCPCluster(t, 3)
+	members := newRecoveryTCPCluster(t, 3, nil)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
