@@ -44,8 +44,9 @@ race:
 # Just the fault-injection, crash-recovery and transport-failure
 # coverage: the simulator's link-fault chaos runs, and on live loopback
 # members the token holder's crash with requests queued behind it, the
-# hang without a detector, the restarts with and without the data dir, a
-# join during a recovery round, the root's graceful leave, the watchdog
+# wait before a confirmation, a cluster of bare-configured members
+# recovering on the default timings and beaconing, the restarts with and
+# without the data dir, a join during a recovery round, the root's graceful leave, the watchdog
 # over a wedged round, fsync stalls and a healthy cluster, a request
 # re-issued into a still-fenced new root, and the deadlock report over
 # merged inventories (the fifth line, three times:
@@ -84,7 +85,7 @@ chaos:
 	$(GO) test -race -count=3 -run 'TestTCP' ./internal/transport/
 	$(GO) test -race -count=1 ./internal/recovery/
 	$(GO) test -race -count=1 -run 'TestTCPCrashRecovery|TestTCPRecoveryQuietWithoutCrash' .
-	$(GO) test -race -count=3 -run 'TestTCPCrashServesQueuedWaiters|TestTCPHolderCrashHangsWithoutDetector|TestTCPDiskLossRestartIsFenced|TestTCPRestartResumesRoundEpoch|TestTCPJoinDuringRecoveryRound|TestTCPRootLeaveRegeneratesImplicitTokens|TestEarlyFrameReplayedAtReseed|TestTCPWatchdog|TestInventory' .
+	$(GO) test -race -count=3 -run 'TestTCPCrashServesQueuedWaiters|TestTCPHolderCrashWaitsForConfirmation|TestTCPBareConfigRecovers|TestTCPMemberBareConfigBeacons|TestTCPDiskLossRestartIsFenced|TestTCPRestartResumesRoundEpoch|TestTCPJoinDuringRecoveryRound|TestTCPRootLeaveRegeneratesImplicitTokens|TestEarlyFrameReplayedAtReseed|TestTCPWatchdog|TestInventory' .
 	$(GO) test -race -count=3 -run 'TestStagedRing|TestSharedRing|TestResidentPath|TestAcquireFolded|TestSlotBlocked|TestReleaseFolds|TestClientScriptRingGolden|TestSharedAuditor|TestViolationInStagedEntry|TestEveryConsumerPulls|TestHandleGrantEvents|TestFlightRecorderSees|TestNodeEventsInTheRing|TestLockAllOrdering' .
 	$(GO) test -race -count=3 -run 'TestScrapeExactWhileCounting|TestMemberMetricsGolden' .
 	$(GO) test -race -count=3 -run 'TestStaleHintSyncsOutsideStripe|TestTCPRecoveryTimeoutWithoutHeartbeat|TestCloseWaitsForInflightRecoveryRetry|TestTCPMembership|TestTCPLeave|TestTCPLeaver' .
@@ -124,7 +125,8 @@ sessions:
 
 # Runtime-membership coverage under the race detector: the live TCP
 # join/leave acceptance tests (grow, shrink, leaver killed mid-handoff,
-# the root's leave, a join during a recovery round), the tracked
+# the root's leave, a join during a recovery round that returns once the
+# joiner's detector confirms the dead member), the tracked
 # recovery-timer regressions, and the membership wire-kind golden/fuzz
 # corpus that rides in the proto package.
 membership:

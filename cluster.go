@@ -27,8 +27,12 @@ func NewCluster(n int) (*Cluster, error) {
 		return nil, fmt.Errorf("hierlock: cluster size must be positive, got %d", n)
 	}
 	c := &Cluster{net: transport.NewChanNetwork()}
+	nodes := make([]proto.NodeID, n)
+	for i := range nodes {
+		nodes[i] = proto.NodeID(i)
+	}
 	for i := 0; i < n; i++ {
-		m, err := newMember(proto.NodeID(i), 0, c.net.Node(proto.NodeID(i)), nil, nil, nil)
+		m, err := newMember(proto.NodeID(i), 0, c.net.Node(proto.NodeID(i)), nodes, "", nil, nil)
 		if err != nil {
 			_ = c.Close()
 			return nil, err
@@ -74,8 +78,7 @@ type TCPMemberConfig struct {
 	// AdvertiseAddr is the address other members should dial to reach
 	// this one, carried in JOIN announcements (default: the listener's
 	// actual address, which is wrong behind NAT or with a ":0" listener
-	// on a multi-homed host — set it explicitly there). Requires
-	// HeartbeatInterval (runtime membership rides recovery).
+	// on a multi-homed host — set it explicitly there).
 	AdvertiseAddr string
 	// Peers maps every other member ID to its listen address. A member
 	// that will Join a running cluster starts with an empty map and
@@ -91,24 +94,21 @@ type TCPMemberConfig struct {
 	// benchmark harness stops setting it.
 	Reliable bool
 
-	// HeartbeatInterval enables the failure detector and the crash-
-	// recovery runtime: the member heartbeats every peer at this interval,
-	// confirms a silent peer dead after ConfirmAfter, and then runs an
-	// epoch-stamped token-regeneration round with the survivors so locks
-	// whose token (or queued requests) died with the peer become usable
-	// again. Zero disables recovery: a dead token holder then hangs its
-	// lock forever, the pre-recovery behavior. All members of one cluster
-	// should agree on this setting.
+	// HeartbeatInterval is the interval at which the member beacons every
+	// peer (default 1s). Every member runs the failure detector and the
+	// crash-recovery runtime: it confirms a silent peer dead after
+	// ConfirmAfter and then runs an epoch-stamped token-regeneration
+	// round with the survivors, so locks whose token (or queued requests)
+	// died with the peer become usable again.
 	HeartbeatInterval time.Duration
 	// ConfirmAfter is the silence after which the detector confirms a peer
 	// dead (default 8× HeartbeatInterval). It must comfortably exceed the
 	// worst expected stall of a healthy peer — GC pause, scheduling hiccup,
 	// transient partition: a false confirmation fences a live node out of
-	// the new epoch and its holds surface as ErrLockLost. Requires
-	// HeartbeatInterval.
+	// the new epoch and its holds surface as ErrLockLost.
 	ConfirmAfter time.Duration
 	// RecoveryTimeout, when set, bounds every blocking Lock/Upgrade call,
-	// with or without HeartbeatInterval: an operation with no grant within
+	// before or after any confirmation: an operation with no grant within
 	// it is abandoned and fails with ErrLockLost. It is the client-side
 	// backstop for requests recovery cannot regenerate (see
 	// docs/OPERATIONS.md) and must comfortably exceed the worst legitimate
@@ -118,10 +118,8 @@ type TCPMemberConfig struct {
 	// DataDir, when set, makes the member durable: a write-ahead journal
 	// of every externally-visible lock transition lives under
 	// DataDir/member-<ID>, is replayed on restart, and is reconciled
-	// with the cluster through a cold-start recovery round (requires
-	// HeartbeatInterval; without it the replayed state is still used to
-	// seed engines but never reconciled). Empty disables persistence,
-	// the pre-journal behavior.
+	// with the cluster through a cold-start recovery round. Empty
+	// disables persistence, the pre-journal behavior.
 	DataDir string
 	// FsyncPolicy selects when journal appends reach stable storage:
 	// FsyncBatched (default) amortizes one fsync over the transport's
@@ -166,16 +164,6 @@ func NewTCPMember(cfg TCPMemberConfig) (*Member, error) {
 	if cfg.ID < 0 {
 		return nil, fmt.Errorf("hierlock: invalid member id %d", cfg.ID)
 	}
-	if cfg.HeartbeatInterval <= 0 {
-		// Both ride the failure detector: without it they would be
-		// silently ignored.
-		if cfg.ConfirmAfter != 0 {
-			return nil, fmt.Errorf("hierlock: ConfirmAfter requires HeartbeatInterval")
-		}
-		if cfg.AdvertiseAddr != "" {
-			return nil, fmt.Errorf("hierlock: AdvertiseAddr requires HeartbeatInterval")
-		}
-	}
 	peers := make(map[proto.NodeID]string, len(cfg.Peers))
 	for id, addr := range cfg.Peers {
 		peers[proto.NodeID(id)] = addr
@@ -185,10 +173,12 @@ func NewTCPMember(cfg TCPMemberConfig) (*Member, error) {
 	// late-bound reference.
 	var mref atomic.Pointer[Member]
 	tcfg := transport.TCPConfig{
-		Self:       proto.NodeID(cfg.ID),
-		ListenAddr: cfg.ListenAddr,
-		Peers:      peers,
-		QueueLimit: cfg.QueueLimit,
+		Self:              proto.NodeID(cfg.ID),
+		ListenAddr:        cfg.ListenAddr,
+		Peers:             peers,
+		QueueLimit:        cfg.QueueLimit,
+		HeartbeatInterval: cfg.HeartbeatInterval,
+		ConfirmAfter:      cfg.ConfirmAfter,
 		OnPeerHealth: func(peer proto.NodeID, s transport.PeerState) {
 			if m := mref.Load(); m != nil {
 				if lg := m.tel.Load().log; lg != nil {
@@ -196,30 +186,24 @@ func NewTCPMember(cfg TCPMemberConfig) (*Member, error) {
 				}
 			}
 		},
-	}
-	var rec *memberRecovery
-	if cfg.HeartbeatInterval > 0 {
-		tcfg.HeartbeatInterval = cfg.HeartbeatInterval
-		tcfg.ConfirmAfter = cfg.ConfirmAfter
 		// The detector callbacks re-enter the member asynchronously. The
 		// fresh goroutines impose no ordering — peerConfirmed/peerAlive
 		// re-check the detector's current state before acting, so a
 		// callback overtaken by a newer transition becomes a no-op.
-		tcfg.OnPeerConfirmed = func(peer proto.NodeID) {
+		OnPeerConfirmed: func(peer proto.NodeID) {
 			if m := mref.Load(); m != nil {
 				go m.peerConfirmed(peer)
 			}
-		}
-		tcfg.OnPeerAlive = func(peer proto.NodeID) {
+		},
+		OnPeerAlive: func(peer proto.NodeID) {
 			if m := mref.Load(); m != nil {
 				go m.peerAlive(peer)
 			}
-		}
-		nodes := []proto.NodeID{proto.NodeID(cfg.ID)}
-		for id := range peers {
-			nodes = append(nodes, id)
-		}
-		rec = &memberRecovery{nodes: nodes}
+		},
+	}
+	nodes := []proto.NodeID{proto.NodeID(cfg.ID)}
+	for id := range peers {
+		nodes = append(nodes, id)
 	}
 	var jn *journal.Journal
 	if cfg.DataDir != "" {
@@ -238,13 +222,11 @@ func NewTCPMember(cfg TCPMemberConfig) (*Member, error) {
 		}
 		return nil, err
 	}
-	if rec != nil {
-		rec.advertise = cfg.AdvertiseAddr
-		if rec.advertise == "" {
-			rec.advertise = tr.Addr()
-		}
+	advertise := cfg.AdvertiseAddr
+	if advertise == "" {
+		advertise = tr.Addr()
 	}
-	m, err := newMember(proto.NodeID(cfg.ID), proto.NodeID(cfg.Root), tr, rec, jn, cfg.Telemetry)
+	m, err := newMember(proto.NodeID(cfg.ID), proto.NodeID(cfg.Root), tr, nodes, advertise, jn, cfg.Telemetry)
 	if err != nil {
 		_ = tr.Close()
 		if jn != nil {
@@ -252,7 +234,7 @@ func NewTCPMember(cfg TCPMemberConfig) (*Member, error) {
 		}
 		return nil, err
 	}
-	m.recoveryTimeout = cfg.RecoveryTimeout // with or without recovery: see RecoveryTimeout
+	m.recoveryTimeout = cfg.RecoveryTimeout
 	mref.Store(m)
 	return m, nil
 }

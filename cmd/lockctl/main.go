@@ -303,7 +303,7 @@ func sessionsCmd(args []string) {
 // Single-node mode prints the node's inventory; --cluster (or several
 // addresses, or the top leaderboard) merges every node's inventory into
 // the cluster view, builds the cluster-wide wait-for graph and flags
-// deadlock cycles.
+// deadlock cycles: those a second fetch shows too.
 func locksCmd(args []string, top bool) {
 	fs := flag.NewFlagSet("locks", flag.ExitOnError)
 	var (
@@ -339,6 +339,10 @@ func locksCmd(args []string, top bool) {
 	}
 	c := introspect.Merge(nodes)
 	c.Errors = errs
+	if c.WaitFor.Deadlocked() {
+		again, _ := lockserver.FetchAll[introspect.NodeInventory](client, addrs, "/debug/locks")
+		c.WaitFor = introspect.Confirm(c.WaitFor, introspect.Merge(again).WaitFor)
+	}
 	switch {
 	case *asJSON:
 		printJSON(c)

@@ -48,8 +48,8 @@ func main() {
 		peers   = flag.String("peers", "", "peer map: id=host:port,id=host:port")
 		timeout = flag.Duration("timeout", 0, "per-request lock timeout (0 = wait forever)")
 
-		join      = flag.String("join", "", "join a running cluster via this seed member's peer address (requires -heartbeat; -peers may be empty, the cluster is learned from the seed)")
-		advertise = flag.String("advertise", "", "peer address other members should dial to reach this one (requires -heartbeat; default: the -listen listener's actual address)")
+		join      = flag.String("join", "", "join a running cluster via this seed member's peer address (-peers may be empty, the cluster is learned from the seed); returns once every member learned has answered or is confirmed dead")
+		advertise = flag.String("advertise", "", "peer address other members should dial to reach this one, carried in JOIN announcements (default: the -listen listener's actual address)")
 
 		leaseTTL   = flag.Duration("lease-ttl", 30*time.Second, "default session lease TTL; an expired lease force-releases the session's locks")
 		maxWaiters = flag.Int("max-waiters", 0, "cap on exclusive-mode clients waiting per (resource, mode); beyond it LOCK answers ERR busy (0 = unbounded)")
@@ -64,8 +64,8 @@ func main() {
 		_          = flag.Bool("reliable", true, "ignored. Deprecated: the link is always sequenced; removed when the benchmark harness stops setting it")
 		queueLimit = flag.Int("queue-limit", 0, "bound per-peer outbound and inbound queues (0 = unbounded)")
 
-		heartbeat       = flag.Duration("heartbeat", 0, "peer heartbeat interval; enables crash detection and token regeneration (0 disables, all members should agree)")
-		confirmAfter    = flag.Duration("confirm-after", 0, "silence before a peer is confirmed dead and recovery starts (requires -heartbeat); must exceed worst-case GC/network stalls (default 8x -heartbeat)")
+		heartbeat       = flag.Duration("heartbeat", 0, "peer beacon interval; every member beacons, detects crashes and regenerates lost tokens (0 = 1s)")
+		confirmAfter    = flag.Duration("confirm-after", 0, "silence before a peer is confirmed dead and recovery starts; must exceed worst-case GC/network stalls (0 = 8x -heartbeat)")
 		recoveryTimeout = flag.Duration("recovery-timeout", 0, "abandon a lock operation with no grant after this long (0 = wait forever)")
 
 		mutexFrac  = flag.Int("mutex-profile-fraction", 0, "sample 1/N of mutex contention events into the mutex profile (0 = off)")
@@ -95,9 +95,6 @@ func main() {
 	fsync, err := hierlock.ParseFsyncPolicy(*fsyncPolicy)
 	if err != nil {
 		fatal("bad -fsync", "err", err)
-	}
-	if *join != "" && *heartbeat <= 0 {
-		fatal("-join requires -heartbeat (membership rides the recovery machinery)")
 	}
 	reg := metrics.NewRegistry()
 	var rec *trace.Recorder

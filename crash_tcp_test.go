@@ -297,12 +297,12 @@ func crashWithQueuedWaiters(t *testing.T, victim int) {
 	au.check()
 }
 
-// TestTCPHolderCrashHangsWithoutDetector pins what crash recovery is
-// for: members without a failure detector (no HeartbeatInterval, so no
-// recovery) never learn that the token holder died, and a survivor's
-// Lock on its lock is still waiting at its deadline — whether it asked
-// after the crash or was already queued on the holder when it died.
-func TestTCPHolderCrashHangsWithoutDetector(t *testing.T) {
+// TestTCPHolderCrashWaitsForConfirmation pins that only a confirmation
+// regenerates a dead holder's token: with ConfirmAfter far past a
+// survivor's deadline, its Lock on the dead holder's lock is still
+// waiting at that deadline — whether it asked after the crash or was
+// already queued on the holder when it died.
+func TestTCPHolderCrashWaitsForConfirmation(t *testing.T) {
 	t.Parallel()
 	for _, queued := range []bool{false, true} {
 		name := "requested-after-crash"
@@ -313,7 +313,7 @@ func TestTCPHolderCrashHangsWithoutDetector(t *testing.T) {
 			t.Parallel()
 			const res = "hang-res"
 			members := newRecoveryTCPCluster(t, 3, func(_ int, cfg *hierlock.TCPMemberConfig) {
-				cfg.HeartbeatInterval, cfg.ConfirmAfter, cfg.RecoveryTimeout = 0, 0, 0
+				cfg.ConfirmAfter, cfg.RecoveryTimeout = time.Minute, 0
 			})
 			if _, err := members[2].Lock(context.Background(), res, hierlock.W); err != nil {
 				t.Fatal(err)
@@ -340,6 +340,65 @@ func TestTCPHolderCrashHangsWithoutDetector(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestTCPBareConfigRecovers: members with every timing field zero — the
+// configuration a bare lockd runs — recover a crashed holder's lock on
+// their own. A survivor queued on the W holder when it dies is granted
+// once the default detector (1 s beacons, confirmation after 8 s of
+// silence) confirms the crash, with a fence at a higher epoch than the
+// dead hold's, and the shared auditor stays clean.
+func TestTCPBareConfigRecovers(t *testing.T) {
+	t.Parallel()
+	const res = "bare-res"
+	au := newSharedAudit(t)
+	members := newRecoveryTCPCluster(t, 3, func(i int, cfg *hierlock.TCPMemberConfig) {
+		cfg.HeartbeatInterval, cfg.ConfirmAfter, cfg.RecoveryTimeout = 0, 0, 0
+		au.tune(i, cfg)
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	held, err := members[2].Lock(ctx, res, hierlock.W)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead := held.Fence()
+	type grant struct {
+		l   *hierlock.Lock
+		err error
+	}
+	granted := make(chan grant, 1)
+	go func() {
+		l, err := members[1].Lock(ctx, res, hierlock.W)
+		granted <- grant{l, err}
+	}()
+	waitQueued(t, members, res, 1)
+	if err := members[2].Close(); err != nil {
+		t.Fatal(err)
+	}
+	crashed := time.Now()
+	au.crashed(2)
+	g := <-granted
+	if g.err != nil {
+		t.Fatalf("survivor's Lock on the dead holder's lock: %v", g.err)
+	}
+	// The survivors last heard from the holder at most one beacon interval
+	// before it closed.
+	if d := time.Since(crashed); d < 6*time.Second {
+		t.Errorf("granted %v after the crash, before the default confirmation", d)
+	}
+	if f := g.l.Fence(); !dead.Less(f) || f.Epoch <= dead.Epoch {
+		t.Fatalf("survivor's fence %s does not follow the dead hold's %s across an epoch bump", f, dead)
+	}
+	if err := g.l.Unlock(); err != nil {
+		t.Fatal(err)
+	}
+	for _, i := range []int{0, 1} {
+		if err := members[i].Err(); err != nil {
+			t.Errorf("member %d protocol error: %v", i, err)
+		}
+	}
+	au.check()
 }
 
 // TestTCPDiskLossRestartIsFenced: the token holder crashes, the
@@ -451,9 +510,12 @@ func TestTCPRestartResumesRoundEpoch(t *testing.T) {
 
 // TestTCPJoinDuringRecoveryRound: the token holder crashes and a new
 // member joins before the survivors' detectors confirm the crash
-// (ConfirmAfter 500 ms). The round the confirmation starts must take the
-// joiner in stride, and the joiner's Lock on the dead holder's lock is
-// served after it, with a fence above the one that died.
+// (ConfirmAfter 500 ms). The live members admit the joiner at once; the
+// dead one, still in the seed's peer list, never answers, so Join returns
+// once the joiner's own detector confirms it dead. The round the
+// confirmation starts must take the joiner in stride, and the joiner's
+// Lock on the dead holder's lock is served after it, with a fence above
+// the one that died.
 func TestTCPJoinDuringRecoveryRound(t *testing.T) {
 	t.Parallel()
 	const res = "join-crash"
@@ -480,20 +542,23 @@ func TestTCPJoinDuringRecoveryRound(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = joiner.Close() })
-	// The dead member is still in the seed's peer list and never
-	// acknowledges, so Join returns at its deadline; what matters is that
-	// the live members admitted the joiner before the crash was confirmed.
-	jctx, jcancel := context.WithTimeout(ctx, 200*time.Millisecond)
-	_ = joiner.Join(jctx, members[0].TCPAddr())
-	jcancel()
+	joinStart := time.Now()
+	joined := make(chan error, 1)
+	go func() { joined <- joiner.Join(ctx, members[0].TCPAddr()) }()
 	for _, m := range members[:2] {
 		waitMembers(t, m, 4)
 	}
-	if d := time.Since(crashed); d >= 500*time.Millisecond {
-		t.Fatalf("joined %v after the crash, not before ConfirmAfter", d)
+	if d := time.Since(crashed); d >= cfg.ConfirmAfter {
+		t.Fatalf("admitted %v after the crash, not before ConfirmAfter", d)
 	}
 	if r := members[0].RecoveryRounds(); r != 0 {
-		t.Fatalf("recovery ran before the join completed (%d rounds)", r)
+		t.Fatalf("recovery ran before the join was admitted (%d rounds)", r)
+	}
+	if err := <-joined; err != nil {
+		t.Fatalf("join beside a dead member: %v", err)
+	}
+	if d := time.Since(joinStart); d > cfg.ConfirmAfter+2*time.Second {
+		t.Fatalf("Join returned %v after it began, want within ConfirmAfter (%v) plus slack", d, cfg.ConfirmAfter)
 	}
 
 	l, err := joiner.Lock(ctx, res, hierlock.W)

@@ -312,8 +312,7 @@ func (n *Node) newTrace() proto.TraceID {
 func newNode(c *Cluster, id proto.NodeID, cfg Config) *Node {
 	n := &Node{ID: id, c: c, nnodes: cfg.Nodes, waiters: make(map[proto.LockID]func())}
 	if cfg.Protocol == Hierarchical {
-		// Hierarchical engines are created lazily (and evicted when idle)
-		// to mirror the live member runtime; see hierEngine.
+		// Hierarchical engines are created lazily; see hierEngine.
 		n.hier = make(map[proto.LockID]*hlock.Engine, len(cfg.Locks))
 		n.opts = cfg.Options
 	} else {
@@ -338,52 +337,6 @@ func (n *Node) hierEngine(lock proto.LockID) *hlock.Engine {
 		n.hier[lock] = e
 	}
 	return e
-}
-
-// hierEvictThreshold is the tracked-lock count that triggers an
-// idle-engine sweep on a node (mirrors the member runtime's
-// per-stripe threshold; see Member.maybeEvict for the rationale).
-const hierEvictThreshold = 64
-
-// maybeEvictHier sweeps idle hierarchical engines once the node tracks
-// more than hierEvictThreshold locks. An engine is idle when no request
-// is outstanding on it and it is observably identical to a freshly
-// created one (AtInitialState), so dropping and lazily re-creating it
-// has no protocol effect.
-func (n *Node) maybeEvictHier() {
-	if len(n.hier) < hierEvictThreshold {
-		return
-	}
-	n.sweepHier()
-}
-
-func (n *Node) sweepHier() int {
-	evicted := 0
-	for lock, e := range n.hier {
-		if _, waiting := n.waiters[lock]; waiting {
-			continue
-		}
-		if e.AtInitialState() {
-			delete(n.hier, lock)
-			evicted++
-		}
-	}
-	return evicted
-}
-
-// EvictIdle immediately evicts every idle hierarchical engine on the
-// node, returning the number evicted (no-op on baseline protocols).
-func (n *Node) EvictIdle() int {
-	if n.hier == nil {
-		return 0
-	}
-	return n.sweepHier()
-}
-
-// TrackedLocks returns the number of locks the node currently holds
-// engine state for.
-func (n *Node) TrackedLocks() int {
-	return len(n.hier) + len(n.excl)
 }
 
 // Acquire requests lock in mode m; done runs when the lock is held
@@ -466,7 +419,6 @@ func (n *Node) Release(lock proto.LockID) {
 		return
 	}
 	n.dispatchHier(lock, out, nil)
-	n.maybeEvictHier()
 }
 
 // Held returns the mode this node holds on the lock (None if not held).
@@ -517,7 +469,6 @@ func (n *Node) handle(msg *proto.Message) {
 		return
 	}
 	n.dispatchHier(msg.Lock, out, nil)
-	n.maybeEvictHier()
 }
 
 // dispatchHier routes an engine step's output: messages to the network,

@@ -93,6 +93,36 @@ func TestBuildWaitForDetectsCycle(t *testing.T) {
 	}
 }
 
+// TestConfirmKeepsRepeatedCycles: a cycle only one of two views shows is
+// not a deadlock (locks moved between a member's stripe reads), and a
+// cycle both show is.
+func TestConfirmKeepsRepeatedCycles(t *testing.T) {
+	cycle := introspect.Merge(cycleFixture()).WaitFor
+	acyclic := cycleFixture()
+	acyclic[2].Locks = acyclic[2].Locks[:1] // node 2 no longer waits
+	moved := introspect.Merge(acyclic).WaitFor
+	if moved.Deadlocked() {
+		t.Fatalf("fixture without node 2's wait has cycles %v", moved.Cycles)
+	}
+	for _, tc := range []struct {
+		name          string
+		first, second introspect.WaitFor
+		want          bool
+	}{
+		{"first view only", cycle, moved, false},
+		{"second view only", moved, cycle, false},
+		{"both views", cycle, cycle, true},
+	} {
+		w := introspect.Confirm(tc.first, tc.second)
+		if w.Deadlocked() != tc.want {
+			t.Errorf("%s: Deadlocked() = %v (cycles %v), want %v", tc.name, w.Deadlocked(), w.Cycles, tc.want)
+		}
+		if len(w.Edges) != len(tc.first.Edges) {
+			t.Errorf("%s: %d edges, want the first view's %d", tc.name, len(w.Edges), len(tc.first.Edges))
+		}
+	}
+}
+
 // TestBuildWaitForCanonicalizesCycles checks a cycle reported from any
 // DFS entry point collapses to one canonical rotation: the same fixture
 // with node IDs permuted must still yield exactly one cycle.

@@ -1,6 +1,7 @@
 package introspect
 
 import (
+	"slices"
 	"sort"
 	"strconv"
 
@@ -110,6 +111,21 @@ func BuildWaitFor(nodes []NodeInventory) WaitFor {
 	})
 	w.Cycles = findCycles(adj)
 	return w
+}
+
+// Confirm keeps the cycles of first that second shows too. Each member
+// reads its locks one stripe at a time, so a view merged while locks move
+// can join edges that never coexisted into a cycle; a real deadlock
+// persists, so a cycle a later view repeats is one. Edges stay first's.
+func Confirm(first, second WaitFor) WaitFor {
+	var kept [][]int
+	for _, c := range first.Cycles {
+		if slices.ContainsFunc(second.Cycles, func(d []int) bool { return slices.Equal(c, d) }) {
+			kept = append(kept, c)
+		}
+	}
+	first.Cycles = kept
+	return first
 }
 
 // parseMode is modes.Parse tolerant of the inventory's "" encoding.

@@ -241,12 +241,12 @@ func (s *Server) incidents(w http.ResponseWriter, r *http.Request) {
 func (s *Server) inventory() introspect.NodeInventory {
 	inv := s.member.Inventory()
 	s.mu.Lock()
-	mgr := s.sess
+	sess := s.sess
 	s.mu.Unlock()
-	if mgr == nil {
+	if sess == nil {
 		return inv
 	}
-	for _, info := range mgr.Snapshot() {
+	for _, info := range sess.Snapshot() {
 		si := introspect.SessionInfo{
 			Name:            info.Name,
 			Attached:        info.Attached,

@@ -28,9 +28,6 @@ func (t *TCPTransport) AddPeer(peer proto.NodeID, addr string) {
 		t.cfg.Peers = make(map[proto.NodeID]string)
 	}
 	t.cfg.Peers[peer] = addr
-	if t.detector == nil {
-		return
-	}
 	watched := false
 	for _, p := range t.hbPeers {
 		if p == peer {
@@ -61,9 +58,7 @@ func (t *TCPTransport) RemovePeer(peer proto.NodeID) {
 			break
 		}
 	}
-	if t.detector != nil {
-		t.detector.Remove(peer)
-	}
+	t.detector.Remove(peer)
 	t.mu.Unlock()
 
 	t.recvMu.Lock()

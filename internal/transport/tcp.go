@@ -76,12 +76,12 @@ type TCPConfig struct {
 	// not call back into the transport.
 	OnPeerHealth func(peer proto.NodeID, state PeerState)
 
-	// HeartbeatInterval enables the liveness layer: every interval the
-	// transport sends a KindHeartbeat frame to each configured peer whose
-	// outbound link is otherwise idle (real traffic is proof of life, so
-	// heartbeats only bound the silence on quiet links) and ticks a
-	// silence-based failure detector fed by every inbound frame. 0
-	// disables heartbeats and failure detection entirely.
+	// HeartbeatInterval is the liveness layer's beacon interval (default
+	// 1s): every interval the transport sends a KindHeartbeat frame to
+	// each peer whose outbound link is otherwise idle (real traffic is
+	// proof of life, so heartbeats only bound the silence on quiet links)
+	// and ticks the silence-based failure detector every inbound frame
+	// feeds. Every endpoint beacons and detects.
 	HeartbeatInterval time.Duration
 	// ConfirmAfter is the silence threshold for confirming a peer dead
 	// (default 8×HeartbeatInterval). It must comfortably exceed the worst
@@ -112,8 +112,8 @@ type TCPTransport struct {
 	box     *mailbox
 	handler Handler // set by Start, before any reader exists
 
-	// detector classifies peers by inbound silence (nil unless
-	// HeartbeatInterval is set); hbPeers is the sorted heartbeat fan-out.
+	// detector classifies peers by inbound silence; hbPeers is the
+	// sorted heartbeat fan-out.
 	detector *recovery.Detector
 	hbPeers  []proto.NodeID
 
@@ -216,6 +216,12 @@ func NewTCP(cfg TCPConfig) (*TCPTransport, error) {
 	if cfg.DownAfter <= 0 {
 		cfg.DownAfter = 3
 	}
+	if cfg.HeartbeatInterval <= 0 {
+		cfg.HeartbeatInterval = time.Second
+	}
+	if cfg.ConfirmAfter <= 0 {
+		cfg.ConfirmAfter = 8 * cfg.HeartbeatInterval
+	}
 	ln, err := net.Listen("tcp", cfg.ListenAddr)
 	if err != nil {
 		return nil, fmt.Errorf("transport: listen %s: %w", cfg.ListenAddr, err)
@@ -231,39 +237,22 @@ func NewTCP(cfg TCPConfig) (*TCPTransport, error) {
 		conns:   make(map[net.Conn]struct{}),
 		recvSeq: make(map[proto.NodeID]uint64),
 	}
-	if cfg.HeartbeatInterval > 0 {
-		if t.cfg.ConfirmAfter <= 0 {
-			t.cfg.ConfirmAfter = 8 * cfg.HeartbeatInterval
-		}
-		for id := range cfg.Peers {
-			t.hbPeers = append(t.hbPeers, id)
-		}
-		sort.Slice(t.hbPeers, func(i, j int) bool { return t.hbPeers[i] < t.hbPeers[j] })
-		t.detector = recovery.NewDetector(recovery.DetectorConfig{
-			Peers:        t.hbPeers,
-			ConfirmAfter: t.cfg.ConfirmAfter,
-			OnConfirm:    cfg.OnPeerConfirmed,
-			OnAlive:      cfg.OnPeerAlive,
-		}, time.Now())
+	for id := range cfg.Peers {
+		t.hbPeers = append(t.hbPeers, id)
 	}
+	sort.Slice(t.hbPeers, func(i, j int) bool { return t.hbPeers[i] < t.hbPeers[j] })
+	t.detector = recovery.NewDetector(recovery.DetectorConfig{
+		Peers:        t.hbPeers,
+		ConfirmAfter: t.cfg.ConfirmAfter,
+		OnConfirm:    cfg.OnPeerConfirmed,
+		OnAlive:      cfg.OnPeerAlive,
+	}, time.Now())
 	return t, nil
 }
 
-// PeerHealth returns the failure detector's opinion of a peer (healthy
-// when heartbeats are disabled).
+// PeerHealth returns the failure detector's opinion of a peer.
 func (t *TCPTransport) PeerHealth(peer proto.NodeID) recovery.PeerState {
-	if t.detector == nil {
-		return recovery.PeerHealthy
-	}
 	return t.detector.State(peer)
-}
-
-// observe feeds one inbound frame to the failure detector as proof of
-// the sender's liveness.
-func (t *TCPTransport) observe(from proto.NodeID) {
-	if t.detector != nil {
-		t.detector.Observe(from, time.Now())
-	}
 }
 
 // heartbeatLoop sends liveness frames to idle peer links and ticks the
@@ -337,10 +326,8 @@ func (t *TCPTransport) Start(h Handler) error {
 	}
 	t.wg.Add(1)
 	go t.acceptLoop()
-	if t.detector != nil {
-		t.wg.Add(1)
-		go t.heartbeatLoop()
-	}
+	t.wg.Add(1)
+	go t.heartbeatLoop()
 	return nil
 }
 
@@ -450,7 +437,7 @@ func (t *TCPTransport) readLoop(conn net.Conn) {
 			continue // acks are not expected inbound; ignore
 		}
 		t.framesRecv.Add(1)
-		t.observe(msg.From)
+		t.detector.Observe(msg.From, time.Now())
 		if seq == 0 {
 			// Unsequenced out-of-band frame (TCPTransport.SendTo): deliver
 			// without deduplication or acknowledgment, leaving the sender's
@@ -948,7 +935,7 @@ func (w *peerWriter) ackLoop(conn net.Conn) {
 			}
 			return
 		}
-		w.t.observe(w.peer) // an ack is proof of life too
+		w.t.detector.Observe(w.peer, time.Now()) // an ack is proof of life too
 		if typ != proto.LinkAck {
 			continue
 		}

@@ -379,8 +379,8 @@ type Member struct {
 	// have no runtime membership).
 	advertise string
 
-	// mgr runs the crash-recovery protocol when the member was created
-	// with a failure detector (nil otherwise). mgrMu serializes every
+	// mgr runs the crash-recovery protocol; on TCP members the transport's
+	// failure detector drives it. mgrMu serializes every
 	// Manager entry point except the seed-table reads SeedFor and Table,
 	// which take no member mutex; the lock order is always mgrMu before a
 	// shard mutex, never the reverse. roundStart, recEpochs, joinC/leaveC,
@@ -632,16 +632,14 @@ func (m *Member) wire(t Telemetry) *telemetry {
 		"Graceful peer departures processed (LEAVE hand-offs).", nil)
 	tel.mHandoff = reg.Counter(metrics.MetricMembershipHandoffLocks,
 		"Token locks handed off by departing peers.", nil)
-	if m.mgr != nil {
-		reg.Collect(metrics.MetricMembershipSize,
-			"This member's current view of the cluster size (itself included).",
-			"gauge", func(emit func(metrics.Labels, float64)) {
-				m.mgrMu.Lock()
-				n := len(m.mgr.Nodes())
-				m.mgrMu.Unlock()
-				emit(nil, float64(n))
-			})
-	}
+	reg.Collect(metrics.MetricMembershipSize,
+		"This member's current view of the cluster size (itself included).",
+		"gauge", func(emit func(metrics.Labels, float64)) {
+			m.mgrMu.Lock()
+			n := len(m.mgr.Nodes())
+			m.mgrMu.Unlock()
+			emit(nil, float64(n))
+		})
 
 	m.registerLockCollectors(reg)
 	if m.jn != nil {
@@ -933,30 +931,25 @@ func (m *Member) await(ctx context.Context, sh *lockShard, w *waiter) error {
 	}
 }
 
-// memberRecovery configures a member's crash-recovery runtime: the full
-// node set (recovery rounds span every configured member, and a round
-// commits on a majority of them). Nil disables recovery.
-type memberRecovery struct {
-	nodes []proto.NodeID // all cluster members, including self
-	// advertise is the address JOIN announcements carry for this member
-	// (empty disables runtime membership).
-	advertise string
-}
-
-// newMember wires a member to a started transport. jn, when non-nil,
-// is the member's opened journal: engines seed from its replayed
-// state, every externally-visible transition appends to it, and — when
-// recovery is also configured — the replayed locks are reconciled with
-// the cluster through a cold-start round. tel, when non-nil, is
-// attached before the first frame moves.
-func newMember(id, root proto.NodeID, tr transport.Transport, rec *memberRecovery, jn *journal.Journal, tel *Telemetry) (*Member, error) {
+// newMember wires a member to a started transport, with its
+// crash-recovery runtime over nodes, every cluster member including this
+// one (recovery rounds span them all, and a round commits on a majority).
+// advertise is the address JOIN announcements carry ("" for in-process
+// members). jn, when non-nil, is the member's opened journal: engines
+// seed from its replayed state, every externally-visible transition
+// appends to it, and the replayed locks are reconciled with the cluster
+// through a cold-start round. tel, when non-nil, is attached before the
+// first frame moves.
+func newMember(id, root proto.NodeID, tr transport.Transport, nodes []proto.NodeID, advertise string, jn *journal.Journal, tel *Telemetry) (*Member, error) {
 	m := &Member{
-		id:        id,
-		root:      root,
-		tr:        tr,
-		done:      make(chan struct{}),
-		jn:        jn,
-		recEpochs: make(map[proto.LockID]uint32),
+		id:         id,
+		root:       root,
+		tr:         tr,
+		done:       make(chan struct{}),
+		advertise:  advertise,
+		jn:         jn,
+		recEpochs:  make(map[proto.LockID]uint32),
+		roundStart: make(map[proto.LockID]time.Time),
 	}
 	for i := range m.shards {
 		m.shards[i].m = m
@@ -965,25 +958,21 @@ func newMember(id, root proto.NodeID, tr transport.Transport, rec *memberRecover
 	if jn != nil {
 		m.replayed = jn.State()
 	}
-	if rec != nil {
-		m.advertise = rec.advertise
-		m.roundStart = make(map[proto.LockID]time.Time)
-		m.mgr = recovery.NewManager(recovery.Config{
-			Self:             id,
-			Nodes:            rec.nodes,
-			Send:             m.sendRecovery,
-			Locks:            m.trackedLockIDs,
-			State:            m.recoveryState,
-			PrepareReseed:    m.recoveryPrepare,
-			Reseed:           m.recoveryReseed,
-			Clock:            &m.clock,
-			After:            m.afterRecovery,
-			Quorum:           len(rec.nodes)/2 + 1,
-			LocksReferencing: m.locksReferencing,
-			OnRoundStart:     m.recoveryRoundStart,
-			OnRoundDone:      m.recoveryRoundDone,
-		})
-	}
+	m.mgr = recovery.NewManager(recovery.Config{
+		Self:             id,
+		Nodes:            nodes,
+		Send:             m.sendRecovery,
+		Locks:            m.trackedLockIDs,
+		State:            m.recoveryState,
+		PrepareReseed:    m.recoveryPrepare,
+		Reseed:           m.recoveryReseed,
+		Clock:            &m.clock,
+		After:            m.afterRecovery,
+		Quorum:           len(nodes)/2 + 1,
+		LocksReferencing: m.locksReferencing,
+		OnRoundStart:     m.recoveryRoundStart,
+		OnRoundDone:      m.recoveryRoundDone,
+	})
 	if tel != nil {
 		m.SetTelemetry(*tel)
 	}
@@ -996,7 +985,7 @@ func newMember(id, root proto.NodeID, tr transport.Transport, rec *memberRecover
 	// nominates them to the regenerator), landing the whole cluster on
 	// a fresh epoch above every journal; a member restarting into a
 	// still-running cluster gets hinted forward instead.
-	if m.mgr != nil && len(m.replayed) > 0 {
+	if len(m.replayed) > 0 {
 		locks := make([]proto.LockID, 0, len(m.replayed))
 		for l := range m.replayed {
 			locks = append(locks, l)
@@ -1275,7 +1264,7 @@ func (m *Member) detectorState(peer proto.NodeID) (recovery.PeerState, bool) {
 // has been silent past ConfirmAfter and is declared dead, which starts
 // regeneration rounds for every lock this node tracks.
 func (m *Member) peerConfirmed(peer proto.NodeID) {
-	if m.mgr == nil || m.closed.Load() {
+	if m.closed.Load() {
 		return
 	}
 	m.mgrMu.Lock()
@@ -1293,7 +1282,7 @@ func (m *Member) peerConfirmed(peer proto.NodeID) {
 // node that was falsely confirmed (long pause, partition) rejoins here;
 // its fenced engines catch up from recovery hints.
 func (m *Member) peerAlive(peer proto.NodeID) {
-	if m.mgr == nil || m.closed.Load() {
+	if m.closed.Load() {
 		return
 	}
 	m.mgrMu.Lock()
@@ -1308,11 +1297,8 @@ func (m *Member) peerAlive(peer proto.NodeID) {
 }
 
 // RecoveryRounds returns how many token-regeneration rounds this member
-// has completed as the regenerator (zero when recovery is disabled).
+// has completed as the regenerator.
 func (m *Member) RecoveryRounds() uint64 {
-	if m.mgr == nil {
-		return 0
-	}
 	m.mgrMu.Lock()
 	defer m.mgrMu.Unlock()
 	return m.mgr.Rounds()
@@ -1582,21 +1568,17 @@ func (m *Member) state(lock proto.LockID, res string) (*lockShard, *lockState) {
 				// A replayed token may have been superseded while this
 				// process was down: the survivors can have regenerated it
 				// at a higher epoch, and serving grants from the stale
-				// copy would break mutual exclusion. With recovery
-				// enabled the engine therefore starts FENCED — requests
-				// are recorded silently — until the cold-start
-				// reconciliation (a round or a catch-up hint) reseeds it.
-				// Without recovery there is no reconciliation to wait
-				// for, so the replayed token is trusted as-is.
-				fenceReplay = m.mgr != nil
+				// copy would break mutual exclusion. The engine therefore
+				// starts FENCED — requests are recorded silently — until
+				// the cold-start reconciliation (a round or a catch-up
+				// hint) reseeds it.
+				fenceReplay = true
 			}
 		}
-		if m.mgr != nil {
-			if s, ok := m.mgr.SeedFor(lock); ok {
-				parent, token, epoch = s.Root, m.id == s.Root, s.Epoch
-				seedRoot = s.Root
-				fenceReplay = false
-			}
+		if s, ok := m.mgr.SeedFor(lock); ok {
+			parent, token, epoch = s.Root, m.id == s.Root, s.Epoch
+			seedRoot = s.Root
+			fenceReplay = false
 		}
 		e := hlock.New(m.id, lock, parent, token, &m.clock, hlock.Options{})
 		if epoch != 0 {
@@ -2102,11 +2084,9 @@ func (m *Member) handle(msg *proto.Message) {
 	}
 	switch msg.Kind {
 	case proto.KindProbe, proto.KindClaim, proto.KindRecovered:
-		if m.mgr != nil {
-			m.mgrMu.Lock()
-			m.mgr.HandleMessage(msg)
-			m.mgrMu.Unlock()
-		}
+		m.mgrMu.Lock()
+		m.mgr.HandleMessage(msg)
+		m.mgrMu.Unlock()
 		return
 	case proto.KindJoin:
 		m.handleJoin(msg)
@@ -2152,7 +2132,7 @@ func (m *Member) handle(msg *proto.Message) {
 	m.dispatch(sh, ls, out)
 	m.maybeEvict(sh)
 	sh.mu.Unlock()
-	if out.Stale && m.mgr != nil {
+	if out.Stale {
 		// The sender is behind a completed recovery round (pre-crash
 		// traffic, or a restarted node): answer with the recovered
 		// (root, epoch) so it can catch up without a full round. The hint
@@ -2231,7 +2211,7 @@ func (m *Member) dispatch(sh *lockShard, ls *lockState, out hlock.Out) {
 				Trace: proto.MsgTrace(msg)})
 		}
 		if err := m.tr.Send(msg); err != nil && !m.closed.Load() {
-			if errors.Is(err, transport.ErrUnknown) && m.mgr != nil {
+			if errors.Is(err, transport.ErrUnknown) {
 				// The destination is no longer a member (it left after
 				// this engine last heard about the lock, so a probable-
 				// owner chain or parent pointer still threads through
@@ -2240,7 +2220,7 @@ func (m *Member) dispatch(sh *lockShard, ls *lockState, out hlock.Out) {
 				// lock order is mgrMu before the shard mutex held here.
 				lock := msg.Lock
 				go func() {
-					if m.closed.Load() || m.mgr == nil {
+					if m.closed.Load() {
 						return
 					}
 					m.mgrMu.Lock()

@@ -42,16 +42,15 @@ const (
 	seedBatchLimit = 1024
 )
 
-// ErrNoMembership is returned by Join and Leave on members without a
-// runtime-membership surface (in-process members, or TCP members created
-// without HeartbeatInterval: membership rides the recovery machinery).
-var ErrNoMembership = errors.New("hierlock: membership requires a TCP member with recovery enabled")
+// ErrNoMembership is returned by Join and Leave on in-process members:
+// their transport cannot reach an address outside the process.
+var ErrNoMembership = errors.New("hierlock: membership requires a TCP member")
 
-// membership returns the member's transport and recovery surfaces, or
-// ErrNoMembership when either is missing.
+// membership returns the member's TCP transport, or ErrNoMembership for
+// an in-process member.
 func (m *Member) membership() (*transport.TCPTransport, error) {
 	t, ok := m.tr.(*transport.TCPTransport)
-	if !ok || m.mgr == nil {
+	if !ok {
 		return nil, ErrNoMembership
 	}
 	return t, nil
@@ -59,7 +58,9 @@ func (m *Member) membership() (*transport.TCPTransport, error) {
 
 // Join announces this member to a running cluster through the seed
 // member at seedAddr and blocks until every member it learns about has
-// acknowledged it (or ctx expires). The member must have been created
+// acknowledged it or been confirmed dead by this member's failure
+// detector (a crashed member still in the seed's peer list never
+// answers), or ctx expires. The member must have been created
 // with the cluster's Root and a unique ID; it typically starts with an
 // empty peer set and learns the cluster from the seed's JoinAck, which
 // also carries the highest recovery epoch observed (adopted as this
@@ -130,11 +131,12 @@ func (m *Member) Join(ctx context.Context, seedAddr string) error {
 }
 
 // unackedPeers lists the transport peers that have not acknowledged the
-// handshake yet, sorted for deterministic retry order.
+// handshake yet and are not confirmed dead, sorted for deterministic
+// retry order.
 func (m *Member) unackedPeers(t *transport.TCPTransport, acked map[proto.NodeID]bool) []proto.NodeID {
 	var out []proto.NodeID
 	for id := range t.Peers() {
-		if !acked[id] {
+		if !acked[id] && t.PeerHealth(id) != recovery.PeerConfirmed {
 			out = append(out, id)
 		}
 	}
@@ -146,7 +148,8 @@ func (m *Member) unackedPeers(t *transport.TCPTransport, acked map[proto.NodeID]
 // client operations (ErrLeaving), refuses to leave while local holds
 // are outstanding (unlock first — hand-off moves tokens, not client
 // holds), nominates every token it holds to the survivors, and blocks
-// until every peer has acknowledged the hand-off (or ctx expires). After
+// until every peer not confirmed dead at the start has acknowledged the
+// hand-off (or ctx expires). After
 // a successful Leave the caller should Close the member; the survivors
 // retire its links on their own. A leaver that crashes mid-Leave is
 // handled by the survivors' ordinary crash-recovery path.
@@ -538,25 +541,15 @@ type MemberInfo struct {
 }
 
 // Members returns this member's current view of the cluster, sorted by
-// ID. Without recovery enabled the view is static (the configured peer
-// set); with it, joins and departures are reflected live.
+// ID, joins and departures included.
 func (m *Member) Members() []MemberInfo {
 	addrs := make(map[proto.NodeID]string)
 	if t, ok := m.tr.(*transport.TCPTransport); ok {
 		addrs = t.Peers()
 	}
-	var ids []proto.NodeID
-	if m.mgr != nil {
-		m.mgrMu.Lock()
-		ids = m.mgr.Nodes()
-		m.mgrMu.Unlock()
-	} else {
-		for id := range addrs {
-			ids = append(ids, id)
-		}
-		ids = append(ids, m.id)
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	}
+	m.mgrMu.Lock()
+	ids := m.mgr.Nodes()
+	m.mgrMu.Unlock()
 	out := make([]MemberInfo, 0, len(ids))
 	for _, id := range ids {
 		info := MemberInfo{ID: int(id), Addr: addrs[id], Self: id == m.id}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -102,39 +101,39 @@ func TestTCPReliableFieldIgnored(t *testing.T) {
 	}
 }
 
-// TestTCPMemberDetectorFieldsRequireHeartbeat: ConfirmAfter and
-// AdvertiseAddr only act through the failure detector, so a member
-// configured with either and no HeartbeatInterval is refused instead of
-// running with crash detection silently off.
-func TestTCPMemberDetectorFieldsRequireHeartbeat(t *testing.T) {
-	for _, tc := range []struct {
-		name    string
-		cfg     hierlock.TCPMemberConfig
-		wantErr string
-	}{
-		{"confirm-after alone", hierlock.TCPMemberConfig{ConfirmAfter: 2 * time.Second}, "ConfirmAfter requires HeartbeatInterval"},
-		{"advertise alone", hierlock.TCPMemberConfig{AdvertiseAddr: "127.0.0.1:7400"}, "AdvertiseAddr requires HeartbeatInterval"},
-		{"both with heartbeat", hierlock.TCPMemberConfig{
-			HeartbeatInterval: 50 * time.Millisecond,
-			ConfirmAfter:      2 * time.Second,
-			AdvertiseAddr:     "127.0.0.1:7400",
-		}, ""},
-		{"neither", hierlock.TCPMemberConfig{}, ""},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			cfg := tc.cfg
-			cfg.ListenAddr = "127.0.0.1:0"
-			m, err := hierlock.NewTCPMember(cfg)
-			if err == nil {
-				_ = m.Close()
-			}
-			switch {
-			case tc.wantErr == "" && err != nil:
-				t.Fatalf("unexpected error: %v", err)
-			case tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)):
-				t.Fatalf("err = %v, want %q", err, tc.wantErr)
-			}
-		})
+// TestTCPMemberBareConfigBeacons: a member with every timing field zero
+// and an advertised address starts, beacons its idle peer (the default
+// interval, 1 s: no lock traffic, so every frame it sends is a beacon)
+// and reports the advertised address as its own.
+func TestTCPMemberBareConfigBeacons(t *testing.T) {
+	t.Parallel()
+	addrs := reserveAddrs(t, 2)
+	reg := metrics.NewRegistry()
+	members := make([]*hierlock.Member, 2)
+	for i := range members {
+		cfg := hierlock.TCPMemberConfig{ID: i, ListenAddr: addrs[i], Peers: map[int]string{1 - i: addrs[1-i]}}
+		if i == 0 {
+			cfg.AdvertiseAddr = addrs[0]
+			cfg.Telemetry = &hierlock.Telemetry{Registry: reg}
+		}
+		m, err := hierlock.NewTCPMember(cfg)
+		if err != nil {
+			t.Fatalf("member %d with a bare config: %v", i, err)
+		}
+		t.Cleanup(func() { _ = m.Close() })
+		members[i] = m
+	}
+	for _, mi := range members[0].Members() {
+		if mi.Self && mi.Addr != addrs[0] {
+			t.Fatalf("member 0 reports itself at %q, want the advertised %q", mi.Addr, addrs[0])
+		}
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for promSum(scrape(t, reg), metrics.MetricTransportFrames, []string{`direction="sent"`}) == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("member 0 sent no beacon in 10 s")
+		}
+		time.Sleep(50 * time.Millisecond)
 	}
 }
 
@@ -210,7 +209,7 @@ func TestTCPClusterHierarchical(t *testing.T) {
 // crash-recovery runtime enabled (recoveryTCPConfig's aggressive
 // timings) on reserved loopback addresses, so a crashed member can come
 // back on its own. tune, when non-nil, adjusts member i's config before
-// it boots (telemetry, a data dir, no detector). Crash tests Close
+// it boots (telemetry, a data dir, other timings). Crash tests Close
 // members themselves; whatever is in the slice at cleanup is closed.
 func newRecoveryTCPCluster(t *testing.T, n int, tune func(i int, cfg *hierlock.TCPMemberConfig)) []*hierlock.Member {
 	t.Helper()
@@ -251,9 +250,8 @@ func bootRecoveryMember(t *testing.T, id int, addrs map[int]string, tune func(i 
 }
 
 // TestTCPCrashRecovery: a member crashes while holding a W lock (and
-// therefore the lock's token). Without recovery the lock would hang
-// forever; with the detector and token regeneration enabled, the
-// survivors confirm the crash, regenerate the token at a fresh epoch,
+// therefore the lock's token). Until a confirmation the lock hangs (see
+// TestTCPHolderCrashWaitsForConfirmation); the survivors confirm the crash, regenerate the token at a fresh epoch,
 // and both serve their acquisitions. The survivors' Locks park on the
 // dead holder until the reseed, so their scrapes count grants of outcome
 // "recovery".
@@ -402,9 +400,10 @@ func TestTCPLostWaitCountsOutcome(t *testing.T) {
 }
 
 // TestTCPRecoveryTimeoutWithoutHeartbeat: RecoveryTimeout bounds a blocking
-// Lock on a member without the failure detector too. Member 1 holds the
-// lock past member 0's RecoveryTimeout, so member 0's Lock fails with
-// ErrLockLost long before its context expires.
+// Lock on members left at the default beacon interval too, whose detector
+// confirms nothing for 8 s. Member 1 holds the lock past member 0's
+// RecoveryTimeout, so member 0's Lock fails with ErrLockLost long before
+// its context expires.
 func TestTCPRecoveryTimeoutWithoutHeartbeat(t *testing.T) {
 	addrs := reserveAddrs(t, 2)
 	members := make([]*hierlock.Member, 2)
