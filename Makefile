@@ -94,10 +94,13 @@ chaos:
 
 # Durability coverage: the journal package (torn-tail, corrupt-frame,
 # snapshot-rotation, parent-commit WAL replay tests; an append during a
-# parked batched fsync, Snapshot and Close racing one) and the
+# parked batched fsync, Snapshot and Close racing one; which batched
+# appends sync and which wait for the next sync) and the
 # full-cluster cold-start / restart rejoin acceptance tests over real
 # TCP members, including fences across a restart for a lock that never
-# left its root and the records-follow-the-token count. `make race`
+# left its root, a power loss that cost two members their token-only
+# records (TestTCPColdStartAfterPowerLoss), the records-follow-the-token
+# count and the no-fsync-per-transfer count. `make race`
 # already runs all of these once; this target exists for the repeat
 # count. A restarted member talks to its peers from inside
 # NewTCPMember, so what races it (SetTelemetry did) shows up only in
@@ -106,7 +109,7 @@ chaos:
 # have already heard thousands of frames from.
 coldstart:
 	$(GO) test -race -count=3 ./internal/journal/
-	$(GO) test -race -count=3 -run 'TestTCPColdStart|TestTCPRestartSingleMemberRejoins|TestTCPRestartAfterTrafficRejoins|TestJournalRecordsFollowTokenNotHolds' .
+	$(GO) test -race -count=3 -run 'TestTCPColdStart|TestTCPRestartSingleMemberRejoins|TestTCPRestartAfterTrafficRejoins|TestJournalRecordsFollowTokenNotHolds|TestTokenTransfersSyncNothing' .
 
 # Session/lease/admission stress under the race detector: the session
 # tier's lifecycle and admission-cap tests, the lockserver bugfix

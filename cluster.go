@@ -123,7 +123,9 @@ type TCPMemberConfig struct {
 	DataDir string
 	// FsyncPolicy selects when journal appends reach stable storage:
 	// FsyncBatched (default) amortizes one fsync over the transport's
-	// write-coalescing cadence, FsyncAlways syncs inline on the grant
+	// write-coalescing cadence for the records fences rest on (a lock's
+	// first, an epoch or root change, a reseed) and leaves token-only
+	// records to the next sync, FsyncAlways syncs inline on the grant
 	// path, FsyncNever leaves flushing to the OS. See docs/OPERATIONS.md
 	// for the durability windows each policy leaves open.
 	FsyncPolicy FsyncPolicy
@@ -142,7 +144,10 @@ type FsyncPolicy int
 
 // Fsync policies for TCPMemberConfig.FsyncPolicy.
 const (
-	// FsyncBatched groups fsyncs on the write-coalescing cadence.
+	// FsyncBatched groups fsyncs on the write-coalescing cadence and
+	// syncs nothing for a record that moves only a lock's token bit: a
+	// token passed back and forth costs the disk nothing, and a power
+	// loss that costs a member its token bit costs a cold-start round.
 	FsyncBatched FsyncPolicy = FsyncPolicy(journal.FsyncBatched)
 	// FsyncAlways syncs inline on every journal append.
 	FsyncAlways FsyncPolicy = FsyncPolicy(journal.FsyncAlways)

@@ -2,14 +2,18 @@ package hierlock_test
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"net"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
 	"hierlock"
 	"hierlock/internal/audit"
+	"hierlock/internal/journal"
 	"hierlock/internal/metrics"
 	"hierlock/internal/trace"
 )
@@ -380,4 +384,214 @@ func TestJournalRecordsFollowTokenNotHolds(t *testing.T) {
 			t.Fatalf("member %d protocol error: %v", i, err)
 		}
 	}
+}
+
+// TestTokenTransfersSyncNothing pins what a fought-over token costs the
+// disk under the default batched policy: nothing. The first transfer
+// names the lock in each member's journal, and that record is synced;
+// from then on each transfer appends one token-only record at each end,
+// and no transfer issues an fdatasync.
+func TestTokenTransfersSyncNothing(t *testing.T) {
+	const transfers = 1000
+	dataDir := t.TempDir()
+	addrs := reserveAddrs(t, 2)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	var members [2]*hierlock.Member
+	for i := range members {
+		members[i] = bootDurableMember(t, i, addrs, dataDir, nil)
+	}
+	t.Cleanup(func() {
+		for _, m := range members {
+			_ = m.Close()
+		}
+	})
+	pass := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			l, err := members[(i+1)%2].Lock(ctx, "fought-over", hierlock.W)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Unlock(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	stats := func() (records, fsyncs uint64) {
+		for _, m := range members {
+			js, _ := m.JournalStats()
+			records, fsyncs = records+js.Records, fsyncs+js.Fsyncs
+		}
+		return records, fsyncs
+	}
+	pass(2)
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		js0, _ := members[0].JournalStats()
+		js1, _ := members[1].JournalStats()
+		if js0.Fsyncs > 0 && js1.Fsyncs > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the records naming the lock were never synced")
+		}
+	}
+	records, fsyncs := stats()
+	if records != 4 {
+		t.Fatalf("2 transfers journaled %d records, want 4", records)
+	}
+	pass(transfers)
+	time.Sleep(50 * time.Millisecond) // ample for a 2 ms flusher to sync what it was asked to
+	gotRecords, gotFsyncs := stats()
+	if n := gotRecords - records; n != 2*transfers {
+		t.Fatalf("%d transfers journaled %d records, want %d", transfers, n, 2*transfers)
+	}
+	if n := gotFsyncs - fsyncs; n != 0 {
+		t.Fatalf("%d token transfers issued %d WAL fsyncs, want 0", transfers, n)
+	}
+	for i, m := range members {
+		if err := m.Err(); err != nil {
+			t.Fatalf("member %d protocol error: %v", i, err)
+		}
+	}
+}
+
+// walKeep zeroes every record of dir's WAL after its first keep, as a
+// power loss that kept only those on the disk would leave it, and
+// returns how many records the WAL held.
+func walKeep(t *testing.T, dir string, keep int) (held int) {
+	t.Helper()
+	path := filepath.Join(dir, "journal.wal")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut := -1
+	for off := 0; off+8 <= len(data); held++ {
+		if held == keep {
+			cut = off
+		}
+		n := int(binary.LittleEndian.Uint32(data[off:]))
+		if n == 0 {
+			break
+		}
+		off += 8 + n
+	}
+	if cut < 0 {
+		t.Fatalf("%s holds %d records, fewer than the %d to keep", path, held, keep)
+	}
+	clear(data[cut:])
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return held
+}
+
+// TestTCPColdStartAfterPowerLoss pins the argument that lets the batched
+// policy leave token-only records unsynced: a lost token bit costs a
+// cold round, never a fence. The token of one lock goes 0 → 1 → 2 → 0,
+// so each member's first record names the lock and each later one is
+// token-only. The cluster stops, and the power loss is played on the
+// disks: member 0's and member 1's WALs lose their token-only tails, so
+// member 0 replays token=false for the token it held and member 1 a
+// stale token=true. The restarted cluster must regenerate exactly one
+// token, every member's next grant must carry a fence above every fence
+// issued before the stop, and one auditor over all three must see
+// nothing wrong. The window was there before token-only records went
+// unsynced (a 2 ms tick), so this is coverage of the reconciliation.
+func TestTCPColdStartAfterPowerLoss(t *testing.T) {
+	const n, res = 3, "power-loss"
+	dataDir := t.TempDir()
+	addrs := reserveAddrs(t, n)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	members := make([]*hierlock.Member, n)
+	t.Cleanup(func() {
+		for _, m := range members {
+			_ = m.Close()
+		}
+	})
+	for i := range members {
+		members[i] = bootDurableMember(t, i, addrs, dataDir, nil)
+	}
+	var pre hierlock.FenceToken
+	take := func(m *hierlock.Member) hierlock.FenceToken {
+		t.Helper()
+		l, err := m.Lock(ctx, res, hierlock.W)
+		if err != nil {
+			t.Fatalf("member %d: %v", m.ID(), err)
+		}
+		f := l.Fence()
+		if err := l.Unlock(); err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	for _, i := range []int{1, 2, 0} {
+		if f := take(members[i]); pre.Less(f) {
+			pre = f
+		}
+	}
+	for i, m := range members {
+		if err := m.Err(); err != nil {
+			t.Fatalf("member %d protocol error before the stop: %v", i, err)
+		}
+		if err := m.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	for i, wantToken := range map[int]bool{0: false, 1: true} {
+		dir := filepath.Join(dataDir, fmt.Sprintf("member-%d", i))
+		if held := walKeep(t, dir, 1); held != 2 {
+			t.Fatalf("member %d's WAL held %d records, want its naming record and one token-only", i, held)
+		}
+		state, err := journal.Replay(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(state) != 1 {
+			t.Fatalf("member %d replays %d locks, want 1", i, len(state))
+		}
+		for _, r := range state {
+			if r.Token != wantToken {
+				t.Fatalf("member %d replays token=%v after the power loss, want %v", i, r.Token, wantToken)
+			}
+		}
+	}
+
+	au := newSharedAudit(t)
+	for i := range members {
+		members[i] = bootRecoveryMember(t, i, addrs, func(i int, cfg *hierlock.TCPMemberConfig) {
+			au.tune(i, cfg)
+			cfg.DataDir = dataDir
+		})
+	}
+	for _, i := range []int{1, 2, 0} { // the stale claimant first
+		if f := take(members[i]); !pre.Less(f) {
+			t.Fatalf("member %d granted %v after the power loss, not above %v issued before it", i, f, pre)
+		}
+	}
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		tokens := 0
+		for _, m := range members {
+			for _, li := range m.Inventory().Locks {
+				if li.Resource == res && li.Token {
+					tokens++
+				}
+			}
+		}
+		if tokens == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d members hold the token after the cold round, want 1", tokens)
+		}
+	}
+	for i, m := range members {
+		if err := m.Err(); err != nil {
+			t.Fatalf("member %d protocol error after the cold start: %v", i, err)
+		}
+	}
+	au.check()
 }

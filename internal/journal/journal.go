@@ -30,10 +30,18 @@
 // Fsync policy is the durability/throughput knob: FsyncAlways syncs
 // inline on every append, FsyncBatched (the default) amortizes syncs
 // on a background cadence, outside the append lock, FsyncNever leaves
-// flushing to the OS. A sync is fdatasync where the OS has it: the
-// file's length changes at a snapshot only. The first failed sync, like
-// any other failure of the WAL file, is returned by every later Append,
-// Sync and Snapshot.
+// flushing to the OS. FsyncBatched syncs only the records safety rests
+// on. A record that changes nothing but the token bit of a lock the
+// journal already names, at the same epoch and root, is token-only: it
+// is stored like any other and covered by whatever sync comes next, but
+// it neither dirties the WAL nor wakes the flusher, so a token passed
+// back and forth costs the disk nothing. A power loss can lose such
+// records since the last sync; a stale token bit costs availability at
+// boot, never safety, because a replayed token starts fenced and every
+// named lock gets a cold-start round above its synced epoch. A sync is
+// fdatasync where the OS has it: the file's length changes at a snapshot
+// only. The first failed sync, like any other failure of the WAL file,
+// is returned by every later Append, Sync and Snapshot.
 package journal
 
 import (
@@ -153,7 +161,7 @@ type Policy int
 
 // Fsync policies.
 const (
-	FsyncBatched Policy = iota // group fsync on the batch cadence (default)
+	FsyncBatched Policy = iota // group fsync on the batch cadence; token-only records wait for the next (default)
 	FsyncAlways                // fsync inline on every append
 	FsyncNever                 // never fsync; the OS flushes eventually
 )
@@ -187,8 +195,12 @@ func ParsePolicy(s string) (Policy, error) {
 
 // Default tuning.
 const (
-	// DefaultBatchInterval is the batched policy's fsync cadence: a crash
-	// loses at most this window of appends plus one fsync's duration.
+	// DefaultBatchInterval is the batched policy's fsync cadence: a power
+	// loss loses at most this window of the records that name a lock or
+	// change its epoch or root, plus one fsync's duration. Token-only
+	// records wait for the next sync, however far off: a power loss can
+	// lose every one since, and cold-start reconciliation at boot makes
+	// up for them (see the package comment).
 	DefaultBatchInterval = 2 * time.Millisecond
 	// DefaultSnapshotEvery bounds replay: once this many WAL records
 	// accumulate the state map is compacted into a snapshot and the WAL
@@ -234,7 +246,7 @@ type Journal struct {
 	// the view) holding syncMu alone.
 	win    []byte
 	winOff int64
-	dirty  bool // unsynced appends (batched policy)
+	dirty  bool // unsynced appends that are not token-only (batched policy)
 	closed bool
 	// err is the first failure of the WAL file: a sync, a store into the
 	// mapping, a truncation or a remap. Once set the WAL's durability is
@@ -421,15 +433,19 @@ func (j *Journal) fail(err error) error {
 }
 
 // idleTicks is how many consecutive clean ticks send the flusher to
-// sleep. Not one: a journal whose appends come in bursts a few intervals
-// apart (a token that two clients fight over) would then sleep and be
-// woken hundreds of times a second, each wake-up a goroutine hand-off on
-// the append path — measured at 7 % of hot-key's throughput.
+// sleep. Not one: a journal whose syncing appends come in bursts a few
+// intervals apart would then sleep and be woken hundreds of times a
+// second, each wake-up a goroutine hand-off on the append path. A token
+// that two clients fight over was such a journal, measured at 7 % of
+// hot-key's throughput; its records are token-only now and wake nothing,
+// so what keeps the flusher ticking is a run of first grants on new
+// locks or of epoch changes.
 const idleTicks = 64
 
 // flusher is the batched-policy background goroutine: it syncs dirty
 // appends on the batch cadence so the grant path never blocks on the
-// disk, amortizing one fsync over every append in the window. It sleeps
+// disk, amortizing one fsync over every append in the window, the
+// token-only ones stored before it included. It sleeps
 // until an append dirties a clean WAL, gives the batch one interval to
 // fill, and syncs; while appends keep coming it ticks on, one interval
 // from each fsync's start to the next, and idleTicks clean ticks in a row
@@ -538,9 +554,10 @@ func (j *Journal) refuse() error {
 
 // Append stores one record in the WAL and folds it into the state map.
 // The record is in the page cache when Append returns, so a killed
-// process loses nothing; under FsyncAlways it is on stable storage too,
-// and under FsyncBatched the background flusher syncs it within one
-// batch interval.
+// process loses nothing; under FsyncAlways it is on stable storage too.
+// Under FsyncBatched the background flusher syncs it within one batch
+// interval, unless it is token-only: then the next sync, whatever
+// issues it, covers it.
 func (j *Journal) Append(r Record) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -555,6 +572,7 @@ func (j *Journal) Append(r Record) error {
 	if err := store(j.win[j.walBytes-j.winOff:], r); err != nil {
 		return j.fail(err)
 	}
+	prev, named := j.state[r.Lock]
 	j.state[r.Lock] = r
 	j.walRecords++
 	j.walBytes += frameSize
@@ -565,7 +583,7 @@ func (j *Journal) Append(r Record) error {
 			return j.fail(fmt.Errorf("journal: sync: %w", err))
 		}
 	case FsyncBatched:
-		if !j.dirty {
+		if !j.dirty && !(named && tokenOnly(prev, r)) {
 			j.dirty = true
 			select {
 			case j.wake <- struct{}{}:
@@ -577,6 +595,14 @@ func (j *Journal) Append(r Record) error {
 		return j.snapshotLocked()
 	}
 	return nil
+}
+
+// tokenOnly reports whether r, appended over prev, the last record of
+// its lock, changes nothing a fence rests on: not the epoch, not the
+// root, and it is no recovery reseed. Mode, TS and kind are
+// informational, and a lost token bit is reconciled at boot.
+func tokenOnly(prev, r Record) bool {
+	return r.Epoch == prev.Epoch && r.Root == prev.Root && r.Kind != RecRecovery
 }
 
 // store encodes r as a frame where it goes in the mapped window, win. A
