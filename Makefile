@@ -78,8 +78,10 @@ race:
 # is mgrMu alone — recovery, the membership handshake, the tracked timers —
 # so its line runs three times too: which of a stale message's stripe
 # release and a client's Lock comes first (TestStaleHint*), when a
-# RecoveryTimeout fires beside the grant it bounds, and how a tracked
-# timer's callback, a handshake ack and Close interleave on it.
+# RecoveryTimeout fires beside the grant it bounds, how a tracked
+# timer's callback, a handshake ack and Close interleave on it, and
+# whether a leave that lowers the majority lands before or after a
+# round's retry (TestLeaveLoweringQuorumCommitsRound).
 chaos:
 	$(GO) test -race -count=1 -run 'Chaos' ./internal/cluster/
 	$(GO) test -race -count=3 -run 'TestTCP' ./internal/transport/
@@ -88,7 +90,7 @@ chaos:
 	$(GO) test -race -count=3 -run 'TestTCPCrashServesQueuedWaiters|TestTCPHolderCrashWaitsForConfirmation|TestTCPBareConfigRecovers|TestTCPMemberBareConfigBeacons|TestTCPDiskLossRestartIsFenced|TestTCPRestartResumesRoundEpoch|TestTCPJoinDuringRecoveryRound|TestTCPRootLeaveRegeneratesImplicitTokens|TestEarlyFrameReplayedAtReseed|TestTCPWatchdog|TestInventory' .
 	$(GO) test -race -count=3 -run 'TestStagedRing|TestSharedRing|TestResidentPath|TestAcquireFolded|TestSlotBlocked|TestReleaseFolds|TestClientScriptRingGolden|TestSharedAuditor|TestViolationInStagedEntry|TestEveryConsumerPulls|TestHandleGrantEvents|TestFlightRecorderSees|TestNodeEventsInTheRing|TestLockAllOrdering' .
 	$(GO) test -race -count=3 -run 'TestScrapeExactWhileCounting|TestMemberMetricsGolden' .
-	$(GO) test -race -count=3 -run 'TestStaleHintSyncsOutsideStripe|TestTCPRecoveryTimeoutWithoutHeartbeat|TestCloseWaitsForInflightRecoveryRetry|TestTCPMembership|TestTCPLeave|TestTCPLeaver' .
+	$(GO) test -race -count=3 -run 'TestStaleHintSyncsOutsideStripe|TestTCPRecoveryTimeoutWithoutHeartbeat|TestCloseWaitsForInflightRecoveryRetry|TestTCPMembership|TestTCPLeave|TestTCPLeaver|TestLeaveLoweringQuorumCommitsRound' .
 	$(GO) test -race -count=3 ./internal/audit/ ./internal/trace/ ./internal/introspect/ ./internal/metrics/
 	$(GO) test -race -count=3 -run 'TestDebugIncidents' ./internal/lockserver/
 

@@ -221,7 +221,7 @@ type Stats struct {
 	Records    uint64        // records appended since Open
 	WALBytes   int64         // bytes of the records in the WAL; zeros follow them in the file
 	WALRecords int           // records in the WAL since the last snapshot
-	Fsyncs     uint64        // WAL syncs issued: fdatasync where the OS has it
+	Fsyncs     uint64        // syncs issued: the WAL's, and each snapshot's temp file
 	FsyncTime  time.Duration // cumulative time spent in fsync
 	Snapshots  uint64        // snapshot rotations completed
 	Locks      int           // distinct locks in the state map
@@ -505,7 +505,8 @@ func (j *Journal) flusher() {
 
 // SetFsyncObserver installs fn to receive every subsequent fsync's
 // latency (nil removes it). Settable after Open so hosts can attach
-// telemetry later; safe for concurrent use.
+// telemetry later; safe for concurrent use. fn must be too: a
+// snapshot's temp-file sync may report beside a WAL sync.
 func (j *Journal) SetFsyncObserver(fn func(time.Duration)) {
 	if fn == nil {
 		j.observeFsync.Store(nil)
@@ -521,6 +522,14 @@ func (j *Journal) fsync() error {
 	if j.syncErr != nil {
 		err = j.syncErr
 	}
+	return j.synced(start, err)
+}
+
+// synced accounts for one sync begun at start that ended in err: a
+// successful one counts in Stats.Fsyncs and FsyncTime and reaches the
+// fsync observer. The WAL's syncs and a snapshot's temp-file sync alike
+// come through here.
+func (j *Journal) synced(start time.Time, err error) error {
 	if err != nil {
 		return err
 	}
@@ -670,7 +679,8 @@ func (j *Journal) snapshotLocked() error {
 		tmp.Close()
 		return fmt.Errorf("journal: snapshot: %w", err)
 	}
-	if err := tmp.Sync(); err != nil {
+	start := time.Now()
+	if err := j.synced(start, tmp.Sync()); err != nil {
 		tmp.Close()
 		return fmt.Errorf("journal: snapshot: %w", err)
 	}

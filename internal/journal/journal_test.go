@@ -692,3 +692,27 @@ func TestFlusherSleepsUntilDirtied(t *testing.T) {
 		}
 	}
 }
+
+// TestSnapshotCountsBothSyncs: a snapshot syncs twice, its temp file
+// before the rename and the WAL before the truncation, and both are
+// counted and observed like any WAL sync. Under FsyncNever nothing else
+// syncs, so one Snapshot adds exactly 2.
+func TestSnapshotCountsBothSyncs(t *testing.T) {
+	j := mustOpen(t, t.TempDir(), Options{Fsync: FsyncNever})
+	defer j.Close()
+	var seen int // Snapshot runs the observer inline, and nothing else syncs
+	j.SetFsyncObserver(func(time.Duration) { seen++ })
+	if err := j.Append(Record{Kind: RecGrant, Lock: 1, Epoch: 2}); err != nil {
+		t.Fatal(err)
+	}
+	before := j.Stats().Fsyncs
+	if err := j.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	if n := j.Stats().Fsyncs - before; n != 2 {
+		t.Fatalf("one snapshot counted %d fsyncs, want 2 (temp file and WAL)", n)
+	}
+	if seen != 2 {
+		t.Fatalf("the fsync observer saw %d syncs, want 2", seen)
+	}
+}

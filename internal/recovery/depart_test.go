@@ -116,3 +116,44 @@ func TestDepartNonRegeneratorSendsDepartureMarkedClaim(t *testing.T) {
 		t.Fatalf("claim payload = epoch %d token %v, want epoch 1 token false", epoch, token)
 	}
 }
+
+// TestDepartLoweringMajorityCommitsRound: a departure shrinks the node
+// set, and with it the majority a round needs. Four members need three
+// participants; node 3 is dead and node 1 has claimed, so the round
+// waits on node 2. When node 2 leaves instead, the three that remain
+// need two, which the regenerator and node 1 already are: the round
+// commits at once, not at some later retry or when node 3 comes back.
+func TestDepartLoweringMajorityCommitsRound(t *testing.T) {
+	h := newHarness(t, 0, []proto.NodeID{0, 1, 2, 3})
+	h.locks = []proto.LockID{4}
+	h.state[4] = State{}
+
+	h.m.ConfirmDead(3)
+	h.m.HandleMessage(&proto.Message{
+		Kind: proto.KindClaim, Lock: 4, From: 1, To: 0, Epoch: 1,
+		Owned: modes.None, Seq: EncodeClaimSeq(0, false),
+	})
+	if len(h.reseeds) != 0 {
+		t.Fatal("2 of 4 committed a round")
+	}
+	h.drainSent()
+
+	h.m.Depart(2, nil)
+
+	if len(h.reseeds) != 1 || h.reseeds[0].lock != 4 {
+		t.Fatalf("reseeds = %+v, want the open round committed by the departure", h.reseeds)
+	}
+	s, ok := h.m.SeedFor(4)
+	if !ok || s.Epoch != 1 || s.Root != 0 {
+		t.Fatalf("SeedFor = %+v, %v", s, ok)
+	}
+	var recovered []proto.NodeID
+	for _, msg := range h.drainSent() {
+		if msg.Kind == proto.KindRecovered {
+			recovered = append(recovered, msg.To)
+		}
+	}
+	if len(recovered) != 1 || recovered[0] != 1 {
+		t.Fatalf("Recovered sent to %v, want node 1 alone", recovered)
+	}
+}

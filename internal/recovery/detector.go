@@ -32,11 +32,11 @@ func (s PeerState) String() string {
 type DetectorConfig struct {
 	// Peers lists the nodes to watch (excluding self).
 	Peers []proto.NodeID
-	// ConfirmAfter is the silence threshold for confirming death
-	// (default 4s). It must comfortably exceed the worst network
-	// partition or GC pause expected in the deployment: a falsely
-	// confirmed peer has its locks regenerated out from under it and its
-	// clients see ErrLockLost.
+	// ConfirmAfter is the silence threshold for confirming death (the
+	// transport passes its own; see transport.TCPConfig). It must
+	// comfortably exceed the worst network partition or GC pause expected
+	// in the deployment: a falsely confirmed peer has its locks
+	// regenerated out from under it and its clients see ErrLockLost.
 	ConfirmAfter time.Duration
 	// OnConfirm fires on the →confirmed transition. This is the signal
 	// recovery acts on (Manager.ConfirmDead).
@@ -65,9 +65,6 @@ type Detector struct {
 // (a node that is already dead at startup is confirmed one ConfirmAfter
 // later).
 func NewDetector(cfg DetectorConfig, now time.Time) *Detector {
-	if cfg.ConfirmAfter <= 0 {
-		cfg.ConfirmAfter = 4 * time.Second
-	}
 	d := &Detector{
 		cfg:       cfg,
 		lastHeard: make(map[proto.NodeID]time.Time, len(cfg.Peers)),

@@ -1,6 +1,7 @@
 package recovery
 
 import (
+	"slices"
 	"sort"
 
 	"hierlock/internal/proto"
@@ -32,33 +33,26 @@ func (m *Manager) AddNode(peer proto.NodeID) {
 // RemoveNode retires a peer from the configured node set — the inverse
 // of AddNode, used for graceful departures. Unlike ConfirmDead, which
 // keeps the node configured (a crashed member may restart), a removed
-// node stops being probed, stops counting toward quorums, and stops
-// being a regenerator candidate. In-flight rounds waiting on its claim
-// drop the expectation, which may complete them. Idempotent.
+// node stops being probed, stops counting toward the majority, and
+// stops being a regenerator candidate. In-flight rounds drop its claim
+// or the expectation of one and re-check at once against the smaller
+// set's majority, which may complete them. Idempotent.
 func (m *Manager) RemoveNode(peer proto.NodeID) {
 	delete(m.dead, peer)
-	i := -1
-	for j, n := range m.nodes {
-		if n == peer {
-			i = j
-			break
-		}
-	}
+	i := slices.Index(m.nodes, peer)
 	if i < 0 {
 		return
 	}
-	m.nodes = append(m.nodes[:i], m.nodes[i+1:]...)
+	m.nodes = slices.Delete(m.nodes, i, i+1)
 
-	var refreshed []*round
+	open := make([]*round, 0, len(m.round))
 	for _, r := range m.round {
-		if r.expected[peer] || func() bool { _, ok := r.claims[peer]; return ok }() {
-			delete(r.expected, peer)
-			delete(r.claims, peer)
-			refreshed = append(refreshed, r)
-		}
+		delete(r.expected, peer)
+		delete(r.claims, peer)
+		open = append(open, r)
 	}
-	sort.Slice(refreshed, func(i, j int) bool { return refreshed[i].lock < refreshed[j].lock })
-	for _, r := range refreshed {
+	sort.Slice(open, func(i, j int) bool { return open[i].lock < open[j].lock })
+	for _, r := range open {
 		m.finishIfComplete(r)
 	}
 }
@@ -128,11 +122,6 @@ func (m *Manager) Adopt(lock proto.LockID, s Seed) {
 	}
 	m.table[lock] = s
 }
-
-// SetQuorum updates the round-commit quorum, tracking membership
-// changes (a majority of 4 is not a majority of 3). In-flight rounds
-// re-check the new threshold at their next claim or retry.
-func (m *Manager) SetQuorum(q int) { m.cfg.Quorum = q }
 
 // SetEpochFloor guarantees every future round this node starts proposes
 // an epoch strictly above floor. A joiner sets it to the highest epoch

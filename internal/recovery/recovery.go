@@ -130,17 +130,19 @@ func departClaimLeaver(seq uint64) (proto.NodeID, bool) {
 }
 
 // Config wires a Manager to its host (the member runtime, or a test
-// harness). All callbacks are invoked synchronously from
-// Manager methods; they must not call back into the Manager except for
-// SeedFor and Hint, which use separate internal locking exactly so that
-// lazy engine creation inside State or Reseed can consult them.
+// harness). Every field is required. All callbacks are invoked
+// synchronously from Manager methods; they must not call back into the
+// Manager except for SeedFor and Hint, which use separate internal
+// locking exactly so that lazy engine creation inside State or Reseed
+// can consult them. There is no quorum setting: a round commits on a
+// majority of the manager's own node set (quorumMet).
 type Config struct {
 	// Self is the node this manager runs on.
 	Self proto.NodeID
 	// Nodes lists all cluster members, including Self.
 	Nodes []proto.NodeID
 	// Send transmits one protocol message (best-effort; recovery rounds
-	// retry via ProbeTimeout).
+	// retry every probeTimeout).
 	Send func(proto.Message)
 	// Locks returns the locks this node currently tracks state for. The
 	// regenerator runs a round per tracked lock; survivors nominate
@@ -162,40 +164,28 @@ type Config struct {
 	Reseed func(lock proto.LockID, root proto.NodeID, epoch uint32, accounted modes.Mode, copyset []proto.Request)
 	// Clock is the node's Lamport clock, shared with its engines.
 	Clock *proto.Clock
-	// After schedules fn after d (a timer, or a test's fake). Nil
-	// disables probe retries.
+	// After schedules fn after d (a timer, or a test's fake): the
+	// regenerator's probe retries and a survivor's renominations.
 	After func(d time.Duration, fn func())
-	// ProbeTimeout is the regenerator's re-probe interval for survivors
-	// that have not claimed (default 1s).
-	ProbeTimeout time.Duration
-	// Quorum, when positive, is the minimum number of nodes (the
-	// regenerator plus claimants) that must have fenced at a round's
-	// proposed epoch before the round commits. With a majority quorum a
-	// regenerator cut off in a minority partition can never gather
-	// enough claims to broadcast Recovered, so a minority component
-	// cannot mint a competing token — at the cost of recovery halting
-	// entirely when a majority of the configured cluster is unreachable
-	// (see docs/PROTOCOL.md). Zero disables the gate (a round commits
-	// once every non-dead survivor has claimed, the pre-quorum
-	// behavior).
-	Quorum int
-	// LocksReferencing, when non-nil, returns locks whose probable-owner
-	// chain passes through the given node (engine parent/copyset/queue
-	// references, journal records naming it as root). ConfirmDead
-	// regenerates these eagerly in addition to the locks the node
-	// tracks live engines for, so a lock whose only referent was the
-	// dead node does not stay wedged until a client stumbles into it.
+	// LocksReferencing returns locks whose probable-owner chain passes
+	// through the given node (engine parent/copyset/queue references,
+	// journal records naming it as root). ConfirmDead regenerates these
+	// eagerly in addition to the locks the node tracks live engines for,
+	// so a lock whose only referent was the dead node does not stay
+	// wedged until a client stumbles into it.
 	LocksReferencing func(proto.NodeID) []proto.LockID
-	// OnRoundStart, when non-nil, observes each regeneration round this
-	// node begins as regenerator, with the proposed epoch. Invoked
-	// synchronously like every other callback; hosts use it to stamp
-	// round-duration metrics.
+	// OnRoundStart observes each regeneration round this node begins as
+	// regenerator, with the proposed epoch. Invoked synchronously like
+	// every other callback; hosts use it to stamp round-duration metrics.
 	OnRoundStart func(lock proto.LockID, proposed uint32)
-	// OnRoundDone, when non-nil, observes each round this node commits
-	// (rounds yielded to a higher-ID regenerator are not reported), with
-	// the final epoch.
+	// OnRoundDone observes each round this node commits (rounds yielded
+	// to a higher-ID regenerator are not reported), with the final epoch.
 	OnRoundDone func(lock proto.LockID, final uint32)
 }
+
+// probeTimeout is the regenerator's re-probe interval for survivors that
+// have not claimed, and a survivor's renomination interval.
+const probeTimeout = time.Second
 
 type claim struct {
 	held  modes.Mode
@@ -242,9 +232,6 @@ type Manager struct {
 // NewManager creates the manager. The configured node set changes only
 // through the membership methods (AddNode, RemoveNode, Depart).
 func NewManager(cfg Config) *Manager {
-	if cfg.ProbeTimeout <= 0 {
-		cfg.ProbeTimeout = time.Second
-	}
 	m := &Manager{
 		cfg:     cfg,
 		nodes:   append([]proto.NodeID(nil), cfg.Nodes...),
@@ -334,10 +321,7 @@ func (m *Manager) deadLocks(peer proto.NodeID) []proto.LockID {
 		}
 	}
 	m.tableMu.RUnlock()
-	if m.cfg.LocksReferencing != nil {
-		out = append(out, m.cfg.LocksReferencing(peer)...)
-	}
-	return out
+	return append(out, m.cfg.LocksReferencing(peer)...)
 }
 
 // mergeLocks unions b into sorted a, returning a sorted, deduplicated
@@ -418,7 +402,7 @@ func (m *Manager) ConfirmDead(peer proto.NodeID) {
 // arranges re-sends: the nomination races the regenerator's own failure
 // detector (confirmation skew between nodes is up to a heartbeat
 // period) and can be lost in the same crash that triggered it, so it
-// repeats every ProbeTimeout until this node observes the lock
+// repeats every probeTimeout until this node observes the lock
 // recovered into a newer epoch. The claim body is advisory (a fresh
 // probe re-collects it); its arrival is what makes the regenerator
 // start a round for a lock only this node knows about.
@@ -437,17 +421,14 @@ func (m *Manager) nominate(lock proto.LockID, reg proto.NodeID, cold bool) {
 	m.scheduleRenominate(lock, st.Epoch, cold)
 }
 
-// scheduleRenominate re-sends a nomination every ProbeTimeout until a
+// scheduleRenominate re-sends a nomination every probeTimeout until a
 // completed round supersedes it, every confirmed death is cleared (not
 // applicable to cold-start nominations, which run with no deaths at
 // all), or a round for the lock is running locally (this node became
 // the regenerator, or yielded to a competitor whose Recovered will
 // land).
 func (m *Manager) scheduleRenominate(lock proto.LockID, epoch uint32, cold bool) {
-	if m.cfg.After == nil {
-		return
-	}
-	m.cfg.After(m.cfg.ProbeTimeout, func() {
+	m.cfg.After(probeTimeout, func() {
 		if s, ok := m.SeedFor(lock); ok && s.Epoch > epoch {
 			return // recovered: the nomination was served
 		}
@@ -493,19 +474,16 @@ func (m *Manager) ColdStart(locks []proto.LockID) {
 // Alive tells the manager a previously confirmed-dead peer is heard
 // from again (it restarted). The peer rejoins the live set — future
 // rounds include it — and catches up on completed rounds lazily through
-// recovery hints; state it lost in the crash stays lost. Under a
-// quorum, in-flight rounds start expecting the returned peer again:
-// its claim both fences it at the proposed epoch and counts toward the
-// commit threshold, which may be exactly what unblocks a stalled
-// round.
+// recovery hints; state it lost in the crash stays lost. In-flight
+// rounds start expecting the returned peer again: its claim both fences
+// it at the proposed epoch and counts toward the majority, which may be
+// exactly what unblocks a stalled round.
 func (m *Manager) Alive(peer proto.NodeID) {
 	delete(m.dead, peer)
-	if m.cfg.Quorum > 0 {
-		for _, r := range m.round {
-			if _, claimed := r.claims[peer]; !claimed && !r.expected[peer] {
-				r.expected[peer] = true
-				m.probe(r, map[proto.NodeID]bool{peer: true})
-			}
+	for _, r := range m.round {
+		if _, claimed := r.claims[peer]; !claimed && !r.expected[peer] {
+			r.expected[peer] = true
+			m.probe(r, map[proto.NodeID]bool{peer: true})
 		}
 	}
 }
@@ -542,12 +520,10 @@ func (m *Manager) startRound(lock proto.LockID) {
 		}
 	}
 	m.round[lock] = r
-	if m.cfg.OnRoundStart != nil {
-		m.cfg.OnRoundStart(lock, proposed)
-	}
+	m.cfg.OnRoundStart(lock, proposed)
 	m.probe(r, nil)
 	m.scheduleRetry(lock, proposed)
-	m.finishIfComplete(r) // sole survivor: the round is already complete
+	m.finishIfComplete(r) // sole member: the round is already complete
 }
 
 // probe sends the round's Probe to every expected survivor that has not
@@ -568,35 +544,36 @@ func (m *Manager) probe(r *round, only map[proto.NodeID]bool) {
 	}
 }
 
-// scheduleRetry re-probes unclaimed survivors every ProbeTimeout until
+// scheduleRetry re-probes unclaimed survivors every probeTimeout until
 // the round completes (frames to them may have been lost in the same
 // crash that triggered the round).
 func (m *Manager) scheduleRetry(lock proto.LockID, proposed uint32) {
-	if m.cfg.After == nil {
-		return
-	}
-	m.cfg.After(m.cfg.ProbeTimeout, func() {
+	m.cfg.After(probeTimeout, func() {
 		r, active := m.round[lock]
 		if !active || r.proposed != proposed {
 			return
 		}
 		m.probe(r, nil)
 		if !m.quorumMet(r) {
-			// Every live survivor has claimed but the quorum is short:
-			// the only path forward is a confirmed-dead node returning,
-			// so keep probing the whole configured set. A dead node that
-			// restarted answers the probe with a claim, fencing itself at
-			// the proposed epoch and counting toward the quorum.
+			// The round is short of a majority: the only path forward is
+			// a confirmed-dead node returning, so keep probing the whole
+			// configured set. A dead node that restarted answers the probe
+			// with a claim, fencing itself at the proposed epoch and
+			// counting toward the majority.
 			m.probeDead(r)
 		}
 		m.scheduleRetry(lock, proposed)
 	})
 }
 
-// quorumMet reports whether the round has gathered enough fenced
-// participants (the regenerator plus claimants) to commit.
+// quorumMet reports whether the round's fenced participants (the
+// regenerator plus claimants) are a majority of the configured node set
+// as it stands now. Any two majorities of one set intersect, so a
+// regenerator cut off in a minority cannot commit a round, and mint a
+// token, beside a majority committing its own; the price is that
+// recovery halts while no majority is reachable (see docs/PROTOCOL.md).
 func (m *Manager) quorumMet(r *round) bool {
-	return m.cfg.Quorum <= 0 || 1+len(r.claims) >= m.cfg.Quorum
+	return 1+len(r.claims) > len(m.nodes)/2
 }
 
 // probeDead sends the round's probe to configured nodes outside the
@@ -721,21 +698,11 @@ func (m *Manager) handleClaim(msg *proto.Message) {
 		return // stale claim from an earlier wave
 	}
 	if !r.expected[msg.From] {
-		// Not a node this round is waiting on: either a stray, or — under
-		// a quorum — a confirmed-dead node answering a probeDead wave.
-		// Its claim is a fence ack like any other and may complete the
-		// quorum, so admit it into the round.
-		if m.cfg.Quorum <= 0 || msg.From == m.cfg.Self {
-			return
-		}
-		var configured bool
-		for _, n := range m.nodes {
-			if n == msg.From {
-				configured = true
-				break
-			}
-		}
-		if !configured {
+		// Not a node this round is waiting on: either a stray, or a
+		// confirmed-dead node answering a probeDead wave. Its claim is a
+		// fence ack like any other and may complete the majority, so admit
+		// it into the round.
+		if msg.From == m.cfg.Self || !m.isConfigured(msg.From) {
 			return
 		}
 		r.expected[msg.From] = true
@@ -763,10 +730,10 @@ func (m *Manager) handleRecovered(msg *proto.Message) {
 }
 
 // finishIfComplete closes a round once every expected survivor has
-// claimed and the configured quorum (if any) of fenced participants is
-// reached: fixes the final epoch above all claimed epochs, selects the
-// root, rebuilds the copyset from the accounted holders, broadcasts
-// Recovered and applies the outcome locally.
+// claimed and its fenced participants are a majority (quorumMet): fixes
+// the final epoch above all claimed epochs, selects the root, rebuilds
+// the copyset from the accounted holders, broadcasts Recovered and
+// applies the outcome locally.
 func (m *Manager) finishIfComplete(r *round) {
 	for n := range r.expected {
 		if _, ok := r.claims[n]; !ok {
@@ -777,7 +744,8 @@ func (m *Manager) finishIfComplete(r *round) {
 		// Every live survivor has fenced, but together they are a
 		// minority of the configured cluster: committing here could race
 		// a majority partition committing its own round. The round stays
-		// open; scheduleRetry keeps probing the unreachable nodes.
+		// open; scheduleRetry keeps probing the unreachable nodes, and a
+		// departure that shrinks the node set re-checks it (RemoveNode).
 		return
 	}
 
@@ -853,9 +821,7 @@ func (m *Manager) finishIfComplete(r *round) {
 	m.setSeed(r.lock, Seed{Root: root, Epoch: final})
 	delete(m.round, r.lock)
 	m.rounds++
-	if m.cfg.OnRoundDone != nil {
-		m.cfg.OnRoundDone(r.lock, final)
-	}
+	m.cfg.OnRoundDone(r.lock, final)
 	var q []proto.Request
 	if root == m.cfg.Self {
 		q = copyset

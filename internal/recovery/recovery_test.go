@@ -9,7 +9,10 @@ import (
 )
 
 // harness wires one Manager to scripted engine state and records every
-// callback invocation.
+// callback invocation. It supplies every Config hook, so the manager runs
+// as it ships, majority rule included: After queues its timers for the
+// test to fire, LocksReferencing finds nothing, and the round observers
+// do nothing.
 type harness struct {
 	t     *testing.T
 	m     *Manager
@@ -20,6 +23,7 @@ type harness struct {
 	sent    []proto.Message
 	fenced  []proto.LockID
 	reseeds []reseedCall
+	timers  []func()
 }
 
 type reseedCall struct {
@@ -53,7 +57,11 @@ func newHarness(t *testing.T, self proto.NodeID, nodes []proto.NodeID) *harness 
 			st.Token = root == self
 			h.state[l] = st
 		},
-		Clock: &h.clock,
+		Clock:            &h.clock,
+		After:            func(_ time.Duration, fn func()) { h.timers = append(h.timers, fn) },
+		LocksReferencing: func(proto.NodeID) []proto.LockID { return nil },
+		OnRoundStart:     func(proto.LockID, uint32) {},
+		OnRoundDone:      func(proto.LockID, uint32) {},
 	})
 	return h
 }
@@ -64,12 +72,16 @@ func (h *harness) drainSent() []proto.Message {
 	return s
 }
 
+// TestSoleSurvivorRegeneratesLocally: the last member of a set whose
+// only peer left gracefully is a majority of itself, so it regenerates
+// the lock the leaver handed off on its own, sending nothing. A member
+// left alone by a crash is not: 1 of 2 is no majority, so its round
+// stays open and probes the dead.
 func TestSoleSurvivorRegeneratesLocally(t *testing.T) {
 	h := newHarness(t, 0, []proto.NodeID{0, 1})
-	h.locks = []proto.LockID{7}
-	h.state[7] = State{Epoch: 0} // token was at the dead node
+	h.state[7] = State{Epoch: 0} // the token was at the leaver
 
-	h.m.ConfirmDead(1)
+	h.m.Depart(1, []proto.LockID{7})
 
 	if len(h.reseeds) != 1 {
 		t.Fatalf("reseeds = %+v, want exactly one", h.reseeds)
@@ -81,10 +93,27 @@ func TestSoleSurvivorRegeneratesLocally(t *testing.T) {
 	if s, ok := h.m.SeedFor(7); !ok || s.Root != 0 || s.Epoch != 1 {
 		t.Fatalf("SeedFor = %+v, %v", s, ok)
 	}
-	// The only messages are the probes... none: the sole expected set is
-	// empty, so nothing should have been sent.
+	// The round expects no one, so nothing is sent.
 	for _, m := range h.drainSent() {
 		t.Fatalf("unexpected message %v", m)
+	}
+
+	crash := newHarness(t, 0, []proto.NodeID{0, 1})
+	crash.locks = []proto.LockID{7}
+	crash.state[7] = State{Epoch: 0}
+	crash.m.ConfirmDead(1)
+	if len(crash.reseeds) != 0 {
+		t.Fatalf("a crash's sole survivor committed: %+v", crash.reseeds)
+	}
+	if _, ok := crash.m.SeedFor(7); ok {
+		t.Fatal("a crash's sole survivor minted a seed")
+	}
+	if sent := crash.drainSent(); len(sent) != 0 {
+		t.Fatalf("first wave probed someone: %+v", sent)
+	}
+	crash.timers[0]()
+	if sent := crash.drainSent(); len(sent) != 1 || sent[0].Kind != proto.KindProbe || sent[0].To != 1 {
+		t.Fatalf("retry wave = %+v, want a probe to the dead node 1", sent)
 	}
 }
 
@@ -230,7 +259,7 @@ func TestEarlyNominationBufferedUntilConfirm(t *testing.T) {
 }
 
 // TestNominationRetriesUntilRecovered: a non-regenerator re-sends its
-// nominations every ProbeTimeout (the first may be lost in the crash,
+// nominations every probeTimeout (the first may be lost in the crash,
 // or discarded by a regenerator whose detector lags) and stops once it
 // observes the lock recovered into a newer epoch.
 func TestNominationRetriesUntilRecovered(t *testing.T) {
@@ -406,42 +435,48 @@ func TestRecoveredGuards(t *testing.T) {
 }
 
 func TestHint(t *testing.T) {
-	h := newHarness(t, 0, []proto.NodeID{0, 1})
-	h.m.Hint(8, 1) // no completed round: silent
+	h := newHarness(t, 0, []proto.NodeID{0, 1, 2})
+	h.m.Hint(8, 2) // no completed round: silent
 	if len(h.drainSent()) != 0 {
 		t.Fatal("hint without a seed sent something")
 	}
 	h.locks = []proto.LockID{8}
 	h.state[8] = State{}
-	h.m.ConfirmDead(1)
+	h.m.ConfirmDead(2)
+	h.m.HandleMessage(&proto.Message{
+		Kind: proto.KindClaim, Lock: 8, From: 1, To: 0, Epoch: 1,
+		Owned: modes.None, Seq: EncodeClaimSeq(0, false),
+	})
 	h.drainSent()
-	h.m.Hint(8, 1)
+	h.m.Hint(8, 2)
 	sent := h.drainSent()
-	if len(sent) != 1 || sent[0].Kind != proto.KindRecovered || sent[0].To != 1 ||
+	if len(sent) != 1 || sent[0].Kind != proto.KindRecovered || sent[0].To != 2 ||
 		sent[0].Owned != modes.None || sent[0].Req.Origin != 0 {
 		t.Fatalf("hint = %+v", sent)
 	}
 }
 
+// TestRetryReprobesUnclaimed: a retry wave re-sends the probe a live
+// survivor has not answered, and, while the round is short of a
+// majority, probes the dead node too; once the round completes its
+// pending retry does nothing.
 func TestRetryReprobesUnclaimed(t *testing.T) {
-	var timers []func()
 	h := newHarness(t, 0, []proto.NodeID{0, 1, 2})
-	h.m.cfg.After = func(d time.Duration, fn func()) { timers = append(timers, fn) }
-	h.m.cfg.ProbeTimeout = time.Second
 	h.locks = []proto.LockID{1}
 	h.state[1] = State{}
 
 	h.m.ConfirmDead(2)
 	h.drainSent()
-	if len(timers) != 1 {
-		t.Fatalf("timers = %d", len(timers))
+	if len(h.timers) != 1 {
+		t.Fatalf("timers = %d", len(h.timers))
 	}
-	timers[0]() // the probe to node 1 was lost; the retry resends it
+	h.timers[0]() // the probe to node 1 was lost; the retry resends it
 	sent := h.drainSent()
-	if len(sent) != 1 || sent[0].Kind != proto.KindProbe || sent[0].To != 1 {
-		t.Fatalf("retry probes = %+v", sent)
+	if len(sent) != 2 || sent[0].Kind != proto.KindProbe || sent[0].To != 1 ||
+		sent[1].Kind != proto.KindProbe || sent[1].To != 2 {
+		t.Fatalf("retry probes = %+v, want node 1's and then the dead node 2's", sent)
 	}
-	if len(timers) != 2 {
+	if len(h.timers) != 2 {
 		t.Fatal("retry did not reschedule")
 	}
 	// Round completes; the pending retry becomes a no-op.
@@ -450,31 +485,64 @@ func TestRetryReprobesUnclaimed(t *testing.T) {
 		Owned: modes.None, Seq: EncodeClaimSeq(0, false),
 	})
 	h.drainSent()
-	timers[1]()
+	h.timers[1]()
 	if len(h.drainSent()) != 0 {
 		t.Fatal("retry fired after round completion")
 	}
-	if len(timers) != 2 {
+	if len(h.timers) != 2 {
 		t.Fatal("completed round rescheduled its retry")
 	}
 }
 
+// TestConfirmDeadRefreshesActiveRounds: a survivor the round still
+// waits on dies before claiming; the refreshed round stops waiting on
+// it and closes on its own, since the claims already in are a majority.
+// Without that majority the refreshed round stays open and its retry
+// probes the dead.
 func TestConfirmDeadRefreshesActiveRounds(t *testing.T) {
-	h := newHarness(t, 0, []proto.NodeID{0, 1, 2})
+	h := newHarness(t, 0, []proto.NodeID{0, 1, 2, 3, 4})
 	h.locks = []proto.LockID{1}
 	h.state[1] = State{}
 
-	h.m.ConfirmDead(2)
+	h.m.ConfirmDead(4)
 	h.drainSent()
-	// Node 1 dies too before claiming: the refreshed round must close on
-	// its own (the subsequent sole-survivor round for the new death is
-	// expected too).
-	h.m.ConfirmDead(1)
+	for _, p := range []proto.NodeID{1, 2} {
+		h.m.HandleMessage(&proto.Message{
+			Kind: proto.KindClaim, Lock: 1, From: p, To: 0, Epoch: 1,
+			Owned: modes.None, Seq: EncodeClaimSeq(0, false),
+		})
+	}
+	if len(h.reseeds) != 0 {
+		t.Fatal("round closed while node 3 had not claimed")
+	}
+	// Node 3 dies too before claiming: the refreshed round must close on
+	// its own (the subsequent round for the new death is expected too).
+	h.m.ConfirmDead(3)
 	if len(h.reseeds) == 0 || h.reseeds[0].root != 0 {
 		t.Fatalf("cascaded death did not close the round: %+v", h.reseeds)
 	}
 	if s, ok := h.m.SeedFor(1); !ok || s.Root != 0 {
 		t.Fatalf("SeedFor = %+v, %v", s, ok)
+	}
+
+	short := newHarness(t, 0, []proto.NodeID{0, 1, 2})
+	short.locks = []proto.LockID{1}
+	short.state[1] = State{}
+	short.m.ConfirmDead(2)
+	short.m.ConfirmDead(1)
+	if len(short.reseeds) != 0 {
+		t.Fatalf("a refreshed round short of a majority committed: %+v", short.reseeds)
+	}
+	short.drainSent()
+	short.timers[0]()
+	var probed []proto.NodeID
+	for _, msg := range short.drainSent() {
+		if msg.Kind == proto.KindProbe {
+			probed = append(probed, msg.To)
+		}
+	}
+	if len(probed) != 2 || probed[0] != 1 || probed[1] != 2 {
+		t.Fatalf("retry probed %v, want the dead nodes 1 and 2", probed)
 	}
 }
 
@@ -532,7 +600,6 @@ func TestDetectorTransitions(t *testing.T) {
 func TestQuorumGatesCommit(t *testing.T) {
 	var timers []func()
 	h := newHarness(t, 0, []proto.NodeID{0, 1, 2, 3, 4})
-	h.m.cfg.Quorum = 3
 	h.m.cfg.After = func(d time.Duration, fn func()) { timers = append(timers, fn) }
 	h.locks = []proto.LockID{1}
 	h.state[1] = State{}
@@ -588,7 +655,6 @@ func TestQuorumGatesCommit(t *testing.T) {
 // 3-node cluster leaves a 2-node majority, which commits as before.
 func TestQuorumSatisfiedByMajority(t *testing.T) {
 	h := newHarness(t, 0, []proto.NodeID{0, 1, 2})
-	h.m.cfg.Quorum = 2
 	h.locks = []proto.LockID{7}
 	h.state[7] = State{}
 

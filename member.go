@@ -968,7 +968,6 @@ func newMember(id, root proto.NodeID, tr transport.Transport, nodes []proto.Node
 		Reseed:           m.recoveryReseed,
 		Clock:            &m.clock,
 		After:            m.afterRecovery,
-		Quorum:           len(nodes)/2 + 1,
 		LocksReferencing: m.locksReferencing,
 		OnRoundStart:     m.recoveryRoundStart,
 		OnRoundDone:      m.recoveryRoundDone,
@@ -1507,8 +1506,9 @@ type JournalStats struct {
 	// WALBytes is the bytes of the records in the write-ahead log since
 	// the last snapshot. The file is longer: it is zero-filled past them.
 	WALBytes int64
-	// Fsyncs counts WAL syncs (fdatasync where the OS has it); FsyncTime
-	// is their cumulative duration.
+	// Fsyncs counts journal syncs, the WAL's (fdatasync where the OS has
+	// it) and each snapshot's temp file; FsyncTime is their cumulative
+	// duration.
 	Fsyncs    uint64
 	FsyncTime time.Duration
 	// Snapshots counts snapshot rotations (WAL compactions).

@@ -265,8 +265,8 @@ func (m *Member) tokenLockIDs() []proto.LockID {
 }
 
 // handleJoin admits (or re-acknowledges) a joining peer: its address
-// joins the transport's peer set, its ID joins the recovery node set,
-// the quorum is recomputed as a majority of the grown set, and a JoinAck
+// joins the transport's peer set, its ID joins the recovery node set
+// (whose majority every later commit decision counts), and a JoinAck
 // answers with this member's world — the peer list, the highest epoch
 // observed, and a batch of recovery-table seeds. Idempotent: the initial
 // JOIN arrives out-of-band and may be duplicated.
@@ -282,7 +282,6 @@ func (m *Member) handleJoin(msg *proto.Message) {
 	known := slices.Contains(m.mgr.Nodes(), msg.From)
 	t.AddPeer(msg.From, msg.Addr)
 	m.mgr.AddNode(msg.From)
-	m.mgr.SetQuorum(len(m.mgr.Nodes())/2 + 1)
 	ack := proto.Message{Kind: proto.KindJoinAck, From: m.id, To: msg.From,
 		TS:    m.clock.Tick(),
 		Addr:  m.peerList(t),
@@ -330,7 +329,6 @@ func (m *Member) handleJoinAck(msg *proto.Message) {
 		t.AddPeer(id, addr)
 		m.mgr.AddNode(id)
 	}
-	m.mgr.SetQuorum(len(m.mgr.Nodes())/2 + 1)
 	m.mgr.SetEpochFloor(msg.Epoch)
 	for _, r := range msg.Queue {
 		m.mgr.Adopt(proto.LockID(r.TS), recovery.Seed{
@@ -388,7 +386,6 @@ func (m *Member) handleLeave(msg *proto.Message) {
 			locks[i] = proto.LockID(v)
 		}
 		m.mgr.Depart(msg.From, locks)
-		m.mgr.SetQuorum(len(m.mgr.Nodes())/2 + 1)
 	}
 	m.mgrMu.Unlock()
 	if addr != "" {

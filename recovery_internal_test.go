@@ -2,6 +2,7 @@ package hierlock
 
 import (
 	"context"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -9,6 +10,7 @@ import (
 	"hierlock/internal/modes"
 	"hierlock/internal/proto"
 	"hierlock/internal/recovery"
+	"hierlock/internal/transport"
 )
 
 // newDetectorPair boots a two-member loopback TCP cluster with the
@@ -242,5 +244,89 @@ func TestEarlyFrameReplayedAtReseed(t *testing.T) {
 	}
 	if err := cl.Err(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLeaveLoweringQuorumCommitsRound: a graceful leave shrinks the node
+// set, and a round that the smaller set's majority already covers
+// commits then. Four members need three participants. Peers 2 and 3 are
+// configured at addresses nobody serves, with confirmation a minute
+// away. Member 0 runs a round for its lock after confirming 3 dead, and
+// member 1 claims: two of four. Peer 2's LEAVE leaves three members,
+// whose majority is two, so the round commits. Were the round re-checked
+// against the majority of four, it would stay open until peer 3 came
+// back.
+func TestLeaveLoweringQuorumCommitsRound(t *testing.T) {
+	addrs := make([]string, 4)
+	for i := range addrs {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		addrs[i] = ln.Addr().String()
+		_ = ln.Close()
+	}
+	var members [2]*Member
+	for i := range members {
+		peers := make(map[int]string)
+		for j, a := range addrs {
+			if j != i {
+				peers[j] = a
+			}
+		}
+		m, err := NewTCPMember(TCPMemberConfig{ID: i, ListenAddr: addrs[i],
+			Peers: peers, ConfirmAfter: time.Minute})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = m.Close() })
+		members[i] = m
+	}
+	m0, m1 := members[0], members[1]
+
+	l, err := m0.Lock(context.Background(), "wedge", W)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Unlock(); err != nil {
+		t.Fatal(err)
+	}
+	lock := lockIDFor("wedge")
+	m0.mgrMu.Lock()
+	m0.mgr.ConfirmDead(3)
+	m0.mgrMu.Unlock()
+	// The claim is handled before the leave: member 1 sends it under its
+	// mgrMu, and member 0 acknowledges a frame once its handler returns.
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+	waitFor("member 1's claim", func() bool { return m1.sent[proto.KindClaim].Load() > 0 })
+	m1.mgrMu.Lock()
+	m1.mgrMu.Unlock() // the claim is queued
+	tr1 := m1.tr.(*transport.TCPTransport)
+	waitFor("member 0's ack of the claim", func() bool { return tr1.QueueStats()[0].Len == 0 })
+	if s, ok := m0.mgr.SeedFor(lock); ok {
+		t.Fatalf("2 of 4 committed a round: seed %+v", s)
+	}
+
+	m0.handleLeave(&proto.Message{Kind: proto.KindLeave, From: 2, To: 0})
+
+	for deadline := time.Now().Add(3 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		if s, ok := m0.mgr.SeedFor(lock); ok && s.Epoch > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the round stayed open after the leave lowered the majority to 2 of 3")
+		}
+	}
+	for i, m := range members {
+		if err := m.Err(); err != nil {
+			t.Fatalf("member %d: %v", i, err)
+		}
 	}
 }
