@@ -87,7 +87,7 @@ chaos:
 	$(GO) test -race -count=3 -run 'TestTCP' ./internal/transport/
 	$(GO) test -race -count=1 ./internal/recovery/
 	$(GO) test -race -count=1 -run 'TestTCPCrashRecovery|TestTCPRecoveryQuietWithoutCrash' .
-	$(GO) test -race -count=3 -run 'TestTCPCrashServesQueuedWaiters|TestTCPHolderCrashWaitsForConfirmation|TestTCPBareConfigRecovers|TestTCPMemberBareConfigBeacons|TestTCPDiskLossRestartIsFenced|TestTCPRestartResumesRoundEpoch|TestTCPJoinDuringRecoveryRound|TestTCPRootLeaveRegeneratesImplicitTokens|TestEarlyFrameReplayedAtReseed|TestTCPWatchdog|TestInventory' .
+	$(GO) test -race -count=3 -run 'TestTCPCrashServesQueuedWaiters|TestTCPHolderCrashWaitsForConfirmation|TestTCPBareConfigRecovers|TestTCPMemberBareConfigBeacons|TestTCPDiskLossRestartIsFenced|TestTCPPeerHealthIsTheDetectors|TestTCPRestartResumesRoundEpoch|TestTCPJoinDuringRecoveryRound|TestTCPRootLeaveRegeneratesImplicitTokens|TestEarlyFrameReplayedAtReseed|TestTCPWatchdog|TestInventory' .
 	$(GO) test -race -count=3 -run 'TestStagedRing|TestSharedRing|TestResidentPath|TestAcquireFolded|TestSlotBlocked|TestReleaseFolds|TestClientScriptRingGolden|TestSharedAuditor|TestViolationInStagedEntry|TestEveryConsumerPulls|TestHandleGrantEvents|TestFlightRecorderSees|TestNodeEventsInTheRing|TestLockAllOrdering' .
 	$(GO) test -race -count=3 -run 'TestScrapeExactWhileCounting|TestMemberMetricsGolden' .
 	$(GO) test -race -count=3 -run 'TestStaleHintSyncsOutsideStripe|TestTCPRecoveryTimeoutWithoutHeartbeat|TestCloseWaitsForInflightRecoveryRetry|TestTCPMembership|TestTCPLeave|TestTCPLeaver|TestLeaveLoweringQuorumCommitsRound' .

@@ -184,13 +184,6 @@ func NewTCPMember(cfg TCPMemberConfig) (*Member, error) {
 		QueueLimit:        cfg.QueueLimit,
 		HeartbeatInterval: cfg.HeartbeatInterval,
 		ConfirmAfter:      cfg.ConfirmAfter,
-		OnPeerHealth: func(peer proto.NodeID, s transport.PeerState) {
-			if m := mref.Load(); m != nil {
-				if lg := m.tel.Load().log; lg != nil {
-					lg.Info("peer state changed", "peer", int(peer), "state", s.String())
-				}
-			}
-		},
 		// The detector callbacks re-enter the member asynchronously. The
 		// fresh goroutines impose no ordering — peerConfirmed/peerAlive
 		// re-check the detector's current state before acting, so a
@@ -254,9 +247,11 @@ func (m *Member) TCPAddr() string {
 	return ""
 }
 
-// PeerHealth describes the transport's view of one peer link.
+// PeerHealth describes one peer: the failure detector's verdict and the
+// outbound link's queue.
 type PeerHealth struct {
-	// State is "up", "degraded" or "down".
+	// State is "healthy", or "confirmed" once the peer has been silent
+	// for ConfirmAfter and recovery treats it as dead.
 	State string
 	// QueueLen, QueueHighWater and QueueFullDrops describe the outbound
 	// queue to this peer (current occupancy, worst occupancy, sends
@@ -266,7 +261,7 @@ type PeerHealth struct {
 	QueueFullDrops uint64
 }
 
-// PeerHealth reports per-peer link health for a TCP member. Peers this
+// PeerHealth reports per-peer health for a TCP member. Peers this
 // member has never sent to are absent; in-process members return an
 // empty map.
 func (m *Member) PeerHealth() map[int]PeerHealth {
@@ -275,15 +270,13 @@ func (m *Member) PeerHealth() map[int]PeerHealth {
 	if !ok {
 		return out
 	}
-	queues := t.QueueStats()
-	for id, state := range t.Health() {
-		h := PeerHealth{State: state.String()}
-		if q, ok := queues[id]; ok {
-			h.QueueLen = q.Len
-			h.QueueHighWater = q.HighWater
-			h.QueueFullDrops = q.FullDrops
+	for id, q := range t.QueueStats() {
+		out[int(id)] = PeerHealth{
+			State:          t.PeerHealth(id).String(),
+			QueueLen:       q.Len,
+			QueueHighWater: q.HighWater,
+			QueueFullDrops: q.FullDrops,
 		}
-		out[int(id)] = h
 	}
 	return out
 }

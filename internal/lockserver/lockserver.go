@@ -17,7 +17,7 @@
 //	SESSION CLOSE                 end the session, releasing its locks
 //	SESSIONS                      list this lockd's named sessions
 //	HELD                          list locks held by this session
-//	PEERS                         per-peer link health and queue depth
+//	PEERS                         per-peer detector verdict and queue depth
 //	MEMBER LIST                   this member's view of the cluster
 //	MEMBER ADD <seed-addr>        join a running cluster via the seed's peer address
 //	MEMBER REMOVE                 gracefully leave the cluster (hand off tokens)

@@ -63,8 +63,8 @@ const (
 	// MetricTransportDupsSuppressed counts duplicate inbound frames
 	// suppressed by the link sequence check.
 	MetricTransportDupsSuppressed = "hierlock_transport_dups_suppressed_total"
-	// MetricTransportPeerState gauges per-peer health (0 up, 1 degraded,
-	// 2 down). Labels: peer.
+	// MetricTransportPeerState gauges the failure detector's verdict on
+	// each peer (0 healthy, 1 confirmed dead). Labels: peer.
 	MetricTransportPeerState = "hierlock_transport_peer_state"
 
 	// MetricAuditViolations counts protocol invariant violations flagged

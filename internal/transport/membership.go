@@ -89,7 +89,7 @@ func (t *TCPTransport) Peers() map[proto.NodeID]string {
 // frame: delivered without deduplication, so the receiver's handling
 // must be idempotent, and without consuming link sequence space, so the
 // regular writer established afterwards starts from a clean sequence.
-// Blocks up to DialTimeout.
+// Blocks up to dialTimeout.
 func (t *TCPTransport) SendTo(addr string, msg *proto.Message) error {
 	t.mu.Lock()
 	if t.closed {
@@ -97,7 +97,7 @@ func (t *TCPTransport) SendTo(addr string, msg *proto.Message) error {
 		return ErrClosed
 	}
 	t.mu.Unlock()
-	conn, err := net.DialTimeout("tcp", addr, t.cfg.DialTimeout)
+	conn, err := net.DialTimeout("tcp", addr, dialTimeout)
 	if err != nil {
 		return fmt.Errorf("transport: send to %s: %w", addr, err)
 	}

@@ -16,30 +16,8 @@ import (
 	"hierlock/internal/recovery"
 )
 
-// PeerState is the transport's health assessment of one peer link.
-type PeerState uint8
-
-// Peer health states. A peer starts Up (optimistically), degrades on the
-// first connection or write failure, and is reported Down after
-// DownAfter consecutive failures; any successful connection returns it
-// to Up.
-const (
-	PeerUp PeerState = iota
-	PeerDegraded
-	PeerDown
-)
-
-// String names the state.
-func (s PeerState) String() string {
-	switch s {
-	case PeerDegraded:
-		return "degraded"
-	case PeerDown:
-		return "down"
-	default:
-		return "up"
-	}
-}
+// dialTimeout bounds one outbound connection attempt.
+const dialTimeout = 5 * time.Second
 
 // TCPConfig configures a TCP transport endpoint.
 type TCPConfig struct {
@@ -50,8 +28,6 @@ type TCPConfig struct {
 	ListenAddr string
 	// Peers maps every other node's ID to its listen address.
 	Peers map[proto.NodeID]string
-	// DialTimeout bounds outbound connection attempts (default 5s).
-	DialTimeout time.Duration
 	// RedialBackoff is the initial wait between reconnection attempts to
 	// an unreachable peer (default 100ms). Each consecutive failure
 	// doubles the wait (with ±25% jitter to avoid reconnection storms) up
@@ -59,9 +35,6 @@ type TCPConfig struct {
 	RedialBackoff time.Duration
 	// RedialBackoffMax caps the exponential redial backoff (default 5s).
 	RedialBackoffMax time.Duration
-	// DownAfter is the number of consecutive connection failures after
-	// which a peer is reported Down rather than Degraded (default 3).
-	DownAfter int
 	// QueueLimit bounds each per-peer outbound queue (queued plus
 	// unacknowledged messages) and the inbound delivery mailbox. 0 means
 	// unbounded. Send fails with ErrQueueFull at the limit.
@@ -71,10 +44,6 @@ type TCPConfig struct {
 	// Deprecated: the link is always sequenced; removed when the
 	// benchmark harness stops setting it.
 	Reliable bool
-	// OnPeerHealth, when non-nil, is invoked from transport goroutines
-	// whenever a peer's health state changes. It must not block and must
-	// not call back into the transport.
-	OnPeerHealth func(peer proto.NodeID, state PeerState)
 
 	// HeartbeatInterval is the liveness layer's beacon interval (default
 	// 1s): every interval the transport sends a KindHeartbeat frame to
@@ -92,7 +61,9 @@ type TCPConfig struct {
 	// OnPeerConfirmed and OnPeerAlive fire on detector transitions
 	// (confirmed dead, heard from again). They run on transport
 	// goroutines and must not block; OnPeerConfirmed is the signal the
-	// recovery layer acts on.
+	// recovery layer acts on. The detector's verdict is the only health
+	// a peer has (see PeerHealth); a link that cannot connect shows in
+	// QueueStats and LinkStats.
 	OnPeerConfirmed func(proto.NodeID)
 	OnPeerAlive     func(proto.NodeID)
 }
@@ -201,9 +172,6 @@ func NewTCP(cfg TCPConfig) (*TCPTransport, error) {
 	if cfg.ListenAddr == "" {
 		return nil, fmt.Errorf("transport: listen address required")
 	}
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = 5 * time.Second
-	}
 	if cfg.RedialBackoff <= 0 {
 		cfg.RedialBackoff = 100 * time.Millisecond
 	}
@@ -212,9 +180,6 @@ func NewTCP(cfg TCPConfig) (*TCPTransport, error) {
 	}
 	if cfg.RedialBackoffMax < cfg.RedialBackoff {
 		cfg.RedialBackoffMax = cfg.RedialBackoff
-	}
-	if cfg.DownAfter <= 0 {
-		cfg.DownAfter = 3
 	}
 	if cfg.HeartbeatInterval <= 0 {
 		cfg.HeartbeatInterval = time.Second
@@ -250,7 +215,8 @@ func NewTCP(cfg TCPConfig) (*TCPTransport, error) {
 	return t, nil
 }
 
-// PeerHealth returns the failure detector's opinion of a peer.
+// PeerHealth returns the failure detector's verdict on a peer: healthy,
+// or confirmed dead after ConfirmAfter of silence.
 func (t *TCPTransport) PeerHealth(peer proto.NodeID) recovery.PeerState {
 	return t.detector.State(peer)
 }
@@ -522,20 +488,6 @@ func (t *TCPTransport) Send(msg *proto.Message) error {
 	return w.put(msg)
 }
 
-// Health snapshots the health state of every peer this transport has
-// tried to reach (peers never sent to are absent).
-func (t *TCPTransport) Health() map[proto.NodeID]PeerState {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make(map[proto.NodeID]PeerState, len(t.writers))
-	for id, w := range t.writers {
-		w.mu.Lock()
-		out[id] = w.state
-		w.mu.Unlock()
-	}
-	return out
-}
-
 // QueueStats snapshots per-peer outbound queue occupancy (queued plus
 // unacknowledged messages).
 func (t *TCPTransport) QueueStats() map[proto.NodeID]metrics.Queue {
@@ -657,8 +609,6 @@ type peerWriter struct {
 	fullDrops   uint64
 	redials     uint64
 	retransmits uint64
-	state       PeerState
-	failures    int
 }
 
 // deadConn is the ack reader's report of a connection that died, and
@@ -811,18 +761,13 @@ func (w *peerWriter) flush() (retry bool) {
 			}
 			rawConn, err := w.dial()
 			if err != nil {
-				if w.t.ctx.Err() != nil {
-					return false
-				}
-				w.noteFailure()
-				return true
+				return w.t.ctx.Err() == nil // retry unless closing
 			}
 			conn := countingConn{Conn: rawConn, t: w.t}
 			if !w.t.trackConn(conn) {
 				return false
 			}
 			w.conn = conn
-			w.noteUp()
 			if !w.retransmitUnacked() {
 				continue // write failed; redial
 			}
@@ -851,7 +796,6 @@ func (w *peerWriter) writeEntries(entries []linkEntry) bool {
 		}
 		if _, err := w.conn.Write(w.enc); err != nil {
 			w.dropConn()
-			w.noteFailure()
 			return false
 		}
 		w.t.framesSent.Add(uint64(j - i))
@@ -863,13 +807,13 @@ func (w *peerWriter) writeEntries(entries []linkEntry) bool {
 	return true
 }
 
-// dial attempts one connection, bounded by DialTimeout and interrupted
+// dial attempts one connection, bounded by dialTimeout and interrupted
 // by Close.
 func (w *peerWriter) dial() (net.Conn, error) {
 	w.mu.Lock()
 	w.redials++
 	w.mu.Unlock()
-	ctx, cancel := context.WithTimeout(w.t.ctx, w.t.cfg.DialTimeout)
+	ctx, cancel := context.WithTimeout(w.t.ctx, dialTimeout)
 	defer cancel()
 	var d net.Dialer
 	return d.DialContext(ctx, "tcp", w.addr)
@@ -957,26 +901,4 @@ func (w *peerWriter) dropConn() {
 	_ = w.conn.Close()
 	w.t.untrackConn(w.conn)
 	w.conn = nil
-}
-
-func (w *peerWriter) noteUp() { w.setState(PeerUp, true) }
-
-func (w *peerWriter) noteFailure() { w.setState(PeerDegraded, false) }
-
-func (w *peerWriter) setState(s PeerState, reset bool) {
-	w.mu.Lock()
-	if reset {
-		w.failures = 0
-	} else {
-		w.failures++
-		if w.failures >= w.t.cfg.DownAfter {
-			s = PeerDown
-		}
-	}
-	changed := w.state != s
-	w.state = s
-	w.mu.Unlock()
-	if changed && w.t.cfg.OnPeerHealth != nil {
-		w.t.cfg.OnPeerHealth(w.peer, s)
-	}
 }

@@ -806,10 +806,10 @@ func registerTransportCollectors(reg *metrics.Registry, t *transport.TCPTranspor
 			emit(nil, float64(t.LinkStats().DupsSuppressed))
 		})
 	reg.Collect(metrics.MetricTransportPeerState,
-		"Per-peer link health (0 up, 1 degraded, 2 down).",
+		"Per-peer failure detector verdict (0 healthy, 1 confirmed dead).",
 		"gauge", func(emit func(metrics.Labels, float64)) {
-			for id, st := range t.Health() {
-				emit(peer(id), float64(st))
+			for id := range t.QueueStats() {
+				emit(peer(id), float64(t.PeerHealth(id)))
 			}
 		})
 }

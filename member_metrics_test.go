@@ -132,6 +132,13 @@ func TestScrapeExactWhileCounting(t *testing.T) {
 			m := members[0]
 			reg := metrics.NewRegistry()
 			m.SetTelemetry(hierlock.Telemetry{Registry: reg})
+			if tc.members > 1 {
+				// Member 1 takes every key's token first, so member 0's
+				// first acquire of each fetches it however the workers
+				// are scheduled. These run on member 1: none is counted
+				// in member 0's total.
+				hammer(t, members[1:], workers/tc.members, keys, 1)
+			}
 
 			stop := make(chan struct{})
 			scraped := make(chan int)

@@ -39,6 +39,18 @@ func waitParked(t *testing.T, m *Member) {
 	waitEntry(t, m, "client parked", func(registered, parked, _ bool) bool { return registered && parked })
 }
 
+// returnedLost reports whether the victim has returned ErrLockLost,
+// leaving its outcome in done.
+func returnedLost(done chan error) bool {
+	select {
+	case err := <-done:
+		done <- err
+		return errors.Is(err, ErrLockLost)
+	default:
+		return false
+	}
+}
+
 // deadlineContext is what a context's deadline gives a client, on cue:
 // Done closes when its expiry is called, and Err is then
 // context.DeadlineExceeded. A context.WithTimeout armed before the victim
@@ -85,21 +97,25 @@ func TestReusedWaiterStates(t *testing.T) {
 		// closes marks the event that closes the victim's member: there
 		// is no next request to check afterwards.
 		closes bool
+		// lost marks the event that ends the victim's wait with
+		// ErrLockLost on a bound armed when it parks, so it may have
+		// returned before the test sees it parked.
+		lost bool
 		// arm returns the victim's context and the trigger, which returns
 		// once the event has happened.
 		arm func(t *testing.T, m *Member) (context.Context, func())
 	}{
-		{"cancel", false, func(*testing.T, *Member) (context.Context, func()) {
+		{"cancel", false, false, func(*testing.T, *Member) (context.Context, func()) {
 			return context.WithCancel(bg)
 		}},
-		{"deadline", false, func(*testing.T, *Member) (context.Context, func()) {
+		{"deadline", false, false, func(*testing.T, *Member) (context.Context, func()) {
 			return expiringContext()
 		}},
-		{"recovery timeout", false, func(_ *testing.T, m *Member) (context.Context, func()) {
+		{"recovery timeout", false, true, func(_ *testing.T, m *Member) (context.Context, func()) {
 			m.recoveryTimeout = 10 * time.Millisecond // before any client parks
 			return bg, func() { time.Sleep(10 * time.Millisecond) }
 		}},
-		{"close", true, func(_ *testing.T, m *Member) (context.Context, func()) {
+		{"close", true, false, func(_ *testing.T, m *Member) (context.Context, func()) {
 			return bg, func() { _ = m.Close() }
 		}},
 	}
@@ -164,7 +180,15 @@ func TestReusedWaiterStates(t *testing.T) {
 					m0, m1 := c.Member(0), c.Member(1)
 					victim, trigger := ev.arm(t, m0)
 					remote, done, settle := st.park(t, m0, m1, victim)
-					waitParked(t, m0)
+					if ev.lost {
+						// await returns ErrLockLost only from the parked
+						// state: a victim that has returned it has parked.
+						waitEntry(t, m0, "client parked or lost", func(registered, parked, _ bool) bool {
+							return registered && parked || returnedLost(done)
+						})
+					} else {
+						waitParked(t, m0)
+					}
 					trigger()
 					for until := time.Now().Add(time.Duration(round) * 2 * time.Microsecond); time.Now().Before(until); {
 					}
