@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: build test vet lint race chaos coldstart sessions membership fuzz bench pairs gate audit loc ci clean
+.PHONY: build test vet lint race chaos coldstart sessions membership fuzz bench pairs gate audit soak loc ci clean
 
 build:
 	$(GO) build ./...
@@ -36,13 +36,15 @@ lint: vet
 	GO=$(GO) bash scripts/runpatterns.sh Makefile
 
 # Full test suite under the race detector (includes the transport
-# failure-path tests, the simulator's link-fault chaos tests and the
-# crash, restart, membership and watchdog scenarios on live members).
+# failure-path tests, the simulator's chaos tests on a heavy-tailed FIFO
+# link and the crash, restart, membership and watchdog scenarios on live
+# members).
 race:
 	$(GO) test -race -count=1 ./...
 
 # Just the fault-injection, crash-recovery and transport-failure
-# coverage: the simulator's link-fault chaos runs, and on live loopback
+# coverage: the simulator's chaos runs of all five protocols on a
+# heavy-tailed FIFO link (a stalled frame holds its link), and on live loopback
 # members the token holder's crash with requests queued behind it, the
 # wait before a confirmation, a cluster of bare-configured members
 # recovering on the default timings and beaconing, the restarts with and
@@ -189,6 +191,13 @@ gate:
 # rule for finished operations handed in out of time order among them).
 audit:
 	$(GO) test -race -count=1 ./internal/audit/
+
+# The whole suite N times (`make soak N=10`), for the failures that show
+# once in many full runs: every failing run's complete log is kept under
+# .soak/, and its failed tests and log path are printed. Slow (N full
+# passes) and so not part of ci.
+soak:
+	GO=$(GO) bash scripts/soak.sh $(N)
 
 # What CI runs: build, go vet + gofmt drift, the plain test pass (which
 # includes the codec allocation assertions compiled out under -race and

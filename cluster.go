@@ -80,7 +80,8 @@ type TCPMemberConfig struct {
 	// actual address, which is wrong behind NAT or with a ":0" listener
 	// on a multi-homed host — set it explicitly there).
 	AdvertiseAddr string
-	// Peers maps every other member ID to its listen address. A member
+	// Peers maps every other member ID to its listen address; an entry
+	// for ID itself, or for a negative ID, is an error. A member
 	// that will Join a running cluster starts with an empty map and
 	// learns the peer set from the seed's JoinAck.
 	Peers map[int]string
@@ -171,6 +172,12 @@ func NewTCPMember(cfg TCPMemberConfig) (*Member, error) {
 	}
 	peers := make(map[proto.NodeID]string, len(cfg.Peers))
 	for id, addr := range cfg.Peers {
+		// The node set is this member plus its peers, and the recovery
+		// majority is taken over it: a self entry would count this
+		// member twice.
+		if id == cfg.ID || id < 0 {
+			return nil, fmt.Errorf("hierlock: invalid peer id %d for member %d (Peers lists the other members)", id, cfg.ID)
+		}
 		peers[proto.NodeID(id)] = addr
 	}
 	// The transport's callbacks fire on its goroutines, possibly before

@@ -443,12 +443,6 @@ func TestTCPDiskLossRestartIsFenced(t *testing.T) {
 	if err != nil {
 		t.Fatalf("restarted member: %v", err)
 	}
-	if f := l.Fence(); !recovered.Less(f) {
-		t.Fatalf("restarted member's fence %s does not follow the recovered %s", f, recovered)
-	}
-	if err := l.Unlock(); err != nil {
-		t.Fatal(err)
-	}
 	var stale uint64
 	var survivors []string
 	for i, m := range members[:victim] {
@@ -460,6 +454,13 @@ func TestTCPDiskLossRestartIsFenced(t *testing.T) {
 		}
 		stale += drops
 		survivors = append(survivors, fmt.Sprintf("member %d: stale drops %d, epoch %d", i, drops, m.EpochOf(res)))
+	}
+	if f := l.Fence(); !recovered.Less(f) {
+		t.Fatalf("restarted member's fence %s does not follow the recovered %s (its epoch as it asked: %d; %s)",
+			f, recovered, asked, strings.Join(survivors, "; "))
+	}
+	if err := l.Unlock(); err != nil {
+		t.Fatal(err)
 	}
 	if stale == 0 {
 		t.Errorf("no survivor fenced out the blank member's epoch-0 request (its epoch as it asked: %d; %s)",

@@ -253,7 +253,7 @@ func (a *Auditor) Record(es []trace.Entry) {
 		switch e.Op {
 		case trace.OpGranted, trace.OpRelease, trace.OpSend, trace.OpDeliver:
 		default:
-			// Every other op (acquires, the fault ops, the node events) is
+			// Every other op (acquires, joins, leaves, the node events) is
 			// counted and not examined.
 			continue
 		}

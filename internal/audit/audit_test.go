@@ -326,7 +326,7 @@ func TestConcurrentStripes(t *testing.T) {
 				a.Record([]trace.Entry{{Op: trace.OpAcquire, Node: 0, Lock: lock, Mode: modes.W}})
 				a.Record([]trace.Entry{granted(lock, modes.W, 0)})
 				a.Record([]trace.Entry{release(lock, modes.W, 0)})
-				a.Record([]trace.Entry{{Op: trace.OpDrop, Lock: lock}})
+				a.Record([]trace.Entry{{Op: trace.OpEvict, Lock: lock}})
 				if w == 2 && i == perWorker/8 {
 					// Node 1 is granted W on lock 7 while node 0 holds it.
 					feed(a, granted(7, modes.W, 0), granted(7, modes.W, 1),

@@ -11,7 +11,9 @@
 // the cluster and fail the run.
 //
 // The package simulates the protocol, not the service around it:
-// engines on a seeded event heap, the link-fault model and the oracle.
+// engines on a seeded event heap, a reliable FIFO link whose only
+// property is its latency distribution, and the oracle. Link faults
+// (cuts, losses, redials) are tested on the shipping TCP transport.
 // Crash recovery, membership, leases, sessions and the Prometheus
 // registry exist only in the live runtime and are tested there, on real
 // members. What the simulator does offer the shipping analysers is its
@@ -85,11 +87,6 @@ type Config struct {
 	Seed    int64
 	// Trace, when non-nil, records sends, deliveries and client events.
 	Trace *trace.Recorder
-	// Faults, when non-nil, injects deterministic network failures (drops,
-	// duplicates, delay spikes, partitions, node crash windows) beneath a
-	// modelled reliable link layer; see sim.FaultPlan. Fault events are
-	// counted in Network.FaultStats and recorded in the trace.
-	Faults *sim.FaultPlan
 }
 
 // DefaultLatencyMean is the paper's mean network latency.
@@ -130,9 +127,6 @@ func New(cfg Config) *Cluster {
 	}
 	c.Net = NewNetwork(s, cfg.Latency)
 	c.Net.trace = cfg.Trace
-	if cfg.Faults != nil {
-		c.Net.SetFaults(*cfg.Faults)
-	}
 	for _, l := range cfg.Locks {
 		c.oracle[l] = make(map[proto.NodeID]modes.Mode)
 	}
@@ -213,14 +207,12 @@ func (c *Cluster) Quiesced() bool {
 
 // CheckTokens verifies token conservation: every lock of a token-based
 // protocol must have exactly one token holder. Zero holders means the
-// token was lost (a dropped Token message the transport failed to
-// recover); more than one means it was duplicated. An absent (evicted or
-// never-created) hierarchical engine holds the token only at node 0, the
-// initial root: a non-root engine is never evicted holding it, since that
-// is not its initial state. Crash windows keep their node's state, so
-// every node counts. Call when the cluster is quiesced — during a
-// transfer the token is legitimately in flight. Ricart–Agrawala is
-// permission-based and vacuously conserves.
+// token was lost; more than one means it was duplicated. An absent
+// (evicted or never-created) hierarchical engine holds the token only at
+// node 0, the initial root: a non-root engine is never evicted holding
+// it, since that is not its initial state. Call when the cluster is
+// quiesced — during a transfer the token is legitimately in flight.
+// Ricart–Agrawala is permission-based and vacuously conserves.
 func (c *Cluster) CheckTokens() error {
 	if c.cfg.Protocol == Ricart {
 		return nil // permission-based: no token to conserve
@@ -248,13 +240,6 @@ func (c *Cluster) CheckTokens() error {
 		}
 	}
 	return nil
-}
-
-// NodeDown reports whether a node is inside a scheduled crash window.
-// Workloads use it to pause issuing client operations on a downed node.
-func (c *Cluster) NodeDown(id proto.NodeID) bool {
-	f := c.Net.Faults()
-	return f != nil && f.DownAt(int(id), c.Sim.Now())
 }
 
 // Node is one simulated participant running every lock's engine.
@@ -526,23 +511,19 @@ func (n *Node) dispatchExcl(lock proto.LockID, out proto.ExclOut, done func()) {
 
 // Network models the paper's switched LAN: every ordered node pair is an
 // independent full-duplex link with randomized per-message latency and
-// FIFO delivery (as TCP provides). An optional fault layer (SetFaults)
-// perturbs deliveries with drops, duplicates, delay spikes, partitions
-// and crash windows while preserving the per-link FIFO contract: a
-// recovered frame pushes every later frame on its link behind it, the
-// head-of-line blocking a reliable in-order link exhibits.
+// FIFO delivery (as TCP provides): a slow frame holds every later frame
+// on its link behind it, the head-of-line blocking of a reliable
+// in-order link, so a heavy-tailed latency distribution is how a
+// retransmission or a link stall shows on it.
 type Network struct {
 	// Metrics counts every message sent, by kind (Figure 7's data).
 	Metrics metrics.Messages
-	// FaultStats counts injected fault events (zero without a fault plan).
-	FaultStats metrics.Faults
 
 	sim      *sim.Sim
 	rand     func() time.Duration
 	handlers map[proto.NodeID]func(*proto.Message)
 	lastAt   map[[2]proto.NodeID]time.Duration
 	trace    *trace.Recorder
-	faults   *sim.Faults
 }
 
 // NewNetwork creates a network over the simulator with the given latency
@@ -562,45 +543,16 @@ func (nw *Network) Register(id proto.NodeID, h func(*proto.Message)) {
 	nw.handlers[id] = h
 }
 
-// SetFaults installs a fault plan. The plan's random stream derives from
-// the simulator, so the whole faulty run replays from the cluster seed.
-// Call before traffic starts.
-func (nw *Network) SetFaults(plan sim.FaultPlan) {
-	nw.faults = sim.NewFaults(plan, nw.sim.NewRand())
-}
-
-// Faults returns the installed fault runtime, or nil.
-func (nw *Network) Faults() *sim.Faults { return nw.faults }
-
 // Send enqueues a message for delivery after a randomized latency,
 // clamped so deliveries on the same ordered link never reorder.
 func (nw *Network) Send(msg proto.Message) {
 	nw.Metrics.Count(msg.Kind)
-	tid := proto.MsgTrace(&msg)
-	var at time.Duration
-	if nw.faults != nil {
-		out := nw.faults.Apply(int(msg.From), int(msg.To), nw.sim.Now(), nw.rand)
-		nw.FaultStats.Drops += uint64(out.Drops)
-		nw.FaultStats.Duplicates += uint64(out.Duplicates)
-		nw.FaultStats.DelaySpikes += uint64(out.Spikes)
-		nw.FaultStats.Deferrals += uint64(out.Deferrals)
-		at = out.Deliver
-		nw.trace.Record(trace.Entry{
-			At: nw.sim.Now(), Op: trace.OpSend, Node: msg.From,
-			Lock: msg.Lock, Mode: msg.Mode, Kind: msg.Kind, From: msg.From, To: msg.To,
-			Trace: tid, Epoch: msg.Epoch,
-		})
-		if nw.trace != nil {
-			nw.recordFaults(&msg, out)
-		}
-	} else {
-		at = nw.sim.Now() + nw.rand()
-		nw.trace.Record(trace.Entry{
-			At: nw.sim.Now(), Op: trace.OpSend, Node: msg.From,
-			Lock: msg.Lock, Mode: msg.Mode, Kind: msg.Kind, From: msg.From, To: msg.To,
-			Trace: tid, Epoch: msg.Epoch,
-		})
-	}
+	at := nw.sim.Now() + nw.rand()
+	nw.trace.Record(trace.Entry{
+		At: nw.sim.Now(), Op: trace.OpSend, Node: msg.From,
+		Lock: msg.Lock, Mode: msg.Mode, Kind: msg.Kind, From: msg.From, To: msg.To,
+		Trace: proto.MsgTrace(&msg), Epoch: msg.Epoch,
+	})
 	key := [2]proto.NodeID{msg.From, msg.To}
 	if last, ok := nw.lastAt[key]; ok && at <= last {
 		at = last + time.Nanosecond
@@ -619,22 +571,4 @@ func (nw *Network) Send(msg proto.Message) {
 		})
 		h(&m)
 	})
-}
-
-// recordFaults emits one trace entry per injected fault event on a
-// message, timestamped at the send (the virtual times of the individual
-// retransmissions are internal to the fault model).
-func (nw *Network) recordFaults(msg *proto.Message, out sim.Outcome) {
-	emit := func(op trace.Op, n int) {
-		for i := 0; i < n; i++ {
-			nw.trace.Record(trace.Entry{
-				At: nw.sim.Now(), Op: op, Node: msg.From,
-				Lock: msg.Lock, Mode: msg.Mode, Kind: msg.Kind, From: msg.From, To: msg.To,
-				Trace: proto.MsgTrace(msg),
-			})
-		}
-	}
-	emit(trace.OpDrop, out.Drops)
-	emit(trace.OpDup, out.Duplicates)
-	emit(trace.OpDefer, out.Deferrals)
 }

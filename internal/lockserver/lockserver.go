@@ -116,8 +116,6 @@ type Server struct {
 	// that hold nothing yet; beyond it LOCK answers ERR busy (0 =
 	// unbounded).
 	MaxWaiters int
-	// SweepInterval overrides the lease sweeper cadence (0 = LeaseTTL/4).
-	SweepInterval time.Duration
 	// Registry, when non-nil, is served as Prometheus text exposition on
 	// the debug handler's /metrics endpoint.
 	Registry *metrics.Registry
@@ -155,10 +153,9 @@ func (s *Server) Sessions() *session.Manager {
 	defer s.mu.Unlock()
 	if s.sess == nil {
 		s.sess = session.NewManager(session.Config{
-			DefaultTTL:    s.LeaseTTL,
-			MaxWaiters:    s.MaxWaiters,
-			SweepInterval: s.SweepInterval,
-			Registry:      s.Registry,
+			DefaultTTL: s.LeaseTTL,
+			MaxWaiters: s.MaxWaiters,
+			Registry:   s.Registry,
 		})
 	}
 	return s.sess
@@ -762,7 +759,7 @@ func (se *connState) ctx() (context.Context, context.CancelFunc) {
 
 // parseTTL parses a client-supplied lease TTL: a Go duration ("30s")
 // or a bare integer second count, saturating at the largest Duration
-// (the session manager clamps any TTL above its MaxTTL).
+// (the session manager clamps any TTL above 10× its default TTL).
 func parseTTL(s string) (time.Duration, error) {
 	if secs, err := strconv.Atoi(s); err == nil {
 		if secs <= 0 {

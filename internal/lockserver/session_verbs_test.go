@@ -28,7 +28,6 @@ func startSessionServer(t *testing.T, m *hierlock.Member, ttl time.Duration, max
 	srv.Timeout = 10 * time.Second
 	srv.LeaseTTL = ttl
 	srv.MaxWaiters = maxWaiters
-	srv.SweepInterval = ttl / 5
 	srv.Registry = reg
 	go func() { _ = srv.Serve(ln) }()
 	t.Cleanup(func() { _ = srv.Close() })
@@ -100,7 +99,7 @@ func TestSessionVerbs(t *testing.T) {
 		t.Fatalf("bad ttl: %q", resp)
 	}
 	// Second counts whose nanoseconds overflow a Duration are clamped to
-	// MaxTTL (10 × the 1m default) like any TTL above it: multiplied
+	// the cap (10 × the 1m default) like any TTL above it: multiplied
 	// unchecked, the first wrapped to 290.448384ms and the second to a
 	// negative TTL that got the default.
 	for _, secs := range []string{"18446744074", "9223372037"} {
@@ -246,7 +245,6 @@ func TestLeaseChaosAcrossMembers(t *testing.T) {
 		srv := lockserver.New(cl.Member(i))
 		srv.Timeout = ttl / 2
 		srv.LeaseTTL = ttl
-		srv.SweepInterval = ttl / 5
 		srv.Registry = regs[i]
 		go func() { _ = srv.Serve(ln) }()
 		t.Cleanup(func() { _ = srv.Close() })

@@ -52,34 +52,6 @@ var Kinds = []proto.Kind{
 	proto.KindRelease, proto.KindFreeze,
 }
 
-// Faults counts injected network-fault events: what the fault layer did
-// to traffic beneath the reliable-link recovery (see sim.FaultPlan). The
-// counters are deterministic for a given plan and seed, which chaos tests
-// exploit to assert run-for-run reproducibility.
-type Faults struct {
-	// Drops counts frames lost to random drop (each implies a retransmit).
-	Drops uint64
-	// Duplicates counts duplicate frames generated and suppressed by the
-	// receiver's sequence check.
-	Duplicates uint64
-	// DelaySpikes counts latency spikes applied.
-	DelaySpikes uint64
-	// Deferrals counts transmissions that waited out a link partition or a
-	// crashed destination.
-	Deferrals uint64
-}
-
-// Total returns the total number of fault events.
-func (f *Faults) Total() uint64 {
-	return f.Drops + f.Duplicates + f.DelaySpikes + f.Deferrals
-}
-
-// String renders the counters compactly.
-func (f *Faults) String() string {
-	return fmt.Sprintf("drops=%d dups=%d spikes=%d deferrals=%d",
-		f.Drops, f.Duplicates, f.DelaySpikes, f.Deferrals)
-}
-
 // Queue is a snapshot of one bounded queue's occupancy (a transport
 // mailbox or per-peer outbound buffer).
 type Queue struct {

@@ -142,13 +142,3 @@ func TestQuantileExtremes(t *testing.T) {
 		t.Errorf("huge sample quantile = %v, want Max", q)
 	}
 }
-
-func TestFaultsCounters(t *testing.T) {
-	a := Faults{Drops: 3, Duplicates: 2, DelaySpikes: 1, Deferrals: 4}
-	if a.Total() != 10 {
-		t.Fatalf("total = %d", a.Total())
-	}
-	if s := a.String(); s == "" {
-		t.Fatal("empty string form")
-	}
-}

@@ -28,7 +28,6 @@ package session
 
 import (
 	"errors"
-	"log/slog"
 	"sort"
 	"sync"
 	"time"
@@ -61,20 +60,13 @@ type Config struct {
 	// DefaultTTL is the lease TTL for sessions that do not request one
 	// (default 30s).
 	DefaultTTL time.Duration
-	// MaxTTL caps client-requested TTLs (default 10×DefaultTTL).
-	MaxTTL time.Duration
 	// MaxWaiters caps the exclusive-mode clients per (resource, mode)
 	// that hold nothing yet; beyond it acquisitions fail with ErrBusy. 0
 	// means unbounded.
 	MaxWaiters int
-	// SweepInterval is the lease sweeper's cadence (default
-	// DefaultTTL/4, clamped to [10ms, 1s]).
-	SweepInterval time.Duration
 	// Registry receives the session/lease/admission metric families,
 	// pre-registered at zero. Nil disables metrics.
 	Registry *metrics.Registry
-	// Logger receives session lifecycle logs. Nil disables logging.
-	Logger *slog.Logger
 	// Now is the clock (tests inject a fake one). Defaults to time.Now.
 	Now func() time.Time
 }
@@ -109,18 +101,6 @@ type Manager struct {
 func NewManager(cfg Config) *Manager {
 	if cfg.DefaultTTL <= 0 {
 		cfg.DefaultTTL = 30 * time.Second
-	}
-	if cfg.MaxTTL <= 0 {
-		cfg.MaxTTL = 10 * cfg.DefaultTTL
-	}
-	if cfg.SweepInterval <= 0 {
-		cfg.SweepInterval = cfg.DefaultTTL / 4
-		if cfg.SweepInterval < 10*time.Millisecond {
-			cfg.SweepInterval = 10 * time.Millisecond
-		}
-		if cfg.SweepInterval > time.Second {
-			cfg.SweepInterval = time.Second
-		}
 	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
@@ -204,14 +184,12 @@ func (m *Manager) Anonymous() *Session {
 
 // Open creates the named session, or re-adopts it if it is live and
 // detached. The returned bool reports adoption. TTL 0 uses the default;
-// requests beyond MaxTTL are clamped.
+// requests beyond 10×DefaultTTL are clamped.
 func (m *Manager) Open(name string, ttl time.Duration) (*Session, bool, error) {
 	if ttl <= 0 {
 		ttl = m.cfg.DefaultTTL
 	}
-	if ttl > m.cfg.MaxTTL {
-		ttl = m.cfg.MaxTTL
-	}
+	ttl = min(ttl, 10*m.cfg.DefaultTTL)
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
@@ -233,7 +211,6 @@ func (m *Manager) Open(name string, ttl time.Duration) (*Session, bool, error) {
 		s.ttl = ttl
 		s.deadline = m.cfg.Now().Add(ttl)
 		m.adopted.Inc()
-		m.logf("session adopted", "session", name, "locks", len(s.held))
 		return s, true, nil
 	}
 	s := &Session{
@@ -247,7 +224,6 @@ func (m *Manager) Open(name string, ttl time.Duration) (*Session, bool, error) {
 	m.sessions[name] = s
 	m.mu.Unlock()
 	m.opened.Inc()
-	m.logf("session opened", "session", name, "ttl", ttl)
 	return s, false, nil
 }
 
@@ -264,7 +240,6 @@ func (m *Manager) Detach(s *Session) {
 	s.attached = false
 	s.deadline = m.cfg.Now().Add(s.ttl)
 	s.mu.Unlock()
-	m.logf("session detached", "session", s.name)
 }
 
 // CloseSession explicitly ends a named session, releasing its locks.
@@ -283,15 +258,13 @@ func (m *Manager) CloseSession(s *Session) int {
 	s.gone = true
 	s.mu.Unlock()
 	m.closedC.Inc()
-	n := s.ReleaseAll()
-	m.logf("session closed", "session", s.name, "released", n)
-	return n
+	return s.ReleaseAll()
 }
 
-// sweeper reaps expired leases.
+// sweeper reaps expired leases every DefaultTTL/4, clamped to [10ms, 1s].
 func (m *Manager) sweeper() {
 	defer m.sweepWG.Done()
-	t := time.NewTicker(m.cfg.SweepInterval)
+	t := time.NewTicker(min(max(m.cfg.DefaultTTL/4, 10*time.Millisecond), time.Second))
 	defer t.Stop()
 	for {
 		select {
@@ -322,13 +295,6 @@ func (m *Manager) sweep() {
 		m.expired.Inc()
 		n := s.expire()
 		m.reaped.Add(uint64(n))
-		m.logf("session lease expired", "session", s.name, "reaped", n)
-	}
-}
-
-func (m *Manager) logf(msg string, kv ...any) {
-	if lg := m.cfg.Logger; lg != nil {
-		lg.Info(msg, kv...)
 	}
 }
 

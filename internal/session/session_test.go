@@ -44,8 +44,7 @@ func held(key string, released *atomic.Int64, err error) *session.Held {
 // lock it held is force-released.
 func TestLeaseExpiryReapsLocks(t *testing.T) {
 	mgr, reg := newManager(t, session.Config{
-		DefaultTTL:    50 * time.Millisecond,
-		SweepInterval: 10 * time.Millisecond,
+		DefaultTTL: 50 * time.Millisecond,
 	})
 	s, adopted, err := mgr.Open("doomed", 0)
 	if err != nil || adopted {
@@ -91,8 +90,7 @@ func TestLeaseExpiryReapsLocks(t *testing.T) {
 // racing grant is released, not leaked.
 func TestRenewalPreventsExpiry(t *testing.T) {
 	mgr, reg := newManager(t, session.Config{
-		DefaultTTL:    200 * time.Millisecond,
-		SweepInterval: 20 * time.Millisecond,
+		DefaultTTL: 200 * time.Millisecond,
 	})
 	s, _, err := mgr.Open("steady", 0)
 	if err != nil {

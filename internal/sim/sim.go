@@ -20,12 +20,11 @@ import (
 
 // Sim is a discrete-event scheduler. Create with New.
 type Sim struct {
-	now     time.Duration
-	events  eventHeap
-	seq     uint64
-	nfired  uint64
-	daemons int
-	master  *rand.Rand
+	now    time.Duration
+	events eventHeap
+	seq    uint64
+	nfired uint64
+	master *rand.Rand
 }
 
 // New creates a simulator whose random streams derive from seed.
@@ -55,19 +54,6 @@ func (s *Sim) At(delay time.Duration, fn func()) {
 	heap.Push(&s.events, event{at: s.now + delay, seq: s.seq, fn: fn})
 }
 
-// AtDaemon schedules fn like At but as a daemon event: it does not count
-// toward Pending, so standing background hooks — a node-restart event at
-// the far-future end of a permanent crash window — never stop a cluster
-// from reporting quiescence. Run and Drain fire daemons normally.
-func (s *Sim) AtDaemon(delay time.Duration, fn func()) {
-	if delay < 0 {
-		delay = 0
-	}
-	s.seq++
-	s.daemons++
-	heap.Push(&s.events, event{at: s.now + delay, seq: s.seq, daemon: true, fn: fn})
-}
-
 // Run processes events until the queue is empty or virtual time would
 // exceed `until`. It returns the number of events fired. Events scheduled
 // exactly at `until` are processed.
@@ -79,9 +65,6 @@ func (s *Sim) Run(until time.Duration) uint64 {
 			break
 		}
 		heap.Pop(&s.events)
-		if next.daemon {
-			s.daemons--
-		}
 		s.now = next.at
 		next.fn()
 		fired++
@@ -93,34 +76,13 @@ func (s *Sim) Run(until time.Duration) uint64 {
 	return fired
 }
 
-// Drain processes every remaining event regardless of time. It guards
-// against runaway event cascades with a generous step limit and reports
-// whether it fully quiesced.
-func (s *Sim) Drain(maxEvents uint64) bool {
-	for fired := uint64(0); len(s.events) > 0; fired++ {
-		if fired >= maxEvents {
-			return false
-		}
-		next := heap.Pop(&s.events).(event)
-		if next.daemon {
-			s.daemons--
-		}
-		s.now = next.at
-		next.fn()
-		s.nfired++
-	}
-	return true
-}
-
-// Pending returns the number of scheduled non-daemon events not yet
-// fired (daemon events are standing hooks, not outstanding work).
-func (s *Sim) Pending() int { return len(s.events) - s.daemons }
+// Pending returns the number of scheduled events not yet fired.
+func (s *Sim) Pending() int { return len(s.events) }
 
 type event struct {
-	at     time.Duration
-	seq    uint64
-	daemon bool
-	fn     func()
+	at  time.Duration
+	seq uint64
+	fn  func()
 }
 
 type eventHeap []event

@@ -73,23 +73,6 @@ func TestRunStopsAtDeadline(t *testing.T) {
 	}
 }
 
-func TestDrain(t *testing.T) {
-	s := New(1)
-	n := 0
-	s.At(time.Hour, func() { n++ })
-	s.At(2*time.Hour, func() { n++ })
-	if !s.Drain(100) || n != 2 {
-		t.Fatalf("drain: n=%d", n)
-	}
-	// Runaway cascade is caught by the budget.
-	var loop func()
-	loop = func() { s.At(time.Millisecond, loop) }
-	s.At(0, loop)
-	if s.Drain(50) {
-		t.Fatal("runaway cascade should exhaust the budget")
-	}
-}
-
 func TestNegativeDelayClamped(t *testing.T) {
 	s := New(1)
 	s.Run(time.Millisecond)

@@ -41,9 +41,9 @@ const (
 	OpAcquire               // a client issued an acquire/upgrade
 	OpGranted               // a client request was granted
 	OpRelease               // a client released a lock
-	OpDrop                  // fault injection: a frame was dropped (and retransmitted)
-	OpDup                   // fault injection: a duplicate frame was generated (and suppressed)
-	OpDefer                 // fault injection: delivery deferred by a partition or crash
+	_                       // retired: 6 was a frame the simulator's fault layer dropped
+	_                       // retired: 7 was a duplicate frame the simulator's fault layer made
+	_                       // retired: 8 was a delivery the simulator's fault layer deferred
 	_                       // retired: 9 was a frame a simulated crash destroyed
 	_                       // retired: 10 was a simulated node's restart
 	OpJoin                  // a node joined the running cluster (Epoch: adopted epoch floor)
@@ -78,12 +78,6 @@ func (o Op) String() string {
 		return "granted"
 	case OpRelease:
 		return "release"
-	case OpDrop:
-		return "drop"
-	case OpDup:
-		return "dup"
-	case OpDefer:
-		return "defer"
 	case OpJoin:
 		return "join"
 	case OpLeave:
@@ -114,7 +108,7 @@ type Entry struct {
 	Node proto.NodeID // acting node (sender for sends, receiver for delivers)
 	Lock proto.LockID
 	Mode modes.Mode
-	// Message fields (OpSend / OpDeliver and the fault ops only).
+	// Message fields (OpSend / OpDeliver only).
 	Kind     proto.Kind
 	From, To proto.NodeID
 	// Epoch is the message's recovery epoch (OpSend / OpDeliver);
@@ -148,7 +142,7 @@ func (e Entry) String() string {
 		tr = " trace=" + e.Trace.String()
 	}
 	switch e.Op {
-	case OpSend, OpDeliver, OpDrop, OpDup, OpDefer:
+	case OpSend, OpDeliver:
 		ep := ""
 		if e.Epoch != 0 {
 			ep = fmt.Sprintf(" epoch=%d", e.Epoch)

@@ -90,9 +90,7 @@ func TestOpString(t *testing.T) {
 		{trace.OpAcquire, "acquire"},
 		{trace.OpGranted, "granted"},
 		{trace.OpRelease, "release"},
-		{trace.OpDrop, "drop"},
-		{trace.OpDup, "dup"},
-		{trace.OpDefer, "defer"},
+		{trace.Op(6), "invalid(6)"}, // retired ops print as invalid
 		{trace.OpRoundStart, "round_start"},
 		{trace.OpRoundDone, "round_done"},
 		{trace.OpFsyncStall, "fsync_stall"},

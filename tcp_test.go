@@ -101,6 +101,25 @@ func TestTCPReliableFieldIgnored(t *testing.T) {
 	}
 }
 
+// TestTCPMemberRejectsSelfPeer pins that Peers lists the other members
+// only. A member whose peer map names itself would count itself twice in
+// its node set, so a three-member cluster would take its recovery
+// majority over four and never recover from one crash.
+func TestTCPMemberRejectsSelfPeer(t *testing.T) {
+	for _, peers := range []map[int]string{
+		{0: "127.0.0.1:1", 1: "127.0.0.1:2", 2: "127.0.0.1:3"},
+		{-1: "127.0.0.1:1", 1: "127.0.0.1:2"},
+	} {
+		m, err := hierlock.NewTCPMember(hierlock.TCPMemberConfig{
+			ID: 0, ListenAddr: "127.0.0.1:0", Peers: peers,
+		})
+		if err == nil {
+			_ = m.Close()
+			t.Fatalf("Peers %v accepted for member 0", peers)
+		}
+	}
+}
+
 // TestTCPMemberBareConfigBeacons: a member with every timing field zero
 // and an advertised address starts, beacons its idle peer (the default
 // interval, 1 s: no lock traffic, so every frame it sends is a beacon)
